@@ -23,7 +23,7 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
-    bfs_distances,
+    canonical_rows,
     canonicalize,
     orbit_of,
     parse_word,
@@ -43,7 +43,7 @@ def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
     order = orbit_of(act, base)
     index = {x: i for i, x in enumerate(order)}
     table = tuple(tuple(index[p[x]] for p in act.perms) for x in order)
-    return SchreierGraph(gens=act.gens, next=table, root=0)
+    return SchreierGraph._trusted(gens=act.gens, next=table)
 
 
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
@@ -239,7 +239,7 @@ def complete_ball(
         raise ValueError("radius must be nonnegative")
     g = core.graph
     d, inv = g.degree, g.gens.inv
-    dist = bfs_distances(g, g.root)
+    dist = g.root_distances
     kept = [v for v in range(g.n) if dist[v] <= radius]
     index = {v: i for i, v in enumerate(kept)}
     table: list[list[int | None]] = []
@@ -268,30 +268,30 @@ def complete_ball(
             table[i][l] = j
             if depth[j] < radius:
                 sprout.append(j)
-    boundary = frozenset(
-        i for i, row in enumerate(table) if any(s is None for s in row)
-    )
-    return canonicalize(
-        SchreierGraph(
-            gens=g.gens,
-            next=tuple(tuple(row) for row in table),
-            root=index[g.root],
-            boundary=boundary,
-            truncation_radius=radius if boundary else None,
-        )
+    _, rows = canonical_rows(table, index[g.root])
+    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+    return SchreierGraph._trusted(
+        gens=g.gens,
+        next=rows,
+        boundary=boundary,
+        truncation_radius=radius if boundary else None,
     )
 
 
-def tree_ball(degree: int, radius: int) -> SchreierGraph:
-    """Ball of the degree-regular tree: ⌊d/2⌋ free letter pairs plus one
-    involutive label when the degree is odd."""
+def tree_core(degree: int) -> CoreGraph:
+    """One-vertex core of the degree-regular tree: ⌊d/2⌋ free letter pairs
+    plus one involutive label when the degree is odd."""
     if degree < 2:
         raise ValueError("tree degree must be at least 2")
     pairs = ascii_lowercase[: degree // 2]
     involutions = ("m",) if degree % 2 else ()
     gens = GenSet.with_involutions(pairs, involutions)
-    core = CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
-    return complete_ball(core, radius)
+    return CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
+
+
+def tree_ball(degree: int, radius: int) -> SchreierGraph:
+    """Ball of the degree-regular tree (alphabet as in ``tree_core``)."""
+    return complete_ball(tree_core(degree), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from schreier.core import (
     serialize,
 )
 from schreier.cycles import cycle_profile
-from schreier.experiments import EXPERIMENTS
+from schreier.experiments import EXPERIMENTS, _frac, _sig
 from schreier.irs import (
     ensemble_ball_distribution,
     invariance_diagnostic,
@@ -80,14 +80,6 @@ LEMMA_CHECKS = (
     "subgroupnorm",
     "lekv",
 )
-
-
-def _sig(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
-def _frac(f: Fraction) -> dict[str, int]:
-    return {"num": f.numerator, "den": f.denominator}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,13 +157,6 @@ def _parse_supports(text: str) -> list[list[str | None]]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="schreier", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on internal parallelism (recorded in reports; current "
-        "computations are sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("build", help="emit a graph as SGF1 text", epilog=SPEC_GRAMMAR,
@@ -234,7 +219,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("ball-distance", help="rooted distance 1/(1+max agreeing radius)")
+    p = sub.add_parser("ball-distance", help="rooted distance 1/k for the largest "
+                       "radius k with isomorphic k-balls (1 if the 1-balls differ; "
+                       "1/max-radius with exact false if every radius agrees)")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--max-radius", type=int, default=32)
@@ -643,7 +630,6 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
                 "source": ensemble.provenance.source,
                 "seed": ensemble.provenance.seed,
                 "sample_count": ensemble.provenance.sample_count,
-                "worker_count": ensemble.provenance.worker_count,
             },
             "radius": args.radius,
             "ball_classes": [

@@ -268,6 +268,16 @@ class SchreierGraph:
     def __post_init__(self) -> None:
         self.validate()
 
+    @classmethod
+    def _trusted(cls, **fields) -> "SchreierGraph":
+        """Build without ``validate()``: only for graphs derived from an
+        already validated graph or ``PermAction``."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            {"root": 0, "boundary": frozenset(), "truncation_radius": None, **fields}
+        )
+        return g
+
     @property
     def n(self) -> int:
         return len(self.next)
@@ -308,40 +318,34 @@ class SchreierGraph:
                         f"({v},{self.gens.labels[l]})"
                     )
         # connectivity: paired slots make defined-slot BFS an undirected search
-        seen = bytearray(n)
-        seen[self.root] = 1
-        queue = deque([self.root])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.next[v]:
-                if w is not None and not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        if count != n:
-            v = seen.index(0)
+        if -1 in self.root_distances:
+            v = self.root_distances.index(-1)
             raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
         return bfs_distances(self, self.root)
 
+    @cached_property
+    def _boundary_distances(self) -> tuple[int, ...]:
+        return bfs_distances(self, *self.boundary)
+
     def distance_to_boundary(self, v: int) -> float:
         """Graph distance from v to the nearest boundary vertex (inf if none)."""
         if not self.boundary:
             return float("inf")
-        dist = bfs_distances(self, v)
-        return min(dist[b] for b in self.boundary)
+        return self._boundary_distances[v]
 
     def degree_at(self, v: int) -> int:
         return sum(1 for w in self.next[v] if w is not None)
 
 
-def bfs_distances(g: SchreierGraph, start: int) -> tuple[int, ...]:
+def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
+    """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
     dist = [-1] * g.n
-    dist[start] = 0
-    queue = deque([start])
+    for s in starts:
+        dist[s] = 0
+    queue = deque(starts)
     while queue:
         v = queue.popleft()
         for w in g.next[v]:
@@ -362,50 +366,56 @@ def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
     return v
 
 
-def canonicalize(g: SchreierGraph) -> SchreierGraph:
-    """Renumber vertices in BFS order from the root, edges taken in label order.
+def canonical_rows(
+    table: Sequence[Sequence[int | None]], root: int, radius: int | None = None
+) -> tuple[dict[int, int], tuple[tuple[int | None, ...], ...]]:
+    """Renumber vertices in BFS order from ``root``, slots taken in label order.
+
+    Returns the old-to-new index (its iteration order is the BFS order) and
+    the renumbered rows.  With a ``radius`` the search stops at that depth
+    and costs only the size of the R-ball: a vertex at depth R keeps just
+    its slots back to depth R−1, which is the R-ball of ``local.ball``.
 
     Because transition tables are deterministic (one slot per label), this
     ordering is invariant under relabeling: two rooted graphs are
-    label-preserving isomorphic exactly when their canonical tables agree.
+    label-preserving isomorphic exactly when their canonical rows agree.
     """
-    order = _bfs_order(g.next, g.root)
-    return _renumber(g, order)
-
-
-def _bfs_order(table: Sequence[Sequence[int | None]], root: int) -> list[int]:
+    index = {root: 0}
     order = [root]
-    pos = [-1] * len(table)
-    pos[root] = 0
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in table[v]:
-            if w is not None and pos[w] < 0:
-                pos[w] = len(order)
-                order.append(w)
-    return order
+    start, depth = 0, 0  # order[start:] is the layer at ``depth``
+    while start < len(order) and depth != radius:
+        end = len(order)
+        for v in order[start:end]:
+            for w in table[v]:
+                if w is not None and w not in index:
+                    index[w] = len(order)
+                    order.append(w)
+        start, depth = end, depth + 1
+    sphere = start if depth == radius else len(order)
+    rows = [
+        tuple(None if w is None else index[w] for w in table[v]) for v in order[:sphere]
+    ]
+    for v in order[sphere:]:
+        # slots to unvisited vertices, or along the sphere, are not in the ball
+        news = map(index.get, table[v])
+        rows.append(tuple(j if j is not None and j < sphere else None for j in news))
+    return index, tuple(rows)
 
 
-def _renumber(g: SchreierGraph, order: list[int]) -> SchreierGraph:
-    new_index = {old: new for new, old in enumerate(order)}
-    table = tuple(
-        tuple(None if w is None else new_index[w] for w in g.next[old])
-        for old in order
-    )
-    boundary = frozenset(new_index[v] for v in g.boundary)
-    return SchreierGraph(
+def canonicalize(g: SchreierGraph) -> SchreierGraph:
+    """The same rooted graph renumbered by ``canonical_rows`` (root 0)."""
+    index, rows = canonical_rows(g.next, g.root)
+    return SchreierGraph._trusted(
         gens=g.gens,
-        next=table,
+        next=rows,
         root=0,
-        boundary=boundary,
+        boundary=frozenset(index[v] for v in g.boundary),
         truncation_radius=g.truncation_radius,
     )
 
 
 def is_canonical(g: SchreierGraph) -> bool:
-    return g.root == 0 and _bfs_order(g.next, g.root) == list(range(g.n))
+    return g.root == 0 and list(canonical_rows(g.next, 0)[0]) == list(range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _sig(x: float) -> float:
-    return float(f"{x:.12g}")
+    return float(f"{float(x):.12g}")
 
 
 def _frac(f: Fraction) -> dict[str, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,7 +51,6 @@ class Provenance:
     source: str
     seed: int | None
     sample_count: int
-    worker_count: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +102,7 @@ def uniform_conjugate(act: PermAction) -> IrsEnsemble:
 
 
 def _sample_seed(master: int, index: int) -> int:
-    # per-sample streams: sample i always draws from Random(master·2³² + i),
-    # so a pool of any worker count reproduces the single-threaded run
+    # per-sample streams: sample i always draws from Random(master·2³² + i)
     return master * 2**32 + index
 
 
@@ -153,8 +151,7 @@ def ensemble_ball_distribution(
                 raise InsufficientRadiusError(
                     "cannot move the root along a missing slot"
                 )
-            g = replace(g, root=root)
-        digest = ball(g, g.root, radius).digest
+        digest = ball(g, root, radius).digest
         dist[digest] = dist.get(digest, Fraction(0)) + w
     return dist
 
@@ -250,7 +247,6 @@ def to_json(e: IrsEnsemble) -> str:
                 "source": e.provenance.source,
                 "seed": e.provenance.seed,
                 "sample_count": e.provenance.sample_count,
-                "worker_count": e.provenance.worker_count,
             },
             "weights": [
                 {"num": w.numerator, "den": w.denominator} for w in e.weights
@@ -276,6 +272,5 @@ def from_json(text: str) -> IrsEnsemble:
             source=prov["source"],
             seed=prov["seed"],
             sample_count=prov["sample_count"],
-            worker_count=prov.get("worker_count", 1),
         ),
     )

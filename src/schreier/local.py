@@ -17,7 +17,7 @@ general graph-isomorphism search anywhere.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -32,8 +32,7 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
-    bfs_distances,
-    canonicalize,
+    canonical_rows,
     is_reduced,
     orbit_of,
     serialize,
@@ -85,29 +84,13 @@ def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
                 f"insufficient radius: vertex {v} is at distance {available} from "
                 f"the truncation boundary, need at least {radius}"
             )
-    dist = bfs_distances(g, v)
-    kept = [u for u in range(g.n) if 0 <= dist[u] <= radius]
-    index = {u: i for i, u in enumerate(kept)}
-    table = []
-    for u in kept:
-        row = []
-        for w in g.next[u]:
-            if w is None or dist[w] > radius or (
-                dist[u] == radius and dist[w] == radius
-            ):
-                row.append(None)
-            else:
-                row.append(index[w])
-        table.append(tuple(row))
-    boundary = frozenset(i for i, row in enumerate(table) if None in row)
-    inner = canonicalize(
-        SchreierGraph(
-            gens=g.gens,
-            next=tuple(table),
-            root=index[v],
-            boundary=boundary,
-            truncation_radius=radius if boundary else None,
-        )
+    _, rows = canonical_rows(g.next, v, radius)
+    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+    inner = SchreierGraph._trusted(
+        gens=g.gens,
+        next=rows,
+        boundary=boundary,
+        truncation_radius=radius if boundary else None,
     )
     return RootedBall(radius=radius, graph=inner)
 
@@ -371,7 +354,7 @@ def is_vertex_transitive(g: SchreierGraph) -> bool:
     equality over all root choices (quadratic; meant for small graphs)."""
     if g.truncated:
         raise ValueError("vertex-transitivity is undefined for truncations")
-    reference = canonicalize(g).next
+    reference = canonical_rows(g.next, g.root)[1]
     return all(
-        canonicalize(replace(g, root=v)).next == reference for v in range(1, g.n)
+        canonical_rows(g.next, v)[1] == reference for v in range(g.n) if v != g.root
     )

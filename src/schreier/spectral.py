@@ -26,7 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from schreier.builders import CoreGraph, from_perm_action, restrict_to_orbit
+from schreier.builders import (
+    CoreGraph,
+    from_perm_action,
+    restrict_to_orbit,
+    tree_core,
+)
 from schreier.core import (
     GenSet,
     GraphInvariantError,
@@ -459,14 +464,6 @@ def estimate_rho_returns(
     )
 
 
-def _free_like_core(degree: int) -> CoreGraph:
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    pairs = [chr(ord("a") + i) for i in range(degree // 2)]
-    gens = GenSet.with_involutions(pairs, ["m"] if degree % 2 else [])
-    return CoreGraph.from_table(gens, [[None] * degree], root=0)
-
-
 @lru_cache(maxsize=None)
 def tree_rho(d: int) -> float:
     """ρ of the d-regular tree, to 12 digits.
@@ -480,7 +477,7 @@ def tree_rho(d: int) -> float:
     if d == 2:
         return 1.0
     value = float(f"{2.0 * math.sqrt(d - 1) / d:.12g}")
-    est = estimate_rho_returns(_free_like_core(d), 160)
+    est = estimate_rho_returns(tree_core(d), 160)
     if est.rho0 > value + 1e-12:
         raise InequalityViolation(
             f"certified lower bound {est.rho0} exceeds the tree value {value}"

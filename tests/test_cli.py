@@ -51,15 +51,15 @@ class TestJsonEnvelope:
         assert doc["schema"] == 1
         assert doc["command"] == "ramanujan"
         assert doc["config"]["graph"] == "petersen"
-        assert doc["config"]["threads"] == 1
+        assert "threads" not in doc["config"]
         result = doc["result"]
         assert result["rho0"] == pytest.approx(2 / 3, abs=1e-9)
         assert result["threshold"] == pytest.approx(2 * (2**0.5) / 3, abs=1e-9)
         assert result["verdict"] is True
 
-    def test_threads_flag_recorded(self, capsys):
-        doc = _json_out(capsys, ["--threads", "4", "cycles", "--graph", "k4"])
-        assert doc["config"]["threads"] == 4
+    def test_threads_flag_rejected(self, capsys):
+        assert run(["--threads", "4", "cycles", "--graph", "k4"]) == 1
+        assert "usage:" in capsys.readouterr().err
 
     def test_out_writes_the_same_document(self, capsys, tmp_path):
         target = tmp_path / "out.json"

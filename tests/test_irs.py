@@ -1,5 +1,6 @@
 """Ensembles of rooted Schreier graphs and their invariance diagnostics."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -270,3 +271,10 @@ class TestJsonRoundTrip:
     def test_schema_is_checked(self):
         with pytest.raises(ValueError, match="schema"):
             from_json('{"schema": 2}')
+
+    def test_dropped_worker_count_key_is_ignored(self):
+        e = uniform_conjugate(cyclic_action(6))
+        doc = json.loads(to_json(e))
+        assert "worker_count" not in doc["provenance"]
+        doc["provenance"]["worker_count"] = 4
+        assert from_json(json.dumps(doc)).provenance == e.provenance

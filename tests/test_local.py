@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +32,16 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     PermAction,
+    SchreierGraph,
     Word,
+    bfs_distances,
     canonicalize,
     parse_word,
     reduce_word,
 )
 from schreier.local import (
     LocalApproxReport,
+    RootedBall,
     ball,
     ball_distance,
     bs_statistics,
@@ -104,6 +108,161 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             ball(cycle_graph(4), 0, -1)
+
+
+def _reference_ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
+    """Ball extraction as first written: a BFS over the whole graph, a scan
+    of every vertex, then a separate canonical renumbering of the result."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if g.truncated:
+        dist = bfs_distances(g, v)
+        available = min(dist[b] for b in g.boundary)
+        if available < radius:
+            raise InsufficientRadiusError(
+                f"insufficient radius: vertex {v} is at distance {available} from "
+                f"the truncation boundary, need at least {radius}"
+            )
+    dist = bfs_distances(g, v)
+    kept = [u for u in range(g.n) if 0 <= dist[u] <= radius]
+    index = {u: i for i, u in enumerate(kept)}
+    table = []
+    for u in kept:
+        row = []
+        for w in g.next[u]:
+            if w is None or dist[w] > radius or (
+                dist[u] == radius and dist[w] == radius
+            ):
+                row.append(None)
+            else:
+                row.append(index[w])
+        table.append(tuple(row))
+    # renumber in BFS order from the root, slots in label order
+    order = [index[v]]
+    pos = {index[v]: 0}
+    for u in order:
+        for w in table[u]:
+            if w is not None and w not in pos:
+                pos[w] = len(order)
+                order.append(w)
+    canon = tuple(
+        tuple(None if w is None else pos[w] for w in table[u]) for u in order
+    )
+    boundary = frozenset(pos[i] for i, row in enumerate(table) if None in row)
+    inner = SchreierGraph(
+        gens=g.gens,
+        next=canon,
+        boundary=boundary,
+        truncation_radius=radius if boundary else None,
+    )
+    return RootedBall(radius=radius, graph=inner)
+
+
+def _outcome(extract, g: SchreierGraph, v: int, radius: int):
+    try:
+        b = extract(g, v, radius)
+    except InsufficientRadiusError as exc:
+        return "refused", str(exc)
+    return b, b.digest
+
+
+@lru_cache(maxsize=None)
+def _lps_5_13() -> SchreierGraph:
+    return lps_graph(5, 13)
+
+
+_words = st.lists(
+    st.text(alphabet="abAB", min_size=1, max_size=5), min_size=1, max_size=3
+)
+
+
+def _truncated_fold(words: list[str], radius: int) -> SchreierGraph:
+    core = stallings_core(F2, [parse_word(F2, w) for w in words])
+    return complete_ball(core, radius)
+
+
+class TestBallAgainstReference:
+    """``ball`` must give the reference's table, boundary, truncation radius
+    and digest, and refuse exactly the vertices the reference refuses."""
+
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        radius=st.integers(0, 3),
+    )
+    @settings(max_examples=40)
+    def test_random_permutation_models(self, m, n, seed, radius):
+        g = random_perm_model(m, n, seed)
+        for v in range(g.n):
+            assert _outcome(ball, g, v, radius) == _outcome(_reference_ball, g, v, radius)
+
+    @given(
+        vertices=st.lists(st.integers(0, 2183), min_size=1, max_size=4),
+        radius=st.integers(0, 3),
+    )
+    @settings(max_examples=8)
+    def test_lps_5_13(self, vertices, radius):
+        g = _lps_5_13()
+        for v in vertices:
+            assert _outcome(ball, g, v, radius) == _outcome(_reference_ball, g, v, radius)
+
+    @given(words=_words, truncation=st.integers(0, 4), radius=st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_truncated_folded_cores(self, words, truncation, radius):
+        g = _truncated_fold(words, truncation)
+        outcomes = [
+            (_outcome(ball, g, v, radius), _outcome(_reference_ball, g, v, radius))
+            for v in range(g.n)
+        ]
+        assert all(new == old for new, old in outcomes)
+
+    @given(words=_words, truncation=st.integers(0, 4), radius=st.integers(0, 3))
+    @settings(max_examples=30)
+    def test_distance_to_boundary_is_nearest_boundary_vertex(
+        self, words, truncation, radius
+    ):
+        g = _truncated_fold(words, truncation)
+        truncated = [g] + [
+            b.graph for b in (ball(g, g.root, r) for r in range(truncation + 1))
+        ]
+        for h in truncated:
+            if not h.truncated:
+                continue
+            for v in range(h.n):
+                dist = bfs_distances(h, v)
+                assert h.distance_to_boundary(v) == min(dist[b] for b in h.boundary)
+
+
+class TestTrustedPathsValidate:
+    """Graphs built without ``validate()`` must be graphs it accepts."""
+
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 10_000),
+        base=st.integers(0, 29),
+        words=_words,
+        radius=st.integers(0, 3),
+    )
+    @settings(max_examples=40)
+    def test_outputs_validate(self, m, n, seed, base, words, radius):
+        act = random_perm_action(m, n, seed)
+        g = from_perm_action(act, base=base % n)
+        core = stallings_core(F2, [parse_word(F2, w) for w in words])
+        truncated = complete_ball(core, radius + 1)
+        shuffled = replace(g, root=g.n - 1)
+        trusted = [
+            g,
+            core.graph,
+            truncated,
+            canonicalize(shuffled),
+            canonicalize(replace(truncated, root=truncated.n - 1)),
+            ball(g, base % g.n, radius).graph,
+            ball(truncated, truncated.root, radius).graph,
+        ]
+        for h in trusted:
+            h.validate()
 
 
 class TestBallDistance:
