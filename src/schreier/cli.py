@@ -43,12 +43,7 @@ from schreier.core import (
 )
 from schreier.cycles import cycle_profile
 from schreier.experiments import EXPERIMENTS, _frac, _sig
-from schreier.irs import (
-    ensemble_ball_distribution,
-    invariance_diagnostic,
-    stabilizer_sample,
-    uniform_conjugate,
-)
+from schreier.irs import invariance_diagnostic, stabilizer_sample, uniform_conjugate
 from schreier.local import ball_distance, bs_statistics, fix_density, local_approx_check
 from schreier.spectral import (
     averaged_operator,
@@ -620,16 +615,13 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         else:
             ensemble = stabilizer_sample(act, args.count, args.seed)
         diag = invariance_diagnostic(ensemble, args.radius)
-        dist = sorted(
-            ensemble_ball_distribution(ensemble, args.radius).items(),
-            key=lambda item: (-item[1], item[0]),
-        )
+        dist = sorted(diag.distribution.items(), key=lambda item: (-item[1], item[0]))
         result = {
             "kind": ensemble.kind,
             "provenance": {
                 "source": ensemble.provenance.source,
                 "seed": ensemble.provenance.seed,
-                "sample_count": ensemble.provenance.sample_count,
+                "sample_count": len(ensemble.samples),
             },
             "radius": args.radius,
             "ball_classes": [

@@ -6,7 +6,8 @@ and rooted graphs are finite, canonicalizable objects.  An ensemble is a
 weighted list of rooted graphs; conjugating the subgroup by a generator
 is moving the root along that generator's edge, so conjugation
 invariance becomes a measurable statement about R-ball statistics under
-root moves.
+root moves.  Samples rooted in one orbit share one table, and each R-ball
+class is computed once per vertex of it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from schreier.builders import from_perm_action
 from schreier.core import (
@@ -50,7 +51,6 @@ __all__ = [
 class Provenance:
     source: str
     seed: int | None
-    sample_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,23 +81,32 @@ class IrsEnsemble:
             raise ValueError("samples must share the ensemble's alphabet")
 
 
+def _rooted_orbits(act: PermAction, points: Iterable[int]) -> tuple[SchreierGraph, ...]:
+    """The orbit graph of each point, rooted at it: one table per orbit,
+    shared by every sample rooted in that orbit."""
+    where: dict[int, tuple[tuple, int]] = {}  # point -> (orbit table, vertex)
+    samples = []
+    for x in points:
+        if x not in where:
+            table = from_perm_action(act, base=x).next
+            where.update((y, (table, i)) for i, y in enumerate(orbit_of(act, x)))
+        table, root = where[x]
+        samples.append(SchreierGraph._trusted(gens=act.gens, next=table, root=root))
+    return tuple(samples)
+
+
 def uniform_conjugate(act: PermAction) -> IrsEnsemble:
     """The stabilizer of a uniformly random point of a transitive action:
-    one rooted copy of the orbit graph per vertex, weight 1/n each."""
+    the orbit graph rooted at each vertex, weight 1/n each."""
     n = act.degree
     if len(orbit_of(act, 0)) != n:
         raise ValueError("uniform conjugation needs a transitive action")
-    samples = tuple(from_perm_action(act, base=v) for v in range(n))
     return IrsEnsemble(
         gens=act.gens,
-        samples=samples,
+        samples=_rooted_orbits(act, range(n)),
         weights=(Fraction(1, n),) * n,
         kind="exact",
-        provenance=Provenance(
-            source=f"uniform conjugate of an action on {n} points",
-            seed=None,
-            sample_count=n,
-        ),
+        provenance=Provenance(f"uniform conjugate of an action on {n} points", None),
     )
 
 
@@ -110,19 +119,17 @@ def stabilizer_sample(act: PermAction, count: int, seed: int) -> IrsEnsemble:
     """Stabilizers of ``count`` uniform points, as rooted orbit graphs."""
     if count < 1:
         raise ValueError("need at least one sample")
-    samples = []
-    for i in range(count):
-        x = random.Random(_sample_seed(seed, i)).randrange(act.degree)
-        samples.append(from_perm_action(act, base=x))
+    points = (
+        random.Random(_sample_seed(seed, i)).randrange(act.degree) for i in range(count)
+    )
     return IrsEnsemble(
         gens=act.gens,
-        samples=tuple(samples),
+        samples=_rooted_orbits(act, points),
         weights=(Fraction(1, count),) * count,
         kind="sampled",
         provenance=Provenance(
             source=f"stabilizers of uniform points of an action on {act.degree} points",
             seed=seed,
-            sample_count=count,
         ),
     )
 
@@ -133,27 +140,32 @@ def point_mass(g: SchreierGraph, source: str = "point mass") -> IrsEnsemble:
         samples=(g,),
         weights=(Fraction(1),),
         kind="exact",
-        provenance=Provenance(source=source, seed=None, sample_count=1),
+        provenance=Provenance(source=source, seed=None),
     )
 
 
-def ensemble_ball_distribution(
-    e: IrsEnsemble, radius: int, move: int | None = None
-) -> dict[str, Fraction]:
-    """Weighted R-ball class distribution, optionally after moving every
-    root along generator ``move`` first."""
-    dist: dict[str, Fraction] = {}
+def _distributions(
+    e: IrsEnsemble, radius: int, moves: Sequence[int]
+) -> tuple[dict[str, Fraction], list[dict[str, Fraction]]]:
+    """Weighted R-ball class distributions at the roots and after moving every
+    root along each label in ``moves``, one ball per (table, vertex); ids are
+    stable keys because the ensemble keeps its tables alive."""
+    digests: dict[tuple[int, int], str] = {}
+    dists: list[dict[str, Fraction]] = [{} for _ in range(len(moves) + 1)]
     for g, w in zip(e.samples, e.weights):
-        root = g.root
-        if move is not None:
-            root = g.next[root][move]
-            if root is None:
-                raise InsufficientRadiusError(
-                    "cannot move the root along a missing slot"
-                )
-        digest = ball(g, root, radius).digest
-        dist[digest] = dist.get(digest, Fraction(0)) + w
-    return dist
+        row = g.next[g.root]
+        for dist, v in zip(dists, [g.root, *(row[l] for l in moves)]):
+            key = (id(g.next), v)
+            if key not in digests:
+                digests[key] = ball(g, v, radius).digest
+            digest = digests[key]
+            dist[digest] = dist.get(digest, Fraction(0)) + w
+    return dists[0], dists[1:]
+
+
+def ensemble_ball_distribution(e: IrsEnsemble, radius: int) -> dict[str, Fraction]:
+    """Weighted R-ball class distribution of the sample roots."""
+    return _distributions(e, radius, ())[0]
 
 
 @dataclass(frozen=True)
@@ -169,6 +181,7 @@ class InvarianceReport:
     kind: str
     per_generator: tuple[tuple[str, Fraction], ...]
     confidence_radius: float | None
+    distribution: dict[str, Fraction]
 
     @property
     def max_tv(self) -> Fraction:
@@ -186,19 +199,17 @@ def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
                 f"invariance at radius {radius} needs radius {radius + 1} around "
                 "every sample root"
             )
-    base = ensemble_ball_distribution(e, radius)
-    rows = []
-    for l, name in enumerate(e.gens.labels):
-        moved = ensemble_ball_distribution(e, radius, move=l)
-        rows.append((name, tv_distance(base, moved)))
+    base, moved = _distributions(e, radius, range(e.gens.degree))
+    rows = tuple((name, tv_distance(base, m)) for name, m in zip(e.gens.labels, moved))
     confidence = None
     if e.kind == "sampled":
-        confidence = math.sqrt(2.0 * math.log(40.0) / e.provenance.sample_count)
+        confidence = math.sqrt(2.0 * math.log(40.0) / len(e.samples))
     return InvarianceReport(
         radius=radius,
         kind=e.kind,
-        per_generator=tuple(rows),
+        per_generator=rows,
         confidence_radius=confidence,
+        distribution=base,
     )
 
 
@@ -246,7 +257,7 @@ def to_json(e: IrsEnsemble) -> str:
             "provenance": {
                 "source": e.provenance.source,
                 "seed": e.provenance.seed,
-                "sample_count": e.provenance.sample_count,
+                "sample_count": len(e.samples),
             },
             "weights": [
                 {"num": w.numerator, "den": w.denominator} for w in e.weights
@@ -261,6 +272,10 @@ def from_json(text: str) -> IrsEnsemble:
     data = json.loads(text)
     if data.get("schema") != 1:
         raise ValueError("unsupported ensemble schema")
+    if not data["samples"]:
+        raise ValueError("an ensemble needs at least one sample")
+    if any(w["den"] == 0 for w in data["weights"]):
+        raise ValueError("ensemble weights need nonzero denominators")
     samples = tuple(parse(s) for s in data["samples"])
     prov = data["provenance"]
     return IrsEnsemble(
@@ -268,9 +283,5 @@ def from_json(text: str) -> IrsEnsemble:
         samples=samples,
         weights=tuple(Fraction(w["num"], w["den"]) for w in data["weights"]),
         kind=data["kind"],
-        provenance=Provenance(
-            source=prov["source"],
-            seed=prov["seed"],
-            sample_count=prov["sample_count"],
-        ),
+        provenance=Provenance(source=prov["source"], seed=prov["seed"]),
     )

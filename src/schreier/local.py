@@ -10,8 +10,8 @@ exact with word lists of length at most 2R.
 
 Schreier graphs are deterministic labeled structures, so rooted balls have
 a linear-time canonical form (breadth-first renumbering, edges taken in
-label order) and isomorphism is byte-equality of serializations — no
-general graph-isomorphism search anywhere.
+label order) and isomorphism is equality of canonical rows, which a ball's
+digest hashes — no general graph-isomorphism search anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from schreier.core import (
     canonical_rows,
     is_reduced,
     orbit_of,
-    serialize,
 )
 
 __all__ = [
@@ -57,14 +56,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RootedBall:
-    """A canonical rooted R-ball; equal encodings ⟺ isomorphic balls."""
+    """A canonical rooted R-ball; equal digests ⟺ isomorphic balls, since the
+    root (0), boundary and truncation follow from the rows and the radius."""
 
     radius: int
     graph: SchreierGraph
 
     @cached_property
     def digest(self) -> str:
-        payload = f"radius {self.radius}\n" + serialize(self.graph)
+        gens = self.graph.gens
+        payload = repr((self.radius, gens.labels, gens.inv, self.graph.next))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -1,6 +1,8 @@
 """Ensembles of rooted Schreier graphs and their invariance diagnostics."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from schreier.core import (
     GenSet,
     InsufficientRadiusError,
     PermAction,
+    canonicalize,
+    orbit_of,
     parse_word,
     serialize,
 )
@@ -37,7 +41,7 @@ from schreier.irs import (
     uniform_conjugate,
     weak_convergence_diagnostic,
 )
-from schreier.local import bs_statistics, tv_distance
+from schreier.local import ball, bs_statistics, tv_distance
 
 
 def line_ball(radius):
@@ -66,7 +70,7 @@ class TestEnsembleValidation:
                 samples=(g, g),
                 weights=(Fraction(1, 2), Fraction(1, 3)),
                 kind="exact",
-                provenance=Provenance("test", None, 2),
+                provenance=Provenance("test", None),
             )
 
     def test_weights_must_be_positive(self):
@@ -77,7 +81,7 @@ class TestEnsembleValidation:
                 samples=(g, g),
                 weights=(Fraction(3, 2), Fraction(-1, 2)),
                 kind="exact",
-                provenance=Provenance("test", None, 2),
+                provenance=Provenance("test", None),
             )
 
     def test_samples_share_alphabet(self):
@@ -89,7 +93,7 @@ class TestEnsembleValidation:
                 samples=(g, h),
                 weights=(Fraction(1, 2), Fraction(1, 2)),
                 kind="exact",
-                provenance=Provenance("test", None, 2),
+                provenance=Provenance("test", None),
             )
 
     def test_unknown_kind(self):
@@ -100,7 +104,7 @@ class TestEnsembleValidation:
                 samples=(g,),
                 weights=(Fraction(1),),
                 kind="empirical",
-                provenance=Provenance("test", None, 1),
+                provenance=Provenance("test", None),
             )
 
 
@@ -110,9 +114,9 @@ class TestUniformConjugate:
         assert e.kind == "exact"
         assert e.weights == (Fraction(1, 6),) * 6
         # every re-rooting of a cycle is the same rooted graph
-        assert len({serialize(g) for g in e.samples}) == 1
+        assert len({serialize(canonicalize(g)) for g in e.samples}) == 1
         assert e.samples[0].n == 6
-        assert e.provenance.sample_count == 6
+        assert len(e.samples) == 6
 
     def test_needs_transitivity(self):
         fixes_everything = PermAction.from_generator_perms([(0, 1)], pair_names=("a",))
@@ -139,7 +143,7 @@ class TestStabilizerSample:
     def test_regular_action_is_a_point_mass(self):
         e = stabilizer_sample(s3_regular(), 12, seed=0)
         cayley = serialize(from_perm_action(s3_regular()))
-        assert {serialize(g) for g in e.samples} == {cayley}
+        assert {serialize(canonicalize(g)) for g in e.samples} == {cayley}
 
     def test_trivial_letter_loops_at_every_root(self):
         act = two_point_action()
@@ -155,23 +159,78 @@ class TestStabilizerSample:
             stabilizer_sample(cyclic_action(3), 0, seed=0)
 
 
+def _reference_points(act, count, seed):
+    """The points ``stabilizer_sample`` draws: sample i from Random(seed·2³² + i)."""
+    return [random.Random(seed * 2**32 + i).randrange(act.degree) for i in range(count)]
+
+
+def _assert_matches_per_root_copies(e, act, points, radius):
+    """The ensemble must answer as one canonical copy of the orbit graph per
+    point did: the same rooted graphs, ball distribution and root moves."""
+    refs = [from_perm_action(act, base=x) for x in points]
+    assert [serialize(canonicalize(g)) for g in e.samples] == [serialize(r) for r in refs]
+    for g in e.samples:
+        g.validate()
+    dists = [{} for _ in range(e.gens.degree + 1)]
+    for r, w in zip(refs, e.weights):
+        roots = [r.root] + [r.next[r.root][l] for l in range(e.gens.degree)]
+        for dist, v in zip(dists, roots):
+            digest = ball(r, v, radius).digest
+            dist[digest] = dist.get(digest, Fraction(0)) + w
+    assert ensemble_ball_distribution(e, radius) == dists[0]
+    report = invariance_diagnostic(e, radius)
+    assert report.distribution == dists[0]
+    assert report.per_generator == tuple(
+        (name, tv_distance(dists[0], moved))
+        for name, moved in zip(e.gens.labels, dists[1:])
+    )
+
+
+class TestSharedOrbitTables:
+    """Samples are rooted views of one table per orbit, and answer exactly
+    as the per-root copies the ensemble builders used to make."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        radius=st.integers(0, 3),
+    )
+    def test_uniform_conjugate(self, m, n, seed, radius):
+        act = restrict_to_orbit(random_perm_action(m, n, seed))
+        e = uniform_conjugate(act)
+        _assert_matches_per_root_copies(e, act, range(act.degree), radius)
+        assert len({id(g.next) for g in e.samples}) == 1
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+        count=st.integers(1, 30),
+        sample_seed=st.integers(0, 1000),
+        radius=st.integers(0, 3),
+    )
+    def test_stabilizer_sample(self, m, n, seed, count, sample_seed, radius):
+        # random actions are usually not transitive, so samples hit several orbits
+        act = random_perm_action(m, n, seed)
+        e = stabilizer_sample(act, count, sample_seed)
+        points = _reference_points(act, count, sample_seed)
+        _assert_matches_per_root_copies(e, act, points, radius)
+        orbit = {}
+        for x in points:
+            orbit.setdefault(x, frozenset(orbit_of(act, x)))
+        for g, x in zip(e.samples, points):
+            for h, y in zip(e.samples, points):
+                assert (g.next is h.next) == (orbit[x] == orbit[y])
+
+
 class TestEnsembleBallDistribution:
     def test_transitive_single_class(self):
         dist = ensemble_ball_distribution(uniform_conjugate(cyclic_action(6)), 1)
         assert list(dist.values()) == [Fraction(1)]
 
-    def test_root_move_preserves_uniform_conjugate(self):
-        e = uniform_conjugate(restrict_to_orbit(random_perm_action(2, 20, seed=1)))
-        base = ensemble_ball_distribution(e, 2)
-        for l in range(e.gens.degree):
-            assert ensemble_ball_distribution(e, 2, move=l) == base
-
-    def test_move_off_a_truncation_is_refused(self):
-        gens = GenSet.free(1)
-        core = CoreGraph.from_table(gens, [[None, None]])
-        pm = point_mass(complete_ball(core, 0))
-        with pytest.raises(InsufficientRadiusError, match="missing slot"):
-            ensemble_ball_distribution(pm, 0, move=0)
 
 
 class TestInvarianceDiagnostic:
@@ -216,6 +275,11 @@ class TestInvarianceDiagnostic:
         assert report.kind == "sampled"
         assert report.max_tv == 0
         assert 0 < report.confidence_radius < 1
+
+    def test_exact_ensemble_at_ten_thousand_roots(self):
+        act = restrict_to_orbit(random_perm_action(2, 10_000, seed=0))
+        assert act.degree == 10_000
+        assert invariance_diagnostic(uniform_conjugate(act), 2).max_tv == 0
 
     def test_sampling_approaches_the_exact_ensemble(self):
         act = restrict_to_orbit(random_perm_action(2, 150, seed=5))
@@ -271,6 +335,35 @@ class TestJsonRoundTrip:
     def test_schema_is_checked(self):
         with pytest.raises(ValueError, match="schema"):
             from_json('{"schema": 2}')
+
+    def test_stored_sample_count_is_ignored(self):
+        e = stabilizer_sample(cyclic_action(6), 40, seed=2)
+        doc = json.loads(to_json(e))
+        assert doc["provenance"]["sample_count"] == 40
+        doc["provenance"]["sample_count"] = 0
+        restored = from_json(json.dumps(doc))
+        expected = invariance_diagnostic(e, 1).confidence_radius
+        assert invariance_diagnostic(restored, 1).confidence_radius == expected
+
+    def test_confidence_radius_counts_the_samples(self):
+        e = stabilizer_sample(cyclic_action(6), 2, seed=0)
+        doc = json.loads(to_json(e))
+        doc["provenance"]["sample_count"] = 1_000_000
+        report = invariance_diagnostic(from_json(json.dumps(doc)), 1)
+        assert report.confidence_radius == math.sqrt(2.0 * math.log(40.0) / 2)
+        assert report.confidence_radius > 1
+
+    def test_empty_sample_list_is_refused(self):
+        doc = json.loads(to_json(uniform_conjugate(cyclic_action(3))))
+        doc["samples"], doc["weights"] = [], []
+        with pytest.raises(ValueError, match="at least one sample"):
+            from_json(json.dumps(doc))
+
+    def test_zero_denominator_is_refused(self):
+        doc = json.loads(to_json(uniform_conjugate(cyclic_action(3))))
+        doc["weights"][0]["den"] = 0
+        with pytest.raises(ValueError, match="nonzero denominators"):
+            from_json(json.dumps(doc))
 
     def test_dropped_worker_count_key_is_ignored(self):
         e = uniform_conjugate(cyclic_action(6))

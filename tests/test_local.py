@@ -1,5 +1,6 @@
 """Rooted balls, ball statistics, and the fixed-point inequalities."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +39,7 @@ from schreier.core import (
     canonicalize,
     parse_word,
     reduce_word,
+    serialize,
 )
 from schreier.local import (
     LocalApproxReport,
@@ -232,6 +234,63 @@ class TestBallAgainstReference:
             for v in range(h.n):
                 dist = bfs_distances(h, v)
                 assert h.distance_to_boundary(v) == min(dist[b] for b in h.boundary)
+
+
+def _sgf1_digest(b: RootedBall) -> str:
+    """The digest as first written: SHA-256 of the radius and the ball's SGF1
+    serialization."""
+    payload = f"radius {b.radius}\n" + serialize(b.graph)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _assert_same_partition(balls) -> None:
+    pairs = {(b.digest, _sgf1_digest(b)) for b in balls}
+    assert len({new for new, _ in pairs}) == len(pairs)
+    assert len({old for _, old in pairs}) == len(pairs)
+
+
+def _balls_allowed(g: SchreierGraph, vertices, radii):
+    for v in vertices:
+        for r in radii:
+            try:
+                yield ball(g, v, r)
+            except InsufficientRadiusError:
+                pass
+
+
+class TestDigestAgainstSgf1:
+    """Two balls have equal digests exactly when their SGF1 digests are
+    equal; balls of every radius 0–3 are pooled, so radius must separate."""
+
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 30),
+        seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_permutation_models(self, m, n, seeds):
+        graphs = [random_perm_model(m, n, seed) for seed in seeds]
+        _assert_same_partition(
+            b for g in graphs for b in _balls_allowed(g, range(g.n), range(4))
+        )
+
+    @given(vertices=st.lists(st.integers(0, 2183), min_size=1, max_size=4))
+    @settings(max_examples=5, deadline=None)
+    def test_lps_5_13(self, vertices):
+        g = _lps_5_13()
+        _assert_same_partition(_balls_allowed(g, vertices, range(4)))
+
+    @given(
+        folds=st.lists(
+            st.tuples(_words, st.integers(0, 4)), min_size=1, max_size=3
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_folded_cores(self, folds):
+        graphs = [_truncated_fold(words, truncation) for words, truncation in folds]
+        _assert_same_partition(
+            b for g in graphs for b in _balls_allowed(g, range(g.n), range(4))
+        )
 
 
 class TestTrustedPathsValidate:
