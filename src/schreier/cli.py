@@ -10,6 +10,7 @@ text.  Exit codes: 0 on success, 2 when an asserted inequality fails,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import random
@@ -34,7 +35,6 @@ from schreier.core import (
     GraphInvariantError,
     InequalityViolation,
     InsufficientRadiusError,
-    PermAction,
     SGF1Error,
     Word,
     format_word,
@@ -53,7 +53,6 @@ from schreier.spectral import (
     markov_spectrum,
     product_return_bound,
     ramanujan_check,
-    rho0,
     support_subgroup_graph,
 )
 from schreier.walks import (
@@ -64,16 +63,6 @@ from schreier.walks import (
     returning_words,
     segment_distribution,
     tree_return_domination_report,
-)
-
-LEMMA_CHECKS = (
-    "different",
-    "returningvsrw",
-    "triv1",
-    "triv2",
-    "modifiedrw",
-    "subgroupnorm",
-    "lekv",
 )
 
 
@@ -106,7 +95,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part)
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _word_tables(rank: int, n: int):
@@ -150,6 +141,17 @@ def _parse_supports(text: str) -> list[list[str | None]]:
     return sequence
 
 
+def _branch_flags(args, taken: bool, refusal: str, **defaults) -> None:
+    """Flags that one branch of a command reads parse as None: fill in
+    their defaults when that branch is taken, so that ``config`` echoes
+    them, and refuse them with ``refusal`` when it is not."""
+    for key, default in defaults.items():
+        if not taken and getattr(args, key) is not None:
+            raise ValueError(refusal)
+        if taken and getattr(args, key) is None:
+            setattr(args, key, default)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="schreier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -182,32 +184,51 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lemma-check", help="verify one of the walk/operator/ball "
                        "inequalities on a concrete instance")
-    p.add_argument("check", choices=LEMMA_CHECKS)
-    p.add_argument("--graph", help="graph spec (different, returningvsrw)")
-    p.add_argument("--tree-degree", type=int, help="run 'different' on the regular "
-                   "tree via ring counts instead of a stored graph")
-    p.add_argument("--group", help="F<rank>, the ambient free group (triv1, triv2)")
-    p.add_argument("--action", action="append", help="action spec; repeatable (lekv, "
-                   "modifiedrw, subgroupnorm)")
-    p.add_argument("--n", type=int, help="walk length / word length")
-    p.add_argument("--k", type=int, default=3, help="segment / prefix length cap "
-                   "(triv1, triv2)")
-    p.add_argument("--prefix-length", type=int, default=2, help="prefix cap "
-                   "(returningvsrw)")
-    p.add_argument("--radius", type=int, default=2, help="ball radius (lekv)")
-    p.add_argument("--words", help="comma-separated words (lekv: explicit word list)")
-    p.add_argument("--supports", help="semicolon-separated supports, comma-separated "
-                   "labels, 'e' for identity (modifiedrw)")
-    p.add_argument("--support", help="one support (subgroupnorm)")
-    p.add_argument("--random", type=int, metavar="COUNT",
-                   help="number of random support sequences (modifiedrw)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assume-transitive", action="store_true",
-                   help="skip the vertex-transitivity check (truncated inputs whose "
-                   "full graph is transitive, e.g. tree balls)")
-    p.add_argument("--restrict", action="store_true",
-                   help="restrict the action to the orbit of 0 first (lekv)")
-    p.add_argument("--out")
+    checks = p.add_subparsers(dest="check", required=True, parser_class=_Parser)
+    c = {
+        name: checks.add_parser(name, help=check.__doc__, description=check.__doc__)
+        for name, check in _CHECKS.items()
+    }
+    source = c["different"].add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--tree-degree", type=int, help="the regular tree of this "
+                        "degree, via ring counts instead of a stored graph")
+    c["different"].add_argument("--n", type=int, required=True,
+                                help="check every even length up to n")
+    q = c["returningvsrw"]
+    q.add_argument("--graph", required=True)
+    q.add_argument("--n", type=int, required=True, help="walk length")
+    q.add_argument("--prefix-length", type=int, default=2, help="prefix length cap")
+    for q in (c["different"], c["returningvsrw"]):
+        q.add_argument("--assume-transitive", action="store_true", help="skip the "
+                       "vertex-transitivity check (truncated inputs whose full "
+                       "graph is transitive, e.g. tree balls)")
+    c["different"].set_defaults(assume_transitive=None)  # read with --graph only
+    for q in (c["triv1"], c["triv2"]):
+        q.add_argument("--group", required=True, help="F<rank>, the free group")
+        q.add_argument("--n", type=int, required=True, help="word length")
+        q.add_argument("--k", type=int, default=3, help="prefix / segment length cap")
+    q = c["modifiedrw"]
+    q.add_argument("--action", required=True)
+    supports = q.add_mutually_exclusive_group(required=True)
+    supports.add_argument("--supports", help="semicolon-separated supports of "
+                          "comma-separated labels, 'e' for identity")
+    supports.add_argument("--random", type=int, metavar="COUNT",
+                          help="number of random support sequences")
+    q.add_argument("--seed", type=int, help="seed of the --random draws (default 0)")
+    q = c["subgroupnorm"]
+    q.add_argument("--action", required=True)
+    q.add_argument("--support", required=True,
+                   help="comma-separated labels, 'e' for identity")
+    q = c["lekv"]
+    q.add_argument("--action", action="append", required=True, help="repeatable")
+    q.add_argument("--radius", type=int, default=2, help="ball radius")
+    q.add_argument("--words", help="comma-separated words (default: every reduced "
+                   "word of length at most twice the radius)")
+    q.add_argument("--restrict", action="store_true",
+                   help="restrict each action to the orbit of 0 first")
+    for q in c.values():
+        q.add_argument("--out")
 
     p = sub.add_parser("bs-stats", help="ball-class frequencies over all roots")
     p.add_argument("--graph", required=True)
@@ -235,25 +256,27 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("irs-sample", help="stabilizer ensemble of an action, with an "
                        "invariance diagnostic")
     p.add_argument("--action", required=True)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, help="samples to draw (default 1000)")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--exact", action="store_true",
                    help="exact uniform-conjugate ensemble instead of sampling")
     p.add_argument("--out")
 
-    p = sub.add_parser("experiment", help="run a named experiment recipe")
-    p.add_argument("name", choices=sorted(EXPERIMENTS))
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--sizes", help="comma-separated graph sizes")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--out")
+    p = sub.add_parser("experiment", help="run a named experiment recipe; its "
+                       "flags are the recipe's keyword parameters")
+    recipes = p.add_subparsers(dest="name", required=True, parser_class=_Parser)
+    for name, recipe in sorted(EXPERIMENTS.items()):
+        r = recipes.add_parser(name)
+        for param in inspect.signature(recipe).parameters.values():
+            default = param.default
+            r.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=_parse_ints if isinstance(default, tuple) else type(default),
+                default=default,
+                help="default: %(default)s",
+            )
+        r.add_argument("--out")
 
     return parser
 
@@ -287,17 +310,34 @@ def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> No
 # ---------------------------------------------------------------------------
 
 
-def _check_different(args) -> dict:
-    if args.n is None:
-        raise ValueError("different needs --n (checks run at all even lengths up to it)")
+def _prefix_rows(gens: GenSet, kmax: int, probability) -> list[dict]:
+    """A row for each prefix w of length 1..kmax: probability(w), d^(-2|w|)."""
     rows = []
+    for length in range(1, kmax + 1):
+        for letters in product(range(gens.degree), repeat=length):
+            w = Word(letters)
+            rows.append(
+                {
+                    "prefix": format_word(gens, w),
+                    "probability": _frac(probability(w)),
+                    "bound": _frac(Fraction(1, gens.degree ** (2 * length))),
+                }
+            )
+    return rows
+
+
+def _check_different(args) -> dict:
+    """at even n, the return count dominates every other endpoint count
+    and is at most d^2 times the return count at n - 2"""
+    _branch_flags(args, args.graph is not None, "--assume-transitive is for "
+                  "--graph; the regular tree is transitive", assume_transitive=False)
     if args.tree_degree is not None:
         source = f"{args.tree_degree}-regular tree"
         reports = [
             tree_return_domination_report(args.tree_degree, k)
             for k in range(2, args.n + 1, 2)
         ]
-    elif args.graph is not None:
+    else:
         source = args.graph
         g = _full_graph(from_spec(args.graph), "the domination check")
         transitive = True if args.assume_transitive else None
@@ -305,61 +345,39 @@ def _check_different(args) -> dict:
             return_domination_report(g, k, vertex_transitive=transitive)
             for k in range(2, args.n + 1, 2)
         ]
-    else:
-        raise ValueError("different needs --graph or --tree-degree")
-    for r in reports:
-        rows.append(
-            {
-                "n": r.n,
-                "return_count": r.return_count,
-                "max_other_count": r.max_other_count,
-                "previous_return_count": r.previous_return_count,
-            }
-        )
+    rows = [
+        {
+            "n": r.n,
+            "return_count": r.return_count,
+            "max_other_count": r.max_other_count,
+            "previous_return_count": r.previous_return_count,
+        }
+        for r in reports
+    ]
     return {"source": source, "rows": rows, "holds": True}
 
 
 def _check_returningvsrw(args) -> dict:
-    if args.graph is None or args.n is None:
-        raise ValueError("returningvsrw needs --graph and --n")
+    """a returning length-n walk starts with prefix w with probability at
+    least d^(-2|w|) (vertex-transitive graphs)"""
     g = _full_graph(from_spec(args.graph), "the conditioned-prefix check")
     transitive = True if args.assume_transitive else None
-    rows = []
-    for length in range(1, args.prefix_length + 1):
-        for letters in product(range(g.gens.degree), repeat=length):
-            w = Word(letters)
-            p = conditioned_prefix_probability(
-                g, g.root, w, args.n, vertex_transitive=transitive
-            )
-            rows.append(
-                {
-                    "prefix": format_word(g.gens, w),
-                    "probability": _frac(p),
-                    "bound": _frac(Fraction(1, g.degree ** (2 * length))),
-                }
-            )
+    rows = _prefix_rows(
+        g.gens,
+        args.prefix_length,
+        lambda w: conditioned_prefix_probability(
+            g, g.root, w, args.n, vertex_transitive=transitive
+        ),
+    )
     return {"n": args.n, "rows": rows, "holds": True}
 
 
 def _check_triv1(args) -> dict:
-    if args.group is None or args.n is None:
-        raise ValueError("triv1 needs --group and --n")
-    rank = _parse_rank(args.group)
-    words = _word_tables(rank, args.n)
+    """a uniform returning length-n word of F_r starts with prefix w with
+    probability at least (2r)^(-2|w|)"""
+    words = _word_tables(_parse_rank(args.group), args.n)
     kmax = min(args.k, (args.n - 1) // 2)
-    gens = words.graph.gens
-    rows = []
-    for length in range(1, kmax + 1):
-        for letters in product(range(gens.degree), repeat=length):
-            w = Word(letters)
-            p = prefix_probability(words, w)
-            rows.append(
-                {
-                    "prefix": format_word(gens, w),
-                    "probability": _frac(p),
-                    "bound": _frac(Fraction(1, gens.degree ** (2 * length))),
-                }
-            )
+    rows = _prefix_rows(words.graph.gens, kmax, lambda w: prefix_probability(words, w))
     return {
         "n": args.n,
         "word_count": words.count,
@@ -370,10 +388,9 @@ def _check_triv1(args) -> dict:
 
 
 def _check_triv2(args) -> dict:
-    if args.group is None or args.n is None:
-        raise ValueError("triv2 needs --group and --n")
-    rank = _parse_rank(args.group)
-    words = _word_tables(rank, args.n)
+    """a uniform returning length-n word of F_r has the same segment
+    distribution at every cyclic shift"""
+    words = _word_tables(_parse_rank(args.group), args.n)
     kmax = min(args.k, args.n)
     classes = {}
     for k in range(1, kmax + 1):
@@ -395,19 +412,19 @@ def _check_triv2(args) -> dict:
 
 
 def _check_modifiedrw(args) -> dict:
-    if not args.action:
-        raise ValueError("modifiedrw needs --action")
-    act = action_from_spec(args.action[0])
+    """a product of uniform steps from the supports fixes point 0 with
+    probability at most the product of their operator norms"""
+    _branch_flags(args, args.random is not None, "--seed draws the --random "
+                  "supports; --supports takes none", seed=0)
+    act = action_from_spec(args.action)
     if args.supports is not None:
         sequences = [_parse_supports(args.supports)]
-    elif args.random is not None:
+    else:
         rng = random.Random(args.seed)
         sequences = [
             [_random_support(act.gens, rng) for _ in range(rng.randrange(1, 4))]
             for _ in range(args.random)
         ]
-    else:
-        raise ValueError("modifiedrw needs --supports or --random")
     rows = []
     for seq in sequences:
         bound = product_return_bound(act, seq)
@@ -419,13 +436,13 @@ def _check_modifiedrw(args) -> dict:
                 "bound": _sig(bound.bound),
             }
         )
-    return {"action": args.action[0], "sequences": rows, "holds": True}
+    return {"action": args.action, "sequences": rows, "holds": True}
 
 
 def _check_subgroupnorm(args) -> dict:
-    if not args.action or args.support is None:
-        raise ValueError("subgroupnorm needs --action and --support")
-    act = action_from_spec(args.action[0])
+    """a support's averaged operator is one copy of its subgroup's graph
+    per coset, so its norm is that graph's spectral radius"""
+    act = action_from_spec(args.action)
     support = _parse_supports(args.support)[0]
     norm = distribution_operator_norm(act, support)
     subgraph = support_subgroup_graph(act, support)
@@ -449,7 +466,7 @@ def _check_subgroupnorm(args) -> dict:
             "operator norm differs from the subgroup-graph spectral radius"
         )
     return {
-        "action": args.action[0],
+        "action": args.action,
         "support": [name or "e" for name in support],
         "operator_norm": _sig(norm),
         "subgroup_order": subgraph.n,
@@ -461,8 +478,8 @@ def _check_subgroupnorm(args) -> dict:
 
 
 def _check_lekv(args) -> dict:
-    if not args.action:
-        raise ValueError("lekv needs --action (repeatable)")
+    """with P the share of tree balls, each reduced word of length <= 2R
+    fixes at most 1 - P of the points, and P >= 1 - their fix-density sum"""
     actions = [action_from_spec(spec) for spec in args.action]
     if args.restrict:
         actions = [restrict_to_orbit(act) for act in actions]
@@ -609,6 +626,8 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "densities": [_frac(d) for d in profile.densities],
         }
     elif args.command == "irs-sample":
+        _branch_flags(args, not args.exact, "--exact enumerates every conjugate; "
+                      "it takes no --count or --seed", count=1000, seed=0)
         act = action_from_spec(args.action)
         if args.exact:
             ensemble = uniform_conjugate(act)
@@ -638,20 +657,9 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             },
         }
     elif args.command == "experiment":
-        accepted = {
-            "kesten-amenable": ("horizon",),
-            "kesten-finite-irs": ("n", "seed", "radius"),
-            "nonamenable-subgroup-counterexample": ("horizon", "tolerance", "rank"),
-            "alon-boppana": ("sizes", "seeds", "lmax"),
-            "ramanujan-girth": ("sizes", "seeds", "lmax"),
-        }[args.name]
-        kwargs = {}
-        for key in accepted:
-            value = getattr(args, key)
-            if value is None:
-                continue
-            kwargs[key] = _parse_ints(value) if key in ("sizes", "seeds") else value
-        result = EXPERIMENTS[args.name](**kwargs)
+        recipe = EXPERIMENTS[args.name]
+        params = inspect.signature(recipe).parameters
+        result = recipe(**{key: getattr(args, key) for key in params})
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {args.command!r}")
 

@@ -106,14 +106,39 @@ def girth(g: SchreierGraph | CoreGraph) -> int | float:
     return best
 
 
-def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
-    """Exact cycle counts c_1 .. c_lmax, in one pruned depth-first sweep.
+def _cycles_from(
+    s: int, floor: int, adj: list, mu: dict, onpath: list, lmax: int, counts: list
+) -> None:
+    """Add to counts[L], for 3 ≤ L ≤ lmax, the L-cycles through s whose
+    other vertices all exceed ``floor``.
 
-    A length-L cycle is enumerated from its smallest vertex s as a path
-    into vertices above s, with the reflection killed by requiring the
-    first step to be smaller than the last; edge multiplicities multiply
-    along the way.
+    Each cycle is a path out of s closed by an edge back to s; its
+    reflection is killed by requiring the first step to be smaller than
+    the last, and edge multiplicities multiply along the way.
     """
+
+    def extend(v: int, first: int, depth: int, weight: int) -> None:
+        # depth = edges walked so far; closing now yields a (depth+1)-cycle
+        if depth >= 2 and first < v:
+            back = mu.get((s, v) if s < v else (v, s))
+            if back is not None:
+                counts[depth + 1] += weight * back
+        if depth == lmax - 1:
+            return
+        for w, m in adj[v]:
+            if w > floor and not onpath[w]:
+                onpath[w] = True
+                extend(w, first if depth >= 1 else w, depth + 1, weight * m)
+                onpath[w] = False
+
+    onpath[s] = True
+    extend(s, -1, 0, 1)
+    onpath[s] = False
+
+
+def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+    """Exact cycle counts c_1 .. c_lmax, in one pruned depth-first sweep:
+    a cycle of length ≥ 3 is enumerated once, from its smallest vertex."""
     if not 1 <= lmax <= LMAX:
         raise ValueError(f"cycle lengths are supported up to {LMAX}")
     g = _graph(g)
@@ -126,26 +151,8 @@ def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
         return tuple(counts[1:])
     adj = _adjacency(g.n, mu)
     onpath = [False] * g.n
-
-    def extend(s: int, v: int, first: int, depth: int, weight: int) -> None:
-        # depth = edges walked so far; closing now yields a (depth+1)-cycle
-        if depth >= 2 and first < v:
-            key = (s, v) if s < v else (v, s)
-            back = mu.get(key)
-            if back is not None:
-                counts[depth + 1] += weight * back
-        if depth == lmax - 1:
-            return
-        for w, m in adj[v]:
-            if w > s and not onpath[w]:
-                onpath[w] = True
-                extend(s, w, first if depth >= 1 else w, depth + 1, weight * m)
-                onpath[w] = False
-
     for s in range(g.n):
-        onpath[s] = True
-        extend(s, s, -1, 0, 1)
-        onpath[s] = False
+        _cycles_from(s, s, adj, mu, onpath, lmax, counts)
     return tuple(counts[1:])
 
 
@@ -169,27 +176,9 @@ def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
         return loops[v]
     if length == 2:
         return sum(m * (m - 1) // 2 for (a, b), m in mu.items() if v in (a, b))
-    adj = _adjacency(g.n, mu)
-    onpath = [False] * g.n
-    total = 0
-
-    def extend(x: int, first: int, depth: int, weight: int) -> None:
-        nonlocal total
-        if depth == length - 1:
-            key = (v, x) if v < x else (x, v)
-            back = mu.get(key)
-            if back is not None and first < x:
-                total += weight * back
-            return
-        for w, m in adj[x]:
-            if w != v and not onpath[w]:
-                onpath[w] = True
-                extend(w, first if depth >= 1 else w, depth + 1, weight * m)
-                onpath[w] = False
-
-    onpath[v] = True
-    extend(v, -1, 0, 1)
-    return total
+    counts = [0] * (length + 1)
+    _cycles_from(v, -1, _adjacency(g.n, mu), mu, [False] * g.n, length, counts)
+    return counts[length]
 
 
 @dataclass(frozen=True)

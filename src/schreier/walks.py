@@ -280,6 +280,22 @@ def prefix_probability(words: ReturningWordSet, prefix: Word) -> Fraction:
     return p
 
 
+def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
+    """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
+    caller asserted or, failing that, as checked on the whole graph."""
+    if asserted is None:
+        if g.truncated:
+            raise ValueError(
+                "cannot verify vertex-transitivity of a truncated graph; "
+                "pass vertex_transitive=True if the full graph is transitive"
+            )
+        from schreier.local import is_vertex_transitive
+
+        asserted = is_vertex_transitive(g)
+    if not asserted:
+        raise ValueError(refusal)
+
+
 def conditioned_prefix_probability(
     g: SchreierGraph,
     x: int,
@@ -296,17 +312,10 @@ def conditioned_prefix_probability(
     l = len(prefix)
     if n < 2 * l:
         raise ValueError("need n >= twice the prefix length")
-    if vertex_transitive is None:
-        if g.truncated:
-            raise ValueError(
-                "cannot verify vertex-transitivity of a truncated graph; "
-                "pass vertex_transitive=True if the full graph is transitive"
-            )
-        from schreier.local import is_vertex_transitive
-
-        vertex_transitive = is_vertex_transitive(g)
-    if not vertex_transitive:
-        raise ValueError("conditioned prefix bound requires a vertex-transitive graph")
+    _require_transitive(
+        g, vertex_transitive,
+        "conditioned prefix bound requires a vertex-transitive graph",
+    )
     y = walk_endpoint(g, x, prefix)
     if not isinstance(y, int):
         raise InsufficientRadiusError(
@@ -379,17 +388,9 @@ def return_domination_report(
         raise ValueError("the domination inequalities concern even n >= 2")
     if x is None:
         x = g.root
-    if vertex_transitive is None:
-        if g.truncated:
-            raise ValueError(
-                "cannot verify vertex-transitivity of a truncated graph; "
-                "pass vertex_transitive=True if the full graph is transitive"
-            )
-        from schreier.local import is_vertex_transitive
-
-        vertex_transitive = is_vertex_transitive(g)
-    if not vertex_transitive:
-        raise ValueError("the domination inequalities require vertex-transitivity")
+    _require_transitive(
+        g, vertex_transitive, "the domination inequalities require vertex-transitivity"
+    )
     table = count_walks(g, x, n)
     return DominationReport(
         degree=g.degree,

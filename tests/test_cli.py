@@ -6,14 +6,17 @@ goes through the installed console script to pin the entry point.
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from schreier.cli import run
+from schreier.cli import _build_parser, run
 from schreier.core import parse
+from schreier.experiments import EXPERIMENTS
 
 
 def _json_out(capsys, argv: list[str], expect: int = 0) -> dict:
@@ -21,6 +24,21 @@ def _json_out(capsys, argv: list[str], expect: int = 0) -> dict:
     captured = capsys.readouterr()
     assert code == expect, captured.err
     return json.loads(captured.out)
+
+
+def _subparser(*path: str) -> argparse.ArgumentParser:
+    """The parser of a nested subcommand, e.g. ("experiment", "alon-boppana")."""
+    parser = _build_parser()
+    for name in path:
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = sub.choices[name]
+    return parser
+
+
+def _flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
 
 
 class TestBuild:
@@ -339,6 +357,19 @@ class TestIrsSample:
         assert result["provenance"]["sample_count"] == 200
         assert 0 < result["invariance"]["confidence_radius"] < 1
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--count", "10"]])
+    def test_exact_rejects_sampling_flags(self, capsys, flag):
+        argv = ["irs-sample", "--action", "randperm:m=2,n=12,seed=9", "--exact"]
+        assert run(argv + flag) == 1
+        assert "--exact" in capsys.readouterr().err
+
+    def test_config_echoes_what_the_ensemble_used(self, capsys):
+        argv = ["irs-sample", "--action", "randperm:m=2,n=12,seed=9", "--radius", "1"]
+        exact = _json_out(capsys, argv + ["--exact"])["config"]
+        assert "count" not in exact and "seed" not in exact
+        sampled = _json_out(capsys, argv)["config"]
+        assert sampled["count"] == 1000 and sampled["seed"] == 0
+
 
 class TestConfigFile:
     def test_flags_from_file(self, capsys, tmp_path):
@@ -377,6 +408,114 @@ class TestExperimentCommand:
 
     def test_unknown_experiment_exits_1(self, capsys):
         assert run(["experiment", "no-such-recipe"]) == 1
+
+
+# A valid argv for every lemma check and recipe, with a flag of the same
+# command that this check or recipe does not read.
+UNREAD_FLAGS = [
+    (["lemma-check", "different", "--graph", "cycle:8", "--n", "4"], ["--k", "3"]),
+    (
+        ["lemma-check", "returningvsrw", "--graph", "cycle:8", "--n", "4"],
+        ["--seed", "1"],
+    ),
+    (["lemma-check", "triv1", "--group", "F2", "--n", "4"], ["--radius", "2"]),
+    (["lemma-check", "triv2", "--group", "F2", "--n", "4"], ["--prefix-length", "2"]),
+    (
+        ["lemma-check", "modifiedrw", "--action", "regular:s3", "--random", "2"],
+        ["--restrict"],
+    ),
+    (
+        ["lemma-check", "subgroupnorm", "--action", "regular:s3", "--support", "c,C"],
+        ["--n", "4"],
+    ),
+    (
+        ["lemma-check", "lekv", "--action", "randperm:m=2,n=12,seed=4", "--restrict"],
+        ["--group", "F2"],
+    ),
+    (["experiment", "kesten-amenable", "--horizon", "10"], ["--lmax", "3"]),
+    (["experiment", "kesten-finite-irs", "--n", "12"], ["--horizon", "5"]),
+    (
+        ["experiment", "nonamenable-subgroup-counterexample", "--horizon", "10"],
+        ["--seed", "1"],
+    ),
+    (
+        ["experiment", "alon-boppana", "--sizes", "20", "--seeds", "1"],
+        ["--radius", "2"],
+    ),
+    (["experiment", "ramanujan-girth", "--sizes", "20", "--seeds", "1"], ["--n", "5"]),
+]
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize(
+        "argv, unread", UNREAD_FLAGS, ids=[argv[1] for argv, _ in UNREAD_FLAGS]
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, argv, unread):
+        _build_parser().parse_args(argv)
+        assert run(argv + unread) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (
+                ["different", "--graph", "cycle:8", "--n", "4"],
+                {"check", "graph", "n", "assume-transitive"},
+            ),
+            (
+                ["different", "--tree-degree", "4", "--n", "4"],
+                {"check", "tree-degree", "n"},
+            ),
+            (
+                ["modifiedrw", "--action", "regular:z6", "--supports", "a,A"],
+                {"check", "action", "supports"},
+            ),
+            (
+                ["modifiedrw", "--action", "regular:z6", "--random", "2"],
+                {"check", "action", "random", "seed"},
+            ),
+        ],
+    )
+    def test_config_holds_only_the_flags_read(self, capsys, argv, keys):
+        doc = _json_out(capsys, ["lemma-check", *argv])
+        assert set(doc["config"]) == keys
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["different", "--tree-degree", "4", "--n", "4", "--assume-transitive"],
+            ["modifiedrw", "--action", "regular:z6", "--supports", "e", "--seed", "1"],
+        ],
+        ids=["different", "modifiedrw"],
+    )
+    def test_flag_of_the_branch_not_taken_is_refused(self, capsys, argv):
+        assert run(["lemma-check", *argv]) == 1
+        refused = [a for a in argv if a.startswith("--")][-1]
+        assert refused in capsys.readouterr().err
+
+    def test_different_takes_one_source(self, capsys):
+        argv = ["lemma-check", "different", "--graph", "cycle:8", "--n", "4"]
+        assert run(argv + ["--tree-degree", "4"]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_recipe_flags_are_its_parameters(self, name):
+        params = inspect.signature(EXPERIMENTS[name]).parameters
+        expected = {"--" + key.replace("_", "-") for key in params} | {"--out"}
+        assert _flags(_subparser("experiment", name)) == expected
+
+    def test_recipe_config_echoes_defaults(self, capsys):
+        doc = _json_out(capsys, ["experiment", "kesten-finite-irs", "--n", "12"])
+        assert doc["config"] == {
+            "name": "kesten-finite-irs",
+            "n": 12,
+            "seed": 3,
+            "radius": 2,
+        }
+
+    def test_malformed_integer_list_exits_1(self, capsys):
+        assert run(["experiment", "alon-boppana", "--sizes", "10,x"]) == 1
+        assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 class TestUsageErrors:

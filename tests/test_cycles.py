@@ -186,6 +186,21 @@ class TestCyclesThrough:
     def test_loop_core_root(self):
         assert cycles_through(loop_core(), 0, 1) == 1
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 14),
+        seed=st.integers(0, 10_000),
+    )
+    def test_vertex_sums_on_random_models(self, m, n, seed):
+        # every L-cycle has L vertices, transitive or not; small random
+        # models carry loops and parallel edges
+        g = random_perm_model(m, n, seed)
+        counts = cycle_counts(g, 6)
+        for length in range(1, 7):
+            total = sum(cycles_through(g, v, length) for v in range(g.n))
+            assert total == length * counts[length - 1]
+
 
 class TestLpsShortCycles:
     def test_triangles_through_every_vertex(self):
