@@ -667,17 +667,27 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     return 0
 
 
-def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
-    """Splice `key = value` lines from --config FILE in as flags, weaker
-    than anything passed explicitly (they are inserted before the explicit
-    flags, and argparse lets the last occurrence win)."""
+def _apply_config(argv: list[str], parser) -> tuple[list[str], str | None]:
+    """Splice `key = value` lines from --config FILE in as flags before the
+    explicit ones.  Explicit flags win: a file flag is dropped when it, or a
+    member of its mutually exclusive group in the command the argv names,
+    is given explicitly."""
     if "--config" not in argv:
         return argv, None
     at = argv.index("--config")
     if at + 1 >= len(argv):
         raise ValueError("--config needs a file path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    path, rest = argv[at + 1], argv[:at] + argv[at + 2 :]
+    head = 0  # walk the command words down to the command's own parser
+    while head < len(rest) and not rest[head].startswith("-"):
+        subs = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs[0].get(rest[head], parser) if subs else parser
+        head += 1
+    taken = {token.split("=", 1)[0] for token in rest[head:] if token.startswith("--")}
+    for group in parser._mutually_exclusive_groups:
+        names = {name for action in group._group_actions for name in action.option_strings}
+        if names & taken:
+            taken |= names
     injected: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -688,26 +698,20 @@ def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
             raise ValueError(f"config line without '=': {line!r}")
         flag = "--" + key.strip().replace("_", "-")
         value = value.strip()
-        if value.lower() in ("true", "yes", "on"):
-            injected.append(flag)
-        elif value.lower() in ("false", "no", "off"):
+        if flag in taken or value.lower() in ("false", "no", "off"):
             continue
-        else:
-            injected.extend([flag, value])
-    head = 0
-    while head < len(rest) and not rest[head].startswith("-"):
-        head += 1
+        injected += [flag] if value.lower() in ("true", "yes", "on") else [flag, value]
     return rest[:head] + injected + rest[head:], path
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
     try:
-        argv, config_file = _apply_config(argv)
+        argv, config_file = _apply_config(argv, parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

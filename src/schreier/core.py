@@ -541,6 +541,8 @@ class PermAction:
         if len(self.perms) != d:
             raise GraphInvariantError(f"expected {d} permutations, got {len(self.perms)}")
         n = len(self.perms[0])
+        if n == 0:
+            raise GraphInvariantError("an action needs at least one point")
         for l, p in enumerate(self.perms):
             if len(p) != n or sorted(p) != list(range(n)):
                 raise GraphInvariantError(

@@ -20,11 +20,11 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from schreier.builders import CoreGraph, complete_ball, from_perm_action
+from schreier.builders import CoreGraph, complete_ball
 from schreier.core import (
     GenSet,
     InequalityViolation,
@@ -115,20 +115,20 @@ def ball_distance(
 ) -> BallDistanceResult:
     if g1.gens != g2.gens:
         raise ValueError("ball distance compares graphs over one alphabet")
-    agree = 0
+    if max_radius < 1:
+        raise ValueError("max_radius must be at least 1")
     for r in range(1, max_radius + 1):
         try:
             b1 = ball(g1, g1.root, r)
             b2 = ball(g2, g2.root, r)
         except InsufficientRadiusError as exc:
             raise InsufficientRadiusError(
-                f"cannot compare {r}-balls (agreement so far: radius {agree}): {exc}"
+                f"cannot compare {r}-balls (agreement so far: radius {r - 1}): {exc}"
             ) from exc
         if b1 != b2:
             return BallDistanceResult(
-                value=Fraction(1, max(agree, 1)), agreement_radius=agree, exact=True
+                value=Fraction(1, max(r - 1, 1)), agreement_radius=r - 1, exact=True
             )
-        agree = r
     return BallDistanceResult(
         value=Fraction(1, max_radius), agreement_radius=max_radius, exact=False
     )
@@ -191,28 +191,32 @@ def fix_density(act: PermAction, word: Word) -> Fraction:
     return Fraction(fixed, act.degree)
 
 
+def _word_tree(gens: GenSet, max_length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The reduced words of length ≤ max_length as a tree, level by level
+    in length-then-lex order: column k is word ``parent[k]`` followed by
+    ``letter[k]``, column 0 is the empty word, and the words of length j
+    are the columns ``starts[j]:starts[j + 1]``."""
+    inv = np.array(gens.inv + (-1,))  # the empty word's letter, -1, bans none
+    parent, letter, starts = np.array([-1]), np.array([-1]), [0, 1]
+    for _ in range(max_length):
+        kids = np.repeat(np.arange(starts[-2], starts[-1]), gens.degree)
+        letters = np.tile(np.arange(gens.degree), starts[-1] - starts[-2])
+        keep = letters != inv[letter[kids]]
+        parent = np.append(parent, kids[keep])
+        letter = np.append(letter, letters[keep])
+        starts.append(len(parent))
+    return parent, letter, starts
+
+
 def enumerate_reduced_words(gens: GenSet, max_length: int) -> list[Word]:
     """All nonempty reduced words of length ≤ max_length, in length-then-lex
     order.  (A letter never follows its inverse; for an involutive letter
     that also rules out the immediate repeat.)"""
-    out: list[Word] = []
-    d = gens.degree
-
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) >= max_length:
-            return
-        banned = gens.inv[prefix[-1]] if prefix else -1
-        for l in range(d):
-            if l == banned:
-                continue
-            prefix.append(l)
-            out.append(Word(tuple(prefix)))
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    out.sort(key=lambda w: (len(w.letters), w.letters))
-    return out
+    parent, letter, _ = _word_tree(gens, max_length)
+    letters: list[tuple[int, ...]] = [()]
+    for p, l in zip(parent[1:].tolist(), letter[1:].tolist()):
+        letters.append(letters[p] + (l,))
+    return [Word(w) for w in letters[1:]]
 
 
 def tree_ball_class(gens: GenSet, radius: int) -> RootedBall:
@@ -251,42 +255,39 @@ class LocalApproxReport:
                     f"fix-density {density} of a length-{len(word.letters)} word "
                     f"exceeds 1 - P = {ceiling} at radius {self.radius}"
                 )
-        if self.words_complete:
-            slack = 1 - sum((d for _, d in self.densities), start=Fraction(0))
-            if self.tree_ball_probability < slack:
-                raise InequalityViolation(
-                    f"P = {self.tree_ball_probability} fell below "
-                    f"1 - Σ fix-densities = {slack} at radius {self.radius}"
-                )
+        if self.words_complete and self.tree_ball_probability < 1 - self.density_sum:
+            raise InequalityViolation(
+                f"P = {self.tree_ball_probability} fell below "
+                f"1 - Σ fix-densities = {1 - self.density_sum} at radius {self.radius}"
+            )
 
     @property
     def density_sum(self) -> Fraction:
         return sum((d for _, d in self.densities), start=Fraction(0))
 
 
-def _fix_counts_all_reduced(act: PermAction, max_length: int) -> list[tuple[Word, int]]:
-    # depth-first over reduced words, composing permutations incrementally
-    d = act.gens.degree
-    perms = [np.array(p, dtype=np.int64) for p in act.perms]
-    idx = np.arange(act.degree, dtype=np.int64)
-    out: list[tuple[Word, int]] = []
+_CELLS = 1 << 22  # endpoint-table entries held at once
 
-    def extend(prefix: list[int], current: np.ndarray) -> None:
-        if len(prefix) >= max_length:
-            return
-        banned = act.gens.inv[prefix[-1]] if prefix else -1
-        for l in range(d):
-            if l == banned:
-                continue
-            nxt = perms[l][current]
-            prefix.append(l)
-            out.append((Word(tuple(prefix)), int((nxt == idx).sum())))
-            extend(prefix, nxt)
-            prefix.pop()
 
-    extend([], idx.copy())
-    out.sort(key=lambda pair: (len(pair[0].letters), pair[0].letters))
-    return out
+def _endpoint_counts(act: PermAction, radius: int, max_length: int) -> tuple[int, np.ndarray]:
+    """Both sides of the local-approximation check from one table E[x, k] =
+    x·w_k over the reduced words of length ≤ max_length (≥ R): the number of
+    points whose R-ball is the tree ball (no two words of length ≤ R end at
+    one point) and the number each nonempty word fixes, in word order."""
+    parent, letter, starts = _word_tree(act.gens, max_length)
+    perms, width = np.array(act.perms), len(parent)
+    tree, fixed = 0, np.zeros(width, dtype=np.int64)
+    step = max(1, _CELLS // width)
+    for first in range(0, act.degree, step):
+        points = np.arange(first, min(first + step, act.degree))
+        ends = np.empty((len(points), width), dtype=perms.dtype)
+        ends[:, 0] = points
+        for lo, hi in zip(starts[1:], starts[2:]):
+            ends[:, lo:hi] = perms[letter[lo:hi], ends[:, parent[lo:hi]]]
+        near = np.sort(ends[:, : starts[radius + 1]], axis=1)
+        tree += int((near[:, 1:] != near[:, :-1]).all(axis=1).sum())
+        fixed += (ends == points[:, None]).sum(axis=0)
+    return tree, fixed[1:]
 
 
 def local_approx_check(
@@ -313,37 +314,27 @@ def local_approx_check(
                     "the fixed-point bound is only guaranteed up to that length"
                 )
     reports = []
-    alpha_cache: dict[GenSet, str] = {}
     for act in actions:
         if len(orbit_of(act, 0)) != act.degree:
             raise ValueError(
                 "local approximation compares one coset space at a time; "
                 "restrict the action to an orbit first"
             )
-        if act.gens not in alpha_cache:
-            alpha_cache[act.gens] = tree_ball_class(act.gens, radius).digest
-        g = from_perm_action(act, base=0)
-        stats = bs_statistics(g, radius)
-        p_tree = stats.probability(alpha_cache[act.gens])
+        if words is not None and not all(is_reduced(act.gens, w) for w in words):
+            raise ValueError("word lists must be reduced")
+        tree, fixed = _endpoint_counts(act, radius, 2 * radius if words is None else radius)
         if words is None:
-            pairs = [
-                (w, Fraction(c, act.degree))
-                for w, c in _fix_counts_all_reduced(act, 2 * radius)
-            ]
-            complete = True
+            all_words = enumerate_reduced_words(act.gens, 2 * radius)
+            pairs = [(w, Fraction(int(c), act.degree)) for w, c in zip(all_words, fixed)]
         else:
-            for w in words:
-                if not is_reduced(act.gens, w):
-                    raise ValueError("word lists must be reduced")
             pairs = [(w, fix_density(act, w)) for w in words]
-            complete = False
         reports.append(
             LocalApproxReport(
                 radius=radius,
                 n=act.degree,
-                tree_ball_probability=p_tree,
+                tree_ball_probability=Fraction(tree, act.degree),
                 densities=tuple(pairs),
-                words_complete=complete,
+                words_complete=words is None,
             )
         )
     return tuple(reports)
@@ -351,11 +342,12 @@ def local_approx_check(
 
 def is_vertex_transitive(g: SchreierGraph) -> bool:
     """Whether some label-preserving automorphism carries the root to every
-    vertex — for deterministic labeled graphs this is canonical-table
-    equality over all root choices (quadratic; meant for small graphs)."""
+    vertex, i.e. every vertex has the root's canonical rows.  The root's
+    neighbours suffice: if φ_l carries the root to root·l for each label l,
+    then ψ∘φ_l carries ψ(root) to ψ(root)·l for every automorphism ψ, so the
+    root's class is closed under steps and, by connectivity, is every vertex."""
     if g.truncated:
         raise ValueError("vertex-transitivity is undefined for truncations")
     reference = canonical_rows(g.next, g.root)[1]
-    return all(
-        canonical_rows(g.next, v)[1] == reference for v in range(g.n) if v != g.root
-    )
+    neighbours = set(g.next[g.root]) - {g.root}
+    return all(canonical_rows(g.next, v)[1] == reference for v in neighbours)

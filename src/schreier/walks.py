@@ -27,6 +27,7 @@ from schreier.core import (
     bfs_distances,
     walk_endpoint,
 )
+from schreier.local import is_vertex_transitive
 
 __all__ = [
     "WalkTable",
@@ -96,6 +97,8 @@ def count_walks(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} is not a vertex of the graph (0..{g.n - 1})")
     needed = (horizon + 1) // 2 if returns_only else horizon
     _require_distance(g, x, needed, "walk counts")
     row = [0] * g.n
@@ -289,8 +292,6 @@ def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -
                 "cannot verify vertex-transitivity of a truncated graph; "
                 "pass vertex_transitive=True if the full graph is transitive"
             )
-        from schreier.local import is_vertex_transitive
-
         asserted = is_vertex_transitive(g)
     if not asserted:
         raise ValueError(refusal)

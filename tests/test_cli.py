@@ -394,6 +394,39 @@ class TestConfigFile:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         assert run(["cycles", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize(
+        "line, explicit, key",
+        [
+            ("graph = cycle:8", ["--tree-degree", "4"], "tree-degree"),
+            ("tree-degree = 4", ["--graph", "cycle:8"], "graph"),
+        ],
+        ids=["file-graph", "file-tree-degree"],
+    )
+    def test_explicit_flag_wins_across_an_exclusive_pair(
+        self, capsys, tmp_path, line, explicit, key
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["lemma-check", "different", "--config", str(cfg), "--n", "4"]
+        config = _json_out(capsys, argv + explicit)["config"]
+        assert {"graph", "tree-degree"} & set(config) == {key}
+
+    def test_file_only_source(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("graph = cycle:8\n")
+        argv = ["lemma-check", "different", "--config", str(cfg), "--n", "4"]
+        doc = _json_out(capsys, argv)
+        assert doc["config"]["graph"] == "cycle:8"
+        assert doc["result"]["source"] == "cycle:8"
+
+    def test_explicit_repeatable_flag_replaces_the_file_values(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("action = cyclic:3\n")
+        argv = ["lemma-check", "lekv", "--config", str(cfg), "--radius", "1"]
+        assert _json_out(capsys, argv)["config"]["action"] == ["cyclic:3"]
+        explicit = _json_out(capsys, argv + ["--action", "cyclic:5"])["config"]
+        assert explicit["action"] == ["cyclic:5"]
+
 
 class TestExperimentCommand:
     def test_kesten_finite_irs(self, capsys):
@@ -528,6 +561,29 @@ class TestUsageErrors:
     def test_core_spec_where_a_graph_is_needed(self, capsys):
         assert run(["spectrum", "--graph", "fold:a,rank=2"]) == 1
         assert "@radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["walks", "--graph", "cycle:5", "--horizon", "3", "--vertex", "9"],
+            ["walks", "--graph", "cycle:5", "--horizon", "3", "--vertex", "-1"],
+            ["ball-distance", "cycle:6", "cycle:7", "--max-radius", "0"],
+            ["ball-distance", "cycle:6", "cycle:7", "--max-radius", "-3"],
+            ["fix-density", "--action", "cyclic:0", "--word", "t"],
+            ["irs-sample", "--action", "cyclic:-3", "--exact"],
+            ["lemma-check", "lekv", "--action", "cyclic:0"],
+            ["lemma-check", "subgroupnorm", "--action", "cyclic:0", "--support", "t,T"],
+        ],
+        ids=[
+            "vertex-past-end", "vertex-negative", "max-radius-0", "max-radius-negative",
+            "fix-density-no-points", "irs-no-points", "lekv-no-points",
+            "subgroupnorm-no-points",
+        ],
+    )
+    def test_out_of_range_input_is_an_error_line(self, capsys, argv):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_console_script_is_wired():

@@ -240,6 +240,10 @@ class TestPermAction:
         with pytest.raises(GraphInvariantError, match="inverse permutation"):
             PermAction(gens, ((1, 2, 0), (1, 2, 0)))
 
+    def test_no_points_rejected(self):
+        with pytest.raises(GraphInvariantError, match="at least one point"):
+            PermAction(GenSet.free(1), ((), ()))
+
     def test_word_permutation_composes_left_to_right(self):
         act = PermAction.from_generator_perms([(1, 0, 2), (0, 2, 1)], pair_names="ab")
         w = parse_word(act.gens, "ab")

@@ -1,12 +1,15 @@
 """Rooted balls, ball statistics, and the fixed-point inequalities."""
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schreier.builders import (
@@ -21,6 +24,7 @@ from schreier.builders import (
     petersen_graph,
     random_perm_action,
     random_perm_model,
+    regular_action,
     restrict_to_orbit,
     s3_cayley,
     s3_regular,
@@ -41,6 +45,7 @@ from schreier.core import (
     reduce_word,
     serialize,
 )
+from schreier import local
 from schreier.local import (
     LocalApproxReport,
     RootedBall,
@@ -352,6 +357,11 @@ class TestBallDistance:
         with pytest.raises(ValueError, match="one alphabet"):
             ball_distance(cycle_graph(6), tree_ball(4, 2))
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_max_radius_below_one(self, cap):
+        with pytest.raises(ValueError, match="max_radius"):
+            ball_distance(cycle_graph(6), cycle_graph(7), max_radius=cap)
+
     @given(
         n=st.integers(min_value=3, max_value=14),
         m=st.integers(min_value=3, max_value=14),
@@ -549,6 +559,93 @@ class TestLocalApproxCheck:
             local_approx_check([cyclic_action(5)], radius=0)
 
 
+def _reference_fix_counts(act: PermAction, max_length: int) -> list[tuple[Word, int]]:
+    """The former depth-first fix counts: permutations composed along the
+    word tree, then sorted into length-then-lex order."""
+    d = act.gens.degree
+    perms = [np.array(p, dtype=np.int64) for p in act.perms]
+    idx = np.arange(act.degree, dtype=np.int64)
+    out: list[tuple[Word, int]] = []
+
+    def extend(prefix: list[int], current: np.ndarray) -> None:
+        if len(prefix) >= max_length:
+            return
+        banned = act.gens.inv[prefix[-1]] if prefix else -1
+        for l in range(d):
+            if l == banned:
+                continue
+            nxt = perms[l][current]
+            prefix.append(l)
+            out.append((Word(tuple(prefix)), int((nxt == idx).sum())))
+            extend(prefix, nxt)
+            prefix.pop()
+
+    extend([], idx.copy())
+    out.sort(key=lambda pair: (len(pair[0].letters), pair[0].letters))
+    return out
+
+
+def _reference_report(act: PermAction, radius: int, words=None):
+    """(P, densities, words_complete) the former way: P as the share of
+    ``bs_statistics`` mass on the ``tree_ball_class`` digest."""
+    tree = tree_ball_class(act.gens, radius).digest
+    p = bs_statistics(from_perm_action(act), radius).probability(tree)
+    if words is None:
+        pairs = tuple(
+            (w, Fraction(c, act.degree)) for w, c in _reference_fix_counts(act, 2 * radius)
+        )
+    else:
+        pairs = tuple((w, fix_density(act, w)) for w in words)
+    return p, pairs, words is None
+
+
+def _random_transitive_action(m: int, involution: bool, n: int, seed: int) -> PermAction:
+    """Orbit of 0 under m random free letters and, optionally, one random
+    involution (which may fix points)."""
+    rng = random.Random(seed)
+    pairs = [rng.sample(range(n), n) for _ in range(m)]
+    involutions = []
+    if involution:
+        points, swap = rng.sample(range(n), n), list(range(n))
+        for x, y in zip(points[0::2], points[1::2]):
+            if rng.random() < 0.7:
+                swap[x], swap[y] = y, x
+        involutions.append(swap)
+    return restrict_to_orbit(PermAction.from_generator_perms(pairs, involutions))
+
+
+class TestLocalApproxAgainstReference:
+    """One endpoint table gives the former P, densities (in order) and
+    completeness flag."""
+
+    @pytest.mark.parametrize("cells", [None, 64], ids=["default-cells", "64-cells"])
+    @given(
+        free=st.integers(0, 3),
+        involution=st.booleans(),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 10_000),
+        radius=st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_transitive_actions(self, cells, free, involution, n, seed, radius):
+        assume(free >= 1 or involution)
+        act = _random_transitive_action(free, involution, n, seed)
+        assume(act.gens.degree ** (2 * radius) <= 5_000)
+        with mock.patch.object(local, "_CELLS", cells or local._CELLS):
+            (report,) = local_approx_check([act], radius)
+        expected = _reference_report(act, radius)
+        assert (report.tree_ball_probability, report.densities, report.words_complete) == expected
+
+    @given(n=st.integers(1, 30), seed=st.integers(0, 10_000), radius=st.integers(1, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_explicit_word_list(self, n, seed, radius):
+        act = _random_transitive_action(1, True, n, seed)
+        words = random.Random(seed).sample(enumerate_reduced_words(act.gens, 2 * radius), 5)
+        (report,) = local_approx_check([act], radius, words=words)
+        expected = _reference_report(act, radius, words)
+        assert (report.tree_ball_probability, report.densities, report.words_complete) == expected
+
+
 class TestReportGuards:
     def test_per_word_bound_enforced(self):
         with pytest.raises(InequalityViolation, match="exceeds 1 - P"):
@@ -595,3 +692,62 @@ class TestVertexTransitivity:
     def test_refuses_truncations(self):
         with pytest.raises(ValueError, match="undefined for truncations"):
             is_vertex_transitive(tree_ball(4, 2))
+
+
+def _transitive_at_every_vertex(g: SchreierGraph) -> bool:
+    """The all-vertices check, all vertices at once: an automorphism carries
+    the root to v iff the map root·w ↦ v·w, defined along a breadth-first
+    spanning tree, respects every edge."""
+    nxt = np.array(g.next, dtype=np.int32)
+    order, step = [g.root], {g.root: None}
+    for u in order:
+        for l, w in enumerate(g.next[u]):
+            if w not in step:
+                step[w] = (u, l)
+                order.append(w)
+    image = np.empty((g.n, g.n), dtype=np.int32)  # image[v, u]: u under v's map
+    image[:, g.root] = np.arange(g.n)
+    for u in order[1:]:
+        parent, l = step[u]
+        image[:, u] = nxt[image[:, parent], l]
+    return all((nxt[image, l] == image[:, nxt[:, l]]).all() for l in range(g.degree))
+
+
+class TestTransitivityAgainstAllVertices:
+    """Comparing the root with its neighbours decides what comparing it with
+    every vertex decides."""
+
+    @given(m=st.integers(1, 3), n=st.integers(1, 30), seed=st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_random_permutation_models(self, m, n, seed):
+        g = random_perm_model(m, n, seed)
+        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+
+    @given(
+        points=st.integers(2, 4),
+        elements=st.integers(1, 3),
+        involutions=st.integers(0, 1),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=30)
+    def test_cayley_graphs_of_random_regular_actions(self, points, elements, involutions, seed):
+        rng = random.Random(seed)
+        pairs = [tuple(rng.sample(range(points), points)) for _ in range(elements)]
+        swaps = [tuple(range(points - 2)) + (points - 1, points - 2)] * involutions
+        g = from_perm_action(regular_action(pairs, swaps))
+        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+
+    @given(k=st.integers(3, 12), s=st.integers(1, 11))
+    @settings(max_examples=30)
+    def test_two_layers_rotated_at_different_speeds(self, k, s):
+        # a steps (i, 0) by 1 and (i, 1) by s, and the involution joins
+        # (i, 0) to (i, 1): rotating both layers is an automorphism, so the
+        # root always matches its a-neighbour but not always its m-neighbour
+        a = [i + 1 if i + 1 < k else 0 for i in range(k)] + [k + (i + s) % k for i in range(k)]
+        m = [i + k for i in range(k)] + list(range(k))
+        g = from_perm_action(PermAction.from_generator_perms([a], [m]))
+        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+
+    def test_lps_5_13(self):
+        g = _lps_5_13()
+        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)

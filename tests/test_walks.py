@@ -72,6 +72,11 @@ class TestCountWalks:
         assert table.return_count(2) == 4
         assert table.return_count(4) == 28 == brute_force_returns(t4_ball, t4_ball.root, 4)
 
+    @pytest.mark.parametrize("x", [-1, 6])
+    def test_vertex_out_of_range(self, x):
+        with pytest.raises(ValueError, match="not a vertex"):
+            count_walks(cycle_graph(6), x, 3)
+
     def test_total_mass_conserved(self):
         g = cycle_graph(7)
         table = count_walks(g, 0, 5)
