@@ -25,7 +25,6 @@ from schreier.core import (
     Word,
     canonical_rows,
     canonicalize,
-    orbit_of,
     parse_word,
     reduce_word,
 )
@@ -37,21 +36,18 @@ def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
 
     The result realizes the coset graph of the stabilizer of ``base`` in
     the group generated by the action.  Non-transitive actions are fine:
-    only the orbit of ``base`` is materialized.  Vertices are numbered in
-    breadth-first discovery order, so the output is already canonical.
+    only the orbit of ``base`` is materialized.  The rows are the
+    ``canonical_rows`` of the action's table, so the output is canonical.
     """
-    order = orbit_of(act, base)
-    index = {x: i for i, x in enumerate(order)}
-    table = tuple(tuple(index[p[x]] for p in act.perms) for x in order)
-    return SchreierGraph._trusted(gens=act.gens, next=table)
+    _, rows = canonical_rows(act.table, base)
+    return SchreierGraph._trusted(gens=act.gens, next=rows)
 
 
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
-    """The transitive sub-action on the orbit of ``base`` (point 0 = base)."""
-    order = orbit_of(act, base)
-    index = {x: i for i, x in enumerate(order)}
-    perms = tuple(tuple(index[p[x]] for x in order) for p in act.perms)
-    return PermAction(act.gens, perms)
+    """The transitive sub-action on the orbit of ``base`` (point 0 = base),
+    points numbered as the vertices of ``from_perm_action``."""
+    _, rows = canonical_rows(act.table, base)
+    return PermAction(act.gens, tuple(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +210,9 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
                 trim.append(t)
         table[v] = {}
 
-    alive = [r for r in reps if r not in dead]
-    index = {r: i for i, r in enumerate(alive)}
-    rows = [
-        [index[table[r][l]] if l in table[r] else None for l in range(gens.degree)]
-        for r in alive
-    ]
-    return CoreGraph.from_table(gens, rows, root=index[root])
+    # trimmed vertices keep no slots, so the canonical BFS never reaches them
+    slots = {r: [table[r].get(l) for l in range(gens.degree)] for r in reps}
+    return CoreGraph.from_table(gens, canonical_rows(slots, root)[1])
 
 
 def complete_ball(
@@ -229,9 +221,10 @@ def complete_ball(
     """The radius-``radius`` ball (around the root) of the graph the core
     describes, with sphere vertices flagged as boundary.
 
-    Core vertices beyond the radius are dropped; undefined slots within
-    the radius sprout tree vertices, each inner tree vertex branching into
-    the remaining degree-minus-one directions.  If nothing ends up
+    One breadth-first pass numbers the ball in ``canonical_rows`` order:
+    inside the radius each vertex takes its slots in label order, and an
+    undefined slot sprouts a tree vertex whose other slots sprout in turn.
+    Sphere vertices keep their edges inside the ball.  If nothing ends up
     missing, the core already described a finite complete graph and the
     result carries no truncation mark.
     """
@@ -239,40 +232,43 @@ def complete_ball(
         raise ValueError("radius must be nonnegative")
     g = core.graph
     d, inv = g.degree, g.gens.inv
-    dist = g.root_distances
-    kept = [v for v in range(g.n) if dist[v] <= radius]
-    index = {v: i for i, v in enumerate(kept)}
-    table: list[list[int | None]] = []
-    depth: list[int] = []
-    for v in kept:
-        table.append([None if w is None else index.get(w) for w in g.next[v]])
-        depth.append(dist[v])
-    sprout = deque(
-        i for i in range(len(table))
-        if depth[i] < radius and any(s is None for s in table[i])
-    )
-    while sprout:
-        i = sprout.popleft()
-        for l in range(d):
-            if table[i][l] is not None:
-                continue
-            if len(table) >= max_vertices:
+    tree = (None,) * d  # the slots of a tree vertex, none of them in the core
+    index = {g.root: 0}  # core vertex -> ball vertex
+    rows: list = [[None] * d]  # a vertex's row is a list until it is done
+    cores: list[int | None] = [g.root]  # the core vertex behind each ball vertex
+    start = 0  # rows[start:] is the layer at ``depth``
+    for depth in range(radius):
+        end = len(rows)
+        for i in range(start, end):
+            row, v = rows[i], cores[i]
+            for l, w in enumerate(tree if v is None else g.next[v]):
+                if row[l] is not None:
+                    continue  # a tree vertex's slot back to its parent
+                if w is None:
+                    row[l] = len(rows)
+                    child: list[int | None] = [None] * d
+                    child[inv[l]] = i
+                    rows.append(child)
+                    cores.append(None)
+                elif w in index:
+                    row[l] = index[w]
+                else:
+                    row[l] = index[w] = len(rows)
+                    rows.append([None] * d)
+                    cores.append(w)
+            rows[i] = tuple(row)
+            if len(rows) > max_vertices:
                 raise ValueError(
                     f"ball of radius {radius} exceeds max_vertices={max_vertices}"
                 )
-            j = len(table)
-            row: list[int | None] = [None] * d
-            row[inv[l]] = i
-            table.append(row)
-            depth.append(depth[i] + 1)
-            table[i][l] = j
-            if depth[j] < radius:
-                sprout.append(j)
-    _, rows = canonical_rows(table, index[g.root])
-    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+        start = end
+    for i in range(start, len(rows)):
+        v = cores[i]  # a sphere core vertex keeps its edges in the ball
+        rows[i] = tuple(rows[i] if v is None else map(index.get, g.next[v]))
+    boundary = frozenset(i for i in range(start, len(rows)) if None in rows[i])
     return SchreierGraph._trusted(
         gens=g.gens,
-        next=rows,
+        next=tuple(rows),
         boundary=boundary,
         truncation_radius=radius if boundary else None,
     )
@@ -280,12 +276,15 @@ def complete_ball(
 
 def tree_core(degree: int) -> CoreGraph:
     """One-vertex core of the degree-regular tree: ⌊d/2⌋ free letter pairs
-    plus one involutive label when the degree is odd."""
+    a..z, a1..z1, a2..z2, … plus one involutive label when the degree is
+    odd, named m, or m0 once the pairs use m (d ≥ 27)."""
     if degree < 2:
         raise ValueError("tree degree must be at least 2")
-    pairs = ascii_lowercase[: degree // 2]
-    involutions = ("m",) if degree % 2 else ()
-    gens = GenSet.with_involutions(pairs, involutions)
+    names = [
+        c + (str(k) if k else "") for k in range(degree // 52 + 1) for c in ascii_lowercase
+    ]
+    involutions = ("m" if degree < 27 else "m0",) if degree % 2 else ()
+    gens = GenSet.with_involutions(names[: degree // 2], involutions)
     return CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
 
 

@@ -4,7 +4,8 @@ Every analysis command prints one JSON document with the schema version,
 the command name, the full configuration (flags, seeds) needed to
 reproduce the run, and the result.  ``build`` alone prints raw SGF1
 text.  Exit codes: 0 on success, 2 when an asserted inequality fails,
-1 for usage errors and guard violations.
+1 for usage errors, guard violations and results that JSON cannot
+represent (NaN or infinity), which print nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -68,7 +70,11 @@ from schreier.walks import (
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage problems exit 1 (2 is reserved for violated
-    inequalities)."""
+    inequalities), and every flag has one spelling: no prefixes, so that
+    ``--config`` can tell which flags are given explicitly."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -292,6 +298,16 @@ def _echo_config(args: argparse.Namespace, config_file: str | None) -> dict:
     return config
 
 
+def _non_finite(value, path: str = "") -> Iterator[tuple[str, float]]:
+    """(dotted path, value) of each NaN or infinity in a JSON document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path[1:], value
+    elif isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _non_finite(item, f"{path}.{key}")
+
+
 def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> None:
     doc = {
         "schema": 1,
@@ -299,7 +315,11 @@ def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> No
         "config": _echo_config(args, config_file),
         "result": result,
     }
-    text = json.dumps(doc, indent=2)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        path, value = next(_non_finite(doc))
+        raise ValueError(f"{path} is {value}, which JSON cannot represent") from None
     print(text)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")

@@ -562,10 +562,12 @@ class PermAction:
     def degree(self) -> int:
         return len(self.perms[0])
 
-    def apply_word(self, word: Word, point: int) -> int:
-        for letter in word.letters:
-            point = self.perms[letter][point]
-        return point
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The action as a transition table: ``table[x][l]`` is the image of
+        x under label l, so ``canonical_rows(act.table, x)`` numbers the
+        orbit of x as its Schreier graph."""
+        return tuple(zip(*self.perms))
 
     def word_permutation(self, word: Word) -> tuple[int, ...]:
         cur = list(range(self.degree))
@@ -609,15 +611,5 @@ class PermAction:
 
 
 def orbit_of(act: PermAction, base: int) -> list[int]:
-    seen = {base}
-    order = [base]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for p in act.perms:
-            y = p[x]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    return order
+    """The orbit of ``base`` in the breadth-first order of ``canonical_rows``."""
+    return list(canonical_rows(act.table, base)[0])

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from schreier.builders import from_perm_action
 from schreier.core import (
     GenSet,
     InsufficientRadiusError,
     PermAction,
     SchreierGraph,
-    orbit_of,
+    canonical_rows,
     parse,
     serialize,
 )
@@ -88,8 +87,8 @@ def _rooted_orbits(act: PermAction, points: Iterable[int]) -> tuple[SchreierGrap
     samples = []
     for x in points:
         if x not in where:
-            table = from_perm_action(act, base=x).next
-            where.update((y, (table, i)) for i, y in enumerate(orbit_of(act, x)))
+            index, table = canonical_rows(act.table, x)
+            where.update((y, (table, i)) for y, i in index.items())
         table, root = where[x]
         samples.append(SchreierGraph._trusted(gens=act.gens, next=table, root=root))
     return tuple(samples)
@@ -99,11 +98,12 @@ def uniform_conjugate(act: PermAction) -> IrsEnsemble:
     """The stabilizer of a uniformly random point of a transitive action:
     the orbit graph rooted at each vertex, weight 1/n each."""
     n = act.degree
-    if len(orbit_of(act, 0)) != n:
+    samples = _rooted_orbits(act, range(n))
+    if samples[0].n != n:
         raise ValueError("uniform conjugation needs a transitive action")
     return IrsEnsemble(
         gens=act.gens,
-        samples=_rooted_orbits(act, range(n)),
+        samples=samples,
         weights=(Fraction(1, n),) * n,
         kind="exact",
         provenance=Provenance(f"uniform conjugate of an action on {n} points", None),

@@ -29,7 +29,6 @@ import scipy.sparse.linalg as spla
 from schreier.builders import (
     CoreGraph,
     from_perm_action,
-    restrict_to_orbit,
     tree_core,
 )
 from schreier.core import (
@@ -135,7 +134,6 @@ class SpectralReport:
     method: str
     error_bound: float
     rho0_strict: float | None = None
-    eigenvalue_sample: tuple[float, ...] | None = None
     converged: bool = True
     return_sequence: tuple[float, ...] | None = None
     extrapolated: float | None = None
@@ -335,12 +333,6 @@ def _iterative_extremes(
 # ---------------------------------------------------------------------------
 
 
-def _sample(evs: np.ndarray, cap: int = 256) -> tuple[float, ...]:
-    if len(evs) <= cap:
-        return tuple(float(x) for x in evs)
-    return tuple(float(x) for x in np.concatenate([evs[:16], evs[-16:]]))
-
-
 def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
     """Norm of M on the zero-sum subspace of a finite connected graph.
 
@@ -362,7 +354,7 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
     if n == 1:
         return SpectralReport(
             d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip, method=method,
-            error_bound=0.0, rho0_strict=0.0, eigenvalue_sample=(1.0,),
+            error_bound=0.0, rho0_strict=0.0,
         )
     if method == "dense":
         evs = markov_spectrum(g)
@@ -378,7 +370,6 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
             d=d, n=n, rho0=value, rho0_nonneg=float(evs[-2]), bipartite=bip,
             method="dense", error_bound=1e-12,
             rho0_strict=max(abs(strict_low), abs(float(evs[-2]))),
-            eigenvalue_sample=_sample(evs),
         )
     M = markov_matrix(g)
     sign_vector = None
@@ -390,7 +381,6 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
     return SpectralReport(
         d=d, n=n, rho0=min(value, 1.0), rho0_nonneg=hi, bipartite=bip,
         method="iterative", error_bound=res, rho0_strict=min(strict, 1.0),
-        eigenvalue_sample=tuple(sorted((lo, hi))),
         converged=bool(res <= _CONVERGED_BOUND),
     )
 
@@ -626,7 +616,7 @@ def support_subgroup_graph(
         identity if entries[i] is None else act.perms[entries[i]] for i in order
     )
     sub = PermAction(gens=GenSet(tuple(names), tuple(inv)), perms=perms)
-    return from_perm_action(restrict_to_orbit(sub, base=base))
+    return from_perm_action(sub, base=base)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from schreier.builders import CoreGraph
+from schreier.builders import CoreGraph, tree_core
 from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
@@ -119,42 +119,48 @@ def count_walks(
     )
 
 
-def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
-    """|P_{root,root,n}| for n up to any horizon, straight from a core.
-
-    Walks that leave the core climb one of the trees hanging off its
-    undefined slots, and inside a tree only the current depth matters:
-    one step back toward the core, d−1 steps deeper.  Aggregating walkers
-    per (undefined slot, depth) class therefore counts exactly, at any
-    horizon, without materializing a ball — the state space is the core
-    plus (number of undefined slots) × horizon depth classes.
+def _hanging_tree_walks(
+    core: CoreGraph, horizon: int
+) -> Iterator[tuple[list[int], dict[int, list[int]]]]:
+    """For n = 0..horizon, the number of length-n walks from the root of
+    the graph a core describes that end at each core vertex, and, for each
+    core vertex v with undefined slots, at each depth 1..n of the trees
+    hanging there (summed over v's slots; entry 0 is unused).  Inside a
+    tree only the depth matters: one step back, d−1 steps deeper.
     """
     g = core.graph
     d = g.degree
-    core_counts = [0] * g.n
-    core_counts[g.root] = 1
-    slots = [(v, l) for v in range(g.n) for l in core.missing(v)]
-    depth_counts = {s: [0] * (horizon + 2) for s in slots}
-    out = [1]
-    for _ in range(horizon):
+    slots = {v: len(core.missing(v)) for v in g.boundary}
+    counts = [0] * g.n
+    counts[g.root] = 1
+    trees = {v: [0] * (horizon + 2) for v in slots}
+    yield counts, trees
+    for n in range(1, horizon + 1):
         nxt = [0] * g.n
-        for v, c in enumerate(core_counts):
+        for v, c in enumerate(counts):
             if c:
                 for w in g.next[v]:
                     if w is not None:
                         nxt[w] += c
-        new_depths = {}
-        for (v, l), depths in depth_counts.items():
-            nd = [0] * (horizon + 2)
-            nd[1] = core_counts[v] + depths[2]
-            for j in range(2, horizon + 1):
-                nd[j] = (d - 1) * depths[j - 1] + depths[j + 1]
-            nxt[v] += depths[1]
-            new_depths[(v, l)] = nd
-        core_counts = nxt
-        depth_counts = new_depths
-        out.append(core_counts[g.root])
-    return tuple(out)
+        deeper = {}
+        for v, depth in trees.items():
+            nxt[v] += depth[1]
+            deeper[v] = [
+                0,
+                slots[v] * counts[v] + depth[2],
+                *((d - 1) * depth[j - 1] + depth[j + 1] for j in range(2, n + 1)),
+                *(0,) * (horizon + 1 - n),
+            ]
+        counts, trees = nxt, deeper
+        yield counts, trees
+
+
+def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
+    """|P_{root,root,n}| for n up to any horizon, straight from a core:
+    the state space is the core plus (core vertices with undefined slots)
+    × horizon depth classes, with no ball materialized."""
+    root = core.root
+    return tuple(counts[root] for counts, _ in _hanging_tree_walks(core, horizon))
 
 
 def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
@@ -163,22 +169,14 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
     Entry [n][j] is the total number of length-n walks from the root
     ending anywhere at distance j.  Ring j has d(d−1)^{j−1} vertices and
     all of them are equivalent under the root's stabilizer, so per-vertex
-    counts are the ring totals divided (exactly) by the ring size.
+    counts are the ring totals divided (exactly) by the ring size.  The
+    tree is ``tree_core(degree)``: its one vertex is ring 0 and the trees
+    on its slots hold the other rings.
     """
-    if degree < 2:
-        raise ValueError("tree degree must be at least 2")
-    rings = [0] * (horizon + 2)
-    rings[0] = 1
-    table = [tuple(rings[: horizon + 1])]
-    for _ in range(horizon):
-        nxt = [0] * (horizon + 2)
-        nxt[0] = rings[1]
-        nxt[1] = degree * rings[0] + rings[2]
-        for j in range(2, horizon + 1):
-            nxt[j] = (degree - 1) * rings[j - 1] + rings[j + 1]
-        rings = nxt
-        table.append(tuple(rings[: horizon + 1]))
-    return table
+    return [
+        (counts[0], *trees[0][1 : horizon + 1])
+        for counts, trees in _hanging_tree_walks(tree_core(degree), horizon)
+    ]
 
 
 def tree_ring_size(degree: int, j: int) -> int:

@@ -1,0 +1,147 @@
+"""Test-only references: the two-pass constructions that the one-pass
+builders replaced, and hypothesis strategies to compare them on.
+
+- ``orbit``, ``from_perm_action``, ``restrict_to_orbit`` and
+  ``rooted_orbits`` index an orbit by their own BFS over the permutations;
+- ``complete_ball`` builds the ball (core vertices by root distance, then
+  sprouted tree vertices) and renumbers it with ``canonical_rows``;
+- ``tree_ring_counts`` runs the ring recursion of the regular tree.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from hypothesis import strategies as st
+
+from schreier.builders import CoreGraph
+from schreier.core import PermAction, SchreierGraph, Word, canonical_rows
+
+
+def orbit(act: PermAction, base: int) -> list[int]:
+    seen = {base}
+    order = [base]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for p in act.perms:
+            y = p[x]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
+    order = orbit(act, base)
+    index = {x: i for i, x in enumerate(order)}
+    table = tuple(tuple(index[p[x]] for p in act.perms) for x in order)
+    return SchreierGraph(gens=act.gens, next=table)
+
+
+def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
+    order = orbit(act, base)
+    index = {x: i for i, x in enumerate(order)}
+    perms = tuple(tuple(index[p[x]] for x in order) for p in act.perms)
+    return PermAction(act.gens, perms)
+
+
+def rooted_orbits(act: PermAction, points) -> list[tuple[tuple, int]]:
+    """(table, root) of each point's orbit graph, the table numbered from
+    the first point of the orbit met."""
+    where: dict[int, tuple[tuple, int]] = {}
+    out = []
+    for x in points:
+        if x not in where:
+            table = from_perm_action(act, base=x).next
+            where.update((y, (table, i)) for i, y in enumerate(orbit(act, x)))
+        out.append(where[x])
+    return out
+
+
+def complete_ball(
+    core: CoreGraph, radius: int, max_vertices: int = 2_000_000
+) -> SchreierGraph:
+    g = core.graph
+    d, inv = g.degree, g.gens.inv
+    dist = g.root_distances
+    kept = [v for v in range(g.n) if dist[v] <= radius]
+    index = {v: i for i, v in enumerate(kept)}
+    table: list[list[int | None]] = []
+    depth: list[int] = []
+    for v in kept:
+        table.append([None if w is None else index.get(w) for w in g.next[v]])
+        depth.append(dist[v])
+    sprout = deque(
+        i for i in range(len(table))
+        if depth[i] < radius and any(s is None for s in table[i])
+    )
+    while sprout:
+        i = sprout.popleft()
+        for l in range(d):
+            if table[i][l] is not None:
+                continue
+            if len(table) >= max_vertices:
+                raise ValueError(f"exceeds max_vertices={max_vertices}")
+            j = len(table)
+            row: list[int | None] = [None] * d
+            row[inv[l]] = i
+            table.append(row)
+            depth.append(depth[i] + 1)
+            table[i][l] = j
+            if depth[j] < radius:
+                sprout.append(j)
+    _, rows = canonical_rows(table, index[g.root])
+    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+    return SchreierGraph(
+        gens=g.gens,
+        next=rows,
+        boundary=boundary,
+        truncation_radius=radius if boundary else None,
+    )
+
+
+def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
+    rings = [0] * (horizon + 2)
+    rings[0] = 1
+    table = [tuple(rings[: horizon + 1])]
+    for _ in range(horizon):
+        nxt = [0] * (horizon + 2)
+        nxt[0] = rings[1]
+        nxt[1] = degree * rings[0] + rings[2]
+        for j in range(2, horizon + 1):
+            nxt[j] = (degree - 1) * rings[j - 1] + rings[j + 1]
+        rings = nxt
+        table.append(tuple(rings[: horizon + 1]))
+    return table
+
+
+@st.composite
+def folded_words(draw, rank: int) -> list[Word]:
+    """1-3 words of length 1-8 over the free alphabet of the given rank."""
+    letters = st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=8)
+    return draw(st.lists(letters.map(lambda ls: Word(tuple(ls))), min_size=1, max_size=3))
+
+
+@st.composite
+def sparse_actions(draw) -> PermAction:
+    """Actions on 1-14 points by 0-2 letter pairs and 0-2 involutions, at
+    least one label.  Pair permutations fix most points and involutions
+    swap few, so most actions have several orbits."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.integers(0, 2))
+    involutions = draw(st.integers(0 if pairs else 1, 2))
+
+    def sparse_perm(cycle_length: int) -> list[int]:
+        p = list(range(n))
+        moved = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2 + 1))
+        for i in range(0, len(moved) - cycle_length + 1, cycle_length):
+            block = moved[i : i + cycle_length]
+            for x, y in zip(block, block[1:] + block[:1]):
+                p[x] = y
+        return p
+
+    pair_perms = [sparse_perm(draw(st.integers(2, 3))) for _ in range(pairs)]
+    involution_perms = [sparse_perm(2) for _ in range(involutions)]
+    return PermAction.from_generator_perms(pair_perms, involution_perms)

@@ -25,6 +25,7 @@ from schreier.builders import (
     s3_regular,
     stallings_core,
     tree_ball,
+    tree_core,
     z6_regular,
 )
 from schreier.core import (
@@ -36,10 +37,13 @@ from schreier.core import (
     bfs_distances,
     canonicalize,
     invert_word,
+    orbit_of,
     parse_word,
     reduce_word,
     walk_endpoint,
 )
+
+import reference
 
 F2 = GenSet.free(2)
 
@@ -203,6 +207,73 @@ class TestCompleteBall:
     def test_distance_to_boundary_equals_radius(self):
         g = complete_ball(free_core(2), 4)
         assert g.distance_to_boundary(g.root) == 4
+
+
+class TestOnePassBuilders:
+    """The one-pass ``complete_ball`` and the orbit builders against the
+    two-pass constructions they replaced (``tests/reference.py``)."""
+
+    @staticmethod
+    def _same_graph(g: SchreierGraph, ref: SchreierGraph) -> None:
+        assert (g.next, g.root, g.boundary, g.truncation_radius) == (
+            ref.next, ref.root, ref.boundary, ref.truncation_radius,
+        )
+
+    @settings(max_examples=200)
+    @given(data=st.data(), rank=st.integers(1, 3), radius=st.integers(0, 5))
+    def test_ball_of_a_folded_core(self, data, rank, radius):
+        gens = GenSet.free(rank)
+        core = stallings_core(gens, data.draw(reference.folded_words(rank)))
+        self._same_graph(complete_ball(core, radius), reference.complete_ball(core, radius))
+
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_ball_of_a_tree(self, degree):
+        for radius in range(6):
+            core = tree_core(degree)
+            ball = complete_ball(core, radius)
+            ball.validate()
+            self._same_graph(ball, reference.complete_ball(core, radius))
+
+    @pytest.mark.parametrize(
+        "core, radius",
+        [
+            (free_core(2), 4),
+            (stallings_core(F2, [parse_word(F2, "a^2"), parse_word(F2, "bab")]), 3),
+            (stallings_core(F2, [parse_word(F2, "a^5"), parse_word(F2, "b")]), 2),
+        ],
+        ids=["tree", "core-and-trees", "core-vertices-on-the-sphere"],
+    )
+    def test_max_vertices_is_exact(self, core, radius):
+        size = complete_ball(core, radius).n
+        assert complete_ball(core, radius, max_vertices=size).n == size
+        with pytest.raises(ValueError, match="max_vertices"):
+            complete_ball(core, radius, max_vertices=size - 1)
+
+    @settings(max_examples=200)
+    @given(act=reference.sparse_actions(), data=st.data())
+    def test_orbit_builders(self, act, data):
+        base = data.draw(st.integers(0, act.degree - 1))
+        g = from_perm_action(act, base)
+        assert g.next == reference.from_perm_action(act, base).next
+        assert restrict_to_orbit(act, base) == reference.restrict_to_orbit(act, base)
+        assert orbit_of(act, base) == reference.orbit(act, base)
+        assert act.table == tuple(tuple(p[x] for p in act.perms) for x in range(act.degree))
+
+
+class TestTreeCore:
+    def test_every_degree(self):
+        for degree in range(2, 121):
+            core = tree_core(degree)
+            assert core.graph.degree == degree and core.n == 1
+
+    @pytest.mark.parametrize(
+        "degree, last", [(3, "m"), (25, "m"), (27, "m0"), (52, "Z"), (54, "A1"), (61, "m0")]
+    )
+    def test_label_names(self, degree, last):
+        labels = tree_core(degree).gens.labels
+        assert labels[-1] == last
+        pairs = labels[: 2 * (degree // 2) : 2]
+        assert pairs[:26] == tuple("abcdefghijklmnopqrstuvwxyz")[: degree // 2]
 
 
 def _restrict(g: SchreierGraph, radius: int) -> SchreierGraph:

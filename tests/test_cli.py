@@ -7,6 +7,7 @@ goes through the installed console script to pin the entry point.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -14,6 +15,7 @@ import sys
 
 import pytest
 
+from schreier import cli
 from schreier.cli import _build_parser, run
 from schreier.core import parse
 from schreier.experiments import EXPERIMENTS
@@ -78,6 +80,24 @@ class TestJsonEnvelope:
     def test_threads_flag_rejected(self, capsys):
         assert run(["--threads", "4", "cycles", "--graph", "k4"]) == 1
         assert "usage:" in capsys.readouterr().err
+
+    def test_non_finite_result_is_an_error(self, capsys, tmp_path, monkeypatch):
+        real = cli.ramanujan_check
+
+        def nan_bound(g, method=None):
+            verdict = real(g, method=method)
+            report = dataclasses.replace(verdict.report, error_bound=float("nan"))
+            return dataclasses.replace(verdict, report=report)
+
+        monkeypatch.setattr(cli, "ramanujan_check", nan_bound)
+        target = tmp_path / "out.json"
+        assert run(["ramanujan", "--graph", "cycle:8", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: result.error_bound is nan, which JSON cannot represent\n"
+        )
+        assert not target.exists()
 
     def test_out_writes_the_same_document(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -187,6 +207,23 @@ class TestLemmaChecks:
         )["result"]
         assert result["source"] == "4-regular tree"
         assert len(result["rows"]) == 6
+
+    @pytest.mark.parametrize(
+        "degree, counts",
+        [
+            (4, [(4, 1), (28, 10), (232, 97), (2092, 958)]),
+            (27, [(27, 1), (1431, 79), (94095, 6215), (6903495, 505831)]),
+            (60, [(60, 1), (7140, 178), (1058520, 31625), (175463700, 5820646)]),
+        ],
+    )
+    def test_different_via_tree_rings_at_any_degree(self, capsys, degree, counts):
+        argv = ["lemma-check", "different", "--tree-degree", str(degree), "--n", "8"]
+        rows = _json_out(capsys, argv)["result"]["rows"]
+        assert [(r["return_count"], r["max_other_count"]) for r in rows] == counts
+
+    def test_walks_on_a_large_degree_tree(self, capsys):
+        argv = ["walks", "--graph", "tree:d=60,r=1", "--horizon", "2"]
+        assert _json_out(capsys, argv)["result"]["return_counts"] == [1, 0, 60]
 
     def test_different_needs_a_source(self, capsys):
         assert run(["lemma-check", "different", "--n", "4"]) == 1
@@ -410,6 +447,16 @@ class TestConfigFile:
         argv = ["lemma-check", "different", "--config", str(cfg), "--n", "4"]
         config = _json_out(capsys, argv + explicit)["config"]
         assert {"graph", "tree-degree"} & set(config) == {key}
+
+    def test_flags_have_no_prefix_spellings(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("graph = cycle:8\n")
+        argv = ["lemma-check", "different", "--config", str(cfg), "--n", "4"]
+        assert run(argv + ["--tree", "4"]) == 1
+        assert "unrecognized arguments: --tree 4" in capsys.readouterr().err
+        assert run(["lemma-check", "different", "--tree", "4", "--n", "4"]) == 1
+        config = _json_out(capsys, argv + ["--tree-degree", "4"])["config"]
+        assert config["tree-degree"] == 4 and "graph" not in config
 
     def test_file_only_source(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+
 from schreier.builders import (
     CoreGraph,
     complete_ball,
@@ -32,6 +34,7 @@ from schreier.core import (
 from schreier.irs import (
     IrsEnsemble,
     Provenance,
+    _rooted_orbits,
     ensemble_ball_distribution,
     from_json,
     invariance_diagnostic,
@@ -224,6 +227,18 @@ class TestSharedOrbitTables:
         for g, x in zip(e.samples, points):
             for h, y in zip(e.samples, points):
                 assert (g.next is h.next) == (orbit[x] == orbit[y])
+
+
+    @settings(max_examples=200)
+    @given(
+        act=reference.sparse_actions(),
+        points=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    )
+    def test_one_bfs_per_orbit_matches_two(self, act, points):
+        # mostly non-transitive actions with involutions, from random points
+        points = [x % act.degree for x in points]
+        samples = _rooted_orbits(act, points)
+        assert [(g.next, g.root) for g in samples] == reference.rooted_orbits(act, points)
 
 
 class TestEnsembleBallDistribution:

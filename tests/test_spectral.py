@@ -229,6 +229,11 @@ class TestTreeRho:
     def test_closed_form(self, d):
         assert abs(tree_rho(d) - 2 * math.sqrt(d - 1) / d) < 1e-12
 
+    @pytest.mark.parametrize("d", [27, 54, 61])
+    def test_closed_form_at_large_degree(self, d):
+        # tree_core(d) labels its slots uniquely past 26 letters
+        assert abs(tree_rho(d) - 2 * math.sqrt(d - 1) / d) < 1e-12
+
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             tree_rho(1)

@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference
 
 from schreier.builders import (
     complete_ball,
@@ -164,6 +166,32 @@ class TestTreeRings:
         for n in range(11):
             for j in range(1, 11):
                 assert rings[n][j] % tree_ring_size(4, j) == 0
+
+
+class TestHangingTreeRecurrence:
+    """``tree_ring_counts`` and ``core_return_counts`` share one recurrence;
+    each is checked against an independent count."""
+
+    @given(degree=st.integers(2, 7), horizon=st.integers(0, 30))
+    def test_rings_match_the_ring_recursion(self, degree, horizon):
+        assert tree_ring_counts(degree, horizon) == reference.tree_ring_counts(
+            degree, horizon
+        )
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 10))
+    def test_core_returns_match_walks_on_the_ball(self, data, rank, horizon):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        ball = complete_ball(core, (horizon + 1) // 2)
+        table = count_walks(ball, ball.root, horizon, returns_only=True)
+        assert core_return_counts(core, horizon) == tuple(
+            table.return_count(n) for n in range(horizon + 1)
+        )
+
+    @pytest.mark.parametrize("degree", [27, 60])
+    def test_large_degree_trees(self, degree):
+        # two steps return along each of the d edges at the root
+        assert tree_ring_counts(degree, 2)[2] == (degree, 0, degree * (degree - 1))
 
 
 class TestReturningWords:
