@@ -6,12 +6,17 @@ Infinite graphs described by cores or deep truncations get certified
 lower bounds on the spectral radius through exact return counts, since
 r_n = (p_{2n})^{1/2n} increases to ρ.
 
-Two solver strategies back the iterative path: shift-invert Lanczos
-(fast whenever sparse LU factors of I ∓ M stay sparse, e.g. anything
-with small separators) and thick-restart Lanczos on plain matrix-vector
-products (the fallback for expanders, whose LU fill-in is quadratic).
-The residual ‖Mv − λv‖ bounds the eigenvalue error for symmetric M, so
-reports carry it as ``error_bound``.
+The iterative path picks its solver from the graph's bandwidth b in
+reverse Cuthill–McKee order: shift-invert Lanczos on banded LU factors
+of I ∓ M (I − M grounded at one vertex) when 2·n·(b+1) ≤
+_SPLU_FILL_CAP·nnz(I − M), as on cycles and tori with their small
+spectral gaps; else thick-restart Lanczos on plain matrix-vector
+products (expanders), which also takes over a shift-invert run that
+fails.  A bipartite M has D·M·D = −M for D the diagonal of the
+2-coloring sign vector, so the sign vector certifies λ = −1, λ_min off
+{1, −1} is −λ_max, and only the top end is solved.  The residual
+‖Mv − λv‖ bounds the eigenvalue error for symmetric M, so reports carry
+it as ``error_bound``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from schreier.builders import (
     CoreGraph,
@@ -59,9 +65,11 @@ __all__ = [
 ]
 
 DENSE_THRESHOLD = 4096
-_SPLU_LIMIT = 3000          # above this, skip LU attempts entirely
-_SPLU_FILL_CAP = 64.0       # LU denser than this × nnz(A) → use matvec Lanczos
-_RESIDUAL_TOL = 1e-9
+_SPLU_FILL_CAP = 64.0       # banded LU above this × nnz(I − M) → matvec Lanczos
+_RESIDUAL_TOL = 1e-9        # thick-restart Ritz residuals
+_SHIFT_INVERT_TOL = 1e-10   # shift-invert residual on M
+_SHIFT_INVERT_DIM = 300     # Krylov dimension of one shift-invert solve
+_SEED = 0                   # start vectors, so reports are reproducible
 _CONVERGED_BOUND = 1e-8
 _ITERATION_CAP = 10_000
 
@@ -152,125 +160,116 @@ class SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-class _FillTooDense(Exception):
-    pass
+def _banded_order(M: sp.csr_matrix, n: int) -> np.ndarray | None:
+    """The vertices in reverse Cuthill–McKee order, or None when banded LU
+    factors of I ∓ M in that order would not fit:
+    2·n·(b+1) > _SPLU_FILL_CAP·nnz(I − M), with b the bandwidth."""
+    A = sp.identity(n, format="csr") - M
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    banded = A[order][:, order].tocoo()
+    bandwidth = int(np.max(np.abs(banded.row - banded.col)))
+    if 2 * n * (bandwidth + 1) > _SPLU_FILL_CAP * A.nnz:
+        return None
+    return order
 
 
-def _grounded_lu(M: sp.csr_matrix, n: int, sign: float):
-    A = (sp.identity(n, format="csc") - M.multiply(sign)).tocsc()
-    lu = spla.splu(A[1:, :][:, 1:].tocsc())
-    if lu.L.nnz + lu.U.nnz > _SPLU_FILL_CAP * max(A.nnz, 1):
-        raise _FillTooDense
-    return lu
+def _grounded_lu(M: sp.csr_matrix, sign: float, order: np.ndarray):
+    """LU factors of I − sign·M on the vertices ``order``, grounding the
+    rest.  I − M loses one vertex and I + M is only factored for
+    non-bipartite M, so the matrix is positive definite: factored in that
+    order without pivoting, the factors stay inside its band."""
+    A = sp.identity(M.shape[0], format="csr") - M.multiply(sign)
+    return spla.splu(
+        A[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+    )
+
+
+def _start_vector(D: np.ndarray) -> np.ndarray:
+    """The seeded random unit vector orthogonal to the columns of D."""
+    v = np.random.default_rng(_SEED).standard_normal(D.shape[0])
+    v -= D @ (D.T @ v)
+    return v / np.linalg.norm(v)
+
+
+def _lanczos_step(
+    V: np.ndarray, H: np.ndarray, j: int, w: np.ndarray, D: np.ndarray
+) -> float:
+    """Extend the basis V[:, :j+1] by w, the operator applied to V[:, j]:
+    project out D, orthogonalize twice against the basis, write the
+    projections into column and row j of H and β = ‖w‖ beside them, and
+    store w/β as V[:, j+1].  Returns β."""
+    w -= D @ (D.T @ w)
+    h = V[:, : j + 1].T @ w
+    w -= V[:, : j + 1] @ h
+    h2 = V[:, : j + 1].T @ w
+    w -= V[:, : j + 1] @ h2
+    h += h2
+    H[: j + 1, j] = h
+    H[j, : j + 1] = h
+    beta = float(np.linalg.norm(w))
+    H[j + 1, j] = H[j, j + 1] = beta
+    if beta > 0.0:
+        V[:, j + 1] = w / beta
+    return beta
 
 
 def _shift_invert_extreme(
-    M: sp.csr_matrix,
-    n: int,
-    sign: float,
-    deflate: Sequence[np.ndarray],
-    lu,
-    tol: float = 1e-10,
-    max_dim: int = 300,
-    seed: int = 0,
+    M: sp.csr_matrix, D: np.ndarray, sign: float, order: np.ndarray
 ) -> tuple[float, float]:
-    """Eigenvalue of M nearest the ``sign`` end, orthogonally to
-    ``deflate``, via Lanczos on the grounded inverse of I − sign·M.
+    """Eigenvalue of M nearest the ``sign`` end, orthogonally to the
+    columns of D, via Lanczos on the inverse of I − sign·M on ``order``.
     Returns (eigenvalue, residual norm measured on M itself)."""
-    D = np.column_stack(deflate)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(n)
-        y[1:] = lu.solve(x[1:])
-        y -= D @ (D.T @ y)
-        return y
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v -= D @ (D.T @ v)
-    v /= np.linalg.norm(v)
-    V = np.empty((n, max_dim + 1))
-    V[:, 0] = v
-    H = np.zeros((max_dim + 1, max_dim + 1))
-    m = 0
-    lam = res = None
-    while m < max_dim:
-        w = apply(V[:, m])
-        h = V[:, : m + 1].T @ w
-        w = w - V[:, : m + 1] @ h
-        h2 = V[:, : m + 1].T @ w
-        w = w - V[:, : m + 1] @ h2
-        h += h2
-        H[: m + 1, m] = h
-        H[m, : m + 1] = h
-        m += 1
-        nw = float(np.linalg.norm(w))
-        exhausted = nw <= 1e-12
-        if not exhausted:
-            V[:, m] = w / nw
-        if exhausted or m % 3 == 0 or m == max_dim:
-            Hm = (H[:m, :m] + H[:m, :m].T) / 2
-            mu, S = np.linalg.eigh(Hm)
-            if abs(mu[-1]) < 1e-13:
-                raise ArithmeticError("shift-invert spectrum collapsed")
-            y = V[:, :m] @ S[:, -1]
-            lam = float(sign * (1.0 - 1.0 / mu[-1]))
-            res = float(np.linalg.norm(M @ y - lam * y))
-            if res < tol or exhausted:
-                return lam, res
+    n = M.shape[0]
+    lu = _grounded_lu(M, sign, order)
+    V = np.empty((n, _SHIFT_INVERT_DIM + 1))
+    V[:, 0] = _start_vector(D)
+    H = np.zeros((_SHIFT_INVERT_DIM + 1, _SHIFT_INVERT_DIM + 1))
+    for m in range(1, _SHIFT_INVERT_DIM + 1):
+        # a grounded inverse amplifies any trace of D in its input
+        v = V[:, m - 1] - D @ (D.T @ V[:, m - 1])
+        w = np.zeros(n)
+        w[order] = lu.solve(v[order])
+        exhausted = _lanczos_step(V, H, m - 1, w, D) <= 1e-12
+        if not (exhausted or m % 3 == 0 or m == _SHIFT_INVERT_DIM):
+            continue
+        mu, S = np.linalg.eigh(H[:m, :m])
+        if abs(mu[-1]) < 1e-13:
+            raise ArithmeticError("shift-invert spectrum collapsed")
+        y = V[:, :m] @ S[:, -1]
+        lam = float(sign * (1.0 - 1.0 / mu[-1]))
+        res = float(np.linalg.norm(M @ y - lam * y))
+        if res < _SHIFT_INVERT_TOL or exhausted:
+            break
     return lam, res
 
 
 def _restart_lanczos_extremes(
-    M: sp.csr_matrix,
-    n: int,
-    deflate: Sequence[np.ndarray],
-    tol: float = _RESIDUAL_TOL,
-    maxiter: int = _ITERATION_CAP,
-    seed: int = 0,
+    M: sp.csr_matrix, D: np.ndarray
 ) -> tuple[float, float, float]:
-    """Both extreme eigenvalues of M on the orthogonal complement of
-    ``deflate``, by thick-restart Lanczos with full reorthogonalization.
+    """Both extreme eigenvalues of M on the orthogonal complement of the
+    columns of D, by thick-restart Lanczos with full reorthogonalization.
     Returns (λ_min, λ_max, residual bound)."""
-    D = np.column_stack(deflate)
-    rng = np.random.default_rng(seed)
+    n = M.shape[0]
     m_max = min(n - D.shape[1], 80)
-    if m_max < 1:
-        return 0.0, 0.0, 0.0
     keep = min(10, max(2, m_max - 2))
-    v = rng.standard_normal(n)
-    v -= D @ (D.T @ v)
-    v /= np.linalg.norm(v)
     V = np.empty((n, m_max + 1))
-    V[:, 0] = v
+    V[:, 0] = _start_vector(D)
     H = np.zeros((m_max + 1, m_max + 1))
     j = 0
     total = 0
-    while total < maxiter:
+    while total < _ITERATION_CAP:
         while j < m_max:
-            w = M @ V[:, j]
+            beta = _lanczos_step(V, H, j, M @ V[:, j], D)
             total += 1
-            w -= D @ (D.T @ w)
-            h = V[:, : j + 1].T @ w
-            w -= V[:, : j + 1] @ h
-            h2 = V[:, : j + 1].T @ w
-            w -= V[:, : j + 1] @ h2
-            h += h2
-            H[: j + 1, j] = h
-            H[j, : j + 1] = h
-            beta = float(np.linalg.norm(w))
             if beta < 1e-14:
                 theta = np.linalg.eigvalsh(H[: j + 1, : j + 1])
                 return float(theta[0]), float(theta[-1]), 0.0
-            H[j + 1, j] = beta
-            H[j, j + 1] = beta
-            V[:, j + 1] = w / beta
             j += 1
         theta, S = np.linalg.eigh(H[:m_max, :m_max])
         beta = H[m_max, m_max - 1]
         res_lo = abs(beta * S[m_max - 1, 0])
         res_hi = abs(beta * S[m_max - 1, -1])
-        if max(res_lo, res_hi) < tol:
+        if max(res_lo, res_hi) < _RESIDUAL_TOL:
             return float(theta[0]), float(theta[-1]), float(max(res_lo, res_hi))
         idx = list(range(keep // 2)) + list(range(m_max - (keep - keep // 2), m_max))
         Y = V[:, :m_max] @ S[:, idx]
@@ -287,45 +286,30 @@ def _restart_lanczos_extremes(
 
 
 def _iterative_extremes(
-    M: sp.csr_matrix, n: int, sign_vector: np.ndarray | None
-) -> tuple[float, float, float | None, float]:
-    """(λ_min, λ_max, λ_min with the bipartite −1 deflated, residual) on
-    the zero-sum subspace."""
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    strict_deflate = [ones] if sign_vector is None else [ones, sign_vector]
-    if n <= _SPLU_LIMIT:
+    M: sp.csr_matrix, n: int, colors: tuple[int, ...] | None
+) -> tuple[float, float, float]:
+    """(λ_min, λ_max, residual) on the zero-sum subspace.  Given a
+    2-coloring, only λ_max is solved; the sign vector certifies λ_min = −1."""
+    D = np.full((n, 1), 1.0 / math.sqrt(n))
+    order = _banded_order(M, n)
+    res = math.nan
+    if order is not None:
         try:
-            lu_hi = _grounded_lu(M, n, +1.0)
-            hi, res_hi = _shift_invert_extreme(M, n, +1.0, [ones], lu_hi)
-            lu_lo = _grounded_lu(M, n, -1.0)
-            lo_strict, res_strict = _shift_invert_extreme(
-                M, n, -1.0, strict_deflate, lu_lo
-            )
-            if sign_vector is None:
-                lo, res_lo = lo_strict, res_strict
-            else:
-                lo, res_lo = -1.0, float(np.linalg.norm(M @ sign_vector + sign_vector))
-            worst = max(res_lo, res_hi, res_strict)
-            # grounding can contaminate the inverse's spectrum on strongly
-            # expanding graphs; the residual is measured on M itself, so a
-            # bad run is detected and handed to the matvec-only solver
-            if worst <= _CONVERGED_BOUND:
-                return (
-                    lo,
-                    hi,
-                    lo_strict if sign_vector is not None else None,
-                    worst,
-                )
-        except (_FillTooDense, ArithmeticError):
-            pass
-    lo, hi, res = _restart_lanczos_extremes(M, n, [ones])
-    lo_strict = None
-    if sign_vector is not None:
-        res_sign = float(np.linalg.norm(M @ sign_vector + sign_vector))
-        lo_strict, _, res2 = _restart_lanczos_extremes(M, n, [ones, sign_vector])
+            hi, res = _shift_invert_extreme(M, D, +1.0, order[1:])
+            if colors is None:
+                lo, res_lo = _shift_invert_extreme(M, D, -1.0, order)
+                res = max(res, res_lo)
+        except ArithmeticError:
+            res = math.nan
+    # the residual is measured on M itself, so a shift-invert run that
+    # missed is detected and handed to the matvec-only solver
+    if not res <= _CONVERGED_BOUND:
+        lo, hi, res = _restart_lanczos_extremes(M, D)
+    if colors is not None:
+        sign = np.where(np.asarray(colors) == 0, 1.0, -1.0) / math.sqrt(n)
         lo = -1.0
-        res = max(res, res2, res_sign)
-    return lo, hi, lo_strict, res
+        res = max(res, float(np.linalg.norm(M @ sign + sign)))
+    return lo, hi, res
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +321,9 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
     """Norm of M on the zero-sum subspace of a finite connected graph.
 
     Dense solve up to DENSE_THRESHOLD vertices (or on request), deflated
-    Lanczos beyond; bipartite inputs get the −1 eigenvalue certified by
-    the 2-coloring sign vector rather than asked of the solver.
+    Lanczos beyond, shift-invert or thick-restart by bandwidth (see the
+    module docstring).  Bipartite inputs get the −1 eigenvalue certified
+    by the sign vector, and ``rho0_strict`` = |λ_max| by symmetry.
     """
     if g.truncated:
         raise ValueError(
@@ -371,13 +356,9 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
             method="dense", error_bound=1e-12,
             rho0_strict=max(abs(strict_low), abs(float(evs[-2]))),
         )
-    M = markov_matrix(g)
-    sign_vector = None
-    if bip:
-        sign_vector = np.where(np.asarray(colors) == 0, 1.0, -1.0) / math.sqrt(n)
-    lo, hi, lo_strict, res = _iterative_extremes(M, n, sign_vector)
+    lo, hi, res = _iterative_extremes(markov_matrix(g), n, colors)
     value = max(abs(lo), abs(hi))
-    strict = max(abs(lo_strict), abs(hi)) if lo_strict is not None else value
+    strict = abs(hi) if bip else value
     return SpectralReport(
         d=d, n=n, rho0=min(value, 1.0), rho0_nonneg=hi, bipartite=bip,
         method="iterative", error_bound=res, rho0_strict=min(strict, 1.0),
@@ -502,12 +483,11 @@ def ramanujan_check(g: SchreierGraph, method: str | None = None) -> RamanujanVer
     report = rho0(g, method=method)
     threshold = tree_rho(g.degree)
     slack = report.error_bound + 1e-12
-    strict_value = report.rho0_strict if report.rho0_strict is not None else report.rho0
     return RamanujanVerdict(
         degree=g.degree,
         threshold=threshold,
         ramanujan=bool(report.rho0 <= threshold + slack),
-        ramanujan_strict=bool(strict_value <= threshold + slack),
+        ramanujan_strict=bool(report.rho0_strict <= threshold + slack),
         equality=bool(abs(report.rho0 - threshold) <= max(report.error_bound, 1e-9)),
         report=report,
     )
@@ -547,6 +527,8 @@ def averaged_operator(
     act: PermAction, support: Sequence[int | str | None]
 ) -> np.ndarray:
     """Dense matrix of f ↦ (1/|support|) Σ_s f(x·s) on point functions."""
+    if act.degree > DENSE_THRESHOLD:
+        raise ValueError("the averaged operator is dense; degree too large")
     entries = _resolve_support(act.gens, support)
     n = act.degree
     A = np.zeros((n, n))
@@ -565,8 +547,6 @@ def distribution_operator_norm(
     """Operator norm of the support-averaged permutation operator on the
     full point space (constants included, matching ρ of the subgroup's
     Cayley graph rather than ρ₀)."""
-    if act.degree > DENSE_THRESHOLD:
-        raise ValueError("operator norm uses a dense solve; degree too large")
     evs = np.linalg.eigvalsh(averaged_operator(act, support))
     return float(max(abs(evs[0]), abs(evs[-1])))
 

@@ -108,6 +108,12 @@ class TestJsonEnvelope:
 
 
 class TestAnalysis:
+    def test_ramanujan_long_cycle_is_certified(self, capsys):
+        result = _json_out(capsys, ["ramanujan", "--graph", "cycle:5000"])["result"]
+        assert result["converged"] is True
+        assert result["rho0"] == 1.0 and result["threshold"] == 1.0
+        assert result["verdict"] and result["strict"] and result["equality"]
+
     def test_spectrum_even_cycle_is_bipartite(self, capsys):
         result = _json_out(capsys, ["spectrum", "--graph", "cycle:6"])["result"]
         assert result["bipartite"] is True

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from schreier.builders import (
     klein_cayley,
     lps_graph,
     petersen_graph,
+    random_perm_action,
     random_perm_model,
     s3_regular,
     stallings_core,
@@ -30,6 +32,7 @@ from schreier.core import (
     PermAction,
     parse_word,
 )
+from schreier import spectral
 from schreier.spectral import (
     ProductReturnBound,
     SpectralReport,
@@ -50,6 +53,31 @@ F2 = GenSet.free(2)
 
 def cycle_rho0_exact(n: int) -> float:
     return max(abs(math.cos(2 * math.pi * k / n)) for k in range(1, n))
+
+
+def torus(a: int, b: int):
+    """Z/a × Z/b with one letter per coordinate shift."""
+    right = tuple(((x // b + 1) % a) * b + x % b for x in range(a * b))
+    up = tuple((x // b) * b + (x % b + 1) % b for x in range(a * b))
+    return from_perm_action(PermAction.from_generator_perms([right, up], [], ["a", "b"]))
+
+
+def double_cover(act: PermAction):
+    """The bipartite double cover: every letter also flips a layer bit."""
+    n = act.degree
+    perms = tuple(
+        tuple(p[x % n] + n * (x < n) for x in range(2 * n)) for p in act.perms
+    )
+    return from_perm_action(PermAction(act.gens, perms))
+
+
+def assert_dense_iterative_agree(g) -> None:
+    dense = rho0(g, method="dense")
+    it = rho0(g, method="iterative")
+    assert it.converged
+    assert dense.bipartite == it.bipartite
+    for field in ("rho0", "rho0_strict", "rho0_nonneg"):
+        assert abs(getattr(dense, field) - getattr(it, field)) < 1e-8, field
 
 
 class TestMarkovSpectrum:
@@ -146,11 +174,38 @@ class TestRho0:
         assert dense.bipartite == it.bipartite
 
     def test_dense_iterative_agreement_expander(self):
-        g = lps_graph(5, 13)
-        dense = rho0(g, method="dense")
-        it = rho0(g, method="iterative")
-        assert abs(dense.rho0 - it.rho0) < 1e-6
-        assert it.converged
+        # bipartite, so its iterative report rests on the sign-vector symmetry
+        assert_dense_iterative_agree(lps_graph(5, 13))
+
+    @given(
+        m=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_dense_iterative_agreement_double_covers(self, m, n, seed):
+        g = double_cover(random_perm_action(m, n, seed))
+        assert bipartition(g) is not None
+        assert_dense_iterative_agree(g)
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (2, 5), (3, 3), (4, 6), (8, 8), (6, 10)])
+    def test_dense_iterative_agreement_tori(self, a, b):
+        assert_dense_iterative_agree(torus(a, b))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 64, 500])
+    def test_dense_iterative_agreement_even_cycles(self, n):
+        # at n = 2 nothing is orthogonal to both the constants and the sign
+        # vector; dense reads ρ₀ 1, nonneg −1, strict 1 there
+        assert_dense_iterative_agree(cycle_graph(n))
+
+    @pytest.mark.parametrize("n", [4999, 5000, 20000])
+    def test_long_cycles_converge(self, n):
+        # a spectral gap of order 1/n², beyond the dense threshold
+        rep = rho0(cycle_graph(n))
+        assert rep.method == "iterative"
+        assert rep.converged
+        assert rep.error_bound <= 1e-8
+        assert abs(rep.rho0 - cycle_rho0_exact(n)) < 1e-9
 
     def test_report_validation(self):
         with pytest.raises(GraphInvariantError, match="escaped"):
@@ -163,6 +218,66 @@ class TestRho0:
                 d=4, n=5, rho0=0.5, rho0_nonneg=0.5, bipartite=False,
                 method="magic", error_bound=0.0,
             )
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Every LU factorization the iterative solver makes, with its matrix."""
+    calls = []
+    real = spectral._grounded_lu
+
+    def spy(M, sign, order):
+        lu = real(M, sign, order)
+        calls.append((M, lu))
+        return lu
+
+    monkeypatch.setattr(spectral, "_grounded_lu", spy)
+    return calls
+
+
+def assert_within_fill_cap(factored) -> None:
+    for M, lu in factored:
+        nnz = (sp.identity(M.shape[0]) - M).nnz
+        assert lu.L.nnz + lu.U.nnz <= spectral._SPLU_FILL_CAP * nnz
+
+
+class TestSolverChoice:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cycle_graph(2),
+            lambda: cycle_graph(7),
+            lambda: cycle_graph(5000),
+            lambda: torus(2, 3),
+            lambda: torus(7, 9),
+            lambda: torus(60, 80),
+            lambda: torus(5, 1000),
+        ],
+        ids=["C2", "C7", "C5000", "T2x3", "T7x9", "T60x80", "T5x1000"],
+    )
+    def test_cycles_and_tori_factor(self, factored, build):
+        assert rho0(build(), method="iterative").converged
+        assert factored
+        assert_within_fill_cap(factored)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_random_graphs_stay_within_fill_cap(self, factored, seed):
+        assert rho0(random_perm_model(3, 200, seed), method="iterative").converged
+        assert_within_fill_cap(factored)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: lps_graph(5, 13),
+            lambda: lps_graph(17, 13),
+            lambda: random_perm_model(2, 5000, 0),
+            lambda: random_perm_model(2, 5000, 1),
+        ],
+        ids=["LPS5_13", "LPS17_13", "randperm5000s0", "randperm5000s1"],
+    )
+    def test_expanders_never_factor(self, factored, build):
+        assert rho0(build(), method="iterative").converged
+        assert not factored
 
 
 class TestEstimateRhoReturns:
@@ -253,6 +368,10 @@ class TestRamanujan:
         assert v.threshold == 1.0
         # the strict reading drops the bipartite −1 and sails under
         assert v.ramanujan_strict
+
+    def test_long_even_cycle_equality_case(self):
+        v = ramanujan_check(cycle_graph(5000))
+        assert v.ramanujan and v.ramanujan_strict and v.equality
 
     def test_lps_17_13(self):
         v = ramanujan_check(lps_graph(17, 13), method="iterative")
