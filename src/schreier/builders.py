@@ -600,7 +600,8 @@ kind        := 'cycle:' N
              | 'free:rank=' K
              | 'fold:' word (',' word)*     (words over a..z/A..Z; 'rank=K' entry
                                              widens the alphabet beyond the letters used)
-             | 'file:' PATH                 (SGF1 file)
+             | 'file:' PATH                 (SGF1 file; a core when it has 'b' lines
+                                             and no 'truncated' mark)
 action spec := 'randperm:m=M,n=N,seed=S' | 'cyclic:N' | 'regular:s3' | 'regular:z6'
 """
 
@@ -624,8 +625,9 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
     Examples: ``cycle:6``, ``petersen``, ``tree:d=4,r=3``,
     ``randperm:m=2,n=1000,seed=7``, ``lps:p=17,q=13``, ``fold:a^2,b``,
     ``free:rank=2``, ``file:graph.sgf``.  See ``SPEC_GRAMMAR`` for the
-    full grammar.  Specs that describe cores (``fold``, ``free``) return
-    a CoreGraph unless the ``@R`` suffix asks for the completed ball.
+    full grammar.  Specs that describe cores (``fold``, ``free``, and a
+    file with boundary vertices but no ``truncated`` mark) return a
+    CoreGraph unless the ``@R`` suffix asks for the completed ball.
     """
     text = text.strip()
     radius: int | None = None
@@ -676,6 +678,8 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
     elif kind == "file":
         with open(rest) as fh:
             result = parse_sgf1(fh.read())
+        if result.boundary and result.truncation_radius is None:
+            result = CoreGraph(result)  # a core, as ``build`` writes one
     else:
         raise ValueError(f"unknown graph spec {text!r}")
     if radius is not None:

@@ -58,8 +58,8 @@ from schreier.spectral import (
 )
 from schreier.walks import (
     conditioned_prefix_probability,
-    count_walks,
     prefix_probability,
+    return_counts,
     return_domination_report,
     returning_words,
     segment_distribution,
@@ -590,8 +590,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     elif args.command == "walks":
         g = _full_graph(from_spec(args.graph), "walk counting")
         x = g.root if args.vertex is None else args.vertex
-        table = count_walks(g, x, args.horizon, returns_only=True)
-        counts = [table.return_count(k) for k in range(args.horizon + 1)]
+        counts = list(return_counts(g, x, args.horizon))
         result = {
             "vertex": x,
             "horizon": args.horizon,

@@ -44,7 +44,7 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
 )
-from schreier.walks import core_return_counts, count_walks
+from schreier.walks import core_return_counts, return_counts
 
 __all__ = [
     "DENSE_THRESHOLD",
@@ -91,21 +91,14 @@ def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
 def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
     """A proper 2-coloring over the stored edges, or None if an odd closed
     walk exists.  (For cores the coloring extends to the hanging trees, so
-    the answer is about the full graph the core describes.)"""
-    color = [-1] * g.n
-    color[g.root] = 0
-    queue = [g.root]
-    while queue:
-        v = queue.pop()
-        for w in g.next[v]:
-            if w is None:
-                continue
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
+    the answer is about the full graph the core describes.)  A connected
+    graph has at most one with the root at 0: root-distance parity."""
+    color = tuple(dist & 1 for dist in g.root_distances)
+    for v, row in enumerate(g.next):
+        for w in row:
+            if w is not None and color[w] == color[v]:
                 return None
-    return tuple(color)
+    return color
 
 
 def markov_spectrum(g: SchreierGraph) -> np.ndarray:
@@ -371,13 +364,6 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _return_counts(source: CoreGraph | SchreierGraph, horizon: int) -> tuple[int, ...]:
-    if isinstance(source, CoreGraph):
-        return core_return_counts(source, horizon)
-    table = count_walks(source, source.root, horizon, returns_only=True)
-    return tuple(table.return_count(k) for k in range(horizon + 1))
-
-
 def _neville_to_zero(points: Sequence[tuple[float, float]]) -> float:
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
@@ -405,9 +391,11 @@ def estimate_rho_returns(
     """
     if horizon < 2 or horizon % 2:
         raise ValueError("horizon must be even and at least 2")
-    g = source.graph if isinstance(source, CoreGraph) else source
+    if isinstance(source, CoreGraph):
+        g, counts = source.graph, core_return_counts(source, horizon)
+    else:
+        g, counts = source, return_counts(source, source.root, horizon)
     d = g.degree
-    counts = _return_counts(source, horizon)
     evens = [counts[2 * k] for k in range(1, horizon // 2 + 1)]
     for k in range(1, len(evens)):
         if evens[k] ** k < evens[k - 1] ** (k + 1):
@@ -468,20 +456,23 @@ class RamanujanVerdict:
     ``ramanujan_strict`` discards the forced −1 of bipartite inputs.
     Both comparisons carry the solver's error bound, and ``equality``
     flags verdicts decided at the threshold itself (e.g. cycles, where
-    ρ₀ = ρ(T₂) = 1 exactly).
+    ρ₀ = ρ(T₂) = 1 exactly).  All three are None (undecided) when the
+    solver did not converge.
     """
 
     degree: int
     threshold: float
-    ramanujan: bool
-    ramanujan_strict: bool
-    equality: bool
+    ramanujan: bool | None
+    ramanujan_strict: bool | None
+    equality: bool | None
     report: SpectralReport
 
 
 def ramanujan_check(g: SchreierGraph, method: str | None = None) -> RamanujanVerdict:
     report = rho0(g, method=method)
     threshold = tree_rho(g.degree)
+    if not report.converged:
+        return RamanujanVerdict(g.degree, threshold, None, None, None, report)
     slack = report.error_bound + 1e-12
     return RamanujanVerdict(
         degree=g.degree,

@@ -5,10 +5,17 @@ of label sequences of length n leading from x to y, probabilities are the
 counts divided by d^n, and all comparisons the lemma checks make are exact
 (arbitrary-precision integers and rationals, no floats).
 
+One recurrence, ``_walk_steps``, advances the counts one step at a time
+over the stored vertices and, for cores, over the depths of the regular
+trees hanging at undefined slots.  ``count_walks`` keeps every row,
+``return_counts`` only the origin's column (one row in memory at a time),
+and ``core_return_counts`` and ``tree_ring_counts`` read the same steps
+with the trees attached.
+
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
-⌊n/2⌋ of its origin, so return counts need the boundary at distance
-⌈n/2⌉ and full tables need it at distance n.  The preconditions are
+⌊n/2⌋ of its origin, so ``return_counts`` needs the boundary at distance
+⌈n/2⌉ and ``count_walks`` needs it at distance n.  The preconditions are
 enforced, never assumed.
 """
 
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from schreier.builders import CoreGraph, tree_core
 from schreier.core import (
@@ -33,6 +40,7 @@ __all__ = [
     "WalkTable",
     "ReturningWordSet",
     "count_walks",
+    "return_counts",
     "core_return_counts",
     "tree_ring_counts",
     "returning_words",
@@ -47,6 +55,8 @@ __all__ = [
 
 
 def _require_distance(g: SchreierGraph, x: int, needed: int, what: str) -> None:
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} is not a vertex of the graph (0..{g.n - 1})")
     if not g.truncated:
         return
     available = g.distance_to_boundary(x)
@@ -59,21 +69,14 @@ def _require_distance(g: SchreierGraph, x: int, needed: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class WalkTable:
-    """|P_{x,v,n}| for all stored vertices v and n up to the horizon.
-
-    ``returns_only`` marks tables computed under the weaker truncation
-    precondition: then only the entries at v = x are certified exact.
-    """
+    """|P_{x,v,n}| for all stored vertices v and n up to the horizon."""
 
     graph: SchreierGraph
     origin: int
     horizon: int
     rows: tuple[tuple[int, ...], ...]
-    returns_only: bool = False
 
     def count(self, v: int, n: int) -> int:
-        if self.returns_only and v != self.origin:
-            raise ValueError("table was computed for return counts only")
         return self.rows[n][v]
 
     def return_count(self, n: int) -> int:
@@ -86,53 +89,19 @@ class WalkTable:
         return Fraction(self.return_count(n), self.graph.degree ** n)
 
 
-def count_walks(
-    g: SchreierGraph, x: int, horizon: int, returns_only: bool = False
-) -> WalkTable:
-    """Exact walk counts from x out to the horizon.
-
-    Walks stepping through a missing slot are dropped; the truncation
-    precondition guarantees no dropped walk could have contributed to a
-    certified entry.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} is not a vertex of the graph (0..{g.n - 1})")
-    needed = (horizon + 1) // 2 if returns_only else horizon
-    _require_distance(g, x, needed, "walk counts")
-    row = [0] * g.n
-    row[x] = 1
-    rows = [tuple(row)]
-    for _ in range(horizon):
-        nxt = [0] * g.n
-        for v, c in enumerate(row):
-            if c:
-                for w in g.next[v]:
-                    if w is not None:
-                        nxt[w] += c
-        row = nxt
-        rows.append(tuple(row))
-    return WalkTable(
-        graph=g, origin=x, horizon=horizon, rows=tuple(rows),
-        returns_only=bool(g.truncated and returns_only),
-    )
-
-
-def _hanging_tree_walks(
-    core: CoreGraph, horizon: int
+def _walk_steps(
+    g: SchreierGraph, x: int, horizon: int, slots: dict[int, int]
 ) -> Iterator[tuple[list[int], dict[int, list[int]]]]:
-    """For n = 0..horizon, the number of length-n walks from the root of
-    the graph a core describes that end at each core vertex, and, for each
-    core vertex v with undefined slots, at each depth 1..n of the trees
-    hanging there (summed over v's slots; entry 0 is unused).  Inside a
-    tree only the depth matters: one step back, d−1 steps deeper.
+    """For n = 0..horizon, the number of length-n walks from x that end at
+    each stored vertex, and, for each v listed in ``slots``, at each depth
+    1..n of the ``slots[v]`` regular trees hanging at v (summed over those
+    trees; entry 0 is unused).  Inside a tree only the depth matters: one
+    step back, d−1 steps deeper.  Walks through any other missing slot are
+    dropped.
     """
-    g = core.graph
     d = g.degree
-    slots = {v: len(core.missing(v)) for v in g.boundary}
     counts = [0] * g.n
-    counts[g.root] = 1
+    counts[x] = 1
     trees = {v: [0] * (horizon + 2) for v in slots}
     yield counts, trees
     for n in range(1, horizon + 1):
@@ -155,12 +124,32 @@ def _hanging_tree_walks(
         yield counts, trees
 
 
+def count_walks(g: SchreierGraph, x: int, horizon: int) -> WalkTable:
+    """Exact walk counts from x to every stored vertex out to the horizon;
+    a truncated graph needs its boundary at distance ≥ horizon from x."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    _require_distance(g, x, horizon, "walk counts")
+    rows = tuple(tuple(counts) for counts, _ in _walk_steps(g, x, horizon, {}))
+    return WalkTable(graph=g, origin=x, horizon=horizon, rows=rows)
+
+
+def return_counts(g: SchreierGraph, x: int, horizon: int) -> tuple[int, ...]:
+    """|P_{x,x,n}| for n = 0..horizon, holding one row of counts at a time;
+    a truncated graph needs its boundary at distance ≥ ⌈horizon/2⌉ from x."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    _require_distance(g, x, (horizon + 1) // 2, "return counts")
+    return tuple(counts[x] for counts, _ in _walk_steps(g, x, horizon, {}))
+
+
 def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
     """|P_{root,root,n}| for n up to any horizon, straight from a core:
     the state space is the core plus (core vertices with undefined slots)
     × horizon depth classes, with no ball materialized."""
-    root = core.root
-    return tuple(counts[root] for counts, _ in _hanging_tree_walks(core, horizon))
+    g = core.graph
+    slots = {v: len(core.missing(v)) for v in g.boundary}
+    return tuple(counts[g.root] for counts, _ in _walk_steps(g, g.root, horizon, slots))
 
 
 def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
@@ -171,11 +160,12 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
     all of them are equivalent under the root's stabilizer, so per-vertex
     counts are the ring totals divided (exactly) by the ring size.  The
     tree is ``tree_core(degree)``: its one vertex is ring 0 and the trees
-    on its slots hold the other rings.
+    on its ``degree`` slots hold the other rings.
     """
+    tree = tree_core(degree).graph
     return [
         (counts[0], *trees[0][1 : horizon + 1])
-        for counts, trees in _hanging_tree_walks(tree_core(degree), horizon)
+        for counts, trees in _walk_steps(tree, 0, horizon, {0: degree})
     ]
 
 
@@ -214,8 +204,8 @@ def returning_words(
         raise ValueError("word length must be nonnegative")
     _require_distance(g, g.root, (n + 1) // 2, "returning words")
     if g.degree ** n > max_enumeration:
-        table = count_walks(g, g.root, n, returns_only=True)
-        return ReturningWordSet(graph=g, n=n, count=table.return_count(n), words=None)
+        count = return_counts(g, g.root, n)[n]
+        return ReturningWordSet(graph=g, n=n, count=count, words=None)
     dist = bfs_distances(g, g.root)
     words: list[Word] = []
     prefix: list[int] = []
@@ -320,7 +310,7 @@ def conditioned_prefix_probability(
         raise InsufficientRadiusError(
             "insufficient radius: the prefix walk leaves the stored graph"
         )
-    total = count_walks(g, x, n, returns_only=True).return_count(n)
+    total = return_counts(g, x, n)[n]
     if total == 0:
         raise ValueError(f"no returning walks of length {n} from vertex {x}")
     completions = count_walks(g, y, n - l).count(x, n - l)

@@ -5,6 +5,8 @@ builders replaced, and hypothesis strategies to compare them on.
   ``rooted_orbits`` index an orbit by their own BFS over the permutations;
 - ``complete_ball`` builds the ball (core vertices by root distance, then
   sprouted tree vertices) and renumbers it with ``canonical_rows``;
+- ``count_walks`` steps a full row of walk counts over the stored edges,
+  dropping walks through missing slots;
 - ``tree_ring_counts`` runs the ring recursion of the regular tree.
 """
 
@@ -100,6 +102,23 @@ def complete_ball(
         boundary=boundary,
         truncation_radius=radius if boundary else None,
     )
+
+
+def count_walks(g: SchreierGraph, x: int, horizon: int) -> tuple[tuple[int, ...], ...]:
+    """Row n holds the number of length-n walks from x to each vertex."""
+    row = [0] * g.n
+    row[x] = 1
+    rows = [tuple(row)]
+    for _ in range(horizon):
+        nxt = [0] * g.n
+        for v, c in enumerate(row):
+            if c:
+                for w in g.next[v]:
+                    if w is not None:
+                        nxt[w] += c
+        row = nxt
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:

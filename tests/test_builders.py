@@ -451,6 +451,18 @@ class TestSpecLanguage:
         path.write_text(serialize(g))
         assert from_spec(f"file:{path}") == g
 
+    def test_file_with_boundary_and_no_truncation_is_a_core(self, tmp_path):
+        from schreier.core import serialize
+
+        core = from_spec("fold:a^2,b")
+        path = tmp_path / "core.sgf"
+        path.write_text(serialize(core.graph))
+        assert from_spec(f"file:{path}") == core
+        # a complete vertex flagged as boundary is neither core nor truncation
+        path.write_text(serialize(cycle_graph(3)) + "b 0\n")
+        with pytest.raises(GraphInvariantError, match="flagged as partial"):
+            from_spec(f"file:{path}")
+
     def test_radius_on_non_core_rejected(self):
         with pytest.raises(ValueError, match="core specs"):
             from_spec("cycle:6@2")

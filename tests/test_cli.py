@@ -55,6 +55,20 @@ class TestBuild:
         g = parse(capsys.readouterr().out)
         assert g.degree == 4
 
+    @pytest.mark.parametrize("spec", ["fold:a,rank=2", "free:rank=2"])
+    def test_core_round_trips_through_a_file(self, capsys, tmp_path, spec):
+        # build writes a core's 'b' lines without a 'truncated' mark; read
+        # back, the file is the same core, at any horizon and at any '@R'
+        path = tmp_path / "core.sgf"
+        assert run(["build", spec, "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["rho-estimate", "--horizon", "20", "--graph"]
+        from_file = _json_out(capsys, [*argv, f"file:{path}"])["result"]
+        assert from_file == _json_out(capsys, [*argv, spec])["result"]
+        argv = ["walks", "--horizon", "6", "--graph"]
+        from_file = _json_out(capsys, [*argv, f"file:{path}@3"])["result"]
+        assert from_file == _json_out(capsys, [*argv, f"{spec}@3"])["result"]
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "k4.sgf"
         assert run(["build", "k4", "--out", str(target)]) == 0

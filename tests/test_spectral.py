@@ -379,6 +379,14 @@ class TestRamanujan:
         assert abs(v.report.rho0 - 0.436158615) < 1e-6
         assert v.report.rho0 <= v.threshold + 1e-6
 
+    def test_unconverged_solver_leaves_the_verdict_undecided(self, monkeypatch):
+        # no shift-invert, and thick-restart stops after one restart
+        monkeypatch.setattr(spectral, "_banded_order", lambda M, n: None)
+        monkeypatch.setattr(spectral, "_ITERATION_CAP", 1)
+        v = ramanujan_check(cycle_graph(501), method="iterative")
+        assert not v.report.converged and math.isnan(v.report.error_bound)
+        assert v.ramanujan is v.ramanujan_strict is v.equality is None
+
     def test_doubled_cycle_is_not_ramanujan(self):
         # Z/41 with the shift taken twice: 4-regular but spectrally a cycle
         shift = tuple((i + 1) % 41 for i in range(41))

@@ -31,6 +31,7 @@ from schreier.walks import (
     core_return_counts,
     count_walks,
     prefix_probability,
+    return_counts,
     return_domination_report,
     returning_words,
     segment_distribution,
@@ -70,14 +71,16 @@ class TestCountWalks:
         assert table.return_probability(2) == Fraction(1, 2)
 
     def test_t4_small_returns_against_enumeration(self, t4_ball):
-        table = count_walks(t4_ball, t4_ball.root, 4, returns_only=True)
-        assert table.return_count(2) == 4
-        assert table.return_count(4) == 28 == brute_force_returns(t4_ball, t4_ball.root, 4)
+        counts = return_counts(t4_ball, t4_ball.root, 4)
+        assert counts[2] == 4
+        assert counts[4] == 28 == brute_force_returns(t4_ball, t4_ball.root, 4)
 
     @pytest.mark.parametrize("x", [-1, 6])
     def test_vertex_out_of_range(self, x):
         with pytest.raises(ValueError, match="not a vertex"):
             count_walks(cycle_graph(6), x, 3)
+        with pytest.raises(ValueError, match="not a vertex"):
+            return_counts(cycle_graph(6), x, 3)
 
     def test_total_mass_conserved(self):
         g = cycle_graph(7)
@@ -90,14 +93,9 @@ class TestCountWalks:
             count_walks(t4_ball, t4_ball.root, 5)
 
     def test_return_counts_need_half_radius(self, t4_ball):
-        assert count_walks(t4_ball, t4_ball.root, 8, returns_only=True)
+        assert return_counts(t4_ball, t4_ball.root, 8)
         with pytest.raises(InsufficientRadiusError, match="insufficient radius"):
-            count_walks(t4_ball, t4_ball.root, 9, returns_only=True)
-
-    def test_returns_only_table_guards_other_vertices(self, t4_ball):
-        table = count_walks(t4_ball, t4_ball.root, 8, returns_only=True)
-        with pytest.raises(ValueError, match="return counts only"):
-            table.count(1, 2)
+            return_counts(t4_ball, t4_ball.root, 9)
 
     @given(st.integers(0, 10**6))
     def test_mass_conservation_random_graphs(self, seed):
@@ -124,8 +122,8 @@ class TestCoreReturnCounts:
 
     def test_matches_explicit_ball(self, t4_ball):
         counts = core_return_counts(free_core(2), 8)
-        table = count_walks(t4_ball, t4_ball.root, 8, returns_only=True)
-        assert all(counts[n] == table.return_count(n) for n in range(9))
+        rows = reference.count_walks(t4_ball, t4_ball.root, 8)
+        assert all(counts[n] == rows[n][t4_ball.root] for n in range(9))
 
     def test_loop_subgroup_returns(self, loop_core):
         counts = core_return_counts(loop_core, 6)
@@ -142,19 +140,19 @@ class TestCoreReturnCounts:
         core = stallings_core(F2, words)
         assert core.complete
         counts = core_return_counts(core, 6)
-        table = count_walks(core.graph, core.root, 6)
-        assert all(counts[n] == table.return_count(n) for n in range(7))
+        rows = reference.count_walks(core.graph, core.root, 6)
+        assert all(counts[n] == rows[n][core.root] for n in range(7))
 
 
 class TestTreeRings:
     def test_matches_explicit_ball(self):
         g = tree_ball(4, 3)
         dist = bfs_distances(g, g.root)
-        table = count_walks(g, g.root, 3)
+        rows = reference.count_walks(g, g.root, 3)
         rings = tree_ring_counts(4, 3)
         for n in range(4):
             for j in range(4):
-                total = sum(table.count(v, n) for v in range(g.n) if dist[v] == j)
+                total = sum(rows[n][v] for v in range(g.n) if dist[v] == j)
                 assert total == rings[n][j]
 
     def test_ring_sizes(self):
@@ -169,8 +167,9 @@ class TestTreeRings:
 
 
 class TestHangingTreeRecurrence:
-    """``tree_ring_counts`` and ``core_return_counts`` share one recurrence;
-    each is checked against an independent count."""
+    """``count_walks``, ``return_counts``, ``core_return_counts`` and
+    ``tree_ring_counts`` share one recurrence; each is checked against an
+    independent count."""
 
     @given(degree=st.integers(2, 7), horizon=st.integers(0, 30))
     def test_rings_match_the_ring_recursion(self, degree, horizon):
@@ -183,10 +182,35 @@ class TestHangingTreeRecurrence:
     def test_core_returns_match_walks_on_the_ball(self, data, rank, horizon):
         core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
         ball = complete_ball(core, (horizon + 1) // 2)
-        table = count_walks(ball, ball.root, horizon, returns_only=True)
-        assert core_return_counts(core, horizon) == tuple(
-            table.return_count(n) for n in range(horizon + 1)
-        )
+        rows = reference.count_walks(ball, ball.root, horizon)
+        assert core_return_counts(core, horizon) == tuple(row[ball.root] for row in rows)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), horizon=st.integers(0, 8))
+    def test_tables_and_returns_match_the_reference(self, data, horizon):
+        """Permutation models (loops, parallel edges) and truncated balls of
+        folded cores, from any origin; too close to the boundary, both
+        functions refuse."""
+        if data.draw(st.booleans(), label="ball"):
+            rank = data.draw(st.integers(1, 2), label="rank")
+            core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+            g = complete_ball(core, data.draw(st.integers(0, 4), label="radius"))
+        else:
+            m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 7))
+            g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        x = data.draw(st.integers(0, g.n - 1), label="origin")
+        room = g.distance_to_boundary(x)
+        rows = reference.count_walks(g, x, horizon)
+        if horizon <= room:
+            assert count_walks(g, x, horizon).rows == rows
+        else:
+            with pytest.raises(InsufficientRadiusError):
+                count_walks(g, x, horizon)
+        if (horizon + 1) // 2 <= room:
+            assert return_counts(g, x, horizon) == tuple(row[x] for row in rows)
+        else:
+            with pytest.raises(InsufficientRadiusError):
+                return_counts(g, x, horizon)
 
     @pytest.mark.parametrize("degree", [27, 60])
     def test_large_degree_trees(self, degree):
