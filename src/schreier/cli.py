@@ -178,7 +178,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ramanujan", help="compare rho0 against the tree value")
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", choices=("dense", "iterative"))
     p.add_argument("--out")
 
     p = sub.add_parser("walks", help="exact return counts at the root")
@@ -574,7 +573,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         }
     elif args.command == "ramanujan":
         g = _full_graph(from_spec(args.graph), "the Ramanujan check")
-        verdict = ramanujan_check(g, method=args.method)
+        verdict = ramanujan_check(g)
         result = {
             "n": verdict.report.n,
             "degree": verdict.degree,

@@ -300,11 +300,17 @@ def local_approx_check(
     With ``words=None`` every nonempty reduced word of length ≤ 2R is
     used and both inequalities are asserted; an explicit word list (each
     word reduced, nonempty, of length ≤ 2R) asserts only the per-word
-    bound, since the aggregate one needs the complete list.
+    bound, since the aggregate one needs the complete list.  Words are
+    label-index sequences, so a list needs every action on one alphabet.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if words is not None:
+        if any(act.gens != actions[0].gens for act in actions):
+            raise ValueError(
+                "a word list reads the same letters in every action; "
+                "the actions have different alphabets"
+            )
         for w in words:
             if not w.letters:
                 raise ValueError("word lists must contain nonempty words")

@@ -1,14 +1,14 @@
 """Spectra of Markov averaging operators on Schreier graphs.
 
-Finite graphs get exact symmetric eigensolves (dense below a size
-threshold, deflated Lanczos above, with explicit residual bounds).
-Infinite graphs described by cores or deep truncations get certified
-lower bounds on the spectral radius through exact return counts, since
-r_n = (p_{2n})^{1/2n} increases to ρ.
+Finite graphs get ρ₀ from deflated Lanczos at every size, with explicit
+residual bounds; the dense spectrum (``markov_spectrum``) is kept for
+callers that need every eigenvalue.  Infinite graphs described by cores
+or deep truncations get certified lower bounds on the spectral radius
+through exact return counts, since r_n = (p_{2n})^{1/2n} increases to ρ.
 
-The iterative path picks its solver from the graph's bandwidth b in
-reverse Cuthill–McKee order: shift-invert Lanczos on banded LU factors
-of I ∓ M (I − M grounded at one vertex) when 2·n·(b+1) ≤
+Lanczos picks its solver from the graph's bandwidth b in reverse
+Cuthill–McKee order: shift-invert Lanczos on banded LU factors of
+I ∓ M (I − M grounded at one vertex) when 2·n·(b+1) ≤
 _SPLU_FILL_CAP·nnz(I − M), as on cycles and tori with their small
 spectral gaps; else thick-restart Lanczos on plain matrix-vector
 products (expanders), which also takes over a shift-invert run that
@@ -102,8 +102,9 @@ def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
 
 
 def markov_spectrum(g: SchreierGraph) -> np.ndarray:
-    """All eigenvalues of M, ascending.  Dense solve; sizes above
-    DENSE_THRESHOLD are refused — use rho0(), which goes iterative."""
+    """All eigenvalues of M, ascending, by a dense solve; sizes above
+    DENSE_THRESHOLD are refused.  ρ₀ alone comes from rho0(), which
+    needs only the extremes and solves them iteratively."""
     if g.n > DENSE_THRESHOLD:
         raise ValueError(
             f"n = {g.n} exceeds the dense threshold {DENSE_THRESHOLD}; "
@@ -122,9 +123,11 @@ class SpectralReport:
     ``rho0`` is max |λ| over the zero-sum subspace (the paper's operator
     norm); ``rho0_nonneg`` is the signed largest nontrivial eigenvalue;
     ``rho0_strict`` additionally discards the −1 eigenvalue forced by
-    bipartiteness.  For ``method="returns-extrapolation"`` the value is a
-    certified lower bound for ρ and ``extrapolated`` carries the
-    heuristic point estimate (never used in assertions).
+    bipartiteness.  ``method="iterative"`` reports carry the measured
+    Lanczos residual as ``error_bound``.  For
+    ``method="returns-extrapolation"`` the value is a certified lower bound
+    for ρ and ``extrapolated`` carries the heuristic point estimate (never
+    used in assertions).
     """
 
     d: int
@@ -140,7 +143,7 @@ class SpectralReport:
     extrapolated: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("dense", "iterative", "returns-extrapolation"):
+        if self.method not in ("iterative", "returns-extrapolation"):
             raise ValueError(f"unknown method {self.method!r}")
         if not -1e-9 <= self.rho0 <= 1 + 1e-9:
             raise GraphInvariantError(
@@ -310,13 +313,14 @@ def _iterative_extremes(
 # ---------------------------------------------------------------------------
 
 
-def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
+def rho0(g: SchreierGraph) -> SpectralReport:
     """Norm of M on the zero-sum subspace of a finite connected graph.
 
-    Dense solve up to DENSE_THRESHOLD vertices (or on request), deflated
-    Lanczos beyond, shift-invert or thick-restart by bandwidth (see the
-    module docstring).  Bipartite inputs get the −1 eigenvalue certified
-    by the sign vector, and ``rho0_strict`` = |λ_max| by symmetry.
+    Deflated Lanczos at every size, shift-invert or thick-restart by
+    bandwidth (see the module docstring), with the measured residual as
+    ``error_bound``; a run that reaches the iteration cap is reported
+    unconverged.  Bipartite inputs get the −1 eigenvalue certified by the
+    sign vector, and ``rho0_strict`` = |λ_max| by symmetry.
     """
     if g.truncated:
         raise ValueError(
@@ -325,29 +329,10 @@ def rho0(g: SchreierGraph, method: str | None = None) -> SpectralReport:
     n, d = g.n, g.degree
     colors = bipartition(g)
     bip = colors is not None
-    if method is None:
-        method = "dense" if n <= DENSE_THRESHOLD else "iterative"
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     if n == 1:
         return SpectralReport(
-            d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip, method=method,
+            d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip, method="iterative",
             error_bound=0.0, rho0_strict=0.0,
-        )
-    if method == "dense":
-        evs = markov_spectrum(g)
-        if evs[-2] > 1 - 1e-12:
-            raise GraphInvariantError(
-                "eigenvalue 1 is not simple; the graph cannot be connected"
-            )
-        if bip and abs(evs[0] + 1.0) > 1e-8:
-            raise GraphInvariantError("bipartite graph without a −1 eigenvalue")
-        value = max(abs(float(evs[0])), abs(float(evs[-2])))
-        strict_low = float(evs[1]) if bip else float(evs[0])
-        return SpectralReport(
-            d=d, n=n, rho0=value, rho0_nonneg=float(evs[-2]), bipartite=bip,
-            method="dense", error_bound=1e-12,
-            rho0_strict=max(abs(strict_low), abs(float(evs[-2]))),
         )
     lo, hi, res = _iterative_extremes(markov_matrix(g), n, colors)
     value = max(abs(lo), abs(hi))
@@ -468,8 +453,8 @@ class RamanujanVerdict:
     report: SpectralReport
 
 
-def ramanujan_check(g: SchreierGraph, method: str | None = None) -> RamanujanVerdict:
-    report = rho0(g, method=method)
+def ramanujan_check(g: SchreierGraph) -> RamanujanVerdict:
+    report = rho0(g)
     threshold = tree_rho(g.degree)
     if not report.converged:
         return RamanujanVerdict(g.degree, threshold, None, None, None, report)

@@ -177,6 +177,8 @@ def tree_ring_size(degree: int, j: int) -> int:
 # Returning words A_H(S,n)
 # ---------------------------------------------------------------------------
 
+_MAX_ENUMERATION = 10**7  # d^n above this: count the words, do not list them
+
 
 @dataclass(frozen=True)
 class ReturningWordSet:
@@ -197,13 +199,11 @@ class ReturningWordSet:
         return self.words is not None
 
 
-def returning_words(
-    g: SchreierGraph, n: int, max_enumeration: int = 10**7
-) -> ReturningWordSet:
+def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
     if n < 0:
         raise ValueError("word length must be nonnegative")
     _require_distance(g, g.root, (n + 1) // 2, "returning words")
-    if g.degree ** n > max_enumeration:
+    if g.degree ** n > _MAX_ENUMERATION:
         count = return_counts(g, g.root, n)[n]
         return ReturningWordSet(graph=g, n=n, count=count, words=None)
     dist = bfs_distances(g, g.root)

@@ -7,17 +7,27 @@ builders replaced, and hypothesis strategies to compare them on.
   sprouted tree vertices) and renumbers it with ``canonical_rows``;
 - ``count_walks`` steps a full row of walk counts over the stored edges,
   dropping walks through missing slots;
-- ``tree_ring_counts`` runs the ring recursion of the regular tree.
+- ``tree_ring_counts`` runs the ring recursion of the regular tree;
+- ``rho0_dense`` reads ρ₀ off the whole dense Markov spectrum, which the
+  Lanczos solver of ``spectral.rho0`` replaced.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from schreier.builders import CoreGraph
-from schreier.core import PermAction, SchreierGraph, Word, canonical_rows
+from schreier.core import (
+    GraphInvariantError,
+    PermAction,
+    SchreierGraph,
+    Word,
+    canonical_rows,
+)
+from schreier.spectral import bipartition, markov_spectrum
 
 
 def orbit(act: PermAction, base: int) -> list[int]:
@@ -134,6 +144,35 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
         rings = nxt
         table.append(tuple(rings[: horizon + 1]))
     return table
+
+
+class DenseRho0(NamedTuple):
+    rho0: float
+    rho0_nonneg: float
+    rho0_strict: float
+    bipartite: bool
+
+
+def rho0_dense(g: SchreierGraph) -> DenseRho0:
+    """ρ₀, the largest nontrivial eigenvalue and the strict reading (the
+    bipartite −1 dropped), from every eigenvalue of M."""
+    bip = bipartition(g) is not None
+    if g.n == 1:
+        return DenseRho0(0.0, 0.0, 0.0, bip)
+    evs = markov_spectrum(g)
+    if evs[-2] > 1 - 1e-12:
+        raise GraphInvariantError(
+            "eigenvalue 1 is not simple; the graph cannot be connected"
+        )
+    if bip and abs(evs[0] + 1.0) > 1e-8:
+        raise GraphInvariantError("bipartite graph without a −1 eigenvalue")
+    strict_low = float(evs[1]) if bip else float(evs[0])
+    return DenseRho0(
+        rho0=max(abs(float(evs[0])), abs(float(evs[-2]))),
+        rho0_nonneg=float(evs[-2]),
+        rho0_strict=max(abs(strict_low), abs(float(evs[-2]))),
+        bipartite=bip,
+    )
 
 
 @st.composite

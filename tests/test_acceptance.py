@@ -58,7 +58,7 @@ TREE4 = 3**0.5 / 2  # spectral radius of the 4-regular tree, 0.86602540...
 def test_01_exact_cycle_and_petersen_spectra():
     started = time.perf_counter()
     for n in range(3, 1001):
-        computed = rho0(cycle_graph(n), method="iterative").rho0
+        computed = rho0(cycle_graph(n)).rho0
         oracle = max(abs(math.cos(2 * math.pi * k / n)) for k in range(1, n))
         assert abs(computed - oracle) <= 1e-9, f"C_{n}: {computed} vs {oracle}"
     petersen = rho0(from_spec("petersen")).rho0

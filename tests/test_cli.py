@@ -98,8 +98,8 @@ class TestJsonEnvelope:
     def test_non_finite_result_is_an_error(self, capsys, tmp_path, monkeypatch):
         real = cli.ramanujan_check
 
-        def nan_bound(g, method=None):
-            verdict = real(g, method=method)
+        def nan_bound(g):
+            verdict = real(g)
             report = dataclasses.replace(verdict.report, error_bound=float("nan"))
             return dataclasses.replace(verdict, report=report)
 
@@ -358,6 +358,23 @@ class TestLemmaChecks:
         assert row["words_complete"] is True
         p = row["tree_ball_probability"]
         assert 0 <= p["num"] <= p["den"]
+
+    @pytest.mark.parametrize(
+        "actions, words",
+        [
+            (["cyclic:5", "randperm:m=2,n=10,seed=0"], "tt"),
+            (["randperm:m=2,n=10,seed=0", "cyclic:5"], "ab"),
+        ],
+        ids=["cyclic-first", "randperm-first"],
+    )
+    def test_lekv_words_need_one_alphabet(self, capsys, actions, words):
+        argv = ["lemma-check", "lekv", "--words", words]
+        for spec in actions:
+            argv += ["--action", spec]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "alphabets" in captured.err
 
     def test_violated_assumption_exits_2(self, capsys):
         code = run(
@@ -624,6 +641,10 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(["spectrum"]) == 1
+
+    def test_ramanujan_has_no_method_flag(self, capsys):
+        assert run(["ramanujan", "--graph", "cycle:8", "--method", "dense"]) == 1
+        assert "unrecognized arguments: --method dense" in capsys.readouterr().err
 
     def test_core_spec_where_a_graph_is_needed(self, capsys):
         assert run(["spectrum", "--graph", "fold:a,rank=2"]) == 1

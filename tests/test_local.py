@@ -549,6 +549,15 @@ class TestLocalApproxCheck:
         with pytest.raises(ValueError, match="reduced"):
             local_approx_check([cyclic_action(5)], radius=1, words=[Word((0, 1))])
 
+    def test_word_list_needs_one_alphabet(self):
+        # (0, 0) is tt on the cycle but cc on S3; letter 2 is past the
+        # cycle's alphabet
+        cycle, s3 = cyclic_action(5), s3_regular()
+        with pytest.raises(ValueError, match="different alphabets"):
+            local_approx_check([cycle, s3], radius=1, words=[Word((0, 0))])
+        with pytest.raises(ValueError, match="different alphabets"):
+            local_approx_check([s3, cycle], radius=1, words=[Word((2,))])
+
     def test_requires_transitivity(self):
         idle = PermAction(gens=F1, perms=((0, 1), (0, 1)))
         with pytest.raises(ValueError, match="orbit"):

@@ -9,6 +9,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+
 from schreier.builders import (
     cycle_graph,
     free_core,
@@ -72,8 +74,8 @@ def double_cover(act: PermAction):
 
 
 def assert_dense_iterative_agree(g) -> None:
-    dense = rho0(g, method="dense")
-    it = rho0(g, method="iterative")
+    dense = reference.rho0_dense(g)
+    it = rho0(g)
     assert it.converged
     assert dense.bipartite == it.bipartite
     for field in ("rho0", "rho0_strict", "rho0_nonneg"):
@@ -125,7 +127,7 @@ class TestRho0:
     def test_five_cycle(self):
         rep = rho0(cycle_graph(5))
         assert abs(rep.rho0 - abs(math.cos(4 * math.pi / 5))) < 1e-12
-        assert rep.method == "dense"
+        assert rep.method == "iterative"
         assert not rep.bipartite
 
     def test_petersen(self):
@@ -146,6 +148,15 @@ class TestRho0:
         rep = rho0(core.graph)
         assert rep.rho0 == 0.0
 
+    def test_sign_vector_residual_is_in_the_bound(self, monkeypatch):
+        # an improper 2-coloring of C5 leaves λ = −1 uncertified
+        monkeypatch.setattr(
+            spectral, "bipartition", lambda g: tuple(v % 2 for v in range(g.n))
+        )
+        rep = rho0(cycle_graph(5))
+        assert rep.error_bound > 0.1
+        assert not rep.converged
+
     def test_truncation_refusal(self):
         with pytest.raises(ValueError, match="estimate_rho_returns"):
             rho0(tree_ball(4, 3))
@@ -154,28 +165,41 @@ class TestRho0:
     def test_iterative_matches_closed_form_small(self, n):
         # small cycles exhaust the Krylov space almost immediately, which
         # is exactly where a restart bookkeeping bug would bite
-        rep = rho0(cycle_graph(n), method="iterative")
+        rep = rho0(cycle_graph(n))
         assert abs(rep.rho0 - cycle_rho0_exact(n)) < 1e-9
         assert rep.error_bound <= 1e-8
         assert rep.converged
 
     @pytest.mark.parametrize("n", [997, 1000])
     def test_iterative_matches_closed_form_large(self, n):
-        rep = rho0(cycle_graph(n), method="iterative")
+        rep = rho0(cycle_graph(n))
         assert abs(rep.rho0 - cycle_rho0_exact(n)) < 1e-9
 
     @given(seed=st.integers(min_value=0, max_value=25))
     @settings(max_examples=8, deadline=None)
     def test_dense_iterative_agreement(self, seed):
         g = random_perm_model(2, 150, seed=seed)
-        dense = rho0(g, method="dense")
-        it = rho0(g, method="iterative")
+        dense = reference.rho0_dense(g)
+        it = rho0(g)
         assert abs(dense.rho0 - it.rho0) < 1e-6
         assert dense.bipartite == it.bipartite
 
-    def test_dense_iterative_agreement_expander(self):
-        # bipartite, so its iterative report rests on the sign-vector symmetry
-        assert_dense_iterative_agree(lps_graph(5, 13))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # bipartite, so its iterative report rests on the sign-vector symmetry
+            lambda: lps_graph(5, 13),
+            # on the small graphs the Krylov space runs out within a few steps
+            lambda: cycle_graph(1),
+            k4_graph,
+            petersen_graph,
+            klein_cayley,
+            lambda: from_perm_action(s3_regular()),
+        ],
+        ids=["LPS5_13", "C1", "K4", "Petersen", "klein", "s3"],
+    )
+    def test_dense_iterative_agreement_named_graphs(self, build):
+        assert_dense_iterative_agree(build())
 
     @given(
         m=st.integers(min_value=1, max_value=3),
@@ -200,7 +224,7 @@ class TestRho0:
 
     @pytest.mark.parametrize("n", [4999, 5000, 20000])
     def test_long_cycles_converge(self, n):
-        # a spectral gap of order 1/n², beyond the dense threshold
+        # a spectral gap of order 1/n²
         rep = rho0(cycle_graph(n))
         assert rep.method == "iterative"
         assert rep.converged
@@ -211,13 +235,14 @@ class TestRho0:
         with pytest.raises(GraphInvariantError, match="escaped"):
             SpectralReport(
                 d=4, n=5, rho0=1.5, rho0_nonneg=0.5, bipartite=False,
-                method="dense", error_bound=0.0,
+                method="iterative", error_bound=0.0,
             )
-        with pytest.raises(ValueError, match="unknown method"):
-            SpectralReport(
-                d=4, n=5, rho0=0.5, rho0_nonneg=0.5, bipartite=False,
-                method="magic", error_bound=0.0,
-            )
+        for method in ("magic", "dense"):
+            with pytest.raises(ValueError, match="unknown method"):
+                SpectralReport(
+                    d=4, n=5, rho0=0.5, rho0_nonneg=0.5, bipartite=False,
+                    method=method, error_bound=0.0,
+                )
 
 
 @pytest.fixture
@@ -256,13 +281,13 @@ class TestSolverChoice:
         ids=["C2", "C7", "C5000", "T2x3", "T7x9", "T60x80", "T5x1000"],
     )
     def test_cycles_and_tori_factor(self, factored, build):
-        assert rho0(build(), method="iterative").converged
+        assert rho0(build()).converged
         assert factored
         assert_within_fill_cap(factored)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_small_random_graphs_stay_within_fill_cap(self, factored, seed):
-        assert rho0(random_perm_model(3, 200, seed), method="iterative").converged
+        assert rho0(random_perm_model(3, 200, seed)).converged
         assert_within_fill_cap(factored)
 
     @pytest.mark.parametrize(
@@ -276,7 +301,7 @@ class TestSolverChoice:
         ids=["LPS5_13", "LPS17_13", "randperm5000s0", "randperm5000s1"],
     )
     def test_expanders_never_factor(self, factored, build):
-        assert rho0(build(), method="iterative").converged
+        assert rho0(build()).converged
         assert not factored
 
 
@@ -374,7 +399,7 @@ class TestRamanujan:
         assert v.ramanujan and v.ramanujan_strict and v.equality
 
     def test_lps_17_13(self):
-        v = ramanujan_check(lps_graph(17, 13), method="iterative")
+        v = ramanujan_check(lps_graph(17, 13))
         assert v.ramanujan and v.ramanujan_strict
         assert abs(v.report.rho0 - 0.436158615) < 1e-6
         assert v.report.rho0 <= v.threshold + 1e-6
@@ -383,7 +408,7 @@ class TestRamanujan:
         # no shift-invert, and thick-restart stops after one restart
         monkeypatch.setattr(spectral, "_banded_order", lambda M, n: None)
         monkeypatch.setattr(spectral, "_ITERATION_CAP", 1)
-        v = ramanujan_check(cycle_graph(501), method="iterative")
+        v = ramanujan_check(cycle_graph(501))
         assert not v.report.converged and math.isnan(v.report.error_bound)
         assert v.ramanujan is v.ramanujan_strict is v.equality is None
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from schreier.core import (
     parse_word,
     walk_endpoint,
 )
+from schreier import walks
 from schreier.walks import (
     DominationReport,
     coincidence_index_set,
@@ -236,7 +238,8 @@ class TestReturningWords:
         assert set(ws.words) == {Word((0,)), Word((1,))}
 
     def test_count_only_mode(self, t4_ball):
-        ws = returning_words(t4_ball, 4, max_enumeration=10)
+        with mock.patch.object(walks, "_MAX_ENUMERATION", 10):
+            ws = returning_words(t4_ball, 4)
         assert ws.words is None
         assert ws.count == 28
 
