@@ -642,6 +642,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "girth": None if math.isinf(profile.girth) else profile.girth,
             "counts": list(profile.counts),
             "densities": [_frac(d) for d in profile.densities],
+            "method": profile.method,
         }
     elif args.command == "irs-sample":
         _branch_flags(args, not args.exact, "--exact enumerates every conjugate; "

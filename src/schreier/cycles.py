@@ -9,6 +9,18 @@ label one edge per unordered endpoint pair or a loop.  A loop is a
 rotation and reflection, with parallel edges giving distinct cycles.
 Counts describe the finite graph as given: on a truncation they say
 nothing about edges beyond the boundary.
+
+c_1..c_5 are exact int64 sparse traces of the loopless multiplicity
+matrix W (w_uv parallel edges between u ≠ v), with s = diag(W²): the
+weighted identities of Harary–Manvel (1971), sparse as in Alon–Yuster–Zwick
+(Algorithmica 1997).  c_1 counts loops, c_2 = Σ_{u<v} C(w_uv, 2), and
+    c_3 = tr W³ / 6,
+    c_4 = (Σ (W²)_uv² − 2 Σ_v s_v² + Σ_{u,v} w_uv⁴) / 8,
+    c_5 = (Σ (W²)_uv (W³)_uv − 5 Σ_v s_v (W³)_vv + 5 Σ_{u,v} w_uv³ (W²)_uv) / 10.
+A row of W sums to at most the label count d, so every sum is at most n·d⁵;
+the traces run only while n·d⁵ < 2⁶³.  Past that bound, and for every
+length 6 ≤ L ≤ LMAX, a pruned depth-first sweep enumerates each cycle once,
+from its smallest vertex, in Python integers.
 """
 
 from __future__ import annotations
@@ -19,15 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+import scipy.sparse as sp
+
 from schreier.builders import CoreGraph
 from schreier.core import SchreierGraph
 
 __all__ = [
     "LMAX",
     "girth",
-    "count_cycles",
     "cycle_counts",
-    "cycles_through",
     "CycleProfile",
     "cycle_profile",
     "GirthProfileTable",
@@ -35,56 +48,110 @@ __all__ = [
 ]
 
 LMAX = 12
+_TRACED = 5  # c_1..c_5 come from traces
+_INT64_BOUND = 2**63
 
 
 def _graph(g: SchreierGraph | CoreGraph) -> SchreierGraph:
     return g.graph if isinstance(g, CoreGraph) else g
 
 
-def _multigraph(g: SchreierGraph) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Loop counts per vertex and parallel-edge multiplicities per pair."""
-    loops = [0] * g.n
-    mu: dict[tuple[int, int], int] = {}
-    for l in range(g.gens.degree):
-        partner = g.gens.inv[l]
-        if partner < l:
-            continue  # the pair was handled at its other label
-        involutive = partner == l
-        for v in range(g.n):
-            w = g.next[v][l]
-            if w is None:
-                continue
-            if w == v:
-                loops[v] += 1
-            elif not involutive or v < w:
-                key = (v, w) if v < w else (w, v)
-                mu[key] = mu.get(key, 0) + 1
-    return loops, mu
+def _multigraph(g: SchreierGraph) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Loop counts per vertex and the loopless multiplicity matrix W; a
+    missing slot (read as NaN, then −1) contributes no edge."""
+    n, d = g.n, g.degree
+    table = np.array(g.next, dtype=float if g.truncated else np.int64)
+    dst = np.nan_to_num(table, nan=-1).astype(np.int64).ravel()
+    src, label = np.divmod(np.arange(n * d), d)
+    partner = np.asarray(g.gens.inv)[label]
+    # one slot per edge: a pair at its smaller label, an involution at its smaller end
+    keep = (dst >= 0) & ((partner > label) | ((partner == label) & (src <= dst)))
+    src, dst = src[keep], dst[keep]
+    loop = src == dst
+    u, v = src[~loop], dst[~loop]
+    w = sp.csr_matrix((np.ones(len(u), np.int64), (u, v)), shape=(n, n))
+    return np.bincount(src[loop], minlength=n), (w + w.T).tocsr()
 
 
-def _adjacency(n: int, mu: dict[tuple[int, int], int]) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (v, w), m in mu.items():
-        adj[v].append((w, m))
-        adj[w].append((v, m))
-    return adj
+def _method(g: SchreierGraph, lmax: int) -> str:
+    if g.n * g.degree**5 >= _INT64_BOUND:
+        return "enumeration"
+    return "trace" if lmax <= _TRACED else "trace+enumeration"
 
 
-def girth(g: SchreierGraph | CoreGraph) -> int | float:
-    """Length of the shortest cycle of the underlying multigraph (math.inf
-    for a forest): 1 for a loop, 2 for a parallel pair, else by breadth-first
-    search from every vertex."""
+def _traced_counts(loops: np.ndarray, w: sp.csr_matrix, lmax: int) -> list[int]:
+    """c_1..c_lmax, lmax ≤ 5, by the identities of the module docstring."""
+    m = w.data
+    counts = [int(loops.sum()), int((m * (m - 1)).sum()) // 4]
+    if lmax >= 3:
+        w2 = w @ w
+        counts.append(int(w2.multiply(w).sum()) // 6)
+    if lmax >= 4:
+        s = w2.diagonal()
+        counts.append((int((w2.data**2).sum()) - 2 * int(s @ s) + int((m**4).sum())) // 8)
+    if lmax >= 5:
+        w3 = w2 @ w
+        tr5, s_w3 = int(w2.multiply(w3).sum()), int(s @ w3.diagonal())
+        counts.append((tr5 - 5 * s_w3 + 5 * int(w2.multiply(w.power(3)).sum())) // 10)
+    return counts[:lmax]
+
+
+def _enumerated_counts(w: sp.csr_matrix, lmax: int) -> list[int]:
+    """counts[L] for 3 ≤ L ≤ lmax.  Each cycle is a path out of its smallest
+    vertex s closed by an edge back to s; its reflection is killed by
+    requiring the first step to be smaller than the last, and edge
+    multiplicities multiply along the way."""
+    indptr, indices, data = w.indptr.tolist(), w.indices.tolist(), w.data.tolist()
+    counts = [0] * (lmax + 1)
+    onpath = [False] * w.shape[0]
+
+    def extend(s: int, back: dict, v: int, first: int, depth: int, weight: int) -> None:
+        # depth = edges walked so far; closing now yields a (depth+1)-cycle
+        if depth >= 2 and first < v and v in back:
+            counts[depth + 1] += weight * back[v]
+        if depth == lmax - 1:
+            return
+        for k in range(indptr[v], indptr[v + 1]):
+            x = indices[k]
+            if x > s and not onpath[x]:
+                onpath[x] = True
+                extend(s, back, x, first if depth >= 1 else x, depth + 1, weight * data[k])
+                onpath[x] = False
+
+    for s in range(len(onpath)):
+        onpath[s] = True
+        back = {indices[k]: data[k] for k in range(indptr[s], indptr[s + 1])}
+        extend(s, back, s, -1, 0, 1)
+        onpath[s] = False
+    return counts
+
+
+def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+    """Exact cycle counts c_1 .. c_lmax: traces up to length 5, the
+    enumerator beyond (or for c_3 on, past the int64 bound)."""
+    if not 1 <= lmax <= LMAX:
+        raise ValueError(f"cycle lengths are supported up to {LMAX}")
     g = _graph(g)
-    loops, mu = _multigraph(g)
-    if any(loops):
-        return 1
-    if any(m >= 2 for m in mu.values()):
-        return 2
-    adj = _adjacency(g.n, mu)
+    loops, w = _multigraph(g)
+    traced = 2 if _method(g, lmax) == "enumeration" else _TRACED
+    counts = _traced_counts(loops, w, min(lmax, traced))
+    if lmax > traced:
+        counts += _enumerated_counts(w, lmax)[traced + 1 :]
+    return tuple(counts)
+
+
+def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | float:
+    """Length of the shortest cycle of the underlying multigraph (math.inf
+    for a forest): the first L with c_L > 0 in ``counts`` (c_1, c_2, ... of
+    g, if known), else by breadth-first search from every vertex over the
+    slot table, where loops and parallel pairs close as 1- and 2-cycles."""
+    for length, c in enumerate(counts, start=1):
+        if c > 0:
+            return length
+    nxt = _graph(g).next
     best = math.inf
-    dist = [-1] * g.n
-    parent = [-1] * g.n
-    for s in range(g.n):
+    dist, parent = [-1] * len(nxt), [-1] * len(nxt)
+    for s in range(len(nxt)):
         dist[s] = 0
         parent[s] = -1
         touched = [s]
@@ -93,7 +160,9 @@ def girth(g: SchreierGraph | CoreGraph) -> int | float:
             x = queue.popleft()
             if 2 * dist[x] >= best:
                 break
-            for w, _ in adj[x]:
+            for w in nxt[x]:
+                if w is None:
+                    continue
                 if dist[w] == -1:
                     dist[w] = dist[x] + 1
                     parent[w] = x
@@ -106,88 +175,17 @@ def girth(g: SchreierGraph | CoreGraph) -> int | float:
     return best
 
 
-def _cycles_from(
-    s: int, floor: int, adj: list, mu: dict, onpath: list, lmax: int, counts: list
-) -> None:
-    """Add to counts[L], for 3 ≤ L ≤ lmax, the L-cycles through s whose
-    other vertices all exceed ``floor``.
-
-    Each cycle is a path out of s closed by an edge back to s; its
-    reflection is killed by requiring the first step to be smaller than
-    the last, and edge multiplicities multiply along the way.
-    """
-
-    def extend(v: int, first: int, depth: int, weight: int) -> None:
-        # depth = edges walked so far; closing now yields a (depth+1)-cycle
-        if depth >= 2 and first < v:
-            back = mu.get((s, v) if s < v else (v, s))
-            if back is not None:
-                counts[depth + 1] += weight * back
-        if depth == lmax - 1:
-            return
-        for w, m in adj[v]:
-            if w > floor and not onpath[w]:
-                onpath[w] = True
-                extend(w, first if depth >= 1 else w, depth + 1, weight * m)
-                onpath[w] = False
-
-    onpath[s] = True
-    extend(s, -1, 0, 1)
-    onpath[s] = False
-
-
-def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
-    """Exact cycle counts c_1 .. c_lmax, in one pruned depth-first sweep:
-    a cycle of length ≥ 3 is enumerated once, from its smallest vertex."""
-    if not 1 <= lmax <= LMAX:
-        raise ValueError(f"cycle lengths are supported up to {LMAX}")
-    g = _graph(g)
-    loops, mu = _multigraph(g)
-    counts = [0] * (lmax + 1)
-    counts[1] = sum(loops)
-    if lmax >= 2:
-        counts[2] = sum(m * (m - 1) // 2 for m in mu.values())
-    if lmax < 3:
-        return tuple(counts[1:])
-    adj = _adjacency(g.n, mu)
-    onpath = [False] * g.n
-    for s in range(g.n):
-        _cycles_from(s, s, adj, mu, onpath, lmax, counts)
-    return tuple(counts[1:])
-
-
-def count_cycles(g: SchreierGraph | CoreGraph, length: int) -> int:
-    if not 1 <= length <= LMAX:
-        raise ValueError(f"cycle lengths are supported up to {LMAX}")
-    return cycle_counts(g, length)[length - 1]
-
-
-def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
-    """Cycles of the given length containing the vertex ``v``.
-
-    On a vertex-transitive graph this equals length·c_L/n, which makes it
-    a cross-check for the global counter.
-    """
-    if not 1 <= length <= LMAX:
-        raise ValueError(f"cycle lengths are supported up to {LMAX}")
-    g = _graph(g)
-    loops, mu = _multigraph(g)
-    if length == 1:
-        return loops[v]
-    if length == 2:
-        return sum(m * (m - 1) // 2 for (a, b), m in mu.items() if v in (a, b))
-    counts = [0] * (length + 1)
-    _cycles_from(v, -1, _adjacency(g.n, mu), mu, [False] * g.n, length, counts)
-    return counts[length]
-
-
 @dataclass(frozen=True)
 class CycleProfile:
+    """``method``: ``"trace"`` (lmax ≤ 5), ``"trace+enumeration"`` (lmax > 5)
+    or ``"enumeration"`` (past the int64 bound of the module docstring)."""
+
     label: str
     n: int
     girth: int | float
     counts: tuple[int, ...]
     densities: tuple[Fraction, ...]
+    method: str
 
     def __post_init__(self) -> None:
         for i, c in enumerate(self.counts, start=1):
@@ -202,14 +200,15 @@ class CycleProfile:
 def cycle_profile(
     g: SchreierGraph | CoreGraph, lmax: int, label: str = ""
 ) -> CycleProfile:
-    n = _graph(g).n
+    g = _graph(g)
     counts = cycle_counts(g, lmax)
     return CycleProfile(
         label=label,
-        n=n,
-        girth=girth(g),
+        n=g.n,
+        girth=girth(g, counts),
         counts=counts,
-        densities=tuple(Fraction(c, n) for c in counts),
+        densities=tuple(Fraction(c, g.n) for c in counts),
+        method=_method(g, lmax),
     )
 
 

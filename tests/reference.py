@@ -9,7 +9,9 @@ builders replaced, and hypothesis strategies to compare them on.
   dropping walks through missing slots;
 - ``tree_ring_counts`` runs the ring recursion of the regular tree;
 - ``rho0_dense`` reads ρ₀ off the whole dense Markov spectrum, which the
-  Lanczos solver of ``spectral.rho0`` replaced.
+  Lanczos solver of ``spectral.rho0`` replaced;
+- ``cycles_through`` counts the cycles through one vertex by walking out
+  of it, the oracle of the identity Σ_v through(v) = L·c_L.
 """
 
 from __future__ import annotations
@@ -144,6 +146,38 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
         rings = nxt
         table.append(tuple(rings[: horizon + 1]))
     return table
+
+
+def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
+    """Cycles of the given length containing the vertex ``v``, in the
+    multigraph the slot table spells: a non-loop edge has exactly one slot
+    at each end, a letter pair's fixed point is one loop on two slots and an
+    involution's fixed point one loop on one.  For L ≥ 3 every cycle is
+    walked out of v once in each direction."""
+    g = g.graph if isinstance(g, CoreGraph) else g
+    inv = g.gens.inv
+
+    def mult(a: int, b: int) -> int:
+        return sum(1 for w in g.next[a] if w == b)
+
+    if length == 1:
+        fixed = [l for l, w in enumerate(g.next[v]) if w == v]
+        return sum(2 if inv[l] == l else 1 for l in fixed) // 2
+    neighbours = {w for w in g.next[v] if w is not None and w != v}
+    if length == 2:
+        return sum(mult(v, w) * (mult(v, w) - 1) // 2 for w in neighbours)
+    total = 0
+
+    def walk(x: int, depth: int, weight: int, path: set[int]) -> None:
+        nonlocal total
+        if depth == length - 1:
+            total += weight * mult(x, v)
+            return
+        for y in {w for w in g.next[x] if w is not None} - path:
+            walk(y, depth + 1, weight * mult(x, y), path | {y})
+
+    walk(v, 0, 1, {v})
+    return total // 2
 
 
 class DenseRho0(NamedTuple):

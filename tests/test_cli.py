@@ -202,6 +202,7 @@ class TestAnalysis:
         )["result"]
         assert result["girth"] == 5
         assert result["counts"] == [0, 0, 0, 0, 12, 10, 0, 15]
+        assert result["method"] == "trace+enumeration"
 
     def test_cycles_forest_girth_is_null(self, capsys):
         result = _json_out(
@@ -209,6 +210,7 @@ class TestAnalysis:
         )["result"]
         assert result["girth"] is None
         assert result["counts"] == [0, 0, 0, 0]
+        assert result["method"] == "trace"
 
 
 class TestLemmaChecks:

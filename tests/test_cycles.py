@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
+from schreier import cycles
 from schreier.builders import (
     CoreGraph,
     cycle_graph,
@@ -26,13 +28,12 @@ from schreier.builders import (
 from schreier.core import GenSet, PermAction, parse_word
 from schreier.cycles import (
     CycleProfile,
-    count_cycles,
     cycle_counts,
     cycle_profile,
-    cycles_through,
     essential_girth_profile,
     girth,
 )
+from reference import cycles_through
 
 
 def brute_edges(g):
@@ -97,7 +98,7 @@ class TestFrozenCounts:
     def test_hexagon(self):
         assert girth(cycle_graph(6)) == 6
         assert cycle_counts(cycle_graph(6), 6) == (0, 0, 0, 0, 0, 1)
-        assert count_cycles(cycle_graph(6), 5) == 0
+        assert cycle_counts(cycle_graph(6), 5)[4] == 0
 
     def test_transposition_makes_a_parallel_pair(self):
         assert girth(cycle_graph(2)) == 2
@@ -105,7 +106,7 @@ class TestFrozenCounts:
 
     def test_fixed_point_makes_a_loop(self):
         assert girth(cycle_graph(1)) == 1
-        assert count_cycles(cycle_graph(1), 1) == 1
+        assert cycle_counts(cycle_graph(1), 1)[0] == 1
 
     def test_core_with_a_loop(self):
         assert girth(loop_core()) == 1
@@ -134,12 +135,12 @@ class TestBruteForceAgreement:
     )
     def test_named_graphs(self, g):
         for length in range(1, 9):
-            assert count_cycles(g, length) == brute_cycle_count(g, length)
+            assert cycle_counts(g, length)[length - 1] == brute_cycle_count(g, length)
 
     def test_petersen_full_range(self):
         p = petersen_graph()
         for length in range(1, 9):
-            assert count_cycles(p, length) == brute_cycle_count(p, length)
+            assert cycle_counts(p, length)[length - 1] == brute_cycle_count(p, length)
 
     @settings(deadline=None, max_examples=12)
     @given(
@@ -153,16 +154,64 @@ class TestBruteForceAgreement:
             brute_cycle_count(g, length) for length in range(1, 7)
         )
 
-    @settings(deadline=None, max_examples=10)
-    @given(n=st.integers(4, 12), seed=st.integers(0, 10_000))
-    def test_girth_is_the_first_positive_count(self, n, seed):
-        g = random_perm_model(2, n, seed)
+    @settings(deadline=None, max_examples=30)
+    @given(m=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_girth_is_the_first_positive_count(self, m, n, seed):
+        # girth(g) alone is the breadth-first search, loops and parallel pairs included
+        g = random_perm_model(m, n, seed)
         counts = cycle_counts(g, 8)
         firsts = [length for length, c in enumerate(counts, start=1) if c > 0]
+        assert girth(g, counts) == girth(g)
         if firsts:
             assert girth(g) == firsts[0]
         else:
             assert girth(g) > 8
+
+
+def brute_census(g, lmax=5):
+    return tuple(brute_cycle_count(g, length) for length in range(1, lmax + 1))
+
+
+class TestTraceIdentities:
+    """c_1..c_5 by traces, at every lmax ≤ 5, against the subset enumerator."""
+
+    def assert_traced(self, g):
+        expected = brute_census(g)
+        for lmax in range(1, 6):
+            assert cycle_counts(g, lmax) == expected[:lmax]
+        assert cycle_profile(g, 5).method == "trace"
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_random_models(self, m, n, seed):
+        # m = 1 gives fixed points and transpositions: loops and parallel pairs
+        self.assert_traced(random_perm_model(m, n, seed))
+
+    @settings(deadline=None, max_examples=40)
+    @given(act=reference.sparse_actions(), data=st.data())
+    def test_involutive_labels(self, act, data):
+        self.assert_traced(from_perm_action(act, data.draw(st.integers(0, act.degree - 1))))
+
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data(), rank=st.integers(1, 3))
+    def test_folded_cores(self, data, rank):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        assume(core.graph.n <= 14)
+        self.assert_traced(core)
+
+    def test_missing_slots(self):
+        self.assert_traced(loop_core())
+        for degree, radius in ((2, 3), (3, 2), (4, 2)):
+            self.assert_traced(tree_ball(degree, radius))
+
+    def test_int64_guard_enumerates(self, monkeypatch):
+        graphs = [random_perm_model(1, 9, 3), random_perm_model(3, 12, 5), loop_core()]
+        traced = [cycle_counts(g, 6) for g in graphs]
+        assert cycle_profile(graphs[0], 6).method == "trace+enumeration"
+        monkeypatch.setattr(cycles, "_INT64_BOUND", 1)
+        for g, counts in zip(graphs, traced):
+            assert cycle_profile(g, 6).method == "enumeration"
+            assert cycle_counts(g, 6) == counts == brute_census(g, 6)
 
 
 class TestCyclesThrough:
@@ -179,7 +228,7 @@ class TestCyclesThrough:
     def test_transitive_consistency(self, g):
         # on a vertex-transitive graph, n·(cycles through a vertex) = L·c_L
         for length in range(1, 8):
-            total = count_cycles(g, length)
+            total = cycle_counts(g, length)[length - 1]
             for v in (0, g.n - 1):
                 assert g.n * cycles_through(g, v, length) == length * total
 
@@ -216,11 +265,7 @@ class TestValidation:
         g = cycle_graph(5)
         for bad in (0, 13):
             with pytest.raises(ValueError, match="up to 12"):
-                count_cycles(g, bad)
-            with pytest.raises(ValueError, match="up to 12"):
-                cycles_through(g, 0, bad)
-        with pytest.raises(ValueError, match="up to 12"):
-            cycle_counts(g, 0)
+                cycle_counts(g, bad)
 
 
 class TestProfiles:
@@ -232,11 +277,11 @@ class TestProfiles:
 
     def test_profile_guards(self):
         with pytest.raises(ValueError, match="below girth"):
-            CycleProfile("x", 4, 3, (0, 1, 4), (0, Fraction(1, 4), 1))
+            CycleProfile("x", 4, 3, (0, 1, 4), (0, Fraction(1, 4), 1), "trace")
         with pytest.raises(ValueError, match="girth length"):
-            CycleProfile("x", 4, 2, (0, 0, 4), (0, 0, 1))
+            CycleProfile("x", 4, 2, (0, 0, 4), (0, 0, 1), "trace")
         with pytest.raises(ValueError, match="densities"):
-            CycleProfile("x", 4, 3, (0, 0, 4), (0, 0, Fraction(1, 2)))
+            CycleProfile("x", 4, 3, (0, 0, 4), (0, 0, Fraction(1, 2)), "trace")
 
     def test_growing_cycles_have_no_short_cycles(self):
         table = essential_girth_profile(
