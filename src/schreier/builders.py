@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 from string import ascii_lowercase

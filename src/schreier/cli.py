@@ -157,6 +157,15 @@ def _branch_flags(args, taken: bool, refusal: str, **defaults) -> None:
             setattr(args, key, default)
 
 
+def _require_least(flag: str, value: int | None, least: int) -> None:
+    """Refuse a flag value below which a check has no row to check: an
+    empty row list would read as a verdict that nothing certifies."""
+    if value is not None and value < least:
+        raise ValueError(
+            f"{flag} {value} leaves nothing to check; it must be at least {least}"
+        )
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="schreier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -349,6 +358,7 @@ def _check_different(args) -> dict:
     and is at most d^2 times the return count at n - 2"""
     _branch_flags(args, args.graph is not None, "--assume-transitive is for "
                   "--graph; the regular tree is transitive", assume_transitive=False)
+    _require_least("--n", args.n, 2)
     if args.tree_degree is not None:
         source = f"{args.tree_degree}-regular tree"
         reports = [
@@ -378,6 +388,7 @@ def _check_different(args) -> dict:
 def _check_returningvsrw(args) -> dict:
     """a returning length-n walk starts with prefix w with probability at
     least d^(-2|w|) (vertex-transitive graphs)"""
+    _require_least("--prefix-length", args.prefix_length, 1)
     g = _full_graph(from_spec(args.graph), "the conditioned-prefix check")
     transitive = True if args.assume_transitive else None
     rows = _prefix_rows(
@@ -393,7 +404,9 @@ def _check_returningvsrw(args) -> dict:
 def _check_triv1(args) -> dict:
     """a uniform returning length-n word of F_r starts with prefix w with
     probability at least (2r)^(-2|w|)"""
+    _require_least("--k", args.k, 1)
     words = _word_tables(_parse_rank(args.group), args.n)
+    _require_least("--n", args.n, 4)
     kmax = min(args.k, (args.n - 1) // 2)
     rows = _prefix_rows(words.graph.gens, kmax, lambda w: prefix_probability(words, w))
     return {
@@ -408,6 +421,7 @@ def _check_triv1(args) -> dict:
 def _check_triv2(args) -> dict:
     """a uniform returning length-n word of F_r has the same segment
     distribution at every cyclic shift"""
+    _require_least("--k", args.k, 1)
     words = _word_tables(_parse_rank(args.group), args.n)
     kmax = min(args.k, args.n)
     classes = {}
@@ -434,6 +448,7 @@ def _check_modifiedrw(args) -> dict:
     probability at most the product of their operator norms"""
     _branch_flags(args, args.random is not None, "--seed draws the --random "
                   "supports; --supports takes none", seed=0)
+    _require_least("--random", args.random, 1)
     act = action_from_spec(args.action)
     if args.supports is not None:
         sequences = [_parse_supports(args.supports)]
@@ -505,6 +520,8 @@ def _check_lekv(args) -> dict:
     if args.words is not None:
         gens = actions[0].gens
         words = [parse_word(gens, w) for w in args.words.split(",") if w]
+        if not words:
+            raise ValueError("--words names no word, which leaves nothing to check")
     reports = local_approx_check(actions, args.radius, words=words)
     rows = []
     for spec, report in zip(args.action, reports):
@@ -687,16 +704,22 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
 
 
 def _apply_config(argv: list[str], parser) -> tuple[list[str], str | None]:
-    """Splice `key = value` lines from --config FILE in as flags before the
-    explicit ones.  Explicit flags win: a file flag is dropped when it, or a
-    member of its mutually exclusive group in the command the argv names,
-    is given explicitly."""
-    if "--config" not in argv:
+    """Splice `key = value` lines from --config FILE (or --config=FILE) in
+    as flags before the explicit ones.  Explicit flags win: a file flag is
+    dropped when it, or a member of its mutually exclusive group in the
+    command the argv names, is given explicitly."""
+    at = next(
+        (i for i, token in enumerate(argv) if token.split("=", 1)[0] == "--config"),
+        None,
+    )
+    if at is None:
         return argv, None
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    _, joined, path = argv[at].partition("=")
+    if not joined:
+        path = argv[at + 1] if at + 1 < len(argv) else ""
+    if not path:
         raise ValueError("--config needs a file path")
-    path, rest = argv[at + 1], argv[:at] + argv[at + 2 :]
+    rest = argv[:at] + argv[at + 1 + (not joined) :]
     head = 0  # walk the command words down to the command's own parser
     while head < len(rest) and not rest[head].startswith("-"):
         subs = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class GraphInvariantError(ValueError):
@@ -174,10 +174,6 @@ def reduce_word(gens: GenSet, word: Word) -> Word:
         else:
             stack.append(letter)
     return Word(tuple(stack))
-
-
-def invert_word(gens: GenSet, word: Word) -> Word:
-    return Word(tuple(gens.inv[letter] for letter in reversed(word.letters)))
 
 
 def is_reduced(gens: GenSet, word: Word) -> bool:
@@ -336,10 +332,6 @@ class SchreierGraph:
             return float("inf")
         return self._boundary_distances[v]
 
-    def degree_at(self, v: int) -> int:
-        return sum(1 for w in self.next[v] if w is not None)
-
-
 def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
     """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
     dist = [-1] * g.n
@@ -412,10 +404,6 @@ def canonicalize(g: SchreierGraph) -> SchreierGraph:
         boundary=frozenset(index[v] for v in g.boundary),
         truncation_radius=g.truncation_radius,
     )
-
-
-def is_canonical(g: SchreierGraph) -> bool:
-    return g.root == 0 and list(canonical_rows(g.next, 0)[0]) == list(range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import scipy.sparse as sp
 
 from schreier.builders import CoreGraph
 from schreier.core import SchreierGraph
+from schreier.local import is_vertex_transitive
 
 __all__ = [
     "LMAX",
@@ -143,15 +144,21 @@ def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
 def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | float:
     """Length of the shortest cycle of the underlying multigraph (math.inf
     for a forest): the first L with c_L > 0 in ``counts`` (c_1, c_2, ... of
-    g, if known), else by breadth-first search from every vertex over the
-    slot table, where loops and parallel pairs close as 1- and 2-cycles."""
+    g, if known), else by breadth-first search over the slot table, where
+    loops and parallel pairs close as 1- and 2-cycles.  A search from s
+    finds a cycle no longer than the shortest one through s, so on a whole
+    vertex-transitive graph, where every vertex lies on a shortest cycle,
+    the search from the root alone is exact; other graphs and truncations
+    are searched from every vertex."""
     for length, c in enumerate(counts, start=1):
         if c > 0:
             return length
-    nxt = _graph(g).next
+    g = _graph(g)
+    nxt = g.next
+    transitive = not g.truncated and is_vertex_transitive(g)
     best = math.inf
     dist, parent = [-1] * len(nxt), [-1] * len(nxt)
-    for s in range(len(nxt)):
+    for s in [g.root] if transitive else range(len(nxt)):
         dist[s] = 0
         parent[s] = -1
         touched = [s]

@@ -12,12 +12,11 @@ class is computed once per vertex of it.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from schreier.core import (
     GenSet,
@@ -25,8 +24,6 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     canonical_rows,
-    parse,
-    serialize,
 )
 from schreier.local import ball, tv_distance
 
@@ -34,15 +31,9 @@ __all__ = [
     "Provenance",
     "IrsEnsemble",
     "InvarianceReport",
-    "WeakConvergenceReport",
     "uniform_conjugate",
     "stabilizer_sample",
-    "point_mass",
-    "ensemble_ball_distribution",
     "invariance_diagnostic",
-    "weak_convergence_diagnostic",
-    "to_json",
-    "from_json",
 ]
 
 
@@ -134,38 +125,22 @@ def stabilizer_sample(act: PermAction, count: int, seed: int) -> IrsEnsemble:
     )
 
 
-def point_mass(g: SchreierGraph, source: str = "point mass") -> IrsEnsemble:
-    return IrsEnsemble(
-        gens=g.gens,
-        samples=(g,),
-        weights=(Fraction(1),),
-        kind="exact",
-        provenance=Provenance(source=source, seed=None),
-    )
-
-
 def _distributions(
-    e: IrsEnsemble, radius: int, moves: Sequence[int]
+    e: IrsEnsemble, radius: int
 ) -> tuple[dict[str, Fraction], list[dict[str, Fraction]]]:
     """Weighted R-ball class distributions at the roots and after moving every
-    root along each label in ``moves``, one ball per (table, vertex); ids are
-    stable keys because the ensemble keeps its tables alive."""
+    root along each label, one ball per (table, vertex); ids are stable keys
+    because the ensemble keeps its tables alive."""
     digests: dict[tuple[int, int], str] = {}
-    dists: list[dict[str, Fraction]] = [{} for _ in range(len(moves) + 1)]
+    dists: list[dict[str, Fraction]] = [{} for _ in range(e.gens.degree + 1)]
     for g, w in zip(e.samples, e.weights):
-        row = g.next[g.root]
-        for dist, v in zip(dists, [g.root, *(row[l] for l in moves)]):
+        for dist, v in zip(dists, [g.root, *g.next[g.root]]):
             key = (id(g.next), v)
             if key not in digests:
                 digests[key] = ball(g, v, radius).digest
             digest = digests[key]
             dist[digest] = dist.get(digest, Fraction(0)) + w
     return dists[0], dists[1:]
-
-
-def ensemble_ball_distribution(e: IrsEnsemble, radius: int) -> dict[str, Fraction]:
-    """Weighted R-ball class distribution of the sample roots."""
-    return _distributions(e, radius, ())[0]
 
 
 @dataclass(frozen=True)
@@ -187,10 +162,6 @@ class InvarianceReport:
     def max_tv(self) -> Fraction:
         return max(tv for _, tv in self.per_generator)
 
-    @property
-    def invariant(self) -> bool:
-        return self.max_tv == 0
-
 
 def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
     for g in e.samples:
@@ -199,7 +170,7 @@ def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
                 f"invariance at radius {radius} needs radius {radius + 1} around "
                 "every sample root"
             )
-    base, moved = _distributions(e, radius, range(e.gens.degree))
+    base, moved = _distributions(e, radius)
     rows = tuple((name, tv_distance(base, m)) for name, m in zip(e.gens.labels, moved))
     confidence = None
     if e.kind == "sampled":
@@ -210,78 +181,4 @@ def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
         per_generator=rows,
         confidence_radius=confidence,
         distribution=base,
-    )
-
-
-@dataclass(frozen=True)
-class WeakConvergenceReport:
-    radius: int
-    consecutive: tuple[Fraction, ...]
-    against_limit: tuple[Fraction, ...] | None
-    monotone_toward_limit: bool | None
-
-
-def weak_convergence_diagnostic(
-    ensembles: Sequence[IrsEnsemble],
-    radius: int,
-    limit: IrsEnsemble | None = None,
-) -> WeakConvergenceReport:
-    """TV distances of R-ball statistics along a sequence of ensembles,
-    and against a designated limit; trends are reported, never asserted."""
-    if not ensembles:
-        raise ValueError("need at least one ensemble")
-    gens = ensembles[0].gens
-    if any(e.gens != gens for e in ensembles) or (limit and limit.gens != gens):
-        raise ValueError("ensembles must share one alphabet")
-    dists = [ensemble_ball_distribution(e, radius) for e in ensembles]
-    consecutive = tuple(tv_distance(a, b) for a, b in zip(dists, dists[1:]))
-    against = None
-    monotone = None
-    if limit is not None:
-        limit_dist = ensemble_ball_distribution(limit, radius)
-        against = tuple(tv_distance(d, limit_dist) for d in dists)
-        monotone = all(a >= b for a, b in zip(against, against[1:]))
-    return WeakConvergenceReport(
-        radius=radius,
-        consecutive=consecutive,
-        against_limit=against,
-        monotone_toward_limit=monotone,
-    )
-
-
-def to_json(e: IrsEnsemble) -> str:
-    return json.dumps(
-        {
-            "schema": 1,
-            "kind": e.kind,
-            "provenance": {
-                "source": e.provenance.source,
-                "seed": e.provenance.seed,
-                "sample_count": len(e.samples),
-            },
-            "weights": [
-                {"num": w.numerator, "den": w.denominator} for w in e.weights
-            ],
-            "samples": [serialize(g) for g in e.samples],
-        },
-        indent=1,
-    )
-
-
-def from_json(text: str) -> IrsEnsemble:
-    data = json.loads(text)
-    if data.get("schema") != 1:
-        raise ValueError("unsupported ensemble schema")
-    if not data["samples"]:
-        raise ValueError("an ensemble needs at least one sample")
-    if any(w["den"] == 0 for w in data["weights"]):
-        raise ValueError("ensemble weights need nonzero denominators")
-    samples = tuple(parse(s) for s in data["samples"])
-    prov = data["provenance"]
-    return IrsEnsemble(
-        gens=samples[0].gens,
-        samples=samples,
-        weights=tuple(Fraction(w["num"], w["den"]) for w in data["weights"]),
-        kind=data["kind"],
-        provenance=Provenance(source=prov["source"], seed=prov["seed"]),
     )

@@ -17,6 +17,7 @@ digest hashes — no general graph-isomorphism search anywhere.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from schreier.builders import CoreGraph, complete_ball
 from schreier.core import (
     GenSet,
     InequalityViolation,
@@ -48,7 +48,6 @@ __all__ = [
     "tv_distance",
     "fix_density",
     "enumerate_reduced_words",
-    "tree_ball_class",
     "local_approx_check",
     "is_vertex_transitive",
 ]
@@ -141,30 +140,19 @@ class BallDistribution:
     radius: int
     n: int
     frequencies: dict[str, Fraction]
-    exemplars: dict[str, RootedBall]
 
     def __post_init__(self) -> None:
         if sum(self.frequencies.values()) != 1:
             raise AssertionError("ball-class frequencies must sum to 1")
-
-    def probability(self, digest: str) -> Fraction:
-        return self.frequencies.get(digest, Fraction(0))
 
 
 def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
     """Exact R-ball class frequencies over all vertices of a finite graph."""
     if g.truncated:
         raise ValueError("ball statistics need the whole graph, not a truncation")
-    counts: dict[str, int] = {}
-    exemplars: dict[str, RootedBall] = {}
-    for v in range(g.n):
-        b = ball(g, v, radius)
-        if b.digest not in counts:
-            counts[b.digest] = 0
-            exemplars[b.digest] = b
-        counts[b.digest] += 1
+    counts = Counter(ball(g, v, radius).digest for v in range(g.n))
     freqs = {d: Fraction(c, g.n) for d, c in counts.items()}
-    return BallDistribution(radius=radius, n=g.n, frequencies=freqs, exemplars=exemplars)
+    return BallDistribution(radius=radius, n=g.n, frequencies=freqs)
 
 
 def tv_distance(
@@ -217,15 +205,6 @@ def enumerate_reduced_words(gens: GenSet, max_length: int) -> list[Word]:
     for p, l in zip(parent[1:].tolist(), letter[1:].tolist()):
         letters.append(letters[p] + (l,))
     return [Word(w) for w in letters[1:]]
-
-
-def tree_ball_class(gens: GenSet, radius: int) -> RootedBall:
-    """The R-ball class of the Cayley graph of the free product the
-    alphabet presents (free letters contribute Z factors, involutive
-    letters C₂ factors) — a regular tree with single involution edges."""
-    core = CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
-    g = complete_ball(core, radius)
-    return ball(g, g.root, radius)
 
 
 @dataclass(frozen=True, eq=False)

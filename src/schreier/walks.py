@@ -47,7 +47,6 @@ __all__ = [
     "segment_distribution",
     "prefix_probability",
     "conditioned_prefix_probability",
-    "coincidence_index_set",
     "return_domination_report",
     "tree_return_domination_report",
     "DominationReport",
@@ -84,9 +83,6 @@ class WalkTable:
 
     def probability(self, v: int, n: int) -> Fraction:
         return Fraction(self.count(v, n), self.graph.degree ** n)
-
-    def return_probability(self, n: int) -> Fraction:
-        return Fraction(self.return_count(n), self.graph.degree ** n)
 
 
 def _walk_steps(
@@ -321,23 +317,6 @@ def conditioned_prefix_probability(
             f"conditioned prefix probability {p} fell below 1/{d ** (2 * l)}"
         )
     return p
-
-
-def coincidence_index_set(g: SchreierGraph, word: Word) -> frozenset[int]:
-    """Times t at which step t of the walk from the root traverses a loop
-    (the step's letter lies in the stabilizer conjugated by the walk so far)."""
-    v = g.root
-    hits = []
-    for t, letter in enumerate(word.letters):
-        w = g.next[v][letter]
-        if w is None:
-            raise InsufficientRadiusError(
-                "insufficient radius: the walk leaves the stored graph"
-            )
-        if w == v:
-            hits.append(t)
-        v = w
-    return frozenset(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -11,24 +11,31 @@ builders replaced, and hypothesis strategies to compare them on.
 - ``rho0_dense`` reads ρ₀ off the whole dense Markov spectrum, which the
   Lanczos solver of ``spectral.rho0`` replaced;
 - ``cycles_through`` counts the cycles through one vertex by walking out
-  of it, the oracle of the identity Σ_v through(v) = L·c_L.
+  of it, the oracle of the identity Σ_v through(v) = L·c_L;
+- ``tree_ball_class`` is the R-ball of the free product's Cayley tree,
+  ``invert_word`` the formal inverse of a word and ``point_mass`` the
+  ensemble of one rooted graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from schreier.builders import CoreGraph
 from schreier.core import (
+    GenSet,
     GraphInvariantError,
     PermAction,
     SchreierGraph,
     Word,
     canonical_rows,
 )
+from schreier.irs import IrsEnsemble, Provenance
+from schreier.local import RootedBall, ball
 from schreier.spectral import bipartition, markov_spectrum
 
 
@@ -113,6 +120,29 @@ def complete_ball(
         next=rows,
         boundary=boundary,
         truncation_radius=radius if boundary else None,
+    )
+
+
+def tree_ball_class(gens: GenSet, radius: int) -> RootedBall:
+    """The R-ball class of the Cayley graph of the free product the
+    alphabet presents (free letters contribute Z factors, involutive
+    letters C₂ factors): a regular tree with single involution edges."""
+    core = CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
+    g = complete_ball(core, radius)
+    return ball(g, g.root, radius)
+
+
+def invert_word(gens: GenSet, word: Word) -> Word:
+    return Word(tuple(gens.inv[letter] for letter in reversed(word.letters)))
+
+
+def point_mass(g: SchreierGraph) -> IrsEnsemble:
+    return IrsEnsemble(
+        gens=g.gens,
+        samples=(g,),
+        weights=(Fraction(1),),
+        kind="exact",
+        provenance=Provenance(source="point mass", seed=None),
     )
 
 

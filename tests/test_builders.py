@@ -36,7 +36,6 @@ from schreier.core import (
     Word,
     bfs_distances,
     canonicalize,
-    invert_word,
     orbit_of,
     parse_word,
     reduce_word,
@@ -145,7 +144,7 @@ class TestStallingsCore:
         j = data.draw(st.integers(0, len(words) - 1))
         extra = Word(words[i].letters + words[j].letters)
         assert stallings_core(F2, words + [extra]).graph == core.graph
-        inverses = [invert_word(F2, w) for w in words]
+        inverses = [reference.invert_word(F2, w) for w in words]
         assert stallings_core(F2, inverses).graph == core.graph
 
     @given(st.data())
@@ -297,7 +296,7 @@ class TestNamedGraphs:
         g = petersen_graph()
         assert g.n == 10
         for v in range(10):
-            assert g.degree_at(v) == 3
+            assert sum(w is not None for w in g.next[v]) == 3
             assert len(neighbors(g, v)) == 3  # simple: no loops or doubled edges
             assert v not in neighbors(g, v)
 
@@ -310,7 +309,7 @@ class TestNamedGraphs:
     def test_klein_is_four_cycle(self):
         g = klein_cayley()
         assert g.n == 4
-        assert all(g.degree_at(v) == 2 for v in range(4))
+        assert all(sum(w is not None for w in g.next[v]) == 2 for v in range(4))
         assert all(len(neighbors(g, v)) == 2 for v in range(4))
 
     def test_s3_cayley(self):
@@ -353,7 +352,7 @@ class TestRandomPermModel:
     def test_regularity(self):
         g = random_perm_model(3, 40, seed=1)
         assert g.degree == 6
-        assert all(g.degree_at(v) == 6 for v in range(g.n))
+        assert all(sum(w is not None for w in row) == 6 for row in g.next)
 
     def test_single_point(self):
         g = random_perm_model(2, 1, seed=0)

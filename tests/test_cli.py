@@ -470,6 +470,19 @@ class TestConfigFile:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         assert run(["cycles", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    def test_joined_spelling_reads_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizon = 4\n")
+        joined = _json_out(capsys, ["walks", "--graph=cycle:6", f"--config={cfg}"])
+        spaced = _json_out(capsys, ["walks", "--graph=cycle:6", "--config", str(cfg)])
+        assert joined == spaced
+        assert joined["config"]["horizon"] == 4
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config="]])
+    def test_config_without_a_path_exits_1(self, capsys, argv):
+        assert run(["cycles", "--graph", "cycle:5", *argv]) == 1
+        assert "--config needs a file path" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, explicit, key",
         [
@@ -611,6 +624,25 @@ class TestDeclaredFlags:
         assert run(["lemma-check", *argv]) == 1
         refused = [a for a in argv if a.startswith("--")][-1]
         assert refused in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["different", "--graph", "cycle:6", "--n", "1"], "--n"),
+            (["triv1", "--group", "F2", "--n", "2"], "--n"),
+            (["triv2", "--group", "F2", "--n", "4", "--k", "0"], "--k"),
+            (["returningvsrw", "--graph", "cycle:6", "--n", "4", "--prefix-length", "0"],
+             "--prefix-length"),
+            (["modifiedrw", "--action", "cyclic:5", "--random", "0"], "--random"),
+            (["lekv", "--action", "cyclic:5", "--words", ","], "--words"),
+        ],
+        ids=["different", "triv1", "triv2", "returningvsrw", "modifiedrw", "lekv"],
+    )
+    def test_request_that_checks_nothing_is_refused(self, capsys, argv, flag):
+        assert run(["lemma-check", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
 
     def test_different_takes_one_source(self, capsys):
         argv = ["lemma-check", "different", "--graph", "cycle:8", "--n", "4"]

@@ -21,6 +21,7 @@ from schreier.builders import (
     lps_graph,
     petersen_graph,
     random_perm_model,
+    regular_action,
     s3_cayley,
     stallings_core,
     tree_ball,
@@ -166,6 +167,50 @@ class TestBruteForceAgreement:
             assert girth(g) == firsts[0]
         else:
             assert girth(g) > 8
+
+
+def brute_girth(g):
+    """The first L with a brute-force L-cycle; no cycle has more than n
+    vertices, so a graph with none up to n is a forest."""
+    n = (g.graph if isinstance(g, CoreGraph) else g).n
+    return next((L for L in range(1, n + 1) if brute_cycle_count(g, L)), math.inf)
+
+
+_S4 = list(permutations(range(4)))
+
+
+@st.composite
+def small_cayley_graphs(draw):
+    """Cayley graphs of subgroups of S4 of order at most 14, on 0-2 random
+    letter pairs and 0-1 random involution (repeats and the identity make
+    parallel edges and loops)."""
+    pairs = draw(st.lists(st.sampled_from(_S4), max_size=2))
+    involutions = [p for p in _S4 if all(p[p[x]] == x for x in range(4))]
+    singles = draw(st.lists(st.sampled_from(involutions), min_size=not pairs, max_size=1))
+    act = regular_action(pairs, singles)
+    assume(act.degree <= 14)
+    return from_perm_action(act)
+
+
+class TestGirthSearch:
+    """``girth`` without counts searches from the root alone on whole
+    vertex-transitive graphs and from every vertex otherwise."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(g=small_cayley_graphs())
+    def test_cayley_graphs(self, g):
+        assert girth(g) == brute_girth(g)
+
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.integers(2, 3), n=st.integers(1, 14), seed=st.integers(0, 10_000))
+    def test_random_models(self, m, n, seed):
+        # 2m ≥ 4 keeps the girth at most 4 below 17 vertices (Moore bound),
+        # so the brute force stays small; roots often miss the shortest cycle
+        g = random_perm_model(m, n, seed)
+        assert girth(g) == brute_girth(g)
+
+    def test_long_cycle(self):
+        assert girth(cycle_graph(5000)) == 5000
 
 
 def brute_census(g, lmax=5):

@@ -28,7 +28,6 @@ from schreier.core import (
 from schreier import walks
 from schreier.walks import (
     DominationReport,
-    coincidence_index_set,
     conditioned_prefix_probability,
     core_return_counts,
     count_walks,
@@ -70,7 +69,7 @@ class TestCountWalks:
         table = count_walks(g, 0, 3)
         assert table.count(3, 3) == 2
         assert table.count(0, 2) == 2
-        assert table.return_probability(2) == Fraction(1, 2)
+        assert table.probability(0, 2) == Fraction(1, 2)
 
     def test_t4_small_returns_against_enumeration(self, t4_ball):
         counts = return_counts(t4_ball, t4_ball.root, 4)
@@ -340,27 +339,6 @@ class TestConditionedPrefix:
         g = tree_ball(4, 4)
         with pytest.raises(ValueError, match="vertex-transitivity"):
             conditioned_prefix_probability(g, g.root, parse_word(F2, "a"), 4)
-
-
-class TestCoincidenceIndexSet:
-    def test_loop_subgroup(self, loop_core):
-        g = complete_ball(loop_core, 4)
-        w = parse_word(F2, "abaB")
-        assert coincidence_index_set(g, w) == frozenset({0})
-
-    def test_cayley_has_no_loops(self):
-        g = cycle_graph(6)
-        assert coincidence_index_set(g, parse_word(g.gens, "t^4")) == frozenset()
-
-    def test_full_group(self):
-        g = random_perm_model(2, 1, seed=0)
-        w = Word((0, 2, 1, 3))
-        assert coincidence_index_set(g, w) == frozenset(range(4))
-
-    def test_boundary_refusal(self, loop_core):
-        g = complete_ball(loop_core, 2)
-        with pytest.raises(InsufficientRadiusError):
-            coincidence_index_set(g, parse_word(F2, "b^3"))
 
 
 class TestDomination:
