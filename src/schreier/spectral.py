@@ -14,9 +14,13 @@ spectral gaps; else thick-restart Lanczos on plain matrix-vector
 products (expanders), which also takes over a shift-invert run that
 fails.  A bipartite M has D·M·D = −M for D the diagonal of the
 2-coloring sign vector, so the sign vector certifies λ = −1, λ_min off
-{1, −1} is −λ_max, and only the top end is solved.  The residual
-‖Mv − λv‖ bounds the eigenvalue error for symmetric M, so reports carry
-it as ``error_bound``.
+{1, −1} is −λ_max, and only the top end is solved.  Both solvers share
+one Lanczos step: known coefficients first, then one reorthogonalization
+pass, and a second only when the DGKS test asks (see _lanczos_step).
+Every ``error_bound`` is a residual ‖My − θy‖ measured on M itself for
+the Ritz pairs returned (thick-restart as well as shift-invert) and the
+sign vector of a bipartite M, which bounds the eigenvalue error for
+symmetric M.
 """
 
 from __future__ import annotations
@@ -79,12 +83,9 @@ def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
     if g.truncated:
         raise ValueError("the Markov operator needs the whole graph, not a truncation")
     d = g.degree
-    rows, cols = [], []
-    for v, row in enumerate(g.next):
-        for w in row:
-            rows.append(v)
-            cols.append(w)
-    data = np.full(len(rows), 1.0 / d)
+    cols = np.asarray(g.next, dtype=np.int64).ravel()
+    rows = np.repeat(np.arange(g.n), d)
+    data = np.full(cols.size, 1.0 / d)
     return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
@@ -190,19 +191,31 @@ def _start_vector(D: np.ndarray) -> np.ndarray:
 def _lanczos_step(
     V: np.ndarray, H: np.ndarray, j: int, w: np.ndarray, D: np.ndarray
 ) -> float:
-    """Extend the basis V[:, :j+1] by w, the operator applied to V[:, j]:
-    project out D, orthogonalize twice against the basis, write the
-    projections into column and row j of H and β = ‖w‖ beside them, and
-    store w/β as V[:, j+1].  Returns β."""
+    """Extend the column-major basis V[:, :j+1] by w, the operator applied
+    to V[:, j].  After projecting out D, subtract the coefficients the
+    step already knows, H[:j, j] (β_{j−1}, or the arrowhead row after a
+    thick restart) on its nonzero columns, then α·V[:, j] with α = V[:, j]·w.
+    One classical Gram–Schmidt pass against V[:, :j+1] follows, and a
+    second only when the first left at most 1/√2 of the norm (the DGKS
+    criterion: Daniel–Gragg–Kaufman–Stewart, Math. Comp. 30, 1976, as in
+    ARPACK's dsaitr), so each step reads the basis about twice.  Column
+    and row j of H get the known plus projected coefficients, β = ‖w‖
+    goes beside them, and w/β becomes V[:, j+1].  Returns β."""
     w -= D @ (D.T @ w)
-    h = V[:, : j + 1].T @ w
-    w -= V[:, : j + 1] @ h
-    h2 = V[:, : j + 1].T @ w
-    w -= V[:, : j + 1] @ h2
-    h += h2
-    H[: j + 1, j] = h
-    H[j, : j + 1] = h
-    beta = float(np.linalg.norm(w))
+    h = H[: j + 1, j].copy()
+    lo = int(np.argmax(h != 0))
+    w -= V[:, lo:j] @ h[lo:j]
+    h[j] = V[:, j] @ w
+    w -= h[j] * V[:, j]
+    for _ in range(2):
+        before = np.linalg.norm(w)
+        proj = V[:, : j + 1].T @ w
+        w -= V[:, : j + 1] @ proj
+        h += proj
+        beta = float(np.linalg.norm(w))
+        if beta > math.sqrt(0.5) * before:
+            break
+    H[: j + 1, j] = H[j, : j + 1] = h
     H[j + 1, j] = H[j, j + 1] = beta
     if beta > 0.0:
         V[:, j + 1] = w / beta
@@ -217,7 +230,7 @@ def _shift_invert_extreme(
     Returns (eigenvalue, residual norm measured on M itself)."""
     n = M.shape[0]
     lu = _grounded_lu(M, sign, order)
-    V = np.empty((n, _SHIFT_INVERT_DIM + 1))
+    V = np.empty((n, _SHIFT_INVERT_DIM + 1), order="F")
     V[:, 0] = _start_vector(D)
     H = np.zeros((_SHIFT_INVERT_DIM + 1, _SHIFT_INVERT_DIM + 1))
     for m in range(1, _SHIFT_INVERT_DIM + 1):
@@ -239,16 +252,29 @@ def _shift_invert_extreme(
     return lam, res
 
 
+def _ritz_extremes(
+    M: sp.csr_matrix, V: np.ndarray, H: np.ndarray, m: int
+) -> tuple[float, float, float]:
+    """(λ_min, λ_max) of H[:m, :m] and the larger residual ‖My − θy‖/‖y‖
+    of their Ritz vectors y = V[:, :m]·s, measured on M itself."""
+    theta, S = np.linalg.eigh(H[:m, :m])
+    Y = V[:, :m] @ S[:, [0, -1]]
+    R = M @ Y - Y * theta[[0, -1]]
+    res = np.linalg.norm(R, axis=0) / np.linalg.norm(Y, axis=0)
+    return float(theta[0]), float(theta[-1]), float(res.max())
+
+
 def _restart_lanczos_extremes(
     M: sp.csr_matrix, D: np.ndarray
 ) -> tuple[float, float, float]:
     """Both extreme eigenvalues of M on the orthogonal complement of the
     columns of D, by thick-restart Lanczos with full reorthogonalization.
-    Returns (λ_min, λ_max, residual bound)."""
+    The Ritz estimates |β·s_m| decide when to stop.  Returns (λ_min,
+    λ_max, residual measured on M, or NaN at the iteration cap)."""
     n = M.shape[0]
     m_max = min(n - D.shape[1], 80)
     keep = min(10, max(2, m_max - 2))
-    V = np.empty((n, m_max + 1))
+    V = np.empty((n, m_max + 1), order="F")
     V[:, 0] = _start_vector(D)
     H = np.zeros((m_max + 1, m_max + 1))
     j = 0
@@ -258,24 +284,19 @@ def _restart_lanczos_extremes(
             beta = _lanczos_step(V, H, j, M @ V[:, j], D)
             total += 1
             if beta < 1e-14:
-                theta = np.linalg.eigvalsh(H[: j + 1, : j + 1])
-                return float(theta[0]), float(theta[-1]), 0.0
+                return _ritz_extremes(M, V, H, j + 1)
             j += 1
         theta, S = np.linalg.eigh(H[:m_max, :m_max])
         beta = H[m_max, m_max - 1]
-        res_lo = abs(beta * S[m_max - 1, 0])
-        res_hi = abs(beta * S[m_max - 1, -1])
-        if max(res_lo, res_hi) < _RESIDUAL_TOL:
-            return float(theta[0]), float(theta[-1]), float(max(res_lo, res_hi))
+        if abs(beta) * np.abs(S[m_max - 1, [0, -1]]).max() < _RESIDUAL_TOL:
+            return _ritz_extremes(M, V, H, m_max)
         idx = list(range(keep // 2)) + list(range(m_max - (keep - keep // 2), m_max))
         Y = V[:, :m_max] @ S[:, idx]
         V[:, :keep] = Y
         V[:, keep] = V[:, m_max]
         H[:, :] = 0.0
-        for i, t in enumerate(theta[idx]):
-            H[i, i] = t
-            H[keep, i] = beta * S[m_max - 1, idx[i]]
-            H[i, keep] = H[keep, i]
+        H[:keep, :keep] = np.diag(theta[idx])
+        H[keep, :keep] = H[:keep, keep] = beta * S[m_max - 1, idx]
         j = keep
     theta = np.linalg.eigvalsh(H[:j, :j])
     return float(theta[0]), float(theta[-1]), float("nan")

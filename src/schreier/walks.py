@@ -78,12 +78,6 @@ class WalkTable:
     def count(self, v: int, n: int) -> int:
         return self.rows[n][v]
 
-    def return_count(self, n: int) -> int:
-        return self.rows[n][self.origin]
-
-    def probability(self, v: int, n: int) -> Fraction:
-        return Fraction(self.count(v, n), self.graph.degree ** n)
-
 
 def _walk_steps(
     g: SchreierGraph, x: int, horizon: int, slots: dict[int, int]

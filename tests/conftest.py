@@ -1,9 +1,18 @@
+import os
 import re
+from pathlib import Path
 
 from hypothesis import settings
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
+
+# pyproject's `pythonpath` reaches this process only; the CLI subprocesses
+# the tests start find the package through the environment
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py::test_(\d{2})_(\w+)")
 

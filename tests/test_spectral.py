@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -212,6 +212,22 @@ class TestRho0:
         assert bipartition(g) is not None
         assert_dense_iterative_agree(g)
 
+    @given(
+        m=st.integers(min_value=2, max_value=3),
+        n=st.integers(min_value=300, max_value=1200),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_dense_iterative_agreement_random_models(self, m, n, seed):
+        # large enough for thick restarts; the measured residual must bound
+        # the distance from λ_max to the true spectrum
+        g = random_perm_model(m, n, seed)
+        assume(bipartition(g) is None)
+        assert_dense_iterative_agree(g)
+        rep = rho0(g)
+        gap = np.min(np.abs(markov_spectrum(g) - rep.rho0_nonneg))
+        assert gap <= rep.error_bound + 1e-12
+
     @pytest.mark.parametrize("a,b", [(2, 2), (2, 5), (3, 3), (4, 6), (8, 8), (6, 10)])
     def test_dense_iterative_agreement_tori(self, a, b):
         assert_dense_iterative_agree(torus(a, b))
@@ -303,6 +319,37 @@ class TestSolverChoice:
     def test_expanders_never_factor(self, factored, build):
         assert rho0(build()).converged
         assert not factored
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestLanczosStep:
+    def test_basis_and_relation_after_a_restart(self, monkeypatch):
+        # 120 steps of the thick-restart solver: 80, a restart to 10 kept
+        # Ritz vectors, then 40 more on the arrowhead
+        M = spectral.markov_matrix(random_perm_model(2, 3000, 0))
+        D = np.full((M.shape[0], 1), 1.0 / math.sqrt(M.shape[0]))
+        real = spectral._lanczos_step
+        steps = []
+
+        def spy(V, H, j, w, D):
+            beta = real(V, H, j, w, D)
+            steps.append(j)
+            if len(steps) == 120:
+                raise _Stop(V, H, j)
+            return beta
+
+        monkeypatch.setattr(spectral, "_lanczos_step", spy)
+        with pytest.raises(_Stop) as stop:
+            spectral._restart_lanczos_extremes(M, D)
+        V, H, j = stop.value.args
+        assert steps[80:] == list(range(10, 50))
+        m = j + 1
+        Q = V[:, : m + 1]
+        assert np.linalg.norm(Q.T @ Q - np.eye(m + 1)) <= 1e-12
+        assert np.linalg.norm(M @ V[:, :m] - Q @ H[: m + 1, :m]) <= 1e-12
 
 
 class TestEstimateRhoReturns:
