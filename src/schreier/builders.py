@@ -502,10 +502,11 @@ def _solve_xy(q: int) -> tuple[int, int]:
 
 def _proj_normalize(m: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
     # lexicographically smallest scalar multiple = canonical representative
-    # of the projective class
-    return min(
-        tuple((lam * e) % q for e in m) for lam in range(1, q)
-    )
+    # of the projective class: every multiple has the same zero entries, so
+    # the least one makes the first nonzero entry 1
+    lead = next((e for e in m if e % q), 1)
+    scale = pow(lead, -1, q)
+    return tuple(scale * e % q for e in m)  # type: ignore[return-value]
 
 
 def _matmul(a, b, q):

@@ -13,6 +13,12 @@ only if ``next[w][inv(l)] == v`` -- so the underlying multigraph is
 symmetric by construction.  A label that is its own inverse occupies a
 single slot and contributes one to the degree.
 
+``next`` is tuples of Python ints, read by the exact code: the walk DPs,
+canonical rows and digests.  ``slots`` is the same table as one read-only
+n×d int64 array, −1 for a missing slot, read by the array code: the trust
+boundaries (``validate``, ``parse``), the Markov matrix, the bipartition
+test and the cycle census.
+
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
 yields the ``BOUNDARY`` sentinel rather than an error, and operations whose
@@ -28,6 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class GraphInvariantError(ValueError):
@@ -267,7 +275,8 @@ class SchreierGraph:
     @classmethod
     def _trusted(cls, **fields) -> "SchreierGraph":
         """Build without ``validate()``: only for graphs derived from an
-        already validated graph or ``PermAction``."""
+        already validated graph or ``PermAction``, and for ``parse``, which
+        passes its ``slots`` array and then validates."""
         g = object.__new__(cls)
         g.__dict__.update(
             {"root": 0, "boundary": frozenset(), "truncation_radius": None, **fields}
@@ -287,7 +296,16 @@ class SchreierGraph:
         return bool(self.boundary)
 
     def validate(self) -> None:
-        n, d, inv = len(self.next), self.gens.degree, self.gens.inv
+        """Check the invariants and cache ``slots``.
+
+        The table checks are masks over the slot array and one gather per
+        label, ``slots[slots[:, l], inv[l]] == arange(n)``.  The first
+        defect in (v, l) row-major order is reported, a row of the wrong
+        length before its slots: an interior vertex's missing slot, a
+        target that is not a vertex (a negative int included), a broken
+        inverse pair.  Connectivity is a BFS from the root.
+        """
+        n, d, labels = len(self.next), self.gens.degree, self.gens.labels
         if n == 0:
             raise GraphInvariantError("graph has no vertices")
         if not 0 <= self.root < n:
@@ -295,28 +313,49 @@ class SchreierGraph:
         for v in self.boundary:
             if not 0 <= v < n:
                 raise GraphInvariantError(f"boundary vertex {v} out of range")
-        for v, row in enumerate(self.next):
-            if len(row) != d:
-                raise GraphInvariantError(f"vertex {v} has {len(row)} slots, expected {d}")
-            for l, w in enumerate(row):
-                if w is None:
-                    if v not in self.boundary:
-                        raise GraphInvariantError(
-                            f"interior vertex {v} missing edge slot "
-                            f"{self.gens.labels[l]}"
-                        )
-                    continue
-                if not 0 <= w < n:
-                    raise GraphInvariantError(f"edge target {w} out of range")
-                if self.next[w][inv[l]] != v:
-                    raise GraphInvariantError(
-                        "label-consistency violated at edge "
-                        f"({v},{self.gens.labels[l]})"
-                    )
+        slots = self.__dict__.get("slots")  # set by parse: −1 exactly where missing
+        if slots is None:
+            table, ragged = _float_table(self.next, d)
+            missing = np.isnan(table)
+            slots = np.where((table >= 0) & (table < n), table, -1).astype(np.int64)
+        else:
+            missing, ragged = slots < 0, n
+        interior = np.ones(n, dtype=bool)
+        interior[list(self.boundary)] = False
+        back = slots[slots, np.asarray(self.gens.inv)]
+        bad = np.where(
+            missing, interior[:, None], (slots < 0) | (back != np.arange(n)[:, None])
+        )
+        v, l = divmod(int(bad.argmax()) if bad.any() else n * d, d)
+        if ragged <= v and ragged < n:
+            size = len(self.next[ragged])
+            raise GraphInvariantError(f"vertex {ragged} has {size} slots, expected {d}")
+        if v < n:
+            if missing[v, l]:
+                raise GraphInvariantError(
+                    f"interior vertex {v} missing edge slot {labels[l]}"
+                )
+            if slots[v, l] < 0:
+                raise GraphInvariantError(f"edge target {self.next[v][l]} out of range")
+            raise GraphInvariantError(
+                f"label-consistency violated at edge ({v},{labels[l]})"
+            )
         # connectivity: paired slots make defined-slot BFS an undirected search
         if -1 in self.root_distances:
             v = self.root_distances.index(-1)
             raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
+        slots.flags.writeable = False
+        self.__dict__["slots"] = slots
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The slot table as a read-only n×d int64 array, −1 for a missing
+        slot.  ``validate`` and ``parse`` set it; a graph derived from a
+        validated one builds it from ``next`` on first use."""
+        table = _float_table(self.next, self.degree)[0]
+        slots = np.where(np.isnan(table), -1, table).astype(np.int64)
+        slots.flags.writeable = False
+        return slots
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
@@ -331,6 +370,21 @@ class SchreierGraph:
         if not self.boundary:
             return float("inf")
         return self._boundary_distances[v]
+
+
+def _float_table(
+    rows: Sequence[Sequence[int | None]], d: int
+) -> tuple[np.ndarray, int]:
+    """``rows`` as an n×d float array, NaN for None, and the first row
+    whose length is not d (n if none is).  When there is one, every row is
+    cut or padded with None to d slots first.  A float holds every vertex
+    index exactly and keeps any int below 10³⁰⁸ on its side of 0 and n."""
+    n = len(rows)
+    ragged = next((v for v, row in enumerate(rows) if len(row) != d), n)
+    if ragged < n:
+        rows = [tuple(row[:d]) + (None,) * (d - len(row)) for row in rows]
+    return np.array(rows, dtype=float).reshape(n, d), ragged
+
 
 def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
     """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
@@ -435,80 +489,167 @@ def serialize(g: SchreierGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the line breaks of str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# a break not followed by a plain ``e v l w`` or ``b v`` line
+_IRREGULAR = re.compile(r"\n(?!(?:e [0-9]+ [0-9]+ [0-9]+|b [0-9]+)(?:\n|\Z))")
+_EDGE_LINE = re.compile(r"e ([0-9]+) ([0-9]+) ([0-9]+)")
+_BOUNDARY_LINE = re.compile(r"b ([0-9]+)")
+
+
+def _stripped_lines(text: str) -> Iterator[tuple[str, int]]:
+    """The non-blank lines of ``text`` as ``str.splitlines`` and
+    ``str.strip`` give them, each with the offset past its line break."""
+    pos = 0
+    while pos < len(text):
+        m = _LINE_BREAK.search(text, pos)
+        end, after = (m.start(), m.end()) if m else (len(text), len(text))
+        line = text[pos:end].strip()
+        pos = after
+        if line:
+            yield line, pos
+
+
+def _line_error(line: str) -> SGF1Error:
+    """The error of a body line that is not a valid ``e`` or ``b`` line."""
+    if line.startswith("e "):
+        if not _EDGE_LINE.fullmatch(line):
+            return SGF1Error(f"malformed edge line {line!r}")
+        return SGF1Error(f"edge line out of range: {line!r}")
+    if line.startswith("b "):
+        m = _BOUNDARY_LINE.fullmatch(line)
+        if not m:
+            return SGF1Error(f"malformed boundary line {line!r}")
+        return SGF1Error(f"boundary vertex {int(m.group(1))} out of range")
+    return SGF1Error(f"unrecognized line {line!r}")
+
+
+def _regular_lines(
+    chunk: str,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """Regular body lines, each after a newline, read in bulk: where each
+    line starts in ``chunk``, whether it is an ``e`` line, the (v, l, w)
+    columns of the ``e`` lines and the v of the ``b`` lines.  A value past
+    int64 saturates (``strtoll``), so it reads as out of range."""
+    codes = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    starts = np.flatnonzero(codes == ord("\n")) + 1
+    is_edge = codes[starts] == ord("e")
+    del codes
+    numbers = np.fromstring(
+        chunk.replace("e", " ").replace("b", " "), dtype=np.int64, sep=" "
+    )
+    width = np.where(is_edge, 3, 1)
+    first = np.cumsum(width) - width
+    edges = tuple(numbers[first[is_edge] + k] for k in range(3))
+    return starts, is_edge, edges, numbers[first[~is_edge]]
+
+
 def parse(text: str) -> SchreierGraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or lines[0] != "SGF1":
-        raise SGF1Error("missing SGF1 magic line")
-    pos = 1
+    """Read SGF1 text, a trust boundary.
+
+    The header is read line by line.  The body is read in bulk: one regex
+    search finds the first line that is not a plain ``e v l w`` or ``b v``
+    line (a body with padded, blank or CRLF lines is first rewritten the
+    way ``str.splitlines`` and ``str.strip`` read it), the lines before it
+    become one numpy array, and masks over it find out-of-range values and
+    duplicate slots.  An error names the first offending line in file
+    order.  Numbers are ASCII digits.  A connected graph on n vertices has
+    at least n − 1 edges, so a ``vertices n`` header with n above the
+    number of ``e`` lines + 1 is refused before any table is allocated.
+    The table is then checked by ``validate``.
+    """
+    lines = _stripped_lines(text)
+    pos = 0
 
     def take() -> str:
         nonlocal pos
-        if pos >= len(lines):
+        line, pos = next(lines, ("", -1))
+        if pos < 0:
             raise SGF1Error("unexpected end of input")
-        line = lines[pos]
-        pos += 1
         return line
 
-    m = re.fullmatch(r"gens (\d+)", take())
+    if next(lines, ("",))[0] != "SGF1":
+        raise SGF1Error("missing SGF1 magic line")
+    m = re.fullmatch(r"gens ([0-9]+)", take())
     if not m:
         raise SGF1Error("malformed gens line")
     d = int(m.group(1))
-    labels: list[str | None] = [None] * d
-    inv: list[int | None] = [None] * d
+    labels: dict[int, str] = {}  # filled as lines are read, never sized by d
+    inv: dict[int, int] = {}
     for _ in range(d):
-        m = re.fullmatch(r"label (\d+) (\S+) inv (\d+)", take())
+        m = re.fullmatch(r"label ([0-9]+) (\S+) inv ([0-9]+)", take())
         if not m:
             raise SGF1Error("malformed label line")
         i, name, j = int(m.group(1)), m.group(2), int(m.group(3))
         if not (0 <= i < d and 0 <= j < d):
             raise SGF1Error(f"label index out of range in {name!r}")
-        if labels[i] is not None:
+        if i in labels:
             raise SGF1Error(f"duplicate label index {i}")
         labels[i], inv[i] = name, j
-    if any(x is None for x in labels):
-        raise SGF1Error("missing label line")
-    gens = GenSet(tuple(labels), tuple(inv))  # type: ignore[arg-type]
+    # d distinct indices below d: every label has its line
+    gens = GenSet(tuple(labels[i] for i in range(d)), tuple(inv[i] for i in range(d)))
 
-    m = re.fullmatch(r"vertices (\d+) root (\d+)(?: truncated (\d+))?", take())
+    m = re.fullmatch(r"vertices ([0-9]+) root ([0-9]+)(?: truncated ([0-9]+))?", take())
     if not m:
         raise SGF1Error("malformed vertices line")
     n, root = int(m.group(1)), int(m.group(2))
     radius = int(m.group(3)) if m.group(3) is not None else None
 
-    table: list[list[int | None]] = [[None] * d for _ in range(n)]
-    boundary: set[int] = set()
-    while pos < len(lines):
-        line = take()
-        if line.startswith("e "):
-            m = re.fullmatch(r"e (\d+) (\d+) (\d+)", line)
-            if not m:
-                raise SGF1Error(f"malformed edge line {line!r}")
-            v, l, w = (int(x) for x in m.groups())
-            if not (0 <= v < n and 0 <= w < n and 0 <= l < d):
-                raise SGF1Error(f"edge line out of range: {line!r}")
-            if table[v][l] is not None:
-                raise SGF1Error(f"duplicate edge slot ({v},{gens.labels[l]})")
-            table[v][l] = w
-        elif line.startswith("b "):
-            m = re.fullmatch(r"b (\d+)", line)
-            if not m:
-                raise SGF1Error(f"malformed boundary line {line!r}")
-            v = int(m.group(1))
-            if not 0 <= v < n:
-                raise SGF1Error(f"boundary vertex {v} out of range")
-            boundary.add(v)
-        else:
-            raise SGF1Error(f"unrecognized line {line!r}")
-    try:
-        return SchreierGraph(
-            gens=gens,
-            next=tuple(tuple(row) for row in table),
-            root=root,
-            boundary=frozenset(boundary),
-            truncation_radius=radius,
+    # the body is body[lo:hi], every line after a "\n"
+    body, lo, hi = text, pos - 1, len(text) - text.endswith("\n")
+    irregular = _IRREGULAR.search(body, lo, hi)
+    if irregular or body[lo] != "\n":
+        body = "".join("\n" + ln for ln in map(str.strip, text[pos:].splitlines()) if ln)
+        lo, hi = 0, len(body)
+        irregular = _IRREGULAR.search(body)
+    edges = body.count("\ne ", lo, hi)
+    if n > edges + 1:
+        raise SGF1Error(
+            f"vertices {n} needs at least {n - 1} e lines to be connected, found {edges}"
         )
+
+    cut = irregular.start() if irregular else hi
+    starts, is_edge, (v, l, w), boundary = _regular_lines(body[lo:cut])
+    out = (v >= n) | (l >= d) | (w >= n)
+    inside = np.flatnonzero(~out)
+    slot = v[inside] * d + l[inside]
+    repeat = np.zeros(len(v), dtype=bool)
+    repeat[inside] = np.bincount(slot, minlength=n * d)[slot] > 1
+    if repeat.any():  # a slot's first line is not a repeat
+        shared = np.flatnonzero(repeat)
+        repeat[shared[np.unique(v[shared] * d + l[shared], return_index=True)[1]]] = False
+    edge_lines = np.flatnonzero(is_edge)
+    offending = np.zeros(len(is_edge) + 1, dtype=bool)
+    offending[edge_lines[out | repeat]] = True
+    offending[np.flatnonzero(~is_edge)[boundary >= n]] = True
+    offending[-1] = irregular is not None
+    if offending.any():
+        k = int(offending.argmax())
+        e = int(np.searchsorted(edge_lines, k))
+        if k < len(is_edge) and is_edge[k] and repeat[e]:
+            raise SGF1Error(f"duplicate edge slot ({v[e]},{gens.labels[l[e]]})")
+        start = cut + 1 if k == len(is_edge) else lo + starts[k]
+        end = body.find("\n", start, hi)
+        raise _line_error(body[start : end if end >= 0 else hi])
+
+    slots = np.full((n, d), -1, dtype=np.int64)
+    slots[v, l] = w
+    rows = list(zip(*(slots[:, k].tolist() for k in range(d))))
+    for r in np.flatnonzero((slots < 0).any(axis=1)).tolist():
+        rows[r] = tuple(None if x < 0 else x for x in rows[r])
+    g = SchreierGraph._trusted(
+        gens=gens,
+        next=tuple(rows),
+        root=root,
+        boundary=frozenset(boundary.tolist()),
+        truncation_radius=radius,
+        slots=slots,
+    )
+    try:
+        g.validate()
     except GraphInvariantError as exc:
         raise SGF1Error(str(exc)) from exc
+    return g
 
 
 @dataclass(frozen=True)
@@ -531,20 +672,23 @@ class PermAction:
         n = len(self.perms[0])
         if n == 0:
             raise GraphInvariantError("an action needs at least one point")
-        for l, p in enumerate(self.perms):
-            if len(p) != n or sorted(p) != list(range(n)):
-                raise GraphInvariantError(
-                    f"label {self.gens.labels[l]} does not act by a permutation"
-                )
-        for l in range(d):
-            q = self.perms[self.gens.inv[l]]
-            p = self.perms[l]
-            for x in range(n):
-                if q[p[x]] != x:
-                    raise GraphInvariantError(
-                        f"label {self.gens.labels[l]}: inverse label does not act "
-                        "by the inverse permutation"
-                    )
+        # the labels before the first that maps outside range(n), as arrays
+        fits = (len(p) == n and 0 <= min(p) <= max(p) < n for p in self.perms)
+        k = next((l for l, ok in enumerate(fits) if not ok), d)
+        perms = np.array(self.perms[:k], dtype=np.int64).reshape(k, n)
+        hits = np.bincount((perms + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+        onto = np.append((hits.reshape(k, n) == 1).all(axis=1), False)
+        labels = self.gens.labels
+        if not onto[:d].all():
+            l = int(onto.argmin())
+            raise GraphInvariantError(f"label {labels[l]} does not act by a permutation")
+        back = perms[np.asarray(self.gens.inv)[:, None], perms]
+        inverse = (back == np.arange(n)).all(axis=1)
+        if not inverse.all():
+            l = int(inverse.argmin())
+            raise GraphInvariantError(
+                f"label {labels[l]}: inverse label does not act by the inverse permutation"
+            )
 
     @property
     def degree(self) -> int:
@@ -585,16 +729,15 @@ class PermAction:
         gens = GenSet.with_involutions(pair_names, involution_names)
         perms: list[tuple[int, ...]] = []
         for p in pair_perms:
-            p = tuple(p)
-            q = [0] * len(p)
-            for x, y in enumerate(p):
-                q[y] = x
-            perms += [p, tuple(q)]
+            p = np.asarray(p, dtype=np.int64)
+            q = np.empty_like(p)
+            q[p] = np.arange(len(p))
+            perms += [tuple(p.tolist()), tuple(q.tolist())]
         for p in involution_perms:
-            p = tuple(p)
-            if any(p[p[x]] != x for x in range(len(p))):
+            p = np.asarray(p, dtype=np.int64)
+            if (p[p] != np.arange(len(p))).any():
                 raise GraphInvariantError("involution generator is not an involution")
-            perms.append(p)
+            perms.append(tuple(p.tolist()))
         return cls(gens, tuple(perms))
 
 

@@ -59,10 +59,9 @@ def _graph(g: SchreierGraph | CoreGraph) -> SchreierGraph:
 
 def _multigraph(g: SchreierGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """Loop counts per vertex and the loopless multiplicity matrix W; a
-    missing slot (read as NaN, then −1) contributes no edge."""
+    missing slot (−1) contributes no edge."""
     n, d = g.n, g.degree
-    table = np.array(g.next, dtype=float if g.truncated else np.int64)
-    dst = np.nan_to_num(table, nan=-1).astype(np.int64).ravel()
+    dst = g.slots.ravel()
     src, label = np.divmod(np.arange(n * d), d)
     partner = np.asarray(g.gens.inv)[label]
     # one slot per edge: a pair at its smaller label, an involution at its smaller end

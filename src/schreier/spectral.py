@@ -83,7 +83,7 @@ def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
     if g.truncated:
         raise ValueError("the Markov operator needs the whole graph, not a truncation")
     d = g.degree
-    cols = np.asarray(g.next, dtype=np.int64).ravel()
+    cols = g.slots.ravel()
     rows = np.repeat(np.arange(g.n), d)
     data = np.full(cols.size, 1.0 / d)
     return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
@@ -94,12 +94,11 @@ def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
     walk exists.  (For cores the coloring extends to the hanging trees, so
     the answer is about the full graph the core describes.)  A connected
     graph has at most one with the root at 0: root-distance parity."""
-    color = tuple(dist & 1 for dist in g.root_distances)
-    for v, row in enumerate(g.next):
-        for w in row:
-            if w is not None and color[w] == color[v]:
-                return None
-    return color
+    color = np.array(g.root_distances) & 1
+    slots = g.slots
+    if (color[slots] == color[:, None])[slots >= 0].any():
+        return None
+    return tuple(color.tolist())
 
 
 def markov_spectrum(g: SchreierGraph) -> np.ndarray:

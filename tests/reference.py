@@ -14,11 +14,17 @@ builders replaced, and hypothesis strategies to compare them on.
   of it, the oracle of the identity Σ_v through(v) = L·c_L;
 - ``tree_ball_class`` is the R-ball of the free product's Cayley tree,
   ``invert_word`` the formal inverse of a word and ``point_mass`` the
-  ensemble of one rooted graph.
+  ensemble of one rooted graph;
+- ``validate``, ``parse``, ``check_perm_action`` and ``generator_perms``
+  are the trust boundaries as loops, one slot, line or point at a time,
+  which the array checks of ``core`` replaced;
+- ``proj_normalize`` takes the least of all q − 1 scalar multiples, which
+  the one-inverse normalization of ``builders.lps_graph`` replaced.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,7 +37,9 @@ from schreier.core import (
     GraphInvariantError,
     PermAction,
     SchreierGraph,
+    SGF1Error,
     Word,
+    bfs_distances,
     canonical_rows,
 )
 from schreier.irs import IrsEnsemble, Provenance
@@ -237,6 +245,158 @@ def rho0_dense(g: SchreierGraph) -> DenseRho0:
         rho0_strict=max(abs(strict_low), abs(float(evs[-2]))),
         bipartite=bip,
     )
+
+
+def validate(g: SchreierGraph) -> None:
+    n, d, inv = len(g.next), g.gens.degree, g.gens.inv
+    if n == 0:
+        raise GraphInvariantError("graph has no vertices")
+    if not 0 <= g.root < n:
+        raise GraphInvariantError(f"root {g.root} out of range")
+    for v in g.boundary:
+        if not 0 <= v < n:
+            raise GraphInvariantError(f"boundary vertex {v} out of range")
+    for v, row in enumerate(g.next):
+        if len(row) != d:
+            raise GraphInvariantError(f"vertex {v} has {len(row)} slots, expected {d}")
+        for l, w in enumerate(row):
+            if w is None:
+                if v not in g.boundary:
+                    raise GraphInvariantError(
+                        f"interior vertex {v} missing edge slot {g.gens.labels[l]}"
+                    )
+                continue
+            if not 0 <= w < n:
+                raise GraphInvariantError(f"edge target {w} out of range")
+            if g.next[w][inv[l]] != v:
+                raise GraphInvariantError(
+                    f"label-consistency violated at edge ({v},{g.gens.labels[l]})"
+                )
+    dist = bfs_distances(g, g.root)
+    if -1 in dist:
+        v = dist.index(-1)
+        raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
+
+
+def parse(text: str) -> SchreierGraph:
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines or lines[0] != "SGF1":
+        raise SGF1Error("missing SGF1 magic line")
+    pos = 1
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(lines):
+            raise SGF1Error("unexpected end of input")
+        line = lines[pos]
+        pos += 1
+        return line
+
+    m = re.fullmatch(r"gens (\d+)", take())
+    if not m:
+        raise SGF1Error("malformed gens line")
+    d = int(m.group(1))
+    labels: list[str | None] = [None] * d
+    inv: list[int | None] = [None] * d
+    for _ in range(d):
+        m = re.fullmatch(r"label (\d+) (\S+) inv (\d+)", take())
+        if not m:
+            raise SGF1Error("malformed label line")
+        i, name, j = int(m.group(1)), m.group(2), int(m.group(3))
+        if not (0 <= i < d and 0 <= j < d):
+            raise SGF1Error(f"label index out of range in {name!r}")
+        if labels[i] is not None:
+            raise SGF1Error(f"duplicate label index {i}")
+        labels[i], inv[i] = name, j
+    if any(x is None for x in labels):
+        raise SGF1Error("missing label line")
+    gens = GenSet(tuple(labels), tuple(inv))  # type: ignore[arg-type]
+
+    m = re.fullmatch(r"vertices (\d+) root (\d+)(?: truncated (\d+))?", take())
+    if not m:
+        raise SGF1Error("malformed vertices line")
+    n, root = int(m.group(1)), int(m.group(2))
+    radius = int(m.group(3)) if m.group(3) is not None else None
+
+    table: list[list[int | None]] = [[None] * d for _ in range(n)]
+    boundary: set[int] = set()
+    while pos < len(lines):
+        line = take()
+        if line.startswith("e "):
+            m = re.fullmatch(r"e (\d+) (\d+) (\d+)", line)
+            if not m:
+                raise SGF1Error(f"malformed edge line {line!r}")
+            v, l, w = (int(x) for x in m.groups())
+            if not (0 <= v < n and 0 <= w < n and 0 <= l < d):
+                raise SGF1Error(f"edge line out of range: {line!r}")
+            if table[v][l] is not None:
+                raise SGF1Error(f"duplicate edge slot ({v},{gens.labels[l]})")
+            table[v][l] = w
+        elif line.startswith("b "):
+            m = re.fullmatch(r"b (\d+)", line)
+            if not m:
+                raise SGF1Error(f"malformed boundary line {line!r}")
+            v = int(m.group(1))
+            if not 0 <= v < n:
+                raise SGF1Error(f"boundary vertex {v} out of range")
+            boundary.add(v)
+        else:
+            raise SGF1Error(f"unrecognized line {line!r}")
+    g = SchreierGraph._trusted(
+        gens=gens,
+        next=tuple(tuple(row) for row in table),
+        root=root,
+        boundary=frozenset(boundary),
+        truncation_radius=radius,
+    )
+    try:
+        validate(g)
+    except GraphInvariantError as exc:
+        raise SGF1Error(str(exc)) from exc
+    return g
+
+
+def check_perm_action(gens: GenSet, perms) -> None:
+    d = gens.degree
+    if len(perms) != d:
+        raise GraphInvariantError(f"expected {d} permutations, got {len(perms)}")
+    n = len(perms[0])
+    if n == 0:
+        raise GraphInvariantError("an action needs at least one point")
+    for l, p in enumerate(perms):
+        if len(p) != n or sorted(p) != list(range(n)):
+            raise GraphInvariantError(f"label {gens.labels[l]} does not act by a permutation")
+    for l in range(d):
+        q = perms[gens.inv[l]]
+        p = perms[l]
+        for x in range(n):
+            if q[p[x]] != x:
+                raise GraphInvariantError(
+                    f"label {gens.labels[l]}: inverse label does not act "
+                    "by the inverse permutation"
+                )
+
+
+def generator_perms(pair_perms, involution_perms=()) -> tuple[tuple[int, ...], ...]:
+    """The permutations of ``PermAction.from_generator_perms``, each pair
+    inverted point by point."""
+    perms: list[tuple[int, ...]] = []
+    for p in pair_perms:
+        p = tuple(p)
+        q = [0] * len(p)
+        for x, y in enumerate(p):
+            q[y] = x
+        perms += [p, tuple(q)]
+    for p in involution_perms:
+        p = tuple(p)
+        if any(p[p[x]] != x for x in range(len(p))):
+            raise GraphInvariantError("involution generator is not an involution")
+        perms.append(p)
+    return tuple(perms)
+
+
+def proj_normalize(m: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
+    return min(tuple((lam * e) % q for e in m) for lam in range(1, q))
 
 
 @st.composite

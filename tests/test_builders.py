@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreier.builders import (
+    _proj_normalize,
     _quaternion_solutions,
     CoreGraph,
     action_from_spec,
@@ -402,6 +405,16 @@ class TestLps:
             assert a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 == p
             assert a0 > 0 and a0 % 2 == 1
             assert a1 % 2 == a2 % 2 == a3 % 2 == 0
+
+    @pytest.mark.parametrize("q", [5, 13, 17])
+    def test_normalization_is_least_multiple(self, q):
+        # every 2×2 matrix over F_q, the zero matrix included
+        for m in itertools.product(range(q), repeat=4):
+            assert _proj_normalize(m, q) == reference.proj_normalize(m, q)
+
+    @given(st.tuples(*[st.integers(0, 28)] * 4))
+    def test_normalization_is_least_multiple_q29(self, m):
+        assert _proj_normalize(m, 29) == reference.proj_normalize(m, 29)
 
     def test_odd_isqrt_p_builds(self):
         g = lps_graph(13, 17)

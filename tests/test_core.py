@@ -1,9 +1,14 @@
+import re
+from string import ascii_lowercase
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
 
+from schreier.builders import complete_ball, random_perm_model, tree_core
 from schreier.core import (
     BOUNDARY,
     GenSet,
@@ -163,6 +168,92 @@ class TestSchreierGraph:
         assert walk_endpoint(g, 0, parse_word(g.gens, "a^-1")) == 4
 
 
+    def test_negative_target_is_not_a_missing_slot(self):
+        gens = GenSet.free(1)
+        table = ((1, -1), (None, 0))
+        with pytest.raises(GraphInvariantError, match="edge target -1 out of range"):
+            SchreierGraph(gens=gens, next=table, boundary=frozenset({0, 1}))
+
+    def test_slots_is_the_table_as_an_array(self):
+        gens = GenSet.free(1)
+        table = ((1, None), (2, 0), (None, 1))
+        g = SchreierGraph(
+            gens=gens, next=table, root=1,
+            boundary=frozenset({0, 2}), truncation_radius=1,
+        )
+        assert g.slots.tolist() == [[1, -1], [2, 0], [-1, 1]]
+        assert g.slots.dtype == np.int64
+        assert not g.slots.flags.writeable
+        trusted = SchreierGraph._trusted(gens=gens, next=table, root=1)
+        assert np.array_equal(trusted.slots, g.slots)
+        assert not trusted.slots.flags.writeable
+
+
+@st.composite
+def small_graphs(draw) -> SchreierGraph:
+    """A random permutation model, or a truncated ball of a regular tree."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 12))
+        return random_perm_model(m, n, draw(st.integers(0, 2**16)))
+    return complete_ball(tree_core(draw(st.integers(2, 4))), draw(st.integers(0, 2)))
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return type(exc), str(exc)
+
+
+def _fields(g: SchreierGraph) -> tuple:
+    return g.gens, g.next, g.root, g.boundary, g.truncation_radius
+
+
+class TestArrayValidateOracle:
+    """``validate`` reports what the slot-by-slot loop reports."""
+
+    @settings(max_examples=300)
+    @given(small_graphs(), st.data())
+    def test_matches_loop_on_defective_tables(self, g, data):
+        rows = [list(row) for row in g.next]
+        d = g.degree
+        for _ in range(data.draw(st.integers(1, 2))):
+            n = len(rows)
+            kind = data.draw(st.sampled_from(
+                ["ragged", "none", "negative", "outside", "pairing", "disconnected"]
+            ))
+            v, l = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+            if kind == "ragged":
+                if rows[v] and data.draw(st.booleans()):
+                    rows[v].pop()
+                else:
+                    rows[v].append(data.draw(st.integers(0, n - 1)))
+            elif kind == "disconnected":
+                rows.append([n] * d)  # a vertex of loops, paired with itself
+            elif l < len(rows[v]):
+                rows[v][l] = data.draw({
+                    "none": st.none(),
+                    "negative": st.integers(-3, -1),
+                    "outside": st.sampled_from([n, n + 1, 10**25]),
+                    "pairing": st.integers(0, n - 1),
+                }[kind])
+        fields = dict(
+            gens=g.gens, next=tuple(map(tuple, rows)), root=g.root,
+            boundary=g.boundary, truncation_radius=g.truncation_radius,
+        )
+        loop = SchreierGraph._trusted(**fields)
+        got = _outcome(lambda: _fields(SchreierGraph(**fields)))
+        expected = _outcome(lambda: reference.validate(loop) or _fields(loop))
+        if expected[0] is IndexError:
+            # the loop read a short row through a pairing check before it
+            # reached that row; the array check reports the broken pair
+            assert got[0] is GraphInvariantError
+            assert got[1].startswith("label-consistency violated at edge")
+        else:
+            assert got == expected
+
+
 class TestCanonicalize:
     @given(st.data())
     def test_relabeling_invariance(self, data):
@@ -233,6 +324,196 @@ class TestSGF1:
         g = orbit_graph(act)
         g2 = parse(serialize(g))
         assert g2 == g
+
+    def test_parse_sets_slots(self):
+        g = parse(serialize(complete_ball(tree_core(3), 2)))
+        assert "slots" in g.__dict__
+        assert not g.slots.flags.writeable
+        assert g.slots.tolist() == [[-1 if w is None else w for w in row] for row in g.next]
+
+    def test_vertex_count_above_edge_lines_refused(self):
+        # 10^12 rows would be allocated if the header were believed
+        text = (
+            "SGF1\ngens 2\nlabel 0 a inv 1\nlabel 1 A inv 0\n"
+            "vertices 1000000000000 root 0\ne 0 0 0\ne 0 1 0\n"
+        )
+        with pytest.raises(
+            SGF1Error,
+            match="vertices 1000000000000 needs at least 999999999999 e lines "
+            "to be connected, found 2",
+        ):
+            parse(text)
+
+    def test_alphabet_size_read_before_allocating(self):
+        # no list of 10^12 labels is made before the label lines are read
+        with pytest.raises(SGF1Error, match="unexpected end of input"):
+            parse("SGF1\ngens 1000000000000\n")
+
+    def test_digits_are_ascii(self):
+        text = serialize(cycle(3)).replace("e 0 0 1", "e \u0660 0 1")
+        with pytest.raises(SGF1Error, match="malformed edge line"):
+            parse(text)
+
+    def test_first_offending_line_in_file_order(self):
+        original = serialize(cycle(4)).splitlines()  # e lines from index 5 on
+        lines = list(original)
+        lines[7] = "e 1 0 9"          # out of range
+        lines[9] = original[5]        # slot (0,a) again
+        lines[11] = "e 3 x 0"         # malformed
+        with pytest.raises(SGF1Error, match="edge line out of range: 'e 1 0 9'"):
+            parse("\n".join(lines))
+        lines[7] = original[7]
+        with pytest.raises(SGF1Error, match=r"duplicate edge slot \(0,a\)"):
+            parse("\n".join(lines))
+        lines[9] = original[9]
+        with pytest.raises(SGF1Error, match="malformed edge line 'e 3 x 0'"):
+            parse("\n".join(lines))
+
+
+_GARBAGE = st.one_of(
+    st.sampled_from(
+        ["x", "e", "b", "e 1", "e 1 2", "e 0 0 0 0", "b 1 2", "e -1 0 0",
+         "e 0 0 +1", "b x", "e\t0 0 0", "e  0 0 0", "SGF1", "gens 2"]
+    ),
+    st.text(alphabet=" eb0129x-+\t", max_size=8),
+)
+_BREAKS = ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+
+
+def _mutated_sgf1(data, g: SchreierGraph) -> str:
+    """SGF1 text of g with up to two line-level mutations, then possibly
+    CRLF endings and a missing final newline."""
+    lines = serialize(g).splitlines()
+    head = g.degree + 3  # magic, gens, labels, vertices
+    for _ in range(data.draw(st.integers(0, 2))):
+        kind = data.draw(st.sampled_from([
+            "drop", "duplicate", "swap", "range", "long", "garbage",
+            "vertices", "pad", "blank", "break",
+        ]))
+        anywhere = st.integers(0, len(lines) - 1)
+        body = st.integers(min(head, len(lines) - 1), len(lines) - 1)
+        i = data.draw(body | anywhere)  # half the time in the body, read in bulk
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind in ("range", "long") and i >= head and lines[i][:2] in ("e ", "b "):
+            fields = lines[i].split(" ")
+            k = data.draw(st.integers(1, len(fields) - 1))
+            if kind == "long":
+                fields[k] = data.draw(st.sampled_from(["9" * 25, "0" * 24 + fields[k]]))
+            else:
+                bound = g.degree if k == 2 and fields[0] == "e" else g.n
+                fields[k] = str(bound + data.draw(st.integers(0, 2)))
+            lines[i] = " ".join(fields)
+        elif kind == "garbage":
+            lines.insert(i, data.draw(_GARBAGE))
+        elif kind == "vertices":
+            edges = sum(line.startswith("e ") for line in lines)
+            n = data.draw(st.integers(0, 3 * edges + 3))
+            lines[head - 1] = re.sub(r"vertices \d+", f"vertices {n}", lines[head - 1])
+        elif kind == "pad":
+            pad = st.text(alphabet=" \t", max_size=3)
+            lines[i] = data.draw(pad) + lines[i] + data.draw(pad)
+        elif kind == "blank":
+            lines.insert(i, data.draw(st.sampled_from(["", " ", "\t "])))
+        elif kind == "break" and i + 1 < len(lines):
+            joint = data.draw(st.sampled_from(_BREAKS))
+            lines[i : i + 2] = [lines[i] + joint + lines[i + 1]]
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + data.draw(st.sampled_from([end, ""]))
+
+
+class TestBulkParseOracle:
+    """``parse`` gives what the line-by-line parser gives: the same graph,
+    or the same exception type and message.  The one exempt class is a
+    ``vertices n`` header above the number of ``e`` lines + 1, which
+    ``parse`` refuses before reading the body."""
+
+    @settings(max_examples=300)
+    @given(small_graphs(), st.data())
+    def test_matches_line_parser(self, g, data):
+        text = _mutated_sgf1(data, g)
+        got = _outcome(lambda: _fields(parse(text)))
+        expected = _outcome(lambda: _fields(reference.parse(text)))
+        bound = re.fullmatch(
+            r"vertices (\d+) needs at least \d+ e lines to be connected, found (\d+)",
+            got[1] if got[0] is SGF1Error else "",
+        )
+        if bound:
+            n, edges = int(bound.group(1)), int(bound.group(2))
+            lines = [ln.strip() for ln in text.splitlines()]
+            assert edges == sum(ln.startswith("e ") for ln in lines)
+            assert n > edges + 1
+            assert expected[0] is SGF1Error
+        else:
+            assert got == expected
+
+
+def _defective_perms(data, perms: list[list[int]], n: int) -> list[list[int]]:
+    """Up to two defects: a repeated or outside point, a wrong length, or
+    a permutation that is not the inverse its label needs."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        l = data.draw(st.integers(0, len(perms) - 1))
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        kind = data.draw(st.sampled_from(["repeat", "outside", "length", "inverse"]))
+        if kind == "repeat" and max(x, y) < len(perms[l]):
+            perms[l][x] = perms[l][y]
+        elif kind == "outside" and x < len(perms[l]):
+            perms[l][x] = data.draw(st.sampled_from([-1, n, n + 2]))
+        elif kind == "length":
+            perms[l] = perms[l][:-1] if data.draw(st.booleans()) else perms[l] + [x]
+        else:
+            perms[l] = list(data.draw(st.permutations(range(n))))
+    return perms
+
+
+class TestPermActionOracle:
+    """The array checks of ``PermAction`` report what the loops report."""
+
+    @given(st.data())
+    def test_matches_loop_checks(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs, involutions = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
+        act = random_action(data.draw, n, pairs, involutions)
+        perms = _defective_perms(data, [list(p) for p in act.perms], n)
+        perms = tuple(map(tuple, perms))
+        got = _outcome(lambda: PermAction(act.gens, perms).perms)
+        expected = _outcome(lambda: reference.check_perm_action(act.gens, perms) or perms)
+        assert got == expected
+
+    @given(st.data())
+    def test_generator_perms_match_loops(self, data):
+        n = data.draw(st.integers(1, 7))
+        pairs = [
+            list(data.draw(st.permutations(range(n))))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+        involutions = []
+        for _ in range(data.draw(st.integers(0 if pairs else 1, 2))):
+            order = data.draw(st.permutations(range(n)))
+            p = list(range(n))
+            for i in range(0, n - 1, 2):
+                p[order[i]], p[order[i + 1]] = order[i + 1], order[i]
+            involutions.append(p)
+        for p in pairs + involutions:
+            if data.draw(st.booleans()):
+                p[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+        gens = GenSet.with_involutions(
+            ascii_lowercase[: len(pairs)], tuple(f"m{i}" for i in range(len(involutions)))
+        )
+
+        def build_reference():
+            perms = reference.generator_perms(pairs, involutions)
+            reference.check_perm_action(gens, perms)
+            return perms
+
+        got = _outcome(lambda: PermAction.from_generator_perms(pairs, involutions).perms)
+        expected = _outcome(build_reference)
+        assert got == expected
 
 
 class TestPermAction:
