@@ -9,6 +9,7 @@ them to the command line.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from collections import deque
@@ -229,48 +230,54 @@ def complete_ball(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    g = core.graph
-    d, inv = g.degree, g.gens.inv
-    tree = (None,) * d  # the slots of a tree vertex, none of them in the core
-    index = {g.root: 0}  # core vertex -> ball vertex
-    rows: list = [[None] * d]  # a vertex's row is a list until it is done
-    cores: list[int | None] = [g.root]  # the core vertex behind each ball vertex
-    start = 0  # rows[start:] is the layer at ``depth``
-    for depth in range(radius):
-        end = len(rows)
-        for i in range(start, end):
-            row, v = rows[i], cores[i]
-            for l, w in enumerate(tree if v is None else g.next[v]):
-                if row[l] is not None:
-                    continue  # a tree vertex's slot back to its parent
-                if w is None:
-                    row[l] = len(rows)
-                    child: list[int | None] = [None] * d
-                    child[inv[l]] = i
-                    rows.append(child)
-                    cores.append(None)
-                elif w in index:
-                    row[l] = index[w]
-                else:
-                    row[l] = index[w] = len(rows)
-                    rows.append([None] * d)
-                    cores.append(w)
-            rows[i] = tuple(row)
-            if len(rows) > max_vertices:
-                raise ValueError(
-                    f"ball of radius {radius} exceeds max_vertices={max_vertices}"
-                )
-        start = end
-    for i in range(start, len(rows)):
-        v = cores[i]  # a sphere core vertex keeps its edges in the ball
-        rows[i] = tuple(rows[i] if v is None else map(index.get, g.next[v]))
-    boundary = frozenset(i for i in range(start, len(rows)) if None in rows[i])
-    return SchreierGraph._trusted(
-        gens=g.gens,
-        next=tuple(rows),
-        boundary=boundary,
-        truncation_radius=radius if boundary else None,
-    )
+    enabled = gc.isenabled()
+    gc.disable()  # the rows hold no cycles: collector passes over them are waste
+    try:
+        g = core.graph
+        d, inv = g.degree, g.gens.inv
+        tree = (None,) * d  # the slots of a tree vertex, none of them in the core
+        index = {g.root: 0}  # core vertex -> ball vertex
+        rows: list = [[None] * d]  # a vertex's row is a list until it is done
+        cores: list[int | None] = [g.root]  # the core vertex behind each ball vertex
+        start = 0  # rows[start:] is the layer at ``depth``
+        for depth in range(radius):
+            end = len(rows)
+            for i in range(start, end):
+                row, v = rows[i], cores[i]
+                for l, w in enumerate(tree if v is None else g.next[v]):
+                    if row[l] is not None:
+                        continue  # a tree vertex's slot back to its parent
+                    if w is None:
+                        row[l] = len(rows)
+                        child: list[int | None] = [None] * d
+                        child[inv[l]] = i
+                        rows.append(child)
+                        cores.append(None)
+                    elif w in index:
+                        row[l] = index[w]
+                    else:
+                        row[l] = index[w] = len(rows)
+                        rows.append([None] * d)
+                        cores.append(w)
+                rows[i] = tuple(row)
+                if len(rows) > max_vertices:
+                    raise ValueError(
+                        f"ball of radius {radius} exceeds max_vertices={max_vertices}"
+                    )
+            start = end
+        for i in range(start, len(rows)):
+            v = cores[i]  # a sphere core vertex keeps its edges in the ball
+            rows[i] = tuple(rows[i] if v is None else map(index.get, g.next[v]))
+        boundary = frozenset(i for i in range(start, len(rows)) if None in rows[i])
+        return SchreierGraph._trusted(
+            gens=g.gens,
+            next=tuple(rows),
+            boundary=boundary,
+            truncation_radius=radius if boundary else None,
+        )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def tree_core(degree: int) -> CoreGraph:

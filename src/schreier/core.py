@@ -351,9 +351,11 @@ class SchreierGraph:
     def slots(self) -> np.ndarray:
         """The slot table as a read-only n×d int64 array, −1 for a missing
         slot.  ``validate`` and ``parse`` set it; a graph derived from a
-        validated one builds it from ``next`` on first use."""
-        table = _float_table(self.next, self.degree)[0]
-        slots = np.where(np.isnan(table), -1, table).astype(np.int64)
+        validated one builds it from ``next`` on first use, whose rows are
+        trusted to have d slots."""
+        slots = np.array(
+            [-1 if w is None else w for row in self.next for w in row], dtype=np.int64
+        ).reshape(self.n, self.degree)
         slots.flags.writeable = False
         return slots
 
@@ -554,9 +556,10 @@ def parse(text: str) -> SchreierGraph:
     become one numpy array, and masks over it find out-of-range values and
     duplicate slots.  An error names the first offending line in file
     order.  Numbers are ASCII digits.  A connected graph on n vertices has
-    at least n − 1 edges, so a ``vertices n`` header with n above the
-    number of ``e`` lines + 1 is refused before any table is allocated.
-    The table is then checked by ``validate``.
+    at least n − 1 edges, and each of its interior vertices fills all d
+    slots, so with E ``e`` lines and B ``b`` lines a ``vertices n`` header
+    with n > E + 1 or (n − B)·d > E is refused before any table is
+    allocated.  The table is then checked by ``validate``.
     """
     lines = _stripped_lines(text)
     pos = 0
@@ -606,6 +609,12 @@ def parse(text: str) -> SchreierGraph:
     if n > edges + 1:
         raise SGF1Error(
             f"vertices {n} needs at least {n - 1} e lines to be connected, found {edges}"
+        )
+    interior = n - body.count("\nb ", lo, hi)
+    if interior * d > edges:
+        raise SGF1Error(
+            f"vertices {n} with {n - interior} b lines needs (n - B)*d = {interior * d}"
+            f" e lines to fill the interior slots, found {edges}"
         )
 
     cut = irregular.start() if irregular else hi

@@ -387,9 +387,16 @@ def estimate_rho_returns(
 
     The sequence r_n = (p_{2n})^{1/2n} is nondecreasing (return counts
     are supermultiplicative), so its last value bounds ρ from below; the
-    monotonicity is re-checked here in exact integer arithmetic.  A
-    3-point Richardson extrapolation in 1/n gives the point estimate,
-    reported separately and never asserted against.
+    monotonicity c_{k+1}^k ≥ c_k^{k+1} of the even return counts c_k =
+    |P_{2k}| is re-checked on every pair.  A float filter passes a pair
+    when the gap G = k·log c_{k+1} − (k+1)·log c_k exceeds 10⁻⁹·S, with
+    S = k(1 + log c_{k+1}) + (k+1)(1 + log c_k): ``math.log`` of an int
+    is within 2⁻⁵⁰(1 + log c) of the true value, so the computed G is
+    within 2⁻⁴⁹·S of the true one and the margin is over 5·10⁵ times that
+    error.  Every other pair, equality and every violation included, is
+    decided in exact integer arithmetic.  A 3-point Richardson
+    extrapolation in 1/n gives the point estimate, reported separately
+    and never asserted against.
 
     Accepts a core (exact at every horizon) or a truncated graph with
     radius ≥ horizon/2.
@@ -402,15 +409,20 @@ def estimate_rho_returns(
         g, counts = source, return_counts(source, source.root, horizon)
     d = g.degree
     evens = [counts[2 * k] for k in range(1, horizon // 2 + 1)]
+    logs = [math.log(c) if c else -math.inf for c in evens]
     for k in range(1, len(evens)):
+        if evens[k] and evens[k - 1]:
+            gap = k * logs[k] - (k + 1) * logs[k - 1]
+            if gap > 1e-9 * (k * (1 + logs[k]) + (k + 1) * (1 + logs[k - 1])):
+                continue
         if evens[k] ** k < evens[k - 1] ** (k + 1):
             raise InequalityViolation(
                 f"return counts lost supermultiplicativity between 2n = {2 * k} "
                 f"and {2 * k + 2}"
             )
     rs = [
-        math.exp((math.log(c) - 2 * k * math.log(d)) / (2 * k))
-        for k, c in enumerate(evens, start=1)
+        math.exp((log - 2 * k * math.log(d)) / (2 * k))
+        for k, log in enumerate(logs, start=1)
     ]
     tail = [(1.0 / k, r) for k, r in enumerate(rs, start=1)][-3:]
     extrapolated = _neville_to_zero(tail)

@@ -6,17 +6,22 @@ counts divided by d^n, and all comparisons the lemma checks make are exact
 (arbitrary-precision integers and rationals, no floats).
 
 One recurrence, ``_walk_steps``, advances the counts one step at a time
-over the stored vertices and, for cores, over the depths of the regular
-trees hanging at undefined slots.  ``count_walks`` keeps every row,
-``return_counts`` only the origin's column (one row in memory at a time),
-and ``core_return_counts`` and ``tree_ring_counts`` read the same steps
-with the trees attached.
+and, for cores, over the depths of the regular trees hanging at undefined
+slots.  A step moves only the walks that can still matter: ``_layers``
+lists the vertices around the origin in order of distance, a step moves
+the walks at the vertices the walk can have reached, and a walk that must
+return by the horizon H also skips vertices it cannot come back from in
+time.  A question about radius R thus costs the R-ball, not the graph.
+``count_walks`` keeps every row, ``return_counts`` only the origin's
+column (one row in memory at a time), and ``core_return_counts`` and
+``tree_ring_counts`` read the same steps with the trees attached.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
 ⌊n/2⌋ of its origin, so ``return_counts`` needs the boundary at distance
 ⌈n/2⌉ and ``count_walks`` needs it at distance n.  The preconditions are
-enforced, never assumed.
+enforced, never assumed, by the same bounded search that lists the
+vertices.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from schreier.core import (
     InsufficientRadiusError,
     SchreierGraph,
     Word,
-    bfs_distances,
     walk_endpoint,
 )
 from schreier.local import is_vertex_transitive
@@ -53,17 +57,40 @@ __all__ = [
 ]
 
 
-def _require_distance(g: SchreierGraph, x: int, needed: int, what: str) -> None:
+def _layers(
+    g: SchreierGraph, x: int, radius: int, needed: int, what: str
+) -> tuple[list[int], list[int]]:
+    """The vertices within ``radius`` of x in order of distance, and
+    ``ends``, where ``ends[r]`` is the number of them within distance r
+    (r = 0..radius).
+
+    Raises ``InsufficientRadiusError`` if a boundary vertex lies closer to
+    x than ``needed`` (at most radius + 1).  The search meets the layers
+    in order, so the distance it reports is ``g.distance_to_boundary(x)``.
+    """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} is not a vertex of the graph (0..{g.n - 1})")
-    if not g.truncated:
-        return
-    available = g.distance_to_boundary(x)
-    if available < needed:
-        raise InsufficientRadiusError(
-            f"insufficient radius for {what}: distance from vertex {x} to the "
-            f"truncation boundary is {available}, need at least {needed}"
-        )
+    order, ends = [x], []
+    seen = bytearray(g.n)
+    seen[x] = 1
+    start = 0  # order[start:] is the layer at distance r
+    for r in range(radius + 1):
+        end = len(order)
+        layer = order[start:end]
+        if r < needed and g.boundary and not g.boundary.isdisjoint(layer):
+            raise InsufficientRadiusError(
+                f"insufficient radius for {what}: distance from vertex {x} to the "
+                f"truncation boundary is {r}, need at least {needed}"
+            )
+        if r < radius:
+            for v in layer:
+                for w in g.next[v]:
+                    if w is not None and not seen[w]:
+                        seen[w] = 1
+                        order.append(w)
+        ends.append(end)
+        start = end
+    return order, ends
 
 
 @dataclass(frozen=True)
@@ -80,35 +107,54 @@ class WalkTable:
 
 
 def _walk_steps(
-    g: SchreierGraph, x: int, horizon: int, slots: dict[int, int]
+    g: SchreierGraph,
+    layers: tuple[list[int], list[int]],
+    horizon: int,
+    slots: dict[int, int],
+    returning: bool = False,
 ) -> Iterator[tuple[list[int], dict[int, list[int]]]]:
-    """For n = 0..horizon, the number of length-n walks from x that end at
-    each stored vertex, and, for each v listed in ``slots``, at each depth
-    1..n of the ``slots[v]`` regular trees hanging at v (summed over those
-    trees; entry 0 is unused).  Inside a tree only the depth matters: one
-    step back, d−1 steps deeper.  Walks through any other missing slot are
-    dropped.
+    """For n = 0..horizon, the number of length-n walks from the origin
+    ``order[0]`` that end at each stored vertex, and, for each v listed in
+    ``slots``, at each depth 1..n of the ``slots[v]`` regular trees
+    hanging at v (summed over those trees; entry 0 is unused).  Inside a
+    tree only the depth matters: one step back, d−1 steps deeper.  Walks
+    through any other missing slot are dropped.
+
+    ``layers`` is ``_layers`` of the origin.  Step n moves only the walks
+    at the vertices within distance n − 1, the only ones holding any, so
+    ``layers`` must reach radius horizon − 1.  A ``returning`` walk must
+    be back at the origin at the horizon: step n moves only the walks
+    within min(n − 1, horizon − n + 1) and follows tree depths only to
+    min(n, horizon − n), so ``layers`` need only reach ⌊horizon/2⌋, and
+    only the counts at distance ≤ horizon − n from the origin are complete
+    (the origin's always are).  The counts are exact for any numbering of
+    the vertices.
     """
     d = g.degree
+    order, ends = layers
     counts = [0] * g.n
-    counts[x] = 1
+    counts[order[0]] = 1
     trees = {v: [0] * (horizon + 2) for v in slots}
     yield counts, trees
     for n in range(1, horizon + 1):
+        reach = min(n - 1, horizon - n + 1) if returning else n - 1
         nxt = [0] * g.n
-        for v, c in enumerate(counts):
+        for v in order[: ends[reach]]:
+            c = counts[v]
             if c:
                 for w in g.next[v]:
                     if w is not None:
                         nxt[w] += c
+        # depth 1 is kept at n = horizon, where no depth is read
+        cut = min(n, max(horizon - n, 1)) if returning else n
         deeper = {}
         for v, depth in trees.items():
             nxt[v] += depth[1]
             deeper[v] = [
                 0,
                 slots[v] * counts[v] + depth[2],
-                *((d - 1) * depth[j - 1] + depth[j + 1] for j in range(2, n + 1)),
-                *(0,) * (horizon + 1 - n),
+                *((d - 1) * depth[j - 1] + depth[j + 1] for j in range(2, cut + 1)),
+                *(0,) * (horizon + 1 - cut),
             ]
         counts, trees = nxt, deeper
         yield counts, trees
@@ -119,8 +165,8 @@ def count_walks(g: SchreierGraph, x: int, horizon: int) -> WalkTable:
     a truncated graph needs its boundary at distance ≥ horizon from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    _require_distance(g, x, horizon, "walk counts")
-    rows = tuple(tuple(counts) for counts, _ in _walk_steps(g, x, horizon, {}))
+    layers = _layers(g, x, horizon - 1, horizon, "walk counts")
+    rows = tuple(tuple(counts) for counts, _ in _walk_steps(g, layers, horizon, {}))
     return WalkTable(graph=g, origin=x, horizon=horizon, rows=rows)
 
 
@@ -129,8 +175,9 @@ def return_counts(g: SchreierGraph, x: int, horizon: int) -> tuple[int, ...]:
     a truncated graph needs its boundary at distance ≥ ⌈horizon/2⌉ from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    _require_distance(g, x, (horizon + 1) // 2, "return counts")
-    return tuple(counts[x] for counts, _ in _walk_steps(g, x, horizon, {}))
+    layers = _layers(g, x, horizon // 2, (horizon + 1) // 2, "return counts")
+    steps = _walk_steps(g, layers, horizon, {}, returning=True)
+    return tuple(counts[x] for counts, _ in steps)
 
 
 def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
@@ -139,7 +186,9 @@ def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
     × horizon depth classes, with no ball materialized."""
     g = core.graph
     slots = {v: len(core.missing(v)) for v in g.boundary}
-    return tuple(counts[g.root] for counts, _ in _walk_steps(g, g.root, horizon, slots))
+    layers = _layers(g, g.root, horizon // 2, 0, "return counts")
+    steps = _walk_steps(g, layers, horizon, slots, returning=True)
+    return tuple(counts[g.root] for counts, _ in steps)
 
 
 def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
@@ -153,9 +202,10 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
     on its ``degree`` slots hold the other rings.
     """
     tree = tree_core(degree).graph
+    layers = _layers(tree, 0, horizon - 1, 0, "ring counts")
     return [
         (counts[0], *trees[0][1 : horizon + 1])
-        for counts, trees in _walk_steps(tree, 0, horizon, {0: degree})
+        for counts, trees in _walk_steps(tree, layers, horizon, {0: degree})
     ]
 
 
@@ -192,11 +242,14 @@ class ReturningWordSet:
 def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    _require_distance(g, g.root, (n + 1) // 2, "returning words")
+    order, ends = _layers(g, g.root, n // 2, (n + 1) // 2, "returning words")
     if g.degree ** n > _MAX_ENUMERATION:
         count = return_counts(g, g.root, n)[n]
         return ReturningWordSet(graph=g, n=n, count=count, words=None)
-    dist = bfs_distances(g, g.root)
+    # a word that can still return visits only vertices within n/2 of the
+    # root; any vertex farther out is pruned by its default distance n
+    starts = [0, *ends]
+    dist = {v: r for r, end in enumerate(ends) for v in order[starts[r] : end]}
     words: list[Word] = []
     prefix: list[int] = []
 
@@ -206,7 +259,7 @@ def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
                 words.append(Word(tuple(prefix)))
             return
         for l, w in enumerate(g.next[v]):
-            if w is not None and dist[w] <= remaining - 1:
+            if w is not None and dist.get(w, n) <= remaining - 1:
                 prefix.append(l)
                 extend(w, remaining - 1)
                 prefix.pop()

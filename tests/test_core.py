@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from string import ascii_lowercase
 
 import numpy as np
@@ -302,9 +303,10 @@ class TestSGF1:
             parse("gens 2\n")
 
     def test_duplicate_edge_slot(self):
+        # a 2-cycle whose only defect is the repeated line
         text = (
             "SGF1\ngens 2\nlabel 0 a inv 1\nlabel 1 A inv 0\n"
-            "vertices 2 root 0\ne 0 0 1\ne 0 0 1\ne 1 1 0\n"
+            "vertices 2 root 0\ne 0 0 1\ne 0 0 1\ne 0 1 1\ne 1 0 0\ne 1 1 0\n"
         )
         with pytest.raises(SGF1Error, match=r"duplicate edge slot \(0,a\)"):
             parse(text)
@@ -343,6 +345,42 @@ class TestSGF1:
             "to be connected, found 2",
         ):
             parse(text)
+
+    def test_interior_slots_above_edge_lines_refused(self):
+        # 2,000 labels and 2,001 vertices would be a 2001×2000 table, and
+        # only 2,000 e lines fill slots: refused before any table exists
+        d = 2000
+        text = "".join(
+            ["SGF1\n", f"gens {d}\n"]
+            + [f"label {i} x{i} inv {i}\n" for i in range(d)]
+            + [f"vertices {d + 1} root 0\n"]
+            + [f"e 0 {l} 1\n" for l in range(d)]
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                SGF1Error,
+                match=re.escape(
+                    "vertices 2001 with 0 b lines needs (n - B)*d = 4002000 e lines "
+                    "to fill the interior slots, found 2000"
+                ),
+            ):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text) + 2**20  # the table alone is 32 MB
+
+    def test_boundary_lines_lower_the_slot_bound(self):
+        # the truncated path 0 - 1 with both ends on the boundary: no
+        # interior vertex, so one e line pair is enough
+        text = (
+            "SGF1\ngens 2\nlabel 0 a inv 1\nlabel 1 A inv 0\n"
+            "vertices 2 root 0 truncated 1\ne 0 0 1\ne 1 1 0\nb 0\nb 1\n"
+        )
+        assert parse(text).boundary == frozenset({0, 1})
+        with pytest.raises(SGF1Error, match=r"\(n - B\)\*d = 4 e lines"):
+            parse(text.replace("b 0\nb 1\n", ""))
 
     def test_alphabet_size_read_before_allocating(self):
         # no list of 10^12 labels is made before the label lines are read
@@ -429,9 +467,10 @@ def _mutated_sgf1(data, g: SchreierGraph) -> str:
 
 class TestBulkParseOracle:
     """``parse`` gives what the line-by-line parser gives: the same graph,
-    or the same exception type and message.  The one exempt class is a
-    ``vertices n`` header above the number of ``e`` lines + 1, which
-    ``parse`` refuses before reading the body."""
+    or the same exception type and message.  The exempt classes are the
+    two bounds ``parse`` checks before reading the body, which every
+    valid file meets: a ``vertices n`` header above the number E of ``e``
+    lines + 1, and (n − B)·d above E for B ``b`` lines."""
 
     @settings(max_examples=300)
     @given(small_graphs(), st.data())
@@ -439,15 +478,27 @@ class TestBulkParseOracle:
         text = _mutated_sgf1(data, g)
         got = _outcome(lambda: _fields(parse(text)))
         expected = _outcome(lambda: _fields(reference.parse(text)))
-        bound = re.fullmatch(
+        message = got[1] if got[0] is SGF1Error else ""
+        connected = re.fullmatch(
             r"vertices (\d+) needs at least \d+ e lines to be connected, found (\d+)",
-            got[1] if got[0] is SGF1Error else "",
+            message,
         )
-        if bound:
-            n, edges = int(bound.group(1)), int(bound.group(2))
-            lines = [ln.strip() for ln in text.splitlines()]
+        filled = re.fullmatch(
+            r"vertices (\d+) with (\d+) b lines needs \(n - B\)\*d = (\d+) e lines "
+            r"to fill the interior slots, found (\d+)",
+            message,
+        )
+        lines = [ln.strip() for ln in text.splitlines()]
+        if connected:
+            n, edges = int(connected.group(1)), int(connected.group(2))
             assert edges == sum(ln.startswith("e ") for ln in lines)
             assert n > edges + 1
+            assert expected[0] is SGF1Error
+        elif filled:
+            n, b, slots, edges = map(int, filled.groups())
+            assert edges == sum(ln.startswith("e ") for ln in lines)
+            assert b == sum(ln.startswith("b ") for ln in lines)
+            assert slots == (n - b) * g.degree > edges
             assert expected[0] is SGF1Error
         else:
             assert got == expected

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     PermAction,
+    SchreierGraph,
     parse_word,
 )
 from schreier import spectral
@@ -403,6 +405,48 @@ class TestEstimateRhoReturns:
             estimate_rho_returns(free_core(2), 7)
         with pytest.raises(ValueError, match="even"):
             estimate_rho_returns(free_core(2), 0)
+
+
+class TestMonotonicityRecheck:
+    """The float filter only passes pairs it can prove; every other pair
+    goes to the exact comparison c_{k+1}^k ≥ c_k^{k+1}."""
+
+    def test_gap_below_float_resolution_is_caught_exactly(self, monkeypatch):
+        p2 = 2**400 + 1
+        p4 = p2**2 - 1  # p4 < p2², by less than any float can see
+        assert 1 * math.log(p4) - 2 * math.log(p2) == 0.0
+        monkeypatch.setattr(
+            spectral, "core_return_counts", lambda core, horizon: (1, 0, p2, 0, p4)
+        )
+        with pytest.raises(InequalityViolation, match="between 2n = 2 and 4"):
+            estimate_rho_returns(free_core(2), 4)
+
+    def test_constant_sequence_passes(self):
+        # one vertex, every label a loop: every walk returns, r_n = 1 and
+        # every pair is an equality
+        loops = SchreierGraph(gens=F2, next=((0, 0, 0, 0),))
+        rep = estimate_rho_returns(loops, 60)
+        assert all(abs(r - 1.0) < 1e-12 for r in rep.return_sequence)
+
+    @given(st.integers(2, 16), st.lists(st.integers(-1, 1), min_size=2, max_size=40))
+    def test_raises_exactly_on_violations(self, m, deltas):
+        # c_k = m^k ± 1, at most 4^{2k} as on the tree core: every pair
+        # within a unit of equality, past float resolution once m^k > 2^53
+        evens = [min(m**k + delta, 16**k) for k, delta in enumerate(deltas, start=1)]
+        counts = [1]
+        for c in evens:
+            counts += [0, c]
+        violated = any(
+            evens[k] ** k < evens[k - 1] ** (k + 1) for k in range(1, len(evens))
+        )
+        with mock.patch.object(
+            spectral, "core_return_counts", lambda core, horizon: tuple(counts)
+        ):
+            if violated:
+                with pytest.raises(InequalityViolation):
+                    estimate_rho_returns(free_core(2), 2 * len(evens))
+            else:
+                estimate_rho_returns(free_core(2), 2 * len(evens))
 
 
 class TestTreeRho:

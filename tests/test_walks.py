@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference
 
 from schreier.builders import (
+    CoreGraph,
     complete_ball,
     cycle_graph,
     free_core,
@@ -20,6 +21,7 @@ from schreier.core import (
     GenSet,
     InequalityViolation,
     InsufficientRadiusError,
+    SchreierGraph,
     Word,
     bfs_distances,
     parse_word,
@@ -42,6 +44,20 @@ from schreier.walks import (
 )
 
 F2 = GenSet.free(2)
+
+
+def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
+    """g with vertex v renumbered ``numbering[v]``."""
+    table = [()] * g.n
+    for v, row in enumerate(g.next):
+        table[numbering[v]] = tuple(None if w is None else numbering[w] for w in row)
+    return SchreierGraph(
+        gens=g.gens,
+        next=tuple(table),
+        root=numbering[g.root],
+        boundary=frozenset(numbering[v] for v in g.boundary),
+        truncation_radius=g.truncation_radius,
+    )
 
 
 def brute_force_returns(g, x: int, n: int) -> int:
@@ -215,6 +231,57 @@ class TestHangingTreeRecurrence:
         else:
             with pytest.raises(InsufficientRadiusError):
                 return_counts(g, x, horizon)
+
+    @settings(max_examples=150)
+    @given(data=st.data(), horizon=st.integers(0, 9))
+    def test_shuffled_numbering_matches_the_reference(self, data, horizon):
+        """The steps follow distance order, not index order: on graphs
+        numbered at random, from an origin other than the root, at odd and
+        even horizons, tables and returns are the reference's, and a
+        refusal reports the exact distance to the boundary."""
+        if data.draw(st.booleans(), label="ball"):
+            rank = data.draw(st.integers(1, 2), label="rank")
+            core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+            g = complete_ball(core, data.draw(st.integers(1, 4), label="radius"))
+        else:
+            m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 30))
+            g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        g = shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        others = [v for v in range(g.n) if v != g.root] or [g.root]
+        x = data.draw(st.sampled_from(others), label="origin")
+        room = g.distance_to_boundary(x)
+        rows = reference.count_walks(g, x, horizon)
+        for needed, compute, expected in (
+            (horizon, lambda: count_walks(g, x, horizon).rows, rows),
+            ((horizon + 1) // 2, lambda: return_counts(g, x, horizon),
+             tuple(row[x] for row in rows)),
+        ):
+            if needed <= room:
+                assert compute() == expected
+            else:
+                refusal = f"boundary is {room}, need at least {needed}"
+                with pytest.raises(InsufficientRadiusError, match=refusal):
+                    compute()
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 11))
+    def test_shuffled_cores_match_walks_on_the_ball(self, data, rank, horizon):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        numbering = data.draw(st.permutations(range(core.n)))
+        ball = complete_ball(core, (horizon + 1) // 2)
+        rows = reference.count_walks(ball, ball.root, horizon)
+        counts = core_return_counts(CoreGraph(shuffled(core.graph, numbering)), horizon)
+        assert counts == tuple(row[ball.root] for row in rows)
+
+    @settings(max_examples=50)
+    @given(data=st.data(), n=st.integers(0, 7))
+    def test_returning_words_on_shuffled_balls(self, data, n):
+        core = stallings_core(F2, data.draw(reference.folded_words(2)))
+        ball = complete_ball(core, (n + 1) // 2)
+        g = shuffled(ball, data.draw(st.permutations(range(ball.n))))
+        ws = returning_words(g, n)
+        assert ws.count == reference.count_walks(g, g.root, n)[n][g.root]
+        assert all(walk_endpoint(g, g.root, w) == g.root for w in ws.words)
 
     @pytest.mark.parametrize("degree", [27, 60])
     def test_large_degree_trees(self, degree):
