@@ -187,22 +187,19 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
         for l, t in merged.items():
             add_slot(x, l, t)
 
+    # indexed by union-find id: a merged-away id keeps no slots, so the
+    # trimming drops it at once and the canonical search never meets it
     root = find(0)
-    reps = sorted({find(v) for v in range(n_vertices)})
-    table: dict[int, dict[int, int]] = {
-        r: {l: find(t) for l, t in out[r].items()} for r in reps
-    }
+    table = [{l: find(t) for l, t in slots.items()} for slots in out]
 
     # Trim hanging paths: a non-root vertex with a single defined slot
     # carries no loop of the subgroup and is not part of the core.
-    degree = {r: len(table[r]) for r in reps}
-    trim = deque(r for r in reps if r != root and degree[r] <= 1)
-    dead: set[int] = set()
+    # Degrees only fall and the root is never queued, so a queued vertex
+    # stays trimmable; one queued again has no slots left to drop.
+    degree = [len(slots) for slots in table]
+    trim = deque(r for r in range(n_vertices) if r != root and degree[r] <= 1)
     while trim:
         v = trim.popleft()
-        if v in dead or v == root or degree[v] > 1:
-            continue
-        dead.add(v)
         for l, t in table[v].items():
             del table[t][gens.inv[l]]
             degree[t] -= 1
@@ -210,8 +207,7 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
                 trim.append(t)
         table[v] = {}
 
-    # trimmed vertices keep no slots, so the canonical BFS never reaches them
-    slots = {r: [table[r].get(l) for l in range(gens.degree)] for r in reps}
+    slots = [[row.get(l) for l in range(gens.degree)] for row in table]
     return CoreGraph.from_table(gens, canonical_rows(slots, root)[1])
 
 

@@ -29,7 +29,6 @@ answering.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
@@ -303,7 +302,8 @@ class SchreierGraph:
         defect in (v, l) row-major order is reported, a row of the wrong
         length before its slots: an interior vertex's missing slot, a
         target that is not a vertex (a negative int included), a broken
-        inverse pair.  Connectivity is a BFS from the root.
+        inverse pair.  Connectivity is read off ``root_distances``, a
+        ``bfs_layers`` search from the root.
         """
         n, d, labels = len(self.next), self.gens.degree, self.gens.labels
         if n == 0:
@@ -340,7 +340,7 @@ class SchreierGraph:
             raise GraphInvariantError(
                 f"label-consistency violated at edge ({v},{labels[l]})"
             )
-        # connectivity: paired slots make defined-slot BFS an undirected search
+        # paired slots make the search over defined slots an undirected one
         if -1 in self.root_distances:
             v = self.root_distances.index(-1)
             raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
@@ -361,17 +361,13 @@ class SchreierGraph:
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
-        return bfs_distances(self, self.root)
-
-    @cached_property
-    def _boundary_distances(self) -> tuple[int, ...]:
-        return bfs_distances(self, *self.boundary)
-
-    def distance_to_boundary(self, v: int) -> float:
-        """Graph distance from v to the nearest boundary vertex (inf if none)."""
-        if not self.boundary:
-            return float("inf")
-        return self._boundary_distances[v]
+        """Distance from the root to every vertex, −1 if unreachable."""
+        order, ends = bfs_layers(self.next, self.root)
+        dist = [-1] * self.n
+        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
+            for v in order[begin:end]:
+                dist[v] = r
+        return tuple(dist)
 
 
 def _float_table(
@@ -388,23 +384,59 @@ def _float_table(
     return np.array(rows, dtype=float).reshape(n, d), ragged
 
 
-def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
-    """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
-    dist = [-1] * g.n
-    for s in starts:
-        dist[s] = 0
-    queue = deque(starts)
-    while queue:
-        v = queue.popleft()
-        for w in g.next[v]:
-            if w is not None and dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return tuple(dist)
+def bfs_layers(
+    table: Sequence[Sequence[int | None]], start: int, radius: int | None = None
+) -> tuple[list[int], list[int]]:
+    """The vertices within ``radius`` of ``start`` (all it reaches if None)
+    in breadth-first order, slots taken in label order, and ``ends``, where
+    ``ends[r]`` counts those within distance r, for r = 0..radius (up to the
+    last nonempty layer if None).  Radius −1 gives ``([start], [])``.
+
+    Canonical rows, root distances, orbits, the walk DPs' reach and the
+    truncation guards all read this one search, which costs the ball it
+    lists.  Three searches stay apart: ``complete_ball`` and
+    ``lps_graph``/``group_closure`` search what no table stores (a core
+    with its trees, group elements), and ``cycles.girth`` needs parents
+    and stops at the first cycle.
+    """
+    n = len(table)
+    if not 0 <= start < n:
+        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{n - 1})")
+    last = n - 1 if radius is None else radius  # no vertex lies farther than n − 1
+    order, ends = [start], []
+    seen = bytearray(n)
+    seen[start] = 1
+    begin = 0  # order[begin:] is the layer at distance r
+    for r in range(last + 1):
+        end = len(order)
+        if begin == end and radius is None:
+            break
+        ends.append(end)
+        if r < last:
+            for v in order[begin:end]:
+                for w in table[v]:
+                    if w is not None and not seen[w]:
+                        seen[w] = 1
+                        order.append(w)
+        begin = end
+    return order, ends
+
+
+def boundary_layer(g: SchreierGraph, order: list[int], ends: list[int]) -> int:
+    """v's distance to g's truncation boundary, the first layer of
+    ``(order, ends) = bfs_layers(g.next, v, R)`` to hold a boundary vertex;
+    R + 1 if none does."""
+    if g.boundary:
+        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
+            if not g.boundary.isdisjoint(order[begin:end]):
+                return r
+    return len(ends)
 
 
 def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
     """Follow ``word`` from ``start``; BOUNDARY if the walk leaves the stored graph."""
+    if not 0 <= start < g.n:
+        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{g.n - 1})")
     v = start
     for letter in word.letters:
         nxt = g.next[v][letter]
@@ -417,7 +449,7 @@ def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
 def canonical_rows(
     table: Sequence[Sequence[int | None]], root: int, radius: int | None = None
 ) -> tuple[dict[int, int], tuple[tuple[int | None, ...], ...]]:
-    """Renumber vertices in BFS order from ``root``, slots taken in label order.
+    """Renumber vertices in the ``bfs_layers`` order from ``root``.
 
     Returns the old-to-new index (its iteration order is the BFS order) and
     the renumbered rows.  With a ``radius`` the search stops at that depth
@@ -428,25 +460,15 @@ def canonical_rows(
     ordering is invariant under relabeling: two rooted graphs are
     label-preserving isomorphic exactly when their canonical rows agree.
     """
-    index = {root: 0}
-    order = [root]
-    start, depth = 0, 0  # order[start:] is the layer at ``depth``
-    while start < len(order) and depth != radius:
-        end = len(order)
-        for v in order[start:end]:
-            for w in table[v]:
-                if w is not None and w not in index:
-                    index[w] = len(order)
-                    order.append(w)
-        start, depth = end, depth + 1
-    sphere = start if depth == radius else len(order)
-    rows = [
-        tuple(None if w is None else index[w] for w in table[v]) for v in order[:sphere]
-    ]
-    for v in order[sphere:]:
-        # slots to unvisited vertices, or along the sphere, are not in the ball
-        news = map(index.get, table[v])
-        rows.append(tuple(j if j is not None and j < sphere else None for j in news))
+    order, ends = bfs_layers(table, root, radius)
+    index = dict(zip(order, range(len(order))))
+    sphere = len(order) if radius is None else (0, *ends)[radius]
+    rows = [tuple(map(index.get, table[v])) for v in order[:sphere]]
+    if sphere < len(order):
+        # a vertex at depth R keeps only its slots back to depth R − 1: slots
+        # along the sphere, or out of the ball, are not in it
+        inner = dict(zip(order[:sphere], range(sphere)))
+        rows += [tuple(map(inner.get, table[v])) for v in order[sphere:]]
     return index, tuple(rows)
 
 
@@ -748,8 +770,3 @@ class PermAction:
                 raise GraphInvariantError("involution generator is not an involution")
             perms.append(tuple(p.tolist()))
         return cls(gens, tuple(perms))
-
-
-def orbit_of(act: PermAction, base: int) -> list[int]:
-    """The orbit of ``base`` in the breadth-first order of ``canonical_rows``."""
-    return list(canonical_rows(act.table, base)[0])

@@ -23,6 +23,8 @@ from schreier.core import (
     InsufficientRadiusError,
     PermAction,
     SchreierGraph,
+    bfs_layers,
+    boundary_layer,
     canonical_rows,
 )
 from schreier.local import ball, tv_distance
@@ -165,7 +167,7 @@ class InvarianceReport:
 
 def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
     for g in e.samples:
-        if g.truncated and g.distance_to_boundary(g.root) < radius + 1:
+        if g.truncated and boundary_layer(g, *bfs_layers(g.next, g.root, radius)) <= radius:
             raise InsufficientRadiusError(
                 f"invariance at radius {radius} needs radius {radius + 1} around "
                 "every sample root"

@@ -32,9 +32,10 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
+    bfs_layers,
+    boundary_layer,
     canonical_rows,
     is_reduced,
-    orbit_of,
 )
 
 __all__ = [
@@ -78,7 +79,7 @@ def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if g.truncated:
-        available = g.distance_to_boundary(v)
+        available = boundary_layer(g, *bfs_layers(g.next, v, radius - 1))
         if available < radius:
             raise InsufficientRadiusError(
                 f"insufficient radius: vertex {v} is at distance {available} from "
@@ -300,7 +301,7 @@ def local_approx_check(
                 )
     reports = []
     for act in actions:
-        if len(orbit_of(act, 0)) != act.degree:
+        if len(bfs_layers(act.table, 0)[0]) != act.degree:
             raise ValueError(
                 "local approximation compares one coset space at a time; "
                 "restrict the action to an orbit first"

@@ -7,7 +7,7 @@ counts divided by d^n, and all comparisons the lemma checks make are exact
 
 One recurrence, ``_walk_steps``, advances the counts one step at a time
 and, for cores, over the depths of the regular trees hanging at undefined
-slots.  A step moves only the walks that can still matter: ``_layers``
+slots.  A step moves only the walks that can still matter: ``bfs_layers``
 lists the vertices around the origin in order of distance, a step moves
 the walks at the vertices the walk can have reached, and a walk that must
 return by the horizon H also skips vertices it cannot come back from in
@@ -20,8 +20,8 @@ On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
 ⌊n/2⌋ of its origin, so ``return_counts`` needs the boundary at distance
 ⌈n/2⌉ and ``count_walks`` needs it at distance n.  The preconditions are
-enforced, never assumed, by the same bounded search that lists the
-vertices.
+enforced, never assumed, by ``_layers``: the first layer of that search
+to hold a boundary vertex is the distance to the boundary.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from schreier.core import (
     InsufficientRadiusError,
     SchreierGraph,
     Word,
+    bfs_layers,
+    boundary_layer,
     walk_endpoint,
 )
 from schreier.local import is_vertex_transitive
@@ -60,36 +62,15 @@ __all__ = [
 def _layers(
     g: SchreierGraph, x: int, radius: int, needed: int, what: str
 ) -> tuple[list[int], list[int]]:
-    """The vertices within ``radius`` of x in order of distance, and
-    ``ends``, where ``ends[r]`` is the number of them within distance r
-    (r = 0..radius).
-
-    Raises ``InsufficientRadiusError`` if a boundary vertex lies closer to
-    x than ``needed`` (at most radius + 1).  The search meets the layers
-    in order, so the distance it reports is ``g.distance_to_boundary(x)``.
-    """
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} is not a vertex of the graph (0..{g.n - 1})")
-    order, ends = [x], []
-    seen = bytearray(g.n)
-    seen[x] = 1
-    start = 0  # order[start:] is the layer at distance r
-    for r in range(radius + 1):
-        end = len(order)
-        layer = order[start:end]
-        if r < needed and g.boundary and not g.boundary.isdisjoint(layer):
-            raise InsufficientRadiusError(
-                f"insufficient radius for {what}: distance from vertex {x} to the "
-                f"truncation boundary is {r}, need at least {needed}"
-            )
-        if r < radius:
-            for v in layer:
-                for w in g.next[v]:
-                    if w is not None and not seen[w]:
-                        seen[w] = 1
-                        order.append(w)
-        ends.append(end)
-        start = end
+    """``bfs_layers(g.next, x, radius)``, once no boundary vertex lies
+    closer to x than ``needed`` (at most radius + 1)."""
+    order, ends = bfs_layers(g.next, x, radius)
+    near = boundary_layer(g, order, ends)
+    if near < needed:
+        raise InsufficientRadiusError(
+            f"insufficient radius for {what}: distance from vertex {x} to the "
+            f"truncation boundary is {near}, need at least {needed}"
+        )
     return order, ends
 
 
@@ -120,7 +101,7 @@ def _walk_steps(
     tree only the depth matters: one step back, d−1 steps deeper.  Walks
     through any other missing slot are dropped.
 
-    ``layers`` is ``_layers`` of the origin.  Step n moves only the walks
+    ``layers`` is ``bfs_layers`` of the origin.  Step n moves only the walks
     at the vertices within distance n − 1, the only ones holding any, so
     ``layers`` must reach radius horizon − 1.  A ``returning`` walk must
     be back at the origin at the horizon: step n moves only the walks
@@ -186,7 +167,7 @@ def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
     × horizon depth classes, with no ball materialized."""
     g = core.graph
     slots = {v: len(core.missing(v)) for v in g.boundary}
-    layers = _layers(g, g.root, horizon // 2, 0, "return counts")
+    layers = bfs_layers(g.next, g.root, horizon // 2)
     steps = _walk_steps(g, layers, horizon, slots, returning=True)
     return tuple(counts[g.root] for counts, _ in steps)
 
@@ -202,7 +183,7 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
     on its ``degree`` slots hold the other rings.
     """
     tree = tree_core(degree).graph
-    layers = _layers(tree, 0, horizon - 1, 0, "ring counts")
+    layers = bfs_layers(tree.next, 0, horizon - 1)
     return [
         (counts[0], *trees[0][1 : horizon + 1])
         for counts, trees in _walk_steps(tree, layers, horizon, {0: degree})

@@ -1,6 +1,10 @@
 """Test-only references: the two-pass constructions that the one-pass
 builders replaced, and hypothesis strategies to compare them on.
 
+- ``bfs_distances`` and ``distance_to_boundary`` run one multi-source
+  search over the whole graph, the oracle of ``core.bfs_layers`` and of
+  the truncation guards built on it;
+- ``shuffled`` renumbers a graph by a given permutation of its vertices;
 - ``orbit``, ``from_perm_action``, ``restrict_to_orbit`` and
   ``rooted_orbits`` index an orbit by their own BFS over the permutations;
 - ``complete_ball`` builds the ball (core vertices by root distance, then
@@ -39,12 +43,47 @@ from schreier.core import (
     SchreierGraph,
     SGF1Error,
     Word,
-    bfs_distances,
     canonical_rows,
 )
 from schreier.irs import IrsEnsemble, Provenance
 from schreier.local import RootedBall, ball
 from schreier.spectral import bipartition, markov_spectrum
+
+
+def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
+    """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
+    dist = [-1] * g.n
+    for s in starts:
+        dist[s] = 0
+    queue = deque(starts)
+    while queue:
+        v = queue.popleft()
+        for w in g.next[v]:
+            if w is not None and dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return tuple(dist)
+
+
+def distance_to_boundary(g: SchreierGraph, v: int) -> float:
+    """Graph distance from v to the nearest boundary vertex (inf if none)."""
+    if not g.boundary:
+        return float("inf")
+    return bfs_distances(g, *g.boundary)[v]
+
+
+def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
+    """g with vertex v renumbered ``numbering[v]``."""
+    table = [()] * g.n
+    for v, row in enumerate(g.next):
+        table[numbering[v]] = tuple(None if w is None else numbering[w] for w in row)
+    return SchreierGraph(
+        gens=g.gens,
+        next=tuple(table),
+        root=numbering[g.root],
+        boundary=frozenset(numbering[v] for v in g.boundary),
+        truncation_radius=g.truncation_radius,
+    )
 
 
 def orbit(act: PermAction, base: int) -> list[int]:
@@ -94,7 +133,7 @@ def complete_ball(
 ) -> SchreierGraph:
     g = core.graph
     d, inv = g.degree, g.gens.inv
-    dist = g.root_distances
+    dist = bfs_distances(g, g.root)
     kept = [v for v in range(g.n) if dist[v] <= radius]
     index = {v: i for i, v in enumerate(kept)}
     table: list[list[int | None]] = []

@@ -37,9 +37,9 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
-    bfs_distances,
+    bfs_layers,
+    boundary_layer,
     canonicalize,
-    orbit_of,
     parse_word,
     reduce_word,
     walk_endpoint,
@@ -208,7 +208,9 @@ class TestCompleteBall:
 
     def test_distance_to_boundary_equals_radius(self):
         g = complete_ball(free_core(2), 4)
-        assert g.distance_to_boundary(g.root) == 4
+        assert boundary_layer(g, *bfs_layers(g.next, g.root, 4)) == 4
+        assert g.root_distances == reference.bfs_distances(g, g.root)
+        assert {g.root_distances[v] for v in g.boundary} == {4}
 
 
 class TestOnePassBuilders:
@@ -258,7 +260,7 @@ class TestOnePassBuilders:
         g = from_perm_action(act, base)
         assert g.next == reference.from_perm_action(act, base).next
         assert restrict_to_orbit(act, base) == reference.restrict_to_orbit(act, base)
-        assert orbit_of(act, base) == reference.orbit(act, base)
+        assert bfs_layers(act.table, base)[0] == reference.orbit(act, base)
         assert act.table == tuple(tuple(p[x] for p in act.perms) for x in range(act.degree))
 
 
@@ -279,7 +281,7 @@ class TestTreeCore:
 
 
 def _restrict(g: SchreierGraph, radius: int) -> SchreierGraph:
-    dist = bfs_distances(g, g.root)
+    dist = reference.bfs_distances(g, g.root)
     kept = [v for v in range(g.n) if dist[v] <= radius]
     index = {v: i for i, v in enumerate(kept)}
     table = tuple(

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import reference
 
-from schreier.builders import complete_ball, random_perm_model, tree_core
+from schreier.builders import (
+    complete_ball,
+    cycle_graph,
+    random_perm_model,
+    stallings_core,
+    tree_core,
+)
 from schreier.core import (
     BOUNDARY,
     GenSet,
@@ -18,12 +24,12 @@ from schreier.core import (
     SchreierGraph,
     SGF1Error,
     Word,
-    bfs_distances,
+    bfs_layers,
+    boundary_layer,
     canonicalize,
     canonical_rows,
     format_word,
     is_reduced,
-    orbit_of,
     parse,
     parse_word,
     reduce_word,
@@ -53,7 +59,7 @@ def random_action(rng_draw, n: int, pairs: int, invs: int) -> PermAction:
 
 
 def orbit_graph(act: PermAction, base: int = 0) -> SchreierGraph:
-    order = orbit_of(act, base)
+    order = reference.orbit(act, base)
     index = {x: i for i, x in enumerate(order)}
     table = tuple(
         tuple(index[p[x]] for p in act.perms) for x in order
@@ -130,7 +136,8 @@ class TestSchreierGraph:
     def test_cycle_distances(self):
         g = cycle(6)
         assert g.n == 6
-        assert bfs_distances(g, 0) == (0, 1, 2, 3, 2, 1)
+        assert g.root_distances == (0, 1, 2, 3, 2, 1)
+        assert bfs_layers(g.next, 0) == ([0, 1, 5, 2, 4, 3], [1, 3, 5, 6])
 
     def test_missing_interior_slot_rejected(self):
         gens = GenSet.free(1)
@@ -160,13 +167,24 @@ class TestSchreierGraph:
             boundary=frozenset({0, 2}), truncation_radius=1,
         )
         assert g.truncated
-        assert g.distance_to_boundary(1) == 1
+        assert boundary_layer(g, *bfs_layers(g.next, 1, 1)) == 1
+        assert boundary_layer(g, *bfs_layers(g.next, 1, 0)) == 1
         assert walk_endpoint(g, 1, parse_word(gens, "a^2")) is BOUNDARY
 
     def test_walk_endpoint(self):
         g = cycle(5)
         assert walk_endpoint(g, 0, parse_word(g.gens, "a^7")) == 2
         assert walk_endpoint(g, 0, parse_word(g.gens, "a^-1")) == 4
+
+    def test_walk_endpoint_refuses_a_negative_start(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match=r"vertex -1 is not a vertex"):
+            walk_endpoint(g, -1, parse_word(g.gens, "t"))
+
+    def test_walk_endpoint_refuses_a_start_past_the_last_vertex(self):
+        g = cycle_graph(5)
+        with pytest.raises(ValueError, match=r"vertex 7 is not a vertex"):
+            walk_endpoint(g, 7, Word(()))
 
 
     def test_negative_target_is_not_a_missing_slot(self):
@@ -253,6 +271,64 @@ class TestArrayValidateOracle:
             assert got[1].startswith("label-consistency violated at edge")
         else:
             assert got == expected
+
+
+class TestBfsLayers:
+    """``bfs_layers`` against the multi-source search of ``reference``."""
+
+    @settings(max_examples=300)
+    @given(data=st.data(), radius=st.none() | st.integers(0, 4))
+    def test_layers_are_the_reference_distances(self, data, radius):
+        """On shuffled permutation models, completed balls and cores: the
+        order is breadth-first with slots in label order (the order
+        ``canonical_rows`` numbers), layer r holds exactly the vertices at
+        distance r, and a radius gives radius + 1 layers."""
+        kind = data.draw(st.sampled_from(["model", "ball", "core"]), label="kind")
+        if kind == "model":
+            m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 30))
+            g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        else:
+            rank = data.draw(st.integers(1, 2), label="rank")
+            core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+            g = core.graph
+            if kind == "ball":
+                g = complete_ball(core, data.draw(st.integers(0, 4), label="ball radius"))
+        g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        x = data.draw(st.integers(0, g.n - 1), label="start")
+        order, ends = bfs_layers(g.next, x, radius)
+        dist = reference.bfs_distances(g, x)
+        if radius is None:
+            assert len(ends) == max(dist) + 1
+        else:
+            assert len(ends) == radius + 1
+        assert len(order) == ends[-1]
+        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
+            assert sorted(order[begin:end]) == [v for v in range(g.n) if dist[v] == r]
+        # breadth-first in label order: each vertex after the start is met
+        # from the earliest listed vertex that has a slot to it, at that
+        # vertex's first such slot, so the order sorts by (position, label)
+        position = {v: i for i, v in enumerate(order)}
+        met = {}
+        for v in order:
+            for l, w in enumerate(g.next[v]):
+                if w is not None and w != x:
+                    met.setdefault(w, (position[v], l))
+        keys = [met[w] for w in order[1:]]
+        assert keys == sorted(keys)
+        assert list(canonical_rows(g.next, x, radius)[0]) == order
+
+    @given(m=st.integers(1, 2), n=st.integers(1, 20), seed=st.integers(0, 99))
+    def test_radius_minus_one_is_the_start_alone(self, m, n, seed):
+        # count_walks(g, x, 0) asks for it; it lists x and no layer
+        g = random_perm_model(m, n, seed)
+        for x in range(g.n):
+            assert bfs_layers(g.next, x, -1) == ([x], [])
+
+    @pytest.mark.parametrize("start", [-1, 6])
+    def test_start_outside_the_graph_refused(self, start):
+        g = cycle_graph(6)
+        with pytest.raises(ValueError, match=rf"vertex {start} is not a vertex"):
+            bfs_layers(g.next, start)
 
 
 class TestCanonicalize:
@@ -586,4 +662,4 @@ class TestPermAction:
     def test_orbit_of_transitive_action(self):
         # breadth-first in label order: a sends 0 to 1, A sends 0 to 3
         act = PermAction.from_generator_perms([(1, 2, 3, 0)])
-        assert orbit_of(act, 0) == [0, 1, 3, 2]
+        assert bfs_layers(act.table, 0)[0] == [0, 1, 3, 2]

@@ -1,6 +1,7 @@
 """Ensembles of rooted Schreier graphs and their invariance diagnostics."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from schreier.core import (
     InsufficientRadiusError,
     PermAction,
     canonicalize,
-    orbit_of,
     parse_word,
     serialize,
 )
@@ -215,7 +215,7 @@ class TestSharedOrbitTables:
         _assert_matches_per_root_copies(e, act, points, radius)
         orbit = {}
         for x in points:
-            orbit.setdefault(x, frozenset(orbit_of(act, x)))
+            orbit.setdefault(x, frozenset(reference.orbit(act, x)))
         for g, x in zip(e.samples, points):
             for h, y in zip(e.samples, points):
                 assert (g.next is h.next) == (orbit[x] == orbit[y])
@@ -274,6 +274,32 @@ class TestInvarianceDiagnostic:
         assert invariance_diagnostic(pm, 3).max_tv == 0
         with pytest.raises(InsufficientRadiusError, match="radius 5"):
             invariance_diagnostic(pm, 4)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), truncation=st.integers(0, 4), radius=st.integers(0, 3))
+    def test_truncated_samples_refused_exactly_below_one_spare_level(
+        self, data, truncation, radius
+    ):
+        """A hand-built ensemble of truncated balls rooted anywhere in them:
+        the diagnostic refuses exactly when some root lies closer than R + 1
+        to its boundary."""
+        gens = GenSet.free(2)
+        h = complete_ball(stallings_core(gens, data.draw(reference.folded_words(2))), truncation)
+        roots = data.draw(st.lists(st.integers(0, h.n - 1), min_size=1, max_size=4))
+        samples = tuple(replace(h, root=v) for v in roots)
+        e = IrsEnsemble(
+            gens=gens,
+            samples=samples,
+            weights=(Fraction(1, len(samples)),) * len(samples),
+            kind="sampled",
+            provenance=Provenance("truncated balls", None),
+        )
+        room = min(reference.distance_to_boundary(g, g.root) for g in samples)
+        if room < radius + 1:
+            with pytest.raises(InsufficientRadiusError, match=f"needs radius {radius + 1} "):
+                invariance_diagnostic(e, radius)
+        else:
+            assert invariance_diagnostic(e, radius).radius == radius
 
     def test_sampled_kind_reports_a_confidence_radius(self):
         e = stabilizer_sample(cyclic_action(6), 40, seed=2)

@@ -39,7 +39,6 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
-    bfs_distances,
     canonicalize,
     parse_word,
     reduce_word,
@@ -58,6 +57,7 @@ from schreier.local import (
     local_approx_check,
     tv_distance,
 )
+import reference
 from reference import tree_ball_class
 
 F2 = GenSet.free(2)
@@ -65,6 +65,14 @@ F1 = GenSet.free(1)
 
 
 class TestBall:
+    def test_negative_vertex_refused(self):
+        with pytest.raises(ValueError, match=r"vertex -1 is not a vertex"):
+            ball(cycle_graph(6), -1, 2)
+
+    def test_vertex_past_the_last_refused(self):
+        with pytest.raises(ValueError, match=r"vertex 6 is not a vertex"):
+            ball(cycle_graph(6), 6, 1)
+
     def test_cycle_radius_one_is_path(self):
         b = ball(cycle_graph(6), 0, 1)
         assert b.graph.n == 3
@@ -123,14 +131,14 @@ def _reference_ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if g.truncated:
-        dist = bfs_distances(g, v)
+        dist = reference.bfs_distances(g, v)
         available = min(dist[b] for b in g.boundary)
         if available < radius:
             raise InsufficientRadiusError(
                 f"insufficient radius: vertex {v} is at distance {available} from "
                 f"the truncation boundary, need at least {radius}"
             )
-    dist = bfs_distances(g, v)
+    dist = reference.bfs_distances(g, v)
     kept = [u for u in range(g.n) if 0 <= dist[u] <= radius]
     index = {u: i for i, u in enumerate(kept)}
     table = []
@@ -229,6 +237,9 @@ class TestBallAgainstReference:
     def test_distance_to_boundary_is_nearest_boundary_vertex(
         self, words, truncation, radius
     ):
+        """On the truncations and on balls cut from them, ``ball`` refuses
+        exactly when the nearest boundary vertex is closer than R, and the
+        refusal names that vertex's distance."""
         g = _truncated_fold(words, truncation)
         truncated = [g] + [
             b.graph for b in (ball(g, g.root, r) for r in range(truncation + 1))
@@ -237,8 +248,13 @@ class TestBallAgainstReference:
             if not h.truncated:
                 continue
             for v in range(h.n):
-                dist = bfs_distances(h, v)
-                assert h.distance_to_boundary(v) == min(dist[b] for b in h.boundary)
+                available = reference.distance_to_boundary(h, v)
+                if available < radius:
+                    refusal = f"vertex {v} is at distance {available} from the truncation"
+                    with pytest.raises(InsufficientRadiusError, match=refusal):
+                        ball(h, v, radius)
+                else:
+                    ball(h, v, radius)
 
 
 def _sgf1_digest(b: RootedBall) -> str:

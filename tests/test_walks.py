@@ -21,9 +21,7 @@ from schreier.core import (
     GenSet,
     InequalityViolation,
     InsufficientRadiusError,
-    SchreierGraph,
     Word,
-    bfs_distances,
     parse_word,
     walk_endpoint,
 )
@@ -44,20 +42,6 @@ from schreier.walks import (
 )
 
 F2 = GenSet.free(2)
-
-
-def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
-    """g with vertex v renumbered ``numbering[v]``."""
-    table = [()] * g.n
-    for v, row in enumerate(g.next):
-        table[numbering[v]] = tuple(None if w is None else numbering[w] for w in row)
-    return SchreierGraph(
-        gens=g.gens,
-        next=tuple(table),
-        root=numbering[g.root],
-        boundary=frozenset(numbering[v] for v in g.boundary),
-        truncation_radius=g.truncation_radius,
-    )
 
 
 def brute_force_returns(g, x: int, n: int) -> int:
@@ -167,7 +151,7 @@ class TestCoreReturnCounts:
 class TestTreeRings:
     def test_matches_explicit_ball(self):
         g = tree_ball(4, 3)
-        dist = bfs_distances(g, g.root)
+        dist = reference.bfs_distances(g, g.root)
         rows = reference.count_walks(g, g.root, 3)
         rings = tree_ring_counts(4, 3)
         for n in range(4):
@@ -219,7 +203,7 @@ class TestHangingTreeRecurrence:
             m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 7))
             g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
         x = data.draw(st.integers(0, g.n - 1), label="origin")
-        room = g.distance_to_boundary(x)
+        room = reference.distance_to_boundary(g, x)
         rows = reference.count_walks(g, x, horizon)
         if horizon <= room:
             assert count_walks(g, x, horizon).rows == rows
@@ -246,10 +230,10 @@ class TestHangingTreeRecurrence:
         else:
             m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 30))
             g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
-        g = shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
         others = [v for v in range(g.n) if v != g.root] or [g.root]
         x = data.draw(st.sampled_from(others), label="origin")
-        room = g.distance_to_boundary(x)
+        room = reference.distance_to_boundary(g, x)
         rows = reference.count_walks(g, x, horizon)
         for needed, compute, expected in (
             (horizon, lambda: count_walks(g, x, horizon).rows, rows),
@@ -270,7 +254,7 @@ class TestHangingTreeRecurrence:
         numbering = data.draw(st.permutations(range(core.n)))
         ball = complete_ball(core, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
-        counts = core_return_counts(CoreGraph(shuffled(core.graph, numbering)), horizon)
+        counts = core_return_counts(CoreGraph(reference.shuffled(core.graph, numbering)), horizon)
         assert counts == tuple(row[ball.root] for row in rows)
 
     @settings(max_examples=50)
@@ -278,7 +262,7 @@ class TestHangingTreeRecurrence:
     def test_returning_words_on_shuffled_balls(self, data, n):
         core = stallings_core(F2, data.draw(reference.folded_words(2)))
         ball = complete_ball(core, (n + 1) // 2)
-        g = shuffled(ball, data.draw(st.permutations(range(ball.n))))
+        g = reference.shuffled(ball, data.draw(st.permutations(range(ball.n))))
         ws = returning_words(g, n)
         assert ws.count == reference.count_walks(g, g.root, n)[n][g.root]
         assert all(walk_endpoint(g, g.root, w) == g.root for w in ws.words)
