@@ -615,6 +615,8 @@ def _parse_kv(text: str, keys: Sequence[str], kind: str) -> dict[str, int]:
         k, sep, v = part.partition("=")
         if not sep or k not in keys:
             raise ValueError(f"bad {kind} spec entry {part!r} (expected {'/'.join(keys)})")
+        if k in values:
+            raise ValueError(f"repeated {kind} spec entry {part!r} ({k} is already set)")
         values[k] = int(v)
     missing = [k for k in keys if k not in values]
     if missing:
@@ -675,6 +677,8 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
         if not words:
             raise ValueError("fold spec needs at least one word")
         used = {c.lower() for w in words for c in w if c.isalpha()}
+        if not used:
+            raise ValueError(f"no fold spec word names a generator: {', '.join(words)}")
         implied = max(ascii_lowercase.index(c) for c in used) + 1
         gens = GenSet.free(max(rank, implied))
         result = stallings_core(gens, [parse_word(gens, w) for w in words])

@@ -205,7 +205,7 @@ def _build_parser() -> _Parser:
     source = c["different"].add_mutually_exclusive_group(required=True)
     source.add_argument("--graph")
     source.add_argument("--tree-degree", type=int, help="the regular tree of this "
-                        "degree, via ring counts instead of a stored graph")
+                        "degree, from its one-vertex core instead of a stored graph")
     c["different"].add_argument("--n", type=int, required=True,
                                 help="check every even length up to n")
     q = c["returningvsrw"]

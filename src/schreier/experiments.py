@@ -52,6 +52,25 @@ def _frac(f: Fraction) -> dict[str, int]:
     return {"num": f.numerator, "den": f.denominator}
 
 
+def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, float, float]:
+    """Return-count estimates at one horizon on the core of the subgroup the
+    words generate in the rank-``rank`` free group and on its Cayley graph:
+    the ``schreier_*``, ``cayley_*`` and ``gap`` report fields, then the
+    two unrounded estimates."""
+    gens = GenSet.free(rank)
+    folded = stallings_core(gens, [parse_word(gens, w) for w in words])
+    schreier = estimate_rho_returns(folded, horizon)
+    cayley = estimate_rho_returns(free_core(rank), horizon)
+    fields = {
+        "schreier_estimate": _sig(schreier.rho0),
+        "schreier_extrapolated": _sig(schreier.extrapolated),
+        "cayley_estimate": _sig(cayley.rho0),
+        "cayley_extrapolated": _sig(cayley.extrapolated),
+        "gap": _sig(abs(schreier.rho0 - cayley.rho0)),
+    }
+    return fields, schreier.rho0, cayley.rho0
+
+
 def kesten_amenable(horizon: int = 200) -> dict:
     """Spectral-radius estimates for the coset graph of the cyclic subgroup
     generated by one free letter of the rank-2 free group, against the
@@ -61,21 +80,13 @@ def kesten_amenable(horizon: int = 200) -> dict:
     radii agree in the limit; at any finite horizon both estimates are
     certified lower bounds and the report carries their gap.
     """
-    gens = GenSet.free(2)
-    folded = stallings_core(gens, [parse_word(gens, "a")])
-    schreier = estimate_rho_returns(folded, horizon)
-    cayley = estimate_rho_returns(free_core(2), horizon)
-    gap = abs(schreier.rho0 - cayley.rho0)
+    fields, schreier, cayley = _matched_horizon(2, ["a"], horizon)
     return {
         "experiment": "kesten-amenable",
         "config": {"horizon": horizon, "subgroup": "one free letter of rank 2"},
-        "schreier_estimate": _sig(schreier.rho0),
-        "schreier_extrapolated": _sig(schreier.extrapolated),
-        "cayley_estimate": _sig(cayley.rho0),
-        "cayley_extrapolated": _sig(cayley.extrapolated),
-        "gap": _sig(gap),
+        **fields,
         "limit_value": _sig(tree_rho(4)),
-        "both_below_limit": schreier.rho0 < tree_rho(4) and cayley.rho0 < tree_rho(4),
+        "both_below_limit": schreier < tree_rho(4) and cayley < tree_rho(4),
     }
 
 
@@ -115,23 +126,15 @@ def nonamenable_subgroup_counterexample(
     """
     if rank < 3:
         raise ValueError("the subgroup uses the first two of at least three letters")
-    gens = GenSet.free(rank)
-    folded = stallings_core(gens, [parse_word(gens, "a"), parse_word(gens, "b")])
-    schreier = estimate_rho_returns(folded, horizon)
-    cayley = estimate_rho_returns(free_core(rank), horizon)
-    gap = abs(schreier.rho0 - cayley.rho0)
+    fields, schreier, cayley = _matched_horizon(rank, ["a", "b"], horizon)
     limit = tree_rho(2 * rank)
     return {
         "experiment": "nonamenable-subgroup-counterexample",
         "config": {"horizon": horizon, "tolerance": tolerance, "rank": rank},
-        "schreier_estimate": _sig(schreier.rho0),
-        "schreier_extrapolated": _sig(schreier.extrapolated),
-        "cayley_estimate": _sig(cayley.rho0),
-        "cayley_extrapolated": _sig(cayley.extrapolated),
-        "gap": _sig(gap),
+        **fields,
         "limit_value": _sig(limit),
-        "estimates_within_tolerance": gap <= tolerance,
-        "bound_state_detected": schreier.rho0 > limit + 1e-12,
+        "estimates_within_tolerance": abs(schreier - cayley) <= tolerance,
+        "bound_state_detected": schreier > limit + 1e-12,
     }
 
 

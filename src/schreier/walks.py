@@ -14,7 +14,8 @@ return by the horizon H also skips vertices it cannot come back from in
 time.  A question about radius R thus costs the R-ball, not the graph.
 ``count_walks`` keeps every row, ``return_counts`` only the origin's
 column (one row in memory at a time), and ``core_return_counts`` and
-``tree_ring_counts`` read the same steps with the trees attached.
+``return_domination_report`` on a core read the same steps with the
+trees attached.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
@@ -48,7 +49,6 @@ __all__ = [
     "count_walks",
     "return_counts",
     "core_return_counts",
-    "tree_ring_counts",
     "returning_words",
     "segment_distribution",
     "prefix_probability",
@@ -170,28 +170,6 @@ def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
     layers = bfs_layers(g.next, g.root, horizon // 2)
     steps = _walk_steps(g, layers, horizon, slots, returning=True)
     return tuple(counts[g.root] for counts, _ in steps)
-
-
-def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
-    """Walk counts on the regular tree, aggregated per distance ring.
-
-    Entry [n][j] is the total number of length-n walks from the root
-    ending anywhere at distance j.  Ring j has d(d−1)^{j−1} vertices and
-    all of them are equivalent under the root's stabilizer, so per-vertex
-    counts are the ring totals divided (exactly) by the ring size.  The
-    tree is ``tree_core(degree)``: its one vertex is ring 0 and the trees
-    on its ``degree`` slots hold the other rings.
-    """
-    tree = tree_core(degree).graph
-    layers = bfs_layers(tree.next, 0, horizon - 1)
-    return [
-        (counts[0], *trees[0][1 : horizon + 1])
-        for counts, trees in _walk_steps(tree, layers, horizon, {0: degree})
-    ]
-
-
-def tree_ring_size(degree: int, j: int) -> int:
-    return 1 if j == 0 else degree * (degree - 1) ** (j - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +355,47 @@ class DominationReport:
 
 
 def return_domination_report(
-    g: SchreierGraph, n: int, x: int | None = None,
-    vertex_transitive: bool | None = None,
+    source: SchreierGraph | CoreGraph, n: int, vertex_transitive: bool | None = None
 ) -> DominationReport:
+    """The root's counts at n and n − 2 and the largest count at any other
+    vertex, read as the steps stream from the root.  A graph needs its
+    boundary at distance ≥ n.  A core also counts the trees hanging at each
+    v: their depth-j total at step n is shared equally by their
+    m_v·(d−1)^{j−1} vertices, m_v the missing slots at v."""
     if n < 2 or n % 2:
         raise ValueError("the domination inequalities concern even n >= 2")
-    if x is None:
-        x = g.root
+    core = isinstance(source, CoreGraph)
+    g = source.graph if core else source
     _require_transitive(
         g, vertex_transitive, "the domination inequalities require vertex-transitivity"
     )
-    table = count_walks(g, x, n)
+    if core:
+        slots = {v: len(source.missing(v)) for v in g.boundary}
+        layers = bfs_layers(g.next, g.root, n)
+    else:
+        slots = {}
+        layers = _layers(g, g.root, n, n, "walk counts")
+    for step, (counts, trees) in enumerate(_walk_steps(g, layers, n, slots)):
+        if step == n - 2:
+            previous = counts[g.root]
+    # every vertex holding a walk at step n lies within distance n
+    others = [counts[v] for v in layers[0][1:]]
+    d = g.degree
+    for v, m in slots.items():
+        for j in range(1, n + 1):
+            size = m * (d - 1) ** (j - 1)
+            if trees[v][j] % size:
+                raise AssertionError("depth total not divisible by the depth's size")
+            others.append(trees[v][j] // size)
     return DominationReport(
-        degree=g.degree,
+        degree=d,
         n=n,
-        return_count=table.count(x, n),
-        max_other_count=max(
-            (table.count(v, n) for v in range(g.n) if v != x), default=0
-        ),
-        previous_return_count=table.count(x, n - 2),
+        return_count=counts[g.root],
+        max_other_count=max(others, default=0),
+        previous_return_count=previous,
     )
 
 
 def tree_return_domination_report(degree: int, n: int) -> DominationReport:
-    """Domination certificate on the regular tree via exact ring counts
-    (per-vertex counts are ring totals over ring sizes, checked to divide)."""
-    if n < 2 or n % 2:
-        raise ValueError("the domination inequalities concern even n >= 2")
-    table = tree_ring_counts(degree, n)
-    per_vertex = []
-    for j in range(1, n + 1):
-        total = table[n][j]
-        size = tree_ring_size(degree, j)
-        if total % size:
-            raise AssertionError("ring total not divisible by ring size")
-        per_vertex.append(total // size)
-    return DominationReport(
-        degree=degree,
-        n=n,
-        return_count=table[n][0],
-        max_other_count=max(per_vertex, default=0),
-        previous_return_count=table[n - 2][0],
-    )
+    """Domination certificate on the regular tree, from its one-vertex core."""
+    return return_domination_report(tree_core(degree), n, vertex_transitive=True)

@@ -78,6 +78,26 @@ class TestBuild:
         assert run(["build", "bogus:1"]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, entry",
+        [
+            ("tree:d=4,r=2,r=3", "'r=3'"),
+            ("randperm:m=2,n=10,seed=1,seed=2", "'seed=2'"),
+            ("lps:p=5,q=13,q=17", "'q=17'"),
+            ("free:rank=2,rank=3", "'rank=3'"),
+        ],
+        ids=["tree", "randperm", "lps", "free"],
+    )
+    def test_repeated_spec_key_exits_1(self, capsys, spec, entry):
+        assert run(["build", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeated") and entry in err
+
+    def test_fold_words_without_a_letter_exit_1(self, capsys):
+        assert run(["build", "fold:1,2^3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no fold spec word names a generator: 1, 2^3\n"
+
 
 class TestJsonEnvelope:
     def test_schema_command_config_result(self, capsys):

@@ -9,6 +9,9 @@ hold at toy sizes.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +72,25 @@ def test_alon_boppana_toy_sweep():
     assert summary["size"] == 100
     assert 0 < summary["rho0_median"] < 1
     assert len(summary["density_medians"]) == 4
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_run_experiments_script_quick(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--quick", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"{name}.json" for name in sorted(EXPERIMENTS)
+    ]
+    for name in EXPERIMENTS:
+        text = (tmp_path / f"{name}.json").read_text()
+        report = json.loads(text, parse_constant=_refuse_constant)
+        assert report["experiment"] == name
+        assert report["elapsed_seconds"] >= 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -13,9 +14,11 @@ from schreier.builders import (
     complete_ball,
     cycle_graph,
     free_core,
+    from_spec,
     random_perm_model,
     stallings_core,
     tree_ball,
+    tree_core,
 )
 from schreier.core import (
     GenSet,
@@ -37,11 +40,13 @@ from schreier.walks import (
     returning_words,
     segment_distribution,
     tree_return_domination_report,
-    tree_ring_counts,
-    tree_ring_size,
 )
 
 F2 = GenSet.free(2)
+
+
+_tree_ball = functools.cache(tree_ball)
+_transitive_graph = functools.cache(from_spec)
 
 
 def brute_force_returns(g, x: int, n: int) -> int:
@@ -148,38 +153,30 @@ class TestCoreReturnCounts:
         assert all(counts[n] == rows[n][core.root] for n in range(7))
 
 
-class TestTreeRings:
-    def test_matches_explicit_ball(self):
-        g = tree_ball(4, 3)
-        dist = reference.bfs_distances(g, g.root)
-        rows = reference.count_walks(g, g.root, 3)
-        rings = tree_ring_counts(4, 3)
-        for n in range(4):
-            for j in range(4):
-                total = sum(rows[n][v] for v in range(g.n) if dist[v] == j)
-                assert total == rings[n][j]
-
-    def test_ring_sizes(self):
-        assert [tree_ring_size(4, j) for j in range(4)] == [1, 4, 12, 36]
-
-    def test_per_vertex_symmetry(self):
-        # all vertices of a ring carry equal counts, so division is exact
-        rings = tree_ring_counts(4, 10)
-        for n in range(11):
-            for j in range(1, 11):
-                assert rings[n][j] % tree_ring_size(4, j) == 0
-
-
 class TestHangingTreeRecurrence:
     """``count_walks``, ``return_counts``, ``core_return_counts`` and
-    ``tree_ring_counts`` share one recurrence; each is checked against an
-    independent count."""
+    ``return_domination_report`` share one recurrence; each is checked
+    against an independent count."""
 
-    @given(degree=st.integers(2, 7), horizon=st.integers(0, 30))
-    def test_rings_match_the_ring_recursion(self, degree, horizon):
-        assert tree_ring_counts(degree, horizon) == reference.tree_ring_counts(
-            degree, horizon
+    @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
+    def test_rings_match_the_ring_recursion(self, degree, n):
+        """On the tree's core, the report is the ring recursion's: ring j
+        holds d(d−1)^{j−1} vertices with equal counts.  Where the radius-n
+        ball is small, the report on it agrees."""
+        rings = reference.tree_ring_counts(degree, n)
+        expected = DominationReport(
+            degree=degree,
+            n=n,
+            return_count=rings[n][0],
+            max_other_count=max(
+                rings[n][j] // (degree * (degree - 1) ** (j - 1)) for j in range(1, n + 1)
+            ),
+            previous_return_count=rings[n - 2][0],
         )
+        assert return_domination_report(tree_core(degree), n, vertex_transitive=True) == expected
+        if degree * (degree - 1) ** (n - 1) <= 3000:
+            ball = _tree_ball(degree, n)
+            assert return_domination_report(ball, n, vertex_transitive=True) == expected
 
     @settings(max_examples=100)
     @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 10))
@@ -269,8 +266,10 @@ class TestHangingTreeRecurrence:
 
     @pytest.mark.parametrize("degree", [27, 60])
     def test_large_degree_trees(self, degree):
-        # two steps return along each of the d edges at the root
-        assert tree_ring_counts(degree, 2)[2] == (degree, 0, degree * (degree - 1))
+        # two steps return along each of the d edges at the root, and reach
+        # each of the d(d−1) vertices at distance 2 one way
+        report = return_domination_report(tree_core(degree), 2, vertex_transitive=True)
+        assert report == DominationReport(degree, 2, degree, 1, 1)
 
 
 class TestReturningWords:
@@ -432,3 +431,50 @@ class TestDomination:
     def test_cycles_all_sizes(self, n_vertices, horizon):
         report = return_domination_report(cycle_graph(n_vertices), horizon)
         assert report.return_count >= 1
+
+    @settings(max_examples=100)
+    @given(
+        data=st.data(),
+        spec=st.sampled_from(
+            [*(f"cycle:{m}" for m in range(3, 13)), "klein", "s3", "lps:p=5,q=13"]
+        ),
+        n=st.sampled_from([2, 4, 6, 8, 10, 12]),
+    )
+    def test_shuffled_transitive_graphs_match_the_reference(self, data, spec, n):
+        """The largest other count is taken over every vertex within
+        distance n, the farthest layer included, in any numbering."""
+        g = _transitive_graph(spec)
+        g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        rows = reference.count_walks(g, g.root, n)
+        expected = DominationReport(
+            degree=g.degree,
+            n=n,
+            return_count=rows[n][g.root],
+            max_other_count=max(c for v, c in enumerate(rows[n]) if v != g.root),
+            previous_return_count=rows[n - 2][g.root],
+        )
+        assert return_domination_report(g, n) == expected
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 2), n=st.sampled_from([2, 4, 6]))
+    def test_cores_match_their_balls(self, data, rank, n):
+        """On any folded core, the trees' depth counts and the core's
+        farthest layer give the report of the radius-n ball, or the same
+        violation."""
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        outcomes = []
+        for source in (core, complete_ball(core, n)):
+            try:
+                outcomes.append(return_domination_report(source, n, vertex_transitive=True))
+            except InequalityViolation as violation:
+                outcomes.append(str(violation))
+        assert outcomes[0] == outcomes[1]
+
+    def test_ball_too_small_is_refused(self):
+        refusal = (
+            "insufficient radius for walk counts: distance from vertex 0 to the "
+            "truncation boundary is 5, need at least 6"
+        )
+        with pytest.raises(InsufficientRadiusError) as caught:
+            return_domination_report(tree_ball(4, 5), 6, vertex_transitive=True)
+        assert str(caught.value) == refusal
