@@ -31,6 +31,7 @@ from schreier.builders import (
     free_core,
     from_spec,
     restrict_to_orbit,
+    tree_core,
 )
 from schreier.core import (
     GenSet,
@@ -60,10 +61,9 @@ from schreier.walks import (
     conditioned_prefix_probability,
     prefix_probability,
     return_counts,
-    return_domination_report,
+    return_domination_reports,
     returning_words,
     segment_distribution,
-    tree_return_domination_report,
 )
 
 
@@ -360,19 +360,15 @@ def _check_different(args) -> dict:
                   "--graph; the regular tree is transitive", assume_transitive=False)
     _require_least("--n", args.n, 2)
     if args.tree_degree is not None:
-        source = f"{args.tree_degree}-regular tree"
-        reports = [
-            tree_return_domination_report(args.tree_degree, k)
-            for k in range(2, args.n + 1, 2)
-        ]
+        label = f"{args.tree_degree}-regular tree"
+        source, transitive = tree_core(args.tree_degree), True
     else:
-        source = args.graph
-        g = _full_graph(from_spec(args.graph), "the domination check")
+        label = args.graph
+        source = _full_graph(from_spec(args.graph), "the domination check")
         transitive = True if args.assume_transitive else None
-        reports = [
-            return_domination_report(g, k, vertex_transitive=transitive)
-            for k in range(2, args.n + 1, 2)
-        ]
+    reports = return_domination_reports(
+        source, args.n - args.n % 2, vertex_transitive=transitive
+    )
     rows = [
         {
             "n": r.n,
@@ -382,7 +378,7 @@ def _check_different(args) -> dict:
         }
         for r in reports
     ]
-    return {"source": source, "rows": rows, "holds": True}
+    return {"source": label, "rows": rows, "holds": True}
 
 
 def _check_returningvsrw(args) -> dict:
@@ -391,13 +387,16 @@ def _check_returningvsrw(args) -> dict:
     _require_least("--prefix-length", args.prefix_length, 1)
     g = _full_graph(from_spec(args.graph), "the conditioned-prefix check")
     transitive = True if args.assume_transitive else None
-    rows = _prefix_rows(
-        g.gens,
-        args.prefix_length,
-        lambda w: conditioned_prefix_probability(
+
+    def probability(w: Word) -> Fraction:
+        nonlocal transitive
+        p = conditioned_prefix_probability(
             g, g.root, w, args.n, vertex_transitive=transitive
-        ),
-    )
+        )
+        transitive = True  # the first prefix checked the graph
+        return p
+
+    rows = _prefix_rows(g.gens, args.prefix_length, probability)
     return {"n": args.n, "rows": rows, "holds": True}
 
 
@@ -582,9 +581,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         result = {
             "horizon": args.horizon,
             "certified_lower_bound": _sig(report.rho0),
-            "extrapolated": None
-            if report.extrapolated is None
-            else _sig(report.extrapolated),
+            "extrapolated": _sig(report.extrapolated),
             "bipartite": report.bipartite,
             "method": report.method,
         }

@@ -138,10 +138,6 @@ def nonamenable_subgroup_counterexample(
     }
 
 
-def _median(values: list[float]) -> float:
-    return statistics.median(values)
-
-
 def alon_boppana(
     sizes: tuple[int, ...] = (100, 1000, 10_000),
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
@@ -173,10 +169,10 @@ def alon_boppana(
         summary.append(
             {
                 "size": size,
-                "rho0_median": _sig(_median([r["rho0"] for r in rows])),
+                "rho0_median": _sig(statistics.median([r["rho0"] for r in rows])),
                 "rho0_min": _sig(min(r["rho0"] for r in rows)),
                 "density_medians": [
-                    _sig(_median([r["cycle_densities"][i] for r in rows]))
+                    _sig(statistics.median([r["cycle_densities"][i] for r in rows]))
                     for i in range(lmax)
                 ],
             }

@@ -48,7 +48,7 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
 )
-from schreier.walks import core_return_counts, return_counts
+from schreier.walks import return_counts
 
 __all__ = [
     "DENSE_THRESHOLD",
@@ -403,10 +403,8 @@ def estimate_rho_returns(
     """
     if horizon < 2 or horizon % 2:
         raise ValueError("horizon must be even and at least 2")
-    if isinstance(source, CoreGraph):
-        g, counts = source.graph, core_return_counts(source, horizon)
-    else:
-        g, counts = source, return_counts(source, source.root, horizon)
+    g = source.graph if isinstance(source, CoreGraph) else source
+    counts = return_counts(source, g.root, horizon)
     d = g.degree
     evens = [counts[2 * k] for k in range(1, horizon // 2 + 1)]
     logs = [math.log(c) if c else -math.inf for c in evens]

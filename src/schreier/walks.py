@@ -13,16 +13,17 @@ the walks at the vertices the walk can have reached, and a walk that must
 return by the horizon H also skips vertices it cannot come back from in
 time.  A question about radius R thus costs the R-ball, not the graph.
 ``count_walks`` keeps every row, ``return_counts`` only the origin's
-column (one row in memory at a time), and ``core_return_counts`` and
-``return_domination_report`` on a core read the same steps with the
-trees attached.
+column (one row in memory at a time), and ``return_domination_reports``
+reads every even step of one stream from the root.  The last two take a
+graph or a core; on a core they read the same steps with the trees
+attached.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
 ⌊n/2⌋ of its origin, so ``return_counts`` needs the boundary at distance
 ⌈n/2⌉ and ``count_walks`` needs it at distance n.  The preconditions are
-enforced, never assumed, by ``_layers``: the first layer of that search
-to hold a boundary vertex is the distance to the boundary.
+enforced, never assumed, by ``_walk_source``: the first layer of that
+search to hold a boundary vertex is the distance to the boundary.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from schreier.builders import CoreGraph, tree_core
+from schreier.builders import CoreGraph
 from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
@@ -48,30 +49,38 @@ __all__ = [
     "ReturningWordSet",
     "count_walks",
     "return_counts",
-    "core_return_counts",
     "returning_words",
     "segment_distribution",
     "prefix_probability",
     "conditioned_prefix_probability",
-    "return_domination_report",
-    "tree_return_domination_report",
+    "return_domination_reports",
     "DominationReport",
 ]
 
 
-def _layers(
-    g: SchreierGraph, x: int, radius: int, needed: int, what: str
-) -> tuple[list[int], list[int]]:
-    """``bfs_layers(g.next, x, radius)``, once no boundary vertex lies
-    closer to x than ``needed`` (at most radius + 1)."""
-    order, ends = bfs_layers(g.next, x, radius)
-    near = boundary_layer(g, order, ends)
+def _require_room(what: str, x: int, near: int, needed: int) -> None:
+    """Refuse if the truncation boundary, ``near`` from x, is closer than ``needed``."""
     if near < needed:
         raise InsufficientRadiusError(
             f"insufficient radius for {what}: distance from vertex {x} to the "
             f"truncation boundary is {near}, need at least {needed}"
         )
-    return order, ends
+
+
+def _walk_source(
+    source: SchreierGraph | CoreGraph, x: int, radius: int, needed: int, what: str
+) -> tuple[SchreierGraph, tuple[list[int], list[int]], dict[int, int]]:
+    """(graph, ``bfs_layers`` of x to ``radius``, number of trees hanging
+    at each vertex) for walks from x.  A core hangs a tree at each
+    undefined slot and is never truncated; a graph has no trees, and is
+    refused if a boundary vertex lies closer to x than ``needed``."""
+    if isinstance(source, CoreGraph):
+        g = source.graph
+        trees = {v: len(source.missing(v)) for v in g.boundary}
+        return g, bfs_layers(g.next, x, radius), trees
+    order, ends = bfs_layers(source.next, x, radius)
+    _require_room(what, x, boundary_layer(source, order, ends), needed)
+    return source, (order, ends), {}
 
 
 @dataclass(frozen=True)
@@ -146,30 +155,26 @@ def count_walks(g: SchreierGraph, x: int, horizon: int) -> WalkTable:
     a truncated graph needs its boundary at distance ≥ horizon from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    layers = _layers(g, x, horizon - 1, horizon, "walk counts")
+    _, layers, _ = _walk_source(g, x, horizon - 1, horizon, "walk counts")
     rows = tuple(tuple(counts) for counts, _ in _walk_steps(g, layers, horizon, {}))
     return WalkTable(graph=g, origin=x, horizon=horizon, rows=rows)
 
 
-def return_counts(g: SchreierGraph, x: int, horizon: int) -> tuple[int, ...]:
-    """|P_{x,x,n}| for n = 0..horizon, holding one row of counts at a time;
-    a truncated graph needs its boundary at distance ≥ ⌈horizon/2⌉ from x."""
+def return_counts(
+    source: SchreierGraph | CoreGraph, x: int, horizon: int
+) -> tuple[int, ...]:
+    """|P_{x,x,n}| for n = 0..horizon, holding one row of counts at a time.
+    A core is exact at any horizon: the state space is the core plus (core
+    vertices with undefined slots) × horizon depth classes, with no ball
+    materialized.  A truncated graph needs its boundary at distance
+    ≥ ⌈horizon/2⌉ from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    layers = _layers(g, x, horizon // 2, (horizon + 1) // 2, "return counts")
-    steps = _walk_steps(g, layers, horizon, {}, returning=True)
+    g, layers, trees = _walk_source(
+        source, x, horizon // 2, (horizon + 1) // 2, "return counts"
+    )
+    steps = _walk_steps(g, layers, horizon, trees, returning=True)
     return tuple(counts[x] for counts, _ in steps)
-
-
-def core_return_counts(core: CoreGraph, horizon: int) -> tuple[int, ...]:
-    """|P_{root,root,n}| for n up to any horizon, straight from a core:
-    the state space is the core plus (core vertices with undefined slots)
-    × horizon depth classes, with no ball materialized."""
-    g = core.graph
-    slots = {v: len(core.missing(v)) for v in g.boundary}
-    layers = bfs_layers(g.next, g.root, horizon // 2)
-    steps = _walk_steps(g, layers, horizon, slots, returning=True)
-    return tuple(counts[g.root] for counts, _ in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,9 @@ class ReturningWordSet:
 def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    order, ends = _layers(g, g.root, n // 2, (n + 1) // 2, "returning words")
+    _, (order, ends), _ = _walk_source(
+        g, g.root, n // 2, (n + 1) // 2, "returning words"
+    )
     if g.degree ** n > _MAX_ENUMERATION:
         count = return_counts(g, g.root, n)[n]
         return ReturningWordSet(graph=g, n=n, count=count, words=None)
@@ -354,48 +361,46 @@ class DominationReport:
             )
 
 
-def return_domination_report(
+def return_domination_reports(
     source: SchreierGraph | CoreGraph, n: int, vertex_transitive: bool | None = None
-) -> DominationReport:
-    """The root's counts at n and n − 2 and the largest count at any other
-    vertex, read as the steps stream from the root.  A graph needs its
-    boundary at distance ≥ n.  A core also counts the trees hanging at each
-    v: their depth-j total at step n is shared equally by their
-    m_v·(d−1)^{j−1} vertices, m_v the missing slots at v."""
+) -> tuple[DominationReport, ...]:
+    """The certificate at each even k = 2..n, read as one walk stream from
+    the root passes step k: the root's counts at k and k − 2 and the
+    largest count at any other vertex.  A core also counts the trees
+    hanging at each v: their depth-j total at step k is shared equally by
+    their m_v·(d−1)^{j−1} vertices, m_v the missing slots at v.  A graph
+    answers k only with its boundary at distance ≥ k, else refuses."""
     if n < 2 or n % 2:
         raise ValueError("the domination inequalities concern even n >= 2")
-    core = isinstance(source, CoreGraph)
-    g = source.graph if core else source
+    g, (order, ends), trees = _walk_source(source, source.root, n, 0, "walk counts")
     _require_transitive(
         g, vertex_transitive, "the domination inequalities require vertex-transitivity"
     )
-    if core:
-        slots = {v: len(source.missing(v)) for v in g.boundary}
-        layers = bfs_layers(g.next, g.root, n)
-    else:
-        slots = {}
-        layers = _layers(g, g.root, n, n, "walk counts")
-    for step, (counts, trees) in enumerate(_walk_steps(g, layers, n, slots)):
-        if step == n - 2:
-            previous = counts[g.root]
-    # every vertex holding a walk at step n lies within distance n
-    others = [counts[v] for v in layers[0][1:]]
+    # only a core has trees, and its boundary vertices carry them
+    near = n + 1 if trees else boundary_layer(g, order, ends)
     d = g.degree
-    for v, m in slots.items():
-        for j in range(1, n + 1):
-            size = m * (d - 1) ** (j - 1)
-            if trees[v][j] % size:
-                raise AssertionError("depth total not divisible by the depth's size")
-            others.append(trees[v][j] // size)
-    return DominationReport(
-        degree=d,
-        n=n,
-        return_count=counts[g.root],
-        max_other_count=max(others, default=0),
-        previous_return_count=previous,
-    )
-
-
-def tree_return_domination_report(degree: int, n: int) -> DominationReport:
-    """Domination certificate on the regular tree, from its one-vertex core."""
-    return return_domination_report(tree_core(degree), n, vertex_transitive=True)
+    reports = []
+    previous = 1  # the one walk of length 0
+    for k, (counts, depths) in enumerate(_walk_steps(g, (order, ends), n, trees)):
+        if k == 0 or k % 2:
+            continue
+        _require_room("walk counts", g.root, near, k)
+        # every vertex holding a walk at step k lies within distance k
+        others = [counts[v] for v in order[1 : ends[k]]]
+        for v, m in trees.items():
+            for j in range(1, k + 1):
+                size = m * (d - 1) ** (j - 1)
+                if depths[v][j] % size:
+                    raise AssertionError("depth total not divisible by the depth's size")
+                others.append(depths[v][j] // size)
+        reports.append(
+            DominationReport(
+                degree=d,
+                n=k,
+                return_count=counts[g.root],
+                max_other_count=max(others, default=0),
+                previous_return_count=previous,
+            )
+        )
+        previous = counts[g.root]
+    return tuple(reports)

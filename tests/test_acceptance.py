@@ -26,6 +26,7 @@ from schreier.builders import (
     lps_graph,
     random_perm_action,
     restrict_to_orbit,
+    tree_core,
 )
 from schreier.core import GenSet, Word
 from schreier.cycles import cycle_counts, girth
@@ -44,12 +45,11 @@ from schreier.spectral import (
 )
 from schreier.walks import (
     conditioned_prefix_probability,
-    core_return_counts,
     prefix_probability,
-    return_domination_report,
+    return_counts,
+    return_domination_reports,
     returning_words,
     segment_distribution,
-    tree_return_domination_report,
 )
 
 TREE4 = 3**0.5 / 2  # spectral radius of the 4-regular tree, 0.86602540...
@@ -68,7 +68,7 @@ def test_01_exact_cycle_and_petersen_spectra():
 
 def test_02_return_exponent_convergence():
     started = time.perf_counter()
-    counts = core_return_counts(free_core(2), 400)
+    counts = return_counts(free_core(2), 0, 400)
     # r_n = (p_{2n})^{1/2n} nondecreasing, in exact integer arithmetic:
     # r_n <= r_{n+1}  <=>  c_{2n}^{n+1} <= c_{2n+2}^{n}.
     for n in range(1, 100):
@@ -85,19 +85,20 @@ def test_02_return_exponent_convergence():
 
 
 def test_03_return_count_domination():
+    evens = list(range(2, 13, 2))
     for m in range(3, 21):
-        g = cycle_graph(m)
-        for k in range(2, 13, 2):
-            report = return_domination_report(g, k)
+        reports = return_domination_reports(cycle_graph(m), 12)
+        assert [report.n for report in reports] == evens
+        for report in reports:
             assert report.return_count > 0
     for spec in ("s3", "klein"):
-        g = from_spec(spec)
-        for k in range(2, 13, 2):
-            return_domination_report(g, k)
+        reports = return_domination_reports(from_spec(spec), 12)
+        assert [report.n for report in reports] == evens
     ball = complete_ball(free_core(2), 12)
-    for k in range(2, 13, 2):
-        on_ball = return_domination_report(ball, k, vertex_transitive=True)
-        on_tree = tree_return_domination_report(4, k)
+    on_balls = return_domination_reports(ball, 12, vertex_transitive=True)
+    on_trees = return_domination_reports(tree_core(4), 12, vertex_transitive=True)
+    assert [report.n for report in on_balls] == [report.n for report in on_trees] == evens
+    for on_ball, on_tree in zip(on_balls, on_trees):
         assert on_ball.return_count == on_tree.return_count
         assert on_ball.max_other_count == on_tree.max_other_count
 

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from schreier import cli
+from schreier import cli, walks
 from schreier.cli import _build_parser, run
 from schreier.core import parse
 from schreier.experiments import EXPERIMENTS
@@ -288,6 +288,25 @@ class TestLemmaChecks:
             p = row["probability"]
             b = row["bound"]
             assert p["num"] * b["den"] >= b["num"] * p["den"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["returningvsrw", "--graph", "cycle:12", "--n", "6", "--prefix-length", "2"],
+            ["different", "--graph", "cycle:12", "--n", "12"],
+        ],
+        ids=["returningvsrw", "different"],
+    )
+    def test_transitivity_is_checked_once(self, capsys, monkeypatch, argv):
+        check, checks = walks.is_vertex_transitive, []
+
+        def counted(g):
+            checks.append(g)
+            return check(g)
+
+        monkeypatch.setattr(walks, "is_vertex_transitive", counted)
+        assert _json_out(capsys, ["lemma-check", *argv])["result"]["holds"] is True
+        assert len(checks) == 1
 
     def test_triv1(self, capsys):
         result = _json_out(

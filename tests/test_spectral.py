@@ -392,12 +392,12 @@ class TestEstimateRhoReturns:
     def test_covering_inequality(self):
         # a Schreier graph returns at least as often as its Cayley cover
         tree_counts = None
-        from schreier.walks import core_return_counts
+        from schreier.walks import return_counts
 
-        tree_counts = core_return_counts(free_core(2), 24)
+        tree_counts = return_counts(free_core(2), 0, 24)
         for words in (["a"], ["a^2", "b"], ["aba^-1"], ["a", "b^3"]):
             core = stallings_core(F2, [parse_word(F2, w) for w in words])
-            counts = core_return_counts(core, 24)
+            counts = return_counts(core, core.root, 24)
             assert all(c >= t for c, t in zip(counts, tree_counts))
 
     def test_horizon_validation(self):
@@ -416,7 +416,7 @@ class TestMonotonicityRecheck:
         p4 = p2**2 - 1  # p4 < p2², by less than any float can see
         assert 1 * math.log(p4) - 2 * math.log(p2) == 0.0
         monkeypatch.setattr(
-            spectral, "core_return_counts", lambda core, horizon: (1, 0, p2, 0, p4)
+            spectral, "return_counts", lambda source, x, horizon: (1, 0, p2, 0, p4)
         )
         with pytest.raises(InequalityViolation, match="between 2n = 2 and 4"):
             estimate_rho_returns(free_core(2), 4)
@@ -440,7 +440,7 @@ class TestMonotonicityRecheck:
             evens[k] ** k < evens[k - 1] ** (k + 1) for k in range(1, len(evens))
         )
         with mock.patch.object(
-            spectral, "core_return_counts", lambda core, horizon: tuple(counts)
+            spectral, "return_counts", lambda source, x, horizon: tuple(counts)
         ):
             if violated:
                 with pytest.raises(InequalityViolation):

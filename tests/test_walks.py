@@ -32,14 +32,12 @@ from schreier import walks
 from schreier.walks import (
     DominationReport,
     conditioned_prefix_probability,
-    core_return_counts,
     count_walks,
     prefix_probability,
     return_counts,
-    return_domination_report,
+    return_domination_reports,
     returning_words,
     segment_distribution,
-    tree_return_domination_report,
 )
 
 F2 = GenSet.free(2)
@@ -124,18 +122,18 @@ class TestCountWalks:
 
 class TestCoreReturnCounts:
     def test_free_group_returns(self):
-        counts = core_return_counts(free_core(2), 8)
+        counts = return_counts(free_core(2), 0, 8)
         assert counts[0] == 1
         assert counts[1] == counts[3] == 0
         assert (counts[2], counts[4], counts[6], counts[8]) == (4, 28, 232, 2092)
 
     def test_matches_explicit_ball(self, t4_ball):
-        counts = core_return_counts(free_core(2), 8)
+        counts = return_counts(free_core(2), 0, 8)
         rows = reference.count_walks(t4_ball, t4_ball.root, 8)
         assert all(counts[n] == rows[n][t4_ball.root] for n in range(9))
 
     def test_loop_subgroup_returns(self, loop_core):
-        counts = core_return_counts(loop_core, 6)
+        counts = return_counts(loop_core, loop_core.root, 6)
         ball = complete_ball(loop_core, 3)
         oracle = [brute_force_returns(ball, ball.root, n) for n in range(7)]
         assert list(counts) == oracle
@@ -148,35 +146,39 @@ class TestCoreReturnCounts:
         words = [parse_word(F2, w) for w in ("a^2", "b^2", "ab")]
         core = stallings_core(F2, words)
         assert core.complete
-        counts = core_return_counts(core, 6)
+        counts = return_counts(core, core.root, 6)
         rows = reference.count_walks(core.graph, core.root, 6)
         assert all(counts[n] == rows[n][core.root] for n in range(7))
 
 
 class TestHangingTreeRecurrence:
-    """``count_walks``, ``return_counts``, ``core_return_counts`` and
-    ``return_domination_report`` share one recurrence; each is checked
-    against an independent count."""
+    """``count_walks``, ``return_counts`` and ``return_domination_reports``
+    share one recurrence, on graphs and on cores; each is checked against
+    an independent count."""
 
     @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
     def test_rings_match_the_ring_recursion(self, degree, n):
-        """On the tree's core, the report is the ring recursion's: ring j
-        holds d(d−1)^{j−1} vertices with equal counts.  Where the radius-n
-        ball is small, the report on it agrees."""
+        """On the tree's core, the report at every even k ≤ n is the ring
+        recursion's: ring j holds d(d−1)^{j−1} vertices with equal counts.
+        Where the radius-n ball is small, the reports on it agree."""
         rings = reference.tree_ring_counts(degree, n)
-        expected = DominationReport(
-            degree=degree,
-            n=n,
-            return_count=rings[n][0],
-            max_other_count=max(
-                rings[n][j] // (degree * (degree - 1) ** (j - 1)) for j in range(1, n + 1)
-            ),
-            previous_return_count=rings[n - 2][0],
+        expected = tuple(
+            DominationReport(
+                degree=degree,
+                n=k,
+                return_count=rings[k][0],
+                max_other_count=max(
+                    rings[k][j] // (degree * (degree - 1) ** (j - 1))
+                    for j in range(1, k + 1)
+                ),
+                previous_return_count=rings[k - 2][0],
+            )
+            for k in range(2, n + 1, 2)
         )
-        assert return_domination_report(tree_core(degree), n, vertex_transitive=True) == expected
+        assert return_domination_reports(tree_core(degree), n, vertex_transitive=True) == expected
         if degree * (degree - 1) ** (n - 1) <= 3000:
             ball = _tree_ball(degree, n)
-            assert return_domination_report(ball, n, vertex_transitive=True) == expected
+            assert return_domination_reports(ball, n, vertex_transitive=True) == expected
 
     @settings(max_examples=100)
     @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 10))
@@ -184,7 +186,19 @@ class TestHangingTreeRecurrence:
         core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
         ball = complete_ball(core, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
-        assert core_return_counts(core, horizon) == tuple(row[ball.root] for row in rows)
+        assert return_counts(core, core.root, horizon) == tuple(row[ball.root] for row in rows)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 10))
+    def test_cores_return_from_every_vertex(self, data, rank, horizon):
+        """From any core vertex x, the counts are those of the core
+        re-rooted at x, read on its completed ball."""
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        x = data.draw(st.integers(0, core.n - 1), label="origin")
+        rerooted = CoreGraph.from_table(core.gens, core.graph.next, root=x)
+        ball = complete_ball(rerooted, (horizon + 1) // 2)
+        rows = reference.count_walks(ball, ball.root, horizon)
+        assert return_counts(core, x, horizon) == tuple(row[ball.root] for row in rows)
 
     @settings(max_examples=100)
     @given(data=st.data(), horizon=st.integers(0, 8))
@@ -251,7 +265,8 @@ class TestHangingTreeRecurrence:
         numbering = data.draw(st.permutations(range(core.n)))
         ball = complete_ball(core, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
-        counts = core_return_counts(CoreGraph(reference.shuffled(core.graph, numbering)), horizon)
+        shuffled = CoreGraph(reference.shuffled(core.graph, numbering))
+        counts = return_counts(shuffled, shuffled.root, horizon)
         assert counts == tuple(row[ball.root] for row in rows)
 
     @settings(max_examples=50)
@@ -268,8 +283,8 @@ class TestHangingTreeRecurrence:
     def test_large_degree_trees(self, degree):
         # two steps return along each of the d edges at the root, and reach
         # each of the d(d−1) vertices at distance 2 one way
-        report = return_domination_report(tree_core(degree), 2, vertex_transitive=True)
-        assert report == DominationReport(degree, 2, degree, 1, 1)
+        reports = return_domination_reports(tree_core(degree), 2, vertex_transitive=True)
+        assert reports == (DominationReport(degree, 2, degree, 1, 1),)
 
 
 class TestReturningWords:
@@ -396,24 +411,24 @@ class TestConditionedPrefix:
 
 class TestDomination:
     def test_cycle(self):
-        report = return_domination_report(cycle_graph(6), 4)
+        report = return_domination_reports(cycle_graph(6), 4)[-1]
+        assert report.n == 4
         assert report.return_count == 6
         assert report.max_other_count <= 6
 
     def test_tree_report_matches_explicit(self):
-        explicit = return_domination_report(
-            tree_ball(4, 6), 6, vertex_transitive=True
-        )
-        ring = tree_return_domination_report(4, 6)
-        assert (explicit.return_count, explicit.max_other_count) == (
-            ring.return_count,
-            ring.max_other_count,
-        )
-        assert explicit.previous_return_count == ring.previous_return_count
+        explicit = return_domination_reports(tree_ball(4, 6), 6, vertex_transitive=True)
+        ring = return_domination_reports(tree_core(4), 6, vertex_transitive=True)
+        assert [(r.return_count, r.max_other_count) for r in explicit] == [
+            (r.return_count, r.max_other_count) for r in ring
+        ]
+        assert [r.previous_return_count for r in explicit] == [
+            r.previous_return_count for r in ring
+        ]
 
     def test_odd_horizon_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            return_domination_report(cycle_graph(6), 3)
+            return_domination_reports(cycle_graph(6), 3)
 
     def test_violation_guard_fires(self):
         with pytest.raises(InequalityViolation, match="exceeds the return count"):
@@ -429,8 +444,9 @@ class TestDomination:
 
     @given(st.integers(3, 12), st.sampled_from([2, 4, 6]))
     def test_cycles_all_sizes(self, n_vertices, horizon):
-        report = return_domination_report(cycle_graph(n_vertices), horizon)
-        assert report.return_count >= 1
+        reports = return_domination_reports(cycle_graph(n_vertices), horizon)
+        assert [r.n for r in reports] == list(range(2, horizon + 1, 2))
+        assert all(r.return_count >= 1 for r in reports)
 
     @settings(max_examples=100)
     @given(
@@ -441,19 +457,23 @@ class TestDomination:
         n=st.sampled_from([2, 4, 6, 8, 10, 12]),
     )
     def test_shuffled_transitive_graphs_match_the_reference(self, data, spec, n):
-        """The largest other count is taken over every vertex within
-        distance n, the farthest layer included, in any numbering."""
+        """Row k is read at step k: the largest other count is taken over
+        every vertex within distance k, the farthest layer included, and
+        the previous count at step k − 2, in any numbering."""
         g = _transitive_graph(spec)
         g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
         rows = reference.count_walks(g, g.root, n)
-        expected = DominationReport(
-            degree=g.degree,
-            n=n,
-            return_count=rows[n][g.root],
-            max_other_count=max(c for v, c in enumerate(rows[n]) if v != g.root),
-            previous_return_count=rows[n - 2][g.root],
+        expected = tuple(
+            DominationReport(
+                degree=g.degree,
+                n=k,
+                return_count=rows[k][g.root],
+                max_other_count=max(c for v, c in enumerate(rows[k]) if v != g.root),
+                previous_return_count=rows[k - 2][g.root],
+            )
+            for k in range(2, n + 1, 2)
         )
-        assert return_domination_report(g, n) == expected
+        assert return_domination_reports(g, n) == expected
 
     @settings(max_examples=100)
     @given(data=st.data(), rank=st.integers(1, 2), n=st.sampled_from([2, 4, 6]))
@@ -465,7 +485,7 @@ class TestDomination:
         outcomes = []
         for source in (core, complete_ball(core, n)):
             try:
-                outcomes.append(return_domination_report(source, n, vertex_transitive=True))
+                outcomes.append(return_domination_reports(source, n, vertex_transitive=True))
             except InequalityViolation as violation:
                 outcomes.append(str(violation))
         assert outcomes[0] == outcomes[1]
@@ -476,5 +496,18 @@ class TestDomination:
             "truncation boundary is 5, need at least 6"
         )
         with pytest.raises(InsufficientRadiusError) as caught:
-            return_domination_report(tree_ball(4, 5), 6, vertex_transitive=True)
+            return_domination_reports(tree_ball(4, 5), 6, vertex_transitive=True)
+        assert str(caught.value) == refusal
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_refusal_names_the_first_row_past_the_boundary(self, radius):
+        g = _tree_ball(4, radius)
+        near = reference.distance_to_boundary(g, g.root)
+        first = near + 2 - near % 2  # the least even k above near
+        refusal = (
+            "insufficient radius for walk counts: distance from vertex 0 to the "
+            f"truncation boundary is {near}, need at least {first}"
+        )
+        with pytest.raises(InsufficientRadiusError) as caught:
+            return_domination_reports(g, 12, vertex_transitive=True)
         assert str(caught.value) == refusal
