@@ -17,7 +17,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from typing import Iterator
 
@@ -39,7 +38,6 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     SGF1Error,
-    Word,
     format_word,
     parse_word,
     serialize,
@@ -58,8 +56,7 @@ from schreier.spectral import (
     support_subgroup_graph,
 )
 from schreier.walks import (
-    conditioned_prefix_probability,
-    prefix_probability,
+    conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
     returning_words,
@@ -105,11 +102,11 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _word_tables(rank: int, n: int):
+def _free_ball(rank: int, n: int):
+    """The radius-n/2 ball of F_rank, which holds every returning length-n walk."""
     if n < 2 or n % 2:
         raise ValueError("returning-word checks concern even n >= 2")
-    g = complete_ball(free_core(rank), max(1, n // 2))
-    return returning_words(g, n)
+    return complete_ball(free_core(rank), n // 2)
 
 
 def _random_support(gens: GenSet, rng: random.Random) -> list[str | None]:
@@ -337,20 +334,16 @@ def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> No
 # ---------------------------------------------------------------------------
 
 
-def _prefix_rows(gens: GenSet, kmax: int, probability) -> list[dict]:
-    """A row for each prefix w of length 1..kmax: probability(w), d^(-2|w|)."""
-    rows = []
-    for length in range(1, kmax + 1):
-        for letters in product(range(gens.degree), repeat=length):
-            w = Word(letters)
-            rows.append(
-                {
-                    "prefix": format_word(gens, w),
-                    "probability": _frac(probability(w)),
-                    "bound": _frac(Fraction(1, gens.degree ** (2 * length))),
-                }
-            )
-    return rows
+def _prefix_rows(gens: GenSet, rows) -> list[dict]:
+    """One output row per (prefix w, probability) pair, with the floor d^(-2|w|)."""
+    return [
+        {
+            "prefix": format_word(gens, w),
+            "probability": _frac(p),
+            "bound": _frac(Fraction(1, gens.degree ** (2 * len(w)))),
+        }
+        for w, p in rows
+    ]
 
 
 def _check_different(args) -> dict:
@@ -386,33 +379,28 @@ def _check_returningvsrw(args) -> dict:
     least d^(-2|w|) (vertex-transitive graphs)"""
     _require_least("--prefix-length", args.prefix_length, 1)
     g = _full_graph(from_spec(args.graph), "the conditioned-prefix check")
-    transitive = True if args.assume_transitive else None
-
-    def probability(w: Word) -> Fraction:
-        nonlocal transitive
-        p = conditioned_prefix_probability(
-            g, g.root, w, args.n, vertex_transitive=transitive
-        )
-        transitive = True  # the first prefix checked the graph
-        return p
-
-    rows = _prefix_rows(g.gens, args.prefix_length, probability)
-    return {"n": args.n, "rows": rows, "holds": True}
+    _, rows = conditioned_prefix_probabilities(
+        g, g.root, args.n, args.prefix_length,
+        vertex_transitive=True if args.assume_transitive else None,
+    )
+    return {"n": args.n, "rows": _prefix_rows(g.gens, rows), "holds": True}
 
 
 def _check_triv1(args) -> dict:
     """a uniform returning length-n word of F_r starts with prefix w with
     probability at least (2r)^(-2|w|)"""
     _require_least("--k", args.k, 1)
-    words = _word_tables(_parse_rank(args.group), args.n)
+    g = _free_ball(_parse_rank(args.group), args.n)
     _require_least("--n", args.n, 4)
     kmax = min(args.k, (args.n - 1) // 2)
-    rows = _prefix_rows(words.graph.gens, kmax, lambda w: prefix_probability(words, w))
+    total, rows = conditioned_prefix_probabilities(
+        g, g.root, args.n, kmax, vertex_transitive=True
+    )
     return {
         "n": args.n,
-        "word_count": words.count,
+        "word_count": total,
         "prefix_length_max": kmax,
-        "rows": rows,
+        "rows": _prefix_rows(g.gens, rows),
         "holds": True,
     }
 
@@ -421,7 +409,7 @@ def _check_triv2(args) -> dict:
     """a uniform returning length-n word of F_r has the same segment
     distribution at every cyclic shift"""
     _require_least("--k", args.k, 1)
-    words = _word_tables(_parse_rank(args.group), args.n)
+    words = returning_words(_free_ball(_parse_rank(args.group), args.n), args.n)
     kmax = min(args.k, args.n)
     classes = {}
     for k in range(1, kmax + 1):

@@ -456,7 +456,7 @@ def tree_rho(d: int) -> float:
         raise InequalityViolation(
             f"certified lower bound {est.rho0} exceeds the tree value {value}"
         )
-    if value - est.rho0 > 0.05 or abs((est.extrapolated or 0.0) - value) > 0.02:
+    if value - est.rho0 > 0.05 or abs(est.extrapolated - value) > 0.02:
         raise GraphInvariantError(
             f"tree return counts disagree with 2*sqrt(d-1)/d at d={d}"
         )

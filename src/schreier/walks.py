@@ -12,24 +12,27 @@ lists the vertices around the origin in order of distance, a step moves
 the walks at the vertices the walk can have reached, and a walk that must
 return by the horizon H also skips vertices it cannot come back from in
 time.  A question about radius R thus costs the R-ball, not the graph.
-``count_walks`` keeps every row, ``return_counts`` only the origin's
-column (one row in memory at a time), and ``return_domination_reports``
-reads every even step of one stream from the root.  The last two take a
-graph or a core; on a core they read the same steps with the trees
-attached.
+Each question reads one stream and holds one row of counts at a time:
+``return_counts`` keeps the origin's column, ``return_domination_reports``
+reads every even step from the root, and
+``conditioned_prefix_probabilities`` reads the last steps of a returning
+stream at every prefix's endpoint.  The first two take a graph or a core;
+on a core they read the same steps with the trees attached.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
-⌊n/2⌋ of its origin, so ``return_counts`` needs the boundary at distance
-⌈n/2⌉ and ``count_walks`` needs it at distance n.  The preconditions are
-enforced, never assumed, by ``_walk_source``: the first layer of that
-search to hold a boundary vertex is the distance to the boundary.
+⌊n/2⌋ of its origin, so the returning streams need the boundary at
+distance ⌈n/2⌉, and ``return_domination_reports`` answers step k only
+with the boundary at distance ≥ k.  The preconditions are enforced, never
+assumed, by ``_walk_source``: the first layer of that search to hold a
+boundary vertex is the distance to the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator
 
 from schreier.builders import CoreGraph
@@ -45,14 +48,11 @@ from schreier.core import (
 from schreier.local import is_vertex_transitive
 
 __all__ = [
-    "WalkTable",
     "ReturningWordSet",
-    "count_walks",
     "return_counts",
     "returning_words",
     "segment_distribution",
-    "prefix_probability",
-    "conditioned_prefix_probability",
+    "conditioned_prefix_probabilities",
     "return_domination_reports",
     "DominationReport",
 ]
@@ -81,19 +81,6 @@ def _walk_source(
     order, ends = bfs_layers(source.next, x, radius)
     _require_room(what, x, boundary_layer(source, order, ends), needed)
     return source, (order, ends), {}
-
-
-@dataclass(frozen=True)
-class WalkTable:
-    """|P_{x,v,n}| for all stored vertices v and n up to the horizon."""
-
-    graph: SchreierGraph
-    origin: int
-    horizon: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def count(self, v: int, n: int) -> int:
-        return self.rows[n][v]
 
 
 def _walk_steps(
@@ -150,16 +137,6 @@ def _walk_steps(
         yield counts, trees
 
 
-def count_walks(g: SchreierGraph, x: int, horizon: int) -> WalkTable:
-    """Exact walk counts from x to every stored vertex out to the horizon;
-    a truncated graph needs its boundary at distance ≥ horizon from x."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    _, layers, _ = _walk_source(g, x, horizon - 1, horizon, "walk counts")
-    rows = tuple(tuple(counts) for counts, _ in _walk_steps(g, layers, horizon, {}))
-    return WalkTable(graph=g, origin=x, horizon=horizon, rows=rows)
-
-
 def return_counts(
     source: SchreierGraph | CoreGraph, x: int, horizon: int
 ) -> tuple[int, ...]:
@@ -210,8 +187,8 @@ def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
         g, g.root, n // 2, (n + 1) // 2, "returning words"
     )
     if g.degree ** n > _MAX_ENUMERATION:
-        count = return_counts(g, g.root, n)[n]
-        return ReturningWordSet(graph=g, n=n, count=count, words=None)
+        *_, (counts, _) = _walk_steps(g, (order, ends), n, {}, returning=True)
+        return ReturningWordSet(graph=g, n=n, count=counts[g.root], words=None)
     # a word that can still return visits only vertices within n/2 of the
     # root; any vertex farther out is pruned by its default distance n
     starts = [0, *ends]
@@ -252,34 +229,6 @@ def segment_distribution(
     return {seg: Fraction(c, words.count) for seg, c in freq.items()}
 
 
-def prefix_probability(words: ReturningWordSet, prefix: Word) -> Fraction:
-    """P(word starts with ``prefix``) under a uniform returning word, with
-    the guaranteed lower bound |S|^{−2k} asserted before returning.
-
-    The bound needs room to complete prefix·prefix⁻¹ with a shorter
-    returning word, hence the n > 2k requirement.
-    """
-    k = len(prefix)
-    if k == 0:
-        return Fraction(1)
-    if words.n <= 2 * k:
-        raise ValueError(f"need word length > {2 * k} for a length-{k} prefix bound")
-    if not words.explicit:
-        raise ValueError("prefix probability needs the explicit word list")
-    if words.count == 0:
-        raise ValueError("empty word set has no distribution")
-    hits = sum(
-        1 for w in words.words if w.letters[:k] == prefix.letters  # type: ignore[union-attr]
-    )
-    p = Fraction(hits, words.count)
-    d = words.graph.degree
-    if p < Fraction(1, d ** (2 * k)):
-        raise InequalityViolation(
-            f"prefix probability {p} fell below the guaranteed {1}/{d ** (2 * k)}"
-        )
-    return p
-
-
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
     """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
     caller asserted or, failing that, as checked on the whole graph."""
@@ -294,42 +243,68 @@ def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -
         raise ValueError(refusal)
 
 
-def conditioned_prefix_probability(
+def conditioned_prefix_probabilities(
     g: SchreierGraph,
     x: int,
-    prefix: Word,
     n: int,
+    length: int,
     vertex_transitive: bool | None = None,
-) -> Fraction:
-    """P(first ℓ steps spell ``prefix`` | the length-n walk from x returns).
+) -> tuple[int, tuple[tuple[Word, Fraction], ...]]:
+    """|P_{x,x,n}|, and for every word w of length ℓ = 1..``length``, in
+    ``itertools.product`` order, P(the first ℓ steps of a returning
+    length-n walk from x spell w) = |P_{y,x,n−ℓ}| / |P_{x,x,n}| with
+    y = x·w, each checked against the guaranteed floor d^{−2ℓ}.
 
-    Valid for vertex-transitive graphs (the guaranteed bound d^{−2ℓ} is a
-    transitivity statement); pass ``vertex_transitive=True`` for truncated
-    inputs whose full graph is transitive, e.g. tree balls.
+    The floor is a transitivity statement; pass ``vertex_transitive=True``
+    for truncated inputs whose full graph is transitive, e.g. tree balls.
+    It needs room to complete w·w⁻¹, so a prefix longer than n/2 is
+    refused, after the rows of the shorter ones.
+
+    One returning stream from x answers every row.  Walks reverse on a
+    Schreier graph (read backwards with inverse labels), so
+    |P_{y,x,m}| = |P_{x,y,m}|; and the stream's counts at step n − ℓ are
+    complete within distance ℓ of x, where y lies.  So row w reads the
+    count at y as the stream passes step n − ℓ, and a truncated graph
+    needs its boundary only at distance ⌈n/2⌉, as for ``return_counts``.
     """
-    l = len(prefix)
-    if n < 2 * l:
-        raise ValueError("need n >= twice the prefix length")
+    fits = min(length, n // 2)  # the prefix lengths with 2ℓ ≤ n
+    too_long = "need n >= twice the prefix length"
+    if length and not fits:
+        raise ValueError(too_long)
     _require_transitive(
         g, vertex_transitive,
         "conditioned prefix bound requires a vertex-transitive graph",
     )
-    y = walk_endpoint(g, x, prefix)
-    if not isinstance(y, int):
+    if length and not isinstance(walk_endpoint(g, x, Word((0,))), int):
         raise InsufficientRadiusError(
             "insufficient radius: the prefix walk leaves the stored graph"
         )
-    total = return_counts(g, x, n)[n]
+    _, layers, _ = _walk_source(g, x, n // 2, (n + 1) // 2, "return counts")
+    d = g.degree
+    # the endpoints x·w of the words of each length, in product order; the
+    # guard keeps every slot on the way, which lies within ℓ − 1 < ⌈n/2⌉
+    endpoints = [[x]]
+    for _ in range(fits):
+        endpoints.append([g.next[v][l] for v in endpoints[-1] for l in range(d)])
+    at: dict[int, list[int]] = {}  # ℓ -> the counts at those endpoints at step n − ℓ
+    for m, (counts, _) in enumerate(_walk_steps(g, layers, n, {}, returning=True)):
+        if m >= n - fits:
+            at[n - m] = [counts[y] for y in endpoints[n - m]]
+    total = at[0][0]
     if total == 0:
         raise ValueError(f"no returning walks of length {n} from vertex {x}")
-    completions = count_walks(g, y, n - l).count(x, n - l)
-    p = Fraction(completions, total)
-    d = g.degree
-    if p < Fraction(1, d ** (2 * l)):
-        raise InequalityViolation(
-            f"conditioned prefix probability {p} fell below 1/{d ** (2 * l)}"
-        )
-    return p
+    rows = []
+    for l in range(1, fits + 1):
+        for letters, count in zip(product(range(d), repeat=l), at[l]):
+            p = Fraction(count, total)
+            if p < Fraction(1, d ** (2 * l)):
+                raise InequalityViolation(
+                    f"conditioned prefix probability {p} fell below 1/{d ** (2 * l)}"
+                )
+            rows.append((Word(letters), p))
+    if fits < length:
+        raise ValueError(too_long)
+    return total, tuple(rows)
 
 
 # ---------------------------------------------------------------------------

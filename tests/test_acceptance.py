@@ -44,8 +44,7 @@ from schreier.spectral import (
     tree_rho,
 )
 from schreier.walks import (
-    conditioned_prefix_probability,
-    prefix_probability,
+    conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
     returning_words,
@@ -106,7 +105,8 @@ def test_03_return_count_domination():
 def test_04_shift_invariance_and_prefix_floor():
     for n in range(1, 9):
         radius = max(1, (n + 1) // 2)
-        words = returning_words(complete_ball(free_core(2), radius), n)
+        ball = complete_ball(free_core(2), radius)
+        words = returning_words(ball, n)
         if n % 2:
             assert words.count == 0
             continue
@@ -115,22 +115,26 @@ def test_04_shift_invariance_and_prefix_floor():
             base = segment_distribution(words, 0, k)
             for t in range(1, n):
                 assert segment_distribution(words, t, k) == base
+        _, rows = conditioned_prefix_probabilities(
+            ball, ball.root, n, min(3, (n - 1) // 2), vertex_transitive=True
+        )
+        probabilities = dict(rows)
         for k in range(1, min(3, (n - 1) // 2) + 1):
             floor = Fraction(1, 4 ** (2 * k))
             for letters in product(range(4), repeat=k):
-                p = prefix_probability(words, Word(letters))
+                p = probabilities[Word(letters)]
                 assert p >= floor, f"n={n} prefix {letters}: {p} < {floor}"
 
 
 def test_05_conditioned_prefix_floor():
     g = complete_ball(free_core(2), 6)
     for n in (4, 6):
+        _, rows = conditioned_prefix_probabilities(g, g.root, n, 2, vertex_transitive=True)
+        probabilities = dict(rows)
         for l in (1, 2):
             floor = Fraction(1, 4 ** (2 * l))
             for letters in product(range(4), repeat=l):
-                p = conditioned_prefix_probability(
-                    g, g.root, Word(letters), n, vertex_transitive=True
-                )
+                p = probabilities[Word(letters)]
                 assert p >= floor, f"n={n} prefix {letters}: {p} < {floor}"
 
 

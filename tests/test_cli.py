@@ -315,6 +315,14 @@ class TestLemmaChecks:
         assert result["prefix_length_max"] == 3
         assert len(result["rows"]) == 4 + 16 + 64
 
+    def test_triv1_above_the_enumeration_guard(self, capsys):
+        # 4^12 words exceed the guard; the returning stream needs no list
+        result = _json_out(
+            capsys, ["lemma-check", "triv1", "--group", "F2", "--n", "12"]
+        )["result"]
+        assert result["word_count"] == 195352
+        assert len(result["rows"]) == 4 + 16 + 64
+
     def test_triv2_spec_example(self, capsys):
         result = _json_out(
             capsys, ["lemma-check", "triv2", "--group", "F2", "--n", "6"]

@@ -319,7 +319,7 @@ class TestBfsLayers:
 
     @given(m=st.integers(1, 2), n=st.integers(1, 20), seed=st.integers(0, 99))
     def test_radius_minus_one_is_the_start_alone(self, m, n, seed):
-        # count_walks(g, x, 0) asks for it; it lists x and no layer
+        # the empty search lists x and no layer
         g = random_perm_model(m, n, seed)
         for x in range(g.n):
             assert bfs_layers(g.next, x, -1) == ([x], [])

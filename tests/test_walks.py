@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -14,8 +15,10 @@ from schreier.builders import (
     complete_ball,
     cycle_graph,
     free_core,
+    from_perm_action,
     from_spec,
     random_perm_model,
+    regular_action,
     stallings_core,
     tree_ball,
     tree_core,
@@ -31,9 +34,7 @@ from schreier.core import (
 from schreier import walks
 from schreier.walks import (
     DominationReport,
-    conditioned_prefix_probability,
-    count_walks,
-    prefix_probability,
+    conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
     returning_words,
@@ -69,10 +70,12 @@ def loop_core():
 class TestCountWalks:
     def test_c6_oracle(self):
         g = cycle_graph(6)
-        table = count_walks(g, 0, 3)
-        assert table.count(3, 3) == 2
-        assert table.count(0, 2) == 2
-        assert Fraction(table.count(0, 2), g.degree ** 2) == Fraction(1, 2)
+        assert return_counts(g, 0, 2)[2] == 2
+        # C(6, 3) returning walks take three steps each way and two go once
+        # around; ttt reaches the antipode, and two walks come back from it
+        total, rows = conditioned_prefix_probabilities(g, 0, 6, 3)
+        assert total == 22
+        assert dict(rows)[parse_word(g.gens, "ttt")] == Fraction(2, 22)
 
     def test_t4_small_returns_against_enumeration(self, t4_ball):
         counts = return_counts(t4_ball, t4_ball.root, 4)
@@ -82,42 +85,21 @@ class TestCountWalks:
     @pytest.mark.parametrize("x", [-1, 6])
     def test_vertex_out_of_range(self, x):
         with pytest.raises(ValueError, match="not a vertex"):
-            count_walks(cycle_graph(6), x, 3)
-        with pytest.raises(ValueError, match="not a vertex"):
             return_counts(cycle_graph(6), x, 3)
-
-    def test_total_mass_conserved(self):
-        g = cycle_graph(7)
-        table = count_walks(g, 0, 5)
-        for n in range(6):
-            assert sum(table.count(v, n) for v in range(g.n)) == 2**n
-
-    def test_full_table_needs_full_radius(self, t4_ball):
-        with pytest.raises(InsufficientRadiusError, match="insufficient radius"):
-            count_walks(t4_ball, t4_ball.root, 5)
+        with pytest.raises(ValueError, match="not a vertex"):
+            conditioned_prefix_probabilities(cycle_graph(6), x, 4, 1)
 
     def test_return_counts_need_half_radius(self, t4_ball):
         assert return_counts(t4_ball, t4_ball.root, 8)
         with pytest.raises(InsufficientRadiusError, match="insufficient radius"):
             return_counts(t4_ball, t4_ball.root, 9)
 
-    @given(st.integers(0, 10**6))
-    def test_mass_conservation_random_graphs(self, seed):
-        g = random_perm_model(2, 8, seed)
-        table = count_walks(g, 0, 4)
-        assert sum(table.count(v, 4) for v in range(g.n)) == 4**4
-
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3))
     def test_supermultiplicative_returns(self, seed, m, n):
         g = random_perm_model(2, 10, seed)
-        table = count_walks(g, 0, 2 * (m + n))
-        d = g.degree
-        lhs = table.count(table.origin, 2 * (m + n)) * d ** (2 * m) * d ** (2 * n)
-        rhs = (
-            table.count(table.origin, 2 * m) * table.count(table.origin, 2 * n)
-            * d ** (2 * (m + n))
-        )
-        assert lhs >= rhs  # p_{2(m+n)} >= p_{2m} p_{2n}
+        counts = return_counts(g, 0, 2 * (m + n))
+        # p_{2(m+n)} >= p_{2m} p_{2n}, with p_k = counts[k] / d^k
+        assert counts[2 * (m + n)] >= counts[2 * m] * counts[2 * n]
 
 
 class TestCoreReturnCounts:
@@ -152,9 +134,9 @@ class TestCoreReturnCounts:
 
 
 class TestHangingTreeRecurrence:
-    """``count_walks``, ``return_counts`` and ``return_domination_reports``
-    share one recurrence, on graphs and on cores; each is checked against
-    an independent count."""
+    """``return_counts``, ``return_domination_reports`` and
+    ``conditioned_prefix_probabilities`` share one recurrence, on graphs
+    and on cores; each is checked against an independent count."""
 
     @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
     def test_rings_match_the_ring_recursion(self, degree, n):
@@ -204,8 +186,8 @@ class TestHangingTreeRecurrence:
     @given(data=st.data(), horizon=st.integers(0, 8))
     def test_tables_and_returns_match_the_reference(self, data, horizon):
         """Permutation models (loops, parallel edges) and truncated balls of
-        folded cores, from any origin; too close to the boundary, both
-        functions refuse."""
+        folded cores, from any origin; too close to the boundary, the
+        counts are refused."""
         if data.draw(st.booleans(), label="ball"):
             rank = data.draw(st.integers(1, 2), label="rank")
             core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
@@ -216,11 +198,6 @@ class TestHangingTreeRecurrence:
         x = data.draw(st.integers(0, g.n - 1), label="origin")
         room = reference.distance_to_boundary(g, x)
         rows = reference.count_walks(g, x, horizon)
-        if horizon <= room:
-            assert count_walks(g, x, horizon).rows == rows
-        else:
-            with pytest.raises(InsufficientRadiusError):
-                count_walks(g, x, horizon)
         if (horizon + 1) // 2 <= room:
             assert return_counts(g, x, horizon) == tuple(row[x] for row in rows)
         else:
@@ -232,8 +209,8 @@ class TestHangingTreeRecurrence:
     def test_shuffled_numbering_matches_the_reference(self, data, horizon):
         """The steps follow distance order, not index order: on graphs
         numbered at random, from an origin other than the root, at odd and
-        even horizons, tables and returns are the reference's, and a
-        refusal reports the exact distance to the boundary."""
+        even horizons, the returns are the reference's, and a refusal
+        reports the exact distance to the boundary."""
         if data.draw(st.booleans(), label="ball"):
             rank = data.draw(st.integers(1, 2), label="rank")
             core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
@@ -246,17 +223,13 @@ class TestHangingTreeRecurrence:
         x = data.draw(st.sampled_from(others), label="origin")
         room = reference.distance_to_boundary(g, x)
         rows = reference.count_walks(g, x, horizon)
-        for needed, compute, expected in (
-            (horizon, lambda: count_walks(g, x, horizon).rows, rows),
-            ((horizon + 1) // 2, lambda: return_counts(g, x, horizon),
-             tuple(row[x] for row in rows)),
-        ):
-            if needed <= room:
-                assert compute() == expected
-            else:
-                refusal = f"boundary is {room}, need at least {needed}"
-                with pytest.raises(InsufficientRadiusError, match=refusal):
-                    compute()
+        needed = (horizon + 1) // 2
+        if needed <= room:
+            assert return_counts(g, x, horizon) == tuple(row[x] for row in rows)
+        else:
+            refusal = f"boundary is {room}, need at least {needed}"
+            with pytest.raises(InsufficientRadiusError, match=refusal):
+                return_counts(g, x, horizon)
 
     @settings(max_examples=100)
     @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 11))
@@ -321,7 +294,7 @@ class TestReturningWords:
     def test_count_matches_walk_dp(self, seed, n):
         g = random_perm_model(2, 6, seed)
         ws = returning_words(g, n)
-        assert ws.count == count_walks(g, g.root, n).count(g.root, n)
+        assert ws.count == return_counts(g, g.root, n)[n]
 
 
 class TestSegmentDistribution:
@@ -345,68 +318,187 @@ class TestSegmentDistribution:
         assert sum(segment_distribution(ws, 1, 2).values()) == 1
 
 
+def _prefix_probabilities(g, n, length, vertex_transitive=None):
+    """{prefix: probability} of ``conditioned_prefix_probabilities`` from the root."""
+    _, rows = conditioned_prefix_probabilities(g, g.root, n, length, vertex_transitive)
+    return dict(rows)
+
+
 class TestPrefixProbability:
     def test_single_letter(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        assert prefix_probability(ws, parse_word(F2, "a")) == Fraction(1, 4)
+        probabilities = _prefix_probabilities(t4_ball, 4, 1, vertex_transitive=True)
+        assert probabilities[parse_word(F2, "a")] == Fraction(1, 4)
 
     def test_double_letter_frozen_value(self):
-        ws = returning_words(tree_ball(4, 3), 6)
-        assert ws.count == 232
-        assert prefix_probability(ws, parse_word(F2, "aa")) == Fraction(10, 232)
-
-    def test_empty_prefix(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        assert prefix_probability(ws, Word(())) == 1
+        g = tree_ball(4, 3)
+        total, rows = conditioned_prefix_probabilities(g, g.root, 6, 2, True)
+        assert total == 232
+        assert dict(rows)[parse_word(F2, "aa")] == Fraction(10, 232)
 
     def test_prefix_mass_sums_to_one(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        total = sum(prefix_probability(ws, Word((l,))) for l in range(4))
-        assert total == 1
+        probabilities = _prefix_probabilities(t4_ball, 4, 2, vertex_transitive=True)
+        for length in (1, 2):
+            assert sum(p for w, p in probabilities.items() if len(w) == length) == 1
 
     def test_length_guard(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        with pytest.raises(ValueError, match="word length"):
-            prefix_probability(ws, parse_word(F2, "ab"))
+        # a prefix longer than n/2 is refused, a one-letter one before anything
+        for n, length in ((4, 3), (1, 1), (0, 1)):
+            with pytest.raises(ValueError, match="twice the prefix length"):
+                conditioned_prefix_probabilities(
+                    t4_ball, t4_ball.root, n, length, vertex_transitive=True
+                )
 
-    @given(st.integers(0, 10**6))
-    def test_bound_on_random_graphs(self, seed):
-        g = random_perm_model(2, 7, seed)
-        ws = returning_words(g, 4)
-        for l in range(4):
-            p = prefix_probability(ws, Word((l,)))
-            assert p >= Fraction(1, 16)
+    @given(
+        points=st.integers(2, 4),
+        elements=st.integers(1, 3),
+        involutions=st.integers(0, 1),
+        seed=st.integers(0, 10_000),
+    )
+    def test_bound_on_random_graphs(self, points, elements, involutions, seed):
+        g = _random_cayley_graph(points, elements, involutions, seed)
+        for w, p in _prefix_probabilities(g, 4, 2).items():
+            assert p >= Fraction(1, g.degree ** (2 * len(w)))
+
+
+def _random_cayley_graph(points: int, elements: int, involutions: int, seed: int):
+    """The Cayley graph of a random permutation group, as ``test_local`` draws it."""
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(range(points), points)) for _ in range(elements)]
+    swaps = [tuple(range(points - 2)) + (points - 1, points - 2)] * involutions
+    return from_perm_action(regular_action(pairs, swaps))
 
 
 class TestConditionedPrefix:
     def test_t4_single_step(self):
         g = tree_ball(4, 4)
-        p = conditioned_prefix_probability(
-            g, g.root, parse_word(F2, "a"), 4, vertex_transitive=True
-        )
-        assert p == Fraction(7, 28)
+        probabilities = _prefix_probabilities(g, 4, 1, vertex_transitive=True)
+        assert probabilities[parse_word(F2, "a")] == Fraction(7, 28)
 
     def test_c6(self):
         g = cycle_graph(6)
-        p = conditioned_prefix_probability(g, 0, parse_word(g.gens, "t"), 2)
-        assert p == Fraction(1, 2)
-
-    def test_empty_prefix(self):
-        g = cycle_graph(6)
-        assert conditioned_prefix_probability(g, 0, Word(()), 2) == 1
+        assert _prefix_probabilities(g, 2, 1)[parse_word(g.gens, "t")] == Fraction(1, 2)
 
     def test_t4_length_two_prefixes(self):
         g = tree_ball(4, 6)
-        for letters in itertools.product(range(4), repeat=2):
-            p = conditioned_prefix_probability(
-                g, g.root, Word(letters), 6, vertex_transitive=True
-            )
-            assert p >= Fraction(1, 4**4)
+        probabilities = _prefix_probabilities(g, 6, 2, vertex_transitive=True)
+        assert len(probabilities) == 4 + 16
+        for w, p in probabilities.items():
+            assert p >= Fraction(1, 4 ** (2 * len(w)))
 
     def test_truncated_needs_declaration(self):
         g = tree_ball(4, 4)
         with pytest.raises(ValueError, match="vertex-transitivity"):
-            conditioned_prefix_probability(g, g.root, parse_word(F2, "a"), 4)
+            conditioned_prefix_probabilities(g, g.root, 4, 1)
+
+
+def _assert_reference_rows(g, x: int, n: int, length: int) -> None:
+    """Row w is |P_{x·w,x,n−ℓ}| / |P_{x,x,n}| from the reference table of
+    x·w, or the first refusal or violation a reference run would meet."""
+    d = g.degree
+    total = reference.count_walks(g, x, n)[n][x]
+    expected: list = []
+    outcome = None
+    if n < 2:
+        outcome = "twice the prefix length"
+    elif total == 0:
+        outcome = "no returning walks"
+    else:
+        for l in range(1, length + 1):
+            for letters in itertools.product(range(d), repeat=l):
+                y = walk_endpoint(g, x, Word(letters))
+                p = Fraction(reference.count_walks(g, y, n - l)[n - l][x], total)
+                if p < Fraction(1, d ** (2 * l)) and outcome is None:
+                    outcome = f"probability {p} fell below 1/{d ** (2 * l)}"
+                expected.append((Word(letters), p))
+    if outcome is None:
+        assert conditioned_prefix_probabilities(g, x, n, length, True) == (
+            total, tuple(expected),
+        )
+    else:
+        with pytest.raises((ValueError, InequalityViolation), match=outcome):
+            conditioned_prefix_probabilities(g, x, n, length, True)
+
+
+class TestOneReturningStream:
+    """Every prefix row is read off one returning stream from x: the count
+    at y = x·w as the stream passes step n − ℓ."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), n=st.integers(0, 9))
+    def test_rows_match_the_reference(self, data, n):
+        """On shuffled transitive graphs and tree balls, at odd and even n."""
+        kind = data.draw(st.sampled_from(["cycle", "cayley", "tree"]), label="kind")
+        if kind == "cycle":
+            g = cycle_graph(data.draw(st.integers(3, 12), label="length"))
+        elif kind == "cayley":
+            g = _random_cayley_graph(
+                data.draw(st.integers(2, 4), label="points"),
+                data.draw(st.integers(1, 3), label="elements"),
+                data.draw(st.integers(0, 1), label="involutions"),
+                data.draw(st.integers(0, 10_000), label="seed"),
+            )
+        else:
+            degree = data.draw(st.integers(2, 4), label="degree")
+            g = _tree_ball(degree, data.draw(st.integers((n + 1) // 2, 5), label="radius"))
+        g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        x = g.root if kind == "tree" else data.draw(st.integers(0, g.n - 1), label="origin")
+        length = data.draw(st.integers(1, max(1, n // 2)), label="length")
+        _assert_reference_rows(g, x, n, length)
+
+    @pytest.mark.parametrize("n, length", [(4, 2), (6, 3), (7, 3)])
+    def test_rows_where_reversed_words_end_elsewhere(self, n, length):
+        """S3 on two letter pairs and an involution: unlike on cycles, trees
+        and the ``s3`` spec, some x·w and x·(w reversed) hold different
+        counts here."""
+        g = _random_cayley_graph(3, 2, 1, seed=5)
+        _assert_reference_rows(g, g.root, n, length)
+
+    @given(m=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 10**6),
+           horizon=st.integers(0, 8))
+    def test_walks_reverse(self, m, n, seed, horizon):
+        """|P_{x,y,k}| = |P_{y,x,k}| on a Schreier graph: a walk read
+        backwards with inverse labels is a walk."""
+        g = random_perm_model(m, n, seed)
+        tables = [reference.count_walks(g, x, horizon) for x in range(g.n)]
+        for k in range(horizon + 1):
+            for x in range(g.n):
+                for y in range(g.n):
+                    assert tables[x][k][y] == tables[y][k][x]
+
+    @pytest.mark.parametrize(
+        "radius, n", [(2, 4), (3, 6), (4, 6), (4, 8), (5, 8), (6, 8)]
+    )
+    def test_truncated_tree_balls_give_the_whole_rows(self, radius, n):
+        """The ball needs its boundary at ⌈n/2⌉ only, not at n − ℓ from x·w."""
+        small = from_spec(f"tree:d=4,r={radius}")
+        large = _tree_ball(4, n)
+        assert conditioned_prefix_probabilities(
+            small, small.root, n, n // 2, True
+        ) == conditioned_prefix_probabilities(large, large.root, n, n // 2, True)
+
+    def test_truncated_fold_ball_gives_the_whole_rows(self):
+        small, large = from_spec("fold:a,rank=2@4"), from_spec("fold:a,rank=2@6")
+        assert conditioned_prefix_probabilities(
+            small, small.root, 6, 3, True
+        ) == conditioned_prefix_probabilities(large, large.root, 6, 3, True)
+
+    def test_refusal_order(self):
+        """A one-letter prefix too long for n is refused first; then the
+        transitivity check, the first prefix's walk, the return-count guard
+        and the returning walks; a longer prefix only after the shorter
+        rows are checked."""
+        refusals = [
+            (cycle_graph(6), 1, 1, None, "twice the prefix length"),
+            (random_perm_model(2, 9, 1), 4, 2, None, "requires a vertex-transitive"),
+            (_tree_ball(4, 0), 2, 1, True, "prefix walk leaves"),
+            (_tree_ball(4, 1), 4, 1, True, "return counts"),
+            (cycle_graph(9), 3, 2, None, "no returning walks"),
+            (cycle_graph(5), 5, 3, None, "fell below 1/16"),
+            (cycle_graph(6), 4, 3, None, "twice the prefix length"),
+        ]
+        for g, n, length, transitive, refusal in refusals:
+            with pytest.raises((ValueError, InequalityViolation), match=refusal):
+                conditioned_prefix_probabilities(g, g.root, n, length, transitive)
 
 
 class TestDomination:
