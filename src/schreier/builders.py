@@ -634,15 +634,25 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
     file with boundary vertices but no ``truncated`` mark) return a
     CoreGraph unless the ``@R`` suffix asks for the completed ball.
     """
+    built, radius = parse_spec(text)
+    return built if radius is None else complete_ball(built, radius)
+
+
+def parse_spec(text: str) -> tuple[SchreierGraph | CoreGraph, int | None]:
+    """``from_spec`` without the ball: the graph or core a spec names, and
+    the radius R of a ball spec (``@R`` on a core, or ``tree:d=D,r=R``,
+    which is ``tree_core(D)`` with radius R), whose ``complete_ball`` is
+    the spec's graph; None for every other spec."""
     text = text.strip()
-    radius: int | None = None
+    at: int | None = None  # the '@R' suffix
     if "@" in text:
         text, _, suffix = text.rpartition("@")
         try:
-            radius = int(suffix)
+            at = int(suffix)
         except ValueError:
             raise ValueError(f"bad radius suffix {suffix!r}") from None
     kind, sep, rest = text.partition(":")
+    radius = at
     result: SchreierGraph | CoreGraph
     if kind == "cycle":
         result = cycle_graph(int(rest))
@@ -656,7 +666,7 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
         result = s3_cayley()
     elif kind == "tree":
         kv = _parse_kv(rest, ("d", "r"), "tree")
-        result = tree_ball(kv["d"], kv["r"])
+        result, radius = tree_core(kv["d"]), kv["r"]
     elif kind == "randperm":
         kv = _parse_kv(rest, ("m", "n", "seed"), "randperm")
         result = random_perm_model(kv["m"], kv["n"], kv["seed"])
@@ -689,11 +699,14 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
             result = CoreGraph(result)  # a core, as ``build`` writes one
     else:
         raise ValueError(f"unknown graph spec {text!r}")
-    if radius is not None:
-        if not isinstance(result, CoreGraph):
-            raise ValueError("'@radius' applies only to core specs (fold/free)")
-        result = complete_ball(result, radius)
-    return result
+    misplaced = "'@radius' applies only to core specs (fold/free)"
+    if at is not None and not isinstance(result, CoreGraph):
+        raise ValueError(misplaced)
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if at is not None and kind == "tree":
+        raise ValueError(misplaced)
+    return result, radius
 
 
 def action_from_spec(text: str) -> PermAction:

@@ -29,6 +29,7 @@ from schreier.builders import (
     complete_ball,
     free_core,
     from_spec,
+    parse_spec,
     restrict_to_orbit,
     tree_core,
 )
@@ -38,6 +39,7 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     SGF1Error,
+    bfs_layers,
     format_word,
     parse_word,
     serialize,
@@ -56,6 +58,7 @@ from schreier.spectral import (
     support_subgroup_graph,
 )
 from schreier.walks import (
+    _require_room,
     conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
@@ -85,6 +88,37 @@ def _full_graph(built, purpose: str):
             f"{purpose} needs a whole graph; complete the core with an '@radius' suffix"
         )
     return built
+
+
+def _ball_root(core: CoreGraph, radius: int, horizon: int) -> bool:
+    """Refuse the root's return counts to ``horizon`` as on
+    ``complete_ball(core, radius)``, and say whether that ball is
+    bipartite, from one search of the core to depth R.  At every horizon
+    the guard admits, the ball's root counts are the core's.
+
+    The ball's boundary is its sphere vertices with an undefined slot, so
+    if it has one, the root's distance to it is R.  It has one exactly
+    when (a) a core vertex lies beyond R: the core being connected, one
+    lies at R + 1, and its edge to the sphere is undefined in the ball; or
+    (b) a core vertex v with an undefined slot lies at distance k ≤ R, and
+    k = R or d ≥ 2: v is on the sphere if k = R, and otherwise hangs a
+    tree whose vertices at depth R − k are, with d − 1 undefined slots
+    each.  For d ≥ 2 the ball thus has no boundary iff the core is
+    complete and lies within R.
+
+    Ball distances are graph distances and tree edges join consecutive
+    ones, so the ball is bipartite iff no core edge joins two vertices at
+    the same distance ≤ R.
+    """
+    g = core.graph
+    # no core vertex lies farther than n − 1, however large R is
+    order, ends = bfs_layers(g.next, core.root, min(radius, core.n))
+    depth = {v: r for r, (i, j) in enumerate(zip([0, *ends], ends)) for v in order[i:j]}
+    if len(order) < core.n or any(
+        g.degree > 1 or depth[v] == radius for v in g.boundary & depth.keys()
+    ):
+        _require_room("return counts", 0, radius, (horizon + 1) // 2)
+    return all(depth.get(w) != depth[v] for v in order for w in g.next[v])
 
 
 def _parse_rank(group: str) -> int:
@@ -564,13 +598,15 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "eigenvalues": [_sig(x) for x in eigenvalues],
         }
     elif args.command == "rho-estimate":
-        built = from_spec(args.graph)
-        report = estimate_rho_returns(built, args.horizon)
+        source, radius = parse_spec(args.graph)
+        report = estimate_rho_returns(source, args.horizon)  # checks the horizon first
         result = {
             "horizon": args.horizon,
             "certified_lower_bound": _sig(report.rho0),
             "extrapolated": _sig(report.extrapolated),
-            "bipartite": report.bipartite,
+            "bipartite": report.bipartite
+            if radius is None
+            else _ball_root(source, radius, args.horizon),
             "method": report.method,
         }
     elif args.command == "ramanujan":
@@ -589,15 +625,20 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "converged": verdict.report.converged,
         }
     elif args.command == "walks":
-        g = _full_graph(from_spec(args.graph), "walk counting")
-        x = g.root if args.vertex is None else args.vertex
-        counts = list(return_counts(g, x, args.horizon))
+        if args.vertex is None:
+            source, radius = parse_spec(args.graph)
+            if radius is not None:
+                _ball_root(source, radius, args.horizon)
+            x = source.root
+        else:
+            source, radius, x = from_spec(args.graph), None, args.vertex
+        counts = list(return_counts(source, x, args.horizon))
         result = {
-            "vertex": x,
+            "vertex": x if radius is None else 0,  # a ball's root is 0
             "horizon": args.horizon,
             "return_counts": counts,
             "return_probabilities": [
-                _sig(c / g.degree**k) for k, c in enumerate(counts)
+                _sig(c / source.gens.degree**k) for k, c in enumerate(counts)
             ],
         }
     elif args.command == "lemma-check":

@@ -257,8 +257,9 @@ def conditioned_prefix_probabilities(
 
     The floor is a transitivity statement; pass ``vertex_transitive=True``
     for truncated inputs whose full graph is transitive, e.g. tree balls.
-    It needs room to complete w·w⁻¹, so a prefix longer than n/2 is
-    refused, after the rows of the shorter ones.
+    It rests on |P_{x,x,n}| ≤ d^{2ℓ}·|P_{x,x,n−2ℓ}|, an even-n statement,
+    so odd n (and negative n) is refused first.  It needs room to complete w·w⁻¹, so a
+    prefix longer than n/2 is refused, after the rows of the shorter ones.
 
     One returning stream from x answers every row.  Walks reverse on a
     Schreier graph (read backwards with inverse labels), so
@@ -267,6 +268,8 @@ def conditioned_prefix_probabilities(
     count at y as the stream passes step n − ℓ, and a truncated graph
     needs its boundary only at distance ⌈n/2⌉, as for ``return_counts``.
     """
+    if n % 2 or n < 0:
+        raise ValueError(f"conditioned prefix checks concern even n >= 0, not n = {n}")
     fits = min(length, n // 2)  # the prefix lengths with 2ℓ ≤ n
     too_long = "need n >= twice the prefix length"
     if length and not fits:
@@ -290,9 +293,7 @@ def conditioned_prefix_probabilities(
     for m, (counts, _) in enumerate(_walk_steps(g, layers, n, {}, returning=True)):
         if m >= n - fits:
             at[n - m] = [counts[y] for y in endpoints[n - m]]
-    total = at[0][0]
-    if total == 0:
-        raise ValueError(f"no returning walks of length {n} from vertex {x}")
+    total = at[0][0]  # ≥ 1 at even n: a step and its inverse, repeated, return
     rows = []
     for l in range(1, fits + 1):
         for letters, count in zip(product(range(d), repeat=l), at[l]):

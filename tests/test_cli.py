@@ -7,18 +7,26 @@ goes through the installed console script to pin the entry point.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import inspect
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from schreier import cli, walks
+import reference
+from schreier import builders, cli, walks
 from schreier.cli import _build_parser, run
-from schreier.core import parse
+from schreier.core import GenSet, format_word, parse
 from schreier.experiments import EXPERIMENTS
+from schreier.walks import return_counts
 
 
 def _json_out(capsys, argv: list[str], expect: int = 0) -> dict:
@@ -333,6 +341,17 @@ class TestLemmaChecks:
 
     def test_triv_checks_reject_odd_length(self, capsys):
         assert run(["lemma-check", "triv2", "--group", "F2", "--n", "5"]) == 1
+
+    def test_returningvsrw_rejects_odd_length(self, capsys):
+        # C₇ is transitive, but the floor holds at even n only
+        argv = ["lemma-check", "returningvsrw", "--graph", "cycle:7", "--n"]
+        for n in ("7", "-2"):
+            assert run([*argv, n]) == 1
+            assert capsys.readouterr().err == (
+                f"error: conditioned prefix checks concern even n >= 0, not n = {n}\n"
+            )
+        assert run([*argv, "0"]) == 1
+        assert capsys.readouterr().err == "error: need n >= twice the prefix length\n"
 
     def test_modifiedrw_random(self, capsys):
         result = _json_out(
@@ -753,6 +772,145 @@ class TestUsageErrors:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+_one_parser = functools.lru_cache(maxsize=1)(_build_parser)
+
+
+def _quiet_run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``run(argv)``, with one parser kept
+    across calls: building it costs more than most answers."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(cli, "_build_parser", _one_parser):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=2)
+def _built(text: str) -> tuple:
+    return builders.from_spec(text), None
+
+
+def _through_the_ball(argv: list[str]) -> tuple[int, str, str]:
+    """``_quiet_run`` with every ball spec built first: ``complete_ball``,
+    then the path of a whole graph."""
+    with mock.patch.object(cli, "parse_spec", _built):
+        return _quiet_run(argv)
+
+
+class TestRootQuestionsFromTheCore:
+    """``walks`` at the root and ``rho-estimate`` on ``@R`` and ``tree:``
+    specs read the core's counts, the ball's guard by arithmetic and the
+    ball's bipartiteness from a depth-R search: the same bytes, refusals
+    and exit codes as on the materialized ball."""
+
+    @staticmethod
+    def _assert_same_as_the_ball(spec: str, radius: int) -> None:
+        for horizon in range(2 * radius + 3):
+            for command in ("walks", "rho-estimate"):
+                argv = [command, "--graph", spec, "--horizon", str(horizon)]
+                assert _quiet_run(argv) == _through_the_ball(argv), argv
+
+    @given(data=st.data(), rank=st.integers(1, 3), radius=st.integers(0, 5))
+    def test_folded_cores_match_their_balls(self, data, rank, radius):
+        words = data.draw(reference.folded_words(rank), label="words")
+        gens = GenSet.free(rank)
+        spelled = ",".join(format_word(gens, w) for w in words)
+        self._assert_same_as_the_ball(f"fold:{spelled},rank={rank}@{radius}", radius)
+
+    @given(degree=st.integers(2, 6), radius=st.integers(0, 5))
+    def test_tree_balls_match(self, degree, radius):
+        self._assert_same_as_the_ball(f"tree:d={degree},r={radius}", radius)
+
+    @pytest.mark.parametrize(
+        "spec, radius",
+        [
+            ("fold:aaaaa,rank=2@1", 1),  # the odd cycle lies beyond radius 1
+            ("fold:aaaaa,rank=2@2", 2),
+            # index 3 in F2, eccentricity 1: a boundary at 0, none beyond
+            ("fold:aaa,b,abA,aabAA,rank=2@0", 0),
+            ("fold:aaa,b,abA,aabAA,rank=2@1", 1),
+            ("fold:aaa,b,abA,aabAA,rank=2@4", 4),
+            # index 2, complete and bipartite: a and b both swap the two cosets
+            ("fold:aa,ab,aB,rank=2@0", 0),
+            ("fold:aa,ab,aB,rank=2@3", 3),
+        ],
+    )
+    def test_chosen_cores_match_their_balls(self, spec, radius):
+        self._assert_same_as_the_ball(spec, radius)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_a_degree_one_core_hangs_single_leaves(self, tmp_path, radius):
+        # one involution, left undefined: the tree it hangs is one leaf, so
+        # the ball has no boundary from radius 1 on
+        path = tmp_path / "leaf.sgf"
+        path.write_text("SGF1\ngens 1\nlabel 0 m inv 0\nvertices 1 root 0\nb 0\n")
+        self._assert_same_as_the_ball(f"file:{path}@{radius}", radius)
+
+    def test_a_ball_can_be_bipartite_where_its_core_is_not(self, capsys):
+        argv = ["rho-estimate", "--horizon", "2", "--graph"]
+        assert _json_out(capsys, [*argv, "fold:aaaaa,rank=2@1"])["result"]["bipartite"]
+        assert not _json_out(capsys, [*argv, "fold:aaaaa,rank=2"])["result"]["bipartite"]
+
+    @pytest.mark.parametrize("spec", ["fold:a,rank=2@-1", "tree:d=4,r=-1"])
+    @pytest.mark.parametrize("command", ["walks", "rho-estimate"])
+    def test_negative_radius_is_refused(self, spec, command):
+        argv = [command, "--graph", spec, "--horizon", "2"]
+        assert _quiet_run(argv) == (1, "", "error: radius must be nonnegative\n")
+
+    def test_refusal_names_the_radius(self):
+        argv = ["walks", "--graph", "tree:d=4,r=2", "--horizon", "5"]
+        assert _quiet_run(argv) == (
+            1, "", "error: insufficient radius for return counts: distance from "
+            "vertex 0 to the truncation boundary is 2, need at least 3\n",
+        )
+
+    def test_root_questions_never_build_the_ball(self, capsys, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(builders, "complete_ball", refuse)
+        for spec in ("fold:a,rank=2@3", "tree:d=4,r=3"):
+            for command in ("walks", "rho-estimate"):
+                _json_out(capsys, [command, "--graph", spec, "--horizon", "6"])
+            for argv in (
+                ["walks", "--graph", spec, "--horizon", "6", "--vertex", "0"],
+                ["bs-stats", "--graph", spec, "--radius", "1"],
+                ["build", spec],
+            ):
+                with pytest.raises(Built):
+                    run(argv)
+
+    def test_a_ball_over_the_vertex_cap_answers_at_the_root(self, capsys, monkeypatch):
+        spec = "tree:d=4,r=14"  # 2,391,485 vertices, over complete_ball's 2,000,000
+        argv = ["walks", "--graph", spec, "--horizon", "2"]
+        assert _json_out(capsys, argv)["result"]["return_counts"] == [1, 0, 4]
+        argv = ["rho-estimate", "--graph", spec, "--horizon", "2"]
+        assert _json_out(capsys, argv)["result"]["certified_lower_bound"] == 0.5
+        # the paths that build the ball keep the cap's refusal (shown at a
+        # lower cap, where the ball is cheap)
+        capped = functools.partial(builders.complete_ball, max_vertices=1000)
+        monkeypatch.setattr(builders, "complete_ball", capped)
+        argv = ["walks", "--graph", "tree:d=4,r=6", "--horizon", "2", "--vertex", "0"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ball of radius 6 exceeds max_vertices=1000\n"
+        )
+
+    def test_walks_on_a_bare_core(self, capsys):
+        argv = ["walks", "--horizon", "4", "--graph"]
+        bare = _json_out(capsys, [*argv, "free:rank=2"])["result"]
+        assert bare["return_counts"] == [1, 0, 4, 0, 28]
+        assert bare == _json_out(capsys, [*argv, "free:rank=2@2"])["result"]
+        # --vertex names a core vertex, walked with its trees
+        core = builders.from_spec("fold:ab,rank=2")
+        for v in range(core.n):
+            counts = _json_out(capsys, [*argv, "fold:ab,rank=2", "--vertex", str(v)])
+            assert counts["result"]["return_counts"] == list(return_counts(core, v, 4))
 
 
 def test_console_script_is_wired():

@@ -341,9 +341,14 @@ class TestPrefixProbability:
             assert sum(p for w, p in probabilities.items() if len(w) == length) == 1
 
     def test_length_guard(self, t4_ball):
-        # a prefix longer than n/2 is refused, a one-letter one before anything
-        for n, length in ((4, 3), (1, 1), (0, 1)):
-            with pytest.raises(ValueError, match="twice the prefix length"):
+        # a prefix longer than n/2 is refused, a one-letter one before
+        # anything but odd n
+        for n, length, refusal in (
+            (4, 3, "twice the prefix length"),
+            (1, 1, "concern even n >= 0, not n = 1"),
+            (0, 1, "twice the prefix length"),
+        ):
+            with pytest.raises(ValueError, match=refusal):
                 conditioned_prefix_probabilities(
                     t4_ball, t4_ball.root, n, length, vertex_transitive=True
                 )
@@ -390,6 +395,15 @@ class TestConditionedPrefix:
         with pytest.raises(ValueError, match="vertex-transitivity"):
             conditioned_prefix_probabilities(g, g.root, 4, 1)
 
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, -1, -2])
+    def test_odd_or_negative_n_is_refused_first(self, n):
+        """The floor is an even-time statement: on C₇ no returning 7-walk
+        starts with a step and its inverse.  Odd and negative n are refused
+        before the length guard and the transitivity check."""
+        for g in (cycle_graph(7), random_perm_model(2, 9, 1)):
+            with pytest.raises(ValueError, match=f"concern even n >= 0, not n = {n}$"):
+                conditioned_prefix_probabilities(g, g.root, n, n + 1)
+
 
 def _assert_reference_rows(g, x: int, n: int, length: int) -> None:
     """Row w is |P_{x·w,x,n−ℓ}| / |P_{x,x,n}| from the reference table of
@@ -398,11 +412,12 @@ def _assert_reference_rows(g, x: int, n: int, length: int) -> None:
     total = reference.count_walks(g, x, n)[n][x]
     expected: list = []
     outcome = None
-    if n < 2:
+    if n % 2:
+        outcome = "concern even n"
+    elif n < 2:
         outcome = "twice the prefix length"
-    elif total == 0:
-        outcome = "no returning walks"
     else:
+        assert total > 0  # a step and its inverse, repeated
         for l in range(1, length + 1):
             for letters in itertools.product(range(d), repeat=l):
                 y = walk_endpoint(g, x, Word(letters))
@@ -483,17 +498,18 @@ class TestOneReturningStream:
         ) == conditioned_prefix_probabilities(large, large.root, 6, 3, True)
 
     def test_refusal_order(self):
-        """A one-letter prefix too long for n is refused first; then the
-        transitivity check, the first prefix's walk, the return-count guard
-        and the returning walks; a longer prefix only after the shorter
-        rows are checked."""
+        """Odd n is refused first, then a one-letter prefix too long for n;
+        then the transitivity check, the first prefix's walk and the
+        return-count guard; a longer prefix only after the shorter rows are
+        checked."""
         refusals = [
-            (cycle_graph(6), 1, 1, None, "twice the prefix length"),
+            (random_perm_model(2, 9, 1), 1, 1, None, "concern even n"),
+            (cycle_graph(9), 3, 2, None, "concern even n"),
+            (cycle_graph(5), 5, 3, None, "concern even n"),
+            (cycle_graph(6), 0, 1, None, "twice the prefix length"),
             (random_perm_model(2, 9, 1), 4, 2, None, "requires a vertex-transitive"),
             (_tree_ball(4, 0), 2, 1, True, "prefix walk leaves"),
             (_tree_ball(4, 1), 4, 1, True, "return counts"),
-            (cycle_graph(9), 3, 2, None, "no returning walks"),
-            (cycle_graph(5), 5, 3, None, "fell below 1/16"),
             (cycle_graph(6), 4, 3, None, "twice the prefix length"),
         ]
         for g, n, length, transitive, refusal in refusals:
