@@ -62,8 +62,7 @@ from schreier.walks import (
     conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
-    returning_words,
-    segment_distribution,
+    segment_distributions,
 )
 
 
@@ -443,22 +442,20 @@ def _check_triv2(args) -> dict:
     """a uniform returning length-n word of F_r has the same segment
     distribution at every cyclic shift"""
     _require_least("--k", args.k, 1)
-    words = returning_words(_free_ball(_parse_rank(args.group), args.n), args.n)
+    g = _free_ball(_parse_rank(args.group), args.n)
     kmax = min(args.k, args.n)
-    classes = {}
-    for k in range(1, kmax + 1):
-        base = segment_distribution(words, 0, k)
-        classes[k] = len(base)
+    total, laws = segment_distributions(g, g.root, args.n, kmax)
+    for k, by_shift in laws.items():
         for t in range(1, args.n):
-            if segment_distribution(words, t, k) != base:
+            if by_shift[t] != by_shift[0]:
                 raise InequalityViolation(
                     f"segment distribution at cyclic shift {t} differs (k={k})"
                 )
     return {
         "n": args.n,
-        "word_count": words.count,
+        "word_count": total,
         "segment_length_max": kmax,
-        "segment_classes": classes,
+        "segment_classes": {k: len(by_shift[0]) for k, by_shift in laws.items()},
         "shifts_checked": args.n - 1,
         "identical": True,
     }

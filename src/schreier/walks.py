@@ -12,12 +12,13 @@ lists the vertices around the origin in order of distance, a step moves
 the walks at the vertices the walk can have reached, and a walk that must
 return by the horizon H also skips vertices it cannot come back from in
 time.  A question about radius R thus costs the R-ball, not the graph.
-Each question reads one stream and holds one row of counts at a time:
 ``return_counts`` keeps the origin's column, ``return_domination_reports``
 reads every even step from the root, and
 ``conditioned_prefix_probabilities`` reads the last steps of a returning
-stream at every prefix's endpoint.  The first two take a graph or a core;
-on a core they read the same steps with the trees attached.
+stream at every prefix's endpoint, each holding one row at a time;
+``segment_distributions`` keeps the returning stream from x and reads one
+from each start of a wrapping segment.  The first two take a graph or a
+core; on a core they read the same steps with the trees attached.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from schreier.builders import CoreGraph
@@ -48,10 +49,8 @@ from schreier.core import (
 from schreier.local import is_vertex_transitive
 
 __all__ = [
-    "ReturningWordSet",
     "return_counts",
-    "returning_words",
-    "segment_distribution",
+    "segment_distributions",
     "conditioned_prefix_probabilities",
     "return_domination_reports",
     "DominationReport",
@@ -154,79 +153,82 @@ def return_counts(
     return tuple(counts[x] for counts, _ in steps)
 
 
-# ---------------------------------------------------------------------------
-# Returning words A_H(S,n)
-# ---------------------------------------------------------------------------
+def segment_distributions(
+    g: SchreierGraph, x: int, n: int, k: int
+) -> tuple[int, dict[int, tuple[dict[tuple[int, ...], Fraction], ...]]]:
+    """|P_{x,x,n}|, and ``laws[k′][t]``, the law of the cyclic segment
+    (a_t, …, a_{t+k′−1}) of a uniform returning length-n word from x, for
+    k′ = 1..k and t = 0..n − 1: each segment of positive probability with
+    its probability (none if no word returns).
 
-_MAX_ENUMERATION = 10**7  # d^n above this: count the words, do not list them
+    Walks reverse on a Schreier graph, so with c_m the row at step m of
+    the returning stream from x, the words with segment s at t number
+    Σ_v c_t[v]·c_{n−t−|s|}[v·s] if s does not wrap.  A trie per shift
+    carries the weights c_t[v] letter by letter to the endpoints (a letter
+    acts injectively), drops an endpoint at depth j farther than n − t − j
+    from x, which cannot return in time, and extends only the segments of
+    positive count; row m is complete within n − m of x, where it is read.
+    A wrapping s = s_a·s_b with |s_a| = n − t numbers |P_{y,z,n−|s|}|, with
+    y = x·s_b, z = x·s_a⁻¹, and s_a, s_b segments of positive count at t
+    and at 0 that do not wrap.  The returning stream from y answers them
+    all: z reaches y in |s| steps, so a walk from y to z lies within
+    min(i, n − i) of y at step i, and row n − |s| is complete at z.  The
+    subgroup need not be normal, so this is no rotation of another law.
 
-
-@dataclass(frozen=True)
-class ReturningWordSet:
-    """The words of length n over the alphabet whose walk from the root
-    returns to the root — equivalently, the length-n words representing
-    elements of the subgroup the rooted graph encodes.
-
-    Above the enumeration guard only the exact count is kept.
+    One guard at x covers every stream: each walk counted is a piece of a
+    returning length-n word from x, which stays within ⌊n/2⌋ of x, on the
+    slots of vertices closer than ⌈n/2⌉ or, at even n, inward from n/2
+    along the inverse of an interior vertex's slot.  The streams from y
+    must not be guarded: y may lie closer than ⌈n/2⌉ to the boundary.
     """
-
-    graph: SchreierGraph
-    n: int
-    count: int
-    words: tuple[Word, ...] | None
-
-    @property
-    def explicit(self) -> bool:
-        return self.words is not None
-
-
-def returning_words(g: SchreierGraph, n: int) -> ReturningWordSet:
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    _, (order, ends), _ = _walk_source(
-        g, g.root, n // 2, (n + 1) // 2, "returning words"
-    )
-    if g.degree ** n > _MAX_ENUMERATION:
-        *_, (counts, _) = _walk_steps(g, (order, ends), n, {}, returning=True)
-        return ReturningWordSet(graph=g, n=n, count=counts[g.root], words=None)
-    # a word that can still return visits only vertices within n/2 of the
-    # root; any vertex farther out is pruned by its default distance n
-    starts = [0, *ends]
-    dist = {v: r for r, end in enumerate(ends) for v in order[starts[r] : end]}
-    words: list[Word] = []
-    prefix: list[int] = []
-
-    def extend(v: int, remaining: int) -> None:
-        if remaining == 0:
-            if v == g.root:
-                words.append(Word(tuple(prefix)))
-            return
-        for l, w in enumerate(g.next[v]):
-            if w is not None and dist.get(w, n) <= remaining - 1:
-                prefix.append(l)
-                extend(w, remaining - 1)
-                prefix.pop()
-
-    extend(g.root, n)
-    return ReturningWordSet(graph=g, n=n, count=len(words), words=tuple(words))
-
-
-def segment_distribution(
-    words: ReturningWordSet, t: int, k: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Distribution of the cyclic segment (a_t, …, a_{t+k−1}) under a
-    uniform word of the set; indices wrap mod n."""
-    if not words.explicit:
-        raise ValueError("segment distribution needs the explicit word list")
-    if not 0 <= k <= words.n:
+    if not 0 <= k <= n:
         raise ValueError("segment length out of range")
-    if words.count == 0:
-        raise ValueError("empty word set has no distribution")
-    freq: dict[tuple[int, ...], int] = {}
-    for w in words.words:  # type: ignore[union-attr]
-        seg = tuple(w.letters[(t + i) % words.n] for i in range(k))
-        freq[seg] = freq.get(seg, 0) + 1
-    return {seg: Fraction(c, words.count) for seg, c in freq.items()}
+    _, (order, ends), _ = _walk_source(g, x, n // 2, (n + 1) // 2, "returning words")
+    rows = [c for c, _ in _walk_steps(g, (order, ends), n, {}, returning=True)]
+    dist = [n + 1] * (g.n + 1)  # the last entry, far, is read for a missing slot (−1)
+    for r, (begin, end) in enumerate(zip([0, *ends], ends)):
+        for v in order[begin:end]:
+            dist[v] = r
+    columns = g.slots.T.tolist()
+    counts: dict[int, list[dict]] = {j: [{} for _ in range(n)] for j in range(1, k + 1)}
+    for t in range(n):
+        level = [((), [(v, rows[t][v]) for v in order[: ends[min(t, n - t)]] if rows[t][v]])]
+        for j in range(1, min(k, n - t) + 1):
+            bound, row, deeper = n - t - j, rows[n - t - j], []
+            for segment, weights in level:
+                for l, column in enumerate(columns):
+                    moved = [(column[v], w) for v, w in weights if dist[column[v]] <= bound]
+                    if count := sum(w * row[u] for u, w in moved):
+                        counts[j][t][segment + (l,)] = count
+                        deeper.append((segment + (l,), moved))
+            level = deeper
+    by_y: dict[int, dict] = {b: {} for b in range(1, k)}  # b -> y -> the s_b, x·s_b = y
+    for b, ys in by_y.items():
+        for tail in counts[b][0]:
+            ys.setdefault(walk_endpoint(g, x, Word(tail)), []).append(tail)
+    asks: dict[int, list] = {}  # y -> (n − |s|, the s_b, the s_a by z, the law)
+    for t in range(n - k + 1, n):
+        by_z: dict[int, list] = {}
+        for head in counts[n - t][t]:
+            z = walk_endpoint(g, x, Word(tuple(g.gens.inv[l] for l in reversed(head))))
+            by_z.setdefault(z, []).append(head)
+        for j in range(n - t + 1, k + 1):
+            for y, tails in by_y[j - n + t].items():
+                asks.setdefault(y, []).append((n - j, tails, by_z, counts[j][t]))
+    for y, wanted in asks.items():
+        stream = _walk_steps(g, bfs_layers(g.next, y, n // 2), n, {}, returning=True)
+        at = [c for c, _ in islice(stream, max(m for m, *_ in wanted) + 1)]
+        for m, tails, by_z, law in wanted:
+            for z, heads in by_z.items():
+                if at[m][z]:
+                    law.update((head + tail, at[m][z]) for head in heads for tail in tails)
+    total = rows[n][x]
+    return total, {
+        j: tuple({s: Fraction(c, total) for s, c in law.items()} for law in by_shift)
+        for j, by_shift in counts.items()
+    }
 
 
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:

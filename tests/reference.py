@@ -11,6 +11,9 @@ builders replaced, and hypothesis strategies to compare them on.
   sprouted tree vertices) and renumbers it with ``canonical_rows``;
 - ``count_walks`` steps a full row of walk counts over the stored edges,
   dropping walks through missing slots;
+- ``returning_words`` lists the returning words by depth-first search and
+  ``segment_distribution`` counts a cyclic segment over the list, the
+  oracles of ``walks.segment_distributions``;
 - ``tree_ring_counts`` runs the ring recursion of the regular tree;
 - ``rho0_dense`` reads ρ₀ off the whole dense Markov spectrum, which the
   Lanczos solver of ``spectral.rho0`` replaced;
@@ -208,6 +211,41 @@ def count_walks(g: SchreierGraph, x: int, horizon: int) -> tuple[tuple[int, ...]
         row = nxt
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def returning_words(g: SchreierGraph, x: int, n: int) -> list[tuple[int, ...]]:
+    """The label sequences of length n whose walk from x returns to x, by
+    depth-first search; a walk farther from x than its remaining steps is
+    pruned."""
+    dist = bfs_distances(g, x)
+    words: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def extend(v: int, remaining: int) -> None:
+        if remaining == 0:
+            if v == x:
+                words.append(tuple(prefix))
+            return
+        for l, w in enumerate(g.next[v]):
+            if w is not None and dist[w] <= remaining - 1:
+                prefix.append(l)
+                extend(w, remaining - 1)
+                prefix.pop()
+
+    extend(x, n)
+    return words
+
+
+def segment_distribution(
+    words: list[tuple[int, ...]], n: int, t: int, k: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Law of the cyclic segment (a_t, …, a_{t+k−1}), indices mod n, of a
+    uniform word of the list."""
+    freq: dict[tuple[int, ...], int] = {}
+    for w in words:
+        seg = tuple(w[(t + i) % n] for i in range(k))
+        freq[seg] = freq.get(seg, 0) + 1
+    return {seg: Fraction(c, len(words)) for seg, c in freq.items()}
 
 
 def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:

@@ -17,6 +17,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import reference
+
 from schreier.builders import (
     _quaternion_solutions,
     complete_ball,
@@ -47,8 +49,7 @@ from schreier.walks import (
     conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
-    returning_words,
-    segment_distribution,
+    segment_distributions,
 )
 
 TREE4 = 3**0.5 / 2  # spectral radius of the 4-regular tree, 0.86602540...
@@ -106,15 +107,16 @@ def test_04_shift_invariance_and_prefix_floor():
     for n in range(1, 9):
         radius = max(1, (n + 1) // 2)
         ball = complete_ball(free_core(2), radius)
-        words = returning_words(ball, n)
+        total, laws = segment_distributions(ball, ball.root, n, min(3, n))
+        words = reference.returning_words(ball, ball.root, n)
+        assert total == len(words)
         if n % 2:
-            assert words.count == 0
+            assert total == 0
             continue
-        gens = words.graph.gens
-        for k in range(1, min(3, n) + 1):
-            base = segment_distribution(words, 0, k)
+        for k, by_shift in laws.items():
+            assert by_shift[0] == reference.segment_distribution(words, n, 0, k)
             for t in range(1, n):
-                assert segment_distribution(words, t, k) == base
+                assert by_shift[t] == by_shift[0]
         _, rows = conditioned_prefix_probabilities(
             ball, ball.root, n, min(3, (n - 1) // 2), vertex_transitive=True
         )

@@ -324,7 +324,7 @@ class TestLemmaChecks:
         assert len(result["rows"]) == 4 + 16 + 64
 
     def test_triv1_above_the_enumeration_guard(self, capsys):
-        # 4^12 words exceed the guard; the returning stream needs no list
+        # 4^12 words: the returning stream needs no word list
         result = _json_out(
             capsys, ["lemma-check", "triv1", "--group", "F2", "--n", "12"]
         )["result"]
@@ -338,6 +338,35 @@ class TestLemmaChecks:
         assert result["identical"] is True
         assert result["word_count"] == 232
         assert result["shifts_checked"] == 5
+
+    @pytest.mark.parametrize(
+        "rank, n, word_count, classes",
+        [(2, 12, 195352, {"1": 4, "2": 16, "3": 64}),
+         (3, 10, 197796, {"1": 6, "2": 36, "3": 216})],
+    )
+    def test_triv2_past_the_word_list(self, capsys, rank, n, word_count, classes):
+        # d^n words far exceed what the returning-word list once held
+        result = _json_out(
+            capsys, ["lemma-check", "triv2", "--group", f"F{rank}", "--n", str(n)]
+        )["result"]
+        assert result["word_count"] == word_count
+        assert word_count == return_counts(builders.free_core(rank), 0, n)[n]
+        assert result["segment_classes"] == classes
+        assert result["identical"] is True
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["--group", "F2", "--n", "5"], "returning-word checks concern even n >= 2"),
+            (["--group", "F2", "--n", "4", "--k", "0"],
+             "--k 0 leaves nothing to check; it must be at least 1"),
+            (["--group", "F0", "--n", "4"], "rank must be positive"),
+        ],
+        ids=["odd-n", "k0", "F0"],
+    )
+    def test_triv2_refusals_keep_their_text(self, capsys, argv, refusal):
+        assert run(["lemma-check", "triv2", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
     def test_triv_checks_reject_odd_length(self, capsys):
         assert run(["lemma-check", "triv2", "--group", "F2", "--n", "5"]) == 1

@@ -2,7 +2,6 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +30,12 @@ from schreier.core import (
     parse_word,
     walk_endpoint,
 )
-from schreier import walks
 from schreier.walks import (
     DominationReport,
     conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
-    returning_words,
-    segment_distribution,
+    segment_distributions,
 )
 
 F2 = GenSet.free(2)
@@ -248,9 +245,14 @@ class TestHangingTreeRecurrence:
         core = stallings_core(F2, data.draw(reference.folded_words(2)))
         ball = complete_ball(core, (n + 1) // 2)
         g = reference.shuffled(ball, data.draw(st.permutations(range(ball.n))))
-        ws = returning_words(g, n)
-        assert ws.count == reference.count_walks(g, g.root, n)[n][g.root]
-        assert all(walk_endpoint(g, g.root, w) == g.root for w in ws.words)
+        total, laws = segment_distributions(g, g.root, n, n)
+        assert total == reference.count_walks(g, g.root, n)[n][g.root]
+        words = reference.returning_words(g, g.root, n)
+        assert len(words) == total
+        if n:
+            # the whole word is the segment of length n at shift 0
+            assert set(laws[n][0]) == set(words)
+            assert all(walk_endpoint(g, g.root, Word(w)) == g.root for w in laws[n][0])
 
     @pytest.mark.parametrize("degree", [27, 60])
     def test_large_degree_trees(self, degree):
@@ -260,32 +262,36 @@ class TestHangingTreeRecurrence:
         assert reports == (DominationReport(degree, 2, degree, 1, 1),)
 
 
+def _laws(g, n, k, x=None):
+    """``segment_distributions`` from x (the root by default), with every
+    law checked against the enumeration oracle."""
+    x = g.root if x is None else x
+    total, laws = segment_distributions(g, x, n, k)
+    words = reference.returning_words(g, x, n)
+    assert total == len(words)
+    for j, by_shift in laws.items():
+        for t, law in enumerate(by_shift):
+            assert law == reference.segment_distribution(words, n, t, j), (j, t)
+    return total, laws
+
+
 class TestReturningWords:
     def test_f2_length_two(self, t4_ball):
-        ws = returning_words(t4_ball, 2)
-        assert ws.count == 4
-        assert set(ws.words) == {
-            Word((0, 1)), Word((1, 0)), Word((2, 3)), Word((3, 2)),
-        }
+        total, laws = _laws(t4_ball, 2, 2)
+        assert total == 4
+        assert set(laws[2][0]) == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
     def test_f2_length_four(self, t4_ball):
-        assert returning_words(t4_ball, 4).count == 28
+        assert _laws(t4_ball, 4, 1)[0] == 28
 
     def test_loop_subgroup_length_one(self, loop_core):
         # both the generator and its inverse lie in the subgroup
-        ws = returning_words(complete_ball(loop_core, 1), 1)
-        assert ws.count == 2
-        assert set(ws.words) == {Word((0,)), Word((1,))}
-
-    def test_count_only_mode(self, t4_ball):
-        with mock.patch.object(walks, "_MAX_ENUMERATION", 10):
-            ws = returning_words(t4_ball, 4)
-        assert ws.words is None
-        assert ws.count == 28
+        total, laws = _laws(complete_ball(loop_core, 1), 1, 1)
+        assert total == 2
+        assert set(laws[1][0]) == {(0,), (1,)}
 
     def test_rotation_closure(self, t4_ball):
-        ws = returning_words(t4_ball, 6)
-        listed = {w.letters for w in ws.words}
+        listed = set(_laws(t4_ball, 6, 6)[1][6][0])
         for letters in listed:
             for r in range(6):
                 assert letters[r:] + letters[:r] in listed
@@ -293,29 +299,64 @@ class TestReturningWords:
     @given(st.integers(0, 10**6), st.integers(0, 4))
     def test_count_matches_walk_dp(self, seed, n):
         g = random_perm_model(2, 6, seed)
-        ws = returning_words(g, n)
-        assert ws.count == return_counts(g, g.root, n)[n]
+        total, _ = _laws(g, n, n)
+        assert total == return_counts(g, g.root, n)[n]
 
 
 class TestSegmentDistribution:
     def test_uniform_single_letters(self, t4_ball):
-        ws = returning_words(t4_ball, 2)
-        dist = segment_distribution(ws, 0, 1)
-        assert dist == {(l,): Fraction(1, 4) for l in range(4)}
+        laws = _laws(t4_ball, 2, 1)[1]
+        assert laws[1][0] == {(l,): Fraction(1, 4) for l in range(4)}
 
     def test_quarter_each_at_length_four(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        dist = segment_distribution(ws, 0, 1)
-        assert all(p == Fraction(7, 28) for p in dist.values())
+        laws = _laws(t4_ball, 4, 1)[1]
+        assert all(p == Fraction(7, 28) for p in laws[1][0].values())
 
     def test_rotation_invariance(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        assert segment_distribution(ws, 0, 1) == segment_distribution(ws, 2, 1)
-        assert segment_distribution(ws, 0, 2) == segment_distribution(ws, 3, 2)
+        laws = _laws(t4_ball, 4, 2)[1]
+        assert laws[1][0] == laws[1][2]
+        assert laws[2][0] == laws[2][3]
 
     def test_mass_sums_to_one(self, t4_ball):
-        ws = returning_words(t4_ball, 4)
-        assert sum(segment_distribution(ws, 1, 2).values()) == 1
+        laws = _laws(t4_ball, 4, 2)[1]
+        assert sum(laws[2][1].values()) == 1
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 7), extra=st.integers(0, 2))
+    def test_every_shift_matches_the_enumeration(self, data, n, extra):
+        # folded cores are Schreier graphs of subgroups that need not be
+        # normal, where the law can change with the shift
+        core = stallings_core(F2, data.draw(reference.folded_words(2)))
+        ball = complete_ball(core, (n + 1) // 2 + extra)
+        g = reference.shuffled(ball, data.draw(st.permutations(range(ball.n))))
+        x = data.draw(st.sampled_from(range(g.n)), label="origin")
+        room, needed = reference.distance_to_boundary(g, x), (n + 1) // 2
+        if needed <= room:
+            _laws(g, n, min(3, n), x)
+        else:
+            refusal = f"returning words: .* boundary is {room}, need at least {needed}"
+            with pytest.raises(InsufficientRadiusError, match=refusal):
+                segment_distributions(g, x, n, min(3, n))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_one_guard_at_the_origin(self, n):
+        # the wrap streams start within k − 1 of the root, closer than
+        # ⌈n/2⌉ to the boundary of the smallest ball that answers
+        needed = (n + 1) // 2
+        with pytest.raises(
+            InsufficientRadiusError,
+            match="insufficient radius for returning words: distance from vertex 0 "
+            f"to the truncation boundary is {needed - 1}, need at least {needed}",
+        ):
+            segment_distributions(tree_ball(4, needed - 1), 0, n, 3)
+        g = tree_ball(4, needed)
+        assert _laws(g, n, 3) == segment_distributions(tree_ball(4, n), 0, n, 3)
+
+    def test_refusals(self, t4_ball):
+        with pytest.raises(ValueError, match="nonnegative"):
+            segment_distributions(t4_ball, 0, -1, 0)
+        with pytest.raises(ValueError, match="segment length out of range"):
+            segment_distributions(t4_ball, 0, 2, 3)
 
 
 def _prefix_probabilities(g, n, length, vertex_transitive=None):
