@@ -6,17 +6,23 @@ and rooted graphs are finite, canonicalizable objects.  An ensemble is a
 weighted list of rooted graphs; conjugating the subgroup by a generator
 is moving the root along that generator's edge, so conjugation
 invariance becomes a measurable statement about R-ball statistics under
-root moves.  Samples rooted in one orbit share one table, and each R-ball
-class is computed once per vertex of it.
+root moves.  Samples rooted in one orbit share one table, and one endpoint
+table over its roots and moved roots gives all their R-ball classes, keyed
+by the ``local`` digest of a root's first-occurrence pattern.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable
+
+import numpy as np
 
 from schreier.core import (
     GenSet,
@@ -27,7 +33,7 @@ from schreier.core import (
     boundary_layer,
     canonical_rows,
 )
-from schreier.local import ball, tv_distance
+from schreier.local import _ball_classes, tv_distance
 
 __all__ = [
     "Provenance",
@@ -131,18 +137,33 @@ def _distributions(
     e: IrsEnsemble, radius: int
 ) -> tuple[dict[str, Fraction], list[dict[str, Fraction]]]:
     """Weighted R-ball class distributions at the roots and after moving every
-    root along each label, one ball per (table, vertex); ids are stable keys
-    because the ensemble keeps its tables alive."""
-    digests: dict[tuple[int, int], str] = {}
-    dists: list[dict[str, Fraction]] = [{} for _ in range(e.gens.degree + 1)]
-    for g, w in zip(e.samples, e.weights):
-        for dist, v in zip(dists, [g.root, *g.next[g.root]]):
-            key = (id(g.next), v)
-            if key not in digests:
-                digests[key] = ball(g, v, radius).digest
-            digest = digests[key]
-            dist[digest] = dist.get(digest, Fraction(0)) + w
-    return dists[0], dists[1:]
+    root along each label, from one endpoint table per shared orbit table
+    over its samples' roots and moved roots.  A class's weight is exact for
+    any weights: a count × weight per distinct weight, summed."""
+    tables: dict[int, list[int]] = {}  # id(next) -> the samples rooted in it
+    for i, g in enumerate(e.samples):
+        tables.setdefault(id(g.next), []).append(i)
+    pairs = [(w.numerator, w.denominator) for w in e.weights]  # hashed faster than Fractions
+    index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
+    distinct, ks = [Fraction(*p) for p in index], np.array([index[p] for p in pairs])
+    tallies = [defaultdict(Counter) for _ in range(e.gens.degree + 1)]  # digest -> k -> count
+    for members in tables.values():
+        slots = e.samples[members[0]].slots
+        roots = np.array([e.samples[i].root for i in members])
+        at = np.column_stack([roots, slots[roots]])  # each root, then moved by each label
+        vertices, where = np.unique(at, return_inverse=True)
+        digests, classes = _ball_classes(slots, e.gens, vertices, radius)
+        codes = classes[where.reshape(at.shape)] * len(distinct) + ks[members, None]
+        for tally, column in zip(tallies, codes.T):
+            found, counts = np.unique(column, return_counts=True)
+            for code, count in zip(found.tolist(), counts.tolist()):
+                c, k = divmod(code, len(distinct))
+                tally[digests[c]][k] += count
+    base, *moved = (
+        {d: reduce(add, (c * distinct[k] for k, c in by_k.items())) for d, by_k in t.items()}
+        for t in tallies
+    )
+    return base, moved
 
 
 @dataclass(frozen=True)
@@ -150,8 +171,10 @@ class InvarianceReport:
     """Total-variation response of R-ball statistics to root moves.
 
     A conjugation-invariant ensemble has ``max_tv == 0``; exact kinds
-    report the TV itself, sampled kinds additionally carry a rough
-    DKW-style confidence radius for reading the empirical value.
+    report the TV itself.  Sampled kinds also carry ``confidence_radius`` =
+    √(2 ln 40 / m) for m samples, a heuristic: it ignores the number K of
+    ball classes and does not bound the TV between empirical laws over K
+    classes, which exactly invariant ensembles exceed at large K.
     """
 
     radius: int

@@ -8,20 +8,22 @@ a ball is tree-like exactly when no two distinct reduced words of length
 at most R collide — which is what makes the fixed-point inequalities below
 exact with word lists of length at most 2R.
 
-Schreier graphs are deterministic labeled structures, so rooted balls have
-a linear-time canonical form (breadth-first renumbering, edges taken in
-label order) and isomorphism is equality of canonical rows, which a ball's
-digest hashes — no general graph-isomorphism search anywhere.
+Schreier graphs are deterministic, so ball classes need no isomorphism
+search.  In the endpoint table E[x, k] = x·w_k over the reduced words of
+length ≤ R, two roots have isomorphic R-balls exactly when their rows have
+one first-occurrence pattern (entry k is the first column ending where w_k
+does, −1 off the stored graph): every ball vertex ends a geodesic word and
+every ball edge joins the ends of w and w·l, |w| < R.  A class digest is
+the SHA-256 of the radius, the alphabet and that pattern.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,17 +58,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RootedBall:
-    """A canonical rooted R-ball; equal digests ⟺ isomorphic balls, since the
-    root (0), boundary and truncation follow from the rows and the radius."""
+    """A canonical rooted R-ball; equal digests ⟺ isomorphic balls.  The digest
+    is the root's endpoint-table class, as ``bs_statistics`` keys it."""
 
     radius: int
     graph: SchreierGraph
 
     @cached_property
     def digest(self) -> str:
-        gens = self.graph.gens
-        payload = repr((self.radius, gens.labels, gens.inv, self.graph.next))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        g = self.graph
+        return _ball_classes(g.slots, g.gens, np.array([g.root]), self.radius)[0][0]
 
 
 def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
@@ -151,8 +152,9 @@ def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
     """Exact R-ball class frequencies over all vertices of a finite graph."""
     if g.truncated:
         raise ValueError("ball statistics need the whole graph, not a truncation")
-    counts = Counter(ball(g, v, radius).digest for v in range(g.n))
-    freqs = {d: Fraction(c, g.n) for d, c in counts.items()}
+    digests, classes = _ball_classes(g.slots, g.gens, np.arange(g.n), radius)
+    counts = np.bincount(classes, minlength=len(digests)).tolist()
+    freqs = {d: Fraction(c, g.n) for d, c in zip(digests, counts)}
     return BallDistribution(radius=radius, n=g.n, frequencies=freqs)
 
 
@@ -246,27 +248,64 @@ class LocalApproxReport:
         return sum((d for _, d in self.densities), start=Fraction(0))
 
 
-_CELLS = 1 << 22  # endpoint-table entries held at once
+_CELLS = 1 << 20  # endpoint-table entries per chunk; its pattern pass peaks near 48 MB
+
+
+def _endpoint_tables(
+    slots: np.ndarray, gens: GenSet, roots: np.ndarray, radius: int, max_length: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(offset into ``roots``, E, P) in chunks under ``_CELLS`` entries:
+    E[x, k] = x·w_k over the reduced words of length ≤ max_length, and P
+    each row's first-occurrence pattern over those of length ≤ R.  A
+    missing slot steps to the sentinel n, whose every slot is n."""
+    parent, letter, starts = _word_tree(gens, max_length)
+    n, near = len(slots), starts[radius + 1]
+    vertex = np.int32 if n < 2**31 - 1 else np.int64  # holds every vertex and n
+    step_to = np.vstack([np.where(slots < 0, n, slots), np.full((1, gens.degree), n)])
+    step_to, roots = step_to.astype(vertex), np.asarray(roots, dtype=vertex)
+    columns, step = np.arange(near, dtype=vertex), max(1, _CELLS // len(parent))
+    for first in range(0, len(roots), step):
+        ends = np.repeat(roots[first : first + step, None], len(parent), axis=1)
+        for lo, hi in zip(starts[1:], starts[2:]):
+            ends[:, lo:hi] = step_to[ends[:, parent[lo:hi]], letter[lo:hi]]
+        order = np.argsort(ends[:, :near], axis=1, kind="stable")  # runs by first column
+        ordered = np.take_along_axis(ends, order, axis=1)
+        runs = np.where(np.diff(ordered, axis=1, prepend=-1) != 0, columns, 0)
+        np.maximum.accumulate(runs, axis=1, out=runs)
+        pattern = np.empty(order.shape, dtype=np.int32)
+        np.put_along_axis(pattern, order, np.take_along_axis(order, runs, axis=1), axis=1)
+        pattern[ends[:, :near] == n] = -1
+        yield first, ends, pattern
+
+
+def _ball_classes(
+    slots: np.ndarray, gens: GenSet, roots: np.ndarray, radius: int
+) -> tuple[list[str], np.ndarray]:
+    """The distinct R-ball class digests of ``roots`` and each root's index
+    into them; a root nearer than R to a missing slot gets its stored ball's."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    index: dict[bytes, int] = {}  # pattern row -> class
+    classes = np.empty(len(roots), dtype=np.int64)
+    for first, ends, pattern in _endpoint_tables(slots, gens, roots, radius, radius):
+        rows, inverse = np.unique(pattern.view(f"V{pattern.strides[0]}"), return_inverse=True)
+        ids = [index.setdefault(row, len(index)) for row in rows.tolist()]
+        classes[first : first + len(ends)] = np.array(ids)[inverse.ravel()]
+    rows = (np.frombuffer(row, np.int32).tolist() for row in index)
+    payloads = (repr((radius, gens.labels, gens.inv, row)).encode() for row in rows)
+    return [hashlib.sha256(p).hexdigest() for p in payloads], classes
 
 
 def _endpoint_counts(act: PermAction, radius: int, max_length: int) -> tuple[int, np.ndarray]:
-    """Both sides of the local-approximation check from one table E[x, k] =
-    x·w_k over the reduced words of length ≤ max_length (≥ R): the number of
-    points whose R-ball is the tree ball (no two words of length ≤ R end at
-    one point) and the number each nonempty word fixes, in word order."""
-    parent, letter, starts = _word_tree(act.gens, max_length)
-    perms, width = np.array(act.perms), len(parent)
-    tree, fixed = 0, np.zeros(width, dtype=np.int64)
-    step = max(1, _CELLS // width)
-    for first in range(0, act.degree, step):
-        points = np.arange(first, min(first + step, act.degree))
-        ends = np.empty((len(points), width), dtype=perms.dtype)
-        ends[:, 0] = points
-        for lo, hi in zip(starts[1:], starts[2:]):
-            ends[:, lo:hi] = perms[letter[lo:hi], ends[:, parent[lo:hi]]]
-        near = np.sort(ends[:, : starts[radius + 1]], axis=1)
-        tree += int((near[:, 1:] != near[:, :-1]).all(axis=1).sum())
-        fixed += (ends == points[:, None]).sum(axis=0)
+    """Both sides of the local-approximation check from one endpoint table
+    over the reduced words of length ≤ max_length (≥ R): the number of
+    points whose R-ball is the tree ball (no repeat in the pattern) and
+    the number each nonempty word fixes, in word order."""
+    tree, fixed = 0, 0
+    slots, points = np.array(act.perms).T, np.arange(act.degree)
+    for _, ends, pattern in _endpoint_tables(slots, act.gens, points, radius, max_length):
+        tree += int((pattern == np.arange(pattern.shape[1])).all(axis=1).sum())
+        fixed = fixed + (ends == ends[:, :1]).sum(axis=0)
     return tree, fixed[1:]
 
 

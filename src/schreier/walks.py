@@ -155,11 +155,12 @@ def return_counts(
 
 def segment_distributions(
     g: SchreierGraph, x: int, n: int, k: int
-) -> tuple[int, dict[int, tuple[dict[tuple[int, ...], Fraction], ...]]]:
+) -> tuple[int, dict[int, tuple[dict[tuple[int, ...], int], ...]]]:
     """|P_{x,x,n}|, and ``laws[k′][t]``, the law of the cyclic segment
     (a_t, …, a_{t+k′−1}) of a uniform returning length-n word from x, for
     k′ = 1..k and t = 0..n − 1: each segment of positive probability with
-    its probability (none if no word returns).
+    the number of returning words that show it there, over the one
+    denominator |P_{x,x,n}| (none if no word returns).
 
     Walks reverse on a Schreier graph, so with c_m the row at step m of
     the returning stream from x, the words with segment s at t number
@@ -224,11 +225,7 @@ def segment_distributions(
             for z, heads in by_z.items():
                 if at[m][z]:
                     law.update((head + tail, at[m][z]) for head in heads for tail in tails)
-    total = rows[n][x]
-    return total, {
-        j: tuple({s: Fraction(c, total) for s, c in law.items()} for law in by_shift)
-        for j, by_shift in counts.items()
-    }
+    return rows[n][x], {j: tuple(by_shift) for j, by_shift in counts.items()}
 
 
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:

@@ -19,6 +19,10 @@ builders replaced, and hypothesis strategies to compare them on.
   Lanczos solver of ``spectral.rho0`` replaced;
 - ``cycles_through`` counts the cycles through one vertex by walking out
   of it, the oracle of the identity Σ_v through(v) = L·c_L;
+- ``rows_digest`` hashes the repr of a ball's canonical rows, the digest
+  that the endpoint-table classes of ``local._ball_classes`` replaced;
+  ``perm_models`` draws actions with involutions, loops and parallel
+  edges to compare them on;
 - ``tree_ball_class`` is the R-ball of the free product's Cayley tree,
   ``invert_word`` the formal inverse of a word and ``point_mass`` the
   ensemble of one rooted graph;
@@ -31,6 +35,7 @@ builders replaced, and hypothesis strategies to compare them on.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import deque
 from fractions import Fraction
@@ -171,6 +176,13 @@ def complete_ball(
         boundary=boundary,
         truncation_radius=radius if boundary else None,
     )
+
+
+def rows_digest(gens: GenSet, table, v: int, radius: int) -> str:
+    """SHA-256 of the repr of the radius, the alphabet and the canonical
+    rows of v's R-ball in ``table``, also near a truncation boundary."""
+    rows = canonical_rows(table, v, radius)[1]
+    return hashlib.sha256(repr((radius, gens.labels, gens.inv, rows)).encode()).hexdigest()
 
 
 def tree_ball_class(gens: GenSet, radius: int) -> RootedBall:
@@ -481,6 +493,25 @@ def folded_words(draw, rank: int) -> list[Word]:
     """1-3 words of length 1-8 over the free alphabet of the given rank."""
     letters = st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=8)
     return draw(st.lists(letters.map(lambda ls: Word(tuple(ls))), min_size=1, max_size=3))
+
+
+@st.composite
+def perm_models(draw) -> PermAction:
+    """Uniform permutations of 1-12 points by 1-3 labels, each a letter
+    pair or an involution: fixed points give loops, and letters that agree
+    at a point give parallel edges.  Orbits are not restricted."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.integers(1, 3))
+    pairs = draw(st.integers(0, labels))
+    pair_perms = [draw(st.permutations(range(n))) for _ in range(pairs)]
+    involution_perms = []
+    for _ in range(labels - pairs):
+        points, swap = draw(st.permutations(range(n))), list(range(n))
+        for x, y in zip(points[0::2], points[1::2]):
+            if draw(st.booleans()):
+                swap[x], swap[y] = y, x
+        involution_perms.append(swap)
+    return PermAction.from_generator_perms(pair_perms, involution_perms)
 
 
 @st.composite

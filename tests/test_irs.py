@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,15 +30,17 @@ from schreier.core import (
     parse_word,
     serialize,
 )
+from schreier import irs
 from schreier.irs import (
     IrsEnsemble,
     Provenance,
+    _distributions,
     _rooted_orbits,
     invariance_diagnostic,
     stabilizer_sample,
     uniform_conjugate,
 )
-from schreier.local import ball, bs_statistics, tv_distance
+from schreier.local import bs_statistics, tv_distance
 
 
 def line_ball(radius):
@@ -160,9 +163,18 @@ def _reference_points(act, count, seed):
     return [random.Random(seed * 2**32 + i).randrange(act.degree) for i in range(count)]
 
 
+def _class_profiles(dists):
+    """Each class's weights under the base law and every moved law: equal
+    profiles mean equal partitions, up to renaming the class keys."""
+    keys = set().union(*dists)
+    return sorted(tuple(dist.get(k, 0) for dist in dists) for k in keys)
+
+
 def _assert_matches_per_root_copies(e, act, points, radius):
     """The ensemble must answer as one canonical copy of the orbit graph per
-    point did: the same rooted graphs, ball distribution and root moves."""
+    point did: the same rooted graphs, and ball distributions and root
+    moves that partition the weight as the canonical rows of each copy's
+    balls do."""
     refs = [from_perm_action(act, base=x) for x in points]
     assert [serialize(canonicalize(g)) for g in e.samples] == [serialize(r) for r in refs]
     for g in e.samples:
@@ -171,13 +183,14 @@ def _assert_matches_per_root_copies(e, act, points, radius):
     for r, w in zip(refs, e.weights):
         roots = [r.root] + [r.next[r.root][l] for l in range(e.gens.degree)]
         for dist, v in zip(dists, roots):
-            digest = ball(r, v, radius).digest
+            digest = reference.rows_digest(r.gens, r.next, v, radius)
             dist[digest] = dist.get(digest, Fraction(0)) + w
+    base, moved = _distributions(e, radius)
+    assert _class_profiles([base, *moved]) == _class_profiles(dists)
     report = invariance_diagnostic(e, radius)
-    assert report.distribution == dists[0]
+    assert report.distribution == base
     assert report.per_generator == tuple(
-        (name, tv_distance(dists[0], moved))
-        for name, moved in zip(e.gens.labels, dists[1:])
+        (name, tv_distance(dists[0], m)) for name, m in zip(e.gens.labels, dists[1:])
     )
 
 
@@ -220,6 +233,17 @@ class TestSharedOrbitTables:
             for h, y in zip(e.samples, points):
                 assert (g.next is h.next) == (orbit[x] == orbit[y])
 
+    def test_two_orbit_tables(self):
+        # a lopsided triangle (b swaps two of its points) beside a 4-cycle
+        # of a that b fixes pointwise: the samples hit both orbit tables
+        act = PermAction.from_generator_perms(
+            [(1, 2, 0, 4, 5, 6, 3), (0, 2, 1, 3, 4, 5, 6)], pair_names=("a", "b")
+        )
+        e = stabilizer_sample(act, 30, seed=1)
+        points = _reference_points(act, 30, 1)
+        assert len({id(g.next) for g in e.samples}) == 2
+        for radius in range(4):
+            _assert_matches_per_root_copies(e, act, points, radius)
 
     @settings(max_examples=200)
     @given(
@@ -268,6 +292,20 @@ class TestInvarianceDiagnostic:
         words = [parse_word(gens, "a"), parse_word(gens, "b")]
         pm = reference.point_mass(stallings_core(gens, words).graph)
         assert invariance_diagnostic(pm, 3).max_tv == 0
+
+    def test_truncated_sample_refused_before_any_table(self):
+        graphs = [from_perm_action(cyclic_action(5)), line_ball(2)]
+        e = IrsEnsemble(
+            gens=graphs[0].gens,
+            samples=tuple(graphs),
+            weights=(Fraction(1, 2),) * 2,
+            kind="sampled",
+            provenance=Provenance("a cycle and a truncated line", None),
+        )
+        with mock.patch.object(irs, "_ball_classes", side_effect=AssertionError):
+            with pytest.raises(InsufficientRadiusError, match="needs radius 3 "):
+                invariance_diagnostic(e, 2)
+        assert invariance_diagnostic(e, 1).max_tv == 0
 
     def test_truncated_samples_need_one_spare_level(self):
         pm = reference.point_mass(line_ball(4))

@@ -314,6 +314,65 @@ class TestDigestAgainstSgf1:
         )
 
 
+def _pattern_keys(gens: GenSet, table, radius: int, numbering) -> list[str]:
+    """Each vertex's endpoint-table digest, with the table renumbered by
+    ``numbering`` first, checked to split the vertices as the canonical
+    rows' ``rows_digest`` does."""
+    slots = np.array([-1 if w is None else w for row in table for w in row])
+    slots = slots.reshape(len(table), gens.degree)
+    numbering = np.asarray(numbering)
+    renumbered = np.empty_like(slots)
+    renumbered[numbering] = np.where(slots < 0, -1, numbering[slots])
+    digests, classes = local._ball_classes(renumbered, gens, numbering, radius)
+    keys = [digests[c] for c in classes]
+    pairs = {(key, reference.rows_digest(gens, table, v, radius)) for v, key in enumerate(keys)}
+    assert len(pairs) == len({new for new, _ in pairs}) == len({old for _, old in pairs})
+    return keys
+
+
+class TestPatternClassesAgainstRows:
+    """Two roots share an endpoint-table class exactly when their canonical
+    R-ball rows agree, whatever the vertex numbering; near a truncation
+    boundary too, where words leave the stored graph."""
+
+    @given(act=reference.perm_models(), radius=st.integers(0, 3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_permutation_models(self, act, radius, data):
+        numbering = data.draw(st.permutations(range(act.degree)))
+        keys = _pattern_keys(act.gens, act.table, radius, numbering)
+        assert keys == _pattern_keys(act.gens, act.table, radius, range(act.degree))
+        with mock.patch.object(local, "_CELLS", 1):  # one root per chunk
+            assert keys == _pattern_keys(act.gens, act.table, radius, numbering)
+
+    @given(
+        words=_words, truncation=st.integers(0, 4), radius=st.integers(0, 3), data=st.data()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_folded_cores(self, words, truncation, radius, data):
+        g = _truncated_fold(words, truncation)
+        numbering = data.draw(st.permutations(range(g.n)))
+        keys = _pattern_keys(g.gens, g.next, radius, numbering)
+        for v, key in enumerate(keys):
+            if reference.distance_to_boundary(g, v) >= radius:
+                assert ball(g, v, radius).digest == key
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_a_lone_word_off_the_stored_graph(self, radius):
+        # on a truncated line, the vertex R − 1 short of an end loses only
+        # the word a^R, whose last step would otherwise read as a sphere
+        # vertex: one class at distance ≥ R from both ends, and one for each
+        # distance 0..R − 1 to either end
+        g = complete_ball(free_core(1), radius + 1)
+        keys = _pattern_keys(g.gens, g.next, radius, range(g.n))
+        assert len(set(keys)) == 2 * radius + 1
+
+    def test_negative_radius_is_refused_before_the_table(self):
+        g = cycle_graph(5)
+        with mock.patch.object(local, "_word_tree", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                bs_statistics(g, -1)
+
+
 class TestTrustedPathsValidate:
     """Graphs built without ``validate()`` must be graphs it accepts."""
 
@@ -611,9 +670,11 @@ def _reference_fix_counts(act: PermAction, max_length: int) -> list[tuple[Word, 
 
 def _reference_report(act: PermAction, radius: int, words=None):
     """(P, densities, words_complete) the former way: P as the share of
-    ``bs_statistics`` mass on the ``tree_ball_class`` digest."""
-    tree = tree_ball_class(act.gens, radius).digest
-    p = bs_statistics(from_perm_action(act), radius).frequencies.get(tree, 0)
+    points whose canonical rows are those of the ``tree_ball_class``."""
+    tree = tree_ball_class(act.gens, radius).graph
+    tree = reference.rows_digest(act.gens, tree.next, tree.root, radius)
+    roots = [reference.rows_digest(act.gens, act.table, x, radius) for x in range(act.degree)]
+    p = Fraction(roots.count(tree), act.degree)
     if words is None:
         pairs = tuple(
             (w, Fraction(c, act.degree)) for w, c in _reference_fix_counts(act, 2 * radius)
