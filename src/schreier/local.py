@@ -20,6 +20,7 @@ the SHA-256 of the radius, the alphabet and that pattern.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -161,13 +162,15 @@ def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
 def tv_distance(
     a: BallDistribution | dict[str, Fraction], b: BallDistribution | dict[str, Fraction]
 ) -> Fraction:
+    """½ Σ_k |a(k) − b(k)|, exactly: the differences are integer numerators
+    over the laws' common denominator, the lcm of every weight's."""
     pa = a.frequencies if isinstance(a, BallDistribution) else a
     pb = b.frequencies if isinstance(b, BallDistribution) else b
-    keys = set(pa) | set(pb)
-    return sum(
-        (abs(pa.get(k, Fraction(0)) - pb.get(k, Fraction(0))) for k in keys),
-        start=Fraction(0),
-    ) / 2
+    common = math.lcm(*{p.denominator for law in (pa, pb) for p in law.values()})
+    na = {k: p.numerator * (common // p.denominator) for k, p in pa.items()}
+    nb = {k: p.numerator * (common // p.denominator) for k, p in pb.items()}
+    apart = sum(abs(na.get(k, 0) - nb.get(k, 0)) for k in na.keys() | nb.keys())
+    return Fraction(apart, 2 * common)
 
 
 # ---------------------------------------------------------------------------

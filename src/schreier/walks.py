@@ -1,24 +1,48 @@
 """Exact random-walk statistics on labeled graphs.
 
-Everything here is integer dynamic programming: |P_{x,y,n}| is the number
-of label sequences of length n leading from x to y, probabilities are the
-counts divided by d^n, and all comparisons the lemma checks make are exact
-(arbitrary-precision integers and rationals, no floats).
+Everything here is exact: |P_{x,y,n}| is the number of label sequences of
+length n leading from x to y, probabilities are the counts divided by
+d^n, and all comparisons the lemma checks make are exact (integers and
+rationals, no floats).
 
-One recurrence, ``_walk_steps``, advances the counts one step at a time
-and, for cores, over the depths of the regular trees hanging at undefined
-slots.  A step moves only the walks that can still matter: ``bfs_layers``
-lists the vertices around the origin in order of distance, a step moves
-the walks at the vertices the walk can have reached, and a walk that must
-return by the horizon H also skips vertices it cannot come back from in
-time.  A question about radius R thus costs the R-ball, not the graph.
-``return_counts`` keeps the origin's column, ``return_domination_reports``
-reads every even step from the root, and
-``conditioned_prefix_probabilities`` reads the last steps of a returning
-stream at every prefix's endpoint, each holding one row at a time;
-``segment_distributions`` keeps the returning stream from x and reads one
-from each start of a wrapping segment.  The first two take a graph or a
-core; on a core they read the same steps with the trees attached.
+A question streams the counts one step at a time, and only where the
+walk can still matter.  ``bfs_layers`` lists the vertices around the
+origin in order of distance, and a stream numbers them by that position.
+The row at step n holds the walks within distance n of the origin (all
+of them), and a walk that must return by the horizon H only those within
+H − n: it cannot come back from farther.  A question about radius R thus
+costs the R-ball, not the graph.
+
+On a stored graph a step is a pull over the local slot table
+loc = pos[slots[order]], in which position E, one past the reach, is a
+zero sentinel read for a missing slot and for any vertex outside the
+reach: the count at w after the step sums the counts at loc[w, l] over
+the labels l.  The pull is exact on a Schreier graph: by label
+consistency the in-edges at w are exactly its slots read backwards, and
+on a truncation a missing slot has no in-edge either.  The counts are
+int64 residues.  Every count after t ≤ H steps is at most d^H, and the
+moduli, pairwise coprime and chosen greedily downward from
+⌊(2⁶³ − 1)/d⌋, multiply to more than d^H; a sum of d residues stays below
+2⁶³, so a step reduces once.  A consumer lifts only the counts it reads
+back to Python ints by the Chinese remainder theorem (CRT).  While d^H
+fits, one modulus suffices and the lift is the identity; LPS(17,13) at
+H = 100 counts modulo eight.
+
+A core with undefined slots keeps an exact Python-int recurrence over
+its vertices and the depths of the regular trees hanging at those slots
+(inside a tree only the depth matters).  Residue arrays for the trees,
+tried as (boundary vertex × depth) arrays, as a gather over a weighted
+state graph and as a sparse matrix-vector product, were 1.5–4× slower
+on the small cores whose return counts the estimates read:
+``fold:ab,rank=3`` at H = 400 took 33–67 ms against 15 ms.  A complete
+core has no trees and takes the array stream.
+
+``return_counts`` reads the origin; ``return_domination_reports`` reads
+every even step from the root; ``conditioned_prefix_probabilities`` reads
+the last steps of a returning stream at every prefix's endpoint; and
+``segment_distributions`` reads the returning stream from x and one
+stream from all the starts of its wrapping segments at once.  The first
+two take a graph or a core.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
@@ -31,10 +55,13 @@ boundary vertex is the distance to the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Iterator
+
+import numpy as np
 
 from schreier.builders import CoreGraph
 from schreier.core import (
@@ -55,6 +82,9 @@ __all__ = [
     "return_domination_reports",
     "DominationReport",
 ]
+
+# a sum of d residues below ⌊_MODULUS_CAP/d⌋ is below the cap, int64's largest
+_MODULUS_CAP = 2**63 - 1
 
 
 def _require_room(what: str, x: int, near: int, needed: int) -> None:
@@ -82,6 +112,104 @@ def _walk_source(
     return source, (order, ends), {}
 
 
+def _numbering(g: SchreierGraph, order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``pos``, each vertex's position in ``order``, and the local slot
+    table ``loc = pos[slots[order]]``.  Position E = len(order) is the
+    sentinel: every vertex outside ``order`` maps to it, and so does a
+    missing slot (−1), which reads ``pos[n]``."""
+    size = len(order)
+    pos = np.full(g.n + 1, size, dtype=np.int64)
+    pos[order] = np.arange(size)
+    return pos, pos[g.slots[order]]
+
+
+def _held(n: int, horizon: int, returning: bool) -> int:
+    """The distance within which the row at step n holds walks: all of
+    them, or only those that can still be back at the origin by the horizon."""
+    return min(n, horizon - n) if returning else n
+
+
+def _moduli(d: int, horizon: int) -> list[int]:
+    """Pairwise-coprime moduli, taken greedily downward from
+    ⌊``_MODULUS_CAP``/d⌋, whose product exceeds d^horizon."""
+    bound, total, moduli = d**horizon, 1, []
+    m = _MODULUS_CAP // d
+    while total <= bound:
+        if math.gcd(m, total) == 1:
+            moduli.append(m)
+            total *= m
+        m -= 1
+    return moduli
+
+
+class _ArrayWalks:
+    """The walks on a stored graph or a complete core from the origin
+    ``order[0]``, or from each vertex of ``starts``, for n = 0..horizon.
+    Iterating yields each step's counts as a k×S×(E + 1) int64 array of
+    residues: [i, s, p] counts the walks from the s-th start to position
+    p of ``layers``' order modulo ``moduli[i]``, and position E is the
+    zero sentinel.  ``lift`` turns residues back into counts.
+
+    From the origin, step n pulls into the positions within ``_held``
+    distance; ``layers`` must reach the farthest, radius horizon, or
+    ⌊horizon/2⌋ for a returning stream.  The counts are exact within
+    distance horizon − n (the origin's always are).  From ``starts``,
+    every step pulls into every position, and a walk that leaves
+    ``layers`` is dropped.  Each count is at most d^n ≤ d^horizon, below
+    the product of the moduli, and a step sums d residues below
+    ⌊``_MODULUS_CAP``/d⌋, which int64 holds.
+    """
+
+    def __init__(
+        self,
+        g: SchreierGraph,
+        layers: tuple[list[int], list[int]],
+        horizon: int,
+        returning: bool = False,
+        starts: list[int] | None = None,
+    ) -> None:
+        order, self.ends = layers
+        self.pos, self.loc = _numbering(g, order)
+        self.starts = self.pos[starts or order[:1]]
+        self.everywhere = starts is not None
+        self.horizon, self.returning = horizon, returning
+        self.moduli = _moduli(g.degree, horizon)
+        self.total = math.prod(self.moduli)
+        self.weights = [
+            self.total // m * pow(self.total // m, -1, m) for m in self.moduli
+        ]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        ends, horizon = self.ends, self.horizon
+        columns = np.ascontiguousarray(self.loc.T)  # one slot label per row
+        moduli = np.array(self.moduli, dtype=np.int64)[:, None, None]
+        starts = len(self.starts)
+        counts = np.zeros((len(moduli), starts, len(self.loc) + 1), dtype=np.int64)
+        counts[:, np.arange(starts), self.starts] = 1
+        yield counts
+        last = len(ends) - 1
+        for n in range(1, horizon + 1):
+            e = ends[last if self.everywhere else min(_held(n, horizon, self.returning), last)]
+            pulled = counts.take(columns[0, :e], axis=2)
+            for column in columns[1:, :e]:
+                pulled += counts.take(column, axis=2)
+            if len(moduli) > 1:
+                pulled %= moduli
+            counts = np.zeros_like(counts)
+            counts[:, :, :e] = pulled
+            yield counts
+
+    def lift(self, residues: np.ndarray) -> list[int]:
+        """The counts whose residues ``residues[:, ...]`` holds, flattened."""
+        residues = residues.reshape(len(self.moduli), -1)
+        if len(self.moduli) == 1:
+            return residues[0].tolist()
+        return [
+            sum(r * w for r, w in zip(column, self.weights)) % self.total
+            for column in zip(*residues.tolist())
+        ]
+
+
 def _walk_steps(
     g: SchreierGraph,
     layers: tuple[list[int], list[int]],
@@ -89,49 +217,43 @@ def _walk_steps(
     slots: dict[int, int],
     returning: bool = False,
 ) -> Iterator[tuple[list[int], dict[int, list[int]]]]:
-    """For n = 0..horizon, the number of length-n walks from the origin
-    ``order[0]`` that end at each stored vertex, and, for each v listed in
-    ``slots``, at each depth 1..n of the ``slots[v]`` regular trees
-    hanging at v (summed over those trees; entry 0 is unused).  Inside a
-    tree only the depth matters: one step back, d−1 steps deeper.  Walks
-    through any other missing slot are dropped.
+    """For n = 0..horizon, on a core with undefined slots: the number of
+    length-n walks from the origin ``order[0]`` that end at each position
+    of ``layers``' vertices (the last one the zero sentinel), and, for
+    each v listed in ``slots``, at each depth 1..n of the ``slots[v]``
+    regular trees hanging at v (summed over those trees; entry 0 is
+    unused).  Inside a tree only the depth matters: one step back, d−1
+    steps deeper.
 
-    ``layers`` is ``bfs_layers`` of the origin.  Step n moves only the walks
-    at the vertices within distance n − 1, the only ones holding any, so
-    ``layers`` must reach radius horizon − 1.  A ``returning`` walk must
-    be back at the origin at the horizon: step n moves only the walks
-    within min(n − 1, horizon − n + 1) and follows tree depths only to
-    min(n, horizon − n), so ``layers`` need only reach ⌊horizon/2⌋, and
-    only the counts at distance ≤ horizon − n from the origin are complete
-    (the origin's always are).  The counts are exact for any numbering of
-    the vertices.
+    The core steps pull over ``_numbering``'s slot table as
+    ``_ArrayWalks`` does, within the same ``_held`` distance and with
+    ``layers`` of the same radius, in Python ints; a returning stream
+    follows tree depths only to min(n, horizon − n).
     """
-    d = g.degree
+    d1 = g.degree - 1
     order, ends = layers
-    counts = [0] * g.n
-    counts[order[0]] = 1
-    trees = {v: [0] * (horizon + 2) for v in slots}
+    size = len(order)
+    pos, loc = _numbering(g, order)
+    # the sentinel holds no walk: adding its zeros would copy big ints
+    rows = [[u for u in row if u < size] for row in loc.tolist()]
+    hanging = [(int(pos[v]), m) for v, m in slots.items() if pos[v] < size]
+    last = len(ends) - 1
+    counts = [1] + [0] * size
+    trees = {v: [0] * (horizon + 2) for v in slots if pos[v] < size}
     yield counts, trees
     for n in range(1, horizon + 1):
-        reach = min(n - 1, horizon - n + 1) if returning else n - 1
-        nxt = [0] * g.n
-        for v in order[: ends[reach]]:
-            c = counts[v]
-            if c:
-                for w in g.next[v]:
-                    if w is not None:
-                        nxt[w] += c
+        e = ends[min(_held(n, horizon, returning), last)]
+        nxt = [sum([counts[u] for u in row]) for row in rows[:e]] + [0] * (size + 1 - e)
         # depth 1 is kept at n = horizon, where no depth is read
         cut = min(n, max(horizon - n, 1)) if returning else n
         deeper = {}
-        for v, depth in trees.items():
-            nxt[v] += depth[1]
-            deeper[v] = [
-                0,
-                slots[v] * counts[v] + depth[2],
-                *((d - 1) * depth[j - 1] + depth[j + 1] for j in range(2, cut + 1)),
-                *(0,) * (horizon + 1 - cut),
-            ]
+        for (p, m), (v, depth) in zip(hanging, trees.items()):
+            nxt[p] += depth[1]
+            deeper[v] = (
+                [0, m * counts[p] + depth[2]]
+                + [d1 * a + b for a, b in zip(depth[1:cut], depth[3 : cut + 2])]
+                + [0] * (horizon + 1 - cut)
+            )
         counts, trees = nxt, deeper
         yield counts, trees
 
@@ -149,8 +271,11 @@ def return_counts(
     g, layers, trees = _walk_source(
         source, x, horizon // 2, (horizon + 1) // 2, "return counts"
     )
-    steps = _walk_steps(g, layers, horizon, trees, returning=True)
-    return tuple(counts[x] for counts, _ in steps)
+    if trees:
+        steps = _walk_steps(g, layers, horizon, trees, returning=True)
+        return tuple(counts[0] for counts, _ in steps)
+    walks = _ArrayWalks(g, layers, horizon, returning=True)
+    return tuple(walks.lift(counts[:, 0, 0])[0] for counts in walks)
 
 
 def segment_distributions(
@@ -171,31 +296,33 @@ def segment_distributions(
     positive count; row m is complete within n − m of x, where it is read.
     A wrapping s = s_a·s_b with |s_a| = n − t numbers |P_{y,z,n−|s|}|, with
     y = x·s_b, z = x·s_a⁻¹, and s_a, s_b segments of positive count at t
-    and at 0 that do not wrap.  The returning stream from y answers them
-    all: z reaches y in |s| steps, so a walk from y to z lies within
-    min(i, n − i) of y at step i, and row n − |s| is complete at z.  The
-    subgroup need not be normal, so this is no rotation of another law.
+    and at 0 that do not wrap.  One stream from every such y answers them
+    all.  The subgroup need not be normal, so this is no rotation of
+    another law.
 
     One guard at x covers every stream: each walk counted is a piece of a
     returning length-n word from x, which stays within ⌊n/2⌋ of x, on the
     slots of vertices closer than ⌈n/2⌉ or, at even n, inward from n/2
-    along the inverse of an interior vertex's slot.  The streams from y
-    must not be guarded: y may lie closer than ⌈n/2⌉ to the boundary.
+    along the inverse of an interior vertex's slot.  So the streams from
+    the y walk on x's positions, and drop what leaves them; they must not
+    be guarded, as y may lie closer than ⌈n/2⌉ to the boundary.
     """
     if n < 0:
         raise ValueError("word length must be nonnegative")
     if not 0 <= k <= n:
         raise ValueError("segment length out of range")
-    _, (order, ends), _ = _walk_source(g, x, n // 2, (n + 1) // 2, "returning words")
-    rows = [c for c, _ in _walk_steps(g, (order, ends), n, {}, returning=True)]
-    dist = [n + 1] * (g.n + 1)  # the last entry, far, is read for a missing slot (−1)
-    for r, (begin, end) in enumerate(zip([0, *ends], ends)):
-        for v in order[begin:end]:
-            dist[v] = r
-    columns = g.slots.T.tolist()
+    _, layers, _ = _walk_source(g, x, n // 2, (n + 1) // 2, "returning words")
+    walks = _ArrayWalks(g, layers, n, returning=True)
+    rows = [walks.lift(c[:, 0]) for c in walks]
+    ends = layers[1]
+    # each position's distance from x; the sentinel's, far, is read for a
+    # missing slot and for a vertex beyond ⌊n/2⌋, which cannot return
+    dist = [r for r, (begin, end) in enumerate(zip([0, *ends], ends)) for _ in range(begin, end)]
+    dist.append(n + 1)
+    columns = walks.loc.T.tolist()
     counts: dict[int, list[dict]] = {j: [{} for _ in range(n)] for j in range(1, k + 1)}
     for t in range(n):
-        level = [((), [(v, rows[t][v]) for v in order[: ends[min(t, n - t)]] if rows[t][v]])]
+        level = [((), [(v, w) for v, w in enumerate(rows[t][: ends[min(t, n - t)]]) if w])]
         for j in range(1, min(k, n - t) + 1):
             bound, row, deeper = n - t - j, rows[n - t - j], []
             for segment, weights in level:
@@ -218,14 +345,17 @@ def segment_distributions(
         for j in range(n - t + 1, k + 1):
             for y, tails in by_y[j - n + t].items():
                 asks.setdefault(y, []).append((n - j, tails, by_z, counts[j][t]))
-    for y, wanted in asks.items():
-        stream = _walk_steps(g, bfs_layers(g.next, y, n // 2), n, {}, returning=True)
-        at = [c for c, _ in islice(stream, max(m for m, *_ in wanted) + 1)]
-        for m, tails, by_z, law in wanted:
-            for z, heads in by_z.items():
-                if at[m][z]:
-                    law.update((head + tail, at[m][z]) for head in heads for tail in tails)
-    return rows[n][x], {j: tuple(by_shift) for j, by_shift in counts.items()}
+    if asks:
+        top = max(m for wanted in asks.values() for m, *_ in wanted)
+        stream = _ArrayWalks(g, layers, top, starts=list(asks))
+        at = list(stream)
+        for i, wanted in enumerate(asks.values()):
+            for m, tails, by_z, law in wanted:
+                found = stream.lift(at[m][:, i, stream.pos[list(by_z)]])
+                for heads, count in zip(by_z.values(), found):
+                    if count:
+                        law.update((head + tail, count) for head in heads for tail in tails)
+    return rows[n][0], {j: tuple(by_shift) for j, by_shift in counts.items()}
 
 
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
@@ -289,9 +419,10 @@ def conditioned_prefix_probabilities(
     for _ in range(fits):
         endpoints.append([g.next[v][l] for v in endpoints[-1] for l in range(d)])
     at: dict[int, list[int]] = {}  # ℓ -> the counts at those endpoints at step n − ℓ
-    for m, (counts, _) in enumerate(_walk_steps(g, layers, n, {}, returning=True)):
+    walks = _ArrayWalks(g, layers, n, returning=True)
+    for m, counts in enumerate(walks):
         if m >= n - fits:
-            at[n - m] = [counts[y] for y in endpoints[n - m]]
+            at[n - m] = walks.lift(counts[:, 0, walks.pos[endpoints[n - m]]])
     total = at[0][0]  # ≥ 1 at even n: a step and its inverse, repeated, return
     rows = []
     for l in range(1, fits + 1):
@@ -336,6 +467,37 @@ class DominationReport:
             )
 
 
+def _even_rows(
+    g: SchreierGraph,
+    layers: tuple[list[int], list[int]],
+    n: int,
+    trees: dict[int, int],
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """For each even k = 2..n: k, the counts of the length-k walks from the
+    root at the vertices within distance k of it, the only ones holding
+    any (the root first), and on a core the count at each vertex of every
+    hanging-tree depth 1..k.  The trees at v share their depth-j total
+    equally among their m_v·(d−1)^{j−1} vertices, m_v = ``trees[v]``."""
+    ends = layers[1]
+    if not trees:
+        walks = _ArrayWalks(g, layers, n)
+        for k, counts in enumerate(walks):
+            if k and k % 2 == 0:
+                yield k, walks.lift(counts[:, 0, : ends[k]]), []
+        return
+    d = g.degree
+    for k, (counts, depths) in enumerate(_walk_steps(g, layers, n, trees)):
+        if k and k % 2 == 0:
+            shared = []
+            for v, depth in depths.items():
+                for j in range(1, k + 1):
+                    size = trees[v] * (d - 1) ** (j - 1)
+                    if depth[j] % size:
+                        raise AssertionError("depth total not divisible by the depth's size")
+                    shared.append(depth[j] // size)
+            yield k, counts[: ends[k]], shared
+
+
 def return_domination_reports(
     source: SchreierGraph | CoreGraph, n: int, vertex_transitive: bool | None = None
 ) -> tuple[DominationReport, ...]:
@@ -353,29 +515,18 @@ def return_domination_reports(
     )
     # only a core has trees, and its boundary vertices carry them
     near = n + 1 if trees else boundary_layer(g, order, ends)
-    d = g.degree
     reports = []
     previous = 1  # the one walk of length 0
-    for k, (counts, depths) in enumerate(_walk_steps(g, (order, ends), n, trees)):
-        if k == 0 or k % 2:
-            continue
+    for k, row, shared in _even_rows(g, (order, ends), n, trees):
         _require_room("walk counts", g.root, near, k)
-        # every vertex holding a walk at step k lies within distance k
-        others = [counts[v] for v in order[1 : ends[k]]]
-        for v, m in trees.items():
-            for j in range(1, k + 1):
-                size = m * (d - 1) ** (j - 1)
-                if depths[v][j] % size:
-                    raise AssertionError("depth total not divisible by the depth's size")
-                others.append(depths[v][j] // size)
         reports.append(
             DominationReport(
-                degree=d,
+                degree=g.degree,
                 n=k,
-                return_count=counts[g.root],
-                max_other_count=max(others, default=0),
+                return_count=row[0],
+                max_other_count=max(row[1:] + shared, default=0),
                 previous_return_count=previous,
             )
         )
-        previous = counts[g.root]
+        previous = row[0]
     return tuple(reports)

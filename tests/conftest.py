@@ -2,9 +2,13 @@ import os
 import re
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import HealthCheck, settings
 
-settings.register_profile("exact", deadline=None)
+# test_walks reruns whole test classes under a smaller modulus cap by
+# subclassing them, so one @given test has an executor per class
+settings.register_profile(
+    "exact", deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+)
 settings.load_profile("exact")
 
 # pyproject's `pythonpath` reaches this process only; the CLI subprocesses

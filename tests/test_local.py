@@ -503,6 +503,20 @@ class TestTvDistance:
         assert tv_distance(b, a) == Fraction(3, 4)
 
     @given(
+        st.dictionaries(st.sampled_from("uvwxyz"), st.fractions() | st.integers()),
+        st.dictionaries(st.sampled_from("uvwxyz"), st.fractions() | st.integers()),
+    )
+    def test_exact_for_any_weights(self, a, b):
+        """Unequal denominators, negative and integer weights, empty laws:
+        the common-denominator sum is the Fraction sum."""
+        expected = sum(
+            (abs(Fraction(a.get(k, 0)) - Fraction(b.get(k, 0))) for k in a.keys() | b.keys()),
+            start=Fraction(0),
+        ) / 2
+        assert tv_distance(a, b) == expected
+        assert isinstance(tv_distance(a, b), Fraction)
+
+    @given(
         n=st.sampled_from([3, 4, 5, 6]),
         m=st.sampled_from([3, 4, 5, 6]),
         k=st.sampled_from([3, 4, 5, 6]),

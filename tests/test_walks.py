@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 
+from schreier import walks
 from schreier.builders import (
     CoreGraph,
     complete_ball,
@@ -27,6 +29,7 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     Word,
+    bfs_layers,
     parse_word,
     walk_endpoint,
 )
@@ -663,3 +666,110 @@ class TestDomination:
         with pytest.raises(InsufficientRadiusError) as caught:
             return_domination_reports(g, 12, vertex_transitive=True)
         assert str(caught.value) == refusal
+
+
+# ---------------------------------------------------------------------------
+# Counts as int64 residues: several moduli, and counts above 2⁶³
+# ---------------------------------------------------------------------------
+
+_SMALL_CAP = 2**16
+
+
+@pytest.fixture(scope="class")
+def several_moduli():
+    """Moduli below 2¹⁶/d, so that a horizon past about (16 − log₂ d)/log₂ d
+    steps counts modulo several of them and lifts by the CRT."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+        yield
+
+
+@pytest.mark.usefixtures("several_moduli")
+class TestCountWalksSeveralModuli(TestCountWalks):
+    """The return-count checks, counting modulo several moduli."""
+
+
+@pytest.mark.usefixtures("several_moduli")
+class TestHangingTreeRecurrenceSeveralModuli(TestHangingTreeRecurrence):
+    """The reference checks on shuffled graphs, counting modulo several moduli."""
+
+
+@pytest.mark.usefixtures("several_moduli")
+class TestSegmentDistributionSeveralModuli(TestSegmentDistribution):
+    """The segment laws, counting modulo several moduli."""
+
+
+@pytest.mark.usefixtures("several_moduli")
+class TestOneReturningStreamSeveralModuli(TestOneReturningStream):
+    """The prefix rows, counting modulo several moduli."""
+
+
+@pytest.mark.usefixtures("several_moduli")
+class TestDominationSeveralModuli(TestDomination):
+    """The domination rows, counting modulo several moduli."""
+
+
+class TestResidues:
+    @given(d=st.integers(1, 60), horizon=st.integers(0, 120), small=st.booleans())
+    def test_moduli_hold_every_count(self, d, horizon, small):
+        """Pairwise coprime, a sum of d residues within the cap, and a
+        product above d^horizon, the most walks of that length."""
+        cap = _SMALL_CAP if small else walks._MODULUS_CAP
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walks, "_MODULUS_CAP", cap)
+            moduli = walks._moduli(d, horizon)
+        assert math.prod(moduli) > d**horizon
+        assert all(d * m <= cap for m in moduli)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+        if d**horizon < cap // d:
+            assert len(moduli) == 1
+
+    def test_the_small_cap_counts_modulo_several(self, monkeypatch):
+        monkeypatch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+        assert len(walks._moduli(4, 9)) == 2
+        assert len(walks._moduli(6, 12)) == 3
+
+    @settings(max_examples=80)
+    @given(data=st.data(), horizon=st.integers(0, 12), returning=st.booleans(),
+           small=st.booleans())
+    def test_rows_hold_only_the_walks_that_matter(self, data, horizon, returning, small):
+        """Row n holds the walks within distance n of the origin, exactly,
+        and a returning stream only those within horizon − n, which can
+        still come back; the sentinel holds none."""
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
+        g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
+        x = data.draw(st.integers(0, g.n - 1), label="origin")
+        layers = bfs_layers(g.next, x, horizon // 2 if returning else horizon)
+        rows = reference.count_walks(g, x, horizon)
+        dist = reference.bfs_distances(g, x)
+        with pytest.MonkeyPatch.context() as patch:
+            if small:
+                patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+            stream = walks._ArrayWalks(g, layers, horizon, returning)
+            for k, counts in enumerate(stream):
+                held = min(k, horizon - k) if returning else k
+                *lifted, sentinel = stream.lift(counts)
+                assert sentinel == 0
+                assert lifted == [rows[k][v] if dist[v] <= held else 0 for v in layers[0]]
+
+    @pytest.mark.parametrize("spec", ["randperm:m=2,n=200,seed=0", "randperm:m=2,n=200,seed=1"])
+    def test_return_counts_above_int64(self, spec):
+        """72-bit counts at H = 40 on a 4-regular graph: two moduli."""
+        g = from_spec(spec)
+        rows = reference.count_walks(g, g.root, 40)
+        counts = return_counts(g, g.root, 40)
+        assert counts == tuple(row[g.root] for row in rows)
+        assert counts[40] > 2**64
+
+    def test_domination_rows_above_int64(self):
+        """LPS(5,13), 6-regular on 2,184 vertices, at n = 30: every count
+        at step 30 of the row, past 2⁶³ at the root, from one stream."""
+        g = _transitive_graph("lps:p=5,q=13")
+        rows = reference.count_walks(g, g.root, 30)
+        report = return_domination_reports(g, 30, vertex_transitive=True)[-1]
+        assert report.return_count == rows[30][g.root] > 2**63
+        assert report.max_other_count == max(
+            c for v, c in enumerate(rows[30]) if v != g.root
+        )
+        assert report.previous_return_count == rows[28][g.root]
