@@ -6,34 +6,34 @@ callers that need every eigenvalue.  Infinite graphs described by cores
 or deep truncations get certified lower bounds on the spectral radius
 through exact return counts, since r_n = (p_{2n})^{1/2n} increases to ρ.
 
-Lanczos picks its solver from the graph's bandwidth b in reverse
-Cuthill–McKee order: shift-invert Lanczos on banded LU factors of
-I ∓ M (I − M grounded at one vertex) when 2·n·(b+1) ≤
-_SPLU_FILL_CAP·nnz(I − M), as on cycles and tori with their small
-spectral gaps; else thick-restart Lanczos on plain matrix-vector
-products (expanders), which also takes over a shift-invert run that
-fails.  A bipartite M has D·M·D = −M for D the diagonal of the
+Lanczos picks its operator from the graph's bandwidth b in reverse
+Cuthill–McKee order: the inverse of I ∓ M from banded LU factors (I − M
+grounded at one vertex) when 2·n·(b+1) ≤ _SPLU_FILL_CAP·nnz(I − M), as
+on cycles and tori with their small spectral gaps; else M itself through
+matrix-vector products (expanders), which also takes over a shift-invert
+run that fails.  A bipartite M has D·M·D = −M for D the diagonal of the
 2-coloring sign vector, so the sign vector certifies λ = −1, λ_min off
-{1, −1} is −λ_max, and only the top end is solved.  Both solvers share
-one Lanczos step: known coefficients first, then one reorthogonalization
-pass, and a second only when the DGKS test asks (see _lanczos_step).
-Every ``error_bound`` is a residual ‖My − θy‖ measured on M itself for
-the Ritz pairs returned (thick-restart as well as shift-invert) and the
-sign vector of a bipartite M, which bounds the eigenvalue error for
-symmetric M.
+{1, −1} is −λ_max, and only the top end is solved.  Both operators run
+one plain Lanczos recurrence that stores no basis (see _lanczos).  Every
+``error_bound`` is a residual ‖My − θy‖/‖y‖ measured on M itself for the
+Ritz pairs returned and the sign vector of a bipartite M, which bounds
+the eigenvalue error for symmetric M.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from schreier.builders import (
@@ -70,12 +70,15 @@ __all__ = [
 
 DENSE_THRESHOLD = 4096
 _SPLU_FILL_CAP = 64.0       # banded LU above this × nnz(I − M) → matvec Lanczos
-_RESIDUAL_TOL = 1e-9        # thick-restart Ritz residuals
-_SHIFT_INVERT_TOL = 1e-10   # shift-invert residual on M
-_SHIFT_INVERT_DIM = 300     # Krylov dimension of one shift-invert solve
+_RESIDUAL_TOL = 1e-9        # Ritz estimate |β·s_m| that ends a matvec first pass
+_SHIFT_INVERT_TOL = 1e-10   # its bound 2|β·s_m|/|μ| on M that ends a shift-invert one
+_SHIFT_INVERT_STEPS = 300   # step cap of one shift-invert solve
 _SEED = 0                   # start vectors, so reports are reproducible
 _CONVERGED_BOUND = 1e-8
 _ITERATION_CAP = 10_000
+
+_log = logging.getLogger("schreier")
+_Operator = Callable[[np.ndarray], np.ndarray]
 
 
 def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
@@ -180,125 +183,119 @@ def _grounded_lu(M: sp.csr_matrix, sign: float, order: np.ndarray):
     )
 
 
-def _start_vector(D: np.ndarray) -> np.ndarray:
-    """The seeded random unit vector orthogonal to the columns of D."""
-    v = np.random.default_rng(_SEED).standard_normal(D.shape[0])
-    v -= D @ (D.T @ v)
+def _start_vector(n: int) -> np.ndarray:
+    """The seeded random unit vector of zero sum."""
+    v = np.random.default_rng(_SEED).standard_normal(n)
+    v -= v.mean()
     return v / np.linalg.norm(v)
 
 
-def _lanczos_step(
-    V: np.ndarray, H: np.ndarray, j: int, w: np.ndarray, D: np.ndarray
-) -> float:
-    """Extend the column-major basis V[:, :j+1] by w, the operator applied
-    to V[:, j].  After projecting out D, subtract the coefficients the
-    step already knows, H[:j, j] (β_{j−1}, or the arrowhead row after a
-    thick restart) on its nonzero columns, then α·V[:, j] with α = V[:, j]·w.
-    One classical Gram–Schmidt pass against V[:, :j+1] follows, and a
-    second only when the first left at most 1/√2 of the norm (the DGKS
-    criterion: Daniel–Gragg–Kaufman–Stewart, Math. Comp. 30, 1976, as in
-    ARPACK's dsaitr), so each step reads the basis about twice.  Column
-    and row j of H get the known plus projected coefficients, β = ‖w‖
-    goes beside them, and w/β becomes V[:, j+1].  Returns β."""
-    w -= D @ (D.T @ w)
-    h = H[: j + 1, j].copy()
-    lo = int(np.argmax(h != 0))
-    w -= V[:, lo:j] @ h[lo:j]
-    h[j] = V[:, j] @ w
-    w -= h[j] * V[:, j]
-    for _ in range(2):
-        before = np.linalg.norm(w)
-        proj = V[:, : j + 1].T @ w
-        w -= V[:, : j + 1] @ proj
-        h += proj
-        beta = float(np.linalg.norm(w))
-        if beta > math.sqrt(0.5) * before:
-            break
-    H[: j + 1, j] = H[j, : j + 1] = h
-    H[j + 1, j] = H[j, j + 1] = beta
-    if beta > 0.0:
-        V[:, j + 1] = w / beta
-    return beta
+def _lanczos_vectors(
+    apply: _Operator, v: np.ndarray, alpha: list[float], beta: list[float]
+) -> Iterator[np.ndarray]:
+    """The Lanczos vectors v_0 = v, v_1, … of ``apply`` on the zero-sum
+    subspace, without reorthogonalization: β_j·v_{j+1} is apply(v_j) less
+    its mean, α_j·v_j and β_{j−1}·v_{j−1}.  α_j and β_j come from the lists
+    when they hold them (a replay) and are appended otherwise (a first
+    pass), so a replay yields the first pass's vectors bit for bit.  Ends
+    when β_j ≤ 10⁻¹²·(|α_j| + β_{j−1}): the Krylov space is invariant."""
+    v_prev, j = v, 0
+    while True:
+        yield v
+        w = apply(v)
+        w -= w.sum() / w.size
+        if j == len(alpha):
+            alpha.append(float(v @ w))
+        daxpy(v, w, a=-alpha[j])
+        if j:
+            daxpy(v_prev, w, a=-beta[j - 1])
+        if j == len(beta):
+            beta.append(float(np.linalg.norm(w)))
+        if beta[j] <= 1e-12 * (abs(alpha[j]) + (beta[j - 1] if j else 0.0)):
+            return
+        w *= 1.0 / beta[j]
+        v_prev, v, j = v, w, j + 1
+
+
+def _lanczos(
+    M: sp.csr_matrix, apply: _Operator, ends: tuple[int, ...],
+    sign: float | None, cap: int,
+) -> tuple[list[float], float]:
+    """Eigenvalues of M on the zero-sum subspace by plain Lanczos on
+    ``apply``: M itself when ``sign`` is None, at the ``ends`` of T_m's
+    spectrum (0 the bottom, −1 the top); else the inverse of I − sign·M,
+    whose top Ritz value μ gives λ = sign·(1 − 1/μ).  Returns ([λ], residual).
+
+    Every 20th step (3rd under shift-invert) the first pass takes the end
+    eigenpairs (θ, s) of T_m and stops once each Ritz estimate |β_m·s_m|
+    is below tolerance; under shift-invert 2|β_m·s_m|/|μ| bounds the
+    residual on M.  Lost orthogonality only adds copies of converged Ritz
+    values (Paige, Lin. Alg. Appl. 34, 1980), so the extremes converge.  A
+    second pass replays the recurrence to form y = V_m·s, and ‖My − λy‖/‖y‖
+    is measured on M; if it misses _CONVERGED_BOUND the first pass goes
+    on.  At ``cap`` steps the residual is NaN."""
+    solver = "matvec" if sign is None else f"shift-invert at {sign:+g}"
+    every, tol = (20, _RESIDUAL_TOL) if sign is None else (3, _SHIFT_INVERT_TOL)
+    start = _start_vector(M.shape[0])
+    alpha: list[float] = []
+    beta: list[float] = []
+    vectors = _lanczos_vectors(apply, start, alpha, beta)
+    next(vectors)
+    for m in range(1, cap + 1):
+        exhausted = next(vectors, None) is None
+        if not (exhausted or m % every == 0 or m == cap):
+            continue
+        pairs = [
+            eigh_tridiagonal(alpha, beta[: m - 1], select="i", select_range=(k, k))
+            for k in (end % m for end in ends)
+        ]
+        theta = np.array([mu[0] for mu, _ in pairs])
+        S = np.column_stack([s[:, 0] for _, s in pairs])
+        lams, scale = theta, 1.0
+        if sign is not None:
+            if abs(theta[0]) < 1e-13:
+                raise ArithmeticError("shift-invert spectrum collapsed")
+            lams, scale = sign * (1.0 - 1.0 / theta), 2.0 / np.abs(theta)
+        estimate = float(np.max(beta[-1] * np.abs(S[-1]) * scale))
+        if not (exhausted or estimate < tol):
+            continue
+        Y = np.zeros((len(ends), M.shape[0]))
+        for s, v in zip(S, _lanczos_vectors(apply, start, alpha, beta)):
+            for y, coef in zip(Y, s):
+                daxpy(v, y, a=coef)
+        res = max(
+            np.linalg.norm(M @ y - lam * y) / np.linalg.norm(y)
+            for y, lam in zip(Y, lams)
+        )
+        _log.debug(
+            "%s Lanczos, %d steps: Ritz estimate %.3g, residual on M %.3g",
+            solver, m, estimate, res,
+        )
+        if res <= _CONVERGED_BOUND or exhausted:
+            return lams.tolist(), float(res)
+    _log.debug("%s Lanczos reached its %d-step cap unconverged", solver, cap)
+    return lams.tolist(), math.nan
 
 
 def _shift_invert_extreme(
-    M: sp.csr_matrix, D: np.ndarray, sign: float, order: np.ndarray
+    M: sp.csr_matrix, sign: float, order: np.ndarray
 ) -> tuple[float, float]:
-    """Eigenvalue of M nearest the ``sign`` end, orthogonally to the
-    columns of D, via Lanczos on the inverse of I − sign·M on ``order``.
-    Returns (eigenvalue, residual norm measured on M itself)."""
-    n = M.shape[0]
+    """Eigenvalue of M nearest the ``sign`` end on the zero-sum subspace,
+    via Lanczos on the inverse of I − sign·M on ``order``.  Returns
+    (eigenvalue, residual measured on M); raises ArithmeticError when the
+    residual misses _CONVERGED_BOUND."""
     lu = _grounded_lu(M, sign, order)
-    V = np.empty((n, _SHIFT_INVERT_DIM + 1), order="F")
-    V[:, 0] = _start_vector(D)
-    H = np.zeros((_SHIFT_INVERT_DIM + 1, _SHIFT_INVERT_DIM + 1))
-    for m in range(1, _SHIFT_INVERT_DIM + 1):
-        # a grounded inverse amplifies any trace of D in its input
-        v = V[:, m - 1] - D @ (D.T @ V[:, m - 1])
-        w = np.zeros(n)
-        w[order] = lu.solve(v[order])
-        exhausted = _lanczos_step(V, H, m - 1, w, D) <= 1e-12
-        if not (exhausted or m % 3 == 0 or m == _SHIFT_INVERT_DIM):
-            continue
-        mu, S = np.linalg.eigh(H[:m, :m])
-        if abs(mu[-1]) < 1e-13:
-            raise ArithmeticError("shift-invert spectrum collapsed")
-        y = V[:, :m] @ S[:, -1]
-        lam = float(sign * (1.0 - 1.0 / mu[-1]))
-        res = float(np.linalg.norm(M @ y - lam * y))
-        if res < _SHIFT_INVERT_TOL or exhausted:
-            break
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        # a grounded inverse amplifies any trace of the constants in its input
+        w = np.zeros_like(v)
+        w[order] = lu.solve(v[order] - v.sum() / v.size)
+        return w
+
+    (lam,), res = _lanczos(M, solve, (-1,), sign, _SHIFT_INVERT_STEPS)
+    if not res <= _CONVERGED_BOUND:
+        raise ArithmeticError(f"shift-invert at {sign:+g} left residual {res:.3g} on M")
     return lam, res
-
-
-def _ritz_extremes(
-    M: sp.csr_matrix, V: np.ndarray, H: np.ndarray, m: int
-) -> tuple[float, float, float]:
-    """(λ_min, λ_max) of H[:m, :m] and the larger residual ‖My − θy‖/‖y‖
-    of their Ritz vectors y = V[:, :m]·s, measured on M itself."""
-    theta, S = np.linalg.eigh(H[:m, :m])
-    Y = V[:, :m] @ S[:, [0, -1]]
-    R = M @ Y - Y * theta[[0, -1]]
-    res = np.linalg.norm(R, axis=0) / np.linalg.norm(Y, axis=0)
-    return float(theta[0]), float(theta[-1]), float(res.max())
-
-
-def _restart_lanczos_extremes(
-    M: sp.csr_matrix, D: np.ndarray
-) -> tuple[float, float, float]:
-    """Both extreme eigenvalues of M on the orthogonal complement of the
-    columns of D, by thick-restart Lanczos with full reorthogonalization.
-    The Ritz estimates |β·s_m| decide when to stop.  Returns (λ_min,
-    λ_max, residual measured on M, or NaN at the iteration cap)."""
-    n = M.shape[0]
-    m_max = min(n - D.shape[1], 80)
-    keep = min(10, max(2, m_max - 2))
-    V = np.empty((n, m_max + 1), order="F")
-    V[:, 0] = _start_vector(D)
-    H = np.zeros((m_max + 1, m_max + 1))
-    j = 0
-    total = 0
-    while total < _ITERATION_CAP:
-        while j < m_max:
-            beta = _lanczos_step(V, H, j, M @ V[:, j], D)
-            total += 1
-            if beta < 1e-14:
-                return _ritz_extremes(M, V, H, j + 1)
-            j += 1
-        theta, S = np.linalg.eigh(H[:m_max, :m_max])
-        beta = H[m_max, m_max - 1]
-        if abs(beta) * np.abs(S[m_max - 1, [0, -1]]).max() < _RESIDUAL_TOL:
-            return _ritz_extremes(M, V, H, m_max)
-        idx = list(range(keep // 2)) + list(range(m_max - (keep - keep // 2), m_max))
-        Y = V[:, :m_max] @ S[:, idx]
-        V[:, :keep] = Y
-        V[:, keep] = V[:, m_max]
-        H[:, :] = 0.0
-        H[:keep, :keep] = np.diag(theta[idx])
-        H[keep, :keep] = H[:keep, keep] = beta * S[m_max - 1, idx]
-        j = keep
-    theta = np.linalg.eigvalsh(H[:j, :j])
-    return float(theta[0]), float(theta[-1]), float("nan")
 
 
 def _iterative_extremes(
@@ -306,21 +303,23 @@ def _iterative_extremes(
 ) -> tuple[float, float, float]:
     """(λ_min, λ_max, residual) on the zero-sum subspace.  Given a
     2-coloring, only λ_max is solved; the sign vector certifies λ_min = −1."""
-    D = np.full((n, 1), 1.0 / math.sqrt(n))
     order = _banded_order(M, n)
     res = math.nan
     if order is not None:
         try:
-            hi, res = _shift_invert_extreme(M, D, +1.0, order[1:])
+            hi, res = _shift_invert_extreme(M, +1.0, order[1:])
             if colors is None:
-                lo, res_lo = _shift_invert_extreme(M, D, -1.0, order)
+                lo, res_lo = _shift_invert_extreme(M, -1.0, order)
                 res = max(res, res_lo)
-        except ArithmeticError:
+        except ArithmeticError as err:
+            # the residual is measured on M itself, so a shift-invert run
+            # that missed is detected and handed to the matvec recurrence
+            _log.debug("falling back to matvec Lanczos: %s", err)
             res = math.nan
-    # the residual is measured on M itself, so a shift-invert run that
-    # missed is detected and handed to the matvec-only solver
     if not res <= _CONVERGED_BOUND:
-        lo, hi, res = _restart_lanczos_extremes(M, D)
+        ends = (-1,) if colors is not None else (0, -1)
+        lams, res = _lanczos(M, M.dot, ends, None, _ITERATION_CAP)
+        lo, hi = lams[0], lams[-1]
     if colors is not None:
         sign = np.where(np.asarray(colors) == 0, 1.0, -1.0) / math.sqrt(n)
         lo = -1.0
@@ -336,8 +335,8 @@ def _iterative_extremes(
 def rho0(g: SchreierGraph) -> SpectralReport:
     """Norm of M on the zero-sum subspace of a finite connected graph.
 
-    Deflated Lanczos at every size, shift-invert or thick-restart by
-    bandwidth (see the module docstring), with the measured residual as
+    Deflated Lanczos at every size, on M or shift-inverted by bandwidth
+    (see the module docstring), with the measured residual as
     ``error_bound``; a run that reaches the iteration cap is reported
     unconverged.  Bipartite inputs get the −1 eigenvalue certified by the
     sign vector, and ``rho0_strict`` = |λ_max| by symmetry.

@@ -1,6 +1,9 @@
 """Markov spectra, ρ₀, return-based ρ estimation, and operator-norm bounds."""
 
+import itertools
+import logging
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -166,7 +169,7 @@ class TestRho0:
     @pytest.mark.parametrize("n", list(range(3, 31)))
     def test_iterative_matches_closed_form_small(self, n):
         # small cycles exhaust the Krylov space almost immediately, which
-        # is exactly where a restart bookkeeping bug would bite
+        # is exactly where the recurrence must stop on a vanishing β
         rep = rho0(cycle_graph(n))
         assert abs(rep.rho0 - cycle_rho0_exact(n)) < 1e-9
         assert rep.error_bound <= 1e-8
@@ -221,13 +224,17 @@ class TestRho0:
     )
     @settings(max_examples=10, deadline=None)
     def test_dense_iterative_agreement_random_models(self, m, n, seed):
-        # large enough for thick restarts; the measured residual must bound
-        # the distance from λ_max to the true spectrum
+        # shift-invert at the small end of the range, 100+ matvec steps at
+        # the large end; the measured residual must bound the distance from
+        # λ_max, and from ρ₀ (which λ_min may set), to the true spectrum
         g = random_perm_model(m, n, seed)
         assume(bipartition(g) is None)
         assert_dense_iterative_agree(g)
         rep = rho0(g)
-        gap = np.min(np.abs(markov_spectrum(g) - rep.rho0_nonneg))
+        spectrum = markov_spectrum(g)
+        gap = np.min(np.abs(spectrum - rep.rho0_nonneg))
+        assert gap <= rep.error_bound + 1e-12
+        gap = np.min(np.abs(np.abs(spectrum[:-1]) - rep.rho0))
         assert gap <= rep.error_bound + 1e-12
 
     @pytest.mark.parametrize("a,b", [(2, 2), (2, 5), (3, 3), (4, 6), (8, 8), (6, 10)])
@@ -323,35 +330,71 @@ class TestSolverChoice:
         assert not factored
 
 
-class _Stop(Exception):
-    pass
-
-
-class TestLanczosStep:
-    def test_basis_and_relation_after_a_restart(self, monkeypatch):
-        # 120 steps of the thick-restart solver: 80, a restart to 10 kept
-        # Ritz vectors, then 40 more on the arrowhead
+class TestLanczosRecurrence:
+    def test_replay_satisfies_the_three_term_relation(self):
+        # 120 steps of a first pass, then a replay from the stored α and β
         M = spectral.markov_matrix(random_perm_model(2, 3000, 0))
-        D = np.full((M.shape[0], 1), 1.0 / math.sqrt(M.shape[0]))
-        real = spectral._lanczos_step
-        steps = []
+        start = spectral._start_vector(M.shape[0])
+        alpha, beta = [], []
+        first = spectral._lanczos_vectors(M.dot, start, alpha, beta)
+        last = next(itertools.islice(first, 120, None))
+        m = len(alpha)
+        assert m == len(beta) == 120
+        replay = spectral._lanczos_vectors(M.dot, start, alpha, beta)
+        V = np.column_stack(list(itertools.islice(replay, m + 1)))
+        assert len(alpha) == len(beta) == m
+        assert np.array_equal(V[:, m], last)
+        T = np.diag(alpha) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+        R = M @ V[:, :m] - V[:, :m] @ T
+        R[:, m - 1] -= beta[m - 1] * V[:, m]
+        assert np.linalg.norm(R) <= 1e-12
 
-        def spy(V, H, j, w, D):
-            beta = real(V, H, j, w, D)
-            steps.append(j)
-            if len(steps) == 120:
-                raise _Stop(V, H, j)
-            return beta
+    def test_no_stored_basis(self):
+        g = random_perm_model(2, 20000, 0)
+        tracemalloc.start()
+        try:
+            rep = rho0(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak < 60 * 8 * g.n
 
-        monkeypatch.setattr(spectral, "_lanczos_step", spy)
-        with pytest.raises(_Stop) as stop:
-            spectral._restart_lanczos_extremes(M, D)
-        V, H, j = stop.value.args
-        assert steps[80:] == list(range(10, 50))
-        m = j + 1
-        Q = V[:, : m + 1]
-        assert np.linalg.norm(Q.T @ Q - np.eye(m + 1)) <= 1e-12
-        assert np.linalg.norm(M @ V[:, :m] - Q @ H[: m + 1, :m]) <= 1e-12
+    def test_missed_residual_resumes_the_first_pass(self, monkeypatch, caplog):
+        # a loose stopping estimate replays too early; the residual on M
+        # misses and the first pass goes on until it holds
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-2)
+        g = random_perm_model(2, 1000, 0)
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            rep = rho0(g)
+        assert rep.converged
+        assert_dense_iterative_agree(g)
+        residuals = [
+            record.args[-1]
+            for record in caplog.records
+            if record.getMessage().startswith("matvec Lanczos, ")
+        ]
+        assert len(residuals) >= 2
+        assert residuals[0] > spectral._CONVERGED_BOUND >= residuals[-1]
+
+    @pytest.mark.parametrize("reason", ["residual", "collapse"])
+    def test_shift_invert_fallback_is_logged(self, monkeypatch, caplog, reason):
+        if reason == "residual":
+            monkeypatch.setattr(spectral, "_SHIFT_INVERT_STEPS", 1)
+            expected = "left residual nan on M"
+        else:
+            zero = mock.Mock(solve=np.zeros_like)
+            monkeypatch.setattr(spectral, "_grounded_lu", lambda M, sign, order: zero)
+            expected = "spectrum collapsed"
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            rep = rho0(cycle_graph(501))
+        assert rep.converged
+        assert abs(rep.rho0 - cycle_rho0_exact(501)) < 1e-9
+        messages = [record.getMessage() for record in caplog.records]
+        fallback = [msg for msg in messages if msg.startswith("falling back")]
+        assert len(fallback) == 1 and expected in fallback[0]
+        assert messages[-1].startswith("matvec Lanczos, ")
+        assert "Ritz estimate" in messages[-1] and "residual on M" in messages[-1]
 
 
 class TestEstimateRhoReturns:
@@ -496,7 +539,7 @@ class TestRamanujan:
         assert v.report.rho0 <= v.threshold + 1e-6
 
     def test_unconverged_solver_leaves_the_verdict_undecided(self, monkeypatch):
-        # no shift-invert, and thick-restart stops after one restart
+        # no shift-invert, and the matvec recurrence stops after one step
         monkeypatch.setattr(spectral, "_banded_order", lambda M, n: None)
         monkeypatch.setattr(spectral, "_ITERATION_CAP", 1)
         v = ramanujan_check(cycle_graph(501))
