@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from string import ascii_lowercase
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from schreier.core import (
     GenSet,
     GraphInvariantError,
@@ -37,17 +39,17 @@ def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
     The result realizes the coset graph of the stabilizer of ``base`` in
     the group generated by the action.  Non-transitive actions are fine:
     only the orbit of ``base`` is materialized.  The rows are the
-    ``canonical_rows`` of the action's table, so the output is canonical.
+    ``canonical_rows`` of the action's slot array, so the output is
+    canonical.
     """
-    _, rows = canonical_rows(act.table, base)
-    return SchreierGraph._trusted(gens=act.gens, next=rows)
+    return SchreierGraph._trusted(gens=act.gens, slots=canonical_rows(act.slots, base)[1])
 
 
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
     """The transitive sub-action on the orbit of ``base`` (point 0 = base),
     points numbered as the vertices of ``from_perm_action``."""
-    _, rows = canonical_rows(act.table, base)
-    return PermAction(act.gens, tuple(zip(*rows)))
+    rows = canonical_rows(act.slots, base)[1]
+    return PermAction(act.gens, tuple(map(tuple, rows.T.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +72,14 @@ class CoreGraph:
 
     def __post_init__(self) -> None:
         g = self.graph
-        for v, row in enumerate(g.next):
-            has_missing = any(w is None for w in row)
-            if has_missing and v not in g.boundary:
+        partial = (g.slots < 0).any(axis=1)
+        flagged = np.isin(np.arange(g.n), list(g.boundary))
+        wrong = np.flatnonzero(partial != flagged)
+        if wrong.size:
+            v = int(wrong[0])
+            if partial[v]:
                 raise GraphInvariantError(f"core vertex {v} with undefined slots not flagged")
-            if not has_missing and v in g.boundary:
-                raise GraphInvariantError(f"complete core vertex {v} flagged as partial")
+            raise GraphInvariantError(f"complete core vertex {v} flagged as partial")
         if g.truncation_radius is not None:
             raise GraphInvariantError("cores describe complete graphs, not truncations")
 
@@ -92,7 +96,7 @@ class CoreGraph:
         return self.graph.root
 
     def missing(self, v: int) -> tuple[int, ...]:
-        return tuple(l for l, w in enumerate(self.graph.next[v]) if w is None)
+        return tuple(np.flatnonzero(self.graph.slots[v] < 0).tolist())
 
     @property
     def complete(self) -> bool:
@@ -207,8 +211,12 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
                 trim.append(t)
         table[v] = {}
 
-    slots = [[row.get(l) for l in range(gens.degree)] for row in table]
-    return CoreGraph.from_table(gens, canonical_rows(slots, root)[1])
+    slots = np.array([[row.get(l, -1) for l in range(gens.degree)] for row in table])
+    slots = canonical_rows(slots, root)[1]  # the canonical core, root 0
+    partial = np.flatnonzero((slots < 0).any(axis=1))
+    g = SchreierGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
+    g.validate()
+    return CoreGraph(g)
 
 
 def complete_ball(
@@ -301,9 +309,16 @@ def tree_ball(degree: int, radius: int) -> SchreierGraph:
 
 
 def _fisher_yates(rng: random.Random, n: int) -> tuple[int, ...]:
+    """The shuffle of ``rng.randrange(i + 1)`` draws, by the rejection loop
+    ``randrange`` runs (k-bit draws until one is below m), inlined."""
     p = list(range(n))
+    bits = rng.getrandbits
     for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        m = i + 1
+        k = m.bit_length()
+        j = bits(k)
+        while j >= m:
+            j = bits(k)
         p[i], p[j] = p[j], p[i]
     return tuple(p)
 

@@ -6,18 +6,21 @@ Hg -> Hgs.  The resulting edge-labeled d-regular graph determines the
 subgroup up to conjugacy, and every operation in this package (walk
 counting, spectra, local statistics) is phrased in terms of it.
 
-The representation is a transition table: ``next[v][l]`` is the endpoint of
-the l-labeled edge at vertex v, or None where the edge is not stored.
-Defined slots always come in inverse pairs -- ``next[v][l] == w`` if and
-only if ``next[w][inv(l)] == v`` -- so the underlying multigraph is
+The representation is a transition table: ``slots[v, l]`` is the endpoint
+of the l-labeled edge at vertex v, or −1 where the edge is not stored.
+Defined slots always come in inverse pairs -- ``slots[v, l] == w`` if and
+only if ``slots[w, inv(l)] == v`` -- so the underlying multigraph is
 symmetric by construction.  A label that is its own inverse occupies a
 single slot and contributes one to the degree.
 
-``next`` is tuples of Python ints, read by the exact code: the walk DPs,
-canonical rows and digests.  ``slots`` is the same table as one read-only
-n×d int64 array, −1 for a missing slot, read by the array code: the trust
-boundaries (``validate``, ``parse``), the Markov matrix, the bipartition
-test and the cycle census.
+``slots`` is one read-only n×d int64 array.  It is the stored table of
+every graph that the permutation builders, ``canonicalize`` and ``parse``
+make, and the array code reads it: canonical numbering, SGF1 writing and
+reading, the trust boundary ``validate``, the Markov matrix, the
+bipartition test, the cycle census and the ball classes.  ``next`` is the
+same table as tuples of Python ints, None for a missing slot, read by the
+exact loops (walks over cores, ``complete_ball``, girth); it is built from
+``slots`` the first time it is read.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
@@ -29,7 +32,7 @@ answering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from string import ascii_lowercase
 from typing import Iterator, Sequence
@@ -260,6 +263,13 @@ class SchreierGraph:
     Stored graphs are always induced: every edge of the true graph between
     two stored vertices is present in the table.  Operations rely on this
     when extracting balls near the boundary.
+
+    ``SchreierGraph(gens=…, next=…)`` takes the table as rows and
+    validates it.  A graph built inside the package from a validated one
+    (``_trusted``) stores either table: the permutation builders,
+    ``canonicalize``, ``local.ball`` and ``parse`` store ``slots`` alone,
+    and ``next`` is built from it, and cached, the first time something
+    reads it.
     """
 
     gens: GenSet
@@ -273,18 +283,30 @@ class SchreierGraph:
 
     @classmethod
     def _trusted(cls, **fields) -> "SchreierGraph":
-        """Build without ``validate()``: only for graphs derived from an
-        already validated graph or ``PermAction``, and for ``parse``, which
-        passes its ``slots`` array and then validates."""
+        """Build without ``validate()`` from ``next`` or ``slots``: only for
+        graphs derived from an already validated graph or ``PermAction``,
+        and for ``parse``, which validates its ``slots`` next."""
         g = object.__new__(cls)
         g.__dict__.update(
             {"root": 0, "boundary": frozenset(), "truncation_radius": None, **fields}
         )
         return g
 
+    def __getattr__(self, name: str):
+        # only reached when ``next`` is not stored: rows of the slot table
+        if name != "next" or "slots" not in self.__dict__:
+            raise AttributeError(name)
+        slots = self.__dict__["slots"]
+        rows = list(zip(*slots.T.tolist()))
+        for v in np.flatnonzero((slots < 0).any(axis=1)).tolist():
+            rows[v] = tuple(None if w < 0 else w for w in rows[v])
+        self.__dict__["next"] = rows = tuple(rows)
+        return rows
+
     @property
     def n(self) -> int:
-        return len(self.next)
+        slots = self.__dict__.get("slots")
+        return len(self.next) if slots is None else len(slots)
 
     @property
     def degree(self) -> int:
@@ -303,9 +325,9 @@ class SchreierGraph:
         length before its slots: an interior vertex's missing slot, a
         target that is not a vertex (a negative int included), a broken
         inverse pair.  Connectivity is read off ``root_distances``, a
-        ``bfs_layers`` search from the root.
+        level-synchronous search over the slot array.
         """
-        n, d, labels = len(self.next), self.gens.degree, self.gens.labels
+        n, d, labels = self.n, self.gens.degree, self.gens.labels
         if n == 0:
             raise GraphInvariantError("graph has no vertices")
         if not 0 <= self.root < n:
@@ -313,7 +335,7 @@ class SchreierGraph:
         for v in self.boundary:
             if not 0 <= v < n:
                 raise GraphInvariantError(f"boundary vertex {v} out of range")
-        slots = self.__dict__.get("slots")  # set by parse: −1 exactly where missing
+        slots = self.__dict__.get("slots")  # −1 exactly where missing
         if slots is None:
             table, ragged = _float_table(self.next, d)
             missing = np.isnan(table)
@@ -340,19 +362,18 @@ class SchreierGraph:
             raise GraphInvariantError(
                 f"label-consistency violated at edge ({v},{labels[l]})"
             )
+        slots.flags.writeable = False
+        self.__dict__["slots"] = slots
         # paired slots make the search over defined slots an undirected one
         if -1 in self.root_distances:
             v = self.root_distances.index(-1)
             raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
-        slots.flags.writeable = False
-        self.__dict__["slots"] = slots
 
     @cached_property
     def slots(self) -> np.ndarray:
         """The slot table as a read-only n×d int64 array, −1 for a missing
-        slot.  ``validate`` and ``parse`` set it; a graph derived from a
-        validated one builds it from ``next`` on first use, whose rows are
-        trusted to have d slots."""
+        slot.  A graph stored as ``next`` rows, which are trusted to have
+        d slots, converts them on first use."""
         slots = np.array(
             [-1 if w is None else w for row in self.next for w in row], dtype=np.int64
         ).reshape(self.n, self.degree)
@@ -362,12 +383,10 @@ class SchreierGraph:
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
         """Distance from the root to every vertex, −1 if unreachable."""
-        order, ends = bfs_layers(self.next, self.root)
-        dist = [-1] * self.n
-        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
-            for v in order[begin:end]:
-                dist[v] = r
-        return tuple(dist)
+        order, ends = _slot_layers(self.slots, self.root)
+        dist = np.full(self.n, -1, dtype=np.int64)
+        dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        return tuple(dist.tolist())
 
 
 def _float_table(
@@ -392,9 +411,10 @@ def bfs_layers(
     ``ends[r]`` counts those within distance r, for r = 0..radius (up to the
     last nonempty layer if None).  Radius −1 gives ``([start], [])``.
 
-    Canonical rows, root distances, orbits, the walk DPs' reach and the
-    truncation guards all read this one search, which costs the ball it
-    lists.  Three searches stay apart: ``complete_ball`` and
+    The walk DPs' reach and the truncation guards read this search over
+    rows, which costs the ball it lists; canonical rows, root distances
+    and orbits read the same order off the slot array (``_slot_layers``).
+    Three searches stay apart: ``complete_ball`` and
     ``lps_graph``/``group_closure`` search what no table stores (a core
     with its trees, group elements), and ``cycles.girth`` needs parents
     and stops at the first cycle.
@@ -446,40 +466,69 @@ def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
     return v
 
 
-def canonical_rows(
-    table: Sequence[Sequence[int | None]], root: int, radius: int | None = None
-) -> tuple[dict[int, int], tuple[tuple[int | None, ...], ...]]:
-    """Renumber vertices in the ``bfs_layers`` order from ``root``.
+def _slot_layers(
+    slots: np.ndarray, start: int, radius: int | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """``bfs_layers`` over a slot array, one layer per step: a layer's
+    targets in (parent, label) order, the first occurrence of each one not
+    yet seen kept in that order (``dict.fromkeys``)."""
+    n = len(slots)
+    if not 0 <= start < n:
+        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{n - 1})")
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[[start, n]] = True  # a missing slot (−1) reads seen[n]
+    layers, ends = [np.array([start])], [1]
+    last = n - 1 if radius is None else radius  # no vertex lies farther than n − 1
+    while len(ends) <= last:
+        hits = slots[layers[-1]].ravel()
+        hits = hits[~seen[hits]]
+        if not hits.size and radius is None:
+            break
+        fresh = np.fromiter(dict.fromkeys(hits.tolist()), dtype=np.int64)
+        seen[fresh] = True
+        layers.append(fresh)
+        ends.append(ends[-1] + len(fresh))
+    return np.concatenate(layers), ends[: last + 1]
 
-    Returns the old-to-new index (its iteration order is the BFS order) and
-    the renumbered rows.  With a ``radius`` the search stops at that depth
-    and costs only the size of the R-ball: a vertex at depth R keeps just
-    its slots back to depth R−1, which is the R-ball of ``local.ball``.
+
+def canonical_rows(
+    slots: np.ndarray, root: int, radius: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber the vertices of a slot array in the ``bfs_layers`` order
+    from ``root``.
+
+    Returns ``order``, the old index of each new vertex, and the renumbered
+    slot array (−1 for a missing slot).  With a ``radius`` the search
+    stops at that depth and, beyond two length-n scratch arrays, costs
+    only the size of the R-ball: a vertex at depth R keeps just its slots
+    back to depth R−1, which is the R-ball of ``local.ball``.
 
     Because transition tables are deterministic (one slot per label), this
     ordering is invariant under relabeling: two rooted graphs are
     label-preserving isomorphic exactly when their canonical rows agree.
     """
-    order, ends = bfs_layers(table, root, radius)
-    index = dict(zip(order, range(len(order))))
-    sphere = len(order) if radius is None else (0, *ends)[radius]
-    rows = [tuple(map(index.get, table[v])) for v in order[:sphere]]
-    if sphere < len(order):
+    order, ends = _slot_layers(slots, root, radius)
+    index = np.full(len(slots) + 1, -1, dtype=np.int64)  # index[−1] stays −1
+    index[order] = np.arange(len(order))
+    rows = index[slots[order]]
+    if radius is not None:
         # a vertex at depth R keeps only its slots back to depth R − 1: slots
         # along the sphere, or out of the ball, are not in it
-        inner = dict(zip(order[:sphere], range(sphere)))
-        rows += [tuple(map(inner.get, table[v])) for v in order[sphere:]]
-    return index, tuple(rows)
+        sphere = (0, *ends)[radius]
+        rim = rows[sphere:]
+        rim[rim >= sphere] = -1
+    rows.flags.writeable = False
+    return order, rows
 
 
 def canonicalize(g: SchreierGraph) -> SchreierGraph:
     """The same rooted graph renumbered by ``canonical_rows`` (root 0)."""
-    index, rows = canonical_rows(g.next, g.root)
+    order, slots = canonical_rows(g.slots, g.root)
+    flagged = np.isin(order, list(g.boundary))
     return SchreierGraph._trusted(
         gens=g.gens,
-        next=rows,
-        root=0,
-        boundary=frozenset(index[v] for v in g.boundary),
+        slots=slots,
+        boundary=frozenset(np.flatnonzero(flagged).tolist()),
         truncation_radius=g.truncation_radius,
     )
 
@@ -496,7 +545,30 @@ def canonicalize(g: SchreierGraph) -> SchreierGraph:
 # ---------------------------------------------------------------------------
 
 
+def _digits(top: int) -> np.ndarray:
+    """The decimal ASCII bytes of 0..top − 1, one right-aligned row each,
+    leading zeros as 0 bytes."""
+    powers = 10 ** np.arange(len(str(max(top - 1, 0))) - 1, -1, -1)
+    x = np.arange(max(top, 1))[:, None] // powers
+    rows = (x % 10 + ord("0")).astype(np.uint8)
+    rows[:, :-1][x[:, :-1] == 0] = 0
+    return rows
+
+
+def _text_lines(lead: str, *columns: np.ndarray) -> str:
+    """``lead c1 c2 …`` lines, each ended by a newline, from rows of
+    ``_digits``: one byte matrix whose 0 bytes are dropped."""
+    cell = lambda char: np.full((len(columns[0]), 1), ord(char), dtype=np.uint8)
+    parts = [cell(lead)]
+    for column in columns:
+        parts += [cell(" "), column]
+    text = np.hstack([*parts, cell("\n")]).ravel()
+    return text[text > 0].tobytes().decode("ascii")
+
+
 def serialize(g: SchreierGraph) -> str:
+    """SGF1 text of g, the body formatted from ``slots`` as byte matrices:
+    one ``e`` line per defined slot in (v, l) order, then the ``b`` lines."""
     lines = ["SGF1", f"gens {g.degree}"]
     for i, name in enumerate(g.gens.labels):
         lines.append(f"label {i} {name} inv {g.gens.inv[i]}")
@@ -504,13 +576,13 @@ def serialize(g: SchreierGraph) -> str:
     if g.truncation_radius is not None:
         head += f" truncated {g.truncation_radius}"
     lines.append(head)
-    for v, row in enumerate(g.next):
-        for l, w in enumerate(row):
-            if w is not None:
-                lines.append(f"e {v} {l} {w}")
-    for v in sorted(g.boundary):
-        lines.append(f"b {v}")
-    return "\n".join(lines) + "\n"
+    vertex = _digits(g.n)
+    v, l = np.nonzero(g.slots >= 0)
+    return "".join([
+        "\n".join(lines) + "\n",
+        _text_lines("e", vertex[v], _digits(g.degree)[l], vertex[g.slots[v, l]]),
+        _text_lines("b", vertex[sorted(g.boundary)]),
+    ])
 
 
 # the line breaks of str.splitlines
@@ -519,6 +591,7 @@ _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _IRREGULAR = re.compile(r"\n(?!(?:e [0-9]+ [0-9]+ [0-9]+|b [0-9]+)(?:\n|\Z))")
 _EDGE_LINE = re.compile(r"e ([0-9]+) ([0-9]+) ([0-9]+)")
 _BOUNDARY_LINE = re.compile(r"b ([0-9]+)")
+_BLOCK = 2**20  # characters of body that ``parse`` reads into arrays at once
 
 
 def _stripped_lines(text: str) -> Iterator[tuple[str, int]]:
@@ -534,8 +607,10 @@ def _stripped_lines(text: str) -> Iterator[tuple[str, int]]:
             yield line, pos
 
 
-def _line_error(line: str) -> SGF1Error:
-    """The error of a body line that is not a valid ``e`` or ``b`` line."""
+def _line_error(body: str, start: int, hi: int) -> SGF1Error:
+    """The error of the body line at ``start``, not a valid ``e`` or ``b`` line."""
+    end = body.find("\n", start, hi)
+    line = body[start : end if end >= 0 else hi]
     if line.startswith("e "):
         if not _EDGE_LINE.fullmatch(line):
             return SGF1Error(f"malformed edge line {line!r}")
@@ -574,10 +649,12 @@ def parse(text: str) -> SchreierGraph:
     The header is read line by line.  The body is read in bulk: one regex
     search finds the first line that is not a plain ``e v l w`` or ``b v``
     line (a body with padded, blank or CRLF lines is first rewritten the
-    way ``str.splitlines`` and ``str.strip`` read it), the lines before it
-    become one numpy array, and masks over it find out-of-range values and
-    duplicate slots.  An error names the first offending line in file
-    order.  Numbers are ASCII digits.  A connected graph on n vertices has
+    way ``str.splitlines`` and ``str.strip`` read it), and the lines before
+    it are read in blocks of about ``_BLOCK`` characters straight into the
+    slot array.  Each block becomes numpy columns, and masks over them find
+    out-of-range values and duplicate slots (repeated in the block, or
+    filled by an earlier one).  An error names the first offending line in
+    file order.  Numbers are ASCII digits.  A connected graph on n vertices has
     at least n − 1 edges, and each of its interior vertices fills all d
     slots, so with E ``e`` lines and B ``b`` lines a ``vertices n`` header
     with n > E + 1 or (n − B)·d > E is refused before any table is
@@ -640,41 +717,42 @@ def parse(text: str) -> SchreierGraph:
         )
 
     cut = irregular.start() if irregular else hi
-    starts, is_edge, (v, l, w), boundary = _regular_lines(body[lo:cut])
-    out = (v >= n) | (l >= d) | (w >= n)
-    inside = np.flatnonzero(~out)
-    slot = v[inside] * d + l[inside]
-    repeat = np.zeros(len(v), dtype=bool)
-    repeat[inside] = np.bincount(slot, minlength=n * d)[slot] > 1
-    if repeat.any():  # a slot's first line is not a repeat
-        shared = np.flatnonzero(repeat)
-        repeat[shared[np.unique(v[shared] * d + l[shared], return_index=True)[1]]] = False
-    edge_lines = np.flatnonzero(is_edge)
-    offending = np.zeros(len(is_edge) + 1, dtype=bool)
-    offending[edge_lines[out | repeat]] = True
-    offending[np.flatnonzero(~is_edge)[boundary >= n]] = True
-    offending[-1] = irregular is not None
-    if offending.any():
-        k = int(offending.argmax())
-        e = int(np.searchsorted(edge_lines, k))
-        if k < len(is_edge) and is_edge[k] and repeat[e]:
-            raise SGF1Error(f"duplicate edge slot ({v[e]},{gens.labels[l[e]]})")
-        start = cut + 1 if k == len(is_edge) else lo + starts[k]
-        end = body.find("\n", start, hi)
-        raise _line_error(body[start : end if end >= 0 else hi])
-
     slots = np.full((n, d), -1, dtype=np.int64)
-    slots[v, l] = w
-    rows = list(zip(*(slots[:, k].tolist() for k in range(d))))
-    for r in np.flatnonzero((slots < 0).any(axis=1)).tolist():
-        rows[r] = tuple(None if x < 0 else x for x in rows[r])
+    filled = slots.reshape(-1)
+    boundary: list[int] = []
+    start = lo
+    while start < cut:  # blocks of about _BLOCK characters, each up to a "\n"
+        end = body.find("\n", min(start + _BLOCK, cut), cut)
+        end = cut if end < 0 else end
+        starts, is_edge, (v, l, w), b = _regular_lines(body[start:end])
+        out = (v >= n) | (l >= d) | (w >= n)
+        inside = np.flatnonzero(~out)
+        slot = v[inside] * d + l[inside]
+        first = np.zeros(len(slot), dtype=bool)
+        first[np.unique(slot, return_index=True)[1]] = True
+        repeat = np.zeros(len(v), dtype=bool)  # a slot's first line is not a repeat
+        repeat[inside] = ~first | (filled[slot] >= 0)
+        edge_lines = np.flatnonzero(is_edge)
+        offending = np.zeros(len(is_edge), dtype=bool)
+        offending[edge_lines[out | repeat]] = True
+        offending[np.flatnonzero(~is_edge)[b >= n]] = True
+        if offending.any():
+            k = int(offending.argmax())
+            e = int(np.searchsorted(edge_lines, k))
+            if is_edge[k] and repeat[e]:
+                raise SGF1Error(f"duplicate edge slot ({v[e]},{gens.labels[l[e]]})")
+            raise _line_error(body, start + starts[k], hi)
+        filled[slot] = w[inside]
+        boundary += b.tolist()
+        start = end
+    if irregular:
+        raise _line_error(body, cut + 1, hi)
     g = SchreierGraph._trusted(
         gens=gens,
-        next=tuple(rows),
-        root=root,
-        boundary=frozenset(boundary.tolist()),
-        truncation_radius=radius,
         slots=slots,
+        root=root,
+        boundary=frozenset(boundary),
+        truncation_radius=radius,
     )
     try:
         g.validate()
@@ -695,6 +773,10 @@ class PermAction:
 
     gens: GenSet
     perms: tuple[tuple[int, ...], ...]
+    # the action as a read-only n×d int64 transition table, set by the checks:
+    # ``slots[x, l]`` is the image of x under label l, and
+    # ``canonical_rows(act.slots, x)`` numbers the orbit of x as its Schreier graph
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = self.gens.degree
@@ -720,17 +802,13 @@ class PermAction:
             raise GraphInvariantError(
                 f"label {labels[l]}: inverse label does not act by the inverse permutation"
             )
+        slots = np.ascontiguousarray(perms.T)
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
 
     @property
     def degree(self) -> int:
         return len(self.perms[0])
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The action as a transition table: ``table[x][l]`` is the image of
-        x under label l, so ``canonical_rows(act.table, x)`` numbers the
-        orbit of x as its Schreier graph."""
-        return tuple(zip(*self.perms))
 
     def word_permutation(self, word: Word) -> tuple[int, ...]:
         cur = list(range(self.degree))

@@ -82,14 +82,14 @@ class IrsEnsemble:
 def _rooted_orbits(act: PermAction, points: Iterable[int]) -> tuple[SchreierGraph, ...]:
     """The orbit graph of each point, rooted at it: one table per orbit,
     shared by every sample rooted in that orbit."""
-    where: dict[int, tuple[tuple, int]] = {}  # point -> (orbit table, vertex)
+    where: dict[int, tuple[np.ndarray, int]] = {}  # point -> (orbit table, vertex)
     samples = []
     for x in points:
         if x not in where:
-            index, table = canonical_rows(act.table, x)
-            where.update((y, (table, i)) for y, i in index.items())
+            order, table = canonical_rows(act.slots, x)
+            where.update((y, (table, i)) for i, y in enumerate(order.tolist()))
         table, root = where[x]
-        samples.append(SchreierGraph._trusted(gens=act.gens, next=table, root=root))
+        samples.append(SchreierGraph._trusted(gens=act.gens, slots=table, root=root))
     return tuple(samples)
 
 
@@ -140,9 +140,9 @@ def _distributions(
     root along each label, from one endpoint table per shared orbit table
     over its samples' roots and moved roots.  A class's weight is exact for
     any weights: a count × weight per distinct weight, summed."""
-    tables: dict[int, list[int]] = {}  # id(next) -> the samples rooted in it
+    tables: dict[int, list[int]] = {}  # id(slots) -> the samples rooted in it
     for i, g in enumerate(e.samples):
-        tables.setdefault(id(g.next), []).append(i)
+        tables.setdefault(id(g.slots), []).append(i)
     pairs = [(w.numerator, w.denominator) for w in e.weights]  # hashed faster than Fractions
     index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
     distinct, ks = [Fraction(*p) for p in index], np.array([index[p] for p in pairs])

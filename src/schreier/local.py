@@ -87,11 +87,11 @@ def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
                 f"insufficient radius: vertex {v} is at distance {available} from "
                 f"the truncation boundary, need at least {radius}"
             )
-    _, rows = canonical_rows(g.next, v, radius)
-    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+    rows = canonical_rows(g.slots, v, radius)[1]
+    boundary = frozenset(np.flatnonzero((rows < 0).any(axis=1)).tolist())
     inner = SchreierGraph._trusted(
         gens=g.gens,
-        next=rows,
+        slots=rows,
         boundary=boundary,
         truncation_radius=radius if boundary else None,
     )
@@ -305,7 +305,7 @@ def _endpoint_counts(act: PermAction, radius: int, max_length: int) -> tuple[int
     points whose R-ball is the tree ball (no repeat in the pattern) and
     the number each nonempty word fixes, in word order."""
     tree, fixed = 0, 0
-    slots, points = np.array(act.perms).T, np.arange(act.degree)
+    slots, points = act.slots, np.arange(act.degree)
     for _, ends, pattern in _endpoint_tables(slots, act.gens, points, radius, max_length):
         tree += int((pattern == np.arange(pattern.shape[1])).all(axis=1).sum())
         fixed = fixed + (ends == ends[:, :1]).sum(axis=0)
@@ -343,7 +343,7 @@ def local_approx_check(
                 )
     reports = []
     for act in actions:
-        if len(bfs_layers(act.table, 0)[0]) != act.degree:
+        if len(canonical_rows(act.slots, 0)[0]) != act.degree:
             raise ValueError(
                 "local approximation compares one coset space at a time; "
                 "restrict the action to an orbit first"
@@ -376,6 +376,6 @@ def is_vertex_transitive(g: SchreierGraph) -> bool:
     root's class is closed under steps and, by connectivity, is every vertex."""
     if g.truncated:
         raise ValueError("vertex-transitivity is undefined for truncations")
-    reference = canonical_rows(g.next, g.root)[1]
-    neighbours = set(g.next[g.root]) - {g.root}
-    return all(canonical_rows(g.next, v)[1] == reference for v in neighbours)
+    reference = canonical_rows(g.slots, g.root)[1]
+    neighbours = set(g.slots[g.root].tolist()) - {g.root}
+    return all(np.array_equal(canonical_rows(g.slots, v)[1], reference) for v in neighbours)

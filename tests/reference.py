@@ -7,6 +7,9 @@ builders replaced, and hypothesis strategies to compare them on.
 - ``shuffled`` renumbers a graph by a given permutation of its vertices;
 - ``orbit``, ``from_perm_action``, ``restrict_to_orbit`` and
   ``rooted_orbits`` index an orbit by their own BFS over the permutations;
+- ``canonical_rows`` numbers a table of rows by a Python breadth-first
+  search, and ``serialize`` writes SGF1 one line at a time: the oracles of
+  the array numbering and writer of ``core``;
 - ``complete_ball`` builds the ball (core vertices by root distance, then
   sprouted tree vertices) and renumbers it with ``canonical_rows``;
 - ``count_walks`` steps a full row of walk counts over the stored edges,
@@ -30,7 +33,9 @@ builders replaced, and hypothesis strategies to compare them on.
   are the trust boundaries as loops, one slot, line or point at a time,
   which the array checks of ``core`` replaced;
 - ``proj_normalize`` takes the least of all q − 1 scalar multiples, which
-  the one-inverse normalization of ``builders.lps_graph`` replaced.
+  the one-inverse normalization of ``builders.lps_graph`` replaced;
+- ``fisher_yates`` shuffles with ``rng.randrange``, whose rejection draws
+  ``builders._fisher_yates`` inlines.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from schreier.core import (
     SchreierGraph,
     SGF1Error,
     Word,
-    canonical_rows,
+    bfs_layers,
 )
 from schreier.irs import IrsEnsemble, Provenance
 from schreier.local import RootedBall, ball
@@ -78,6 +83,39 @@ def distance_to_boundary(g: SchreierGraph, v: int) -> float:
     if not g.boundary:
         return float("inf")
     return bfs_distances(g, *g.boundary)[v]
+
+
+def canonical_rows(
+    table, root: int, radius: int | None = None
+) -> tuple[dict[int, int], tuple[tuple[int | None, ...], ...]]:
+    """The old-to-new index in ``bfs_layers`` order from ``root`` and the
+    renumbered rows; with a radius, a vertex at depth R keeps just its
+    slots back to depth R − 1."""
+    order, ends = bfs_layers(table, root, radius)
+    index = dict(zip(order, range(len(order))))
+    sphere = len(order) if radius is None else (0, *ends)[radius]
+    rows = [tuple(map(index.get, table[v])) for v in order[:sphere]]
+    if sphere < len(order):
+        inner = dict(zip(order[:sphere], range(sphere)))
+        rows += [tuple(map(inner.get, table[v])) for v in order[sphere:]]
+    return index, tuple(rows)
+
+
+def serialize(g: SchreierGraph) -> str:
+    lines = ["SGF1", f"gens {g.degree}"]
+    for i, name in enumerate(g.gens.labels):
+        lines.append(f"label {i} {name} inv {g.gens.inv[i]}")
+    head = f"vertices {g.n} root {g.root}"
+    if g.truncation_radius is not None:
+        head += f" truncated {g.truncation_radius}"
+    lines.append(head)
+    for v, row in enumerate(g.next):
+        for l, w in enumerate(row):
+            if w is not None:
+                lines.append(f"e {v} {l} {w}")
+    for v in sorted(g.boundary):
+        lines.append(f"b {v}")
+    return "\n".join(lines) + "\n"
 
 
 def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
@@ -486,6 +524,14 @@ def generator_perms(pair_perms, involution_perms=()) -> tuple[tuple[int, ...], .
 
 def proj_normalize(m: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
     return min(tuple((lam * e) % q for e in m) for lam in range(1, q))
+
+
+def fisher_yates(rng, n: int) -> tuple[int, ...]:
+    p = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        p[i], p[j] = p[j], p[i]
+    return tuple(p)
 
 
 @st.composite

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreier.builders import (
+    _fisher_yates,
     _proj_normalize,
     _quaternion_solutions,
     CoreGraph,
@@ -260,8 +262,8 @@ class TestOnePassBuilders:
         g = from_perm_action(act, base)
         assert g.next == reference.from_perm_action(act, base).next
         assert restrict_to_orbit(act, base) == reference.restrict_to_orbit(act, base)
-        assert bfs_layers(act.table, base)[0] == reference.orbit(act, base)
-        assert act.table == tuple(tuple(p[x] for p in act.perms) for x in range(act.degree))
+        assert bfs_layers(act.slots.tolist(), base)[0] == reference.orbit(act, base)
+        assert act.slots.tolist() == [[p[x] for p in act.perms] for x in range(act.degree)]
 
 
 class TestTreeCore:
@@ -363,6 +365,17 @@ class TestRandomPermModel:
         g = random_perm_model(2, 1, seed=0)
         assert g.n == 1
         assert g.next[0] == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10**5])
+    def test_fisher_yates_draws_as_randrange(self, n):
+        """The inlined rejection draws give the permutations, and leave the
+        generator in the state, of the ``randrange`` shuffle."""
+        for seed in range(4):
+            rng = random.Random(seed)
+            assert _fisher_yates(rng, n) == reference.fisher_yates(random.Random(seed), n)
+            expected = random.Random(seed)
+            reference.fisher_yates(expected, n)
+            assert rng.random() == expected.random()
 
     def test_restrict_to_orbit_transitive(self):
         act = random_perm_action(2, 30, seed=5)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 import reference
 
+from schreier import core, local
 from schreier.builders import (
     complete_ball,
     cycle_graph,
+    random_perm_action,
     random_perm_model,
+    restrict_to_orbit,
     stallings_core,
     tree_core,
 )
@@ -36,6 +39,9 @@ from schreier.core import (
     serialize,
     walk_endpoint,
 )
+from schreier.cycles import cycle_profile
+from schreier.irs import invariance_diagnostic, uniform_conjugate
+from schreier.spectral import ramanujan_check
 
 
 def cycle(n: int) -> SchreierGraph:
@@ -315,7 +321,7 @@ class TestBfsLayers:
                     met.setdefault(w, (position[v], l))
         keys = [met[w] for w in order[1:]]
         assert keys == sorted(keys)
-        assert list(canonical_rows(g.next, x, radius)[0]) == order
+        assert canonical_rows(g.slots, x, radius)[0].tolist() == order
 
     @given(m=st.integers(1, 2), n=st.integers(1, 20), seed=st.integers(0, 99))
     def test_radius_minus_one_is_the_start_alone(self, m, n, seed):
@@ -349,7 +355,7 @@ class TestCanonicalize:
         act = PermAction.from_generator_perms([(1, 2, 3, 4, 0)])
         g = canonicalize(orbit_graph(act))
         assert g.root == 0
-        assert list(canonical_rows(g.next, 0)[0]) == list(range(g.n))
+        assert canonical_rows(g.slots, 0)[0].tolist() == list(range(g.n))
 
 
 class TestSGF1:
@@ -580,6 +586,111 @@ class TestBulkParseOracle:
             assert got == expected
 
 
+@pytest.fixture(scope="class")
+def small_blocks():
+    """Blocks of about 12 characters, so that a body spans many blocks and a
+    repeated slot or an offending line lies blocks after the line it follows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK", 12)
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBulkParseOracleSmallBlocks(TestBulkParseOracle):
+    """The line-parser oracle, reading the body a line or two at a time."""
+
+
+@st.composite
+def slot_tables(draw) -> np.ndarray:
+    """Any n×d table of targets in −1..n − 1, missing slots (−1) included:
+    unpaired, unreachable and repeated targets as they come."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(-1, n - 1), min_size=n * d, max_size=n * d))
+    return np.array(cells, dtype=np.int64).reshape(n, d)
+
+
+@st.composite
+def stored_graphs(draw) -> SchreierGraph:
+    """A truncated R-ball of a permutation model, a completed ball of a
+    folded core (truncated or complete) or a folded core, renumbered by a
+    random permutation half the time."""
+    kind = draw(st.sampled_from(["truncated", "ball", "core"]))
+    if kind == "truncated":
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 40))
+        g = random_perm_model(m, n, draw(st.integers(0, 99)))
+        g = local.ball(g, draw(st.integers(0, g.n - 1)), draw(st.integers(0, 3))).graph
+    else:
+        rank = draw(st.integers(1, 2))
+        core_graph = stallings_core(GenSet.free(rank), draw(reference.folded_words(rank)))
+        g = core_graph.graph
+        if kind == "ball":
+            g = complete_ball(core_graph, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        g = reference.shuffled(g, draw(st.permutations(range(g.n))))
+    return g
+
+
+class TestArrayNumberingAndWriter:
+    """The array numbering and SGF1 writer against the loops of ``reference``."""
+
+    @settings(max_examples=300)
+    @given(slot_tables(), st.none() | st.integers(0, 3))
+    def test_numbering_matches_the_loop_from_every_root(self, slots, radius):
+        rows = [[None if w < 0 else w for w in row] for row in slots.tolist()]
+        for root in range(len(slots)):
+            order, renumbered = canonical_rows(slots, root, radius)
+            index, expected = reference.canonical_rows(rows, root, radius)
+            assert order.tolist() == list(index)
+            assert renumbered.tolist() == [
+                [-1 if w is None else w for w in row] for row in expected
+            ]
+            assert not renumbered.flags.writeable
+
+    @settings(max_examples=200)
+    @given(stored_graphs())
+    def test_writer_matches_the_loop(self, g):
+        text = serialize(g)
+        assert text == reference.serialize(g)
+        read = parse(text)
+        assert np.array_equal(read.slots, g.slots)
+        assert (read.root, read.boundary, read.truncation_radius) == (
+            g.root, g.boundary, g.truncation_radius
+        )
+
+    def test_parse_holds_the_slot_table_not_the_text(self):
+        """Reading ``randperm:m=2,n=100000,seed=0``: the peak stays near the
+        checks on the n×d table, whatever the text length beyond a block,
+        and what stays held afterwards is the table and its distances."""
+        g = random_perm_model(2, 10**5, 0)
+        text, cells = serialize(g), g.n * g.degree
+        tracemalloc.start()
+        try:
+            read = parse(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read.n == g.n
+        assert peak < len(text) + 32 * cells
+        assert held < 12 * cells
+
+
+class TestNoTupleRows:
+    """Builders, the parser and the array readers leave ``next`` unbuilt."""
+
+    def test_readers_of_slot_graphs(self):
+        g = random_perm_model(2, 3000, 0)
+        assert "next" not in g.__dict__
+        read = parse(serialize(g))
+        assert "next" not in read.__dict__
+        for h in (g, read):
+            ramanujan_check(h)
+            cycle_profile(h, 5)
+            assert "next" not in h.__dict__
+        e = uniform_conjugate(restrict_to_orbit(random_perm_action(2, 3000, 0)))
+        invariance_diagnostic(e, 2)
+        assert not any("next" in h.__dict__ for h in e.samples)
+
+
 def _defective_perms(data, perms: list[list[int]], n: int) -> list[list[int]]:
     """Up to two defects: a repeated or outside point, a wrong length, or
     a permutation that is not the inverse its label needs."""
@@ -662,4 +773,4 @@ class TestPermAction:
     def test_orbit_of_transitive_action(self):
         # breadth-first in label order: a sends 0 to 1, A sends 0 to 3
         act = PermAction.from_generator_perms([(1, 2, 3, 0)])
-        assert bfs_layers(act.table, 0)[0] == [0, 1, 3, 2]
+        assert bfs_layers(act.slots.tolist(), 0)[0] == [0, 1, 3, 2]

@@ -209,7 +209,7 @@ class TestSharedOrbitTables:
         act = restrict_to_orbit(random_perm_action(m, n, seed))
         e = uniform_conjugate(act)
         _assert_matches_per_root_copies(e, act, range(act.degree), radius)
-        assert len({id(g.next) for g in e.samples}) == 1
+        assert len({id(g.slots) for g in e.samples}) == 1
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -231,7 +231,7 @@ class TestSharedOrbitTables:
             orbit.setdefault(x, frozenset(reference.orbit(act, x)))
         for g, x in zip(e.samples, points):
             for h, y in zip(e.samples, points):
-                assert (g.next is h.next) == (orbit[x] == orbit[y])
+                assert (g.slots is h.slots) == (orbit[x] == orbit[y])
 
     def test_two_orbit_tables(self):
         # a lopsided triangle (b swaps two of its points) beside a 4-cycle
@@ -241,7 +241,7 @@ class TestSharedOrbitTables:
         )
         e = stabilizer_sample(act, 30, seed=1)
         points = _reference_points(act, 30, 1)
-        assert len({id(g.next) for g in e.samples}) == 2
+        assert len({id(g.slots) for g in e.samples}) == 2
         for radius in range(4):
             _assert_matches_per_root_copies(e, act, points, radius)
 

@@ -339,10 +339,10 @@ class TestPatternClassesAgainstRows:
     @settings(max_examples=80, deadline=None)
     def test_permutation_models(self, act, radius, data):
         numbering = data.draw(st.permutations(range(act.degree)))
-        keys = _pattern_keys(act.gens, act.table, radius, numbering)
-        assert keys == _pattern_keys(act.gens, act.table, radius, range(act.degree))
+        keys = _pattern_keys(act.gens, act.slots.tolist(), radius, numbering)
+        assert keys == _pattern_keys(act.gens, act.slots.tolist(), radius, range(act.degree))
         with mock.patch.object(local, "_CELLS", 1):  # one root per chunk
-            assert keys == _pattern_keys(act.gens, act.table, radius, numbering)
+            assert keys == _pattern_keys(act.gens, act.slots.tolist(), radius, numbering)
 
     @given(
         words=_words, truncation=st.integers(0, 4), radius=st.integers(0, 3), data=st.data()
@@ -687,7 +687,7 @@ def _reference_report(act: PermAction, radius: int, words=None):
     points whose canonical rows are those of the ``tree_ball_class``."""
     tree = tree_ball_class(act.gens, radius).graph
     tree = reference.rows_digest(act.gens, tree.next, tree.root, radius)
-    roots = [reference.rows_digest(act.gens, act.table, x, radius) for x in range(act.degree)]
+    roots = [reference.rows_digest(act.gens, act.slots.tolist(), x, radius) for x in range(act.degree)]
     p = Fraction(roots.count(tree), act.degree)
     if words is None:
         pairs = tuple(
