@@ -545,6 +545,10 @@ def lps_graph(p: int, q: int) -> SchreierGraph:
     give mutually inverse labels.  When p is a quadratic residue mod q the
     generators land in PSL(2,q) (non-bipartite case); otherwise the graph
     doubles to PGL(2,q) and is bipartite.
+
+    Vertex 0 is the identity; the rest are numbered in the (parent, label)
+    order of a breadth-first search whose layers are looked up in an id table
+    of q³ + q² projective keys (b·q² + c·q + d for a = 1, else q³ + c·q + d).
     """
     for r, name in ((p, "p"), (q, "q")):
         if r < 2 or any(r % k == 0 for k in range(2, math.isqrt(r) + 1)):
@@ -581,27 +585,33 @@ def lps_graph(p: int, q: int) -> SchreierGraph:
         inv.append(j)
     gens = GenSet(tuple(f"g{i}" for i in range(p + 1)), tuple(inv))
 
-    ident = _proj_normalize((1, 0, 0, 1), q)
-    index = {ident: 0}
-    verts = [ident]
-    table: list[tuple[int, ...]] = []
-    head = 0
-    while head < len(verts):
-        v = verts[head]
-        head += 1
-        row = []
-        for g in mats:
-            w = _proj_normalize(_matmul(v, g, q), q)
-            if w not in index:
-                index[w] = len(verts)
-                verts.append(w)
-            row.append(index[w])
-        table.append(tuple(row))
+    inverse = np.array([0, *(pow(e, -1, q) for e in range(1, q))], dtype=np.int64)
+    steps = np.array(mats, dtype=np.int64).reshape(-1, 2, 2)
+    ids = np.full(q**3 + q * q, -1, dtype=np.int64)
+    ids[1] = 0  # the identity (1, 0, 0, 1)
+    layer, rows, n = np.array([[1, 0, 0, 1]], dtype=np.int64), [], 1
+    while len(layer):
+        prod = (layer.reshape(-1, 1, 2, 2) @ steps).reshape(-1, 4)
+        a = prod[:, 0] % q  # scale the first nonzero entry, a or else b, to 1
+        prod *= inverse[np.where(a > 0, a, prod[:, 1] % q)][:, None]
+        prod %= q
+        a, b, c, d = prod.T
+        key = np.where(a > 0, b * q * q, q**3) + c * q + d
+        fresh = np.flatnonzero(ids[key] < 0)
+        claim = fresh - len(key) - 1  # below −1: each unseen key keeps its least
+        np.minimum.at(ids, key[fresh], claim)
+        first = fresh[ids[key[fresh]] == claim]
+        ids[key[first]] = np.arange(n, n + len(first))
+        n += len(first)
+        rows.append(ids[key].reshape(-1, p + 1))
+        layer = prod[first]
 
     order = q * (q * q - 1) // 2 if _legendre(p, q) == 1 else q * (q * q - 1)
-    if len(verts) != order:
-        raise AssertionError(f"orbit size {len(verts)} != group order {order}")
-    return SchreierGraph(gens=gens, next=tuple(table), root=0)
+    if n != order:
+        raise AssertionError(f"orbit size {n} != group order {order}")
+    g = SchreierGraph._trusted(gens=gens, slots=np.concatenate(rows))
+    g.validate()
+    return g
 
 
 # ---------------------------------------------------------------------------

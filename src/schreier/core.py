@@ -267,9 +267,9 @@ class SchreierGraph:
     ``SchreierGraph(gens=…, next=…)`` takes the table as rows and
     validates it.  A graph built inside the package from a validated one
     (``_trusted``) stores either table: the permutation builders,
-    ``canonicalize``, ``local.ball`` and ``parse`` store ``slots`` alone,
-    and ``next`` is built from it, and cached, the first time something
-    reads it.
+    ``lps_graph``, ``canonicalize``, ``local.ball`` and ``parse`` store
+    ``slots`` alone, and ``next`` is built from it, and cached, the first
+    time something reads it.
     """
 
     gens: GenSet
@@ -414,10 +414,11 @@ def bfs_layers(
     The walk DPs' reach and the truncation guards read this search over
     rows, which costs the ball it lists; canonical rows, root distances
     and orbits read the same order off the slot array (``_slot_layers``).
-    Three searches stay apart: ``complete_ball`` and
-    ``lps_graph``/``group_closure`` search what no table stores (a core
-    with its trees, group elements), and ``cycles.girth`` needs parents
-    and stops at the first cycle.
+    Three searches stay apart: ``complete_ball`` and ``group_closure``
+    search what no table stores (a core with its trees, group elements),
+    and ``cycles.girth`` needs parents and stops at the first cycle.
+    ``lps_graph`` searches its group elements in arrays, one layer of
+    products per step.
     """
     n = len(table)
     if not 0 <= start < n:

@@ -153,7 +153,7 @@ def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | flo
         if c > 0:
             return length
     g = _graph(g)
-    nxt = g.next
+    nxt = g.slots.tolist()  # rows, −1 for a missing slot
     transitive = not g.truncated and is_vertex_transitive(g)
     best = math.inf
     dist, parent = [-1] * len(nxt), [-1] * len(nxt)
@@ -167,7 +167,7 @@ def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | flo
             if 2 * dist[x] >= best:
                 break
             for w in nxt[x]:
-                if w is None:
+                if w < 0:
                     continue
                 if dist[w] == -1:
                     dist[w] = dist[x] + 1

@@ -33,7 +33,9 @@ builders replaced, and hypothesis strategies to compare them on.
   are the trust boundaries as loops, one slot, line or point at a time,
   which the array checks of ``core`` replaced;
 - ``proj_normalize`` takes the least of all q − 1 scalar multiples, which
-  the one-inverse normalization of ``builders.lps_graph`` replaced;
+  the one-inverse normalization of ``builders.lps_graph`` replaced, and
+  ``lps_graph`` numbers the projective matrices by a breadth-first search
+  over a dict of 4-tuples, the oracle of that builder's array search;
 - ``fisher_yates`` shuffles with ``rng.randrange``, whose rejection draws
   ``builders._fisher_yates`` inlines.
 """
@@ -48,7 +50,13 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from schreier.builders import CoreGraph
+from schreier.builders import (
+    CoreGraph,
+    _matmul,
+    _proj_normalize,
+    _quaternion_solutions,
+    _solve_xy,
+)
 from schreier.core import (
     GenSet,
     GraphInvariantError,
@@ -524,6 +532,34 @@ def generator_perms(pair_perms, involution_perms=()) -> tuple[tuple[int, ...], .
 
 def proj_normalize(m: tuple[int, int, int, int], q: int) -> tuple[int, int, int, int]:
     return min(tuple((lam * e) % q for e in m) for lam in range(1, q))
+
+
+def lps_graph(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The slot rows of X^{p,q}: the builder's generators, numbered in
+    (parent, label) order by a queue and a dict of normalized 4-tuples."""
+    x, y = _solve_xy(q)
+    mats = [
+        _proj_normalize(
+            (a0 + a1 * x + a3 * y, -a1 * y + a2 + a3 * x, -a1 * y - a2 + a3 * x,
+             a0 - a1 * x - a3 * y),
+            q,
+        )
+        for a0, a1, a2, a3 in _quaternion_solutions(p)
+    ]
+    ident = (1, 0, 0, 1)
+    index = {ident: 0}
+    verts = [ident]
+    table = []
+    for v in verts:  # the list grows as the search goes: a queue
+        row = []
+        for g in mats:
+            w = _proj_normalize(_matmul(v, g, q), q)
+            if w not in index:
+                index[w] = len(verts)
+                verts.append(w)
+            row.append(index[w])
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def fisher_yates(rng, n: int) -> tuple[int, ...]:

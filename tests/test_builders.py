@@ -437,6 +437,14 @@ class TestLps:
         assert g.degree == 14
 
     @pytest.mark.parametrize(
+        "p,q",
+        # PSL, PGL, odd isqrt(p), PGL at q = 17, 30 labels, a larger q
+        [(17, 13), (5, 13), (13, 17), (5, 17), (29, 13), (5, 29)],
+    )
+    def test_array_search_matches_dict_search(self, p, q):
+        assert lps_graph(p, q).slots.tolist() == list(map(list, reference.lps_graph(p, q)))
+
+    @pytest.mark.parametrize(
         "p,q,message",
         [
             (13, 5, "q > 2"),

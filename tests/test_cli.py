@@ -38,13 +38,20 @@ def _json_out(capsys, argv: list[str], expect: int = 0) -> dict:
 
 def _subparser(*path: str) -> argparse.ArgumentParser:
     """The parser of a nested subcommand, e.g. ("experiment", "alon-boppana")."""
-    parser = _build_parser()
+    return _branch(_build_parser(), *path)
+
+
+def _branch(parser: argparse.ArgumentParser, *path: str) -> argparse.ArgumentParser:
+    """The parser that ``path`` leads to from ``parser``."""
     for name in path:
-        (sub,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        parser = sub.choices[name]
+        parser = _choices(parser)[name]
     return parser
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommands attached under ``parser``, by name."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def _flags(parser: argparse.ArgumentParser) -> set[str]:
@@ -764,6 +771,58 @@ class TestDeclaredFlags:
         assert "expected comma-separated integers" in capsys.readouterr().err
 
 
+# every path that picks a branch: each command, and each check and recipe
+BRANCHES = [
+    *((command,) for command in cli._COMMANDS),
+    *(("lemma-check", name) for name in cli._CHECKS),
+    *(("experiment", name) for name in EXPERIMENTS),
+]
+
+
+class TestPartialParser:
+    def test_commands_name_the_whole_tree(self):
+        assert tuple(_choices(_build_parser())) == cli._COMMANDS
+
+    @pytest.mark.parametrize("path", BRANCHES, ids=" ".join)
+    def test_branch_prints_the_whole_tree_help(self, path):
+        whole, part = _build_parser(), _build_parser(*path)
+        assert _branch(part, *path).format_help() == _branch(whole, *path).format_help()
+        for depth in range(len(path)):  # the usage lines above it list every choice
+            assert (
+                _branch(part, *path[:depth]).format_usage()
+                == _branch(whole, *path[:depth]).format_usage()
+            )
+
+    @pytest.mark.parametrize("path", BRANCHES, ids=" ".join)
+    def test_branch_attaches_only_its_path(self, path):
+        parser = _build_parser(*path)
+        for depth, name in enumerate(path):
+            assert list(_choices(_branch(parser, *path[:depth]))) == [name]
+
+    @pytest.mark.parametrize(
+        "words, path",
+        [
+            ((), ()),
+            (("--help",), ()),
+            (("--config", "walks"), ()),
+            (("wlks",), ()),
+            (("lemma-check", "-h"), ("lemma-check",)),
+            (("lemma-check", "wlks"), ("lemma-check",)),
+            (("experiment", "--config"), ("experiment",)),
+        ],
+    )
+    def test_words_that_name_no_branch_attach_every_choice(self, words, path):
+        whole = _branch(_build_parser(), *path).format_help()
+        assert _branch(_build_parser(*words), *path).format_help() == whole
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        assert run(["wlks"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'wlks'" in err
+        listed = err.split("choose from", 1)[1]
+        assert all(command in listed for command in cli._COMMANDS)
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["nosuchcmd"]) == 1
@@ -803,16 +862,11 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-_one_parser = functools.lru_cache(maxsize=1)(_build_parser)
-
-
 def _quiet_run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of ``run(argv)``, with one parser kept
-    across calls: building it costs more than most answers."""
+    """(exit code, stdout, stderr) of ``run(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with mock.patch.object(cli, "_build_parser", _one_parser):
-            code = run(argv)
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 
