@@ -10,17 +10,18 @@ rotation and reflection, with parallel edges giving distinct cycles.
 Counts describe the finite graph as given: on a truncation they say
 nothing about edges beyond the boundary.
 
-c_1..c_5 are exact int64 sparse traces of the loopless multiplicity
-matrix W (w_uv parallel edges between u ≠ v), with s = diag(W²): the
-weighted identities of Harary–Manvel (1971), sparse as in Alon–Yuster–Zwick
-(Algorithmica 1997).  c_1 counts loops, c_2 = Σ_{u<v} C(w_uv, 2), and
-    c_3 = tr W³ / 6,
-    c_4 = (Σ (W²)_uv² − 2 Σ_v s_v² + Σ_{u,v} w_uv⁴) / 8,
-    c_5 = (Σ (W²)_uv (W³)_uv − 5 Σ_v s_v (W³)_vv + 5 Σ_{u,v} w_uv³ (W²)_uv) / 10.
-A row of W sums to at most the label count d, so every sum is at most n·d⁵;
-the traces run only while n·d⁵ < 2⁶³.  Past that bound, and for every
-length 6 ≤ L ≤ LMAX, a pruned depth-first sweep enumerates each cycle once,
-from its smallest vertex, in Python integers.
+c_1 and c_2 are slot arithmetic: the loops, and the parallel edges
+grouped by normalized endpoint pair.  For L ≥ 3 an L-cycle is a closed
+walk through L distinct vertices; from its smallest vertex s it is walked
+once in each direction, so c_L is half the closings.  One sweep carries
+rows (s, the endpoints so far) depth first, in blocks of a fixed row
+count: each step gathers the rows of the int32 slot table, a row closes
+when its new endpoint is s, and it goes on only while the new endpoint is
+above s and differs from every earlier one (a missing slot, −1, is below
+every s).  About n·d(d − 1)^(L−1)/(L + 1) rows reach depth L.  On a whole
+vertex-transitive graph every vertex lies on equally many L-cycles, so
+the sweep runs from the root alone, keeping every endpoint other than the
+root, and its w_L closings give c_L = n·w_L/(2L), which must be exact.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from schreier.builders import CoreGraph
 from schreier.core import SchreierGraph
@@ -49,98 +49,86 @@ __all__ = [
 ]
 
 LMAX = 12
-_TRACED = 5  # c_1..c_5 come from traces
-_INT64_BOUND = 2**63
+_ROWS = 1 << 14  # rows per block of the sweep
 
 
 def _graph(g: SchreierGraph | CoreGraph) -> SchreierGraph:
     return g.graph if isinstance(g, CoreGraph) else g
 
 
-def _multigraph(g: SchreierGraph) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Loop counts per vertex and the loopless multiplicity matrix W; a
-    missing slot (−1) contributes no edge."""
-    n, d = g.n, g.degree
-    dst = g.slots.ravel()
-    src, label = np.divmod(np.arange(n * d), d)
-    partner = np.asarray(g.gens.inv)[label]
-    # one slot per edge: a pair at its smaller label, an involution at its smaller end
-    keep = (dst >= 0) & ((partner > label) | ((partner == label) & (src <= dst)))
-    src, dst = src[keep], dst[keep]
-    loop = src == dst
-    u, v = src[~loop], dst[~loop]
-    w = sp.csr_matrix((np.ones(len(u), np.int64), (u, v)), shape=(n, n))
-    return np.bincount(src[loop], minlength=n), (w + w.T).tocsr()
+def _transitive(g: SchreierGraph) -> bool:
+    return not g.truncated and is_vertex_transitive(g)
 
 
-def _method(g: SchreierGraph, lmax: int) -> str:
-    if g.n * g.degree**5 >= _INT64_BOUND:
-        return "enumeration"
-    return "trace" if lmax <= _TRACED else "trace+enumeration"
+def _loops_and_pairs(g: SchreierGraph) -> tuple[int, int]:
+    """c_1 and c_2: a pair's edges are read at its smaller label, an
+    involution's at the smaller end; a missing slot (−1) is no edge."""
+    x = np.arange(g.n)
+    loops, keys = 0, []
+    for l, m in enumerate(g.gens.inv):
+        if m < l:
+            continue
+        y = g.slots[:, l]
+        keep = (x <= y) if m == l else (y >= 0)
+        u, v = x[keep], y[keep]
+        loops += int(np.count_nonzero(u == v))
+        keys.append((np.minimum(u, v) * g.n + np.maximum(u, v))[u != v])
+    mult = np.unique(np.concatenate(keys), return_counts=True)[1]
+    return loops, int((mult * (mult - 1)).sum()) // 2
 
 
-def _traced_counts(loops: np.ndarray, w: sp.csr_matrix, lmax: int) -> list[int]:
-    """c_1..c_lmax, lmax ≤ 5, by the identities of the module docstring."""
-    m = w.data
-    counts = [int(loops.sum()), int((m * (m - 1)).sum()) // 4]
-    if lmax >= 3:
-        w2 = w @ w
-        counts.append(int(w2.multiply(w).sum()) // 6)
-    if lmax >= 4:
-        s = w2.diagonal()
-        counts.append((int((w2.data**2).sum()) - 2 * int(s @ s) + int((m**4).sum())) // 8)
-    if lmax >= 5:
-        w3 = w2 @ w
-        tr5, s_w3 = int(w2.multiply(w3).sum()), int(s @ w3.diagonal())
-        counts.append((tr5 - 5 * s_w3 + 5 * int(w2.multiply(w.power(3)).sum())) // 10)
-    return counts[:lmax]
+def _closed_walks(table: np.ndarray, starts: np.ndarray, lmax: int, above: bool) -> list[int]:
+    """walks[L], 3 ≤ L ≤ lmax: the closed walks from ``starts`` through
+    distinct vertices, each vertex above its start if ``above``.  ``table``
+    is the n × d int32 slot table.  A block of r rows at depth k is the
+    starts, then the endpoints e_1..e_k; at depth lmax − 1 only closing is
+    left, so a block there keeps the starts and e_k alone."""
+    walks = [0] * (lmax + 1)
+    stack = [(0, starts[None, i : i + _ROWS]) for i in range(0, len(starts), _ROWS)]
+    while stack:
+        k, rows = stack.pop()
+        new = table.take(rows[-1], axis=0)
+        start = rows[0][:, None]
+        if k >= 2:
+            walks[k + 1] += int(np.count_nonzero(new == start))
+        if k + 2 > lmax:
+            continue
+        keep = new > start if above else new != start
+        for e in rows[1:]:
+            keep &= new != e[:, None]
+        kept = np.flatnonzero(keep)
+        head = (rows if k + 2 < lmax else rows[:1]).take(kept // table.shape[1], axis=1)
+        child = np.vstack([head, new.take(kept)])
+        stack.extend((k + 1, child[:, i : i + _ROWS]) for i in range(0, child.shape[1], _ROWS))
+    return walks
 
 
-def _enumerated_counts(w: sp.csr_matrix, lmax: int) -> list[int]:
-    """counts[L] for 3 ≤ L ≤ lmax.  Each cycle is a path out of its smallest
-    vertex s closed by an edge back to s; its reflection is killed by
-    requiring the first step to be smaller than the last, and edge
-    multiplicities multiply along the way."""
-    indptr, indices, data = w.indptr.tolist(), w.indices.tolist(), w.data.tolist()
-    counts = [0] * (lmax + 1)
-    onpath = [False] * w.shape[0]
-
-    def extend(s: int, back: dict, v: int, first: int, depth: int, weight: int) -> None:
-        # depth = edges walked so far; closing now yields a (depth+1)-cycle
-        if depth >= 2 and first < v and v in back:
-            counts[depth + 1] += weight * back[v]
-        if depth == lmax - 1:
-            return
-        for k in range(indptr[v], indptr[v + 1]):
-            x = indices[k]
-            if x > s and not onpath[x]:
-                onpath[x] = True
-                extend(s, back, x, first if depth >= 1 else x, depth + 1, weight * data[k])
-                onpath[x] = False
-
-    for s in range(len(onpath)):
-        onpath[s] = True
-        back = {indices[k]: data[k] for k in range(indptr[s], indptr[s + 1])}
-        extend(s, back, s, -1, 0, 1)
-        onpath[s] = False
-    return counts
-
-
-def cycle_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
-    """Exact cycle counts c_1 .. c_lmax: traces up to length 5, the
-    enumerator beyond (or for c_3 on, past the int64 bound)."""
+def cycle_counts(
+    g: SchreierGraph | CoreGraph, lmax: int, transitive: bool | None = None
+) -> tuple[int, ...]:
+    """Exact cycle counts c_1 .. c_lmax.  ``transitive`` says whether g is a
+    whole vertex-transitive graph, decided here if not given."""
     if not 1 <= lmax <= LMAX:
         raise ValueError(f"cycle lengths are supported up to {LMAX}")
     g = _graph(g)
-    loops, w = _multigraph(g)
-    traced = 2 if _method(g, lmax) == "enumeration" else _TRACED
-    counts = _traced_counts(loops, w, min(lmax, traced))
-    if lmax > traced:
-        counts += _enumerated_counts(w, lmax)[traced + 1 :]
+    counts = list(_loops_and_pairs(g))[:lmax]
+    if lmax < 3:
+        return tuple(counts)
+    transitive = _transitive(g) if transitive is None else transitive
+    table = g.slots.astype(np.int32)
+    starts = np.array([g.root], np.int32) if transitive else np.arange(g.n, dtype=np.int32)
+    walks = _closed_walks(table, starts, lmax, above=not transitive)
+    for length in range(3, lmax + 1):
+        num, den = (g.n * walks[length], 2 * length) if transitive else (walks[length], 2)
+        if num % den:
+            raise ValueError(f"c_{length} = {num}/{den} is not a whole number of cycles")
+        counts.append(num // den)
     return tuple(counts)
 
 
-def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | float:
+def girth(
+    g: SchreierGraph | CoreGraph, counts: Sequence[int] = (), transitive: bool | None = None
+) -> int | float:
     """Length of the shortest cycle of the underlying multigraph (math.inf
     for a forest): the first L with c_L > 0 in ``counts`` (c_1, c_2, ... of
     g, if known), else by breadth-first search over the slot table, where
@@ -148,13 +136,14 @@ def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | flo
     finds a cycle no longer than the shortest one through s, so on a whole
     vertex-transitive graph, where every vertex lies on a shortest cycle,
     the search from the root alone is exact; other graphs and truncations
-    are searched from every vertex."""
+    are searched from every vertex.  ``transitive`` is as in
+    ``cycle_counts``."""
     for length, c in enumerate(counts, start=1):
         if c > 0:
             return length
     g = _graph(g)
     nxt = g.slots.tolist()  # rows, −1 for a missing slot
-    transitive = not g.truncated and is_vertex_transitive(g)
+    transitive = _transitive(g) if transitive is None else transitive
     best = math.inf
     dist, parent = [-1] * len(nxt), [-1] * len(nxt)
     for s in [g.root] if transitive else range(len(nxt)):
@@ -183,8 +172,9 @@ def girth(g: SchreierGraph | CoreGraph, counts: Sequence[int] = ()) -> int | flo
 
 @dataclass(frozen=True)
 class CycleProfile:
-    """``method``: ``"trace"`` (lmax ≤ 5), ``"trace+enumeration"`` (lmax > 5)
-    or ``"enumeration"`` (past the int64 bound of the module docstring)."""
+    """``method``: ``"transitive-sweep"`` when the census ran from the root
+    of a whole vertex-transitive graph alone, else ``"sweep"`` (the module
+    docstring has both)."""
 
     label: str
     n: int
@@ -207,14 +197,15 @@ def cycle_profile(
     g: SchreierGraph | CoreGraph, lmax: int, label: str = ""
 ) -> CycleProfile:
     g = _graph(g)
-    counts = cycle_counts(g, lmax)
+    transitive = _transitive(g)
+    counts = cycle_counts(g, lmax, transitive)
     return CycleProfile(
         label=label,
         n=g.n,
-        girth=girth(g, counts),
+        girth=girth(g, counts, transitive),
         counts=counts,
         densities=tuple(Fraction(c, g.n) for c in counts),
-        method=_method(g, lmax),
+        method="transitive-sweep" if transitive else "sweep",
     )
 
 

@@ -22,6 +22,10 @@ builders replaced, and hypothesis strategies to compare them on.
   Lanczos solver of ``spectral.rho0`` replaced;
 - ``cycles_through`` counts the cycles through one vertex by walking out
   of it, the oracle of the identity Σ_v through(v) = L·c_L;
+- ``traced_counts`` reads c_1..c_5 off int64 sparse traces of the
+  multiplicity matrix and ``enumerated_counts`` walks every cycle out of
+  its smallest vertex in Python integers: the two census paths that the
+  array sweep of ``cycles.cycle_counts`` replaced;
 - ``rows_digest`` hashes the repr of a ball's canonical rows, the digest
   that the endpoint-table classes of ``local._ball_classes`` replaced;
   ``perm_models`` draws actions with involutions, loops and parallel
@@ -48,6 +52,8 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from schreier.builders import (
@@ -351,6 +357,79 @@ def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
 
     walk(v, 0, 1, {v})
     return total // 2
+
+
+def multigraph(g: SchreierGraph | CoreGraph) -> tuple[np.ndarray, sp.csr_matrix]:
+    """Loop counts per vertex and the loopless multiplicity matrix W (w_uv
+    parallel edges between u ≠ v); a missing slot (−1) contributes no edge."""
+    g = g.graph if isinstance(g, CoreGraph) else g
+    n, d = g.n, g.degree
+    dst = g.slots.ravel()
+    src, label = np.divmod(np.arange(n * d), d)
+    partner = np.asarray(g.gens.inv)[label]
+    # one slot per edge: a pair at its smaller label, an involution at its smaller end
+    keep = (dst >= 0) & ((partner > label) | ((partner == label) & (src <= dst)))
+    src, dst = src[keep], dst[keep]
+    loop = src == dst
+    u, v = src[~loop], dst[~loop]
+    w = sp.csr_matrix((np.ones(len(u), np.int64), (u, v)), shape=(n, n))
+    return np.bincount(src[loop], minlength=n), (w + w.T).tocsr()
+
+
+def traced_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+    """c_1..c_lmax, lmax ≤ 5, by the weighted identities of Harary–Manvel
+    (1971) in the sparse form of Alon–Yuster–Zwick (1997), s = diag(W²):
+    c_1 counts loops, c_2 = Σ_{u<v} C(w_uv, 2), c_3 = tr W³/6,
+    c_4 = (Σ (W²)_uv² − 2 Σ_v s_v² + Σ w_uv⁴)/8 and
+    c_5 = (Σ (W²)_uv (W³)_uv − 5 Σ_v s_v (W³)_vv + 5 Σ w_uv³ (W²)_uv)/10.
+    Each sum is at most n·d⁵, which the small test graphs keep in int64."""
+    g = g.graph if isinstance(g, CoreGraph) else g
+    assert lmax <= 5 and g.n * g.degree**5 < 2**63
+    loops, w = multigraph(g)
+    m = w.data
+    counts = [int(loops.sum()), int((m * (m - 1)).sum()) // 4]
+    if lmax >= 3:
+        w2 = w @ w
+        counts.append(int(w2.multiply(w).sum()) // 6)
+    if lmax >= 4:
+        s = w2.diagonal()
+        counts.append((int((w2.data**2).sum()) - 2 * int(s @ s) + int((m**4).sum())) // 8)
+    if lmax >= 5:
+        w3 = w2 @ w
+        tr5, s_w3 = int(w2.multiply(w3).sum()), int(s @ w3.diagonal())
+        counts.append((tr5 - 5 * s_w3 + 5 * int(w2.multiply(w.power(3)).sum())) // 10)
+    return tuple(counts[:lmax])
+
+
+def enumerated_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+    """c_1..c_lmax: c_1 and c_2 from the multiplicity matrix, and for L ≥ 3
+    each cycle as a path out of its smallest vertex s closed by an edge back
+    to s; its reflection is killed by requiring the first step to be smaller
+    than the last, and edge multiplicities multiply along the way."""
+    loops, w = multigraph(g)
+    indptr, indices, data = w.indptr.tolist(), w.indices.tolist(), w.data.tolist()
+    counts = [0, int(loops.sum()), sum(m * (m - 1) for m in data) // 4] + [0] * lmax
+    onpath = [False] * w.shape[0]
+
+    def extend(s: int, back: dict, v: int, first: int, depth: int, weight: int) -> None:
+        # depth = edges walked so far; closing now yields a (depth+1)-cycle
+        if depth >= 2 and first < v and v in back:
+            counts[depth + 1] += weight * back[v]
+        if depth == lmax - 1:
+            return
+        for k in range(indptr[v], indptr[v + 1]):
+            x = indices[k]
+            if x > s and not onpath[x]:
+                onpath[x] = True
+                extend(s, back, x, first if depth >= 1 else x, depth + 1, weight * data[k])
+                onpath[x] = False
+
+    for s in range(len(onpath)):
+        onpath[s] = True
+        back = {indices[k]: data[k] for k in range(indptr[s], indptr[s + 1])}
+        extend(s, back, s, -1, 0, 1)
+        onpath[s] = False
+    return tuple(counts[1 : lmax + 1])
 
 
 class DenseRho0(NamedTuple):

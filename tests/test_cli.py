@@ -237,7 +237,7 @@ class TestAnalysis:
         )["result"]
         assert result["girth"] == 5
         assert result["counts"] == [0, 0, 0, 0, 12, 10, 0, 15]
-        assert result["method"] == "trace+enumeration"
+        assert result["method"] == "sweep"
 
     def test_cycles_forest_girth_is_null(self, capsys):
         result = _json_out(
@@ -245,7 +245,13 @@ class TestAnalysis:
         )["result"]
         assert result["girth"] is None
         assert result["counts"] == [0, 0, 0, 0]
-        assert result["method"] == "trace"
+        assert result["method"] == "sweep"
+
+    def test_cycles_transitive_graph_from_the_root(self, capsys):
+        result = _json_out(capsys, ["cycles", "--graph", "cycle:8", "--lmax", "8"])["result"]
+        assert result["girth"] == 8
+        assert result["counts"] == [0] * 7 + [1]
+        assert result["method"] == "transitive-sweep"
 
 
 class TestLemmaChecks:

@@ -1,6 +1,7 @@
 """Girth and cycle counting, pinned against an exhaustive enumerator."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from schreier import cycles
 from schreier.builders import (
     CoreGraph,
     cycle_graph,
@@ -34,6 +34,7 @@ from schreier.cycles import (
     essential_girth_profile,
     girth,
 )
+from schreier.local import ball
 from reference import cycles_through
 
 
@@ -218,13 +219,16 @@ def brute_census(g, lmax=5):
 
 
 class TestTraceIdentities:
-    """c_1..c_5 by traces, at every lmax ≤ 5, against the subset enumerator."""
+    """c_1..c_5 by the sweep, at every lmax ≤ 5, against the trace identities
+    and the subset enumerator; a transitive graph's root-alone sweep against
+    its all-starts sweep."""
 
     def assert_traced(self, g):
         expected = brute_census(g)
+        assert reference.traced_counts(g, 5) == expected
         for lmax in range(1, 6):
-            assert cycle_counts(g, lmax) == expected[:lmax]
-        assert cycle_profile(g, 5).method == "trace"
+            assert cycle_counts(g, lmax) == cycle_counts(g, lmax, False) == expected[:lmax]
+        assert cycle_profile(g, 5).method in ("sweep", "transitive-sweep")
 
     @settings(deadline=None, max_examples=40)
     @given(m=st.integers(1, 3), n=st.integers(1, 12), seed=st.integers(0, 10_000))
@@ -249,14 +253,63 @@ class TestTraceIdentities:
         for degree, radius in ((2, 3), (3, 2), (4, 2)):
             self.assert_traced(tree_ball(degree, radius))
 
-    def test_int64_guard_enumerates(self, monkeypatch):
+    def test_lmax_6_against_the_enumerators(self):
         graphs = [random_perm_model(1, 9, 3), random_perm_model(3, 12, 5), loop_core()]
-        traced = [cycle_counts(g, 6) for g in graphs]
-        assert cycle_profile(graphs[0], 6).method == "trace+enumeration"
-        monkeypatch.setattr(cycles, "_INT64_BOUND", 1)
-        for g, counts in zip(graphs, traced):
-            assert cycle_profile(g, 6).method == "enumeration"
-            assert cycle_counts(g, 6) == counts == brute_census(g, 6)
+        assert cycle_profile(graphs[0], 6).method == "transitive-sweep"  # a 9-cycle
+        assert cycle_profile(graphs[1], 6).method == "sweep"
+        for g in graphs:
+            assert cycle_counts(g, 6) == reference.enumerated_counts(g, 6) == brute_census(g, 6)
+
+
+@st.composite
+def slot_tables(draw):
+    """Graphs of ``reference.perm_models`` actions (involutions, fixed points,
+    transpositions), whole or cut to a ball, whose sphere edges become
+    missing slots."""
+    act = draw(reference.perm_models())
+    g = from_perm_action(act, draw(st.integers(0, act.degree - 1)))
+    radius = draw(st.integers(0, 4))
+    return ball(g, draw(st.integers(0, g.n - 1)), radius).graph if radius else g
+
+
+class TestSweepAgainstOracles:
+    @settings(deadline=None, max_examples=60)
+    @given(g=slot_tables())
+    def test_random_slot_tables(self, g):
+        sweep = cycle_counts(g, 6)
+        assert sweep[:5] == reference.traced_counts(g, 5)
+        assert sweep == reference.enumerated_counts(g, 6) == brute_census(g, 6)
+
+    @settings(deadline=None, max_examples=40)
+    @given(g=small_cayley_graphs())
+    def test_root_alone_on_cayley_graphs(self, g):
+        assert cycle_profile(g, 6).method == "transitive-sweep"
+        assert cycle_counts(g, 6, True) == cycle_counts(g, 6, False)
+
+    def test_root_alone_on_lps_5_13(self):
+        g = lps_graph(5, 13)
+        assert cycle_counts(g, 6, True) == cycle_counts(g, 6, False) == (0,) * 6
+
+    def test_root_alone_on_lps_17_13(self):
+        g = lps_graph(17, 13)
+        assert cycle_counts(g, 4, True) == cycle_counts(g, 4, False) == (0, 0, 1092, 6552)
+
+    def test_root_alone_refuses_a_count_that_does_not_split(self):
+        # this 4-vertex graph is not vertex-transitive: its root lies on one
+        # triangle, walked both ways, and c_3 would be 4·2/6
+        g = random_perm_model(2, 4, 0)
+        with pytest.raises(ValueError, match="c_3 = 8/6 is not a whole number"):
+            cycle_counts(g, 3, True)
+
+    def test_traced_peak_at_n_100000(self):
+        g = random_perm_model(2, 10**5, 0)
+        tracemalloc.start()
+        try:
+            cycle_counts(g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestCyclesThrough:

@@ -850,3 +850,39 @@ class TestTransitivityAgainstAllVertices:
     def test_lps_5_13(self):
         g = _lps_5_13()
         assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+
+    @given(data=st.data(), rank=st.integers(1, 2))
+    @settings(max_examples=40)
+    def test_completed_folded_cores(self, data, rank):
+        # each letter's partial injection on the core is completed to a
+        # permutation, matching the points with no image to the points with
+        # no preimage in order
+        words = data.draw(reference.folded_words(rank))
+        slots = stallings_core(GenSet.free(rank), words).graph.slots
+        perms = []
+        for l in range(0, 2 * rank, 2):
+            p = slots[:, l].copy()
+            p[p < 0] = np.setdiff1d(np.arange(len(p)), p)
+            perms.append(p.tolist())
+        g = from_perm_action(PermAction.from_generator_perms(perms))
+        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+
+    @pytest.mark.parametrize(
+        "pairs, swaps",
+        [
+            ([(0, 1, 2), (1, 2, 0)], []),
+            ([(1, 2, 0), (1, 2, 0)], []),
+            ([(1, 0)], []),
+            ([(1, 2, 0)], [(0, 1, 2)]),
+        ],
+        ids=["identity-letter", "repeated-letter", "square-is-identity", "identity-involution"],
+    )
+    def test_words_fixing_every_vertex_do_not_refute(self, pairs, swaps):
+        # a loop at every vertex, a·B = 1 or a·a = 1 fixes every vertex: a
+        # short word refutes only when it fixes some vertices but not all
+        g = from_perm_action(regular_action(pairs, swaps))
+        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+
+    def test_a_letter_fixing_one_vertex_refutes(self):
+        g = from_perm_action(PermAction.from_generator_perms([(0, 2, 3, 1), (1, 0, 2, 3)]))
+        assert not is_vertex_transitive(g) and not _transitive_at_every_vertex(g)
