@@ -9,7 +9,6 @@ them to the command line.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
 from collections import deque
@@ -225,63 +224,58 @@ def complete_ball(
     """The radius-``radius`` ball (around the root) of the graph the core
     describes, with sphere vertices flagged as boundary.
 
-    One breadth-first pass numbers the ball in ``canonical_rows`` order:
-    inside the radius each vertex takes its slots in label order, and an
-    undefined slot sprouts a tree vertex whose other slots sprout in turn.
-    Sphere vertices keep their edges inside the ball.  If nothing ends up
-    missing, the core already described a finite complete graph and the
-    result carries no truncation mark.
+    One level-synchronous pass over the core's slot table numbers the ball
+    in ``canonical_rows`` order.  Per layer, the core vertices' targets are
+    one gather; an undefined slot, or any slot of a tree vertex but the one
+    back to its parent, sprouts a tree vertex; an unseen core target is
+    kept at its first occurrence; and the new vertices are numbered in
+    (parent, label) order by one ``cumsum``.  Sphere vertices keep their
+    edges inside the ball.  If nothing ends up missing, the core already
+    described a finite complete graph and the result carries no truncation
+    mark.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    enabled = gc.isenabled()
-    gc.disable()  # the rows hold no cycles: collector passes over them are waste
-    try:
-        g = core.graph
-        d, inv = g.degree, g.gens.inv
-        tree = (None,) * d  # the slots of a tree vertex, none of them in the core
-        index = {g.root: 0}  # core vertex -> ball vertex
-        rows: list = [[None] * d]  # a vertex's row is a list until it is done
-        cores: list[int | None] = [g.root]  # the core vertex behind each ball vertex
-        start = 0  # rows[start:] is the layer at ``depth``
-        for depth in range(radius):
-            end = len(rows)
-            for i in range(start, end):
-                row, v = rows[i], cores[i]
-                for l, w in enumerate(tree if v is None else g.next[v]):
-                    if row[l] is not None:
-                        continue  # a tree vertex's slot back to its parent
-                    if w is None:
-                        row[l] = len(rows)
-                        child: list[int | None] = [None] * d
-                        child[inv[l]] = i
-                        rows.append(child)
-                        cores.append(None)
-                    elif w in index:
-                        row[l] = index[w]
-                    else:
-                        row[l] = index[w] = len(rows)
-                        rows.append([None] * d)
-                        cores.append(w)
-                rows[i] = tuple(row)
-                if len(rows) > max_vertices:
-                    raise ValueError(
-                        f"ball of radius {radius} exceeds max_vertices={max_vertices}"
-                    )
-            start = end
-        for i in range(start, len(rows)):
-            v = cores[i]  # a sphere core vertex keeps its edges in the ball
-            rows[i] = tuple(rows[i] if v is None else map(index.get, g.next[v]))
-        boundary = frozenset(i for i in range(start, len(rows)) if None in rows[i])
-        return SchreierGraph._trusted(
-            gens=g.gens,
-            next=tuple(rows),
-            boundary=boundary,
-            truncation_radius=radius if boundary else None,
-        )
-    finally:
-        if enabled:
-            gc.enable()
+    g = core.graph
+    n, d, inv, labels = g.n, g.degree, np.asarray(g.gens.inv), np.arange(g.degree)
+    targets = np.vstack([g.slots, np.full((1, d), -1)])  # row n: a tree vertex
+    index = np.full(n + 1, -1, dtype=np.int64)  # core vertex -> ball vertex
+    index[g.root] = 0
+    # per vertex of the layer: its core vertex (n on a tree), and a tree
+    # vertex's parent and the label of its slot back to it (−1 on the core)
+    cores, parents, backs = np.array([g.root]), np.array([-1]), np.array([-1])
+    rows, first = [], 0  # the layer's vertices are first, first + 1, …
+    for _ in range(radius):
+        hits = targets[cores]
+        back = backs[:, None] == labels
+        sprout = (hits < 0) & ~back
+        unseen = np.flatnonzero(((hits >= 0) & (index[hits] < 0)).ravel())
+        new = sprout.flatten()
+        new[unseen[np.unique(hits.ravel()[unseen], return_index=True)[1]]] = True
+        size = first + len(cores)
+        if size + new.sum() > max_vertices:
+            raise ValueError(f"ball of radius {radius} exceeds max_vertices={max_vertices}")
+        ids = (size - 1 + np.cumsum(new)).reshape(hits.shape)
+        new = new.reshape(hits.shape)
+        index[hits[new & ~sprout]] = ids[new & ~sprout]
+        rows.append(np.where(back, parents[:, None], np.where(sprout, ids, index[hits])))
+        v, l = np.nonzero(new)
+        tree = sprout[v, l]
+        cores = np.where(tree, n, hits[v, l])
+        parents = np.where(tree, first + v, -1)
+        backs = np.where(tree, inv[l], -1)
+        first = size
+    back = backs[:, None] == labels  # a sphere core vertex keeps its edges in the ball
+    rows.append(np.where(back, parents[:, None], index[targets[cores]]))
+    slots = np.concatenate(rows)
+    slots.flags.writeable = False
+    boundary = frozenset((first + np.flatnonzero((rows[-1] < 0).any(axis=1))).tolist())
+    return SchreierGraph._trusted(
+        gens=g.gens,
+        slots=slots,
+        boundary=boundary,
+        truncation_radius=radius if boundary else None,
+    )
 
 
 def tree_core(degree: int) -> CoreGraph:

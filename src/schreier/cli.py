@@ -41,6 +41,7 @@ from schreier.core import (
     SGF1Error,
     bfs_layers,
     format_word,
+    layer_depths,
     parse_word,
     serialize,
 )
@@ -111,13 +112,12 @@ def _ball_root(core: CoreGraph, radius: int, horizon: int) -> bool:
     """
     g = core.graph
     # no core vertex lies farther than n − 1, however large R is
-    order, ends = bfs_layers(g.next, core.root, min(radius, core.n))
-    depth = {v: r for r, (i, j) in enumerate(zip([0, *ends], ends)) for v in order[i:j]}
-    if len(order) < core.n or any(
-        g.degree > 1 or depth[v] == radius for v in g.boundary & depth.keys()
-    ):
+    order, ends = bfs_layers(g.slots, core.root, min(radius, core.n))
+    depth = layer_depths(core.n, order, ends)  # −1 beyond R and for a missing slot
+    partial = depth[list(g.boundary)]
+    if len(order) < core.n or (partial >= 0).any() and (g.degree > 1 or radius in partial):
         _require_room("return counts", 0, radius, (horizon + 1) // 2)
-    return all(depth.get(w) != depth[v] for v in order for w in g.next[v])
+    return not (depth[g.slots[order]] == depth[order][:, None]).any()
 
 
 def _parse_rank(group: str) -> int:

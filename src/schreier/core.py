@@ -13,14 +13,13 @@ only if ``slots[w, inv(l)] == v`` -- so the underlying multigraph is
 symmetric by construction.  A label that is its own inverse occupies a
 single slot and contributes one to the degree.
 
-``slots`` is one read-only n×d int64 array.  It is the stored table of
-every graph that the permutation builders, ``canonicalize`` and ``parse``
-make, and the array code reads it: canonical numbering, SGF1 writing and
-reading, the trust boundary ``validate``, the Markov matrix, the
-bipartition test, the cycle census and the ball classes.  ``next`` is the
-same table as tuples of Python ints, None for a missing slot, read by the
-exact loops (walks over cores, ``complete_ball``, girth); it is built from
-``slots`` the first time it is read.
+``slots`` is one read-only n×d int64 array, the one table every graph
+stores and every reader searches: the builders, canonical numbering, SGF1
+writing and reading, the trust boundary ``validate``, the walk streams,
+the truncation guards, the Markov matrix, the cycle census and the ball
+classes.  ``next`` is the same table as tuples of Python ints, None for a
+missing slot: the rows the public constructor takes, and otherwise a
+read-only view built the first time it is read.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
@@ -265,11 +264,10 @@ class SchreierGraph:
     when extracting balls near the boundary.
 
     ``SchreierGraph(gens=…, next=…)`` takes the table as rows and
-    validates it.  A graph built inside the package from a validated one
-    (``_trusted``) stores either table: the permutation builders,
-    ``lps_graph``, ``canonicalize``, ``local.ball`` and ``parse`` store
-    ``slots`` alone, and ``next`` is built from it, and cached, the first
-    time something reads it.
+    validates it, which stores ``slots``.  A graph built inside the
+    package from a validated one (``_trusted``) stores ``slots`` alone,
+    and ``next`` is built from it, and cached, the first time something
+    reads it.
     """
 
     gens: GenSet
@@ -283,9 +281,9 @@ class SchreierGraph:
 
     @classmethod
     def _trusted(cls, **fields) -> "SchreierGraph":
-        """Build without ``validate()`` from ``next`` or ``slots``: only for
-        graphs derived from an already validated graph or ``PermAction``,
-        and for ``parse``, which validates its ``slots`` next."""
+        """Build from ``slots`` without ``validate()``: only for graphs
+        derived from an already validated graph or ``PermAction``, and for
+        ``parse``, which validates its ``slots`` next."""
         g = object.__new__(cls)
         g.__dict__.update(
             {"root": 0, "boundary": frozenset(), "truncation_radius": None, **fields}
@@ -370,23 +368,10 @@ class SchreierGraph:
             raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
 
     @cached_property
-    def slots(self) -> np.ndarray:
-        """The slot table as a read-only n×d int64 array, −1 for a missing
-        slot.  A graph stored as ``next`` rows, which are trusted to have
-        d slots, converts them on first use."""
-        slots = np.array(
-            [-1 if w is None else w for row in self.next for w in row], dtype=np.int64
-        ).reshape(self.n, self.degree)
-        slots.flags.writeable = False
-        return slots
-
-    @cached_property
     def root_distances(self) -> tuple[int, ...]:
         """Distance from the root to every vertex, −1 if unreachable."""
-        order, ends = _slot_layers(self.slots, self.root)
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-        return tuple(dist.tolist())
+        depth = layer_depths(self.n, *bfs_layers(self.slots, self.root))
+        return tuple(depth[:-1].tolist())
 
 
 def _float_table(
@@ -404,75 +389,22 @@ def _float_table(
 
 
 def bfs_layers(
-    table: Sequence[Sequence[int | None]], start: int, radius: int | None = None
-) -> tuple[list[int], list[int]]:
+    slots: np.ndarray, start: int, radius: int | None = None
+) -> tuple[np.ndarray, list[int]]:
     """The vertices within ``radius`` of ``start`` (all it reaches if None)
     in breadth-first order, slots taken in label order, and ``ends``, where
     ``ends[r]`` counts those within distance r, for r = 0..radius (up to the
     last nonempty layer if None).  Radius −1 gives ``([start], [])``.
 
-    The walk DPs' reach and the truncation guards read this search over
-    rows, which costs the ball it lists; canonical rows, root distances
-    and orbits read the same order off the slot array (``_slot_layers``).
-    Three searches stay apart: ``complete_ball`` and ``group_closure``
-    search what no table stores (a core with its trees, group elements),
-    and ``cycles.girth`` needs parents and stops at the first cycle.
-    ``lps_graph`` searches its group elements in arrays, one layer of
-    products per step.
+    One layer per step: a layer's targets in (parent, label) order, the
+    first occurrence of each one not yet seen kept in that order
+    (``dict.fromkeys``).  It is the one search over stored tables: canonical
+    rows, root distances, the walk streams' reach and the truncation guards
+    read it.  Two searches stay apart: ``group_closure`` searches group
+    elements, which no table stores, and ``cycles.girth`` needs parents and
+    stops at the first cycle.  ``complete_ball`` and ``lps_graph`` build
+    their tables in the same layers.
     """
-    n = len(table)
-    if not 0 <= start < n:
-        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{n - 1})")
-    last = n - 1 if radius is None else radius  # no vertex lies farther than n − 1
-    order, ends = [start], []
-    seen = bytearray(n)
-    seen[start] = 1
-    begin = 0  # order[begin:] is the layer at distance r
-    for r in range(last + 1):
-        end = len(order)
-        if begin == end and radius is None:
-            break
-        ends.append(end)
-        if r < last:
-            for v in order[begin:end]:
-                for w in table[v]:
-                    if w is not None and not seen[w]:
-                        seen[w] = 1
-                        order.append(w)
-        begin = end
-    return order, ends
-
-
-def boundary_layer(g: SchreierGraph, order: list[int], ends: list[int]) -> int:
-    """v's distance to g's truncation boundary, the first layer of
-    ``(order, ends) = bfs_layers(g.next, v, R)`` to hold a boundary vertex;
-    R + 1 if none does."""
-    if g.boundary:
-        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
-            if not g.boundary.isdisjoint(order[begin:end]):
-                return r
-    return len(ends)
-
-
-def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
-    """Follow ``word`` from ``start``; BOUNDARY if the walk leaves the stored graph."""
-    if not 0 <= start < g.n:
-        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{g.n - 1})")
-    v = start
-    for letter in word.letters:
-        nxt = g.next[v][letter]
-        if nxt is None:
-            return BOUNDARY
-        v = nxt
-    return v
-
-
-def _slot_layers(
-    slots: np.ndarray, start: int, radius: int | None = None
-) -> tuple[np.ndarray, list[int]]:
-    """``bfs_layers`` over a slot array, one layer per step: a layer's
-    targets in (parent, label) order, the first occurrence of each one not
-    yet seen kept in that order (``dict.fromkeys``)."""
     n = len(slots)
     if not 0 <= start < n:
         raise ValueError(f"vertex {start} is not a vertex of the graph (0..{n - 1})")
@@ -492,6 +424,38 @@ def _slot_layers(
     return np.concatenate(layers), ends[: last + 1]
 
 
+def layer_depths(n: int, order: np.ndarray, ends: list[int]) -> np.ndarray:
+    """Each vertex's layer in ``(order, ends) = bfs_layers(…)`` of radius
+    ≥ 0, −1 for a vertex the search did not list and at index n, which a
+    missing slot (−1) reads."""
+    depth = np.full(n + 1, -1, dtype=np.int64)
+    depth[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return depth
+
+
+def boundary_layer(g: SchreierGraph, order: np.ndarray, ends: list[int]) -> int:
+    """v's distance to g's truncation boundary, the first layer of
+    ``(order, ends) = bfs_layers(g.slots, v, R)`` to hold a boundary
+    vertex; R + 1 if none does."""
+    if g.boundary:  # a set lookup per listed vertex costs the ball, not the graph
+        for r, (begin, end) in enumerate(zip([0, *ends], ends)):
+            if not g.boundary.isdisjoint(order[begin:end].tolist()):
+                return r
+    return len(ends)
+
+
+def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
+    """Follow ``word`` from ``start``; BOUNDARY if the walk leaves the stored graph."""
+    if not 0 <= start < g.n:
+        raise ValueError(f"vertex {start} is not a vertex of the graph (0..{g.n - 1})")
+    v, slots = start, g.slots
+    for letter in word.letters:
+        v = int(slots[v, letter])
+        if v < 0:
+            return BOUNDARY
+    return v
+
+
 def canonical_rows(
     slots: np.ndarray, root: int, radius: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +472,7 @@ def canonical_rows(
     ordering is invariant under relabeling: two rooted graphs are
     label-preserving isomorphic exactly when their canonical rows agree.
     """
-    order, ends = _slot_layers(slots, root, radius)
+    order, ends = bfs_layers(slots, root, radius)
     index = np.full(len(slots) + 1, -1, dtype=np.int64)  # index[−1] stays −1
     index[order] = np.arange(len(order))
     rows = index[slots[order]]

@@ -190,7 +190,7 @@ class InvarianceReport:
 
 def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
     for g in e.samples:
-        if g.truncated and boundary_layer(g, *bfs_layers(g.next, g.root, radius)) <= radius:
+        if g.truncated and boundary_layer(g, *bfs_layers(g.slots, g.root, radius)) <= radius:
             raise InsufficientRadiusError(
                 f"invariance at radius {radius} needs radius {radius + 1} around "
                 "every sample root"

@@ -81,7 +81,7 @@ def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if g.truncated:
-        available = boundary_layer(g, *bfs_layers(g.next, v, radius - 1))
+        available = boundary_layer(g, *bfs_layers(g.slots, v, radius - 1))
         if available < radius:
             raise InsufficientRadiusError(
                 f"insufficient radius: vertex {v} is at distance {available} from "

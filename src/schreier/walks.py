@@ -6,8 +6,9 @@ d^n, and all comparisons the lemma checks make are exact (integers and
 rationals, no floats).
 
 A question streams the counts one step at a time, and only where the
-walk can still matter.  ``bfs_layers`` lists the vertices around the
-origin in order of distance, and a stream numbers them by that position.
+walk can still matter.  ``bfs_layers`` searches the slot table around
+the origin, core or graph, and lists its vertices in order of distance;
+a stream numbers them by that position.
 The row at step n holds the walks within distance n of the origin (all
 of them), and a walk that must return by the horizon H only those within
 H − n: it cannot come back from farther.  A question about radius R thus
@@ -98,7 +99,7 @@ def _require_room(what: str, x: int, near: int, needed: int) -> None:
 
 def _walk_source(
     source: SchreierGraph | CoreGraph, x: int, radius: int, needed: int, what: str
-) -> tuple[SchreierGraph, tuple[list[int], list[int]], dict[int, int]]:
+) -> tuple[SchreierGraph, tuple[np.ndarray, list[int]], dict[int, int]]:
     """(graph, ``bfs_layers`` of x to ``radius``, number of trees hanging
     at each vertex) for walks from x.  A core hangs a tree at each
     undefined slot and is never truncated; a graph has no trees, and is
@@ -106,13 +107,13 @@ def _walk_source(
     if isinstance(source, CoreGraph):
         g = source.graph
         trees = {v: len(source.missing(v)) for v in g.boundary}
-        return g, bfs_layers(g.next, x, radius), trees
-    order, ends = bfs_layers(source.next, x, radius)
+        return g, bfs_layers(g.slots, x, radius), trees
+    order, ends = bfs_layers(source.slots, x, radius)
     _require_room(what, x, boundary_layer(source, order, ends), needed)
     return source, (order, ends), {}
 
 
-def _numbering(g: SchreierGraph, order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _numbering(g: SchreierGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``pos``, each vertex's position in ``order``, and the local slot
     table ``loc = pos[slots[order]]``.  Position E = len(order) is the
     sentinel: every vertex outside ``order`` maps to it, and so does a
@@ -163,7 +164,7 @@ class _ArrayWalks:
     def __init__(
         self,
         g: SchreierGraph,
-        layers: tuple[list[int], list[int]],
+        layers: tuple[np.ndarray, list[int]],
         horizon: int,
         returning: bool = False,
         starts: list[int] | None = None,
@@ -212,7 +213,7 @@ class _ArrayWalks:
 
 def _walk_steps(
     g: SchreierGraph,
-    layers: tuple[list[int], list[int]],
+    layers: tuple[np.ndarray, list[int]],
     horizon: int,
     slots: dict[int, int],
     returning: bool = False,
@@ -415,9 +416,9 @@ def conditioned_prefix_probabilities(
     d = g.degree
     # the endpoints x·w of the words of each length, in product order; the
     # guard keeps every slot on the way, which lies within ℓ − 1 < ⌈n/2⌉
-    endpoints = [[x]]
+    endpoints = [np.array([x])]
     for _ in range(fits):
-        endpoints.append([g.next[v][l] for v in endpoints[-1] for l in range(d)])
+        endpoints.append(g.slots[endpoints[-1]].ravel())
     at: dict[int, list[int]] = {}  # ℓ -> the counts at those endpoints at step n − ℓ
     walks = _ArrayWalks(g, layers, n, returning=True)
     for m, counts in enumerate(walks):
@@ -469,7 +470,7 @@ class DominationReport:
 
 def _even_rows(
     g: SchreierGraph,
-    layers: tuple[list[int], list[int]],
+    layers: tuple[np.ndarray, list[int]],
     n: int,
     trees: dict[int, int],
 ) -> Iterator[tuple[int, list[int], list[int]]]:

@@ -7,8 +7,8 @@ builders replaced, and hypothesis strategies to compare them on.
 - ``shuffled`` renumbers a graph by a given permutation of its vertices;
 - ``orbit``, ``from_perm_action``, ``restrict_to_orbit`` and
   ``rooted_orbits`` index an orbit by their own BFS over the permutations;
-- ``canonical_rows`` numbers a table of rows by a Python breadth-first
-  search, and ``serialize`` writes SGF1 one line at a time: the oracles of
+- ``row_layers`` is ``core.bfs_layers`` over rows, one vertex at a time,
+  and ``canonical_rows`` numbers a table of rows by it, and ``serialize`` writes SGF1 one line at a time: the oracles of
   the array numbering and writer of ``core``;
 - ``complete_ball`` builds the ball (core vertices by root distance, then
   sprouted tree vertices) and renumbers it with ``canonical_rows``;
@@ -70,7 +70,6 @@ from schreier.core import (
     SchreierGraph,
     SGF1Error,
     Word,
-    bfs_layers,
 )
 from schreier.irs import IrsEnsemble, Provenance
 from schreier.local import RootedBall, ball
@@ -99,13 +98,35 @@ def distance_to_boundary(g: SchreierGraph, v: int) -> float:
     return bfs_distances(g, *g.boundary)[v]
 
 
+def row_layers(
+    table, start: int, radius: int | None = None
+) -> tuple[list[int], list[int]]:
+    """``core.bfs_layers`` over rows (None for a missing slot), one vertex
+    at a time: the order and layer ends that the array search lists."""
+    order, ends, seen = [start], [], {start}
+    begin, last = 0, len(table) - 1 if radius is None else radius
+    for r in range(last + 1):
+        end = len(order)
+        if begin == end and radius is None:
+            break
+        ends.append(end)
+        if r < last:
+            for v in order[begin:end]:
+                for w in table[v]:
+                    if w is not None and w not in seen:
+                        seen.add(w)
+                        order.append(w)
+        begin = end
+    return order, ends
+
+
 def canonical_rows(
     table, root: int, radius: int | None = None
 ) -> tuple[dict[int, int], tuple[tuple[int | None, ...], ...]]:
     """The old-to-new index in ``bfs_layers`` order from ``root`` and the
     renumbered rows; with a radius, a vertex at depth R keeps just its
     slots back to depth R − 1."""
-    order, ends = bfs_layers(table, root, radius)
+    order, ends = row_layers(table, root, radius)
     index = dict(zip(order, range(len(order))))
     sphere = len(order) if radius is None else (0, *ends)[radius]
     rows = [tuple(map(index.get, table[v])) for v in order[:sphere]]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from schreier.builders import (
     k4_graph,
     klein_cayley,
     lps_graph,
+    parse_spec,
     petersen_graph,
     random_perm_action,
     random_perm_model,
@@ -210,7 +212,7 @@ class TestCompleteBall:
 
     def test_distance_to_boundary_equals_radius(self):
         g = complete_ball(free_core(2), 4)
-        assert boundary_layer(g, *bfs_layers(g.next, g.root, 4)) == 4
+        assert boundary_layer(g, *bfs_layers(g.slots, g.root, 4)) == 4
         assert g.root_distances == reference.bfs_distances(g, g.root)
         assert {g.root_distances[v] for v in g.boundary} == {4}
 
@@ -241,6 +243,28 @@ class TestOnePassBuilders:
             self._same_graph(ball, reference.complete_ball(core, radius))
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            "fold:a,b,rank=4@5",
+            "fold:ab,rank=3@6",
+            "fold:aab,abA,rank=2@10",
+            "fold:a,rank=2@11",
+            "fold:abaB,bbA,rank=2@3",
+            "fold:aba,rank=2@0",
+            "free:rank=2@8",
+        ],
+    )
+    def test_ball_slots_match_the_reference(self, spec):
+        """The level-synchronous pass numbers the ball's slot table as the
+        two-pass construction does: cores with trees and with core
+        vertices on the sphere, a complete core, radius 0, and F2 at R = 8."""
+        core, radius = parse_spec(spec)
+        g, ref = complete_ball(core, radius), reference.complete_ball(core, radius)
+        assert np.array_equal(g.slots, ref.slots)
+        assert not g.slots.flags.writeable
+        assert (g.boundary, g.truncation_radius) == (ref.boundary, ref.truncation_radius)
+
+    @pytest.mark.parametrize(
         "core, radius",
         [
             (free_core(2), 4),
@@ -262,7 +286,7 @@ class TestOnePassBuilders:
         g = from_perm_action(act, base)
         assert g.next == reference.from_perm_action(act, base).next
         assert restrict_to_orbit(act, base) == reference.restrict_to_orbit(act, base)
-        assert bfs_layers(act.slots.tolist(), base)[0] == reference.orbit(act, base)
+        assert bfs_layers(act.slots, base)[0].tolist() == reference.orbit(act, base)
         assert act.slots.tolist() == [[p[x] for p in act.perms] for x in range(act.degree)]
 
 

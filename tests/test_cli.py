@@ -1002,6 +1002,30 @@ class TestRootQuestionsFromTheCore:
             assert counts["result"]["return_counts"] == list(return_counts(core, v, 4))
 
 
+    def test_root_questions_build_no_row_view(self, capsys, monkeypatch):
+        """The guard, the bipartite check and the walk stream search the
+        core's slot table, and ``--vertex`` the ball's: no ``next`` view."""
+        built = []
+
+        def recording(build):
+            def wrapper(spec):
+                result = build(spec)
+                built.append(result[0] if isinstance(result, tuple) else result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_spec", recording(cli.parse_spec))
+        monkeypatch.setattr(cli, "from_spec", recording(cli.from_spec))
+        for spec in ("fold:ab,aaB,rank=2@4", "tree:d=4,r=4"):
+            for command in ("walks", "rho-estimate"):
+                _json_out(capsys, [command, "--graph", spec, "--horizon", "8"])
+            _json_out(capsys, ["walks", "--graph", spec, "--horizon", "6", "--vertex", "1"])
+        assert len(built) == 6
+        for source in built:
+            g = getattr(source, "graph", source)  # a core's table, or the ball
+            assert "slots" in g.__dict__ and "next" not in g.__dict__
+
+
 def test_console_script_is_wired():
     proc = subprocess.run(
         [sys.executable, "-m", "schreier.cli", "build", "cycle:4"],
@@ -1010,3 +1034,4 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("SGF1")
+

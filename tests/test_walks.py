@@ -18,6 +18,7 @@ from schreier.builders import (
     free_core,
     from_perm_action,
     from_spec,
+    lps_graph,
     random_perm_model,
     regular_action,
     stallings_core,
@@ -33,6 +34,7 @@ from schreier.core import (
     parse_word,
     walk_endpoint,
 )
+from schreier.local import ball
 from schreier.walks import (
     DominationReport,
     conditioned_prefix_probabilities,
@@ -740,7 +742,7 @@ class TestResidues:
         g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
         g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
         x = data.draw(st.integers(0, g.n - 1), label="origin")
-        layers = bfs_layers(g.next, x, horizon // 2 if returning else horizon)
+        layers = bfs_layers(g.slots, x, horizon // 2 if returning else horizon)
         rows = reference.count_walks(g, x, horizon)
         dist = reference.bfs_distances(g, x)
         with pytest.MonkeyPatch.context() as patch:
@@ -773,3 +775,33 @@ class TestResidues:
             c for v, c in enumerate(rows[30]) if v != g.root
         )
         assert report.previous_return_count == rows[28][g.root]
+
+
+class TestReadersBuildNoRowView:
+    """The walk streams, ``walk_endpoint`` and the truncation guards read
+    ``slots``: on a graph stored as the slot table alone, none of them
+    builds the ``next`` view."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: lps_graph(5, 13),
+            lambda: random_perm_model(2, 300, 1),
+            lambda: complete_ball(tree_core(4), 6),
+        ],
+        ids=["lps", "randperm", "ball"],
+    )
+    def test_readers_search_slots(self, build):
+        g = build()
+        assert "next" not in g.__dict__
+        x = g.root
+        return_counts(g, x, 12)
+        segment_distributions(g, x, 6, 3)
+        walk_endpoint(g, x, Word((0, 1, 1, 0)))
+        if g.n != 300:  # the permutation model is not vertex-transitive
+            transitive = True if g.truncated else None
+            return_domination_reports(g, 6, vertex_transitive=transitive)
+            conditioned_prefix_probabilities(g, x, 8, 2, vertex_transitive=transitive)
+        if g.truncated:
+            ball(g, x, 3)
+        assert "next" not in g.__dict__
