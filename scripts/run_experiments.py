@@ -48,7 +48,7 @@ def main() -> int:
         report = EXPERIMENTS[name](**kwargs)
         elapsed = time.perf_counter() - started
         report["elapsed_seconds"] = round(elapsed, 3)
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2, allow_nan=False)
         if args.out_dir:
             path = args.out_dir / f"{name}.json"
             path.write_text(text + "\n")

@@ -47,8 +47,7 @@ def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
     """The transitive sub-action on the orbit of ``base`` (point 0 = base),
     points numbered as the vertices of ``from_perm_action``."""
-    rows = canonical_rows(act.slots, base)[1]
-    return PermAction(act.gens, tuple(map(tuple, rows.T.tolist())))
+    return PermAction._checked(act.gens, canonical_rows(act.slots, base)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +303,16 @@ def tree_ball(degree: int, radius: int) -> SchreierGraph:
 
 def _fisher_yates(rng: random.Random, n: int) -> tuple[int, ...]:
     """The shuffle of ``rng.randrange(i + 1)`` draws, by the rejection loop
-    ``randrange`` runs (k-bit draws until one is below m), inlined."""
+    ``randrange`` runs (k-bit draws until one is at most i, k the bit length
+    of i + 1), inlined one bit-length block i + 1 ∈ [2^(k−1), 2^k) at a time."""
     p = list(range(n))
     bits = rng.getrandbits
-    for i in range(n - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
-        j = bits(k)
-        while j >= m:
+    for k in range(n.bit_length(), 1, -1):
+        for i in range(min(n, (1 << k) - 1) - 1, (1 << (k - 1)) - 2, -1):
             j = bits(k)
-        p[i], p[j] = p[j], p[i]
+            while j > i:
+                j = bits(k)
+            p[i], p[j] = p[j], p[i]
     return tuple(p)
 
 
@@ -321,13 +320,17 @@ def random_perm_action(m: int, n: int, seed: int) -> PermAction:
     """m independent uniform permutations of n points as free-letter images.
 
     The permutations are drawn by Fisher--Yates from ``random.Random(seed)``
-    in label order, so the seed fully determines the action.
+    in label order, so the seed fully determines the action.  Each one and
+    its inverse are written straight into the action's slot table.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 generators and n >= 1 points")
     rng = random.Random(seed)
-    perms = [_fisher_yates(rng, n) for _ in range(m)]
-    return PermAction.from_generator_perms(perms, pair_names=ascii_lowercase[:m])
+    slots, points = np.empty((n, 2 * m), dtype=np.int64), np.arange(n)
+    for i in range(m):
+        slots[:, 2 * i] = _fisher_yates(rng, n)
+        slots[slots[:, 2 * i], 2 * i + 1] = points
+    return PermAction._checked(GenSet.with_involutions(ascii_lowercase[:m]), slots)
 
 
 def random_perm_model(m: int, n: int, seed: int) -> SchreierGraph:
@@ -354,10 +357,9 @@ def cycle_graph(n: int) -> SchreierGraph:
 
 
 def cyclic_action(n: int) -> PermAction:
-    gens = GenSet(("t", "T"), (1, 0))
-    forward = tuple((x + 1) % n for x in range(n))
-    backward = tuple((x - 1) % n for x in range(n))
-    return PermAction(gens, (forward, backward))
+    points = np.arange(n)
+    slots = np.column_stack([(points + 1) % n, (points - 1) % n])
+    return PermAction._checked(GenSet(("t", "T"), (1, 0)), slots)
 
 
 def petersen_graph() -> SchreierGraph:

@@ -19,7 +19,10 @@ writing and reading, the trust boundary ``validate``, the walk streams,
 the truncation guards, the Markov matrix, the cycle census and the ball
 classes.  ``next`` is the same table as tuples of Python ints, None for a
 missing slot: the rows the public constructor takes, and otherwise a
-read-only view built the first time it is read.
+read-only view built the first time it is read.  A ``PermAction`` stores
+its action the same way: ``slots[x, l]`` is the image of point x under
+label l, the action's one table, and ``perms``, one tuple per label, is a
+view cached on first read.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
@@ -31,7 +34,7 @@ answering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from string import ascii_lowercase
 from typing import Iterator, Sequence
@@ -335,7 +338,12 @@ class SchreierGraph:
                 raise GraphInvariantError(f"boundary vertex {v} out of range")
         slots = self.__dict__.get("slots")  # −1 exactly where missing
         if slots is None:
-            table, ragged = _float_table(self.next, d)
+            table, ragged, odd = _number_table(self.next, d)
+            if odd is not None:
+                v, l = odd
+                raise GraphInvariantError(
+                    f"edge target {self.next[v][l]!r} at ({v},{labels[l]}) is not an integer"
+                )
             missing = np.isnan(table)
             slots = np.where((table >= 0) & (table < n), table, -1).astype(np.int64)
         else:
@@ -374,18 +382,35 @@ class SchreierGraph:
         return tuple(depth[:-1].tolist())
 
 
-def _float_table(
-    rows: Sequence[Sequence[int | None]], d: int
-) -> tuple[np.ndarray, int]:
-    """``rows`` as an n×d float array, NaN for None, and the first row
-    whose length is not d (n if none is).  When there is one, every row is
-    cut or padded with None to d slots first.  A float holds every vertex
-    index exactly and keeps any int below 10³⁰⁸ on its side of 0 and n."""
+def _number_table(
+    rows: Sequence[Sequence[int | None]], width: int, missing: bool = True
+) -> tuple[np.ndarray, int, tuple[int, int] | None]:
+    """``rows`` as a len(rows)×width array, the first row whose length is
+    not ``width`` (len(rows) if none is), and (i, j) of the first entry,
+    row by row, that is not an integer, nor None if ``missing`` allows it
+    (None if there is no such entry).  When a row has another length,
+    every row is cut to ``width`` or padded with None (−1 if not
+    ``missing``) first.  The array is int64 when numpy reads
+    every entry as one, else float with NaN for None: a float holds every
+    vertex index exactly and keeps any int below 10³⁰⁸ on its side of 0
+    and n."""
     n = len(rows)
-    ragged = next((v for v, row in enumerate(rows) if len(row) != d), n)
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), n)
     if ragged < n:
-        rows = [tuple(row[:d]) + (None,) * (d - len(row)) for row in rows]
-    return np.array(rows, dtype=float).reshape(n, d), ragged
+        pad = (None if missing else -1,)
+        rows = [tuple(row[:width]) + pad * (width - len(row)) for row in rows]
+    try:
+        table = np.array(rows)
+    except ValueError:  # an entry that is itself a sequence
+        table = np.array(None)
+    if table.dtype.kind in "iu" and table.shape == (n, width):
+        return table, ragged, None
+    numbers = (int, np.integer, type(None)) if missing else (int, np.integer)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not isinstance(x, numbers):
+                return table, ragged, (i, j)
+    return np.array(rows, dtype=float).reshape(n, width), ragged, None
 
 
 def bfs_layers(
@@ -510,11 +535,13 @@ def canonicalize(g: SchreierGraph) -> SchreierGraph:
 # ---------------------------------------------------------------------------
 
 
-def _digits(top: int) -> np.ndarray:
-    """The decimal ASCII bytes of 0..top − 1, one right-aligned row each,
-    leading zeros as 0 bytes."""
-    powers = 10 ** np.arange(len(str(max(top - 1, 0))) - 1, -1, -1)
-    x = np.arange(max(top, 1))[:, None] // powers
+_WRITE_BLOCK = 2**14  # vertices whose ``e`` lines ``serialize`` formats at once
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The decimal ASCII bytes of ``values`` (each below 10**width), one
+    right-aligned row each, leading zeros as 0 bytes."""
+    x = values[:, None] // 10 ** np.arange(width - 1, -1, -1)
     rows = (x % 10 + ord("0")).astype(np.uint8)
     rows[:, :-1][x[:, :-1] == 0] = 0
     return rows
@@ -523,17 +550,25 @@ def _digits(top: int) -> np.ndarray:
 def _text_lines(lead: str, *columns: np.ndarray) -> str:
     """``lead c1 c2 …`` lines, each ended by a newline, from rows of
     ``_digits``: one byte matrix whose 0 bytes are dropped."""
-    cell = lambda char: np.full((len(columns[0]), 1), ord(char), dtype=np.uint8)
-    parts = [cell(lead)]
-    for column in columns:
-        parts += [cell(" "), column]
-    text = np.hstack([*parts, cell("\n")]).ravel()
+    width = 2 + sum(1 + column.shape[1] for column in columns)
+    text = np.full((len(columns[0]), width), ord(" "), dtype=np.uint8)
+    text[:, 0], text[:, -1] = ord(lead), ord("\n")
+    end = 1
+    for column in columns:  # each after its space
+        end += 1 + column.shape[1]
+        text[:, end - column.shape[1] : end] = column
+    text = text.ravel()
     return text[text > 0].tobytes().decode("ascii")
 
 
 def serialize(g: SchreierGraph) -> str:
     """SGF1 text of g, the body formatted from ``slots`` as byte matrices:
-    one ``e`` line per defined slot in (v, l) order, then the ``b`` lines."""
+    one ``e`` line per defined slot in (v, l) order, then the ``b`` lines.
+
+    The ``e`` lines are formatted ``_WRITE_BLOCK`` vertices at a time and
+    joined once, so beyond the text itself the writer holds the digits of
+    every vertex (a byte per digit), one block's arrays and the text of the
+    blocks before it: about twice the text at its peak."""
     lines = ["SGF1", f"gens {g.degree}"]
     for i, name in enumerate(g.gens.labels):
         lines.append(f"label {i} {name} inv {g.gens.inv[i]}")
@@ -541,13 +576,21 @@ def serialize(g: SchreierGraph) -> str:
     if g.truncation_radius is not None:
         head += f" truncated {g.truncation_radius}"
     lines.append(head)
-    vertex = _digits(g.n)
-    v, l = np.nonzero(g.slots >= 0)
-    return "".join([
-        "\n".join(lines) + "\n",
-        _text_lines("e", vertex[v], _digits(g.degree)[l], vertex[g.slots[v, l]]),
-        _text_lines("b", vertex[sorted(g.boundary)]),
-    ])
+    # the digits of every vertex, one byte each, made a block at a time
+    width, starts = len(str(g.n - 1)), range(0, g.n, _WRITE_BLOCK)
+    vertex = np.concatenate(
+        [_digits(np.arange(i, min(i + _WRITE_BLOCK, g.n)), width) for i in starts]
+    )
+    label = _digits(np.arange(g.degree), len(str(g.degree - 1)))
+    chunks = ["\n".join(lines) + "\n"]
+    for first in starts:
+        block = g.slots[first : first + _WRITE_BLOCK]
+        v, l = np.nonzero(block >= 0)
+        # ``take`` gathers rows several times faster than fancy indexing
+        columns = vertex.take(v + first, 0), label.take(l, 0), vertex.take(block[v, l], 0)
+        chunks.append(_text_lines("e", *columns))
+    chunks.append(_text_lines("b", vertex[sorted(g.boundary)]))
+    return "".join(chunks)
 
 
 # the line breaks of str.splitlines
@@ -726,61 +769,99 @@ def parse(text: str) -> SchreierGraph:
     return g
 
 
-@dataclass(frozen=True)
 class PermAction:
     """An action of the generating alphabet on points by permutations.
 
-    ``perms[l]`` is the permutation of ``range(degree)`` induced by label l,
-    and inverse labels must act by inverse permutations.  The orbit of a
-    base point, read as a transition table, is a Schreier graph of the
-    point stabilizer.
+    ``slots`` is the action's one table, a read-only n×d int64 array:
+    ``slots[x, l]`` is the image of point x under label l, and inverse
+    labels act by inverse permutations.  The orbit of a base point, read as
+    a transition table, is a Schreier graph of the point stabilizer:
+    ``canonical_rows(act.slots, x)`` numbers the orbit of x as that graph.
+
+    ``PermAction(gens, perms)`` takes one sequence of points per label and
+    converts it once; ``perms`` is the table as one tuple of Python ints
+    per label, a view built the first time it is read and cached.  The
+    builders write the table as an array and pass it through the same
+    checks (``_checked``).  Two actions are equal when their alphabets and
+    tables are.
     """
 
     gens: GenSet
-    perms: tuple[tuple[int, ...], ...]
-    # the action as a read-only n×d int64 transition table, set by the checks:
-    # ``slots[x, l]`` is the image of x under label l, and
-    # ``canonical_rows(act.slots, x)`` numbers the orbit of x as its Schreier graph
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: np.ndarray
 
-    def __post_init__(self) -> None:
-        d = self.gens.degree
-        if len(self.perms) != d:
-            raise GraphInvariantError(f"expected {d} permutations, got {len(self.perms)}")
-        n = len(self.perms[0])
+    def __init__(self, gens: GenSet, perms: Sequence[Sequence[int]]) -> None:
+        self._set(gens, _point_table(gens, perms))
+
+    @classmethod
+    def _checked(cls, gens: GenSet, slots: np.ndarray) -> "PermAction":
+        """The action whose table is ``slots``, after the constructor's
+        checks; an int64 C-ordered array is taken over, not copied."""
+        act = object.__new__(cls)
+        act._set(gens, slots)
+        return act
+
+    def _set(self, gens: GenSet, slots: np.ndarray) -> None:
+        """Check the table and store it: d labels, at least one point, each
+        label's column hits every point once, and each label's inverse maps
+        its images back, checked a column at a time."""
+        n, k = slots.shape
+        d, labels, inv = gens.degree, gens.labels, gens.inv
+        if k != d:
+            raise GraphInvariantError(f"expected {d} permutations, got {k}")
         if n == 0:
             raise GraphInvariantError("an action needs at least one point")
-        # the labels before the first that maps outside range(n), as arrays
-        fits = (len(p) == n and 0 <= min(p) <= max(p) < n for p in self.perms)
-        k = next((l for l, ok in enumerate(fits) if not ok), d)
-        perms = np.array(self.perms[:k], dtype=np.int64).reshape(k, n)
-        hits = np.bincount((perms + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
-        onto = np.append((hits.reshape(k, n) == 1).all(axis=1), False)
-        labels = self.gens.labels
-        if not onto[:d].all():
-            l = int(onto.argmin())
-            raise GraphInvariantError(f"label {labels[l]} does not act by a permutation")
-        back = perms[np.asarray(self.gens.inv)[:, None], perms]
-        inverse = (back == np.arange(n)).all(axis=1)
-        if not inverse.all():
-            l = int(inverse.argmin())
-            raise GraphInvariantError(
-                f"label {labels[l]}: inverse label does not act by the inverse permutation"
-            )
-        slots = np.ascontiguousarray(perms.T)
+        slots = np.ascontiguousarray(slots, dtype=np.int64)
+        for l in range(d):
+            image = slots[:, l]
+            if not (
+                0 <= image.min() and image.max() < n
+                and (np.bincount(image, minlength=n) == 1).all()
+            ):
+                raise GraphInvariantError(f"label {labels[l]} does not act by a permutation")
+        points = np.arange(n)
+        for l in range(d):
+            if (slots[slots[:, l], inv[l]] != points).any():
+                raise GraphInvariantError(
+                    f"label {labels[l]}: inverse label does not act by the inverse permutation"
+                )
         slots.flags.writeable = False
-        object.__setattr__(self, "slots", slots)
+        self.__dict__.update(gens=gens, slots=slots)
+
+    def __getattr__(self, name: str):
+        # only reached when ``perms`` is not stored: columns of the table
+        if name != "perms" or "slots" not in self.__dict__:
+            raise AttributeError(name)
+        perms = tuple(map(tuple, self.__dict__["slots"].T.tolist()))
+        self.__dict__["perms"] = perms
+        return perms
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PermAction is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermAction):
+            return NotImplemented
+        return self.gens == other.gens and np.array_equal(self.slots, other.slots)
+
+    def __hash__(self) -> int:
+        return hash((self.gens, self.slots.shape))
+
+    def __repr__(self) -> str:
+        return f"PermAction(gens={self.gens!r}, perms={self.perms!r})"
 
     @property
     def degree(self) -> int:
-        return len(self.perms[0])
+        return len(self.slots)
+
+    def word_images(self, word: Word) -> np.ndarray:
+        """The image of every point under ``word``, letters applied left to right."""
+        images = np.arange(self.degree)
+        for letter in word.letters:
+            images = self.slots[images, letter]
+        return images
 
     def word_permutation(self, word: Word) -> tuple[int, ...]:
-        cur = list(range(self.degree))
-        for letter in word.letters:
-            p = self.perms[letter]
-            cur = [p[x] for x in cur]
-        return tuple(cur)
+        return tuple(self.word_images(word).tolist())
 
     @classmethod
     def from_generator_perms(
@@ -801,15 +882,32 @@ class PermAction:
         if involution_names is None:
             involution_names = tuple(f"m{i}" for i in range(len(involution_perms)))
         gens = GenSet.with_involutions(pair_names, involution_names)
-        perms: list[tuple[int, ...]] = []
-        for p in pair_perms:
-            p = np.asarray(p, dtype=np.int64)
-            q = np.empty_like(p)
-            q[p] = np.arange(len(p))
-            perms += [tuple(p.tolist()), tuple(q.tolist())]
-        for p in involution_perms:
-            p = np.asarray(p, dtype=np.int64)
-            if (p[p] != np.arange(len(p))).any():
+        # each pair's permutation twice, the second overwritten by its inverse
+        slots = _point_table(gens, [r for p in pair_perms for r in (p, p)] + [*involution_perms])
+        points = np.arange(len(slots))
+        for i in range(len(pair_perms)):
+            # a column that is no permutation leaves garbage, but is refused first
+            slots[slots[:, 2 * i], 2 * i + 1] = points
+        for l in range(2 * len(pair_perms), gens.degree):
+            image = slots[:, l]
+            if (image >= 0).all() and (slots[image, l] != points).any():
                 raise GraphInvariantError("involution generator is not an involution")
-            perms.append(tuple(p.tolist()))
-        return cls(gens, tuple(perms))
+        return cls._checked(gens, slots)
+
+
+def _point_table(gens: GenSet, perms: Sequence[Sequence[int]]) -> np.ndarray:
+    """One sequence of points per label as the n×k int64 table of
+    ``PermAction`` (n = len(perms[0])), −1 for an entry that is not a
+    point and throughout a row of another length.  An entry that is not
+    an integer is refused here, before the table is checked."""
+    n = len(perms[0]) if len(perms) else 0
+    table, _, odd = _number_table(perms, n, missing=False)
+    if odd is not None:
+        l, x = odd
+        raise GraphInvariantError(
+            f"label {gens.labels[l]} sends point {x} to {perms[l][x]!r}, "
+            "which is not an integer"
+        )
+    table = np.where((table >= 0) & (table < n), table, -1)
+    table[[len(p) != n for p in perms]] = -1
+    return np.ascontiguousarray(table.T, dtype=np.int64)

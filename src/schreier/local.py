@@ -180,9 +180,8 @@ def tv_distance(
 
 def fix_density(act: PermAction, word: Word) -> Fraction:
     """Fraction of points fixed by the permutation the word evaluates to."""
-    perm = act.word_permutation(word)
-    fixed = sum(1 for x, y in enumerate(perm) if x == y)
-    return Fraction(fixed, act.degree)
+    fixed = np.count_nonzero(act.word_images(word) == np.arange(act.degree))
+    return Fraction(int(fixed), act.degree)
 
 
 def _word_tree(gens: GenSet, max_length: int) -> tuple[np.ndarray, np.ndarray, list[int]]:

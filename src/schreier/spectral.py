@@ -542,7 +542,7 @@ def averaged_operator(
         if entry is None:
             A[np.arange(n), np.arange(n)] += weight
         else:
-            A[np.arange(n), act.perms[entry]] += weight
+            A[np.arange(n), act.slots[:, entry]] += weight
     return A
 
 
@@ -596,11 +596,11 @@ def support_subgroup_graph(
             paired[i] = k
             paired[partner] = k + 1
     order = sorted(range(len(entries)), key=lambda i: paired[i])
-    identity = tuple(range(act.degree))
-    perms = tuple(
-        identity if entries[i] is None else act.perms[entries[i]] for i in order
-    )
-    sub = PermAction(gens=GenSet(tuple(names), tuple(inv)), perms=perms)
+    identity = np.arange(act.degree)
+    slots = np.column_stack([
+        identity if entries[i] is None else act.slots[:, entries[i]] for i in order
+    ])
+    sub = PermAction._checked(GenSet(tuple(names), tuple(inv)), slots)
     return from_perm_action(sub, base=base)
 
 
@@ -646,7 +646,7 @@ def product_return_bound(
                 for x, p in enumerate(dist):
                     nxt[x] += p * w
             else:
-                perm = act.perms[entry]
+                perm = act.slots[:, entry].tolist()
                 for x, p in enumerate(dist):
                     if p:
                         nxt[perm[x]] += p * w

@@ -41,12 +41,17 @@ builders replaced, and hypothesis strategies to compare them on.
   ``lps_graph`` numbers the projective matrices by a breadth-first search
   over a dict of 4-tuples, the oracle of that builder's array search;
 - ``fisher_yates`` shuffles with ``rng.randrange``, whose rejection draws
-  ``builders._fisher_yates`` inlines.
+  ``builders._fisher_yates`` inlines, and ``random_perm_action`` builds the
+  random action by the tuple path that the array table replaced: each
+  shuffle and its inverse as tuples, checked by ``PermAction(gens, perms)``;
+- ``serialize_table`` writes SGF1 from one byte matrix over the whole
+  slot table, the writer that ``core.serialize``'s vertex blocks replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from collections import deque
 from fractions import Fraction
@@ -668,6 +673,44 @@ def fisher_yates(rng, n: int) -> tuple[int, ...]:
         j = rng.randrange(i + 1)
         p[i], p[j] = p[j], p[i]
     return tuple(p)
+
+
+def random_perm_action(m: int, n: int, seed: int) -> PermAction:
+    rng = random.Random(seed)
+    perms = generator_perms([fisher_yates(rng, n) for _ in range(m)])
+    return PermAction(GenSet.free(m), perms)
+
+
+def serialize_table(g: SchreierGraph) -> str:
+    def digits(top: int) -> np.ndarray:
+        powers = 10 ** np.arange(len(str(max(top - 1, 0))) - 1, -1, -1)
+        x = np.arange(max(top, 1))[:, None] // powers
+        rows = (x % 10 + ord("0")).astype(np.uint8)
+        rows[:, :-1][x[:, :-1] == 0] = 0
+        return rows
+
+    def text_lines(lead: str, *columns: np.ndarray) -> str:
+        cell = lambda char: np.full((len(columns[0]), 1), ord(char), dtype=np.uint8)
+        parts = [cell(lead)]
+        for column in columns:
+            parts += [cell(" "), column]
+        text = np.hstack([*parts, cell("\n")]).ravel()
+        return text[text > 0].tobytes().decode("ascii")
+
+    lines = ["SGF1", f"gens {g.degree}"]
+    for i, name in enumerate(g.gens.labels):
+        lines.append(f"label {i} {name} inv {g.gens.inv[i]}")
+    head = f"vertices {g.n} root {g.root}"
+    if g.truncation_radius is not None:
+        head += f" truncated {g.truncation_radius}"
+    lines.append(head)
+    vertex = digits(g.n)
+    v, l = np.nonzero(g.slots >= 0)
+    return "".join([
+        "\n".join(lines) + "\n",
+        text_lines("e", vertex[v], digits(g.degree)[l], vertex[g.slots[v, l]]),
+        text_lines("b", vertex[sorted(g.boundary)]),
+    ])
 
 
 @st.composite

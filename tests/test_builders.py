@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +89,15 @@ class TestFromPermAction:
 
 
 class TestStallingsCore:
+    @pytest.mark.parametrize("entry", [1.5, "1"])
+    def test_from_table_refuses_entries_that_are_not_integers(self, entry):
+        table = [[entry, None, None, None], [None, 0, None, None]]
+        with pytest.raises(
+            GraphInvariantError,
+            match=re.escape(f"edge target {entry!r} at (0,a) is not an integer"),
+        ):
+            CoreGraph.from_table(F2, table)
+
     def test_single_loop(self):
         core = stallings_core(F2, [parse_word(F2, "a")])
         assert core.n == 1
@@ -390,7 +401,7 @@ class TestRandomPermModel:
         assert g.n == 1
         assert g.next[0] == (0, 0, 0, 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10**5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 1000, 1023, 1024, 1025, 10**5])
     def test_fisher_yates_draws_as_randrange(self, n):
         """The inlined rejection draws give the permutations, and leave the
         generator in the state, of the ``randrange`` shuffle."""
@@ -400,6 +411,27 @@ class TestRandomPermModel:
             expected = random.Random(seed)
             reference.fisher_yates(expected, n)
             assert rng.random() == expected.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3000) | st.sampled_from([2**k + j for k in range(1, 12) for j in (-1, 0, 1)]),
+        st.integers(0, 2**32),
+    )
+    def test_table_matches_the_tuple_path(self, m, n, seed):
+        act, expected = random_perm_action(m, n, seed), reference.random_perm_action(m, n, seed)
+        assert act == expected
+        assert act.slots.dtype == expected.slots.dtype == np.int64
+        assert act.slots.tobytes() == expected.slots.tobytes()
+
+    def test_peak_below_five_tables(self):
+        tracemalloc.start()
+        try:
+            act = random_perm_action(2, 10**5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * act.slots.nbytes
 
     def test_restrict_to_orbit_transitive(self):
         act = random_perm_action(2, 30, seed=5)

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from string import ascii_lowercase
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ from schreier.core import (
 )
 from schreier.cycles import cycle_profile
 from schreier.irs import invariance_diagnostic, uniform_conjugate
-from schreier.spectral import ramanujan_check
+from schreier.local import fix_density, local_approx_check
+from schreier.spectral import product_return_bound, ramanujan_check, support_subgroup_graph
 
 
 def cycle(n: int) -> SchreierGraph:
@@ -199,6 +201,15 @@ class TestSchreierGraph:
         table = ((1, -1), (None, 0))
         with pytest.raises(GraphInvariantError, match="edge target -1 out of range"):
             SchreierGraph(gens=gens, next=table, boundary=frozenset({0, 1}))
+
+    @pytest.mark.parametrize("entry", [1.5, "1", 1.0])
+    def test_entries_that_are_not_integers_refused(self, entry):
+        # numpy would read each as the vertex 1
+        with pytest.raises(
+            GraphInvariantError,
+            match=re.escape(f"edge target {entry!r} at (0,a) is not an integer"),
+        ):
+            SchreierGraph(gens=GenSet.free(1), next=((entry, 1), (0, 0)))
 
     def test_slots_is_the_table_as_an_array(self):
         gens = GenSet.free(1)
@@ -675,6 +686,34 @@ class TestArrayNumberingAndWriter:
         assert held < 12 * cells
 
 
+class TestBlockedWriter:
+    """``serialize`` writes the whole-table writer's bytes whatever the block."""
+
+    @settings(max_examples=200)
+    @given(stored_graphs(), st.integers(1, 9))
+    def test_matches_the_whole_table_at_small_blocks(self, g, block):
+        # a block of a few vertices puts n at block − 1, block, block + 1
+        # and past two blocks within small cores and truncated balls
+        with mock.patch.object(core, "_WRITE_BLOCK", block):
+            text = serialize(g)
+        assert text == reference.serialize_table(g) == reference.serialize(g)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, core._WRITE_BLOCK + 1])
+    def test_matches_the_whole_table_around_the_block(self, offset):
+        g = cycle_graph(core._WRITE_BLOCK + offset)
+        assert serialize(g) == reference.serialize_table(g)
+
+    def test_peak_below_three_texts(self):
+        g = random_perm_model(2, 10**5, 0)
+        tracemalloc.start()
+        try:
+            text = serialize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
+
 class TestNoTupleRows:
     """Builders, the parser and the array readers leave ``next`` unbuilt."""
 
@@ -690,6 +729,16 @@ class TestNoTupleRows:
         e = uniform_conjugate(restrict_to_orbit(random_perm_action(2, 3000, 0)))
         invariance_diagnostic(e, 2)
         assert not any("next" in h.__dict__ for h in e.samples)
+
+    def test_readers_of_actions(self):
+        act = random_perm_action(2, 300, 0)
+        sub = restrict_to_orbit(act)
+        fix_density(sub, parse_word(sub.gens, "ab"))
+        local_approx_check([sub], 1)
+        support_subgroup_graph(sub, ["a", "A"])
+        product_return_bound(sub, [["a", "A", None], ["b", "B"]])
+        uniform_conjugate(sub)
+        assert "perms" not in vars(act) and "perms" not in vars(sub)
 
 
 def _defective_perms(data, perms: list[list[int]], n: int) -> list[list[int]]:
@@ -756,6 +805,32 @@ class TestPermActionOracle:
 
 
 class TestPermAction:
+    def test_slots_is_the_table_and_perms_a_cached_view(self):
+        act = PermAction(GenSet.free(1), [(1, 2, 0), (2, 0, 1)])
+        assert act.slots.tolist() == [[1, 2], [2, 0], [0, 1]]
+        assert not act.slots.flags.writeable
+        assert "perms" not in vars(act)
+        assert act.perms == ((1, 2, 0), (2, 0, 1))
+        assert act.perms is act.perms
+        with pytest.raises(AttributeError):
+            act.slots = None
+
+    def test_equal_on_alphabet_and_table(self):
+        act = PermAction(GenSet.free(1), ((1, 2, 0), (2, 0, 1)))
+        same = PermAction.from_generator_perms([(1, 2, 0)])
+        assert act == same and hash(act) == hash(same)
+        assert act != PermAction.from_generator_perms([(2, 0, 1)])
+        assert act != PermAction(GenSet(("c", "C"), (1, 0)), act.perms)
+
+    @pytest.mark.parametrize("entry", [1.5, "1", 1.0, None])
+    def test_entries_that_are_not_integers_refused(self, entry):
+        with pytest.raises(
+            GraphInvariantError, match=re.escape(f"label A sends point 0 to {entry!r},")
+        ):
+            PermAction(GenSet.free(1), ((1, 0), (entry, 0)))
+        with pytest.raises(GraphInvariantError, match="not an integer"):
+            PermAction.from_generator_perms([(entry, 0)])
+
     def test_inverse_pairing_validated(self):
         gens = GenSet.free(1)
         with pytest.raises(GraphInvariantError, match="inverse permutation"):

@@ -9,6 +9,7 @@ hold at toy sizes.
 from __future__ import annotations
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -78,8 +79,11 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not strict JSON")
 
 
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+
+
 def test_run_experiments_script_quick(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+    script = SCRIPT
     proc = subprocess.run(
         [sys.executable, str(script), "--quick", "--out-dir", str(tmp_path)],
         capture_output=True,
@@ -94,3 +98,12 @@ def test_run_experiments_script_quick(tmp_path):
         report = json.loads(text, parse_constant=_refuse_constant)
         assert report["experiment"] == name
         assert report["elapsed_seconds"] >= 0
+
+
+def test_run_experiments_script_refuses_nan(tmp_path, monkeypatch):
+    script = runpy.run_path(str(SCRIPT))
+    monkeypatch.setitem(script["EXPERIMENTS"], "nan", lambda: {"value": float("nan")})
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "nan", "--out-dir", str(tmp_path)])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        script["main"]()
+    assert not (tmp_path / "nan.json").exists()
