@@ -189,26 +189,12 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
         for l, t in merged.items():
             add_slot(x, l, t)
 
-    # indexed by union-find id: a merged-away id keeps no slots, so the
-    # trimming drops it at once and the canonical search never meets it
+    # Indexed by union-find id; a merged-away id keeps no slots, and the
+    # canonical search never meets it.  Nothing hangs off the fold, so no
+    # trimming is needed: the words are reduced, so every non-root vertex
+    # of the wedge has two distinct slots, and merging only unions slot sets.
     root = find(0)
     table = [{l: find(t) for l, t in slots.items()} for slots in out]
-
-    # Trim hanging paths: a non-root vertex with a single defined slot
-    # carries no loop of the subgroup and is not part of the core.
-    # Degrees only fall and the root is never queued, so a queued vertex
-    # stays trimmable; one queued again has no slots left to drop.
-    degree = [len(slots) for slots in table]
-    trim = deque(r for r in range(n_vertices) if r != root and degree[r] <= 1)
-    while trim:
-        v = trim.popleft()
-        for l, t in table[v].items():
-            del table[t][gens.inv[l]]
-            degree[t] -= 1
-            if t != root and degree[t] <= 1:
-                trim.append(t)
-        table[v] = {}
-
     slots = np.array([[row.get(l, -1) for l in range(gens.degree)] for row in table])
     slots = canonical_rows(slots, root)[1]  # the canonical core, root 0
     partial = np.flatnonzero((slots < 0).any(axis=1))

@@ -11,6 +11,7 @@ represent (NaN or infinity), which print nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -397,9 +398,20 @@ def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> No
     except ValueError:
         path, value = next(_non_finite(doc))
         raise ValueError(f"{path} is {value}, which JSON cannot represent") from None
-    print(text)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+    _write_out(text + "\n", getattr(args, "out", None))
+
+
+def _write_out(text: str, out: str | None) -> None:
+    """Print ``text`` and, given a path, write it to that file too, in
+    1 MB slices: neither stream encodes a second whole copy of the text.
+    The file is opened first, so a path that cannot be written prints
+    nothing."""
+    with open(out, "w") if out else contextlib.nullcontext() as file:
+        for start in range(0, len(text), 1 << 20):
+            piece = text[start : start + (1 << 20)]
+            sys.stdout.write(piece)
+            if file:
+                file.write(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +515,9 @@ def _check_triv2(args) -> dict:
 
 def _check_modifiedrw(args) -> dict:
     """a product of uniform steps from the supports fixes point 0 with
-    probability at most the product of their operator norms"""
+    probability at most the product of their operator norms.  On a finite
+    action each averaged operator is symmetric and doubly stochastic, so
+    every norm is 1 and the check only shows the probability is at most 1"""
     _branch_flags(args, args.random is not None, "--seed draws the --random "
                   "supports; --supports takes none", seed=0)
     _require_least("--random", args.random, 1)
@@ -619,10 +633,7 @@ _CHECKS = {
 def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     if args.command == "build":
         built = from_spec(args.spec)
-        text = serialize(built.graph if isinstance(built, CoreGraph) else built)
-        print(text, end="")
-        if args.out:
-            Path(args.out).write_text(text)
+        _write_out(serialize(built.graph if isinstance(built, CoreGraph) else built), args.out)
         return 0
 
     if args.command == "spectrum":

@@ -253,7 +253,7 @@ def format_word(gens: GenSet, word: Word) -> str:
     return sep.join(gens.labels[letter] for letter in word.letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SchreierGraph:
     """A rooted, edge-labeled graph with paired transition slots.
 
@@ -270,7 +270,9 @@ class SchreierGraph:
     validates it, which stores ``slots``.  A graph built inside the
     package from a validated one (``_trusted``) stores ``slots`` alone,
     and ``next`` is built from it, and cached, the first time something
-    reads it.
+    reads it.  Equality, the hash and the repr read ``slots``, not ``next``:
+    two graphs are equal when their alphabets, tables, roots, boundaries
+    and truncation radii are, and the hash and repr leave out the table.
     """
 
     gens: GenSet
@@ -303,6 +305,23 @@ class SchreierGraph:
             rows[v] = tuple(None if w < 0 else w for w in rows[v])
         self.__dict__["next"] = rows = tuple(rows)
         return rows
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SchreierGraph):
+            return NotImplemented
+        return (self.gens, self.root, self.boundary, self.truncation_radius) == (
+            other.gens, other.root, other.boundary, other.truncation_radius
+        ) and np.array_equal(self.slots, other.slots)
+
+    def __hash__(self) -> int:
+        return hash((self.gens, self.slots.shape, self.root, self.truncation_radius))
+
+    def __repr__(self) -> str:
+        return (
+            f"SchreierGraph(gens={self.gens!r}, n={self.n}, root={self.root}, "
+            f"boundary={len(self.boundary)} vertices, "
+            f"truncation_radius={self.truncation_radius})"
+        )
 
     @property
     def n(self) -> int:

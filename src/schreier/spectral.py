@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,15 +82,21 @@ _log = logging.getLogger("schreier")
 _Operator = Callable[[np.ndarray], np.ndarray]
 
 
+def _averaging_matrix(slots: np.ndarray) -> sp.csr_matrix:
+    """(1/d)·Σ_l P_l for the n×d table ``slots``: entry (x, y) is the share
+    of the d columns that send x to y, multiplicity counted."""
+    n, d = slots.shape
+    cols = slots.ravel()
+    rows = np.repeat(np.arange(n), d)
+    data = np.full(cols.size, 1.0 / d)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
     """M = A/d with A the labeled adjacency matrix counting multiplicity."""
     if g.truncated:
         raise ValueError("the Markov operator needs the whole graph, not a truncation")
-    d = g.degree
-    cols = g.slots.ravel()
-    rows = np.repeat(np.arange(g.n), d)
-    data = np.full(cols.size, 1.0 / d)
-    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    return _averaging_matrix(g.slots)
 
 
 def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
@@ -503,47 +510,58 @@ def ramanujan_check(g: SchreierGraph) -> RamanujanVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_support(gens: GenSet, support: Sequence[int | str | None]) -> list[int | None]:
-    """Label entries as indices; None (or "e") stands for the identity.
-    The multiset must be symmetric: as many copies of each label as of
-    its inverse."""
-    out: list[int | None] = []
+def _support_action(act: PermAction, support: Sequence[int | str | None]) -> PermAction:
+    """The support as an action on ``act``'s points, one fresh label per
+    entry: label names or indices, None (or "e") for the identity, as many
+    copies of each label as of its inverse.  A label is named after its
+    entry, with ``_2``, ``_3``, … on repeats; the identity and involutions
+    are self-inverse, and every other entry is paired with the first later
+    unpaired entry of its inverse label."""
+    gens = act.gens
+    entries: list[int | None] = []
     for entry in support:
         if entry is None or entry == "e":
-            out.append(None)
+            entries.append(None)
         elif isinstance(entry, str):
-            out.append(gens.index(entry))
+            entries.append(gens.index(entry))
+        elif 0 <= entry < gens.degree:
+            entries.append(entry)
         else:
-            if not 0 <= entry < gens.degree:
-                raise ValueError(f"label index {entry} out of range")
-            out.append(entry)
-    if not out:
+            raise ValueError(f"label index {entry} out of range")
+    if not entries:
         raise ValueError("support is empty")
-    for l in set(out):
-        if l is not None and out.count(l) != out.count(gens.inv[l]):
+    for l in set(entries):
+        if l is not None and entries.count(l) != entries.count(gens.inv[l]):
             raise ValueError(
                 f"support is not symmetric: {gens.labels[l]!r} and its inverse "
                 "appear a different number of times"
             )
-    return out
+    columns: list[int | None] = []
+    inv: list[int] = []
+    waiting: Counter = Counter()  # later entries whose label a pair already made
+    for l in entries:
+        if waiting[l]:
+            waiting[l] -= 1
+        elif l is None or gens.inv[l] == l:
+            inv.append(len(columns))
+            columns.append(l)
+        else:
+            inv += [len(columns) + 1, len(columns)]
+            columns += [l, gens.inv[l]]
+            waiting[gens.inv[l]] += 1
+    stems = ["e" if l is None else gens.labels[l] for l in columns]
+    names = [s if s not in stems[:i] else f"{s}_{stems[:i].count(s) + 1}"
+             for i, s in enumerate(stems)]
+    table = np.column_stack([act.slots, np.arange(act.degree)])  # d: the identity
+    slots = table[:, [gens.degree if l is None else l for l in columns]]
+    return PermAction._checked(GenSet(tuple(names), tuple(inv)), slots)
 
 
-def averaged_operator(
-    act: PermAction, support: Sequence[int | str | None]
-) -> np.ndarray:
+def averaged_operator(act: PermAction, support: Sequence[int | str | None]) -> np.ndarray:
     """Dense matrix of f ↦ (1/|support|) Σ_s f(x·s) on point functions."""
     if act.degree > DENSE_THRESHOLD:
         raise ValueError("the averaged operator is dense; degree too large")
-    entries = _resolve_support(act.gens, support)
-    n = act.degree
-    A = np.zeros((n, n))
-    weight = 1.0 / len(entries)
-    for entry in entries:
-        if entry is None:
-            A[np.arange(n), np.arange(n)] += weight
-        else:
-            A[np.arange(n), act.slots[:, entry]] += weight
-    return A
+    return _averaging_matrix(_support_action(act, support).slots).toarray()
 
 
 def distribution_operator_norm(
@@ -566,60 +584,26 @@ def support_subgroup_graph(
     support generates, so the full averaged-operator spectrum must be
     index-many copies of this graph's Markov spectrum.
     """
-    entries = _resolve_support(act.gens, support)
-    names: list[str] = []
-    inv: list[int] = []
-    paired: list[int | None] = [None] * len(entries)
-    seen: dict[str, int] = {}
-
-    def fresh(stem: str) -> str:
-        seen[stem] = seen.get(stem, 0) + 1
-        return stem if seen[stem] == 1 else f"{stem}_{seen[stem]}"
-
-    for i, entry in enumerate(entries):
-        if paired[i] is not None:
-            continue
-        if entry is None or act.gens.is_involution(entry):
-            stem = "e" if entry is None else act.gens.labels[entry]
-            names.append(fresh(stem))
-            inv.append(len(names) - 1)
-            paired[i] = len(names) - 1
-        else:
-            partner = next(
-                j
-                for j in range(i + 1, len(entries))
-                if paired[j] is None and entries[j] == act.gens.inv[entry]
-            )
-            k = len(names)
-            names += [fresh(act.gens.labels[entry]), fresh(act.gens.labels[entries[partner]])]
-            inv += [k + 1, k]
-            paired[i] = k
-            paired[partner] = k + 1
-    order = sorted(range(len(entries)), key=lambda i: paired[i])
-    identity = np.arange(act.degree)
-    slots = np.column_stack([
-        identity if entries[i] is None else act.slots[:, entries[i]] for i in order
-    ])
-    sub = PermAction._checked(GenSet(tuple(names), tuple(inv)), slots)
-    return from_perm_action(sub, base=base)
+    return from_perm_action(_support_action(act, support), base=base)
 
 
 @dataclass(frozen=True)
 class ProductReturnBound:
     """P(g₁⋯g_k fixes the base point) against Π ‖M(g_i)‖, exactly on the
     left and by dense eigensolve on the right.  For a regular action the
-    left side is P(g₁⋯g_k = e)."""
+    left side is P(g₁⋯g_k = e).  On a finite action each M(g_i) is
+    symmetric and doubly stochastic, so every norm and the bound are 1:
+    the check cannot fail, it only shows the probability is at most 1."""
 
     degree: int
     probability: Fraction
     norms: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        bound = math.prod(self.norms)
-        if float(self.probability) > bound + 1e-9:
+        if float(self.probability) > self.bound + 1e-9:
             raise InequalityViolation(
                 f"return probability {self.probability} exceeds the norm "
-                f"product {bound}"
+                f"product {self.bound}"
             )
 
     @property
@@ -632,26 +616,16 @@ def product_return_bound(
     supports: Sequence[Sequence[int | str | None]],
     base: int = 0,
 ) -> ProductReturnBound:
-    """Exact convolution of independent uniform support steps."""
+    """Exact convolution of independent uniform support steps, counted in integers."""
     if not supports:
         raise ValueError("need at least one support")
-    dist = [Fraction(0)] * act.degree
-    dist[base] = Fraction(1)
+    counts = np.zeros(act.degree, dtype=object)  # entry sequences reaching each point
+    counts[base] = 1
     for support in supports:
-        entries = _resolve_support(act.gens, support)
-        nxt = [Fraction(0)] * act.degree
-        w = Fraction(1, len(entries))
-        for entry in entries:
-            if entry is None:
-                for x, p in enumerate(dist):
-                    nxt[x] += p * w
-            else:
-                perm = act.slots[:, entry].tolist()
-                for x, p in enumerate(dist):
-                    if p:
-                        nxt[perm[x]] += p * w
-        dist = nxt
+        moved = np.zeros(act.degree, dtype=object)
+        for column in _support_action(act, support).slots.T:  # a permutation
+            moved[column] += counts
+        counts = moved
+    probability = Fraction(counts[base], math.prod(map(len, supports)))
     norms = tuple(distribution_operator_norm(act, s) for s in supports)
-    return ProductReturnBound(
-        degree=act.degree, probability=dist[base], norms=norms
-    )
+    return ProductReturnBound(degree=act.degree, probability=probability, norms=norms)

@@ -45,7 +45,15 @@ builders replaced, and hypothesis strategies to compare them on.
   random action by the tuple path that the array table replaced: each
   shuffle and its inverse as tuples, checked by ``PermAction(gens, perms)``;
 - ``serialize_table`` writes SGF1 from one byte matrix over the whole
-  slot table, the writer that ``core.serialize``'s vertex blocks replaced.
+  slot table, the writer that ``core.serialize``'s vertex blocks replaced;
+- ``stallings_core`` folds and then trims non-root vertices with at most
+  one slot, the pass that ``builders.stallings_core`` dropped;
+- ``resolve_support``, ``support_subgroup_graph``, ``averaged_operator``
+  and ``product_return_bound`` turn a support into labels once per reader
+  (a pairing search, a dense sum per entry, a ``Fraction`` convolution
+  point by point), the paths that ``spectral._support_action`` and the
+  readers of its table replaced; ``support_actions`` and ``supports`` draw
+  actions and supports, defective ones included, to compare them on.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from schreier import builders, core
 from schreier.builders import (
     CoreGraph,
     _matmul,
@@ -75,10 +84,16 @@ from schreier.core import (
     SchreierGraph,
     SGF1Error,
     Word,
+    reduce_word,
 )
 from schreier.irs import IrsEnsemble, Provenance
 from schreier.local import RootedBall, ball
-from schreier.spectral import bipartition, markov_spectrum
+from schreier.spectral import (
+    DENSE_THRESHOLD,
+    ProductReturnBound,
+    bipartition,
+    markov_spectrum,
+)
 
 
 def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
@@ -713,6 +728,187 @@ def serialize_table(g: SchreierGraph) -> str:
     ])
 
 
+def stallings_core(gens: GenSet, subgroup_words) -> CoreGraph:
+    """The fold of ``builders.stallings_core`` followed by its former pass
+    that trims non-root vertices with at most one defined slot."""
+    if any(gens.inv[l] == l for l in range(gens.degree)):
+        raise GraphInvariantError("folding requires a free alphabet (no involutive labels)")
+    words = [reduce_word(gens, w) for w in subgroup_words]
+    words = [w for w in words if w.letters]
+    n_vertices = 1
+    edges: list[tuple[int, int, int]] = []
+    for w in words:
+        prev = 0
+        for i, letter in enumerate(w.letters):
+            if i == len(w.letters) - 1:
+                nxt = 0
+            else:
+                nxt = n_vertices
+                n_vertices += 1
+            edges.append((prev, letter, nxt))
+            prev = nxt
+    parent = list(range(n_vertices))
+    size = [1] * n_vertices
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out: list[dict[int, int]] = [{} for _ in range(n_vertices)]
+    pending: deque[tuple[int, int]] = deque()
+
+    def add_slot(u: int, l: int, v: int) -> None:
+        u = find(u)
+        w = out[u].get(l)
+        if w is None:
+            out[u][l] = v
+        else:
+            pending.append((w, v))
+
+    for u, l, v in edges:
+        add_slot(u, l, v)
+        add_slot(v, gens.inv[l], u)
+    while pending:
+        x, y = pending.popleft()
+        x, y = find(x), find(y)
+        if x == y:
+            continue
+        if size[x] < size[y]:
+            x, y = y, x
+        parent[y] = x
+        size[x] += size[y]
+        merged = out[y]
+        out[y] = {}
+        for l, t in merged.items():
+            add_slot(x, l, t)
+    root = find(0)
+    table = [{l: find(t) for l, t in slots.items()} for slots in out]
+    degree = [len(slots) for slots in table]
+    trim = deque(r for r in range(n_vertices) if r != root and degree[r] <= 1)
+    while trim:
+        v = trim.popleft()
+        for l, t in table[v].items():
+            del table[t][gens.inv[l]]
+            degree[t] -= 1
+            if t != root and degree[t] <= 1:
+                trim.append(t)
+        table[v] = {}
+    slots = np.array([[row.get(l, -1) for l in range(gens.degree)] for row in table])
+    slots = core.canonical_rows(slots, root)[1]
+    partial = np.flatnonzero((slots < 0).any(axis=1))
+    g = SchreierGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
+    g.validate()
+    return CoreGraph(g)
+
+
+def resolve_support(gens: GenSet, support) -> list[int | None]:
+    out: list[int | None] = []
+    for entry in support:
+        if entry is None or entry == "e":
+            out.append(None)
+        elif isinstance(entry, str):
+            out.append(gens.index(entry))
+        else:
+            if not 0 <= entry < gens.degree:
+                raise ValueError(f"label index {entry} out of range")
+            out.append(entry)
+    if not out:
+        raise ValueError("support is empty")
+    for l in set(out):
+        if l is not None and out.count(l) != out.count(gens.inv[l]):
+            raise ValueError(
+                f"support is not symmetric: {gens.labels[l]!r} and its inverse "
+                "appear a different number of times"
+            )
+    return out
+
+
+def averaged_operator(act: PermAction, support) -> np.ndarray:
+    """The averaged operator as a dense sum, one entry's weight at a time."""
+    if act.degree > DENSE_THRESHOLD:
+        raise ValueError("the averaged operator is dense; degree too large")
+    entries = resolve_support(act.gens, support)
+    n = act.degree
+    A = np.zeros((n, n))
+    weight = 1.0 / len(entries)
+    for entry in entries:
+        if entry is None:
+            A[np.arange(n), np.arange(n)] += weight
+        else:
+            A[np.arange(n), act.slots[:, entry]] += weight
+    return A
+
+
+def support_subgroup_graph(act: PermAction, support, base: int = 0) -> SchreierGraph:
+    """The support's own alphabet, paired entry by entry by a search for
+    each entry's first later unpaired inverse."""
+    entries = resolve_support(act.gens, support)
+    names: list[str] = []
+    inv: list[int] = []
+    paired: list[int | None] = [None] * len(entries)
+    seen: dict[str, int] = {}
+
+    def fresh(stem: str) -> str:
+        seen[stem] = seen.get(stem, 0) + 1
+        return stem if seen[stem] == 1 else f"{stem}_{seen[stem]}"
+
+    for i, entry in enumerate(entries):
+        if paired[i] is not None:
+            continue
+        if entry is None or act.gens.is_involution(entry):
+            stem = "e" if entry is None else act.gens.labels[entry]
+            names.append(fresh(stem))
+            inv.append(len(names) - 1)
+            paired[i] = len(names) - 1
+        else:
+            partner = next(
+                j
+                for j in range(i + 1, len(entries))
+                if paired[j] is None and entries[j] == act.gens.inv[entry]
+            )
+            k = len(names)
+            names += [fresh(act.gens.labels[entry]), fresh(act.gens.labels[entries[partner]])]
+            inv += [k + 1, k]
+            paired[i] = k
+            paired[partner] = k + 1
+    order = sorted(range(len(entries)), key=lambda i: paired[i])
+    identity = np.arange(act.degree)
+    slots = np.column_stack([
+        identity if entries[i] is None else act.slots[:, entries[i]] for i in order
+    ])
+    sub = PermAction._checked(GenSet(tuple(names), tuple(inv)), slots)
+    return builders.from_perm_action(sub, base=base)
+
+
+def product_return_bound(act: PermAction, supports, base: int = 0) -> ProductReturnBound:
+    """The convolution in ``Fraction``s, point by point."""
+    if not supports:
+        raise ValueError("need at least one support")
+    dist = [Fraction(0)] * act.degree
+    dist[base] = Fraction(1)
+    for support in supports:
+        entries = resolve_support(act.gens, support)
+        nxt = [Fraction(0)] * act.degree
+        w = Fraction(1, len(entries))
+        for entry in entries:
+            if entry is None:
+                for x, p in enumerate(dist):
+                    nxt[x] += p * w
+            else:
+                perm = act.slots[:, entry].tolist()
+                for x, p in enumerate(dist):
+                    if p:
+                        nxt[perm[x]] += p * w
+        dist = nxt
+    norms = tuple(
+        float(max(abs(evs[0]), abs(evs[-1])))
+        for evs in (np.linalg.eigvalsh(averaged_operator(act, s)) for s in supports)
+    )
+    return ProductReturnBound(degree=act.degree, probability=dist[base], norms=norms)
+
+
 @st.composite
 def folded_words(draw, rank: int) -> list[Word]:
     """1-3 words of length 1-8 over the free alphabet of the given rank."""
@@ -760,3 +956,54 @@ def sparse_actions(draw) -> PermAction:
     pair_perms = [sparse_perm(draw(st.integers(2, 3))) for _ in range(pairs)]
     involution_perms = [sparse_perm(2) for _ in range(involutions)]
     return PermAction.from_generator_perms(pair_perms, involution_perms)
+
+
+@st.composite
+def support_actions(draw) -> PermAction:
+    """The regular actions of S3 and Z/6, a cyclic action on 1-60 points, or
+    a random action by 1-3 letter pairs on 1-60 points."""
+    kind = draw(st.sampled_from(["s3", "z6", "cyclic", "randperm"]))
+    if kind == "s3":
+        return builders.s3_regular()
+    if kind == "z6":
+        return builders.z6_regular()
+    if kind == "cyclic":
+        return builders.cyclic_action(draw(st.integers(1, 60)))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 60))
+    return builders.random_perm_action(m, n, draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def supports(draw, gens: GenSet, defects: bool = False) -> list:
+    """A shuffled symmetric multiset of labels, as names or indices, and
+    identities, as None or "e": 0-2 copies of each involution, of each
+    letter pair and of the identity, at least one entry.  With ``defects``,
+    it may instead be empty, or hold an unknown name, an index out of range
+    or one unpaired letter."""
+    def entry(l: int):
+        return draw(st.sampled_from([l, gens.labels[l]]))
+
+    support: list = []
+    for l in range(gens.degree):
+        partner = gens.inv[l]
+        if partner >= l:
+            for _ in range(draw(st.integers(0, 2))):
+                support += [entry(l)] if partner == l else [entry(l), entry(partner)]
+    support += [draw(st.sampled_from([None, "e"])) for _ in range(draw(st.integers(0, 2)))]
+    if not support:
+        support.append(None)
+    kinds = ["none"] * 4 + ["empty", "unknown", "range", "unpaired"]
+    defect = draw(st.sampled_from(kinds)) if defects else "none"
+    if defect == "none":
+        pass
+    elif defect == "empty":
+        support = []
+    elif defect == "unknown":
+        support.append("zz")
+    elif defect == "range":
+        support.append(draw(st.sampled_from([-1, gens.degree, gens.degree + 3])))
+    else:
+        letters = [l for l in range(gens.degree) if gens.inv[l] != l]
+        if letters:
+            support.append(entry(draw(st.sampled_from(letters))))
+    return list(draw(st.permutations(support)))

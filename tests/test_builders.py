@@ -89,7 +89,7 @@ class TestFromPermAction:
 
 
 class TestStallingsCore:
-    @pytest.mark.parametrize("entry", [1.5, "1"])
+    @pytest.mark.parametrize("entry", [1.5, "1", (0, 1)])
     def test_from_table_refuses_entries_that_are_not_integers(self, entry):
         table = [[entry, None, None, None], [None, 0, None, None]]
         with pytest.raises(
@@ -130,6 +130,16 @@ class TestStallingsCore:
         gens = GenSet.with_involutions(pairs=("a",), involutions=("m",))
         with pytest.raises(GraphInvariantError, match="free alphabet"):
             stallings_core(gens, [Word((2,))])
+
+    @settings(max_examples=150)
+    @given(data=st.data(), rank=st.integers(1, 3))
+    def test_fold_needs_no_trimming(self, data, rank):
+        gens = GenSet.free(rank)
+        words = data.draw(reference.folded_words(rank))
+        core = stallings_core(gens, words)
+        assert core.graph == reference.stallings_core(gens, words).graph
+        defined = (core.graph.slots >= 0).sum(axis=1)
+        assert (defined[1:] >= 2).all()  # the root is vertex 0
 
     @given(st.data())
     def test_fold_confluence(self, data):

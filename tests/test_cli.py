@@ -15,6 +15,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -88,6 +89,25 @@ class TestBuild:
         target = tmp_path / "k4.sgf"
         assert run(["build", "k4", "--out", str(target)]) == 0
         assert target.read_text() == capsys.readouterr().out
+
+    def test_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        assert run(["build", "k4", "--out", str(tmp_path / "no-dir" / "k4.sgf")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_output_is_written_in_slices(self, tmp_path, monkeypatch):
+        text = "0123456789abcde\n" * 10**6  # 16 MB
+        target = tmp_path / "out.txt"
+        with open(target.with_suffix(".stdout"), "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            tracemalloc.start()
+            try:
+                cli._write_out(text, str(target))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < len(text) / 4  # no whole encoded copy on either stream
+        assert target.read_text() == target.with_suffix(".stdout").read_text() == text
 
     def test_bad_spec_exits_1(self, capsys):
         assert run(["build", "bogus:1"]) == 1

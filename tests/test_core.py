@@ -42,7 +42,7 @@ from schreier.core import (
 )
 from schreier.cycles import cycle_profile
 from schreier.irs import invariance_diagnostic, uniform_conjugate
-from schreier.local import fix_density, local_approx_check
+from schreier.local import ball_distance, fix_density, local_approx_check
 from schreier.spectral import product_return_bound, ramanujan_check, support_subgroup_graph
 
 
@@ -202,9 +202,10 @@ class TestSchreierGraph:
         with pytest.raises(GraphInvariantError, match="edge target -1 out of range"):
             SchreierGraph(gens=gens, next=table, boundary=frozenset({0, 1}))
 
-    @pytest.mark.parametrize("entry", [1.5, "1", 1.0])
+    @pytest.mark.parametrize("entry", [1.5, "1", 1.0, (0, 1)])
     def test_entries_that_are_not_integers_refused(self, entry):
-        # numpy would read each as the vertex 1
+        # numpy would read each number as the vertex 1, and refuses the table
+        # with a sequence in it
         with pytest.raises(
             GraphInvariantError,
             match=re.escape(f"edge target {entry!r} at (0,a) is not an integer"),
@@ -730,6 +731,35 @@ class TestNoTupleRows:
         invariance_diagnostic(e, 2)
         assert not any("next" in h.__dict__ for h in e.samples)
 
+    def test_equality_hash_repr_and_ball_distance(self, monkeypatch):
+        views = []  # every graph whose row view is built, the compared balls included
+        row_view = SchreierGraph.__getattr__
+        monkeypatch.setattr(
+            SchreierGraph, "__getattr__", lambda g, name: views.append(g) or row_view(g, name)
+        )
+        g, same = random_perm_model(2, 3000, 0), random_perm_model(2, 3000, 0)
+        assert g == same and hash(g) == hash(same)
+        assert g != random_perm_model(2, 3000, 1)
+        assert len(repr(g)) < 200
+        assert ball_distance(g, same, max_radius=3).agreement_radius == 3
+        ball_distance(g, random_perm_model(2, 3000, 1), max_radius=3)
+        assert views == []
+
+    def test_equality_matches_the_rows(self):
+        rows = ((1, None), (2, 0), (None, 1))
+        g = SchreierGraph(gens=GenSet.free(1), next=rows, boundary=frozenset({0, 2}))
+        variants = ((0, {0, 2}, None), (1, {0, 2}, None), (0, {0, 1, 2}, None), (0, {0, 2}, 1))
+        for root, boundary, radius in variants:
+            h = SchreierGraph(
+                gens=GenSet.free(1), next=rows, root=root,
+                boundary=frozenset(boundary), truncation_radius=radius,
+            )
+            same = (g.gens, g.next, g.root, g.boundary, g.truncation_radius) == (
+                h.gens, h.next, h.root, h.boundary, h.truncation_radius
+            )
+            assert (g == h) is same
+        assert g != GenSet.free(1)
+
     def test_readers_of_actions(self):
         act = random_perm_action(2, 300, 0)
         sub = restrict_to_orbit(act)
@@ -822,7 +852,7 @@ class TestPermAction:
         assert act != PermAction.from_generator_perms([(2, 0, 1)])
         assert act != PermAction(GenSet(("c", "C"), (1, 0)), act.perms)
 
-    @pytest.mark.parametrize("entry", [1.5, "1", 1.0, None])
+    @pytest.mark.parametrize("entry", [1.5, "1", 1.0, None, (0,)])
     def test_entries_that_are_not_integers_refused(self, entry):
         with pytest.raises(
             GraphInvariantError, match=re.escape(f"label A sends point 0 to {entry!r},")

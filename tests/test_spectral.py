@@ -649,3 +649,60 @@ class TestProductReturnBound:
                 if g2[g1[0]] == 0:
                     hits += 1
         assert rep.probability == Fraction(hits, total)
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, KeyError, GraphInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSupportAction:
+    """The support paths read one support action; the former paths, one per
+    reader, are the oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_subgroup_graph_matches_the_pairing_search(self, data):
+        act = data.draw(reference.support_actions())
+        support = data.draw(reference.supports(act.gens, defects=True))
+        base = data.draw(st.integers(0, act.degree - 1))
+        got = _outcome(support_subgroup_graph, act, support, base)
+        want = _outcome(reference.support_subgroup_graph, act, support, base)
+        assert got == want  # graphs: equal alphabets and slot tables
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_averaged_operator_is_bit_equal(self, data):
+        act = data.draw(reference.support_actions())
+        support = data.draw(reference.supports(act.gens, defects=True))
+        got = _outcome(averaged_operator, act, support)
+        want = _outcome(reference.averaged_operator, act, support)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        else:
+            assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_return_bound_equals_the_fraction_convolution(self, data):
+        act = data.draw(reference.support_actions())
+        supports = data.draw(
+            st.lists(reference.supports(act.gens, defects=True), min_size=0, max_size=3)
+        )
+        base = data.draw(st.integers(0, act.degree - 1))
+        got = _outcome(product_return_bound, act, supports, base)
+        want = _outcome(reference.product_return_bound, act, supports, base)
+        assert got == want
+        if isinstance(got, ProductReturnBound):
+            assert type(got.probability) is Fraction
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_norm_is_one(self, data):
+        # symmetric and doubly stochastic: the bound of modifiedrw is 1
+        act = data.draw(reference.support_actions())
+        support = data.draw(reference.supports(act.gens))
+        assert abs(distribution_operator_norm(act, support) - 1.0) <= 1e-12
