@@ -21,8 +21,7 @@ classes.  ``next`` is the same table as tuples of Python ints, None for a
 missing slot: the rows the public constructor takes, and otherwise a
 read-only view built the first time it is read.  A ``PermAction`` stores
 its action the same way: ``slots[x, l]`` is the image of point x under
-label l, the action's one table, and ``perms``, one tuple per label, is a
-view cached on first read.
+label l, the action's one table and its only form.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
@@ -798,11 +797,9 @@ class PermAction:
     ``canonical_rows(act.slots, x)`` numbers the orbit of x as that graph.
 
     ``PermAction(gens, perms)`` takes one sequence of points per label and
-    converts it once; ``perms`` is the table as one tuple of Python ints
-    per label, a view built the first time it is read and cached.  The
-    builders write the table as an array and pass it through the same
-    checks (``_checked``).  Two actions are equal when their alphabets and
-    tables are.
+    converts it once into the table.  The builders write the table as an
+    array and pass it through the same checks (``_checked``).  Two actions
+    are equal when their alphabets and tables are.
     """
 
     gens: GenSet
@@ -846,14 +843,6 @@ class PermAction:
         slots.flags.writeable = False
         self.__dict__.update(gens=gens, slots=slots)
 
-    def __getattr__(self, name: str):
-        # only reached when ``perms`` is not stored: columns of the table
-        if name != "perms" or "slots" not in self.__dict__:
-            raise AttributeError(name)
-        perms = tuple(map(tuple, self.__dict__["slots"].T.tolist()))
-        self.__dict__["perms"] = perms
-        return perms
-
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: PermAction is immutable")
 
@@ -866,7 +855,7 @@ class PermAction:
         return hash((self.gens, self.slots.shape))
 
     def __repr__(self) -> str:
-        return f"PermAction(gens={self.gens!r}, perms={self.perms!r})"
+        return f"PermAction(gens={self.gens!r}, n={self.degree})"
 
     @property
     def degree(self) -> int:

@@ -109,7 +109,7 @@ def cycle_counts(
     """Exact cycle counts c_1 .. c_lmax.  ``transitive`` says whether g is a
     whole vertex-transitive graph, decided here if not given."""
     if not 1 <= lmax <= LMAX:
-        raise ValueError(f"cycle lengths are supported up to {LMAX}")
+        raise ValueError(f"lmax = {lmax} is outside 1..{LMAX}: cycle lengths are supported up to {LMAX}")
     g = _graph(g)
     counts = list(_loops_and_pairs(g))[:lmax]
     if lmax < 3:

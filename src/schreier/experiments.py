@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from schreier.builders import (
     free_core,
-    from_perm_action,
     lps_graph,
     random_perm_action,
     random_perm_model,
@@ -28,7 +27,6 @@ from schreier.cycles import cycle_counts
 from schreier.irs import invariance_diagnostic, uniform_conjugate
 from schreier.spectral import (
     estimate_rho_returns,
-    markov_spectrum,
     ramanujan_check,
     rho0,
     tree_rho,
@@ -94,19 +92,19 @@ def kesten_finite_irs(n: int = 20, seed: int = 3, radius: int = 2) -> dict:
     """The uniform-conjugate ensemble of a finite transitive action is
     conjugation-invariant, and its Schreier graphs keep eigenvalue 1, so the
     walk does not decay: spectral radius 1, strictly above the free-group
-    Cayley estimate.  The strict-inequality direction at finite index."""
+    Cayley estimate.  The strict-inequality direction at finite index.  The
+    radius is 1 by theorem, not solved for: M fixes 𝟙 and ‖M‖ ≤ 1."""
     act = restrict_to_orbit(random_perm_action(2, n, seed))
     ensemble = uniform_conjugate(act)
     diag = invariance_diagnostic(ensemble, radius)
-    top = float(markov_spectrum(from_perm_action(act))[-1])
     return {
         "experiment": "kesten-finite-irs",
         "config": {"n": n, "seed": seed, "radius": radius},
         "orbit_size": act.degree,
         "invariance_max_tv": _frac(diag.max_tv),
-        "schreier_spectral_radius": _sig(top),
+        "schreier_spectral_radius": 1.0,
         "cayley_spectral_radius": _sig(tree_rho(4)),
-        "strict_inequality": top > tree_rho(4),
+        "strict_inequality": 1.0 > tree_rho(4),
     }
 
 

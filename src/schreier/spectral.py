@@ -1,10 +1,14 @@
 """Spectra of Markov averaging operators on Schreier graphs.
 
 Finite graphs get ρ₀ from deflated Lanczos at every size, with explicit
-residual bounds; the dense spectrum (``markov_spectrum``) is kept for
+residual bounds; ``markov_spectrum``, the one dense eigensolve, serves
 callers that need every eigenvalue.  Infinite graphs described by cores
 or deep truncations get certified lower bounds on the spectral radius
 through exact return counts, since r_n = (p_{2n})^{1/2n} increases to ρ.
+
+A label support is read as an action of its own (``_support_action``),
+and every support question is answered from its table: no n×n averaged
+operator is formed.
 
 Lanczos picks its operator from the graph's bandwidth b in reverse
 Cuthill–McKee order: the inverse of I ∓ M from banded LU factors (I − M
@@ -35,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import daxpy
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from schreier.builders import (
     CoreGraph,
@@ -63,9 +67,8 @@ __all__ = [
     "estimate_rho_returns",
     "tree_rho",
     "ramanujan_check",
-    "averaged_operator",
-    "distribution_operator_norm",
     "support_subgroup_graph",
+    "support_copies",
     "product_return_bound",
 ]
 
@@ -557,23 +560,6 @@ def _support_action(act: PermAction, support: Sequence[int | str | None]) -> Per
     return PermAction._checked(GenSet(tuple(names), tuple(inv)), slots)
 
 
-def averaged_operator(act: PermAction, support: Sequence[int | str | None]) -> np.ndarray:
-    """Dense matrix of f ↦ (1/|support|) Σ_s f(x·s) on point functions."""
-    if act.degree > DENSE_THRESHOLD:
-        raise ValueError("the averaged operator is dense; degree too large")
-    return _averaging_matrix(_support_action(act, support).slots).toarray()
-
-
-def distribution_operator_norm(
-    act: PermAction, support: Sequence[int | str | None]
-) -> float:
-    """Operator norm of the support-averaged permutation operator on the
-    full point space (constants included, matching ρ of the subgroup's
-    Cayley graph rather than ρ₀)."""
-    evs = np.linalg.eigvalsh(averaged_operator(act, support))
-    return float(max(abs(evs[0]), abs(evs[-1])))
-
-
 def support_subgroup_graph(
     act: PermAction, support: Sequence[int | str | None], base: int = 0
 ) -> SchreierGraph:
@@ -581,19 +567,59 @@ def support_subgroup_graph(
     over a fresh alphabet with one slot per multiset entry.
 
     For a regular action this is the Cayley graph of the subgroup the
-    support generates, so the full averaged-operator spectrum must be
-    index-many copies of this graph's Markov spectrum.
+    support generates; ``support_copies`` checks that every orbit is a
+    copy of it.
     """
     return from_perm_action(_support_action(act, support), base=base)
 
 
+def support_copies(
+    act: PermAction, support: Sequence[int | str | None]
+) -> tuple[SchreierGraph, int]:
+    """The support's orbit graph of point 0 and the orbit count (the
+    index), when every orbit is a copy of that graph: the averaged
+    operator is then index copies of the graph's Markov operator.  On a
+    regular action each orbit is a coset of the subgroup the support
+    generates.
+
+    The first points of all orbits follow the graph's canonical BFS tree
+    at once, and the slots they reach must match the graph's table.  The
+    points reached are then closed under the labels, so an orbit has at
+    most m = graph.n points, and index·m = n makes every match an
+    isomorphism.  Other actions are refused with a ValueError.
+    """
+    sub = _support_action(act, support)
+    graph = from_perm_action(sub)
+    table, rows = sub.slots, graph.slots
+    m, k = rows.shape
+    # each vertex's tree slot is its first in row order, which lies in the
+    # layer before, so parents never decrease along the numbering
+    parent, label = np.divmod(np.unique(rows, return_index=True)[1], k)
+    parent[0] = -1  # the root has none
+    _, orbit = connected_components(_averaging_matrix(table), directed=False)
+    roots = np.unique(orbit, return_index=True)[1]  # each orbit's first point
+    points = np.empty((len(roots), m), dtype=np.int64)
+    points[:, 0] = roots
+    placed = 1
+    while placed < m:  # the next layer: the vertices whose parent is placed
+        layer = slice(placed, int(np.searchsorted(parent, placed)))
+        points[:, layer] = table[points[:, parent[layer]], label[layer]]
+        placed = layer.stop
+    if len(roots) * m != len(table) or (table[points] != points[:, rows]).any():
+        raise ValueError(
+            "the support's orbits are not copies of the orbit of point 0; "
+            "the copies statement needs a regular action"
+        )
+    return graph, len(roots)
+
+
 @dataclass(frozen=True)
 class ProductReturnBound:
-    """P(g₁⋯g_k fixes the base point) against Π ‖M(g_i)‖, exactly on the
-    left and by dense eigensolve on the right.  For a regular action the
-    left side is P(g₁⋯g_k = e).  On a finite action each M(g_i) is
-    symmetric and doubly stochastic, so every norm and the bound are 1:
-    the check cannot fail, it only shows the probability is at most 1."""
+    """P(g₁⋯g_k fixes the base point) against Π ‖M(g_i)‖, exactly on both
+    sides.  For a regular action the left side is P(g₁⋯g_k = e).  On a
+    finite action each M(g_i) is an average of permutation operators that
+    fixes the constants, so its norm is exactly 1: the check cannot fail,
+    it only shows the probability is at most 1."""
 
     degree: int
     probability: Fraction
@@ -616,9 +642,11 @@ def product_return_bound(
     supports: Sequence[Sequence[int | str | None]],
     base: int = 0,
 ) -> ProductReturnBound:
-    """Exact convolution of independent uniform support steps, counted in integers."""
+    """Exact convolution of independent uniform support steps in integers; every norm is 1."""
     if not supports:
         raise ValueError("need at least one support")
+    if not 0 <= base < act.degree:
+        raise ValueError(f"point {base} is not a point of the action (0..{act.degree - 1})")
     counts = np.zeros(act.degree, dtype=object)  # entry sequences reaching each point
     counts[base] = 1
     for support in supports:
@@ -627,5 +655,5 @@ def product_return_bound(
             moved[column] += counts
         counts = moved
     probability = Fraction(counts[base], math.prod(map(len, supports)))
-    norms = tuple(distribution_operator_norm(act, s) for s in supports)
+    norms = (1.0,) * len(supports)
     return ProductReturnBound(degree=act.degree, probability=probability, norms=norms)

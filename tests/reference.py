@@ -53,7 +53,18 @@ builders replaced, and hypothesis strategies to compare them on.
   (a pairing search, a dense sum per entry, a ``Fraction`` convolution
   point by point), the paths that ``spectral._support_action`` and the
   readers of its table replaced; ``support_actions`` and ``supports`` draw
-  actions and supports, defective ones included, to compare them on.
+  actions and supports, defective ones included, to compare them on;
+- ``distribution_operator_norm`` reads the averaged operator's norm off
+  its dense spectrum, and the dense spectrum of ``averaged_operator`` is
+  the oracle of the copies statement: the norm that
+  ``spectral.ProductReturnBound`` proves to be 1, and the spectrum that
+  ``spectral.support_copies`` proves to be index copies of the subgroup
+  graph's;
+- ``label_perms`` is each label's permutation as a tuple of Python ints,
+  the columns of ``PermAction.slots``;
+- ``orbits_apart`` is an action whose two orbits under a support have the
+  same size and the same row at their first points, and are copies of
+  each other or not as asked.
 """
 
 from __future__ import annotations
@@ -187,15 +198,19 @@ def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
     )
 
 
+def label_perms(act: PermAction) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, act.slots.T.tolist()))
+
+
 def orbit(act: PermAction, base: int) -> list[int]:
+    rows = act.slots.tolist()
     seen = {base}
     order = [base]
     head = 0
     while head < len(order):
         x = order[head]
         head += 1
-        for p in act.perms:
-            y = p[x]
+        for y in rows[x]:
             if y not in seen:
                 seen.add(y)
                 order.append(y)
@@ -205,14 +220,15 @@ def orbit(act: PermAction, base: int) -> list[int]:
 def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
     order = orbit(act, base)
     index = {x: i for i, x in enumerate(order)}
-    table = tuple(tuple(index[p[x]] for p in act.perms) for x in order)
+    rows = act.slots.tolist()
+    table = tuple(tuple(index[y] for y in rows[x]) for x in order)
     return SchreierGraph(gens=act.gens, next=table)
 
 
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
     order = orbit(act, base)
     index = {x: i for i, x in enumerate(order)}
-    perms = tuple(tuple(index[p[x]] for x in order) for p in act.perms)
+    perms = tuple(tuple(index[p[x]] for x in order) for p in label_perms(act))
     return PermAction(act.gens, perms)
 
 
@@ -841,6 +857,13 @@ def averaged_operator(act: PermAction, support) -> np.ndarray:
     return A
 
 
+def distribution_operator_norm(act: PermAction, support) -> float:
+    """Operator norm of the averaged operator on the full point space
+    (constants included), from its dense spectrum."""
+    evs = np.linalg.eigvalsh(averaged_operator(act, support))
+    return float(max(abs(evs[0]), abs(evs[-1])))
+
+
 def support_subgroup_graph(act: PermAction, support, base: int = 0) -> SchreierGraph:
     """The support's own alphabet, paired entry by entry by a search for
     each entry's first later unpaired inverse."""
@@ -902,11 +925,20 @@ def product_return_bound(act: PermAction, supports, base: int = 0) -> ProductRet
                     if p:
                         nxt[perm[x]] += p * w
         dist = nxt
-    norms = tuple(
-        float(max(abs(evs[0]), abs(evs[-1])))
-        for evs in (np.linalg.eigvalsh(averaged_operator(act, s)) for s in supports)
-    )
+    norms = tuple(distribution_operator_norm(act, s) for s in supports)
     return ProductReturnBound(degree=act.degree, probability=dist[base], norms=norms)
+
+
+def orbits_apart(copies: bool) -> PermAction:
+    """Eight points, a = (0 1 2 3)(4 5 6 7) and an involution m with
+    m(0) = 2 and m(4) = 6: the orbits of the support {a, A, m} have four
+    points each.  m = (4 6) on the second orbit; on the first it is (0 2)
+    too if ``copies``, else (0 2)(1 3), which moves every point."""
+    first = (2, 1, 0, 3) if copies else (2, 3, 0, 1)
+    return PermAction.from_generator_perms(
+        [(1, 2, 3, 0, 5, 6, 7, 4)], [first + (6, 5, 4, 7)],
+        pair_names="a", involution_names="m",
+    )
 
 
 @st.composite

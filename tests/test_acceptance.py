@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import averaged_operator, distribution_operator_norm
 
 from schreier.builders import (
     _quaternion_solutions,
@@ -36,8 +37,6 @@ from schreier.experiments import alon_boppana, kesten_amenable
 from schreier.irs import invariance_diagnostic, uniform_conjugate
 from schreier.local import local_approx_check
 from schreier.spectral import (
-    averaged_operator,
-    distribution_operator_norm,
     markov_spectrum,
     product_return_bound,
     ramanujan_check,

@@ -78,7 +78,7 @@ class TestFromPermAction:
         # the 3-cycle pair generates only the alternating group on 3 points;
         # its regular-action orbit of the identity has 3 of the 6 elements
         act = regular_action([(1, 2, 0)], [(1, 0, 2)], pair_names="c", involution_names="t")
-        sub = PermAction(GenSet.free(1, names="c"), (act.perms[0], act.perms[1]))
+        sub = PermAction(GenSet.free(1, names="c"), reference.label_perms(act)[:2])
         g = from_perm_action(sub, base=0)
         assert g.n == 3
 
@@ -308,7 +308,8 @@ class TestOnePassBuilders:
         assert g.next == reference.from_perm_action(act, base).next
         assert restrict_to_orbit(act, base) == reference.restrict_to_orbit(act, base)
         assert bfs_layers(act.slots, base)[0].tolist() == reference.orbit(act, base)
-        assert act.slots.tolist() == [[p[x] for p in act.perms] for x in range(act.degree)]
+        perms = reference.label_perms(act)
+        assert act.slots.tolist() == [[p[x] for p in perms] for x in range(act.degree)]
 
 
 class TestTreeCore:
@@ -379,7 +380,7 @@ class TestRegularActions:
         g = from_perm_action(act, base=0)
         assert g.n == 6
         # regular actions are fixed-point free off the identity
-        for p in act.perms:
+        for p in reference.label_perms(act):
             assert all(p[x] != x for x in range(6))
 
     def test_z6_regular(self):

@@ -267,6 +267,12 @@ class TestAnalysis:
         assert result["counts"] == [0, 0, 0, 0]
         assert result["method"] == "sweep"
 
+    @pytest.mark.parametrize("lmax", ["0", "-2", "13"])
+    def test_cycles_names_the_lmax_range(self, capsys, lmax):
+        assert run(["cycles", "--graph", "k4", "--lmax", lmax]) == 1
+        err = capsys.readouterr().err
+        assert f"lmax = {lmax} is outside 1..12: cycle lengths are supported up to 12" in err
+
     def test_cycles_transitive_graph_from_the_root(self, capsys):
         result = _json_out(capsys, ["cycles", "--graph", "cycle:8", "--lmax", "8"])["result"]
         assert result["girth"] == 8
@@ -470,6 +476,37 @@ class TestLemmaChecks:
         )
         assert code == 1
         assert "no label named" in capsys.readouterr().err
+
+    def test_subgroupnorm_refuses_orbits_of_other_sizes(self, capsys):
+        argv = ["lemma-check", "subgroupnorm", "--action", "randperm:m=2,n=24,seed=5"]
+        assert run(argv + ["--support", "a,A"]) == 1
+        assert "needs a regular action" in capsys.readouterr().err
+
+    def test_subgroupnorm_refuses_same_size_orbits_that_are_not_copies(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "action_from_spec", lambda text: reference.orbits_apart(False))
+        argv = ["lemma-check", "subgroupnorm", "--action", "cyclic:8", "--support", "a,A,m"]
+        assert run(argv) == 1
+        assert "needs a regular action" in capsys.readouterr().err
+
+    def test_subgroupnorm_on_one_point_orbits(self, capsys):
+        result = _json_out(
+            capsys,
+            ["lemma-check", "subgroupnorm", "--action", "cyclic:100000", "--support", "e"],
+        )["result"]
+        assert (result["subgroup_order"], result["index"]) == (1, 100000)
+        assert result["operator_norm"] == 1.0 and result["max_deviation"] == 0.0
+
+    def test_modifiedrw_above_the_dense_threshold(self, capsys):
+        result = _json_out(
+            capsys,
+            [
+                "lemma-check", "modifiedrw", "--action", "randperm:m=2,n=5000,seed=0",
+                "--supports", "a,A;b,B,e",
+            ],
+        )["result"]
+        assert result["sequences"][0]["norms"] == [1.0, 1.0]
 
     def test_lekv(self, capsys):
         result = _json_out(

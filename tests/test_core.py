@@ -69,8 +69,9 @@ def random_action(rng_draw, n: int, pairs: int, invs: int) -> PermAction:
 def orbit_graph(act: PermAction, base: int = 0) -> SchreierGraph:
     order = reference.orbit(act, base)
     index = {x: i for i, x in enumerate(order)}
+    rows = act.slots.tolist()
     table = tuple(
-        tuple(index[p[x]] for p in act.perms) for x in order
+        tuple(index[y] for y in rows[x]) for x in order
     )
     return SchreierGraph(gens=act.gens, next=table)
 
@@ -768,7 +769,7 @@ class TestNoTupleRows:
         support_subgroup_graph(sub, ["a", "A"])
         product_return_bound(sub, [["a", "A", None], ["b", "B"]])
         uniform_conjugate(sub)
-        assert "perms" not in vars(act) and "perms" not in vars(sub)
+        assert not hasattr(act, "perms") and not hasattr(sub, "perms")
 
 
 def _defective_perms(data, perms: list[list[int]], n: int) -> list[list[int]]:
@@ -797,9 +798,9 @@ class TestPermActionOracle:
         n = data.draw(st.integers(1, 7))
         pairs, involutions = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 1))
         act = random_action(data.draw, n, pairs, involutions)
-        perms = _defective_perms(data, [list(p) for p in act.perms], n)
+        perms = _defective_perms(data, [list(p) for p in reference.label_perms(act)], n)
         perms = tuple(map(tuple, perms))
-        got = _outcome(lambda: PermAction(act.gens, perms).perms)
+        got = _outcome(lambda: reference.label_perms(PermAction(act.gens, perms)))
         expected = _outcome(lambda: reference.check_perm_action(act.gens, perms) or perms)
         assert got == expected
 
@@ -829,28 +830,32 @@ class TestPermActionOracle:
             reference.check_perm_action(gens, perms)
             return perms
 
-        got = _outcome(lambda: PermAction.from_generator_perms(pairs, involutions).perms)
+        got = _outcome(
+            lambda: reference.label_perms(PermAction.from_generator_perms(pairs, involutions))
+        )
         expected = _outcome(build_reference)
         assert got == expected
 
 
 class TestPermAction:
-    def test_slots_is_the_table_and_perms_a_cached_view(self):
+    def test_slots_is_the_table_and_its_only_form(self):
         act = PermAction(GenSet.free(1), [(1, 2, 0), (2, 0, 1)])
         assert act.slots.tolist() == [[1, 2], [2, 0], [0, 1]]
         assert not act.slots.flags.writeable
-        assert "perms" not in vars(act)
-        assert act.perms == ((1, 2, 0), (2, 0, 1))
-        assert act.perms is act.perms
+        assert not hasattr(act, "perms")
         with pytest.raises(AttributeError):
             act.slots = None
+
+    def test_repr_names_the_size_not_the_table(self):
+        act = random_perm_action(2, 10**5, 0)
+        assert repr(act) == f"PermAction(gens={act.gens!r}, n=100000)"
 
     def test_equal_on_alphabet_and_table(self):
         act = PermAction(GenSet.free(1), ((1, 2, 0), (2, 0, 1)))
         same = PermAction.from_generator_perms([(1, 2, 0)])
         assert act == same and hash(act) == hash(same)
         assert act != PermAction.from_generator_perms([(2, 0, 1)])
-        assert act != PermAction(GenSet(("c", "C"), (1, 0)), act.perms)
+        assert act != PermAction(GenSet(("c", "C"), (1, 0)), reference.label_perms(act))
 
     @pytest.mark.parametrize("entry", [1.5, "1", 1.0, None, (0,)])
     def test_entries_that_are_not_integers_refused(self, entry):

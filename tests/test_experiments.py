@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schreier.experiments import (
@@ -39,8 +40,18 @@ def test_kesten_finite_irs_small():
     report = kesten_finite_irs(n=12, seed=3, radius=2)
     json.dumps(report)
     assert report["invariance_max_tv"] == {"num": 0, "den": 1}
-    assert report["schreier_spectral_radius"] == pytest.approx(1.0, abs=1e-9)
+    assert report["schreier_spectral_radius"] == 1.0
     assert report["strict_inequality"] is True
+
+
+def test_kesten_finite_irs_solves_no_spectrum(monkeypatch):
+    # the radius is 1 by theorem: the constants are fixed and ‖M‖ ≤ 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("kesten-finite-irs ran a dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    report = kesten_finite_irs(n=40, seed=5, radius=2)
+    assert report["schreier_spectral_radius"] == 1.0
 
 
 def test_kesten_amenable_short_horizon():

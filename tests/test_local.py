@@ -660,7 +660,7 @@ def _reference_fix_counts(act: PermAction, max_length: int) -> list[tuple[Word, 
     """The former depth-first fix counts: permutations composed along the
     word tree, then sorted into length-then-lex order."""
     d = act.gens.degree
-    perms = [np.array(p, dtype=np.int64) for p in act.perms]
+    perms = list(act.slots.T)
     idx = np.arange(act.degree, dtype=np.int64)
     out: list[tuple[Word, int]] = []
 
