@@ -10,6 +10,9 @@ A label support is read as an action of its own (``_support_action``),
 and every support question is answered from its table: no n×n averaged
 operator is formed.
 
+scipy is imported inside the functions that call it, so importing this
+module, or the package, loads none: most commands never run a solver.
+
 Lanczos picks its operator from the graph's bandwidth b in reverse
 Cuthill–McKee order: the inverse of I ∓ M from banded LU factors (I − M
 grounded at one vertex) when 2·n·(b+1) ≤ _SPLU_FILL_CAP·nnz(I − M), as
@@ -32,14 +35,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import daxpy
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from schreier.builders import (
     CoreGraph,
@@ -54,6 +52,9 @@ from schreier.core import (
     SchreierGraph,
 )
 from schreier.walks import return_counts
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DENSE_THRESHOLD",
@@ -88,6 +89,8 @@ _Operator = Callable[[np.ndarray], np.ndarray]
 def _averaging_matrix(slots: np.ndarray) -> sp.csr_matrix:
     """(1/d)·Σ_l P_l for the n×d table ``slots``: entry (x, y) is the share
     of the d columns that send x to y, multiplicity counted."""
+    import scipy.sparse as sp
+
     n, d = slots.shape
     cols = slots.ravel()
     rows = np.repeat(np.arange(n), d)
@@ -114,15 +117,20 @@ def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
     return tuple(color.tolist())
 
 
+def _refuse_dense(n: int) -> None:
+    """Refuse a dense solve on n vertices above DENSE_THRESHOLD."""
+    if n > DENSE_THRESHOLD:
+        raise ValueError(
+            f"n = {n} exceeds the dense threshold {DENSE_THRESHOLD}; "
+            "rho0() computes extreme eigenvalues iteratively"
+        )
+
+
 def markov_spectrum(g: SchreierGraph) -> np.ndarray:
     """All eigenvalues of M, ascending, by a dense solve; sizes above
     DENSE_THRESHOLD are refused.  ρ₀ alone comes from rho0(), which
     needs only the extremes and solves them iteratively."""
-    if g.n > DENSE_THRESHOLD:
-        raise ValueError(
-            f"n = {g.n} exceeds the dense threshold {DENSE_THRESHOLD}; "
-            "rho0() computes extreme eigenvalues iteratively"
-        )
+    _refuse_dense(g.n)
     evs = np.linalg.eigvalsh(markov_matrix(g).toarray())
     if abs(evs[-1] - 1.0) > 1e-9:
         raise GraphInvariantError("top eigenvalue of a stochastic operator is not 1")
@@ -173,6 +181,9 @@ def _banded_order(M: sp.csr_matrix, n: int) -> np.ndarray | None:
     """The vertices in reverse Cuthill–McKee order, or None when banded LU
     factors of I ∓ M in that order would not fit:
     2·n·(b+1) > _SPLU_FILL_CAP·nnz(I − M), with b the bandwidth."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     A = sp.identity(n, format="csr") - M
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
     banded = A[order][:, order].tocoo()
@@ -187,6 +198,9 @@ def _grounded_lu(M: sp.csr_matrix, sign: float, order: np.ndarray):
     rest.  I − M loses one vertex and I + M is only factored for
     non-bipartite M, so the matrix is positive definite: factored in that
     order without pivoting, the factors stay inside its band."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     A = sp.identity(M.shape[0], format="csr") - M.multiply(sign)
     return spla.splu(
         A[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
@@ -209,6 +223,8 @@ def _lanczos_vectors(
     when they hold them (a replay) and are appended otherwise (a first
     pass), so a replay yields the first pass's vectors bit for bit.  Ends
     when β_j ≤ 10⁻¹²·(|α_j| + β_{j−1}): the Krylov space is invariant."""
+    from scipy.linalg.blas import daxpy
+
     v_prev, j = v, 0
     while True:
         yield v
@@ -244,6 +260,9 @@ def _lanczos(
     second pass replays the recurrence to form y = V_m·s, and ‖My − λy‖/‖y‖
     is measured on M; if it misses _CONVERGED_BOUND the first pass goes
     on.  At ``cap`` steps the residual is NaN."""
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import daxpy
+
     solver = "matvec" if sign is None else f"shift-invert at {sign:+g}"
     every, tol = (20, _RESIDUAL_TOL) if sign is None else (3, _SHIFT_INVERT_TOL)
     start = _start_vector(M.shape[0])
@@ -586,17 +605,23 @@ def support_copies(
     at once, and the slots they reach must match the graph's table.  The
     points reached are then closed under the labels, so an orbit has at
     most m = graph.n points, and index·m = n makes every match an
-    isomorphism.  Other actions are refused with a ValueError.
+    isomorphism.  Other actions are refused with a ValueError, as is,
+    before any graph is built, an orbit of point 0 above DENSE_THRESHOLD,
+    whose spectrum markov_spectrum would refuse.
     """
+    from scipy.sparse.csgraph import connected_components
+
     sub = _support_action(act, support)
+    table = sub.slots
+    _, orbit = connected_components(_averaging_matrix(table), directed=False)
+    _refuse_dense(np.count_nonzero(orbit == orbit[0]))
     graph = from_perm_action(sub)
-    table, rows = sub.slots, graph.slots
+    rows = graph.slots
     m, k = rows.shape
     # each vertex's tree slot is its first in row order, which lies in the
     # layer before, so parents never decrease along the numbering
     parent, label = np.divmod(np.unique(rows, return_index=True)[1], k)
     parent[0] = -1  # the root has none
-    _, orbit = connected_components(_averaging_matrix(table), directed=False)
     roots = np.unique(orbit, return_index=True)[1]  # each orbit's first point
     points = np.empty((len(roots), m), dtype=np.int64)
     points[:, 0] = roots

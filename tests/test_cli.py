@@ -23,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from schreier import builders, cli, walks
+from schreier import builders, cli, spectral, walks
 from schreier.cli import _build_parser, run
 from schreier.core import GenSet, format_word, parse
 from schreier.experiments import EXPERIMENTS
@@ -497,6 +497,20 @@ class TestLemmaChecks:
         )["result"]
         assert (result["subgroup_order"], result["index"]) == (1, 100000)
         assert result["operator_norm"] == 1.0 and result["max_deviation"] == 0.0
+
+    def test_subgroupnorm_refuses_a_large_orbit_before_building_it(
+        self, capsys, monkeypatch
+    ):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the orbit graph was built")
+
+        monkeypatch.setattr(spectral, "from_perm_action", unbuilt)
+        argv = ["lemma-check", "subgroupnorm", "--action", "cyclic:100000", "--support", "t,T"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: n = 100000 exceeds the dense threshold 4096; "
+            "rho0() computes extreme eigenvalues iteratively\n"
+        )
 
     def test_modifiedrw_above_the_dense_threshold(self, capsys):
         result = _json_out(
