@@ -337,9 +337,8 @@ def cycle_graph(n: int) -> SchreierGraph:
     """Cycle on n vertices: one free letter t acting as +1 mod n."""
     if n < 1:
         raise ValueError("cycle needs at least one vertex")
-    gens = GenSet(("t", "T"), (1, 0))
-    table = tuple(((v + 1) % n, (v - 1) % n) for v in range(n))
-    return SchreierGraph(gens=gens, next=table)
+    act = cyclic_action(n)
+    return SchreierGraph._trusted(gens=act.gens, slots=act.slots)
 
 
 def cyclic_action(n: int) -> PermAction:

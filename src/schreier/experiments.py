@@ -143,7 +143,11 @@ def alon_boppana(
 ) -> dict:
     """ρ₀ of 4-regular random Schreier graphs against the tree value, with
     short-cycle densities alongside: the spectral floor rises toward
-    2√3/4 while the cycle densities fall off like 1/n."""
+    2√3/4 while the cycle densities fall off like 1/n.  A sweep with no
+    sizes or no seeds measures nothing, and is refused."""
+    for flag, values in (("--sizes", sizes), ("--seeds", seeds)):
+        if not values:
+            raise ValueError(f"{flag} is empty, which leaves nothing to measure")
     runs = []
     for size in sizes:
         for seed in seeds:

@@ -95,14 +95,21 @@ def _rooted_orbits(act: PermAction, points: Iterable[int]) -> tuple[SchreierGrap
 
 def uniform_conjugate(act: PermAction) -> IrsEnsemble:
     """The stabilizer of a uniformly random point of a transitive action:
-    the orbit graph rooted at each vertex, weight 1/n each."""
+    the orbit graph rooted at each vertex, weight 1/n each.  The orbit of
+    point 0 is numbered first, and an action it does not cover is refused
+    before any sample is built."""
     n = act.degree
-    samples = _rooted_orbits(act, range(n))
-    if samples[0].n != n:
+    order, table = canonical_rows(act.slots, 0)
+    if len(order) != n:
         raise ValueError("uniform conjugation needs a transitive action")
+    roots = np.empty(n, dtype=np.int64)
+    roots[order] = np.arange(n)  # point x is vertex roots[x]
     return IrsEnsemble(
         gens=act.gens,
-        samples=samples,
+        samples=tuple(
+            SchreierGraph._trusted(gens=act.gens, slots=table, root=root)
+            for root in roots.tolist()
+        ),
         weights=(Fraction(1, n),) * n,
         kind="exact",
         provenance=Provenance(f"uniform conjugate of an action on {n} points", None),

@@ -371,6 +371,20 @@ class TestNamedGraphs:
         assert g.degree == 3
         assert all(len(neighbors(g, v)) == 3 for v in range(6))
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_cycle_is_the_cyclic_action_table(self, n):
+        g = cycle_graph(n)
+        assert "next" not in g.__dict__  # no row tuple is stored
+        rows = [((v + 1) % n, (v - 1) % n) for v in range(n)]
+        assert g.slots.tolist() == [list(row) for row in rows]
+        assert g.gens == GenSet(("t", "T"), (1, 0)) and g.root == 0
+        g.validate()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_cycle_needs_a_vertex(self, n):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            cycle_graph(n)
+
 
 class TestRegularActions:
     def test_s3_regular_is_free_and_transitive(self):

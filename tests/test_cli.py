@@ -847,6 +847,14 @@ class TestDeclaredFlags:
         assert run(["experiment", "alon-boppana", "--sizes", "10,x"]) == 1
         assert "expected comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("recipe", ["alon-boppana", "ramanujan-girth"])
+    @pytest.mark.parametrize("flag", ["--sizes", "--seeds"])
+    def test_empty_sweep_exits_1(self, capsys, recipe, flag):
+        # a sweep with no sizes or no seeds measures nothing
+        assert run(["experiment", recipe, flag, ""]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {flag} is empty, which leaves nothing to measure\n")
+
 
 # every path that picks a branch: each command, and each check and recipe
 BRANCHES = [

@@ -86,6 +86,12 @@ def test_alon_boppana_toy_sweep():
     assert len(summary["density_medians"]) == 4
 
 
+@pytest.mark.parametrize("sizes, seeds, flag", [((), (1,), "--sizes"), ((100,), (), "--seeds")])
+def test_alon_boppana_refuses_an_empty_sweep(sizes, seeds, flag):
+    with pytest.raises(ValueError, match=f"^{flag} is empty"):
+        alon_boppana(sizes=sizes, seeds=seeds)
+
+
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not strict JSON")
 

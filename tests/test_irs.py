@@ -26,11 +26,13 @@ from schreier.core import (
     GenSet,
     InsufficientRadiusError,
     PermAction,
+    SchreierGraph,
     canonicalize,
     parse_word,
     serialize,
 )
 from schreier import irs
+from schreier.cli import run
 from schreier.irs import (
     IrsEnsemble,
     Provenance,
@@ -121,6 +123,24 @@ class TestUniformConjugate:
         fixes_everything = PermAction.from_generator_perms([(0, 1)], pair_names=("a",))
         with pytest.raises(ValueError, match="transitive"):
             uniform_conjugate(fixes_everything)
+
+    def test_refused_before_any_sample_is_built(self, monkeypatch, capsys):
+        built, searched = [], []
+        trusted, rows = SchreierGraph._trusted, irs.canonical_rows
+        monkeypatch.setattr(
+            SchreierGraph, "_trusted", lambda **fields: built.append(1) or trusted(**fields)
+        )
+        monkeypatch.setattr(
+            irs, "canonical_rows", lambda *a: searched.append(1) or rows(*a)
+        )
+        # one random permutation of 2000 points: many cycles, so many orbits
+        assert run(["irs-sample", "--exact", "--action", "randperm:m=1,n=2000,seed=0"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: uniform conjugation needs a transitive action\n")
+        assert (built, searched) == ([], [1])
+        # a transitive action is searched once, then viewed from every root
+        assert len(uniform_conjugate(cyclic_action(7)).samples) == 7
+        assert (len(built), searched) == (7, [1, 1])
 
     def test_matches_ball_statistics_exactly(self):
         act = restrict_to_orbit(random_perm_action(2, 50, seed=3))

@@ -28,6 +28,7 @@ from schreier.builders import (
     s3_regular,
     stallings_core,
     tree_ball,
+    tree_core,
     z6_regular,
 )
 from schreier.core import (
@@ -53,6 +54,7 @@ from schreier.spectral import (
     support_subgroup_graph,
     tree_rho,
 )
+from schreier.walks import return_counts
 
 F2 = GenSet.free(2)
 
@@ -433,9 +435,6 @@ class TestEstimateRhoReturns:
 
     def test_covering_inequality(self):
         # a Schreier graph returns at least as often as its Cayley cover
-        tree_counts = None
-        from schreier.walks import return_counts
-
         tree_counts = return_counts(free_core(2), 0, 24)
         for words in (["a"], ["a^2", "b"], ["aba^-1"], ["a", "b^3"]):
             core = stallings_core(F2, [parse_word(F2, w) for w in words])
@@ -450,8 +449,9 @@ class TestEstimateRhoReturns:
 
 
 class TestMonotonicityRecheck:
-    """The float filter only passes pairs it can prove; every other pair
-    goes to the exact comparison c_{k+1}^k ≥ c_k^{k+1}."""
+    """One exact test certifies the bound: the even return counts, c_0 = 1
+    included, must be log-convex, c_k² ≤ c_{k−1}·c_{k+1}, which makes
+    c_{k+1}^k ≥ c_k^{k+1} on every pair."""
 
     def test_gap_below_float_resolution_is_caught_exactly(self, monkeypatch):
         p2 = 2**400 + 1
@@ -460,7 +460,7 @@ class TestMonotonicityRecheck:
         monkeypatch.setattr(
             spectral, "return_counts", lambda source, x, horizon: (1, 0, p2, 0, p4)
         )
-        with pytest.raises(InequalityViolation, match="between 2n = 2 and 4"):
+        with pytest.raises(InequalityViolation, match="at 2n = 2$"):
             estimate_rho_returns(free_core(2), 4)
 
     def test_constant_sequence_passes(self):
@@ -478,17 +478,55 @@ class TestMonotonicityRecheck:
         counts = [1]
         for c in evens:
             counts += [0, c]
-        violated = any(
-            evens[k] ** k < evens[k - 1] ** (k + 1) for k in range(1, len(evens))
-        )
+        c = [1, *evens]
+        convexity = [k for k in range(1, len(evens)) if c[k] ** 2 > c[k - 1] * c[k + 1]]
+        monotonicity = [
+            k for k in range(1, len(evens)) if evens[k] ** k < evens[k - 1] ** (k + 1)
+        ]
+        assert convexity or not monotonicity  # the check only got stronger
         with mock.patch.object(
             spectral, "return_counts", lambda source, x, horizon: tuple(counts)
         ):
-            if violated:
-                with pytest.raises(InequalityViolation):
+            if convexity:
+                with pytest.raises(
+                    InequalityViolation, match=f"at 2n = {2 * convexity[0]}$"
+                ):
                     estimate_rho_returns(free_core(2), 2 * len(evens))
             else:
                 estimate_rho_returns(free_core(2), 2 * len(evens))
+
+
+class TestLogConvexity:
+    """Genuine return counts are log-convex, c_k² ≤ c_{k−1}·c_{k+1} with
+    c_0 = 1, on cores, finite graphs and the tree at every horizon."""
+
+    @staticmethod
+    def assert_log_convex(source, horizon: int) -> None:
+        g = source.graph if isinstance(source, builders.CoreGraph) else source
+        c = return_counts(source, g.root, horizon)[::2]
+        assert c[0] == 1
+        assert all(c[k] ** 2 <= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
+        estimate_rho_returns(source, horizon)
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_folded_cores(self, data, rank, half):
+        words = data.draw(reference.folded_words(rank))
+        self.assert_log_convex(stallings_core(GenSet.free(rank), words), 2 * half)
+
+    @given(st.integers(1, 3), st.integers(1, 200), st.integers(0, 2**16),
+           st.integers(1, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_random_perm_graphs(self, m, n, seed, half):
+        self.assert_log_convex(random_perm_model(m, n, seed), 2 * half)
+
+    @pytest.mark.parametrize("horizon", [4, 40, 200])
+    def test_lps_5_13(self, horizon):
+        self.assert_log_convex(lps_graph(5, 13), horizon)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_tree_cores(self, d):
+        self.assert_log_convex(tree_core(d), 200)
 
 
 class TestTreeRho:
