@@ -343,8 +343,8 @@ class SchreierGraph:
         defect in (v, l) row-major order is reported, a row of the wrong
         length before its slots: an interior vertex's missing slot, a
         target that is not a vertex (a negative int included), a broken
-        inverse pair.  Connectivity is read off ``root_distances``, a
-        level-synchronous search over the slot array.
+        inverse pair.  Connectivity is read off ``root_depths``, one
+        search over the slot array.
         """
         n, d, labels = self.n, self.gens.degree, self.gens.labels
         if n == 0:
@@ -389,15 +389,25 @@ class SchreierGraph:
         slots.flags.writeable = False
         self.__dict__["slots"] = slots
         # paired slots make the search over defined slots an undirected one
-        if -1 in self.root_distances:
-            v = self.root_distances.index(-1)
-            raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
+        unreached = np.flatnonzero(self.root_depths[:-1] < 0)
+        if unreached.size:
+            raise GraphInvariantError(
+                f"graph not connected from root: vertex {unreached[0]} unreachable"
+            )
+
+    @cached_property
+    def root_depths(self) -> np.ndarray:
+        """Distance from the root to every vertex, −1 if unreachable, as a
+        read-only int64 array of n + 1 entries whose last, −1, is what a
+        missing slot reads: ``layer_depths`` of one search from the root."""
+        depth = layer_depths(self.n, *bfs_layers(self.slots, self.root))
+        depth.flags.writeable = False
+        return depth
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
         """Distance from the root to every vertex, −1 if unreachable."""
-        depth = layer_depths(self.n, *bfs_layers(self.slots, self.root))
-        return tuple(depth[:-1].tolist())
+        return tuple(self.root_depths[:-1].tolist())
 
 
 def _number_table(
@@ -431,6 +441,9 @@ def _number_table(
     return np.array(rows, dtype=float).reshape(n, width), ragged, None
 
 
+_NARROW = 64  # slots a layer may hold for ``bfs_layers`` to step it in Python
+
+
 def bfs_layers(
     slots: np.ndarray, start: int, radius: int | None = None
 ) -> tuple[np.ndarray, list[int]]:
@@ -440,31 +453,67 @@ def bfs_layers(
     last nonempty layer if None).  Radius −1 gives ``([start], [])``.
 
     One layer per step: a layer's targets in (parent, label) order, the
-    first occurrence of each one not yet seen kept in that order
-    (``dict.fromkeys``).  It is the one search over stored tables: canonical
-    rows, root distances, the walk streams' reach and the truncation guards
-    read it.  Two searches stay apart: ``group_closure`` searches group
-    elements, which no table stores, and ``cycles.girth`` needs parents and
-    stops at the first cycle.  ``complete_ball`` and ``lps_graph`` build
-    their tables in the same layers.
+    first occurrence of each one not yet seen kept in that order.  Each
+    step is chosen by the layer's size, so a layer costs its own size.  A
+    layer of at most ``_NARROW`` slots is stepped in Python over a
+    ``bytearray`` of marks, with no numpy call; a wider one gathers its
+    targets and keeps the first occurrence of each unseen one through
+    ``np.minimum.at`` of positions, whose result is defined for repeated
+    indices (a plain fancy assignment leaves the winner to numpy).  The
+    search stops at its first empty layer, and a radius beyond it repeats
+    the last end.
+
+    It is the one search over stored tables: canonical rows, root
+    distances, the walk streams' reach and the truncation guards read it.
+    Two searches stay apart: ``group_closure`` searches group elements,
+    which no table stores, and ``cycles.girth`` needs parents and stops at
+    the first cycle.  ``complete_ball`` and ``lps_graph`` build their
+    tables in the same layers.
     """
-    n = len(slots)
+    n, d = slots.shape
     if not 0 <= start < n:
         raise ValueError(f"vertex {start} is not a vertex of the graph (0..{n - 1})")
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[[start, n]] = True  # a missing slot (−1) reads seen[n]
-    layers, ends = [np.array([start])], [1]
-    last = n - 1 if radius is None else radius  # no vertex lies farther than n − 1
-    while len(ends) <= last:
-        hits = slots[layers[-1]].ravel()
-        hits = hits[~seen[hits]]
-        if not hits.size and radius is None:
+    marks = bytearray(n + 1)  # a missing slot (−1) reads the mark at n
+    marks[start] = marks[n] = 1
+    row = memoryview(slots.ravel())  # Python ints, no copy of a C-ordered table
+    seen = first = None  # numpy views of the marks, and a wide layer's first positions
+    # the order listed: ``parts``, then the layers stepped in Python since
+    parts, stepped = [], [start]
+    layer, ends = [start], [1]
+    while radius is None or len(ends) <= radius:
+        if len(layer) * d <= _NARROW:
+            if not isinstance(layer, list):
+                layer = layer.tolist()
+            fresh = []
+            for v in layer:
+                for w in row[v * d : v * d + d]:
+                    if not marks[w]:
+                        marks[w] = 1
+                        fresh.append(w)
+            stepped += fresh
+        else:
+            if seen is None:
+                seen, first = np.frombuffer(marks, dtype=bool), np.empty(n, dtype=np.int64)
+            hits = slots.take(layer, 0).ravel()
+            hits = np.compress(~seen[hits], hits)  # hits[mask] is slower on a random mask
+            at = np.arange(len(hits))
+            first[hits] = len(hits)
+            np.minimum.at(first, hits, at)
+            fresh = np.compress(first[hits] == at, hits)
+            seen[fresh] = True
+            parts += [np.array(stepped, dtype=np.int64), fresh]
+            stepped = []
+        if not len(fresh):
             break
-        fresh = np.fromiter(dict.fromkeys(hits.tolist()), dtype=np.int64)
-        seen[fresh] = True
-        layers.append(fresh)
+        layer = fresh
         ends.append(ends[-1] + len(fresh))
-    return np.concatenate(layers), ends[: last + 1]
+    order = np.array(stepped, dtype=np.int64)
+    if parts:
+        order = np.concatenate([*parts, order])
+    if radius is None:
+        return order, ends
+    ends += ends[-1:] * (radius + 1 - len(ends))
+    return order, ends[: radius + 1]
 
 
 def layer_depths(n: int, order: np.ndarray, ends: list[int]) -> np.ndarray:

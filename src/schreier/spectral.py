@@ -18,13 +18,15 @@ Cuthill–McKee order: the inverse of I ∓ M from banded LU factors (I − M
 grounded at one vertex) when 2·n·(b+1) ≤ _SPLU_FILL_CAP·nnz(I − M), as
 on cycles and tori with their small spectral gaps; else M itself through
 matrix-vector products (expanders), which also takes over a shift-invert
-run that fails.  A bipartite M has D·M·D = −M for D the diagonal of the
-2-coloring sign vector, so the sign vector certifies λ = −1, λ_min off
-{1, −1} is −λ_max, and only the top end is solved.  Both operators run
-one plain Lanczos recurrence that stores no basis (see _lanczos).  Every
-``error_bound`` is a residual ‖My − θy‖/‖y‖ measured on M itself for the
-Ritz pairs returned and the sign vector of a bipartite M, which bounds
-the eigenvalue error for symmetric M.
+run that fails.  The root's eccentricity bounds b from below first
+(``_band_too_wide``), so an expander that bound already rules out builds
+no I − M, RCM order or permuted copy.  A bipartite M has D·M·D = −M for
+D the diagonal of the 2-coloring sign vector, so the sign vector
+certifies λ = −1, λ_min off {1, −1} is −λ_max, and only the top end is
+solved.  Both operators run one plain Lanczos recurrence that stores no
+basis (see _lanczos).  Every ``error_bound`` is a residual ‖My − θy‖/‖y‖
+measured on M itself for the Ritz pairs returned and the sign vector of a
+bipartite M, which bounds the eigenvalue error for symmetric M.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def bipartition(g: SchreierGraph) -> tuple[int, ...] | None:
     walk exists.  (For cores the coloring extends to the hanging trees, so
     the answer is about the full graph the core describes.)  A connected
     graph has at most one with the root at 0: root-distance parity."""
-    color = np.array(g.root_distances) & 1
+    color = g.root_depths[:-1] & 1
     slots = g.slots
     if (color[slots] == color[:, None])[slots >= 0].any():
         return None
@@ -175,6 +177,17 @@ class SpectralReport:
 # ---------------------------------------------------------------------------
 # Iterative extreme-eigenvalue machinery
 # ---------------------------------------------------------------------------
+
+
+def _band_too_wide(n: int, d: int, eccentricity: int) -> bool:
+    """Whether the search from the root already rules out banded LU on a
+    connected graph of degree d whose root has this eccentricity: a path of
+    at most 2·eccentricity edges joins the first and last vertex of any
+    order, so every order has bandwidth b ≥ ⌈(n − 1)/(2·eccentricity)⌉,
+    and nnz(I − M) ≤ n·(d + 1); ``_banded_order`` refuses whenever
+    2·(b + 1) > _SPLU_FILL_CAP·(d + 1)."""
+    floor = -(-(n - 1) // (2 * eccentricity))
+    return 2 * (floor + 1) > _SPLU_FILL_CAP * (d + 1)
 
 
 def _banded_order(M: sp.csr_matrix, n: int) -> np.ndarray | None:
@@ -328,11 +341,12 @@ def _shift_invert_extreme(
 
 
 def _iterative_extremes(
-    M: sp.csr_matrix, n: int, colors: tuple[int, ...] | None
+    M: sp.csr_matrix, n: int, colors: tuple[int, ...] | None, banded: bool
 ) -> tuple[float, float, float]:
     """(λ_min, λ_max, residual) on the zero-sum subspace.  Given a
-    2-coloring, only λ_max is solved; the sign vector certifies λ_min = −1."""
-    order = _banded_order(M, n)
+    2-coloring, only λ_max is solved; the sign vector certifies λ_min = −1.
+    With ``banded`` false no banded order is tried: matvec Lanczos alone."""
+    order = _banded_order(M, n) if banded else None
     res = math.nan
     if order is not None:
         try:
@@ -382,7 +396,8 @@ def rho0(g: SchreierGraph) -> SpectralReport:
             d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip, method="iterative",
             error_bound=0.0, rho0_strict=0.0,
         )
-    lo, hi, res = _iterative_extremes(markov_matrix(g), n, colors)
+    banded = not _band_too_wide(n, d, int(g.root_depths.max()))
+    lo, hi, res = _iterative_extremes(markov_matrix(g), n, colors, banded)
     value = max(abs(lo), abs(hi))
     strict = abs(hi) if bip else value
     return SpectralReport(

@@ -168,6 +168,22 @@ class TestSchreierGraph:
         with pytest.raises(GraphInvariantError, match="not connected"):
             SchreierGraph(gens=gens, next=table)
 
+    def test_connectivity_names_the_first_unreached_vertex(self):
+        gens = GenSet.free(1)
+        table = ((0, 0), (2, 2), (1, 1), (3, 3))
+        with pytest.raises(GraphInvariantError, match="vertex 1 unreachable"):
+            SchreierGraph(gens=gens, next=table)
+
+    @pytest.mark.parametrize("build", [lambda: random_perm_model(2, 300, 0), lambda: cycle(7)])
+    def test_one_cached_depth_array(self, build):
+        # validate, bipartition and root_distances read one search's depths
+        g = build()
+        depths = g.root_depths
+        assert g.root_depths is depths and not depths.flags.writeable
+        assert depths.dtype == np.int64 and depths.shape == (g.n + 1,) and depths[-1] == -1
+        assert g.root_distances == tuple(depths[:-1].tolist())
+        assert g.root_distances == reference.bfs_distances(g, g.root)
+
     def test_boundary_allows_missing_slots(self):
         gens = GenSet.free(1)
         # path 0-1-2 with a acting as +1, truncated at both ends
@@ -335,6 +351,68 @@ class TestBfsLayers:
         keys = [met[w] for w in order[1:]]
         assert keys == sorted(keys)
         assert canonical_rows(g.slots, x, radius)[0].tolist() == order
+
+    @staticmethod
+    def wide_graph(data) -> SchreierGraph:
+        """A permutation model of up to 2000 vertices or a complete ball of
+        radius 5–6: graphs whose layers outgrow the Python step."""
+        if data.draw(st.booleans(), label="model"):
+            m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2000))
+            return random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        rank = data.draw(st.integers(1, 2), label="rank")
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        return complete_ball(core, data.draw(st.integers(5, 6), label="ball radius"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wide_layers_and_radii_past_the_last(self, data):
+        """Wide layers, and radii up to three times the start's
+        eccentricity: the order and ends of the reference, and a radius past
+        the last layer repeats the last end up to radius + 1 entries."""
+        g = self.wide_graph(data)
+        x = data.draw(st.integers(0, g.n - 1), label="start")
+        eccentricity = max(reference.bfs_distances(g, x))
+        radius = data.draw(st.none() | st.integers(0, 3 * eccentricity + 3), label="radius")
+        order, ends = bfs_layers(g.slots, x, radius)
+        assert (order.tolist(), ends) == reference.row_layers(g.next, x, radius)
+        assert len(ends) == (eccentricity + 1 if radius is None else radius + 1)
+        assert ends[eccentricity:] == [g.n] * (len(ends) - eccentricity)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), narrow=st.sampled_from(["never", "always"]))
+    def test_either_step_gives_the_same_layers(self, data, narrow):
+        """Every layer stepped in numpy, or every one in Python: the same
+        ``(order, ends)`` as the chosen steps and as the reference."""
+        kind = data.draw(st.sampled_from(["wide", "model", "core"]), label="kind")
+        if kind == "wide":
+            g = self.wide_graph(data)
+        elif kind == "model":
+            m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
+            g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        else:
+            rank = data.draw(st.integers(1, 2), label="rank")
+            g = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank))).graph
+        x = data.draw(st.integers(0, g.n - 1), label="start")
+        radius = data.draw(st.none() | st.integers(-1, 12), label="radius")
+        chosen = bfs_layers(g.slots, x, radius)
+        size = 0 if narrow == "never" else g.n * g.degree
+        with mock.patch.object(core, "_NARROW", size):
+            forced = bfs_layers(g.slots, x, radius)
+        assert (forced[0].tolist(), forced[1]) == (chosen[0].tolist(), chosen[1])
+        assert (forced[0].tolist(), forced[1]) == reference.row_layers(g.next, x, radius)
+
+    @pytest.mark.parametrize("narrow", [0, 64])
+    def test_even_cycle_meets_its_antipode_once(self, narrow):
+        # both halves of C_2k reach k in the last layer, which lists it once
+        g = cycle_graph(10)
+        with mock.patch.object(core, "_NARROW", narrow):
+            order, ends = bfs_layers(g.slots, 0, 8)
+        assert order.tolist() == [0, 1, 9, 2, 8, 3, 7, 4, 6, 5]
+        assert ends == [1, 3, 5, 7, 9, 10, 10, 10, 10]
+
+    def test_one_vertex_core_at_a_deep_radius(self):
+        order, ends = bfs_layers(tree_core(4).graph.slots, 0, 200)
+        assert (order.tolist(), ends) == ([0], [1] * 201)
 
     @given(m=st.integers(1, 2), n=st.integers(1, 20), seed=st.integers(0, 99))
     def test_radius_minus_one_is_the_start_alone(self, m, n, seed):

@@ -330,6 +330,53 @@ class TestSolverChoice:
         assert rho0(build()).converged
         assert not factored
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_band_bound_never_skips_a_banded_graph(self, data):
+        """Wherever the root's eccentricity rules banded LU out,
+        ``_banded_order`` refuses too: on permutation models, cycles, tori
+        and LPS graphs, at the fill cap and at smaller ones, where the
+        bound comes close to the bandwidth RCM finds."""
+        kind = data.draw(st.sampled_from(["model", "cycle", "torus", "lps"]), label="kind")
+        if kind == "model":
+            m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4000))
+            g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
+        elif kind == "cycle":
+            g = cycle_graph(data.draw(st.integers(2, 4000)))
+        elif kind == "torus":
+            g = torus(data.draw(st.integers(1, 60)), data.draw(st.integers(2, 60)))
+        else:
+            g = lps_graph(*data.draw(st.sampled_from([(5, 13), (17, 13), (13, 17), (5, 17)])))
+        assume(g.n > 1)
+        cap = data.draw(st.sampled_from([1.0, 4.0, 16.0, spectral._SPLU_FILL_CAP]), label="cap")
+        with mock.patch.object(spectral, "_SPLU_FILL_CAP", cap):
+            if spectral._band_too_wide(g.n, g.degree, int(g.root_depths.max())):
+                assert spectral._banded_order(spectral.markov_matrix(g), g.n) is None
+
+    @pytest.mark.parametrize(
+        "build, searched",
+        [
+            (lambda: random_perm_model(2, 10_000, 0), False),
+            (lambda: random_perm_model(2, 2000, 0), True),
+            (lambda: lps_graph(17, 13), True),
+            (lambda: lps_graph(5, 13), True),
+            (lambda: cycle_graph(5000), True),
+        ],
+        ids=["randperm10000", "randperm2000", "LPS17_13", "LPS5_13", "C5000"],
+    )
+    def test_band_search_only_where_the_bound_allows(self, monkeypatch, build, searched):
+        calls = []
+        real = spectral._banded_order
+        monkeypatch.setattr(
+            spectral, "_banded_order", lambda M, n: calls.append(n) or real(M, n)
+        )
+        assert ramanujan_check(build()).report.converged
+        assert bool(calls) is searched
+
+    def test_bound_skips_the_largest_bench_model(self):
+        g = random_perm_model(2, 30_000, 0)
+        assert spectral._band_too_wide(g.n, g.degree, int(g.root_depths.max()))
+
 
 class TestLanczosRecurrence:
     def test_replay_satisfies_the_three_term_relation(self):
