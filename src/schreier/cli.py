@@ -194,170 +194,139 @@ def _require_least(flag: str, value: int | None, least: int) -> None:
         )
 
 
-_COMMANDS = (
-    "build", "spectrum", "rho-estimate", "ramanujan", "walks", "lemma-check",
-    "bs-stats", "ball-distance", "fix-density", "cycles", "irs-sample", "experiment",
-)
-
-
-def _build_parser(command: str | None = None, choice: str | None = None) -> _Parser:
-    """The argparse tree, or the branch that an argv's first two words name.
-
-    When ``command`` names a command only its subparser is attached, and
-    under ``lemma-check`` or ``experiment`` only the check or recipe that
-    ``choice`` names.  Any other words (a flag, an unknown command, none)
-    build the whole tree.  A branch's metavars list every choice, so its
-    help, usage and errors are the whole tree's for the argv that chose it.
-    """
-    nested = {"lemma-check": tuple(_CHECKS), "experiment": tuple(sorted(EXPERIMENTS))}
-    command = command if command in _COMMANDS else None
-    choice = choice if choice in nested.get(command, ()) else None
-
-    def subparsers(
-        p: _Parser, dest: str, names: tuple[str, ...], chosen: str | None
-    ) -> tuple[argparse._SubParsersAction, list[str]]:
-        """``p``'s subparsers action and the names of ``names`` to attach.
-        The whole tree keeps argparse's own metavar, which is the same list,
-        so that a missing choice is still reported by its ``dest``."""
-        action = p.add_subparsers(dest=dest, required=True, parser_class=_Parser,
-                                  metavar=chosen and "{%s}" % ",".join(names))
-        return action, [name for name in names if chosen in (None, name)]
-
+def _build_parser() -> _Parser:
+    """The whole argparse tree, built once at import into ``_PARSER``, so
+    that no ``run`` pays its build or leaves its objects as garbage."""
     parser = _Parser(prog="schreier", description=__doc__)
-    sub, wanted = subparsers(parser, "command", _COMMANDS, command)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, **kwargs) -> _Parser | None:
-        return sub.add_parser(name, **kwargs) if name in wanted else None
+    p = sub.add_parser("build", help="emit a graph as SGF1 text", epilog=SPEC_GRAMMAR,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("spec")
+    p.add_argument("--out")
 
-    if p := add("build", help="emit a graph as SGF1 text", epilog=SPEC_GRAMMAR,
-                formatter_class=argparse.RawDescriptionHelpFormatter):
-        p.add_argument("spec")
-        p.add_argument("--out")
+    p = sub.add_parser("spectrum", help="exact Markov-operator eigenvalues")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--out")
 
-    if p := add("spectrum", help="exact Markov-operator eigenvalues"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--out")
+    p = sub.add_parser("rho-estimate", help="certified spectral-radius lower bound "
+                       "from return counts")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--horizon", type=int, default=200)
+    p.add_argument("--out")
 
-    if p := add("rho-estimate", help="certified spectral-radius lower bound "
-                "from return counts"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--horizon", type=int, default=200)
-        p.add_argument("--out")
+    p = sub.add_parser("ramanujan", help="compare rho0 against the tree value")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--out")
 
-    if p := add("ramanujan", help="compare rho0 against the tree value"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--out")
+    p = sub.add_parser("walks", help="exact return counts at the root")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--vertex", type=int)
+    p.add_argument("--out")
 
-    if p := add("walks", help="exact return counts at the root"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--horizon", type=int, required=True)
-        p.add_argument("--vertex", type=int)
-        p.add_argument("--out")
+    p = sub.add_parser("lemma-check", help="verify one of the walk/operator/ball "
+                       "inequalities on a concrete instance")
+    checks = p.add_subparsers(dest="check", required=True, parser_class=_Parser)
+    c = {
+        name: checks.add_parser(name, help=check.__doc__, description=check.__doc__)
+        for name, check in _CHECKS.items()
+    }
+    transitive = dict(action="store_true", help="skip the vertex-transitivity "
+                      "check (truncated inputs whose full graph is transitive, "
+                      "e.g. tree balls)")
+    q = c["different"]
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--tree-degree", type=int, help="the regular tree of "
+                        "this degree, from its one-vertex core instead of a "
+                        "stored graph")
+    q.add_argument("--n", type=int, required=True,
+                   help="check every even length up to n")
+    q.add_argument("--assume-transitive", **transitive)
+    q.set_defaults(assume_transitive=None)  # read with --graph only
+    q = c["returningvsrw"]
+    q.add_argument("--graph", required=True)
+    q.add_argument("--n", type=int, required=True, help="walk length")
+    q.add_argument("--prefix-length", type=int, default=2,
+                   help="prefix length cap")
+    q.add_argument("--assume-transitive", **transitive)
+    for q in (c["triv1"], c["triv2"]):
+        q.add_argument("--group", required=True, help="F<rank>, the free group")
+        q.add_argument("--n", type=int, required=True, help="word length")
+        q.add_argument("--k", type=int, default=3,
+                       help="prefix / segment length cap")
+    q = c["modifiedrw"]
+    q.add_argument("--action", required=True)
+    supports = q.add_mutually_exclusive_group(required=True)
+    supports.add_argument("--supports", help="semicolon-separated supports "
+                          "of comma-separated labels, 'e' for identity")
+    supports.add_argument("--random", type=int, metavar="COUNT",
+                          help="number of random support sequences")
+    q.add_argument("--seed", type=int,
+                   help="seed of the --random draws (default 0)")
+    q = c["subgroupnorm"]
+    q.add_argument("--action", required=True)
+    q.add_argument("--support", required=True,
+                   help="comma-separated labels, 'e' for identity")
+    q = c["lekv"]
+    q.add_argument("--action", action="append", required=True,
+                   help="repeatable")
+    q.add_argument("--radius", type=int, default=2, help="ball radius")
+    q.add_argument("--words", help="comma-separated words (default: every "
+                   "reduced word of length at most twice the radius)")
+    q.add_argument("--restrict", action="store_true",
+                   help="restrict each action to the orbit of 0 first")
+    for q in c.values():
+        q.add_argument("--out")
 
-    if p := add("lemma-check", help="verify one of the walk/operator/ball "
-                "inequalities on a concrete instance"):
-        checks, names = subparsers(p, "check", nested["lemma-check"], choice)
-        c = {
-            name: checks.add_parser(
-                name, help=_CHECKS[name].__doc__, description=_CHECKS[name].__doc__
+    p = sub.add_parser("bs-stats", help="ball-class frequencies over all roots")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--out")
+
+    p = sub.add_parser("ball-distance", help="rooted distance 1/k for the largest "
+                       "radius k with isomorphic k-balls (1 if the 1-balls differ; "
+                       "1/max-radius with exact false if every radius agrees)")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.add_argument("--max-radius", type=int, default=32)
+    p.add_argument("--out")
+
+    p = sub.add_parser("fix-density", help="fraction of points a word fixes")
+    p.add_argument("--action", required=True)
+    p.add_argument("--word", required=True)
+    p.add_argument("--out")
+
+    p = sub.add_parser("cycles", help="girth and exact short-cycle counts")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--lmax", type=int, default=6)
+    p.add_argument("--out")
+
+    p = sub.add_parser("irs-sample", help="stabilizer ensemble of an action, with an "
+                       "invariance diagnostic")
+    p.add_argument("--action", required=True)
+    p.add_argument("--count", type=int, help="samples to draw (default 1000)")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--exact", action="store_true",
+                   help="exact uniform-conjugate ensemble instead of sampling")
+    p.add_argument("--out")
+
+    p = sub.add_parser("experiment", help="run a named experiment recipe; its "
+                       "flags are the recipe's keyword parameters")
+    recipes = p.add_subparsers(dest="name", required=True, parser_class=_Parser)
+    for name in sorted(EXPERIMENTS):
+        r = recipes.add_parser(name)
+        for param in inspect.signature(EXPERIMENTS[name]).parameters.values():
+            default = param.default
+            r.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=_parse_ints if isinstance(default, tuple) else type(default),
+                default=default,
+                help="default: %(default)s",
             )
-            for name in names
-        }
-        transitive = dict(action="store_true", help="skip the vertex-transitivity "
-                          "check (truncated inputs whose full graph is transitive, "
-                          "e.g. tree balls)")
-        if q := c.get("different"):
-            source = q.add_mutually_exclusive_group(required=True)
-            source.add_argument("--graph")
-            source.add_argument("--tree-degree", type=int, help="the regular tree of "
-                                "this degree, from its one-vertex core instead of a "
-                                "stored graph")
-            q.add_argument("--n", type=int, required=True,
-                           help="check every even length up to n")
-            q.add_argument("--assume-transitive", **transitive)
-            q.set_defaults(assume_transitive=None)  # read with --graph only
-        if q := c.get("returningvsrw"):
-            q.add_argument("--graph", required=True)
-            q.add_argument("--n", type=int, required=True, help="walk length")
-            q.add_argument("--prefix-length", type=int, default=2,
-                           help="prefix length cap")
-            q.add_argument("--assume-transitive", **transitive)
-        for q in (c[name] for name in ("triv1", "triv2") if name in c):
-            q.add_argument("--group", required=True, help="F<rank>, the free group")
-            q.add_argument("--n", type=int, required=True, help="word length")
-            q.add_argument("--k", type=int, default=3,
-                           help="prefix / segment length cap")
-        if q := c.get("modifiedrw"):
-            q.add_argument("--action", required=True)
-            supports = q.add_mutually_exclusive_group(required=True)
-            supports.add_argument("--supports", help="semicolon-separated supports "
-                                  "of comma-separated labels, 'e' for identity")
-            supports.add_argument("--random", type=int, metavar="COUNT",
-                                  help="number of random support sequences")
-            q.add_argument("--seed", type=int,
-                           help="seed of the --random draws (default 0)")
-        if q := c.get("subgroupnorm"):
-            q.add_argument("--action", required=True)
-            q.add_argument("--support", required=True,
-                           help="comma-separated labels, 'e' for identity")
-        if q := c.get("lekv"):
-            q.add_argument("--action", action="append", required=True,
-                           help="repeatable")
-            q.add_argument("--radius", type=int, default=2, help="ball radius")
-            q.add_argument("--words", help="comma-separated words (default: every "
-                           "reduced word of length at most twice the radius)")
-            q.add_argument("--restrict", action="store_true",
-                           help="restrict each action to the orbit of 0 first")
-        for q in c.values():
-            q.add_argument("--out")
-
-    if p := add("bs-stats", help="ball-class frequencies over all roots"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--radius", type=int, required=True)
-        p.add_argument("--out")
-
-    if p := add("ball-distance", help="rooted distance 1/k for the largest "
-                "radius k with isomorphic k-balls (1 if the 1-balls differ; "
-                "1/max-radius with exact false if every radius agrees)"):
-        p.add_argument("first")
-        p.add_argument("second")
-        p.add_argument("--max-radius", type=int, default=32)
-        p.add_argument("--out")
-
-    if p := add("fix-density", help="fraction of points a word fixes"):
-        p.add_argument("--action", required=True)
-        p.add_argument("--word", required=True)
-        p.add_argument("--out")
-
-    if p := add("cycles", help="girth and exact short-cycle counts"):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--lmax", type=int, default=6)
-        p.add_argument("--out")
-
-    if p := add("irs-sample", help="stabilizer ensemble of an action, with an "
-                "invariance diagnostic"):
-        p.add_argument("--action", required=True)
-        p.add_argument("--count", type=int, help="samples to draw (default 1000)")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument("--radius", type=int, default=2)
-        p.add_argument("--exact", action="store_true",
-                       help="exact uniform-conjugate ensemble instead of sampling")
-        p.add_argument("--out")
-
-    if p := add("experiment", help="run a named experiment recipe; its "
-                "flags are the recipe's keyword parameters"):
-        recipes, names = subparsers(p, "name", nested["experiment"], choice)
-        for name in names:
-            r = recipes.add_parser(name)
-            for param in inspect.signature(EXPERIMENTS[name]).parameters.values():
-                default = param.default
-                r.add_argument(
-                    "--" + param.name.replace("_", "-"),
-                    type=_parse_ints if isinstance(default, tuple) else type(default),
-                    default=default,
-                    help="default: %(default)s",
-                )
-            r.add_argument("--out")
+        r.add_argument("--out")
 
     return parser
 
@@ -602,6 +571,9 @@ _CHECKS = {
     "lekv": _check_lekv,
 }
 
+# a constant, not a memo cache: bench/jobs.py empties those before every job
+_PARSER = _build_parser()
+
 
 # ---------------------------------------------------------------------------
 # dispatch
@@ -755,7 +727,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     return 0
 
 
-def _apply_config(argv: list[str], parser) -> tuple[list[str], str | None]:
+def _apply_config(argv: list[str]) -> tuple[list[str], str | None]:
     """Splice `key = value` lines from --config FILE (or --config=FILE) in
     as flags before the explicit ones.  Explicit flags win: a file flag is
     dropped when it, or a member of its mutually exclusive group in the
@@ -772,7 +744,7 @@ def _apply_config(argv: list[str], parser) -> tuple[list[str], str | None]:
     if not path:
         raise ValueError("--config needs a file path")
     rest = argv[:at] + argv[at + 1 + (not joined) :]
-    head = 0  # walk the command words down to the command's own parser
+    parser, head = _PARSER, 0  # walk the command words down to the command's own parser
     while head < len(rest) and not rest[head].startswith("-"):
         subs = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         parser = subs[0].get(rest[head], parser) if subs else parser
@@ -800,14 +772,13 @@ def _apply_config(argv: list[str], parser) -> tuple[list[str], str | None]:
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(*argv[:2])
     try:
-        argv, config_file = _apply_config(argv, parser)
+        argv, config_file = _apply_config(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

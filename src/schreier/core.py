@@ -404,11 +404,6 @@ class SchreierGraph:
         depth.flags.writeable = False
         return depth
 
-    @cached_property
-    def root_distances(self) -> tuple[int, ...]:
-        """Distance from the root to every vertex, −1 if unreachable."""
-        return tuple(self.root_depths[:-1].tolist())
-
 
 def _number_table(
     rows: Sequence[Sequence[int | None]], width: int, missing: bool = True

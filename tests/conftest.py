@@ -4,6 +4,12 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+# one BLAS thread, as bench/run.py pins it, set before anything imports
+# numpy: a spinning BLAS thread pool makes the timed acceptance caps depend
+# on what else runs on the machine; the CLI subprocesses inherit it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 # test_walks reruns whole test classes under a smaller modulus cap by
 # subclassing them, so one @given test has an executor per class
 settings.register_profile(

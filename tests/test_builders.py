@@ -234,8 +234,9 @@ class TestCompleteBall:
     def test_distance_to_boundary_equals_radius(self):
         g = complete_ball(free_core(2), 4)
         assert boundary_layer(g, *bfs_layers(g.slots, g.root, 4)) == 4
-        assert g.root_distances == reference.bfs_distances(g, g.root)
-        assert {g.root_distances[v] for v in g.boundary} == {4}
+        distances = g.root_depths[:-1]
+        assert tuple(distances.tolist()) == reference.bfs_distances(g, g.root)
+        assert set(distances[list(g.boundary)].tolist()) == {4}
 
 
 class TestOnePassBuilders:

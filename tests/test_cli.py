@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import inspect
 import io
 import json
@@ -39,7 +40,7 @@ def _json_out(capsys, argv: list[str], expect: int = 0) -> dict:
 
 def _subparser(*path: str) -> argparse.ArgumentParser:
     """The parser of a nested subcommand, e.g. ("experiment", "alon-boppana")."""
-    return _branch(_build_parser(), *path)
+    return _branch(cli._PARSER, *path)
 
 
 def _branch(parser: argparse.ArgumentParser, *path: str) -> argparse.ArgumentParser:
@@ -762,7 +763,7 @@ class TestDeclaredFlags:
         "argv, unread", UNREAD_FLAGS, ids=[argv[1] for argv, _ in UNREAD_FLAGS]
     )
     def test_unread_flag_is_a_usage_error(self, capsys, argv, unread):
-        _build_parser().parse_args(argv)
+        cli._PARSER.parse_args(argv)
         assert run(argv + unread) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -856,56 +857,80 @@ class TestDeclaredFlags:
         assert (out, err) == ("", f"error: {flag} is empty, which leaves nothing to measure\n")
 
 
-# every path that picks a branch: each command, and each check and recipe
-BRANCHES = [
-    *((command,) for command in cli._COMMANDS),
+# every path below the root: each command, and each check and recipe
+PATHS = [
+    *((command,) for command in _choices(cli._PARSER)),
     *(("lemma-check", name) for name in cli._CHECKS),
     *(("experiment", name) for name in EXPERIMENTS),
 ]
 
 
-class TestPartialParser:
-    def test_commands_name_the_whole_tree(self):
-        assert tuple(_choices(_build_parser())) == cli._COMMANDS
-
-    @pytest.mark.parametrize("path", BRANCHES, ids=" ".join)
+class TestOneParser:
+    @pytest.mark.parametrize("path", PATHS, ids=" ".join)
     def test_branch_prints_the_whole_tree_help(self, path):
-        whole, part = _build_parser(), _build_parser(*path)
-        assert _branch(part, *path).format_help() == _branch(whole, *path).format_help()
-        for depth in range(len(path)):  # the usage lines above it list every choice
-            assert (
-                _branch(part, *path[:depth]).format_usage()
-                == _branch(whole, *path[:depth]).format_usage()
-            )
+        code, out, err = _quiet_run([*path, "--help"])
+        assert (code, err) == (0, "")
+        assert out == _branch(_build_parser(), *path).format_help()
 
-    @pytest.mark.parametrize("path", BRANCHES, ids=" ".join)
-    def test_branch_attaches_only_its_path(self, path):
-        parser = _build_parser(*path)
-        for depth, name in enumerate(path):
-            assert list(_choices(_branch(parser, *path[:depth]))) == [name]
+    def test_run_never_builds_a_parser(self, capsys):
+        argvs = [
+            ["walks", "--graph", "cycle:10", "--horizon", "6"],
+            ["lemma-check", "different", "--graph", "cycle:8", "--n", "4"],
+            ["experiment", "kesten-amenable", "--horizon", "10"],
+        ]
+        built = AssertionError("a parser was built")
+        with mock.patch.object(cli, "_build_parser", side_effect=built):
+            for argv in argvs:
+                assert run(argv) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "words, path",
+        "argv",
         [
-            ((), ()),
-            (("--help",), ()),
-            (("--config", "walks"), ()),
-            (("wlks",), ()),
-            (("lemma-check", "-h"), ("lemma-check",)),
-            (("lemma-check", "wlks"), ("lemma-check",)),
-            (("experiment", "--config"), ("experiment",)),
+            ["walks", "--graph", "cycle:10", "--horizon", "6"],
+            ["lemma-check", "different", "--graph", "cycle:8", "--n", "4"],
+            ["lemma-check", "triv2", "--group", "F2", "--n", "6"],
         ],
+        ids=["walks", "different", "triv2"],
     )
-    def test_words_that_name_no_branch_attach_every_choice(self, words, path):
-        whole = _branch(_build_parser(), *path).format_help()
-        assert _branch(_build_parser(*words), *path).format_help() == whole
+    def test_run_leaves_no_argparse_garbage(self, capsys, argv):
+        """A successful run formats no usage text, whose formatter argparse
+        leaves in a cycle of its own."""
+        run(argv)  # warm every lazy import and memo first
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run(argv)
+            gc.collect()
+            left = [type(obj) for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert [t for t in left if t.__module__ == "argparse"] == []
+
+    def test_no_state_leaks_through_the_shared_parser(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("graph = cycle:6\nlmax = 5\n")
+        argvs = [
+            ["walks", "--graph", "cycle:10", "--horizon", "6"],
+            ["spectrum"],
+            ["lemma-check", "different", "--graph", "cycle:8", "--tree-degree", "4",
+             "--n", "4"],
+            ["cycles", "--config", str(cfg)],
+            ["lemma-check", "modifiedrw", "--action", "regular:z6", "--supports", "e",
+             "--seed", "1"],
+            ["lemma-check", "--help"],
+        ]
+        forward = [_quiet_run(argv) for argv in argvs]
+        backward = [_quiet_run(argv) for argv in reversed(argvs)][::-1]
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [0, 1, 1, 0, 1, 0]
 
     def test_unknown_command_lists_every_command(self, capsys):
         assert run(["wlks"]) == 1
         err = capsys.readouterr().err
         assert "invalid choice: 'wlks'" in err
         listed = err.split("choose from", 1)[1]
-        assert all(command in listed for command in cli._COMMANDS)
+        assert all(command in listed for command in _choices(cli._PARSER))
 
 
 class TestUsageErrors:
