@@ -5,6 +5,10 @@ By default every recipe runs with its paper-scale defaults; that takes a
 few minutes (the Alon–Boppana sweep builds graphs on 10^4 vertices five
 times).  Pass recipe names to run a subset, or --quick for a cut-down
 sweep that finishes in seconds but proves nothing beyond plumbing.
+
+Each report is written as the CLI writes a result: every verdict as its
+boolean, listed with its certificate in a ``verdicts`` block, and a NaN
+or infinity refused.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from schreier.cli import plain
 from schreier.experiments import EXPERIMENTS
 
 QUICK_OVERRIDES = {
@@ -48,7 +53,10 @@ def main() -> int:
         report = EXPERIMENTS[name](**kwargs)
         elapsed = time.perf_counter() - started
         report["elapsed_seconds"] = round(elapsed, 3)
-        text = json.dumps(report, indent=2, allow_nan=False)
+        report, verdicts = plain(report, "report")
+        if verdicts:
+            report["verdicts"] = verdicts
+        text = json.dumps(report, indent=2)
         if args.out_dir:
             path = args.out_dir / f"{name}.json"
             path.write_text(text + "\n")

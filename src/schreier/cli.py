@@ -19,7 +19,6 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 from schreier.builders import (
     CoreGraph,
@@ -38,6 +37,7 @@ from schreier.core import (
     InequalityViolation,
     InsufficientRadiusError,
     SGF1Error,
+    Verdict,
     bfs_layers,
     format_word,
     layer_depths,
@@ -342,29 +342,36 @@ def _echo_config(args: argparse.Namespace, config_file: str | None) -> dict:
     return config
 
 
-def _non_finite(value, path: str = "") -> Iterator[tuple[str, float]]:
-    """(dotted path, value) of each NaN or infinity in a JSON document."""
-    if isinstance(value, float) and not math.isfinite(value):
-        yield path[1:], value
-    elif isinstance(value, (dict, list, tuple)):
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, item in items:
-            yield from _non_finite(item, f"{path}.{key}")
+def plain(value, name: str) -> tuple[object, dict[str, dict]]:
+    """``value`` as JSON data, each ``Verdict`` written as its boolean, and
+    the verdicts block: each verdict's dotted path below ``value`` mapped to
+    its value and certificate.  A NaN or infinity is refused, named by its
+    path from ``name``, since JSON cannot represent it."""
+    verdicts: dict[str, dict] = {}
+
+    def walk(value, path: str):
+        if isinstance(value, Verdict):
+            entry = {"value": value.value, "certificate": value.certificate}
+            verdicts[path.partition(".")[2]] = entry
+            return value.value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path} is {value}, which JSON cannot represent")
+        if isinstance(value, dict):
+            return {key: walk(item, f"{path}.{key}") for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [walk(item, f"{path}.{i}") for i, item in enumerate(value)]
+        return value
+
+    return walk(value, name), verdicts
 
 
 def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> None:
-    doc = {
-        "schema": 1,
-        "command": args.command,
-        "config": _echo_config(args, config_file),
-        "result": result,
-    }
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        path, value = next(_non_finite(doc))
-        raise ValueError(f"{path} is {value}, which JSON cannot represent") from None
-    _write_out(text + "\n", getattr(args, "out", None))
+    config, _ = plain(_echo_config(args, config_file), "config")
+    result, verdicts = plain(result, "result")
+    doc = {"schema": 1, "command": args.command, "config": config, "result": result}
+    if verdicts:
+        doc["verdicts"] = verdicts
+    _write_out(json.dumps(doc, indent=2) + "\n", getattr(args, "out", None))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -422,7 +429,7 @@ def _check_different(args) -> dict:
         }
         for r in reports
     ]
-    return {"source": label, "rows": rows, "holds": True}
+    return {"source": label, "rows": rows, "holds": Verdict(True, "exact")}
 
 
 def _check_returningvsrw(args) -> dict:
@@ -434,7 +441,7 @@ def _check_returningvsrw(args) -> dict:
         g, g.root, args.n, args.prefix_length,
         vertex_transitive=True if args.assume_transitive else None,
     )
-    return {"n": args.n, "rows": _prefix_rows(g.gens, rows), "holds": True}
+    return {"n": args.n, "rows": _prefix_rows(g.gens, rows), "holds": Verdict(True, "exact")}
 
 
 def _check_triv1(args) -> dict:
@@ -452,7 +459,7 @@ def _check_triv1(args) -> dict:
         "word_count": total,
         "prefix_length_max": kmax,
         "rows": _prefix_rows(g.gens, rows),
-        "holds": True,
+        "holds": Verdict(True, "exact"),
     }
 
 
@@ -475,7 +482,7 @@ def _check_triv2(args) -> dict:
         "segment_length_max": kmax,
         "segment_classes": {k: len(by_shift[0]) for k, by_shift in laws.items()},
         "shifts_checked": args.n - 1,
-        "identical": True,
+        "identical": Verdict(True, "exact"),
     }
 
 
@@ -507,7 +514,7 @@ def _check_modifiedrw(args) -> dict:
                 "bound": _sig(bound.bound),
             }
         )
-    return {"action": args.action, "sequences": rows, "holds": True}
+    return {"action": args.action, "sequences": rows, "holds": Verdict(True, "theorem")}
 
 
 def _check_subgroupnorm(args) -> dict:
@@ -525,7 +532,7 @@ def _check_subgroupnorm(args) -> dict:
         "index": index,
         "subgroup_spectrum": [_sig(x) for x in sub_spectrum],
         "max_deviation": 0.0,
-        "copies_verified": True,
+        "copies_verified": Verdict(True, "exact"),
     }
 
 
@@ -558,7 +565,7 @@ def _check_lekv(args) -> dict:
                 for w, d in report.densities
             ]
         rows.append(row)
-    return {"radius": args.radius, "rows": rows, "holds": True}
+    return {"radius": args.radius, "rows": rows, "holds": Verdict(True, "exact")}
 
 
 _CHECKS = {
@@ -619,7 +626,10 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "strict": verdict.ramanujan_strict,
             "equality": verdict.equality,
             "method": verdict.report.method,
-            "error_bound": _sig(verdict.report.error_bound),
+            # an unconverged solve bounds nothing; its verdicts are undecided
+            "error_bound": _sig(verdict.report.error_bound)
+            if verdict.report.converged
+            else None,
             "converged": verdict.report.converged,
         }
     elif args.command == "walks":
@@ -794,7 +804,8 @@ def run(argv: list[str] | None = None) -> int:
         InsufficientRadiusError,
         OSError,
     ) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        # a string, not the exception: its traceback would hold this frame
+        reason = str(exc.args[0] if isinstance(exc, KeyError) and exc.args else exc)
         print(f"error: {reason}", file=sys.stderr)
         return 1
 

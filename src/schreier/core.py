@@ -62,6 +62,30 @@ class InequalityViolation(AssertionError):
     """
 
 
+# How a verdict is reached: by an integer or rational re-check that raises
+# otherwise (exact); on every input, by the argument its check names
+# (theorem); by a converged Lanczos solve within its measured residual,
+# rigorous only when it refutes (lanczos-residual); by a float comparison
+# that proves nothing (heuristic); or not at all (undecided).
+CERTIFICATES = ("exact", "theorem", "lanczos-residual", "heuristic", "undecided")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The answer of one check and the certificate that says how it was
+    reached: a bool, or None exactly when the certificate is ``undecided``."""
+
+    value: bool | None
+    certificate: str
+
+    def __post_init__(self) -> None:
+        if self.certificate not in CERTIFICATES:
+            raise ValueError(f"unknown certificate {self.certificate!r}")
+        expected = type(None) if self.certificate == "undecided" else bool
+        if type(self.value) is not expected:
+            raise ValueError(f"a {self.certificate} verdict is not {self.value!r}")
+
+
 class _Boundary:
     """Sentinel for walk endpoints that leave the stored part of a graph."""
 
@@ -116,9 +140,6 @@ class GenSet:
     @property
     def degree(self) -> int:
         return len(self.labels)
-
-    def is_involution(self, label: int) -> bool:
-        return self.inv[label] == label
 
     def index(self, name: str) -> int:
         try:
@@ -911,9 +932,6 @@ class PermAction:
         for letter in word.letters:
             images = self.slots[images, letter]
         return images
-
-    def word_permutation(self, word: Word) -> tuple[int, ...]:
-        return tuple(self.word_images(word).tolist())
 
     @classmethod
     def from_generator_perms(

@@ -44,8 +44,6 @@ __all__ = [
     "cycle_counts",
     "CycleProfile",
     "cycle_profile",
-    "GirthProfileTable",
-    "essential_girth_profile",
 ]
 
 LMAX = 12
@@ -207,48 +205,3 @@ def cycle_profile(
         densities=tuple(Fraction(c, g.n) for c in counts),
         method="transitive-sweep" if transitive else "sweep",
     )
-
-
-@dataclass(frozen=True)
-class GirthProfileTable:
-    """Cycle densities along a graph sequence, with a per-length trend.
-
-    ``essentially_large`` records whether every density column is zero or
-    heading toward zero — a reported trend, not a proven limit.
-    """
-
-    lmax: int
-    rows: tuple[CycleProfile, ...]
-    trends: tuple[str, ...]
-
-    @property
-    def essentially_large(self) -> bool:
-        return all(t in ("zero", "toward-zero") for t in self.trends)
-
-
-def _trend(values: Sequence[Fraction]) -> str:
-    if all(v == 0 for v in values):
-        return "zero"
-    if len(values) > 1 and values[-1] < values[0] and all(
-        a >= b for a, b in zip(values, values[1:])
-    ):
-        return "toward-zero"
-    if min(values) == max(values):
-        return "flat"
-    return "mixed"
-
-
-def essential_girth_profile(
-    graphs: Sequence[SchreierGraph | CoreGraph],
-    lmax: int,
-    labels: Sequence[str] | None = None,
-) -> GirthProfileTable:
-    if labels is None:
-        labels = [f"graph {i}" for i in range(len(graphs))]
-    rows = tuple(
-        cycle_profile(g, lmax, label=lab) for g, lab in zip(graphs, labels)
-    )
-    trends = tuple(
-        _trend([row.densities[i] for row in rows]) for i in range(lmax)
-    )
-    return GirthProfileTable(lmax=lmax, rows=rows, trends=trends)

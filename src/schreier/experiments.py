@@ -1,4 +1,4 @@
-"""Named experiment recipes, each returning a JSON-ready report dict.
+"""Named experiment recipes, each returning a report dict.
 
 These are the desk-scale versions of the phenomena the library is built
 around: spectral-radius agreement between a Cayley graph and the
@@ -6,7 +6,10 @@ Schreier graph of an amenable subgroup, its failure scale for a
 nonamenable subgroup, the strict inequality for finite-index actions,
 the asymptotic lower bound for ρ₀ along random regular sequences, and
 Ramanujan verification next to short-cycle densities.  Reports embed
-the exact configuration that produced them.
+the exact configuration that produced them.  Each verdict in a report is
+a ``Verdict``, its answer with the certificate that says how it was
+reached; the CLI's walk (``cli.plain``) writes it as its boolean and
+lists it in the document's ``verdicts`` block.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from schreier.builders import (
     restrict_to_orbit,
     stallings_core,
 )
-from schreier.core import GenSet, parse_word
+from schreier.core import GenSet, Verdict, parse_word
 from schreier.cycles import cycle_counts
 from schreier.irs import invariance_diagnostic, uniform_conjugate
 from schreier.spectral import (
@@ -84,7 +87,9 @@ def kesten_amenable(horizon: int = 200) -> dict:
         "config": {"horizon": horizon, "subgroup": "one free letter of rank 2"},
         **fields,
         "limit_value": _sig(tree_rho(4)),
-        "both_below_limit": schreier < tree_rho(4) and cayley < tree_rho(4),
+        "both_below_limit": Verdict(
+            schreier < tree_rho(4) and cayley < tree_rho(4), "heuristic"
+        ),
     }
 
 
@@ -104,7 +109,7 @@ def kesten_finite_irs(n: int = 20, seed: int = 3, radius: int = 2) -> dict:
         "invariance_max_tv": _frac(diag.max_tv),
         "schreier_spectral_radius": 1.0,
         "cayley_spectral_radius": _sig(tree_rho(4)),
-        "strict_inequality": 1.0 > tree_rho(4),
+        "strict_inequality": Verdict(True, "theorem"),
     }
 
 
@@ -131,8 +136,10 @@ def nonamenable_subgroup_counterexample(
         "config": {"horizon": horizon, "tolerance": tolerance, "rank": rank},
         **fields,
         "limit_value": _sig(limit),
-        "estimates_within_tolerance": abs(schreier - cayley) <= tolerance,
-        "bound_state_detected": schreier > limit + 1e-12,
+        "estimates_within_tolerance": Verdict(
+            abs(schreier - cayley) <= tolerance, "heuristic"
+        ),
+        "bound_state_detected": Verdict(schreier > limit + 1e-12, "heuristic"),
     }
 
 
@@ -205,7 +212,9 @@ def ramanujan_girth(
                 "size": row["size"],
                 "rho0_median": row["rho0_median"],
                 "threshold": _sig(tree_rho(4)),
-                "median_within_threshold": row["rho0_median"] <= tree_rho(4),
+                "median_within_threshold": Verdict(
+                    row["rho0_median"] <= tree_rho(4), "heuristic"
+                ),
                 "density_medians": row["density_medians"],
             }
         )

@@ -52,6 +52,7 @@ from schreier.core import (
     InequalityViolation,
     PermAction,
     SchreierGraph,
+    Verdict,
 )
 from schreier.walks import return_counts
 
@@ -505,32 +506,33 @@ class RamanujanVerdict:
     ``ramanujan_strict`` discards the forced −1 of bipartite inputs.
     Both comparisons carry the solver's error bound, and ``equality``
     flags verdicts decided at the threshold itself (e.g. cycles, where
-    ρ₀ = ρ(T₂) = 1 exactly).  All three are None (undecided) when the
-    solver did not converge.
+    ρ₀ = ρ(T₂) = 1 exactly).  All three come from one solve, certified
+    ``lanczos-residual`` when it converged, else ``undecided`` with value
+    None.
     """
 
     degree: int
     threshold: float
-    ramanujan: bool | None
-    ramanujan_strict: bool | None
-    equality: bool | None
+    ramanujan: Verdict
+    ramanujan_strict: Verdict
+    equality: Verdict
     report: SpectralReport
 
 
 def ramanujan_check(g: SchreierGraph) -> RamanujanVerdict:
     report = rho0(g)
     threshold = tree_rho(g.degree)
-    if not report.converged:
-        return RamanujanVerdict(g.degree, threshold, None, None, None, report)
     slack = report.error_bound + 1e-12
-    return RamanujanVerdict(
-        degree=g.degree,
-        threshold=threshold,
-        ramanujan=bool(report.rho0 <= threshold + slack),
-        ramanujan_strict=bool(report.rho0_strict <= threshold + slack),
-        equality=bool(abs(report.rho0 - threshold) <= max(report.error_bound, 1e-9)),
-        report=report,
+    holds = (
+        report.rho0 <= threshold + slack,
+        report.rho0_strict <= threshold + slack,
+        abs(report.rho0 - threshold) <= max(report.error_bound, 1e-9),
     )
+    if report.converged:
+        verdicts = [Verdict(bool(h), "lanczos-residual") for h in holds]
+    else:
+        verdicts = [Verdict(None, "undecided")] * 3
+    return RamanujanVerdict(g.degree, threshold, *verdicts, report)
 
 
 # ---------------------------------------------------------------------------

@@ -880,7 +880,7 @@ def support_subgroup_graph(act: PermAction, support, base: int = 0) -> SchreierG
     for i, entry in enumerate(entries):
         if paired[i] is not None:
             continue
-        if entry is None or act.gens.is_involution(entry):
+        if entry is None or act.gens.inv[entry] == entry:
             stem = "e" if entry is None else act.gens.labels[entry]
             names.append(fresh(stem))
             inv.append(len(names) - 1)

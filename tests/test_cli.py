@@ -408,6 +408,21 @@ class TestLemmaChecks:
         assert run(["lemma-check", "triv2", *argv]) == 1
         assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
+    def test_triv2_recheck_fires(self, capsys, monkeypatch):
+        # a segment law that differs at shift 1 stands in for a broken DP
+        real = cli.segment_distributions
+
+        def skewed(*args):
+            total, laws = real(*args)
+            shifted = {word: count + 1 for word, count in laws[1][1].items()}
+            return total, {**laws, 1: (laws[1][0], shifted, *laws[1][2:])}
+
+        monkeypatch.setattr(cli, "segment_distributions", skewed)
+        assert run(["lemma-check", "triv2", "--group", "F2", "--n", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "inequality violated: segment distribution at cyclic shift 1 differs (k=1)\n"
+        )
+
     def test_triv_checks_reject_odd_length(self, capsys):
         assert run(["lemma-check", "triv2", "--group", "F2", "--n", "5"]) == 1
 
@@ -906,6 +921,31 @@ class TestOneParser:
             gc.set_debug(0)
             gc.garbage.clear()
         assert [t for t in left if t.__module__ == "argparse"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cycles", "--graph", "file:/nonexistent.sgf"],
+            ["ramanujan", "--graph", "file:/nonexistent.sgf"],
+            ["walks", "--graph", "cycle:0", "--horizon", "2"],
+        ],
+        ids=["cycles", "ramanujan", "walks"],
+    )
+    def test_failed_run_leaves_no_garbage(self, capsys, argv):
+        """The error line keeps the message, not the exception, whose
+        traceback would hold ``run``'s frame in a cycle."""
+        assert run(argv) == 1  # warm every lazy import and memo first
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(argv) == 1
+            gc.collect()
+            left = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_no_state_leaks_through_the_shared_parser(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -31,7 +31,6 @@ from schreier.cycles import (
     CycleProfile,
     cycle_counts,
     cycle_profile,
-    essential_girth_profile,
     girth,
 )
 from schreier.local import ball
@@ -380,35 +379,3 @@ class TestProfiles:
             CycleProfile("x", 4, 2, (0, 0, 4), (0, 0, 1), "trace")
         with pytest.raises(ValueError, match="densities"):
             CycleProfile("x", 4, 3, (0, 0, 4), (0, 0, Fraction(1, 2)), "trace")
-
-    def test_growing_cycles_have_no_short_cycles(self):
-        table = essential_girth_profile(
-            [cycle_graph(n) for n in (5, 6, 7)], 4
-        )
-        assert all(t == "zero" for t in table.trends)
-        assert table.essentially_large
-
-    def test_identity_generator_is_flagged(self):
-        graphs = []
-        for n in (4, 6, 8):
-            act = PermAction.from_generator_perms(
-                [tuple(range(n)), tuple((i + 1) % n for i in range(n))],
-                pair_names=("a", "b"),
-            )
-            graphs.append(from_perm_action(act))
-        table = essential_girth_profile(graphs, 2)
-        assert table.rows[0].densities[0] == 1  # one loop per vertex
-        assert table.trends[0] == "flat"
-        assert not table.essentially_large
-
-    def test_sparse_random_sequence_vanishes(self):
-        table = essential_girth_profile(
-            [random_perm_model(2, n, seed=1) for n in (100, 400, 1600)], 3
-        )
-        assert all(t in ("zero", "toward-zero") for t in table.trends)
-        assert table.essentially_large
-
-    def test_density_that_comes_back_is_mixed(self):
-        table = essential_girth_profile([cycle_graph(4), cycle_graph(3)], 3)
-        assert table.trends[2] == "mixed"
-        assert not table.essentially_large

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schreier.cli import plain
+from schreier.core import Verdict
 from schreier.experiments import (
     EXPERIMENTS,
     alon_boppana,
@@ -38,10 +40,10 @@ def test_registry_names():
 
 def test_kesten_finite_irs_small():
     report = kesten_finite_irs(n=12, seed=3, radius=2)
-    json.dumps(report)
+    json.dumps(plain(report, "report")[0], allow_nan=False)
     assert report["invariance_max_tv"] == {"num": 0, "den": 1}
     assert report["schreier_spectral_radius"] == 1.0
-    assert report["strict_inequality"] is True
+    assert report["strict_inequality"] == Verdict(True, "theorem")
 
 
 def test_kesten_finite_irs_solves_no_spectrum(monkeypatch):
@@ -56,8 +58,8 @@ def test_kesten_finite_irs_solves_no_spectrum(monkeypatch):
 
 def test_kesten_amenable_short_horizon():
     report = kesten_amenable(horizon=60)
-    json.dumps(report)
-    assert report["both_below_limit"] is True
+    json.dumps(plain(report, "report")[0], allow_nan=False)
+    assert report["both_below_limit"] == Verdict(True, "heuristic")
     assert report["limit_value"] == pytest.approx(3**0.5 / 2, abs=1e-12)
     assert 0 < report["gap"] < 0.05
     assert report["schreier_estimate"] > report["cayley_estimate"]
@@ -70,10 +72,10 @@ def test_nonamenable_requires_enough_letters():
 
 def test_nonamenable_rank_4_shows_the_bound_state():
     report = nonamenable_subgroup_counterexample(horizon=200, rank=4)
-    json.dumps(report)
+    json.dumps(plain(report, "report")[0], allow_nan=False)
     assert report["limit_value"] == pytest.approx(7**0.5 / 4, abs=1e-12)
-    assert report["bound_state_detected"] is True
-    assert report["estimates_within_tolerance"] is False
+    assert report["bound_state_detected"] == Verdict(True, "heuristic")
+    assert report["estimates_within_tolerance"] == Verdict(False, "heuristic")
 
 
 def test_alon_boppana_toy_sweep():
@@ -121,6 +123,6 @@ def test_run_experiments_script_refuses_nan(tmp_path, monkeypatch):
     script = runpy.run_path(str(SCRIPT))
     monkeypatch.setitem(script["EXPERIMENTS"], "nan", lambda: {"value": float("nan")})
     monkeypatch.setattr(sys, "argv", ["run_experiments.py", "nan", "--out-dir", str(tmp_path)])
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(ValueError, match="^report.value is nan, which JSON cannot represent$"):
         script["main"]()
     assert not (tmp_path / "nan.json").exists()

@@ -5,6 +5,7 @@ import logging
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from schreier.core import (
     InsufficientRadiusError,
     PermAction,
     SchreierGraph,
+    Verdict,
     parse_word,
 )
 from schreier import builders, spectral
@@ -596,29 +598,45 @@ class TestTreeRho:
         with pytest.raises(ValueError):
             tree_rho(1)
 
+    def test_recheck_fires(self, monkeypatch):
+        # a certified lower bound above the closed form stands in for a broken DP
+        value = 2 * math.sqrt(4) / 5
+        estimate = SimpleNamespace(rho0=value + 1e-9, extrapolated=value)
+        monkeypatch.setattr(spectral, "estimate_rho_returns", lambda core, horizon: estimate)
+        tree_rho.cache_clear()
+        try:
+            with pytest.raises(InequalityViolation, match="exceeds the tree value"):
+                tree_rho(5)
+        finally:
+            tree_rho.cache_clear()
+
+
+HOLDS = Verdict(True, "lanczos-residual")
+FAILS = Verdict(False, "lanczos-residual")
+
 
 class TestRamanujan:
     def test_petersen(self):
         v = ramanujan_check(petersen_graph())
-        assert v.ramanujan and v.ramanujan_strict
-        assert not v.equality
+        assert v.ramanujan == v.ramanujan_strict == HOLDS
+        assert v.equality == FAILS
         assert abs(v.threshold - 0.942809041582) < 1e-12
 
     def test_cycle_equality_case(self):
         v = ramanujan_check(cycle_graph(4))
-        assert v.ramanujan
-        assert v.equality
+        assert v.ramanujan == HOLDS
+        assert v.equality == HOLDS
         assert v.threshold == 1.0
         # the strict reading drops the bipartite −1 and sails under
-        assert v.ramanujan_strict
+        assert v.ramanujan_strict == HOLDS
 
     def test_long_even_cycle_equality_case(self):
         v = ramanujan_check(cycle_graph(5000))
-        assert v.ramanujan and v.ramanujan_strict and v.equality
+        assert v.ramanujan == v.ramanujan_strict == v.equality == HOLDS
 
     def test_lps_17_13(self):
         v = ramanujan_check(lps_graph(17, 13))
-        assert v.ramanujan and v.ramanujan_strict
+        assert v.ramanujan == v.ramanujan_strict == HOLDS
         assert abs(v.report.rho0 - 0.436158615) < 1e-6
         assert v.report.rho0 <= v.threshold + 1e-6
 
@@ -628,14 +646,15 @@ class TestRamanujan:
         monkeypatch.setattr(spectral, "_ITERATION_CAP", 1)
         v = ramanujan_check(cycle_graph(501))
         assert not v.report.converged and math.isnan(v.report.error_bound)
-        assert v.ramanujan is v.ramanujan_strict is v.equality is None
+        undecided = Verdict(None, "undecided")
+        assert v.ramanujan == v.ramanujan_strict == v.equality == undecided
 
     def test_doubled_cycle_is_not_ramanujan(self):
         # Z/41 with the shift taken twice: 4-regular but spectrally a cycle
         shift = tuple((i + 1) % 41 for i in range(41))
         act = PermAction.from_generator_perms([shift, shift], [], ["a", "b"])
         v = ramanujan_check(from_perm_action(act))
-        assert not v.ramanujan and not v.ramanujan_strict
+        assert v.ramanujan == v.ramanujan_strict == FAILS
         assert abs(v.report.rho0 - cycle_rho0_exact(41)) < 1e-9
 
 

@@ -439,6 +439,20 @@ class TestConditionedPrefix:
         for w, p in probabilities.items():
             assert p >= Fraction(1, 4 ** (2 * len(w)))
 
+    def test_floor_recheck_fires(self, monkeypatch):
+        # p_2n is nonincreasing on every Schreier graph, so no graph breaks
+        # the floor; counts of 0 at the prefix ends stand in for a broken DP
+        real = walks._ArrayWalks.lift
+
+        def starved(self, counts):
+            lifted = real(self, counts)
+            return lifted if len(lifted) == 1 else [0] * len(lifted)
+
+        monkeypatch.setattr(walks._ArrayWalks, "lift", starved)
+        g = cycle_graph(6)
+        with pytest.raises(InequalityViolation, match="probability 0 fell below 1/4"):
+            conditioned_prefix_probabilities(g, g.root, 4, 1)
+
     def test_truncated_needs_declaration(self):
         g = tree_ball(4, 4)
         with pytest.raises(ValueError, match="vertex-transitivity"):
