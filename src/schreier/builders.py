@@ -277,11 +277,6 @@ def tree_core(degree: int) -> CoreGraph:
     return CoreGraph.from_table(gens, [[None] * gens.degree], root=0)
 
 
-def tree_ball(degree: int, radius: int) -> SchreierGraph:
-    """Ball of the degree-regular tree (alphabet as in ``tree_core``)."""
-    return complete_ball(tree_core(degree), radius)
-
-
 # ---------------------------------------------------------------------------
 # Random permutation model
 # ---------------------------------------------------------------------------

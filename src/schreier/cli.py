@@ -45,7 +45,7 @@ from schreier.core import (
     serialize,
 )
 from schreier.cycles import cycle_profile
-from schreier.experiments import EXPERIMENTS, _frac, _sig
+from schreier.experiments import EXPERIMENTS
 from schreier.irs import invariance_diagnostic, stabilizer_sample, uniform_conjugate
 from schreier.local import ball_distance, bs_statistics, fix_density, local_approx_check
 from schreier.spectral import (
@@ -343,10 +343,11 @@ def _echo_config(args: argparse.Namespace, config_file: str | None) -> dict:
 
 
 def plain(value, name: str) -> tuple[object, dict[str, dict]]:
-    """``value`` as JSON data, each ``Verdict`` written as its boolean, and
-    the verdicts block: each verdict's dotted path below ``value`` mapped to
-    its value and certificate.  A NaN or infinity is refused, named by its
-    path from ``name``, since JSON cannot represent it."""
+    """``value`` as JSON data: floats to 12 significant digits, ``Fraction``s
+    as ``{"num": p, "den": q}`` and each ``Verdict`` as its boolean, listed
+    in the verdicts block under its dotted path below ``value`` with its
+    certificate.  A NaN or infinity is refused, named by its path from
+    ``name``, since JSON cannot represent it."""
     verdicts: dict[str, dict] = {}
 
     def walk(value, path: str):
@@ -354,8 +355,12 @@ def plain(value, name: str) -> tuple[object, dict[str, dict]]:
             entry = {"value": value.value, "certificate": value.certificate}
             verdicts[path.partition(".")[2]] = entry
             return value.value
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{path} is {value}, which JSON cannot represent")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"{path} is {value}, which JSON cannot represent")
+            return float(f"{value:.12g}")
+        if isinstance(value, Fraction):
+            return {"num": value.numerator, "den": value.denominator}
         if isinstance(value, dict):
             return {key: walk(item, f"{path}.{key}") for key, item in value.items()}
         if isinstance(value, (list, tuple)):
@@ -397,8 +402,8 @@ def _prefix_rows(gens: GenSet, rows) -> list[dict]:
     return [
         {
             "prefix": format_word(gens, w),
-            "probability": _frac(p),
-            "bound": _frac(Fraction(1, gens.degree ** (2 * len(w)))),
+            "probability": p,
+            "bound": Fraction(1, gens.degree ** (2 * len(w))),
         }
         for w, p in rows
     ]
@@ -509,9 +514,9 @@ def _check_modifiedrw(args) -> dict:
         rows.append(
             {
                 "supports": [[name or "e" for name in sup] for sup in seq],
-                "probability": _frac(bound.probability),
-                "norms": [_sig(x) for x in bound.norms],
-                "bound": _sig(bound.bound),
+                "probability": bound.probability,
+                "norms": bound.norms,
+                "bound": bound.bound,
             }
         )
     return {"action": args.action, "sequences": rows, "holds": Verdict(True, "theorem")}
@@ -527,10 +532,10 @@ def _check_subgroupnorm(args) -> dict:
     return {
         "action": args.action,
         "support": [name or "e" for name in support],
-        "operator_norm": _sig(max(abs(sub_spectrum[0]), abs(sub_spectrum[-1]))),
+        "operator_norm": max(abs(sub_spectrum[0]), abs(sub_spectrum[-1])),
         "subgroup_order": subgraph.n,
         "index": index,
-        "subgroup_spectrum": [_sig(x) for x in sub_spectrum],
+        "subgroup_spectrum": sub_spectrum.tolist(),
         "max_deviation": 0.0,
         "copies_verified": Verdict(True, "exact"),
     }
@@ -554,16 +559,13 @@ def _check_lekv(args) -> dict:
         row = {
             "action": spec,
             "n": report.n,
-            "tree_ball_probability": _frac(report.tree_ball_probability),
+            "tree_ball_probability": report.tree_ball_probability,
             "words_checked": len(report.densities),
             "words_complete": report.words_complete,
-            "density_sum": _frac(report.density_sum),
+            "density_sum": report.density_sum,
         }
         if len(report.densities) <= 64:
-            row["densities"] = [
-                [format_word(actions[0].gens, w), _frac(d)]
-                for w, d in report.densities
-            ]
+            row["densities"] = [[format_word(actions[0].gens, w), d] for w, d in report.densities]
         rows.append(row)
     return {"radius": args.radius, "rows": rows, "holds": Verdict(True, "exact")}
 
@@ -600,15 +602,15 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "n": g.n,
             "degree": g.degree,
             "bipartite": bipartition(g) is not None,
-            "eigenvalues": [_sig(x) for x in eigenvalues],
+            "eigenvalues": eigenvalues.tolist(),
         }
     elif args.command == "rho-estimate":
         source, radius = parse_spec(args.graph)
         report = estimate_rho_returns(source, args.horizon)  # checks the horizon first
         result = {
             "horizon": args.horizon,
-            "certified_lower_bound": _sig(report.rho0),
-            "extrapolated": _sig(report.extrapolated),
+            "certified_lower_bound": report.rho0,
+            "extrapolated": report.extrapolated,
             "bipartite": report.bipartite
             if radius is None
             else _ball_root(source, radius, args.horizon),
@@ -620,16 +622,14 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         result = {
             "n": verdict.report.n,
             "degree": verdict.degree,
-            "rho0": _sig(verdict.report.rho0),
-            "threshold": _sig(verdict.threshold),
+            "rho0": verdict.report.rho0,
+            "threshold": verdict.threshold,
             "verdict": verdict.ramanujan,
             "strict": verdict.ramanujan_strict,
             "equality": verdict.equality,
             "method": verdict.report.method,
             # an unconverged solve bounds nothing; its verdicts are undecided
-            "error_bound": _sig(verdict.report.error_bound)
-            if verdict.report.converged
-            else None,
+            "error_bound": verdict.report.error_bound if verdict.report.converged else None,
             "converged": verdict.report.converged,
         }
     elif args.command == "walks":
@@ -645,9 +645,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "vertex": x if radius is None else 0,  # a ball's root is 0
             "horizon": args.horizon,
             "return_counts": counts,
-            "return_probabilities": [
-                _sig(c / source.gens.degree**k) for k, c in enumerate(counts)
-            ],
+            "return_probabilities": [c / source.gens.degree**k for k, c in enumerate(counts)],
         }
     elif args.command == "lemma-check":
         result = _CHECKS[args.check](args)
@@ -661,17 +659,14 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "radius": args.radius,
             "n": dist.n,
             "class_count": len(classes),
-            "classes": [
-                {"digest": digest, "frequency": _frac(freq)}
-                for digest, freq in classes
-            ],
+            "classes": [{"digest": digest, "frequency": freq} for digest, freq in classes],
         }
     elif args.command == "ball-distance":
         first = _full_graph(from_spec(args.first), "ball distance")
         second = _full_graph(from_spec(args.second), "ball distance")
         outcome = ball_distance(first, second, max_radius=args.max_radius)
         result = {
-            "value": _frac(outcome.value),
+            "value": outcome.value,
             "agreement_radius": outcome.agreement_radius,
             "exact": outcome.exact,
         }
@@ -682,8 +677,8 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         result = {
             "word": args.word,
             "points": act.degree,
-            "density": _frac(density),
-            "value": _sig(density),
+            "density": density,
+            "value": float(density),
         }
     elif args.command == "cycles":
         profile = cycle_profile(from_spec(args.graph), args.lmax, label=args.graph)
@@ -692,7 +687,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "n": profile.n,
             "girth": None if math.isinf(profile.girth) else profile.girth,
             "counts": list(profile.counts),
-            "densities": [_frac(d) for d in profile.densities],
+            "densities": profile.densities,
             "method": profile.method,
         }
     elif args.command == "irs-sample":
@@ -713,17 +708,11 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
                 "sample_count": len(ensemble.samples),
             },
             "radius": args.radius,
-            "ball_classes": [
-                {"digest": digest, "weight": _frac(w)} for digest, w in dist
-            ],
+            "ball_classes": [{"digest": digest, "weight": w} for digest, w in dist],
             "invariance": {
-                "per_generator": [
-                    [name, _frac(tv)] for name, tv in diag.per_generator
-                ],
-                "max_tv": _frac(diag.max_tv),
-                "confidence_radius": None
-                if diag.confidence_radius is None
-                else _sig(diag.confidence_radius),
+                "per_generator": diag.per_generator,
+                "max_tv": diag.max_tv,
+                "confidence_radius": diag.confidence_radius,
             },
         }
     elif args.command == "experiment":

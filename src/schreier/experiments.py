@@ -1,4 +1,5 @@
-"""Named experiment recipes, each returning a report dict.
+"""Named experiment recipes, each returning a report dict of exact
+``Fraction``s and unrounded floats.
 
 These are the desk-scale versions of the phenomena the library is built
 around: spectral-radius agreement between a Cayley graph and the
@@ -8,8 +9,10 @@ the asymptotic lower bound for ρ₀ along random regular sequences, and
 Ramanujan verification next to short-cycle densities.  Reports embed
 the exact configuration that produced them.  Each verdict in a report is
 a ``Verdict``, its answer with the certificate that says how it was
-reached; the CLI's walk (``cli.plain``) writes it as its boolean and
-lists it in the document's ``verdicts`` block.
+reached.  The CLI's walk (``cli.plain``) writes each verdict as its
+boolean and lists it in the document's ``verdicts`` block; it writes each
+float to 12 significant digits and each ``Fraction`` as its numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -45,29 +48,21 @@ __all__ = [
 ]
 
 
-def _sig(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
-def _frac(f: Fraction) -> dict[str, int]:
-    return {"num": f.numerator, "den": f.denominator}
-
-
 def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, float, float]:
     """Return-count estimates at one horizon on the core of the subgroup the
     words generate in the rank-``rank`` free group and on its Cayley graph:
     the ``schreier_*``, ``cayley_*`` and ``gap`` report fields, then the
-    two unrounded estimates."""
+    two estimates."""
     gens = GenSet.free(rank)
     folded = stallings_core(gens, [parse_word(gens, w) for w in words])
     schreier = estimate_rho_returns(folded, horizon)
     cayley = estimate_rho_returns(free_core(rank), horizon)
     fields = {
-        "schreier_estimate": _sig(schreier.rho0),
-        "schreier_extrapolated": _sig(schreier.extrapolated),
-        "cayley_estimate": _sig(cayley.rho0),
-        "cayley_extrapolated": _sig(cayley.extrapolated),
-        "gap": _sig(abs(schreier.rho0 - cayley.rho0)),
+        "schreier_estimate": schreier.rho0,
+        "schreier_extrapolated": schreier.extrapolated,
+        "cayley_estimate": cayley.rho0,
+        "cayley_extrapolated": cayley.extrapolated,
+        "gap": abs(schreier.rho0 - cayley.rho0),
     }
     return fields, schreier.rho0, cayley.rho0
 
@@ -86,7 +81,7 @@ def kesten_amenable(horizon: int = 200) -> dict:
         "experiment": "kesten-amenable",
         "config": {"horizon": horizon, "subgroup": "one free letter of rank 2"},
         **fields,
-        "limit_value": _sig(tree_rho(4)),
+        "limit_value": tree_rho(4),
         "both_below_limit": Verdict(
             schreier < tree_rho(4) and cayley < tree_rho(4), "heuristic"
         ),
@@ -106,9 +101,9 @@ def kesten_finite_irs(n: int = 20, seed: int = 3, radius: int = 2) -> dict:
         "experiment": "kesten-finite-irs",
         "config": {"n": n, "seed": seed, "radius": radius},
         "orbit_size": act.degree,
-        "invariance_max_tv": _frac(diag.max_tv),
+        "invariance_max_tv": diag.max_tv,
         "schreier_spectral_radius": 1.0,
-        "cayley_spectral_radius": _sig(tree_rho(4)),
+        "cayley_spectral_radius": tree_rho(4),
         "strict_inequality": Verdict(True, "theorem"),
     }
 
@@ -135,7 +130,7 @@ def nonamenable_subgroup_counterexample(
         "experiment": "nonamenable-subgroup-counterexample",
         "config": {"horizon": horizon, "tolerance": tolerance, "rank": rank},
         **fields,
-        "limit_value": _sig(limit),
+        "limit_value": limit,
         "estimates_within_tolerance": Verdict(
             abs(schreier - cayley) <= tolerance, "heuristic"
         ),
@@ -166,10 +161,10 @@ def alon_boppana(
                     "size": size,
                     "seed": seed,
                     "n": g.n,
-                    "rho0": _sig(report.rho0),
+                    "rho0": report.rho0,
                     "method": report.method,
                     "cycle_counts": list(counts),
-                    "cycle_densities": [_sig(c / g.n) for c in counts],
+                    "cycle_densities": [c / g.n for c in counts],
                 }
             )
     summary = []
@@ -178,10 +173,10 @@ def alon_boppana(
         summary.append(
             {
                 "size": size,
-                "rho0_median": _sig(statistics.median([r["rho0"] for r in rows])),
-                "rho0_min": _sig(min(r["rho0"] for r in rows)),
+                "rho0_median": statistics.median([r["rho0"] for r in rows]),
+                "rho0_min": min(r["rho0"] for r in rows),
                 "density_medians": [
-                    _sig(statistics.median([r["cycle_densities"][i] for r in rows]))
+                    statistics.median([r["cycle_densities"][i] for r in rows])
                     for i in range(lmax)
                 ],
             }
@@ -189,7 +184,7 @@ def alon_boppana(
     return {
         "experiment": "alon-boppana",
         "config": {"sizes": list(sizes), "seeds": list(seeds), "lmax": lmax},
-        "tree_value": _sig(tree_rho(4)),
+        "tree_value": tree_rho(4),
         "runs": runs,
         "summary": summary,
     }
@@ -211,7 +206,7 @@ def ramanujan_girth(
             {
                 "size": row["size"],
                 "rho0_median": row["rho0_median"],
-                "threshold": _sig(tree_rho(4)),
+                "threshold": tree_rho(4),
                 "median_within_threshold": Verdict(
                     row["rho0_median"] <= tree_rho(4), "heuristic"
                 ),
@@ -228,11 +223,11 @@ def ramanujan_girth(
         "lps": {
             "n": lps.n,
             "degree": lps.gens.degree,
-            "rho0": _sig(verdict.report.rho0),
-            "threshold": _sig(verdict.threshold),
+            "rho0": verdict.report.rho0,
+            "threshold": verdict.threshold,
             "verdict": verdict.ramanujan,
             "cycle_counts": list(lps_counts),
-            "cycle_densities": [_frac(Fraction(c, lps.n)) for c in lps_counts],
+            "cycle_densities": [Fraction(c, lps.n) for c in lps_counts],
         },
     }
 

@@ -151,7 +151,8 @@ class SpectralReport:
     Lanczos residual as ``error_bound``.  For
     ``method="returns-extrapolation"`` the value is a certified lower bound
     for ρ and ``extrapolated`` carries the heuristic point estimate (never
-    used in assertions).
+    used in assertions); there ``error_bound`` is the gap from the bound up
+    to that estimate (0 if the estimate is lower), and bounds nothing.
     """
 
     d: int

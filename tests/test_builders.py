@@ -33,7 +33,6 @@ from schreier.builders import (
     s3_cayley,
     s3_regular,
     stallings_core,
-    tree_ball,
     tree_core,
     z6_regular,
 )
@@ -204,8 +203,8 @@ class TestCompleteBall:
 
     def test_tree_ball_sizes(self):
         assert complete_ball(free_core(2), 2).n == 1 + 4 + 12
-        assert tree_ball(4, 2).n == 17
-        assert tree_ball(3, 3).n == 1 + 3 + 6 + 12
+        assert complete_ball(tree_core(4), 2).n == 17
+        assert complete_ball(tree_core(3), 3).n == 1 + 3 + 6 + 12
 
     def test_radius_zero(self):
         g = complete_ball(free_core(2), 0)

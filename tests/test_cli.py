@@ -14,18 +14,21 @@ import gc
 import inspect
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
 from schreier import builders, cli, spectral, walks
-from schreier.cli import _build_parser, run
+from schreier.cli import _build_parser, plain, run
 from schreier.core import GenSet, format_word, parse
 from schreier.experiments import EXPERIMENTS
 from schreier.walks import return_counts
@@ -168,6 +171,34 @@ class TestJsonEnvelope:
             "error: result.error_bound is nan, which JSON cannot represent\n"
         )
         assert not target.exists()
+
+    def test_plain_writes_fractions_and_floats(self):
+        value = {
+            "negative": Fraction(-3, 4),
+            "integral": Fraction(6, 3),
+            "float": 2 / 3,
+            "numpy": np.float64(1) / 3,
+            "sum": 0.1 + 0.2,
+            "flag": True,
+            "count": 3,
+            "none": None,
+            "nested": ((Fraction(1, 2), 1e-20 / 3), ()),
+        }
+        written, verdicts = plain(value, "result")
+        assert verdicts == {}
+        assert json.dumps(written) == (
+            '{"negative": {"num": -3, "den": 4}, "integral": {"num": 2, "den": 1}, '
+            '"float": 0.666666666667, "numpy": 0.333333333333, "sum": 0.3, '
+            '"flag": true, "count": 3, "none": null, '
+            '"nested": [[{"num": 1, "den": 2}, 3.33333333333e-21], []]}'
+        )
+        assert type(written["numpy"]) is float
+
+    @pytest.mark.parametrize("bad", [float("nan"), -math.inf, np.float64("inf")])
+    def test_plain_refuses_non_finite_floats(self, bad):
+        with pytest.raises(ValueError) as caught:
+            plain({"rows": [Fraction(1, 3), bad]}, "result")
+        assert str(caught.value) == f"result.rows.1 is {bad}, which JSON cannot represent"
 
     def test_out_writes_the_same_document(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reference
 from schreier.builders import (
     CoreGraph,
+    complete_ball,
     cycle_graph,
     free_core,
     from_perm_action,
@@ -24,7 +25,7 @@ from schreier.builders import (
     regular_action,
     s3_cayley,
     stallings_core,
-    tree_ball,
+    tree_core,
 )
 from schreier.core import GenSet, PermAction, parse_word
 from schreier.cycles import (
@@ -115,8 +116,8 @@ class TestFrozenCounts:
 
     def test_forests(self):
         assert girth(free_core(2)) == math.inf
-        assert girth(tree_ball(3, 3)) == math.inf
-        assert cycle_counts(tree_ball(3, 3), 6) == (0,) * 6
+        assert girth(complete_ball(tree_core(3), 3)) == math.inf
+        assert cycle_counts(complete_ball(tree_core(3), 3), 6) == (0,) * 6
 
     def test_involutive_half_loop(self):
         act = PermAction.from_generator_perms(
@@ -250,7 +251,7 @@ class TestTraceIdentities:
     def test_missing_slots(self):
         self.assert_traced(loop_core())
         for degree, radius in ((2, 3), (3, 2), (4, 2)):
-            self.assert_traced(tree_ball(degree, radius))
+            self.assert_traced(complete_ball(tree_core(degree), radius))
 
     def test_lmax_6_against_the_enumerators(self):
         graphs = [random_perm_model(1, 9, 3), random_perm_model(3, 12, 5), loop_core()]

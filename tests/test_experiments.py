@@ -12,6 +12,7 @@ import json
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,10 @@ def test_registry_names():
 
 def test_kesten_finite_irs_small():
     report = kesten_finite_irs(n=12, seed=3, radius=2)
-    json.dumps(plain(report, "report")[0], allow_nan=False)
-    assert report["invariance_max_tv"] == {"num": 0, "den": 1}
+    written = plain(report, "report")[0]
+    json.dumps(written, allow_nan=False)
+    assert report["invariance_max_tv"] == Fraction(0)
+    assert written["invariance_max_tv"] == {"num": 0, "den": 1}
     assert report["schreier_spectral_radius"] == 1.0
     assert report["strict_inequality"] == Verdict(True, "theorem")
 

@@ -29,7 +29,7 @@ from schreier.builders import (
     s3_cayley,
     s3_regular,
     stallings_core,
-    tree_ball,
+    tree_core,
     z6_regular,
 )
 from schreier.core import (
@@ -108,12 +108,12 @@ class TestBall:
         assert ball(g, 2, 2) == ball(g, 5, 2)
 
     def test_matches_tree_ball_builder(self):
-        g = tree_ball(4, 5)
+        g = complete_ball(tree_core(4), 5)
         for r in range(4):
             assert ball(g, g.root, r).digest == tree_ball_class(F2, r).digest
 
     def test_truncation_refusal(self):
-        g = tree_ball(4, 3)
+        g = complete_ball(tree_core(4), 3)
         with pytest.raises(InsufficientRadiusError, match="distance 3"):
             ball(g, g.root, 4)
         leaf = g.n - 1
@@ -412,7 +412,7 @@ class TestBallDistance:
         assert r.exact
 
     def test_tree_vs_loop_graph(self):
-        t = tree_ball(4, 3)
+        t = complete_ball(tree_core(4), 3)
         h = complete_ball(stallings_core(F2, [parse_word(F2, "a")]), 3)
         r = ball_distance(t, h)
         assert r.value == 1
@@ -426,11 +426,11 @@ class TestBallDistance:
 
     def test_truncation_too_shallow_to_decide(self):
         with pytest.raises(InsufficientRadiusError, match="agreement so far: radius 2"):
-            ball_distance(tree_ball(4, 2), tree_ball(4, 5))
+            ball_distance(complete_ball(tree_core(4), 2), complete_ball(tree_core(4), 5))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="one alphabet"):
-            ball_distance(cycle_graph(6), tree_ball(4, 2))
+            ball_distance(cycle_graph(6), complete_ball(tree_core(4), 2))
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_max_radius_below_one(self, cap):
@@ -466,7 +466,7 @@ class TestBallStatistics:
 
     def test_refuses_truncations(self):
         with pytest.raises(ValueError, match="whole graph"):
-            bs_statistics(tree_ball(4, 3), 1)
+            bs_statistics(complete_ball(tree_core(4), 3), 1)
 
     @given(seed=st.integers(min_value=0, max_value=30))
     @settings(max_examples=15)
@@ -790,7 +790,7 @@ class TestVertexTransitivity:
 
     def test_refuses_truncations(self):
         with pytest.raises(ValueError, match="undefined for truncations"):
-            is_vertex_transitive(tree_ball(4, 2))
+            is_vertex_transitive(complete_ball(tree_core(4), 2))
 
 
 def _transitive_at_every_vertex(g: SchreierGraph) -> bool:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import reference
 
 from schreier.builders import (
+    complete_ball,
     cycle_graph,
     free_core,
     from_perm_action,
@@ -28,7 +29,6 @@ from schreier.builders import (
     random_perm_model,
     s3_regular,
     stallings_core,
-    tree_ball,
     tree_core,
     z6_regular,
 )
@@ -111,7 +111,7 @@ class TestMarkovSpectrum:
 
     def test_truncation_refusal(self):
         with pytest.raises(ValueError, match="whole graph"):
-            markov_spectrum(tree_ball(4, 2))
+            markov_spectrum(complete_ball(tree_core(4), 2))
 
 
 class TestBipartition:
@@ -167,7 +167,7 @@ class TestRho0:
 
     def test_truncation_refusal(self):
         with pytest.raises(ValueError, match="estimate_rho_returns"):
-            rho0(tree_ball(4, 3))
+            rho0(complete_ball(tree_core(4), 3))
 
     @pytest.mark.parametrize("n", list(range(3, 31)))
     def test_iterative_matches_closed_form_small(self, n):

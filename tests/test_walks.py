@@ -22,7 +22,6 @@ from schreier.builders import (
     random_perm_model,
     regular_action,
     stallings_core,
-    tree_ball,
     tree_core,
 )
 from schreier.core import (
@@ -46,7 +45,11 @@ from schreier.walks import (
 F2 = GenSet.free(2)
 
 
-_tree_ball = functools.cache(tree_ball)
+@functools.cache
+def _tree_ball(degree: int, radius: int):
+    return complete_ball(tree_core(degree), radius)
+
+
 _transitive_graph = functools.cache(from_spec)
 
 
@@ -61,7 +64,7 @@ def brute_force_returns(g, x: int, n: int) -> int:
 
 @pytest.fixture(scope="module")
 def t4_ball():
-    return tree_ball(4, 4)
+    return complete_ball(tree_core(4), 4)
 
 
 @pytest.fixture(scope="module")
@@ -356,9 +359,9 @@ class TestSegmentDistribution:
             match="insufficient radius for returning words: distance from vertex 0 "
             f"to the truncation boundary is {needed - 1}, need at least {needed}",
         ):
-            segment_distributions(tree_ball(4, needed - 1), 0, n, 3)
-        g = tree_ball(4, needed)
-        assert _laws(g, n, 3) == segment_distributions(tree_ball(4, n), 0, n, 3)
+            segment_distributions(complete_ball(tree_core(4), needed - 1), 0, n, 3)
+        g = complete_ball(tree_core(4), needed)
+        assert _laws(g, n, 3) == segment_distributions(complete_ball(tree_core(4), n), 0, n, 3)
 
     def test_refusals(self, t4_ball):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -379,7 +382,7 @@ class TestPrefixProbability:
         assert probabilities[parse_word(F2, "a")] == Fraction(1, 4)
 
     def test_double_letter_frozen_value(self):
-        g = tree_ball(4, 3)
+        g = complete_ball(tree_core(4), 3)
         total, rows = conditioned_prefix_probabilities(g, g.root, 6, 2, True)
         assert total == 232
         assert dict(rows)[parse_word(F2, "aa")] == Fraction(10, 232)
@@ -424,7 +427,7 @@ def _random_cayley_graph(points: int, elements: int, involutions: int, seed: int
 
 class TestConditionedPrefix:
     def test_t4_single_step(self):
-        g = tree_ball(4, 4)
+        g = complete_ball(tree_core(4), 4)
         probabilities = _prefix_probabilities(g, 4, 1, vertex_transitive=True)
         assert probabilities[parse_word(F2, "a")] == Fraction(7, 28)
 
@@ -433,7 +436,7 @@ class TestConditionedPrefix:
         assert _prefix_probabilities(g, 2, 1)[parse_word(g.gens, "t")] == Fraction(1, 2)
 
     def test_t4_length_two_prefixes(self):
-        g = tree_ball(4, 6)
+        g = complete_ball(tree_core(4), 6)
         probabilities = _prefix_probabilities(g, 6, 2, vertex_transitive=True)
         assert len(probabilities) == 4 + 16
         for w, p in probabilities.items():
@@ -454,7 +457,7 @@ class TestConditionedPrefix:
             conditioned_prefix_probabilities(g, g.root, 4, 1)
 
     def test_truncated_needs_declaration(self):
-        g = tree_ball(4, 4)
+        g = complete_ball(tree_core(4), 4)
         with pytest.raises(ValueError, match="vertex-transitivity"):
             conditioned_prefix_probabilities(g, g.root, 4, 1)
 
@@ -588,7 +591,7 @@ class TestDomination:
         assert report.max_other_count <= 6
 
     def test_tree_report_matches_explicit(self):
-        explicit = return_domination_reports(tree_ball(4, 6), 6, vertex_transitive=True)
+        explicit = return_domination_reports(complete_ball(tree_core(4), 6), 6, vertex_transitive=True)
         ring = return_domination_reports(tree_core(4), 6, vertex_transitive=True)
         assert [(r.return_count, r.max_other_count) for r in explicit] == [
             (r.return_count, r.max_other_count) for r in ring
@@ -667,7 +670,7 @@ class TestDomination:
             "truncation boundary is 5, need at least 6"
         )
         with pytest.raises(InsufficientRadiusError) as caught:
-            return_domination_reports(tree_ball(4, 5), 6, vertex_transitive=True)
+            return_domination_reports(complete_ball(tree_core(4), 5), 6, vertex_transitive=True)
         assert str(caught.value) == refusal
 
     @pytest.mark.parametrize("radius", range(7))
