@@ -65,12 +65,37 @@ from schreier.walks import (
 )
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, which drops its section tree once its text is
+    out: a section lists its subsections' and the formatter's methods and
+    names its parent and the formatter, so a usage or help text would
+    otherwise leave the tree and the formatter as cyclic garbage."""
+
+    def format_help(self) -> str:
+        try:
+            return super().format_help()
+        finally:
+            sections = [self._root_section]
+            for section in sections:
+                sections += [
+                    func.__self__ for func, _ in section.items
+                    if isinstance(func.__self__, self._Section)
+                ]
+                section.items.clear()
+            self._root_section = self._current_section = None
+
+
+class _RawFormatter(_Formatter, argparse.RawDescriptionHelpFormatter):
+    """``_Formatter`` keeping the line breaks of a description or epilog."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, but usage problems exit 1 (2 is reserved for violated
     inequalities), and every flag has one spelling: no prefixes, so that
     ``--config`` can tell which flags are given explicitly."""
 
     def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("formatter_class", _Formatter)
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -201,7 +226,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("build", help="emit a graph as SGF1 text", epilog=SPEC_GRAMMAR,
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
+                       formatter_class=_RawFormatter)
     p.add_argument("spec")
     p.add_argument("--out")
 
@@ -349,25 +374,28 @@ def plain(value, name: str) -> tuple[object, dict[str, dict]]:
     certificate.  A NaN or infinity is refused, named by its path from
     ``name``, since JSON cannot represent it."""
     verdicts: dict[str, dict] = {}
+    return _plain_walk(value, name, verdicts), verdicts
 
-    def walk(value, path: str):
-        if isinstance(value, Verdict):
-            entry = {"value": value.value, "certificate": value.certificate}
-            verdicts[path.partition(".")[2]] = entry
-            return value.value
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"{path} is {value}, which JSON cannot represent")
-            return float(f"{value:.12g}")
-        if isinstance(value, Fraction):
-            return {"num": value.numerator, "den": value.denominator}
-        if isinstance(value, dict):
-            return {key: walk(item, f"{path}.{key}") for key, item in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [walk(item, f"{path}.{i}") for i, item in enumerate(value)]
-        return value
 
-    return walk(value, name), verdicts
+def _plain_walk(value, path: str, verdicts: dict[str, dict]):
+    """``plain``'s walk of ``value`` at ``path``, listing each verdict in
+    ``verdicts``."""
+    if isinstance(value, Verdict):
+        entry = {"value": value.value, "certificate": value.certificate}
+        verdicts[path.partition(".")[2]] = entry
+        return value.value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{path} is {value}, which JSON cannot represent")
+        return float(f"{value:.12g}")
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, dict):
+        return {key: _plain_walk(item, f"{path}.{key}", verdicts)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain_walk(item, f"{path}.{i}", verdicts) for i, item in enumerate(value)]
+    return value
 
 
 def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> None:

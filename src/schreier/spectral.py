@@ -23,14 +23,17 @@ run that fails.  The root's eccentricity bounds b from below first
 no I − M, RCM order or permuted copy.  A bipartite M has D·M·D = −M for
 D the diagonal of the 2-coloring sign vector, so the sign vector
 certifies λ = −1, λ_min off {1, −1} is −λ_max, and only the top end is
-solved.  Both operators run one plain Lanczos recurrence that stores no
-basis (see _lanczos).  Every ``error_bound`` is a residual ‖My − θy‖/‖y‖
-measured on M itself for the Ritz pairs returned and the sign vector of a
-bipartite M, which bounds the eigenvalue error for symmetric M.
+solved.  Both operators run one plain Lanczos recurrence, which keeps
+its vectors in one 4 MiB buffer while they fit and regenerates the rest
+for the Ritz vectors (see _lanczos).  Every ``error_bound`` is a
+residual ‖My − θy‖/‖y‖ measured on M itself for the Ritz pairs returned
+and the sign vector of a bipartite M, which bounds the eigenvalue error
+for symmetric M.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from collections import Counter
@@ -82,6 +85,7 @@ _RESIDUAL_TOL = 1e-9        # Ritz estimate |β·s_m| that ends a matvec first p
 _SHIFT_INVERT_TOL = 1e-10   # its bound 2|β·s_m|/|μ| on M that ends a shift-invert one
 _SHIFT_INVERT_STEPS = 300   # step cap of one shift-invert solve
 _SEED = 0                   # start vectors, so reports are reproducible
+_BASIS_CELLS = 2**19        # float64 entries of Lanczos vectors a solve keeps (4 MiB)
 _CONVERGED_BOUND = 1e-8
 _ITERATION_CAP = 10_000
 
@@ -230,17 +234,18 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _lanczos_vectors(
-    apply: _Operator, v: np.ndarray, alpha: list[float], beta: list[float]
+    apply: _Operator, v: np.ndarray, alpha: list[float], beta: list[float],
+    v_prev: np.ndarray | None = None, j: int = 0,
 ) -> Iterator[np.ndarray]:
-    """The Lanczos vectors v_0 = v, v_1, … of ``apply`` on the zero-sum
-    subspace, without reorthogonalization: β_j·v_{j+1} is apply(v_j) less
-    its mean, α_j·v_j and β_{j−1}·v_{j−1}.  α_j and β_j come from the lists
+    """The Lanczos vectors v_j = v, v_{j+1}, … of ``apply`` on the zero-sum
+    subspace from step j, v_prev being v_{j−1} (a first pass starts at
+    v_0), without reorthogonalization: β_j·v_{j+1} is apply(v_j) less its
+    mean, α_j·v_j and β_{j−1}·v_{j−1}.  α_j and β_j come from the lists
     when they hold them (a replay) and are appended otherwise (a first
     pass), so a replay yields the first pass's vectors bit for bit.  Ends
     when β_j ≤ 10⁻¹²·(|α_j| + β_{j−1}): the Krylov space is invariant."""
     from scipy.linalg.blas import daxpy
 
-    v_prev, j = v, 0
     while True:
         yield v
         w = apply(v)
@@ -258,6 +263,26 @@ def _lanczos_vectors(
         v_prev, v, j = v, w, j + 1
 
 
+def _tridiagonal_pair(d: np.ndarray, e: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """Eigenpair k (0 the bottom) of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, from the two LAPACK routines that
+    ``eigh_tridiagonal(select="i")`` runs, called directly: bisection
+    (dstebz, range I, block order, abstol 0), then inverse iteration
+    (dstein)."""
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if len(d) == 1:
+        return float(d[0]), np.ones(1)
+    _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B")
+    if info:
+        raise LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    z, info = dstein(d, e, w[:1], iblock, isplit)
+    if info:
+        raise LinAlgError(f"dstein did not converge (LAPACK info={info})")
+    return float(w[0]), z[:, 0]
+
+
 def _lanczos(
     M: sp.csr_matrix, apply: _Operator, ends: tuple[int, ...],
     sign: float | None, cap: int,
@@ -267,34 +292,38 @@ def _lanczos(
     spectrum (0 the bottom, −1 the top); else the inverse of I − sign·M,
     whose top Ritz value μ gives λ = sign·(1 − 1/μ).  Returns ([λ], residual).
 
-    Every 20th step (3rd under shift-invert) the first pass takes the end
-    eigenpairs (θ, s) of T_m and stops once each Ritz estimate |β_m·s_m|
-    is below tolerance; under shift-invert 2|β_m·s_m|/|μ| bounds the
-    residual on M.  Lost orthogonality only adds copies of converged Ritz
-    values (Paige, Lin. Alg. Appl. 34, 1980), so the extremes converge.  A
-    second pass replays the recurrence to form y = V_m·s, and ‖My − λy‖/‖y‖
-    is measured on M; if it misses _CONVERGED_BOUND the first pass goes
-    on.  At ``cap`` steps the residual is NaN."""
-    from scipy.linalg import eigh_tridiagonal
+    The first pass writes v_0, v_1, … into one buffer of _BASIS_CELLS
+    entries while it has room.  Every 20th step (3rd under shift-invert)
+    it takes the end eigenpairs (θ, s) of T_m and stops once each Ritz
+    estimate |β_m·s_m| is below tolerance; under shift-invert 2|β_m·s_m|/|μ|
+    bounds the residual on M.  Lost orthogonality only adds copies of
+    converged Ritz values (Paige, Lin. Alg. Appl. 34, 1980), so the extremes
+    converge.  y = V_m·s sums the stored vectors, and a replay of the
+    recurrence from the last two of them forms the rest, bit for bit as the
+    first pass did; ‖My − λy‖/‖y‖ is measured on M, and if it misses
+    _CONVERGED_BOUND the first pass goes on.  At ``cap`` steps the residual
+    is NaN."""
     from scipy.linalg.blas import daxpy
 
+    n = M.shape[0]
     solver = "matvec" if sign is None else f"shift-invert at {sign:+g}"
     every, tol = (20, _RESIDUAL_TOL) if sign is None else (3, _SHIFT_INVERT_TOL)
-    start = _start_vector(M.shape[0])
+    start = _start_vector(n)
     alpha: list[float] = []
     beta: list[float] = []
+    basis = np.empty((min(_BASIS_CELLS // n, cap + 1), n))  # pages touched when written
     vectors = _lanczos_vectors(apply, start, alpha, beta)
-    next(vectors)
-    for m in range(1, cap + 1):
-        exhausted = next(vectors, None) is None
-        if not (exhausted or m % every == 0 or m == cap):
+    for m in range(cap + 1):
+        v = next(vectors, None)
+        exhausted = v is None
+        if not exhausted and m < len(basis):
+            basis[m] = v
+        if not (m and (exhausted or m % every == 0 or m == cap)):
             continue
-        pairs = [
-            eigh_tridiagonal(alpha, beta[: m - 1], select="i", select_range=(k, k))
-            for k in (end % m for end in ends)
-        ]
-        theta = np.array([mu[0] for mu, _ in pairs])
-        S = np.column_stack([s[:, 0] for _, s in pairs])
+        d, e = np.array(alpha), np.array(beta[: m - 1])
+        pairs = [_tridiagonal_pair(d, e, end % m) for end in ends]
+        theta = np.array([mu for mu, _ in pairs])
+        S = np.column_stack([s for _, s in pairs])
         lams, scale = theta, 1.0
         if sign is not None:
             if abs(theta[0]) < 1e-13:
@@ -303,8 +332,14 @@ def _lanczos(
         estimate = float(np.max(beta[-1] * np.abs(S[-1]) * scale))
         if not (exhausted or estimate < tol):
             continue
-        Y = np.zeros((len(ends), M.shape[0]))
-        for s, v in zip(S, _lanczos_vectors(apply, start, alpha, beta)):
+        k = min(m, len(basis)) - 1  # the last stored vector of V_m
+        if k < 0:
+            replay = _lanczos_vectors(apply, start, alpha, beta)
+        else:
+            replay = itertools.chain(basis[:k], _lanczos_vectors(
+                apply, basis[k], alpha, beta, basis[k - 1] if k else None, k))
+        Y = np.zeros((len(ends), n))
+        for s, v in zip(S, replay):
             for y, coef in zip(Y, s):
                 daxpy(v, y, a=coef)
         res = max(

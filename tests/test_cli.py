@@ -935,23 +935,34 @@ class TestOneParser:
             ["walks", "--graph", "cycle:10", "--horizon", "6"],
             ["lemma-check", "different", "--graph", "cycle:8", "--n", "4"],
             ["lemma-check", "triv2", "--group", "F2", "--n", "6"],
+            ["spectrum"],
+            ["walks", "--help"],
+            ["build", "--help"],
         ],
-        ids=["walks", "different", "triv2"],
+        ids=["walks", "different", "triv2", "usage-error", "help", "raw-help"],
     )
     def test_run_leaves_no_argparse_garbage(self, capsys, argv):
-        """A successful run formats no usage text, whose formatter argparse
-        leaves in a cycle of its own."""
+        """No run leaves argparse's objects, a formatter and its section
+        tree, or ``plain``'s walk in a cycle: the formatter drops its tree
+        once its usage or help text is out, and the walk is a module
+        function.  (The closures of the stdlib JSON encoder are left.)"""
         run(argv)  # warm every lazy import and memo first
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             run(argv)
             gc.collect()
-            left = [type(obj) for obj in gc.garbage]
+            left = list(gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
-        assert [t for t in left if t.__module__ == "argparse"] == []
+        assert [obj for obj in left if type(obj).__module__ == "argparse"] == []
+        formatters = (argparse.HelpFormatter, argparse.HelpFormatter._Section)
+        assert [obj for obj in left if isinstance(obj, formatters)] == []
+        assert [
+            obj for obj in left
+            if inspect.isfunction(obj) and obj.__module__ == cli.__name__
+        ] == []
 
     @pytest.mark.parametrize(
         "argv",

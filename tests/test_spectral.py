@@ -410,6 +410,47 @@ class TestLanczosRecurrence:
         assert rep.converged
         assert peak < 60 * 8 * g.n
 
+    @pytest.mark.parametrize(
+        "build, residual_tol",
+        [
+            (lambda: cycle_graph(501), None),
+            (lambda: lps_graph(17, 13), None),
+            (lambda: random_perm_model(2, 2000, 0), None),
+            (lambda: random_perm_model(2, 20000, 0), None),
+            (lambda: random_perm_model(2, 1000, 0), 1e-2),
+        ],
+        ids=["cycle-501", "lps-17-13", "randperm-2000", "randperm-20000", "missed-residual"],
+    )
+    def test_reports_do_not_depend_on_the_basis_buffer(
+        self, monkeypatch, build, residual_tol
+    ):
+        # no stored vector, 5 of them, and the default 4 MiB: shift-invert
+        # on C_501, matvec on the rest, fully stored at n = 2000 and partly
+        # at n = 20000; a 1e-2 tolerance makes a missed residual resume the
+        # first pass after a replay.  Fewer stored vectors cost more
+        # products, and the reports are equal, float for float.
+        g = build()
+        if residual_tol is not None:
+            monkeypatch.setattr(spectral, "_RESIDUAL_TOL", residual_tol)
+        lanczos, products = spectral._lanczos, []
+
+        def counted(M, apply, *rest):
+            def step(v):
+                products[-1] += 1
+                return apply(v)
+
+            return lanczos(M, step, *rest)
+
+        monkeypatch.setattr(spectral, "_lanczos", counted)
+        reports = []
+        for cells in (0, 5 * g.n, spectral._BASIS_CELLS):
+            monkeypatch.setattr(spectral, "_BASIS_CELLS", cells)
+            products.append(0)
+            reports.append(rho0(g))
+        assert reports[0].converged
+        assert reports[0] == reports[1] == reports[2]
+        assert products[0] > products[1] > products[2]
+
     def test_missed_residual_resumes_the_first_pass(self, monkeypatch, caplog):
         # a loose stopping estimate replays too early; the residual on M
         # misses and the first pass goes on until it holds
