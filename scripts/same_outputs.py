@@ -1,13 +1,14 @@
 """Compare what two source trees print for the same CLI jobs.
 
-    python scripts/same_outputs.py OLD_SRC NEW_SRC [--seeds 0,1,2,3] [ARGV_FILE]
+    python scripts/same_outputs.py OLD_SRC NEW_SRC [--seeds 0,1,2,3] [ARGV_FILE ...]
 
 OLD_SRC and NEW_SRC are directories that hold the ``schreier`` package
 (the ``src/`` of two checkouts).  The jobs are every bench job of both
 workloads at the given instance seeds, as ``bench/jobs.py`` of this
 checkout defines them (``--seeds ''`` for none), then one job per line of
-ARGV_FILE: the CLI arguments, shell-quoted, ``{work}`` for the scratch
-directory and ``#`` for a comment.  A job that repeats runs once.
+each ARGV_FILE in turn: the CLI arguments, shell-quoted, ``{work}`` for
+the scratch directory and ``#`` for a comment.  A job that repeats, in
+one file or across files, runs once.
 
 Each tree runs every job in one fresh interpreter, in-process through
 ``schreier.cli.run`` with the memo caches emptied first, as the benchmark
@@ -66,14 +67,14 @@ print(json.dumps({"package": schreier.__file__, "rows": rows}))
 """
 
 
-def job_argvs(seeds: list[int], argv_file: str | None) -> list[tuple[str, ...]]:
-    """The bench jobs of every workload at each seed, then the file's lines,
-    each distinct argv once, in first-occurrence order."""
+def job_argvs(seeds: list[int], argv_files: list[str]) -> list[tuple[str, ...]]:
+    """The bench jobs of every workload at each seed, then the files'
+    lines, each distinct argv once, in first-occurrence order."""
     argvs = [
         job.argv for seed in seeds for workload in jobs.WORKLOADS
         for job in jobs.mix(workload, seed)
     ]
-    if argv_file:
+    for argv_file in argv_files:
         lines = Path(argv_file).read_text().splitlines()
         argvs += [tuple(tokens) for line in lines if (tokens := shlex.split(line, comments=True))]
     return list(dict.fromkeys(argvs))
@@ -106,10 +107,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--seeds", default="0,1,2,3",
                         help="comma-separated instance seeds of the bench jobs ('' for none)")
-    parser.add_argument("argv_file", nargs="?", help="one CLI job per line")
+    parser.add_argument("argv_files", nargs="*", metavar="argv_file",
+                        help="one CLI job per line")
     args = parser.parse_intermixed_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    argvs = job_argvs(seeds, args.argv_file)
+    argvs = job_argvs(seeds, args.argv_files)
     with tempfile.TemporaryDirectory() as scratch:
         old = run_tree(args.old_src, argvs, Path(scratch) / "old")
         new = run_tree(args.new_src, argvs, Path(scratch) / "new")

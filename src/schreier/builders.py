@@ -12,20 +12,19 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from string import ascii_lowercase
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from schreier.core import (
+    CoreGraph,
     GenSet,
     GraphInvariantError,
     PermAction,
     SchreierGraph,
     Word,
     canonical_rows,
-    canonicalize,
     parse_word,
     reduce_word,
 )
@@ -53,68 +52,6 @@ def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
 # ---------------------------------------------------------------------------
 # Subgroup cores of free groups
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoreGraph:
-    """A rooted labeled graph in which some edge slots may be undefined.
-
-    An undefined slot means a regular tree hangs off that vertex in the
-    full (usually infinite) graph the core represents, so a core is a
-    finite description of the whole graph; ``complete_ball`` materializes
-    any finite radius of it.  The wrapped graph flags every vertex with an
-    undefined slot as boundary.
-    """
-
-    graph: SchreierGraph
-
-    def __post_init__(self) -> None:
-        g = self.graph
-        partial = (g.slots < 0).any(axis=1)
-        flagged = np.isin(np.arange(g.n), list(g.boundary))
-        wrong = np.flatnonzero(partial != flagged)
-        if wrong.size:
-            v = int(wrong[0])
-            if partial[v]:
-                raise GraphInvariantError(f"core vertex {v} with undefined slots not flagged")
-            raise GraphInvariantError(f"complete core vertex {v} flagged as partial")
-        if g.truncation_radius is not None:
-            raise GraphInvariantError("cores describe complete graphs, not truncations")
-
-    @property
-    def gens(self) -> GenSet:
-        return self.graph.gens
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def root(self) -> int:
-        return self.graph.root
-
-    def missing(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.graph.slots[v] < 0).tolist())
-
-    @property
-    def complete(self) -> bool:
-        """True when no slot is undefined (the core is the whole graph)."""
-        return not self.graph.boundary
-
-    @classmethod
-    def from_table(
-        cls, gens: GenSet, table: Sequence[Sequence[int | None]], root: int = 0
-    ) -> "CoreGraph":
-        boundary = frozenset(
-            v for v, row in enumerate(table) if any(w is None for w in row)
-        )
-        g = SchreierGraph(
-            gens=gens,
-            next=tuple(tuple(row) for row in table),
-            root=root,
-            boundary=boundary,
-        )
-        return cls(canonicalize(g))
 
 
 def free_core(rank: int) -> CoreGraph:
@@ -198,9 +135,9 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
     slots = np.array([[row.get(l, -1) for l in range(gens.degree)] for row in table])
     slots = canonical_rows(slots, root)[1]  # the canonical core, root 0
     partial = np.flatnonzero((slots < 0).any(axis=1))
-    g = SchreierGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
-    g.validate()
-    return CoreGraph(g)
+    core = CoreGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
+    core.validate()
+    return core
 
 
 def complete_ball(
@@ -221,14 +158,13 @@ def complete_ball(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    g = core.graph
-    n, d, inv, labels = g.n, g.degree, np.asarray(g.gens.inv), np.arange(g.degree)
-    targets = np.vstack([g.slots, np.full((1, d), -1)])  # row n: a tree vertex
+    n, d, inv, labels = core.n, core.degree, np.asarray(core.gens.inv), np.arange(core.degree)
+    targets = np.vstack([core.slots, np.full((1, d), -1)])  # row n: a tree vertex
     index = np.full(n + 1, -1, dtype=np.int64)  # core vertex -> ball vertex
-    index[g.root] = 0
+    index[core.root] = 0
     # per vertex of the layer: its core vertex (n on a tree), and a tree
     # vertex's parent and the label of its slot back to it (−1 on the core)
-    cores, parents, backs = np.array([g.root]), np.array([-1]), np.array([-1])
+    cores, parents, backs = np.array([core.root]), np.array([-1]), np.array([-1])
     rows, first = [], 0  # the layer's vertices are first, first + 1, …
     for _ in range(radius):
         hits = targets[cores]
@@ -256,7 +192,7 @@ def complete_ball(
     slots.flags.writeable = False
     boundary = frozenset((first + np.flatnonzero((rows[-1] < 0).any(axis=1))).tolist())
     return SchreierGraph._trusted(
-        gens=g.gens,
+        gens=core.gens,
         slots=slots,
         boundary=boundary,
         truncation_radius=radius if boundary else None,
@@ -625,7 +561,7 @@ def _parse_kv(text: str, keys: Sequence[str], kind: str) -> dict[str, int]:
     return values
 
 
-def from_spec(text: str) -> SchreierGraph | CoreGraph:
+def from_spec(text: str) -> SchreierGraph:
     """Build a graph from a compact textual description.
 
     Examples: ``cycle:6``, ``petersen``, ``tree:d=4,r=3``,
@@ -639,7 +575,7 @@ def from_spec(text: str) -> SchreierGraph | CoreGraph:
     return built if radius is None else complete_ball(built, radius)
 
 
-def parse_spec(text: str) -> tuple[SchreierGraph | CoreGraph, int | None]:
+def parse_spec(text: str) -> tuple[SchreierGraph, int | None]:
     """``from_spec`` without the ball: the graph or core a spec names, and
     the radius R of a ball spec (``@R`` on a core, or ``tree:d=D,r=R``,
     which is ``tree_core(D)`` with radius R), whose ``complete_ball`` is
@@ -654,7 +590,7 @@ def parse_spec(text: str) -> tuple[SchreierGraph | CoreGraph, int | None]:
             raise ValueError(f"bad radius suffix {suffix!r}") from None
     kind, sep, rest = text.partition(":")
     radius = at
-    result: SchreierGraph | CoreGraph
+    result: SchreierGraph
     if kind == "cycle":
         result = cycle_graph(int(rest))
     elif kind == "petersen" and not sep:
@@ -696,8 +632,6 @@ def parse_spec(text: str) -> tuple[SchreierGraph | CoreGraph, int | None]:
     elif kind == "file":
         with open(rest) as fh:
             result = parse_sgf1(fh.read())
-        if result.boundary and result.truncation_radius is None:
-            result = CoreGraph(result)  # a core, as ``build`` writes one
     else:
         raise ValueError(f"unknown graph spec {text!r}")
     misplaced = "'@radius' applies only to core specs (fold/free)"

@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from schreier.builders import (
-    CoreGraph,
     SPEC_GRAMMAR,
     action_from_spec,
     complete_ball,
@@ -32,6 +31,7 @@ from schreier.builders import (
     tree_core,
 )
 from schreier.core import (
+    CoreGraph,
     GenSet,
     GraphInvariantError,
     InequalityViolation,
@@ -106,7 +106,7 @@ class _Parser(argparse.ArgumentParser):
 def _full_graph(built, purpose: str):
     if isinstance(built, CoreGraph):
         if built.complete:
-            return built.graph
+            return built
         raise ValueError(
             f"{purpose} needs a whole graph; complete the core with an '@radius' suffix"
         )
@@ -133,14 +133,13 @@ def _ball_root(core: CoreGraph, radius: int, horizon: int) -> bool:
     ones, so the ball is bipartite iff no core edge joins two vertices at
     the same distance ≤ R.
     """
-    g = core.graph
     # no core vertex lies farther than n − 1, however large R is
-    order, ends = bfs_layers(g.slots, core.root, min(radius, core.n))
+    order, ends = bfs_layers(core.slots, core.root, min(radius, core.n))
     depth = layer_depths(core.n, order, ends)  # −1 beyond R and for a missing slot
-    partial = depth[list(g.boundary)]
-    if len(order) < core.n or (partial >= 0).any() and (g.degree > 1 or radius in partial):
+    partial = depth[list(core.boundary)]
+    if len(order) < core.n or (partial >= 0).any() and (core.degree > 1 or radius in partial):
         _require_room("return counts", 0, radius, (horizon + 1) // 2)
-    return not (depth[g.slots[order]] == depth[order][:, None]).any()
+    return not (depth[core.slots[order]] == depth[order][:, None]).any()
 
 
 def _parse_rank(group: str) -> int:
@@ -619,8 +618,7 @@ _PARSER = _build_parser()
 
 def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     if args.command == "build":
-        built = from_spec(args.spec)
-        _write_out(serialize(built.graph if isinstance(built, CoreGraph) else built), args.out)
+        _write_out(serialize(from_spec(args.spec)), args.out)
         return 0
 
     if args.command == "spectrum":

@@ -149,13 +149,16 @@ class GenSet:
 
     @classmethod
     def free(cls, rank: int, names: Sequence[str] | None = None) -> "GenSet":
-        """Alphabet of a free group: ``rank`` lower/upper-case letter pairs."""
+        """Alphabet of a free group: ``rank`` lower/upper-case letter pairs,
+        named by ``names`` (one per pair) or else a, b, c, …."""
         if rank < 1:
             raise GraphInvariantError("rank must be positive")
         if names is None:
             if rank > 26:
                 raise GraphInvariantError("default letter names support rank <= 26")
             names = ascii_lowercase[:rank]
+        elif len(names) != rank:
+            raise GraphInvariantError(f"rank {rank} needs {rank} names, got {len(names)}")
         labels: list[str] = []
         inv: list[int] = []
         for i, nm in enumerate(names):
@@ -291,8 +294,9 @@ class SchreierGraph:
     package from a validated one (``_trusted``) stores ``slots`` alone,
     and ``next`` is built from it, and cached, the first time something
     reads it.  Equality, the hash and the repr read ``slots``, not ``next``:
-    two graphs are equal when their alphabets, tables, roots, boundaries
-    and truncation radii are, and the hash and repr leave out the table.
+    two graphs are equal when their types, alphabets, tables, roots,
+    boundaries and truncation radii are, and the hash and repr leave out
+    the table.
     """
 
     gens: GenSet
@@ -329,8 +333,8 @@ class SchreierGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchreierGraph):
             return NotImplemented
-        return (self.gens, self.root, self.boundary, self.truncation_radius) == (
-            other.gens, other.root, other.boundary, other.truncation_radius
+        return (type(self), self.gens, self.root, self.boundary, self.truncation_radius) == (
+            type(other), other.gens, other.root, other.boundary, other.truncation_radius
         ) and np.array_equal(self.slots, other.slots)
 
     def __hash__(self) -> int:
@@ -338,7 +342,7 @@ class SchreierGraph:
 
     def __repr__(self) -> str:
         return (
-            f"SchreierGraph(gens={self.gens!r}, n={self.n}, root={self.root}, "
+            f"{type(self).__name__}(gens={self.gens!r}, n={self.n}, root={self.root}, "
             f"boundary={len(self.boundary)} vertices, "
             f"truncation_radius={self.truncation_radius})"
         )
@@ -424,6 +428,48 @@ class SchreierGraph:
         depth = layer_depths(self.n, *bfs_layers(self.slots, self.root))
         depth.flags.writeable = False
         return depth
+
+
+class CoreGraph(SchreierGraph):
+    """A rooted labeled graph in which some edge slots may be undefined.
+
+    An undefined slot means a regular tree hangs off that vertex in the
+    full (usually infinite) graph the core represents, so a core is a
+    finite description of the whole graph; ``complete_ball`` materializes
+    any finite radius of it.  Every vertex with an undefined slot, and no
+    other, is flagged as boundary, and a core is never truncated.  What
+    does not tell cores apart reads one as the finite graph it stores.
+    """
+
+    def validate(self) -> None:
+        """``SchreierGraph.validate``, which refuses an unflagged vertex
+        with an undefined slot, then the core's checks: every flagged
+        vertex has an undefined slot, and there is no truncation mark."""
+        super().validate()
+        partial = (self.slots < 0).any(axis=1)
+        complete = [v for v in self.boundary if not partial[v]]
+        if complete:
+            raise GraphInvariantError(f"complete core vertex {min(complete)} flagged as partial")
+        if self.truncation_radius is not None:
+            raise GraphInvariantError("cores describe complete graphs, not truncations")
+
+    def missing(self, v: int) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.slots[v] < 0).tolist())
+
+    @property
+    def complete(self) -> bool:
+        """True when no slot is undefined (the core is the whole graph)."""
+        return not self.boundary
+
+    @classmethod
+    def from_table(
+        cls, gens: GenSet, table: Sequence[Sequence[int | None]], root: int = 0
+    ) -> "CoreGraph":
+        boundary = frozenset(
+            v for v, row in enumerate(table) if any(w is None for w in row)
+        )
+        rows = tuple(tuple(row) for row in table)
+        return canonicalize(cls(gens=gens, next=rows, root=root, boundary=boundary))
 
 
 def _number_table(
@@ -595,10 +641,11 @@ def canonical_rows(
 
 
 def canonicalize(g: SchreierGraph) -> SchreierGraph:
-    """The same rooted graph renumbered by ``canonical_rows`` (root 0)."""
+    """The same rooted graph, of the same type, renumbered by
+    ``canonical_rows`` (root 0)."""
     order, slots = canonical_rows(g.slots, g.root)
     flagged = np.isin(order, list(g.boundary))
-    return SchreierGraph._trusted(
+    return type(g)._trusted(
         gens=g.gens,
         slots=slots,
         boundary=frozenset(np.flatnonzero(flagged).tolist()),
@@ -749,7 +796,9 @@ def parse(text: str) -> SchreierGraph:
     at least n − 1 edges, and each of its interior vertices fills all d
     slots, so with E ``e`` lines and B ``b`` lines a ``vertices n`` header
     with n > E + 1 or (n − B)·d > E is refused before any table is
-    allocated.  The table is then checked by ``validate``.
+    allocated.  ``b`` lines with no ``truncated`` mark describe a core,
+    and make a ``CoreGraph``; any other file makes a ``SchreierGraph``.
+    The table is then checked by that type's ``validate``.
     """
     lines = _stripped_lines(text)
     pos = 0
@@ -838,7 +887,8 @@ def parse(text: str) -> SchreierGraph:
         start = end
     if irregular:
         raise _line_error(body, cut + 1, hi)
-    g = SchreierGraph._trusted(
+    kind = CoreGraph if boundary and radius is None else SchreierGraph
+    g = kind._trusted(
         gens=gens,
         slots=slots,
         root=root,

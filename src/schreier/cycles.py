@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from schreier.builders import CoreGraph
 from schreier.core import SchreierGraph
 from schreier.local import is_vertex_transitive
 
@@ -48,10 +47,6 @@ __all__ = [
 
 LMAX = 12
 _ROWS = 1 << 14  # rows per block of the sweep
-
-
-def _graph(g: SchreierGraph | CoreGraph) -> SchreierGraph:
-    return g.graph if isinstance(g, CoreGraph) else g
 
 
 def _transitive(g: SchreierGraph) -> bool:
@@ -102,13 +97,12 @@ def _closed_walks(table: np.ndarray, starts: np.ndarray, lmax: int, above: bool)
 
 
 def cycle_counts(
-    g: SchreierGraph | CoreGraph, lmax: int, transitive: bool | None = None
+    g: SchreierGraph, lmax: int, transitive: bool | None = None
 ) -> tuple[int, ...]:
     """Exact cycle counts c_1 .. c_lmax.  ``transitive`` says whether g is a
     whole vertex-transitive graph, decided here if not given."""
     if not 1 <= lmax <= LMAX:
         raise ValueError(f"lmax = {lmax} is outside 1..{LMAX}: cycle lengths are supported up to {LMAX}")
-    g = _graph(g)
     counts = list(_loops_and_pairs(g))[:lmax]
     if lmax < 3:
         return tuple(counts)
@@ -125,7 +119,7 @@ def cycle_counts(
 
 
 def girth(
-    g: SchreierGraph | CoreGraph, counts: Sequence[int] = (), transitive: bool | None = None
+    g: SchreierGraph, counts: Sequence[int] = (), transitive: bool | None = None
 ) -> int | float:
     """Length of the shortest cycle of the underlying multigraph (math.inf
     for a forest): the first L with c_L > 0 in ``counts`` (c_1, c_2, ... of
@@ -139,7 +133,6 @@ def girth(
     for length, c in enumerate(counts, start=1):
         if c > 0:
             return length
-    g = _graph(g)
     nxt = g.slots.tolist()  # rows, −1 for a missing slot
     transitive = _transitive(g) if transitive is None else transitive
     best = math.inf
@@ -192,9 +185,8 @@ class CycleProfile:
 
 
 def cycle_profile(
-    g: SchreierGraph | CoreGraph, lmax: int, label: str = ""
+    g: SchreierGraph, lmax: int, label: str = ""
 ) -> CycleProfile:
-    g = _graph(g)
     transitive = _transitive(g)
     counts = cycle_counts(g, lmax, transitive)
     return CycleProfile(

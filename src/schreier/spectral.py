@@ -44,11 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from schreier.builders import (
-    CoreGraph,
-    from_perm_action,
-    tree_core,
-)
+from schreier.builders import from_perm_action, tree_core
 from schreier.core import (
     GenSet,
     GraphInvariantError,
@@ -461,7 +457,7 @@ def _neville_to_zero(points: Sequence[tuple[float, float]]) -> float:
 
 
 def estimate_rho_returns(
-    source: CoreGraph | SchreierGraph, horizon: int
+    source: SchreierGraph, horizon: int
 ) -> SpectralReport:
     """Certified lower bound for ρ from exact return counts.
 
@@ -479,9 +475,8 @@ def estimate_rho_returns(
     """
     if horizon < 2 or horizon % 2:
         raise ValueError("horizon must be even and at least 2")
-    g = source.graph if isinstance(source, CoreGraph) else source
-    counts = return_counts(source, g.root, horizon)
-    d = g.degree
+    counts = return_counts(source, source.root, horizon)
+    d = source.degree
     evens = counts[::2]  # c_0 = 1, c_1, …, c_{H/2}
     for k in range(1, horizon // 2):
         if evens[k] ** 2 > evens[k - 1] * evens[k + 1]:
@@ -501,7 +496,7 @@ def estimate_rho_returns(
         n=horizon,
         rho0=certified,
         rho0_nonneg=certified,
-        bipartite=bipartition(g) is not None,
+        bipartite=bipartition(source) is not None,
         method="returns-extrapolation",
         error_bound=max(0.0, extrapolated - certified),
         return_sequence=tuple(rs),

@@ -64,8 +64,8 @@ from typing import Iterator
 
 import numpy as np
 
-from schreier.builders import CoreGraph
 from schreier.core import (
+    CoreGraph,
     InequalityViolation,
     InsufficientRadiusError,
     SchreierGraph,
@@ -98,16 +98,15 @@ def _require_room(what: str, x: int, near: int, needed: int) -> None:
 
 
 def _walk_source(
-    source: SchreierGraph | CoreGraph, x: int, radius: int, needed: int, what: str
+    source: SchreierGraph, x: int, radius: int, needed: int, what: str
 ) -> tuple[SchreierGraph, tuple[np.ndarray, list[int]], dict[int, int]]:
     """(graph, ``bfs_layers`` of x to ``radius``, number of trees hanging
     at each vertex) for walks from x.  A core hangs a tree at each
     undefined slot and is never truncated; a graph has no trees, and is
     refused if a boundary vertex lies closer to x than ``needed``."""
     if isinstance(source, CoreGraph):
-        g = source.graph
-        trees = {v: len(source.missing(v)) for v in g.boundary}
-        return g, bfs_layers(g.slots, x, radius), trees
+        trees = {v: len(source.missing(v)) for v in source.boundary}
+        return source, bfs_layers(source.slots, x, radius), trees
     order, ends = bfs_layers(source.slots, x, radius)
     _require_room(what, x, boundary_layer(source, order, ends), needed)
     return source, (order, ends), {}
@@ -260,7 +259,7 @@ def _walk_steps(
 
 
 def return_counts(
-    source: SchreierGraph | CoreGraph, x: int, horizon: int
+    source: SchreierGraph, x: int, horizon: int
 ) -> tuple[int, ...]:
     """|P_{x,x,n}| for n = 0..horizon, holding one row of counts at a time.
     A core is exact at any horizon: the state space is the core plus (core
@@ -500,7 +499,7 @@ def _even_rows(
 
 
 def return_domination_reports(
-    source: SchreierGraph | CoreGraph, n: int, vertex_transitive: bool | None = None
+    source: SchreierGraph, n: int, vertex_transitive: bool | None = None
 ) -> tuple[DominationReport, ...]:
     """The certificate at each even k = 2..n, read as one walk stream from
     the root passes step k: the root's counts at k and k − 2 and the

@@ -82,13 +82,13 @@ from hypothesis import strategies as st
 
 from schreier import builders, core
 from schreier.builders import (
-    CoreGraph,
     _matmul,
     _proj_normalize,
     _quaternion_solutions,
     _solve_xy,
 )
 from schreier.core import (
+    CoreGraph,
     GenSet,
     GraphInvariantError,
     PermAction,
@@ -185,11 +185,11 @@ def serialize(g: SchreierGraph) -> str:
 
 
 def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
-    """g with vertex v renumbered ``numbering[v]``."""
+    """g, of the same type, with vertex v renumbered ``numbering[v]``."""
     table = [()] * g.n
     for v, row in enumerate(g.next):
         table[numbering[v]] = tuple(None if w is None else numbering[w] for w in row)
-    return SchreierGraph(
+    return type(g)(
         gens=g.gens,
         next=tuple(table),
         root=numbering[g.root],
@@ -246,9 +246,8 @@ def rooted_orbits(act: PermAction, points) -> list[tuple[tuple, int]]:
 
 
 def complete_ball(
-    core: CoreGraph, radius: int, max_vertices: int = 2_000_000
+    g: CoreGraph, radius: int, max_vertices: int = 2_000_000
 ) -> SchreierGraph:
-    g = core.graph
     d, inv = g.degree, g.gens.inv
     dist = bfs_distances(g, g.root)
     kept = [v for v in range(g.n) if dist[v] <= radius]
@@ -384,13 +383,12 @@ def tree_ring_counts(degree: int, horizon: int) -> list[tuple[int, ...]]:
     return table
 
 
-def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
+def cycles_through(g: SchreierGraph, v: int, length: int) -> int:
     """Cycles of the given length containing the vertex ``v``, in the
     multigraph the slot table spells: a non-loop edge has exactly one slot
     at each end, a letter pair's fixed point is one loop on two slots and an
     involution's fixed point one loop on one.  For L ≥ 3 every cycle is
     walked out of v once in each direction."""
-    g = g.graph if isinstance(g, CoreGraph) else g
     inv = g.gens.inv
 
     def mult(a: int, b: int) -> int:
@@ -416,10 +414,9 @@ def cycles_through(g: SchreierGraph | CoreGraph, v: int, length: int) -> int:
     return total // 2
 
 
-def multigraph(g: SchreierGraph | CoreGraph) -> tuple[np.ndarray, sp.csr_matrix]:
+def multigraph(g: SchreierGraph) -> tuple[np.ndarray, sp.csr_matrix]:
     """Loop counts per vertex and the loopless multiplicity matrix W (w_uv
     parallel edges between u ≠ v); a missing slot (−1) contributes no edge."""
-    g = g.graph if isinstance(g, CoreGraph) else g
     n, d = g.n, g.degree
     dst = g.slots.ravel()
     src, label = np.divmod(np.arange(n * d), d)
@@ -433,14 +430,13 @@ def multigraph(g: SchreierGraph | CoreGraph) -> tuple[np.ndarray, sp.csr_matrix]
     return np.bincount(src[loop], minlength=n), (w + w.T).tocsr()
 
 
-def traced_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+def traced_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
     """c_1..c_lmax, lmax ≤ 5, by the weighted identities of Harary–Manvel
     (1971) in the sparse form of Alon–Yuster–Zwick (1997), s = diag(W²):
     c_1 counts loops, c_2 = Σ_{u<v} C(w_uv, 2), c_3 = tr W³/6,
     c_4 = (Σ (W²)_uv² − 2 Σ_v s_v² + Σ w_uv⁴)/8 and
     c_5 = (Σ (W²)_uv (W³)_uv − 5 Σ_v s_v (W³)_vv + 5 Σ w_uv³ (W²)_uv)/10.
     Each sum is at most n·d⁵, which the small test graphs keep in int64."""
-    g = g.graph if isinstance(g, CoreGraph) else g
     assert lmax <= 5 and g.n * g.degree**5 < 2**63
     loops, w = multigraph(g)
     m = w.data
@@ -458,7 +454,7 @@ def traced_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
     return tuple(counts[:lmax])
 
 
-def enumerated_counts(g: SchreierGraph | CoreGraph, lmax: int) -> tuple[int, ...]:
+def enumerated_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
     """c_1..c_lmax: c_1 and c_2 from the multiplicity matrix, and for L ≥ 3
     each cycle as a path out of its smallest vertex s closed by an edge back
     to s; its reflection is killed by requiring the first step to be smaller
@@ -613,7 +609,9 @@ def parse(text: str) -> SchreierGraph:
             boundary.add(v)
         else:
             raise SGF1Error(f"unrecognized line {line!r}")
-    g = SchreierGraph._trusted(
+    # ``b`` lines with no ``truncated`` mark describe a core
+    kind = CoreGraph if boundary and radius is None else SchreierGraph
+    g = kind._trusted(
         gens=gens,
         next=tuple(tuple(row) for row in table),
         root=root,
@@ -622,6 +620,9 @@ def parse(text: str) -> SchreierGraph:
     )
     try:
         validate(g)
+        complete = [v for v in sorted(boundary) if None not in g.next[v]]
+        if kind is CoreGraph and complete:
+            raise GraphInvariantError(f"complete core vertex {complete[0]} flagged as partial")
     except GraphInvariantError as exc:
         raise SGF1Error(str(exc)) from exc
     return g
@@ -814,9 +815,9 @@ def stallings_core(gens: GenSet, subgroup_words) -> CoreGraph:
     slots = np.array([[row.get(l, -1) for l in range(gens.degree)] for row in table])
     slots = core.canonical_rows(slots, root)[1]
     partial = np.flatnonzero((slots < 0).any(axis=1))
-    g = SchreierGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
+    g = CoreGraph._trusted(gens=gens, slots=slots, boundary=frozenset(partial.tolist()))
     g.validate()
-    return CoreGraph(g)
+    return g
 
 
 def resolve_support(gens: GenSet, support) -> list[int | None]:

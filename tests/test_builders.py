@@ -41,6 +41,7 @@ from schreier.core import (
     GraphInvariantError,
     PermAction,
     SchreierGraph,
+    SGF1Error,
     Word,
     bfs_layers,
     boundary_layer,
@@ -100,13 +101,13 @@ class TestStallingsCore:
     def test_single_loop(self):
         core = stallings_core(F2, [parse_word(F2, "a")])
         assert core.n == 1
-        assert core.graph.next[0] == (0, 0, None, None)
+        assert core.next[0] == (0, 0, None, None)
 
     def test_a_squared_and_b(self):
         core = stallings_core(F2, [parse_word(F2, "a^2"), parse_word(F2, "b")])
         assert core.n == 2
-        assert core.graph.next[0] == (1, 1, 0, 0)
-        assert core.graph.next[1] == (0, 0, None, None)
+        assert core.next[0] == (1, 1, 0, 0)
+        assert core.next[1] == (0, 0, None, None)
 
     def test_fold_to_full_group(self):
         core = stallings_core(F2, [parse_word(F2, "a"), parse_word(F2, "ab")])
@@ -116,14 +117,14 @@ class TestStallingsCore:
     def test_conjugate_keeps_root_path(self):
         core = stallings_core(F2, [parse_word(F2, "abA")])
         assert core.n == 2
-        assert core.graph.next[core.root] == (1, None, None, None)
-        assert core.graph.next[1] == (None, 0, 1, 1)
+        assert core.next[core.root] == (1, None, None, None)
+        assert core.next[1] == (None, 0, 1, 1)
 
     def test_unreduced_input_reduced_first(self):
         w = parse_word(F2, "aBb")  # reduces to a
         core = stallings_core(F2, [w])
         assert core.n == 1
-        assert core.graph.next[0] == (0, 0, None, None)
+        assert core.next[0] == (0, 0, None, None)
 
     def test_involutive_alphabet_rejected(self):
         gens = GenSet.with_involutions(pairs=("a",), involutions=("m",))
@@ -136,8 +137,8 @@ class TestStallingsCore:
         gens = GenSet.free(rank)
         words = data.draw(reference.folded_words(rank))
         core = stallings_core(gens, words)
-        assert core.graph == reference.stallings_core(gens, words).graph
-        defined = (core.graph.slots >= 0).sum(axis=1)
+        assert core == reference.stallings_core(gens, words)
+        defined = (core.slots >= 0).sum(axis=1)
         assert (defined[1:] >= 2).all()  # the root is vertex 0
 
     @given(st.data())
@@ -153,7 +154,7 @@ class TestStallingsCore:
         )
         core = stallings_core(F2, words)
         shuffled = data.draw(st.permutations(words))
-        assert stallings_core(F2, list(shuffled)).graph == core.graph
+        assert stallings_core(F2, list(shuffled)) == core
 
     @given(st.data())
     def test_core_invariant_under_redundant_generators(self, data):
@@ -170,9 +171,9 @@ class TestStallingsCore:
         i = data.draw(st.integers(0, len(words) - 1))
         j = data.draw(st.integers(0, len(words) - 1))
         extra = Word(words[i].letters + words[j].letters)
-        assert stallings_core(F2, words + [extra]).graph == core.graph
+        assert stallings_core(F2, words + [extra]) == core
         inverses = [reference.invert_word(F2, w) for w in words]
-        assert stallings_core(F2, inverses).graph == core.graph
+        assert stallings_core(F2, inverses) == core
 
     @given(st.data())
     def test_generator_words_stabilize_root(self, data):
@@ -189,7 +190,7 @@ class TestStallingsCore:
         for w in words:
             w = reduce_word(F2, w)
             if w.letters:
-                assert walk_endpoint(core.graph, core.root, w) == core.root
+                assert walk_endpoint(core, core.root, w) == core.root
 
 
 class TestCompleteBall:
@@ -316,7 +317,7 @@ class TestTreeCore:
     def test_every_degree(self):
         for degree in range(2, 121):
             core = tree_core(degree)
-            assert core.graph.degree == degree and core.n == 1
+            assert core.degree == degree and core.n == 1
 
     @pytest.mark.parametrize(
         "degree, last", [(3, "m"), (25, "m"), (27, "m0"), (52, "Z"), (54, "A1"), (61, "m0")]
@@ -572,11 +573,11 @@ class TestSpecLanguage:
 
         core = from_spec("fold:a^2,b")
         path = tmp_path / "core.sgf"
-        path.write_text(serialize(core.graph))
+        path.write_text(serialize(core))
         assert from_spec(f"file:{path}") == core
         # a complete vertex flagged as boundary is neither core nor truncation
         path.write_text(serialize(cycle_graph(3)) + "b 0\n")
-        with pytest.raises(GraphInvariantError, match="flagged as partial"):
+        with pytest.raises(SGF1Error, match="flagged as partial"):
             from_spec(f"file:{path}")
 
     def test_radius_on_non_core_rejected(self):

@@ -14,6 +14,7 @@ from schreier import core, local
 from schreier.builders import (
     complete_ball,
     cycle_graph,
+    free_core,
     random_perm_action,
     random_perm_model,
     restrict_to_orbit,
@@ -22,6 +23,7 @@ from schreier.builders import (
 )
 from schreier.core import (
     BOUNDARY,
+    CoreGraph,
     GenSet,
     GraphInvariantError,
     PermAction,
@@ -44,6 +46,7 @@ from schreier.cycles import cycle_profile
 from schreier.irs import invariance_diagnostic, uniform_conjugate
 from schreier.local import ball_distance, fix_density, local_approx_check
 from schreier.spectral import product_return_bound, ramanujan_check, support_subgroup_graph
+from schreier.walks import return_counts
 
 
 def cycle(n: int) -> SchreierGraph:
@@ -96,6 +99,13 @@ class TestGenSet:
     def test_duplicate_names_rejected(self):
         with pytest.raises(GraphInvariantError, match="unique"):
             GenSet(("a", "a"), (1, 0))
+
+    @pytest.mark.parametrize("rank, names", [(2, "c"), (1, "cd")])
+    def test_free_takes_one_name_per_rank(self, rank, names):
+        with pytest.raises(
+            GraphInvariantError, match=f"rank {rank} needs {rank} names, got {len(names)}"
+        ):
+            GenSet.free(rank, names=names)
 
 
 class TestWords:
@@ -258,7 +268,7 @@ def _outcome(build):
 
 
 def _fields(g: SchreierGraph) -> tuple:
-    return g.gens, g.next, g.root, g.boundary, g.truncation_radius
+    return type(g), g.gens, g.next, g.root, g.boundary, g.truncation_radius
 
 
 class TestArrayValidateOracle:
@@ -322,7 +332,7 @@ class TestBfsLayers:
         else:
             rank = data.draw(st.integers(1, 2), label="rank")
             core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
-            g = core.graph
+            g = core
             if kind == "ball":
                 g = complete_ball(core, data.draw(st.integers(0, 4), label="ball radius"))
         g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
@@ -390,7 +400,7 @@ class TestBfsLayers:
             g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
         else:
             rank = data.draw(st.integers(1, 2), label="rank")
-            g = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank))).graph
+            g = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
         x = data.draw(st.integers(0, g.n - 1), label="start")
         radius = data.draw(st.none() | st.integers(-1, 12), label="radius")
         chosen = bfs_layers(g.slots, x, radius)
@@ -410,7 +420,7 @@ class TestBfsLayers:
         assert ends == [1, 3, 5, 7, 9, 10, 10, 10, 10]
 
     def test_one_vertex_core_at_a_deep_radius(self):
-        order, ends = bfs_layers(tree_core(4).graph.slots, 0, 200)
+        order, ends = bfs_layers(tree_core(4).slots, 0, 200)
         assert (order.tolist(), ends) == ([0], [1] * 201)
 
     @given(m=st.integers(1, 2), n=st.integers(1, 20), seed=st.integers(0, 99))
@@ -426,6 +436,45 @@ class TestBfsLayers:
         g = cycle_graph(6)
         with pytest.raises(ValueError, match=rf"vertex {start} is not a vertex"):
             bfs_layers(g.slots, start)
+
+
+class TestCoreGraph:
+    """A core is the ``SchreierGraph`` whose undefined slots hang trees:
+    its own type under equality, canonical numbering and SGF1."""
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 3))
+    def test_sgf1_reads_a_core_back(self, data, rank):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        read = parse(serialize(core))
+        if core.complete:  # no ``b`` line: the finite graph the core is
+            assert read == SchreierGraph._trusted(gens=core.gens, slots=core.slots)
+        else:
+            assert isinstance(read, CoreGraph) and read == core
+        assert return_counts(read, read.root, 12) == return_counts(core, core.root, 12)
+
+    def test_a_core_is_not_the_plain_graph_with_its_table(self):
+        gens = GenSet.free(2)
+        complete = stallings_core(gens, [parse_word(gens, w) for w in ("a^2", "b^2", "ab")])
+        for core in (free_core(2), stallings_core(gens, [parse_word(gens, "a")]), complete):
+            plain = SchreierGraph(gens=core.gens, next=core.next, boundary=core.boundary)
+            assert core != plain and plain != core
+            assert np.array_equal(core.slots, plain.slots)
+            assert type(canonicalize(core)) is CoreGraph and canonicalize(core) == core
+            assert type(canonicalize(plain)) is SchreierGraph
+            assert repr(core).startswith("CoreGraph(gens=")
+            assert repr(plain).startswith("SchreierGraph(gens=")
+
+    def test_validate_refuses_what_no_core_is(self):
+        gens = GenSet.free(1)
+        with pytest.raises(GraphInvariantError, match="complete core vertex 0 flagged as partial"):
+            CoreGraph(gens=gens, next=((0, 0),), boundary=frozenset({0}))
+        with pytest.raises(GraphInvariantError, match="missing edge slot a"):
+            CoreGraph(gens=gens, next=((None, None),))
+        with pytest.raises(GraphInvariantError, match="not truncations"):
+            CoreGraph(
+                gens=gens, next=((None, None),), boundary=frozenset({0}), truncation_radius=0
+            )
 
 
 class TestCanonicalize:
@@ -713,7 +762,7 @@ def stored_graphs(draw) -> SchreierGraph:
     else:
         rank = draw(st.integers(1, 2))
         core_graph = stallings_core(GenSet.free(rank), draw(reference.folded_words(rank)))
-        g = core_graph.graph
+        g = core_graph
         if kind == "ball":
             g = complete_ball(core_graph, draw(st.integers(0, 3)))
     if draw(st.booleans()):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import reference
 from schreier.builders import (
-    CoreGraph,
     complete_ball,
     cycle_graph,
     free_core,
@@ -41,7 +40,6 @@ from reference import cycles_through
 def brute_edges(g):
     """Multigraph edge list recovered from half-edge pairing alone: each
     edge is an orbit of (v, l) ↔ (next[v][l], l⁻¹) on defined slots."""
-    g = g.graph if isinstance(g, CoreGraph) else g
     seen, edges = set(), []
     for v in range(g.n):
         for l in range(g.gens.degree):
@@ -65,7 +63,7 @@ def brute_cycle_count(g, length):
     mult = Counter((v, w) if v < w else (w, v) for v, w in edges if v != w)
     if length == 2:
         return sum(m * (m - 1) // 2 for m in mult.values())
-    n = (g.graph if isinstance(g, CoreGraph) else g).n
+    n = g.n
     total = 0
     for subset in combinations(range(n), length):
         anchor = subset[0]
@@ -173,7 +171,7 @@ class TestBruteForceAgreement:
 def brute_girth(g):
     """The first L with a brute-force L-cycle; no cycle has more than n
     vertices, so a graph with none up to n is a forest."""
-    n = (g.graph if isinstance(g, CoreGraph) else g).n
+    n = g.n
     return next((L for L in range(1, n + 1) if brute_cycle_count(g, L)), math.inf)
 
 
@@ -245,7 +243,7 @@ class TestTraceIdentities:
     @given(data=st.data(), rank=st.integers(1, 3))
     def test_folded_cores(self, data, rank):
         core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
-        assume(core.graph.n <= 14)
+        assume(core.n <= 14)
         self.assert_traced(core)
 
     def test_missing_slots(self):

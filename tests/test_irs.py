@@ -310,7 +310,7 @@ class TestInvarianceDiagnostic:
     def test_single_vertex_graph(self):
         gens = GenSet.free(2)
         words = [parse_word(gens, "a"), parse_word(gens, "b")]
-        pm = reference.point_mass(stallings_core(gens, words).graph)
+        pm = reference.point_mass(stallings_core(gens, words))
         assert invariance_diagnostic(pm, 3).max_tv == 0
 
     def test_truncated_sample_refused_before_any_table(self):

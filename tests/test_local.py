@@ -393,7 +393,7 @@ class TestTrustedPathsValidate:
         shuffled = replace(g, root=g.n - 1)
         trusted = [
             g,
-            core.graph,
+            core,
             truncated,
             canonicalize(shuffled),
             canonicalize(replace(truncated, root=truncated.n - 1)),
@@ -858,7 +858,7 @@ class TestTransitivityAgainstAllVertices:
         # permutation, matching the points with no image to the points with
         # no preimage in order
         words = data.draw(reference.folded_words(rank))
-        slots = stallings_core(GenSet.free(rank), words).graph.slots
+        slots = stallings_core(GenSet.free(rank), words).slots
         perms = []
         for l in range(0, 2 * rank, 2):
             p = slots[:, l].copy()

@@ -125,10 +125,10 @@ class TestBipartition:
 
     def test_loop_kills_it(self):
         loop = stallings_core(F2, [parse_word(F2, "a")])
-        assert bipartition(loop.graph) is None
+        assert bipartition(loop) is None
 
     def test_free_core_tree(self):
-        assert bipartition(free_core(2).graph) is not None
+        assert bipartition(free_core(2)) is not None
 
 
 class TestRho0:
@@ -153,7 +153,7 @@ class TestRho0:
     def test_single_vertex(self):
         core = stallings_core(F2, [parse_word(F2, w) for w in ("a", "b")])
         assert core.complete
-        rep = rho0(core.graph)
+        rep = rho0(core)
         assert rep.rho0 == 0.0
 
     def test_sign_vector_residual_is_in_the_bound(self, monkeypatch):
@@ -592,8 +592,7 @@ class TestLogConvexity:
 
     @staticmethod
     def assert_log_convex(source, horizon: int) -> None:
-        g = source.graph if isinstance(source, builders.CoreGraph) else source
-        c = return_counts(source, g.root, horizon)[::2]
+        c = return_counts(source, source.root, horizon)[::2]
         assert c[0] == 1
         assert all(c[k] ** 2 <= c[k - 1] * c[k + 1] for k in range(1, len(c) - 1))
         estimate_rho_returns(source, horizon)

@@ -134,7 +134,7 @@ class TestCoreReturnCounts:
         core = stallings_core(F2, words)
         assert core.complete
         counts = return_counts(core, core.root, 6)
-        rows = reference.count_walks(core.graph, core.root, 6)
+        rows = reference.count_walks(core, core.root, 6)
         assert all(counts[n] == rows[n][core.root] for n in range(7))
 
 
@@ -182,7 +182,7 @@ class TestHangingTreeRecurrence:
         re-rooted at x, read on its completed ball."""
         core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
         x = data.draw(st.integers(0, core.n - 1), label="origin")
-        rerooted = CoreGraph.from_table(core.gens, core.graph.next, root=x)
+        rerooted = CoreGraph.from_table(core.gens, core.next, root=x)
         ball = complete_ball(rerooted, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
         assert return_counts(core, x, horizon) == tuple(row[ball.root] for row in rows)
@@ -243,7 +243,7 @@ class TestHangingTreeRecurrence:
         numbering = data.draw(st.permutations(range(core.n)))
         ball = complete_ball(core, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
-        shuffled = CoreGraph(reference.shuffled(core.graph, numbering))
+        shuffled = reference.shuffled(core, numbering)
         counts = return_counts(shuffled, shuffled.root, horizon)
         assert counts == tuple(row[ball.root] for row in rows)
 
