@@ -140,11 +140,12 @@ def stallings_core(gens: GenSet, subgroup_words: Iterable[Word]) -> CoreGraph:
     return core
 
 
-def complete_ball(
-    core: CoreGraph, radius: int, max_vertices: int = 2_000_000
-) -> SchreierGraph:
-    """The radius-``radius`` ball (around the root) of the graph the core
-    describes, with sphere vertices flagged as boundary.
+MAX_VERTICES = 2_000_000  # the most vertices ``complete_ball`` builds
+
+
+def complete_ball(core: SchreierGraph, radius: int) -> SchreierGraph:
+    """The radius-``radius`` ball (around the root) of the graph a core
+    describes, or of a whole graph, with sphere vertices flagged as boundary.
 
     One level-synchronous pass over the core's slot table numbers the ball
     in ``canonical_rows`` order.  Per layer, the core vertices' targets are
@@ -174,8 +175,8 @@ def complete_ball(
         new = sprout.flatten()
         new[unseen[np.unique(hits.ravel()[unseen], return_index=True)[1]]] = True
         size = first + len(cores)
-        if size + new.sum() > max_vertices:
-            raise ValueError(f"ball of radius {radius} exceeds max_vertices={max_vertices}")
+        if size + new.sum() > MAX_VERTICES:
+            raise ValueError(f"ball of radius {radius} exceeds max_vertices={MAX_VERTICES}")
         ids = (size - 1 + np.cumsum(new)).reshape(hits.shape)
         new = new.reshape(hits.shape)
         index[hits[new & ~sprout]] = ids[new & ~sprout]
@@ -531,7 +532,8 @@ def lps_graph(p: int, q: int) -> SchreierGraph:
 # ---------------------------------------------------------------------------
 
 SPEC_GRAMMAR = """\
-graph spec  := kind [ '@' RADIUS ]          ('@R' completes a core to its R-ball)
+graph spec  := kind [ '@' RADIUS ]          ('@R' takes the R-ball of a core or a
+                                             whole graph; a truncation refuses it)
 kind        := 'cycle:' N
              | 'petersen' | 'k4' | 'klein' | 's3'
              | 'tree:d=' D ',r=' R
@@ -577,9 +579,9 @@ def from_spec(text: str) -> SchreierGraph:
 
 def parse_spec(text: str) -> tuple[SchreierGraph, int | None]:
     """``from_spec`` without the ball: the graph or core a spec names, and
-    the radius R of a ball spec (``@R`` on a core, or ``tree:d=D,r=R``,
-    which is ``tree_core(D)`` with radius R), whose ``complete_ball`` is
-    the spec's graph; None for every other spec."""
+    the radius R of a ball spec (``@R`` on a core or a whole graph, or
+    ``tree:d=D,r=R``, which is ``tree_core(D)`` with radius R), whose
+    ``complete_ball`` is the spec's graph; None for every other spec."""
     text = text.strip()
     at: int | None = None  # the '@R' suffix
     if "@" in text:
@@ -634,13 +636,13 @@ def parse_spec(text: str) -> tuple[SchreierGraph, int | None]:
             result = parse_sgf1(fh.read())
     else:
         raise ValueError(f"unknown graph spec {text!r}")
-    misplaced = "'@radius' applies only to core specs (fold/free)"
-    if at is not None and not isinstance(result, CoreGraph):
-        raise ValueError(misplaced)
+    truncation = kind == "tree" or result.truncated and not isinstance(result, CoreGraph)
+    if at is not None and truncation:
+        raise ValueError(
+            "'@radius' takes the ball of a core or a whole graph; this spec names a truncation"
+        )
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
-    if at is not None and kind == "tree":
-        raise ValueError(misplaced)
     return result, radius
 
 

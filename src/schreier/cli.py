@@ -31,17 +31,18 @@ from schreier.builders import (
     tree_core,
 )
 from schreier.core import (
-    CoreGraph,
     GenSet,
     GraphInvariantError,
     InequalityViolation,
     InsufficientRadiusError,
     SGF1Error,
+    SchreierGraph,
     Verdict,
     bfs_layers,
     format_word,
     layer_depths,
     parse_word,
+    require_room,
     serialize,
 )
 from schreier.cycles import cycle_profile
@@ -57,7 +58,6 @@ from schreier.spectral import (
     support_copies,
 )
 from schreier.walks import (
-    _require_room,
     conditioned_prefix_probabilities,
     return_counts,
     return_domination_reports,
@@ -103,21 +103,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _full_graph(built, purpose: str):
-    if isinstance(built, CoreGraph):
-        if built.complete:
-            return built
-        raise ValueError(
-            f"{purpose} needs a whole graph; complete the core with an '@radius' suffix"
-        )
-    return built
-
-
-def _ball_root(core: CoreGraph, radius: int, horizon: int) -> bool:
+def _ball_root(core: SchreierGraph, radius: int, horizon: int) -> bool:
     """Refuse the root's return counts to ``horizon`` as on
     ``complete_ball(core, radius)``, and say whether that ball is
     bipartite, from one search of the core to depth R.  At every horizon
-    the guard admits, the ball's root counts are the core's.
+    the guard admits, the ball's root counts are the core's (a whole
+    graph reads as a complete core).
 
     The ball's boundary is its sphere vertices with an undefined slot, so
     if it has one, the root's distance to it is R.  It has one exactly
@@ -138,7 +129,7 @@ def _ball_root(core: CoreGraph, radius: int, horizon: int) -> bool:
     depth = layer_depths(core.n, order, ends)  # −1 beyond R and for a missing slot
     partial = depth[list(core.boundary)]
     if len(order) < core.n or (partial >= 0).any() and (core.degree > 1 or radius in partial):
-        _require_room("return counts", 0, radius, (horizon + 1) // 2)
+        require_room("return counts", 0, radius, (horizon + 1) // 2)
     return not (depth[core.slots[order]] == depth[order][:, None]).any()
 
 
@@ -447,7 +438,7 @@ def _check_different(args) -> dict:
         source, transitive = tree_core(args.tree_degree), True
     else:
         label = args.graph
-        source = _full_graph(from_spec(args.graph), "the domination check")
+        source = from_spec(args.graph)
         transitive = True if args.assume_transitive else None
     reports = return_domination_reports(
         source, args.n - args.n % 2, vertex_transitive=transitive
@@ -468,7 +459,7 @@ def _check_returningvsrw(args) -> dict:
     """a returning length-n walk starts with prefix w with probability at
     least d^(-2|w|) (vertex-transitive graphs)"""
     _require_least("--prefix-length", args.prefix_length, 1)
-    g = _full_graph(from_spec(args.graph), "the conditioned-prefix check")
+    g = from_spec(args.graph)
     _, rows = conditioned_prefix_probabilities(
         g, g.root, args.n, args.prefix_length,
         vertex_transitive=True if args.assume_transitive else None,
@@ -622,7 +613,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         return 0
 
     if args.command == "spectrum":
-        g = _full_graph(from_spec(args.graph), "the spectrum")
+        g = from_spec(args.graph)
         eigenvalues = markov_spectrum(g)
         result = {
             "n": g.n,
@@ -643,7 +634,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "method": report.method,
         }
     elif args.command == "ramanujan":
-        g = _full_graph(from_spec(args.graph), "the Ramanujan check")
+        g = from_spec(args.graph)
         verdict = ramanujan_check(g)
         result = {
             "n": verdict.report.n,
@@ -676,7 +667,7 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     elif args.command == "lemma-check":
         result = _CHECKS[args.check](args)
     elif args.command == "bs-stats":
-        g = _full_graph(from_spec(args.graph), "ball statistics")
+        g = from_spec(args.graph)
         dist = bs_statistics(g, args.radius)
         classes = sorted(
             dist.frequencies.items(), key=lambda item: (-item[1], item[0])
@@ -688,8 +679,8 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "classes": [{"digest": digest, "frequency": freq} for digest, freq in classes],
         }
     elif args.command == "ball-distance":
-        first = _full_graph(from_spec(args.first), "ball distance")
-        second = _full_graph(from_spec(args.second), "ball distance")
+        first = from_spec(args.first)
+        second = from_spec(args.second)
         outcome = ball_distance(first, second, max_radius=args.max_radius)
         result = {
             "value": outcome.value,

@@ -159,12 +159,7 @@ class GenSet:
             names = ascii_lowercase[:rank]
         elif len(names) != rank:
             raise GraphInvariantError(f"rank {rank} needs {rank} names, got {len(names)}")
-        labels: list[str] = []
-        inv: list[int] = []
-        for i, nm in enumerate(names):
-            labels += [nm, nm.upper()]
-            inv += [2 * i + 1, 2 * i]
-        return cls(tuple(labels), tuple(inv))
+        return cls.with_involutions(names)
 
     @classmethod
     def with_involutions(
@@ -596,6 +591,43 @@ def boundary_layer(g: SchreierGraph, order: np.ndarray, ends: list[int]) -> int:
             if not g.boundary.isdisjoint(order[begin:end].tolist()):
                 return r
     return len(ends)
+
+
+def require_whole(g: SchreierGraph, purpose: str) -> None:
+    """Refuse g for ``purpose`` if it has a missing slot, naming its kind:
+    an incomplete core, whose missing slots hang regular trees, or a
+    truncation, unknown beyond its boundary."""
+    if not g.boundary:
+        return
+    hint = (
+        "complete the core with an '@radius' suffix" if isinstance(g, CoreGraph)
+        else "a truncation is unknown beyond its boundary"
+    )
+    raise ValueError(f"{purpose} needs a whole graph; {hint}")
+
+
+def require_room(purpose: str, x: int, near: int, needed: int) -> None:
+    """Refuse if the truncation boundary, ``near`` from x, is closer than ``needed``."""
+    if near < needed:
+        raise InsufficientRadiusError(
+            f"insufficient radius for {purpose}: distance from vertex {x} to the "
+            f"truncation boundary is {near}, need at least {needed}"
+        )
+
+
+def stored_layers(
+    g: SchreierGraph, x: int, radius: int, needed: int, purpose: str
+) -> tuple[np.ndarray, list[int]]:
+    """``bfs_layers(g.slots, x, radius)`` for a question that reads only
+    stored slots: an incomplete core is refused, as no table stores its
+    trees, and so is a truncation whose boundary lies closer to x than
+    ``needed``."""
+    if isinstance(g, CoreGraph):
+        require_whole(g, purpose)
+    layers = bfs_layers(g.slots, x, radius)
+    if g.boundary:
+        require_room(purpose, x, boundary_layer(g, *layers), needed)
+    return layers
 
 
 def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:

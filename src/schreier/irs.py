@@ -26,12 +26,10 @@ import numpy as np
 
 from schreier.core import (
     GenSet,
-    InsufficientRadiusError,
     PermAction,
     SchreierGraph,
-    bfs_layers,
-    boundary_layer,
     canonical_rows,
+    stored_layers,
 )
 from schreier.local import _ball_classes, tv_distance
 
@@ -197,11 +195,8 @@ class InvarianceReport:
 
 def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
     for g in e.samples:
-        if g.truncated and boundary_layer(g, *bfs_layers(g.slots, g.root, radius)) <= radius:
-            raise InsufficientRadiusError(
-                f"invariance at radius {radius} needs radius {radius + 1} around "
-                "every sample root"
-            )
+        if g.boundary:
+            stored_layers(g, g.root, radius, radius + 1, f"invariance at radius {radius}")
     base, moved = _distributions(e, radius)
     rows = tuple((name, tv_distance(base, m)) for name, m in zip(e.gens.labels, moved))
     confidence = None

@@ -35,10 +35,10 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Word,
-    bfs_layers,
-    boundary_layer,
     canonical_rows,
     is_reduced,
+    require_whole,
+    stored_layers,
 )
 
 __all__ = [
@@ -74,19 +74,15 @@ class RootedBall:
 def ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
     """Extract the canonical R-ball around v.
 
-    On truncated inputs v must sit at distance at least R from the
+    An incomplete core is refused (``stored_layers``): no table stores its
+    trees.  On truncated inputs v must sit at distance at least R from the
     truncation boundary, which (graphs being stored as induced subgraphs)
     guarantees the extracted ball equals the true one.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if g.truncated:
-        available = boundary_layer(g, *bfs_layers(g.slots, v, radius - 1))
-        if available < radius:
-            raise InsufficientRadiusError(
-                f"insufficient radius: vertex {v} is at distance {available} from "
-                f"the truncation boundary, need at least {radius}"
-            )
+    if g.boundary:
+        stored_layers(g, v, radius - 1, radius, f"a {radius}-ball")
     rows = canonical_rows(g.slots, v, radius)[1]
     boundary = frozenset(np.flatnonzero((rows < 0).any(axis=1)).tolist())
     inner = SchreierGraph._trusted(
@@ -151,8 +147,7 @@ class BallDistribution:
 
 def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
     """Exact R-ball class frequencies over all vertices of a finite graph."""
-    if g.truncated:
-        raise ValueError("ball statistics need the whole graph, not a truncation")
+    require_whole(g, "ball statistics")
     digests, classes = _ball_classes(g.slots, g.gens, np.arange(g.n), radius)
     counts = np.bincount(classes, minlength=len(digests)).tolist()
     freqs = {d: Fraction(c, g.n) for d, c in zip(digests, counts)}
@@ -390,8 +385,7 @@ def is_vertex_transitive(g: SchreierGraph) -> bool:
     carries the root to root·l for each label l, then ψ∘φ_l carries ψ(root)
     to ψ(root)·l for every automorphism ψ, so the root's class is closed
     under steps and, by connectivity, is every vertex."""
-    if g.truncated:
-        raise ValueError("vertex-transitivity is undefined for truncations")
+    require_whole(g, "the vertex-transitivity check")
     if _short_word_refutes(g):
         return False
     reference = canonical_rows(g.slots, g.root)[1]

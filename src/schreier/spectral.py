@@ -52,6 +52,7 @@ from schreier.core import (
     PermAction,
     SchreierGraph,
     Verdict,
+    require_whole,
 )
 from schreier.walks import return_counts
 
@@ -103,8 +104,7 @@ def _averaging_matrix(slots: np.ndarray) -> sp.csr_matrix:
 
 def markov_matrix(g: SchreierGraph) -> sp.csr_matrix:
     """M = A/d with A the labeled adjacency matrix counting multiplicity."""
-    if g.truncated:
-        raise ValueError("the Markov operator needs the whole graph, not a truncation")
+    require_whole(g, "the Markov operator")
     return _averaging_matrix(g.slots)
 
 
@@ -417,10 +417,7 @@ def rho0(g: SchreierGraph) -> SpectralReport:
     unconverged.  Bipartite inputs get the −1 eigenvalue certified by the
     sign vector, and ``rho0_strict`` = |λ_max| by symmetry.
     """
-    if g.truncated:
-        raise ValueError(
-            "rho0 is for whole finite graphs; estimate_rho_returns handles truncations"
-        )
+    require_whole(g, "rho0")
     n, d = g.n, g.degree
     colors = bipartition(g)
     bip = colors is not None

@@ -43,15 +43,15 @@ every even step from the root; ``conditioned_prefix_probabilities`` reads
 the last steps of a returning stream at every prefix's endpoint; and
 ``segment_distributions`` reads the returning stream from x and one
 stream from all the starts of its wrapping segments at once.  The first
-two take a graph or a core.
+two take a graph or a core, the last two only a graph.
 
 On truncated graphs the counts are still exact provided the walks cannot
 feel the missing part: a returning walk of length n stays within distance
 ⌊n/2⌋ of its origin, so the returning streams need the boundary at
 distance ⌈n/2⌉, and ``return_domination_reports`` answers step k only
 with the boundary at distance ≥ k.  The preconditions are enforced, never
-assumed, by ``_walk_source``: the first layer of that search to hold a
-boundary vertex is the distance to the boundary.
+assumed, by ``core.stored_layers`` and ``require_room``: the first layer
+of the search to hold a boundary vertex is the distance to the boundary.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ import numpy as np
 from schreier.core import (
     CoreGraph,
     InequalityViolation,
-    InsufficientRadiusError,
     SchreierGraph,
     Word,
     bfs_layers,
     boundary_layer,
+    require_room,
+    stored_layers,
     walk_endpoint,
 )
 from schreier.local import is_vertex_transitive
@@ -88,28 +89,17 @@ __all__ = [
 _MODULUS_CAP = 2**63 - 1
 
 
-def _require_room(what: str, x: int, near: int, needed: int) -> None:
-    """Refuse if the truncation boundary, ``near`` from x, is closer than ``needed``."""
-    if near < needed:
-        raise InsufficientRadiusError(
-            f"insufficient radius for {what}: distance from vertex {x} to the "
-            f"truncation boundary is {near}, need at least {needed}"
-        )
-
-
 def _walk_source(
-    source: SchreierGraph, x: int, radius: int, needed: int, what: str
-) -> tuple[SchreierGraph, tuple[np.ndarray, list[int]], dict[int, int]]:
-    """(graph, ``bfs_layers`` of x to ``radius``, number of trees hanging
-    at each vertex) for walks from x.  A core hangs a tree at each
-    undefined slot and is never truncated; a graph has no trees, and is
-    refused if a boundary vertex lies closer to x than ``needed``."""
+    source: SchreierGraph, x: int, radius: int, needed: int, purpose: str
+) -> tuple[tuple[np.ndarray, list[int]], dict[int, int]]:
+    """(``bfs_layers`` of x to ``radius``, number of trees hanging at each
+    vertex) for walks from x.  A core hangs a tree at each undefined slot
+    and is never truncated; a graph has no trees, and ``stored_layers``
+    refuses it if a boundary vertex lies closer to x than ``needed``."""
     if isinstance(source, CoreGraph):
         trees = {v: len(source.missing(v)) for v in source.boundary}
-        return source, bfs_layers(source.slots, x, radius), trees
-    order, ends = bfs_layers(source.slots, x, radius)
-    _require_room(what, x, boundary_layer(source, order, ends), needed)
-    return source, (order, ends), {}
+        return bfs_layers(source.slots, x, radius), trees
+    return stored_layers(source, x, radius, needed, purpose), {}
 
 
 def _numbering(g: SchreierGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,13 +258,13 @@ def return_counts(
     ≥ ⌈horizon/2⌉ from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    g, layers, trees = _walk_source(
+    layers, trees = _walk_source(
         source, x, horizon // 2, (horizon + 1) // 2, "return counts"
     )
     if trees:
-        steps = _walk_steps(g, layers, horizon, trees, returning=True)
+        steps = _walk_steps(source, layers, horizon, trees, returning=True)
         return tuple(counts[0] for counts, _ in steps)
-    walks = _ArrayWalks(g, layers, horizon, returning=True)
+    walks = _ArrayWalks(source, layers, horizon, returning=True)
     return tuple(walks.lift(counts[:, 0, 0])[0] for counts in walks)
 
 
@@ -311,7 +301,7 @@ def segment_distributions(
         raise ValueError("word length must be nonnegative")
     if not 0 <= k <= n:
         raise ValueError("segment length out of range")
-    _, layers, _ = _walk_source(g, x, n // 2, (n + 1) // 2, "returning words")
+    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "returning words")
     walks = _ArrayWalks(g, layers, n, returning=True)
     rows = [walks.lift(c[:, 0]) for c in walks]
     ends = layers[1]
@@ -361,14 +351,7 @@ def segment_distributions(
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
     """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
     caller asserted or, failing that, as checked on the whole graph."""
-    if asserted is None:
-        if g.truncated:
-            raise ValueError(
-                "cannot verify vertex-transitivity of a truncated graph; "
-                "pass vertex_transitive=True if the full graph is transitive"
-            )
-        asserted = is_vertex_transitive(g)
-    if not asserted:
+    if not (is_vertex_transitive(g) if asserted is None else asserted):
         raise ValueError(refusal)
 
 
@@ -407,11 +390,7 @@ def conditioned_prefix_probabilities(
         g, vertex_transitive,
         "conditioned prefix bound requires a vertex-transitive graph",
     )
-    if length and not isinstance(walk_endpoint(g, x, Word((0,))), int):
-        raise InsufficientRadiusError(
-            "insufficient radius: the prefix walk leaves the stored graph"
-        )
-    _, layers, _ = _walk_source(g, x, n // 2, (n + 1) // 2, "return counts")
+    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "return counts")
     d = g.degree
     # the endpoints x·w of the words of each length, in product order; the
     # guard keeps every slot on the way, which lies within ℓ − 1 < ⌈n/2⌉
@@ -509,19 +488,19 @@ def return_domination_reports(
     answers k only with its boundary at distance ≥ k, else refuses."""
     if n < 2 or n % 2:
         raise ValueError("the domination inequalities concern even n >= 2")
-    g, (order, ends), trees = _walk_source(source, source.root, n, 0, "walk counts")
+    layers, trees = _walk_source(source, source.root, n, 0, "walk counts")
     _require_transitive(
-        g, vertex_transitive, "the domination inequalities require vertex-transitivity"
+        source, vertex_transitive, "the domination inequalities require vertex-transitivity"
     )
     # only a core has trees, and its boundary vertices carry them
-    near = n + 1 if trees else boundary_layer(g, order, ends)
+    near = n + 1 if trees else boundary_layer(source, *layers)
     reports = []
     previous = 1  # the one walk of length 0
-    for k, row, shared in _even_rows(g, (order, ends), n, trees):
-        _require_room("walk counts", g.root, near, k)
+    for k, row, shared in _even_rows(source, layers, n, trees):
+        require_room("walk counts", source.root, near, k)
         reports.append(
             DominationReport(
-                degree=g.degree,
+                degree=source.degree,
                 n=k,
                 return_count=row[0],
                 max_other_count=max(row[1:] + shared, default=0),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schreier import builders
 from schreier.builders import (
     _fisher_yates,
     _proj_normalize,
@@ -220,9 +221,10 @@ class TestCompleteBall:
         assert not g.truncated
         assert g.truncation_radius is None
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(builders, "MAX_VERTICES", 1000)
         with pytest.raises(ValueError, match="max_vertices"):
-            complete_ball(free_core(2), 20, max_vertices=1000)
+            complete_ball(free_core(2), 20)
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_truncation_consistency(self, radius):
@@ -295,11 +297,13 @@ class TestOnePassBuilders:
         ],
         ids=["tree", "core-and-trees", "core-vertices-on-the-sphere"],
     )
-    def test_max_vertices_is_exact(self, core, radius):
+    def test_max_vertices_is_exact(self, core, radius, monkeypatch):
         size = complete_ball(core, radius).n
-        assert complete_ball(core, radius, max_vertices=size).n == size
+        monkeypatch.setattr(builders, "MAX_VERTICES", size)
+        assert complete_ball(core, radius).n == size
+        monkeypatch.setattr(builders, "MAX_VERTICES", size - 1)
         with pytest.raises(ValueError, match="max_vertices"):
-            complete_ball(core, radius, max_vertices=size - 1)
+            complete_ball(core, radius)
 
     @settings(max_examples=200)
     @given(act=reference.sparse_actions(), data=st.data())
@@ -580,9 +584,18 @@ class TestSpecLanguage:
         with pytest.raises(SGF1Error, match="flagged as partial"):
             from_spec(f"file:{path}")
 
-    def test_radius_on_non_core_rejected(self):
-        with pytest.raises(ValueError, match="core specs"):
-            from_spec("cycle:6@2")
+    def test_radius_takes_the_ball_of_a_whole_graph(self):
+        assert from_spec("cycle:10@3") == complete_ball(cycle_graph(10), 3)
+        assert from_spec("cycle:6@5") == canonicalize(cycle_graph(6))
+
+    def test_radius_on_a_truncation_rejected(self, tmp_path):
+        from schreier.core import serialize
+
+        path = tmp_path / "ball.sgf"
+        path.write_text(serialize(from_spec("tree:d=4,r=3")))
+        for spec in (f"file:{path}@2", "tree:d=4,r=3@2"):
+            with pytest.raises(ValueError, match="this spec names a truncation"):
+                from_spec(spec)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown graph spec"):

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import reference
 from schreier import builders, cli, spectral, walks
 from schreier.cli import _build_parser, plain, run
-from schreier.core import GenSet, format_word, parse
+from schreier.core import GenSet, format_word, parse, serialize
 from schreier.experiments import EXPERIMENTS
 from schreier.walks import return_counts
 
@@ -1168,13 +1168,40 @@ class TestRootQuestionsFromTheCore:
         assert _json_out(capsys, argv)["result"]["certified_lower_bound"] == 0.5
         # the paths that build the ball keep the cap's refusal (shown at a
         # lower cap, where the ball is cheap)
-        capped = functools.partial(builders.complete_ball, max_vertices=1000)
-        monkeypatch.setattr(builders, "complete_ball", capped)
+        monkeypatch.setattr(builders, "MAX_VERTICES", 1000)
         argv = ["walks", "--graph", "tree:d=4,r=6", "--horizon", "2", "--vertex", "0"]
         assert run(argv) == 1
         assert capsys.readouterr().err == (
             "error: ball of radius 6 exceeds max_vertices=1000\n"
         )
+
+    def test_radius_takes_the_ball_of_any_graph_but_a_truncation(self, capsys, tmp_path):
+        """A complete core read back from its file (a plain graph) answers
+        ``@R`` as its spec does, a cycle as its materialized ball, and a
+        truncation is refused."""
+        spec, path = "fold:a^2,b^2,ab,rank=2", tmp_path / "cc.sgf"
+        assert run(["build", spec, "--out", str(path)]) == 0
+        capsys.readouterr()
+        for command in ("walks", "rho-estimate"):
+            argv = [command, "--horizon", "4", "--graph"]
+            assert (
+                _json_out(capsys, [*argv, f"file:{path}@2"])["result"]
+                == _json_out(capsys, [*argv, f"{spec}@2"])["result"]
+            )
+        self._assert_same_as_the_ball(f"file:{path}@2", 2)
+        self._assert_same_as_the_ball("cycle:10@3", 3)
+        counts = _json_out(capsys, ["walks", "--graph", "cycle:10@3", "--horizon", "4"])
+        ball = builders.complete_ball(builders.cycle_graph(10), 3)
+        assert counts["result"]["return_counts"] == list(return_counts(ball, 0, 4))
+        path.write_text(serialize(builders.from_spec("tree:d=4,r=3")))
+        refusal = (
+            "error: '@radius' takes the ball of a core or a whole graph; "
+            "this spec names a truncation\n"
+        )
+        for truncation in (f"file:{path}@2", "tree:d=4,r=3@2"):
+            assert _quiet_run(["walks", "--graph", truncation, "--horizon", "4"]) == (
+                1, "", refusal
+            )
 
     def test_walks_on_a_bare_core(self, capsys):
         argv = ["walks", "--horizon", "4", "--graph"]
@@ -1210,6 +1237,25 @@ class TestRootQuestionsFromTheCore:
         for source in built:
             g = getattr(source, "graph", source)  # a core's table, or the ball
             assert "slots" in g.__dict__ and "next" not in g.__dict__
+
+
+class TestWhatEachKindAnswers:
+    """``core.stored_layers`` refuses an incomplete core where a question
+    reads only stored slots, and the walk counts follow its trees."""
+
+    def test_segment_laws_refuse_the_core_and_domination_takes_it(self, capsys):
+        core, ball = builders.from_spec("fold:a,rank=2"), builders.from_spec("fold:a,rank=2@2")
+        assert walks.segment_distributions(ball, ball.root, 4, 1)[0] == 50
+        with pytest.raises(ValueError, match="complete the core with an '@radius' suffix"):
+            walks.segment_distributions(core, core.root, 4, 1)
+        argv = ["lemma-check", "different", "--n", "6"]
+        tree = _json_out(capsys, [*argv, "--tree-degree", "4"])["result"]["rows"]
+        asserted = [*argv, "--graph", "free:rank=2", "--assume-transitive"]
+        assert _json_out(capsys, asserted)["result"]["rows"] == tree
+        assert _quiet_run([*argv, "--graph", "free:rank=2"]) == (
+            1, "", "error: the vertex-transitivity check needs a whole graph; "
+            "complete the core with an '@radius' suffix\n",
+        )
 
 
 def test_console_script_is_wired():

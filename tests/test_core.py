@@ -15,6 +15,7 @@ from schreier.builders import (
     complete_ball,
     cycle_graph,
     free_core,
+    from_spec,
     random_perm_action,
     random_perm_model,
     restrict_to_orbit,
@@ -26,6 +27,7 @@ from schreier.core import (
     CoreGraph,
     GenSet,
     GraphInvariantError,
+    InsufficientRadiusError,
     PermAction,
     SchreierGraph,
     SGF1Error,
@@ -44,9 +46,27 @@ from schreier.core import (
 )
 from schreier.cycles import cycle_profile
 from schreier.irs import invariance_diagnostic, uniform_conjugate
-from schreier.local import ball_distance, fix_density, local_approx_check
-from schreier.spectral import product_return_bound, ramanujan_check, support_subgroup_graph
-from schreier.walks import return_counts
+from schreier.local import (
+    ball,
+    ball_distance,
+    bs_statistics,
+    fix_density,
+    is_vertex_transitive,
+    local_approx_check,
+)
+from schreier.spectral import (
+    markov_matrix,
+    product_return_bound,
+    ramanujan_check,
+    rho0,
+    support_subgroup_graph,
+)
+from schreier.walks import (
+    conditioned_prefix_probabilities,
+    return_counts,
+    return_domination_reports,
+    segment_distributions,
+)
 
 
 def cycle(n: int) -> SchreierGraph:
@@ -106,6 +126,14 @@ class TestGenSet:
             GraphInvariantError, match=f"rank {rank} needs {rank} names, got {len(names)}"
         ):
             GenSet.free(rank, names=names)
+
+    @pytest.mark.parametrize(
+        "rank, names, labels",
+        [(1, None, "aA"), (3, None, "aAbBcC"), (2, "xy", "xXyY")],
+    )
+    def test_free_pairs_each_letter_with_its_capital(self, rank, names, labels):
+        pairs = tuple(i ^ 1 for i in range(2 * rank))  # 1, 0, 3, 2, …
+        assert GenSet.free(rank, names) == GenSet(tuple(labels), pairs)
 
 
 class TestWords:
@@ -475,6 +503,62 @@ class TestCoreGraph:
             CoreGraph(
                 gens=gens, next=((None, None),), boundary=frozenset({0}), truncation_radius=0
             )
+
+
+_WHOLE_ONLY = "needs a whole graph; a truncation is unknown beyond its boundary"
+_NO_TREES = "needs a whole graph; complete the core with an '@radius' suffix"
+_NO_ROOM = "insufficient radius for .*: distance from vertex 0 to the truncation boundary is 2, "
+
+
+class TestWhatEachKindAnswers:
+    """The one rule for the three kinds of table: a whole graph answers
+    every question; a truncation (here the 2-ball of the 4-regular tree)
+    answers a question that reads only stored slots when its boundary is
+    far enough, and refuses one that needs the whole graph; an incomplete
+    core answers the walk counts, which follow its trees, and refuses every
+    other question with the hint to complete it.  Each entry point asks
+    for radius 3 around the root, one more than the truncation holds."""
+
+    KINDS = {
+        "whole": cycle_graph(6),
+        "truncation": from_spec("tree:d=4,r=2"),
+        "core": from_spec("fold:a,rank=2"),
+    }
+    # entry point -> the refusal on (whole graph, truncation, core); None answers
+    ENTRY_POINTS = {
+        "markov_matrix": (markov_matrix, None, _WHOLE_ONLY, _NO_TREES),
+        "rho0": (rho0, None, _WHOLE_ONLY, _NO_TREES),
+        "bs_statistics": (lambda g: bs_statistics(g, 1), None, _WHOLE_ONLY, _NO_TREES),
+        "is_vertex_transitive": (is_vertex_transitive, None, _WHOLE_ONLY, _NO_TREES),
+        "ball": (lambda g: ball(g, g.root, 3), None, _NO_ROOM, _NO_TREES),
+        "invariance_diagnostic": (
+            lambda g: invariance_diagnostic(reference.point_mass(g), 2), None, _NO_ROOM, _NO_TREES
+        ),
+        "segment_distributions": (
+            lambda g: segment_distributions(g, g.root, 6, 2), None, _NO_ROOM, _NO_TREES
+        ),
+        "conditioned_prefix_probabilities": (
+            lambda g: conditioned_prefix_probabilities(g, g.root, 6, 2, True),
+            None, _NO_ROOM, _NO_TREES,
+        ),
+        "return_counts": (lambda g: return_counts(g, g.root, 6), None, _NO_ROOM, None),
+        "return_domination_reports": (
+            lambda g: return_domination_reports(g, 6, True), None, _NO_ROOM, None
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", range(3), ids=list(KINDS))
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_answers_or_refuses_with_its_kinds_message(self, entry, kind):
+        ask, *refusals = self.ENTRY_POINTS[entry]
+        g, refusal = list(self.KINDS.values())[kind], refusals[kind]
+        if refusal is None:
+            ask(g)
+        else:
+            error = InsufficientRadiusError if refusal is _NO_ROOM else ValueError
+            with pytest.raises(error, match=refusal) as caught:
+                ask(g)
+            assert caught.type is error
 
 
 class TestCanonicalize:

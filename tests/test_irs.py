@@ -323,14 +323,14 @@ class TestInvarianceDiagnostic:
             provenance=Provenance("a cycle and a truncated line", None),
         )
         with mock.patch.object(irs, "_ball_classes", side_effect=AssertionError):
-            with pytest.raises(InsufficientRadiusError, match="needs radius 3 "):
+            with pytest.raises(InsufficientRadiusError, match="need at least 3$"):
                 invariance_diagnostic(e, 2)
         assert invariance_diagnostic(e, 1).max_tv == 0
 
     def test_truncated_samples_need_one_spare_level(self):
         pm = reference.point_mass(line_ball(4))
         assert invariance_diagnostic(pm, 3).max_tv == 0
-        with pytest.raises(InsufficientRadiusError, match="radius 5"):
+        with pytest.raises(InsufficientRadiusError, match="need at least 5$"):
             invariance_diagnostic(pm, 4)
 
     @settings(deadline=None, max_examples=60)
@@ -354,7 +354,7 @@ class TestInvarianceDiagnostic:
         )
         room = min(reference.distance_to_boundary(g, g.root) for g in samples)
         if room < radius + 1:
-            with pytest.raises(InsufficientRadiusError, match=f"needs radius {radius + 1} "):
+            with pytest.raises(InsufficientRadiusError, match=f"need at least {radius + 1}$"):
                 invariance_diagnostic(e, radius)
         else:
             assert invariance_diagnostic(e, radius).radius == radius

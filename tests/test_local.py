@@ -114,7 +114,7 @@ class TestBall:
 
     def test_truncation_refusal(self):
         g = complete_ball(tree_core(4), 3)
-        with pytest.raises(InsufficientRadiusError, match="distance 3"):
+        with pytest.raises(InsufficientRadiusError, match="boundary is 3,"):
             ball(g, g.root, 4)
         leaf = g.n - 1
         with pytest.raises(InsufficientRadiusError):
@@ -135,8 +135,8 @@ def _reference_ball(g: SchreierGraph, v: int, radius: int) -> RootedBall:
         available = min(dist[b] for b in g.boundary)
         if available < radius:
             raise InsufficientRadiusError(
-                f"insufficient radius: vertex {v} is at distance {available} from "
-                f"the truncation boundary, need at least {radius}"
+                f"insufficient radius for a {radius}-ball: distance from vertex {v} "
+                f"to the truncation boundary is {available}, need at least {radius}"
             )
     dist = reference.bfs_distances(g, v)
     kept = [u for u in range(g.n) if 0 <= dist[u] <= radius]
@@ -250,7 +250,7 @@ class TestBallAgainstReference:
             for v in range(h.n):
                 available = reference.distance_to_boundary(h, v)
                 if available < radius:
-                    refusal = f"vertex {v} is at distance {available} from the truncation"
+                    refusal = f"vertex {v} to the truncation boundary is {available},"
                     with pytest.raises(InsufficientRadiusError, match=refusal):
                         ball(h, v, radius)
                 else:
@@ -789,7 +789,7 @@ class TestVertexTransitivity:
         assert not is_vertex_transitive(from_perm_action(act))
 
     def test_refuses_truncations(self):
-        with pytest.raises(ValueError, match="undefined for truncations"):
+        with pytest.raises(ValueError, match="unknown beyond its boundary"):
             is_vertex_transitive(complete_ball(tree_core(4), 2))
 
 

@@ -166,7 +166,7 @@ class TestRho0:
         assert not rep.converged
 
     def test_truncation_refusal(self):
-        with pytest.raises(ValueError, match="estimate_rho_returns"):
+        with pytest.raises(ValueError, match="unknown beyond its boundary"):
             rho0(complete_ball(tree_core(4), 3))
 
     @pytest.mark.parametrize("n", list(range(3, 31)))

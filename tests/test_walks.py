@@ -565,16 +565,15 @@ class TestOneReturningStream:
 
     def test_refusal_order(self):
         """Odd n is refused first, then a one-letter prefix too long for n;
-        then the transitivity check, the first prefix's walk and the
-        return-count guard; a longer prefix only after the shorter rows are
-        checked."""
+        then the transitivity check and the return-count guard; a longer
+        prefix only after the shorter rows are checked."""
         refusals = [
             (random_perm_model(2, 9, 1), 1, 1, None, "concern even n"),
             (cycle_graph(9), 3, 2, None, "concern even n"),
             (cycle_graph(5), 5, 3, None, "concern even n"),
             (cycle_graph(6), 0, 1, None, "twice the prefix length"),
             (random_perm_model(2, 9, 1), 4, 2, None, "requires a vertex-transitive"),
-            (_tree_ball(4, 0), 2, 1, True, "prefix walk leaves"),
+            (_tree_ball(4, 0), 2, 1, True, "boundary is 0, need at least 1"),
             (_tree_ball(4, 1), 4, 1, True, "return counts"),
             (cycle_graph(6), 4, 3, None, "twice the prefix length"),
         ]
