@@ -25,10 +25,15 @@ D the diagonal of the 2-coloring sign vector, so the sign vector
 certifies λ = −1, λ_min off {1, −1} is −λ_max, and only the top end is
 solved.  Both operators run one plain Lanczos recurrence, which keeps
 its vectors in one 4 MiB buffer while they fit and regenerates the rest
-for the Ritz vectors (see _lanczos).  Every ``error_bound`` is a
-residual ‖My − θy‖/‖y‖ measured on M itself for the Ritz pairs returned
-and the sign vector of a bipartite M, which bounds the eigenvalue error
-for symmetric M.
+for the Ritz vectors (see _lanczos).  On M, each step calls scipy's CSR
+kernel ``scipy.sparse._sparsetools.csr_matvec``, which ``M @ v`` runs,
+directly (``_csr_product``).  A checkpoint that follows one that solved
+every end solves first the end whose Ritz estimate was largest there,
+and the others only if it passes, so the pass stops at the same step;
+the step cap and an invariant Krylov space solve every end.  Every
+``error_bound`` is a residual ‖My − θy‖/‖y‖ measured on M itself for
+the Ritz pairs returned and the sign vector of a bipartite M, which
+bounds the eigenvalue error for symmetric M.
 """
 
 from __future__ import annotations
@@ -39,12 +44,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from schreier.builders import from_perm_action, tree_core
+from schreier.builders import from_perm_action
 from schreier.core import (
     GenSet,
     GraphInvariantError,
@@ -229,6 +233,29 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _csr_product(M: sp.csr_matrix) -> _Operator:
+    """v ↦ M·v by the kernel that ``M @ v`` runs, csr_matvec of
+    ``scipy.sparse._sparsetools``, called directly into a fresh zero
+    vector: the same sums in the same order, without the dispatch."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    n = M.shape[0]
+    indptr, indices, data = M.indptr, M.indices, M.data
+
+    def product(v: np.ndarray) -> np.ndarray:
+        w = np.zeros(n)
+        csr_matvec(n, n, indptr, indices, data, v, w)
+        return w
+
+    return product
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The one reduction of the recurrence, x·y: α_j = v_j·w and
+    β_j = √(w·w), which is what ``np.linalg.norm`` computes."""
+    return float(x @ y)
+
+
 def _lanczos_vectors(
     apply: _Operator, v: np.ndarray, alpha: list[float], beta: list[float],
     v_prev: np.ndarray | None = None, j: int = 0,
@@ -247,12 +274,12 @@ def _lanczos_vectors(
         w = apply(v)
         w -= w.sum() / w.size
         if j == len(alpha):
-            alpha.append(float(v @ w))
+            alpha.append(_dot(v, w))
         daxpy(v, w, a=-alpha[j])
         if j:
             daxpy(v_prev, w, a=-beta[j - 1])
         if j == len(beta):
-            beta.append(float(np.linalg.norm(w)))
+            beta.append(math.sqrt(_dot(w, w)))
         if beta[j] <= 1e-12 * (abs(alpha[j]) + (beta[j - 1] if j else 0.0)):
             return
         w *= 1.0 / beta[j]
@@ -292,13 +319,16 @@ def _lanczos(
     entries while it has room.  Every 20th step (3rd under shift-invert)
     it takes the end eigenpairs (θ, s) of T_m and stops once each Ritz
     estimate |β_m·s_m| is below tolerance; under shift-invert 2|β_m·s_m|/|μ|
-    bounds the residual on M.  Lost orthogonality only adds copies of
-    converged Ritz values (Paige, Lin. Alg. Appl. 34, 1980), so the extremes
-    converge.  y = V_m·s sums the stored vectors, and a replay of the
-    recurrence from the last two of them forms the rest, bit for bit as the
-    first pass did; ‖My − λy‖/‖y‖ is measured on M, and if it misses
-    _CONVERGED_BOUND the first pass goes on.  At ``cap`` steps the residual
-    is NaN."""
+    bounds the residual on M.  After a checkpoint that solved every end,
+    the next one solves the end whose estimate was largest there first,
+    and the others only if it passes: the pass stops at the same step.
+    The cap and an invariant Krylov space solve every end.  Lost
+    orthogonality only adds copies of converged Ritz values (Paige, Lin.
+    Alg. Appl. 34, 1980), so the extremes converge.  y = V_m·s sums the
+    stored vectors, and a replay of the recurrence from the last two of
+    them forms the rest, bit for bit as the first pass did; ‖My − λy‖/‖y‖
+    is measured on M, and if it misses _CONVERGED_BOUND the first pass
+    goes on.  At ``cap`` steps the residual is NaN."""
     from scipy.linalg.blas import daxpy
 
     n = M.shape[0]
@@ -309,6 +339,8 @@ def _lanczos(
     beta: list[float] = []
     basis = np.empty((min(_BASIS_CELLS // n, cap + 1), n))  # pages touched when written
     vectors = _lanczos_vectors(apply, start, alpha, beta)
+    lagging: int | None = None  # the end with the largest estimate when all were last solved
+    solved = 0  # tridiagonal eigenpairs
     for m in range(cap + 1):
         v = next(vectors, None)
         exhausted = v is None
@@ -317,15 +349,21 @@ def _lanczos(
         if not (m and (exhausted or m % every == 0 or m == cap)):
             continue
         d, e = np.array(alpha), np.array(beta[: m - 1])
-        pairs = [_tridiagonal_pair(d, e, end % m) for end in ends]
-        theta = np.array([mu for mu, _ in pairs])
-        S = np.column_stack([s for _, s in pairs])
-        lams, scale = theta, 1.0
-        if sign is not None:
-            if abs(theta[0]) < 1e-13:
-                raise ArithmeticError("shift-invert spectrum collapsed")
-            lams, scale = sign * (1.0 - 1.0 / theta), 2.0 / np.abs(theta)
-        estimate = float(np.max(beta[-1] * np.abs(S[-1]) * scale))
+        pairs: dict[int, tuple[float, np.ndarray]] = {}
+        if lagging is not None and not (exhausted or m == cap):
+            pairs[lagging] = _tridiagonal_pair(d, e, ends[lagging] % m)
+            solved += 1
+            mu, s = pairs[lagging]
+            if not _ritz(np.array([mu]), s[:, None], beta[-1], sign)[1][0] < tol:
+                continue
+        for i, end in enumerate(ends):
+            if i not in pairs:
+                pairs[i] = _tridiagonal_pair(d, e, end % m)
+                solved += 1
+        theta = np.array([pairs[i][0] for i in range(len(ends))])
+        S = np.column_stack([pairs[i][1] for i in range(len(ends))])
+        lams, estimates = _ritz(theta, S, beta[-1], sign)
+        lagging, estimate = int(np.argmax(estimates)), float(np.max(estimates))
         if not (exhausted or estimate < tol):
             continue
         k = min(m, len(basis)) - 1  # the last stored vector of V_m
@@ -342,14 +380,34 @@ def _lanczos(
             np.linalg.norm(M @ y - lam * y) / np.linalg.norm(y)
             for y, lam in zip(Y, lams)
         )
+        # the pass has applied the operator to v_0 … v_{m−1}, the replay
+        # to v_k … v_{m−2} (to v_0 … v_{m−2} when nothing is stored)
         _log.debug(
-            "%s Lanczos, %d steps: Ritz estimate %.3g, residual on M %.3g",
-            solver, m, estimate, res,
+            "%s Lanczos, %d steps (%d operator applications in the first pass, "
+            "%d in the replay, %d tridiagonal eigenpairs): Ritz estimate %.3g, "
+            "residual on M %.3g",
+            solver, m, m, m - 1 - max(k, 0), solved, estimate, res,
         )
         if res <= _CONVERGED_BOUND or exhausted:
             return lams.tolist(), float(res)
-    _log.debug("%s Lanczos reached its %d-step cap unconverged", solver, cap)
+    _log.debug(
+        "%s Lanczos reached its %d-step cap unconverged after %d tridiagonal eigenpairs",
+        solver, cap, solved,
+    )
     return lams.tolist(), math.nan
+
+
+def _ritz(
+    theta: np.ndarray, S: np.ndarray, beta_m: float, sign: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of M that the Ritz pairs (θ, s), the columns of S,
+    stand for, and their estimates |β_m·s_m| (2|β_m·s_m|/|μ| under
+    shift-invert)."""
+    if sign is None:
+        return theta, beta_m * np.abs(S[-1])
+    if abs(theta[0]) < 1e-13:
+        raise ArithmeticError("shift-invert spectrum collapsed")
+    return sign * (1.0 - 1.0 / theta), beta_m * np.abs(S[-1]) * (2.0 / np.abs(theta))
 
 
 def _shift_invert_extreme(
@@ -394,7 +452,7 @@ def _iterative_extremes(
             res = math.nan
     if not res <= _CONVERGED_BOUND:
         ends = (-1,) if colors is not None else (0, -1)
-        lams, res = _lanczos(M, M.dot, ends, None, _ITERATION_CAP)
+        lams, res = _lanczos(M, _csr_product(M), ends, None, _ITERATION_CAP)
         lo, hi = lams[0], lams[-1]
     if colors is not None:
         sign = np.where(np.asarray(colors) == 0, 1.0, -1.0) / math.sqrt(n)
@@ -501,29 +559,17 @@ def estimate_rho_returns(
     )
 
 
-@lru_cache(maxsize=None)
 def tree_rho(d: int) -> float:
-    """ρ of the d-regular tree, to 12 digits.
+    """ρ of the d-regular tree by its closed form 2√(d−1)/d (Kesten,
+    "Symmetric random walks on groups", 1959), to 12 digits: 1.0 at d = 2.
 
-    The stored value is the classical 2√(d−1)/d; each first use
-    revalidates it against the certified monotone lower bound and the
-    extrapolated point estimate from exact tree return counts.
+    ``tests/test_spectral.py::TestTreeRho`` checks it against the
+    certified monotone lower bound and the extrapolated point estimate
+    from exact tree return counts.
     """
     if d < 2:
         raise ValueError("tree degree must be at least 2")
-    if d == 2:
-        return 1.0
-    value = float(f"{2.0 * math.sqrt(d - 1) / d:.12g}")
-    est = estimate_rho_returns(tree_core(d), 160)
-    if est.rho0 > value + 1e-12:
-        raise InequalityViolation(
-            f"certified lower bound {est.rho0} exceeds the tree value {value}"
-        )
-    if value - est.rho0 > 0.05 or abs(est.extrapolated - value) > 0.02:
-        raise GraphInvariantError(
-            f"tree return counts disagree with 2*sqrt(d-1)/d at d={d}"
-        )
-    return value
+    return float(f"{2.0 * math.sqrt(d - 1) / d:.12g}")
 
 
 @dataclass(frozen=True)

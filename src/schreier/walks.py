@@ -350,7 +350,15 @@ def segment_distributions(
 
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
     """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
-    caller asserted or, failing that, as checked on the whole graph."""
+    caller asserted or, failing that, as checked on the whole graph; a
+    truncation, which cannot be checked, is refused with the way to assert
+    it."""
+    if asserted is None and g.boundary and not isinstance(g, CoreGraph):
+        raise ValueError(
+            "the vertex-transitivity check needs a whole graph; a truncation is "
+            "unknown beyond its boundary: pass vertex_transitive=True "
+            "(--assume-transitive on the CLI) if the full graph is transitive"
+        )
     if not (is_vertex_transitive(g) if asserted is None else asserted):
         raise ValueError(refusal)
 
@@ -390,7 +398,7 @@ def conditioned_prefix_probabilities(
         g, vertex_transitive,
         "conditioned prefix bound requires a vertex-transitive graph",
     )
-    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "return counts")
+    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "conditioned prefix rows")
     d = g.degree
     # the endpoints x·w of the words of each length, in product order; the
     # guard keeps every slot on the way, which lies within ℓ − 1 < ⌈n/2⌉

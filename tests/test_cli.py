@@ -1257,6 +1257,19 @@ class TestWhatEachKindAnswers:
             "complete the core with an '@radius' suffix\n",
         )
 
+    def test_an_unchecked_truncation_names_the_flag_that_asserts_it(self, capsys, tmp_path):
+        path = tmp_path / "ball.sgf"
+        assert run(["build", "fold:a,rank=2@4", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["lemma-check", "different", "--graph", f"file:{path}", "--n", "6"]
+        assert _quiet_run(argv) == (
+            1, "", "error: the vertex-transitivity check needs a whole graph; a truncation "
+            "is unknown beyond its boundary: pass vertex_transitive=True "
+            "(--assume-transitive on the CLI) if the full graph is transitive\n",
+        )
+        rows = _json_out(capsys, [*argv[:-2], "--n", "4", "--assume-transitive"])["result"]["rows"]
+        assert rows
+
 
 def test_console_script_is_wired():
     proc = subprocess.run(

@@ -5,7 +5,6 @@ import logging
 import math
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -451,6 +450,98 @@ class TestLanczosRecurrence:
         assert reports[0] == reports[1] == reports[2]
         assert products[0] > products[1] > products[2]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_perm_model(2, 2000, 0),
+            lambda: random_perm_model(2, 4, 0),
+            lambda: lps_graph(17, 13),
+        ],
+        ids=["randperm-2000", "loops-and-parallel-edges", "lps-17-13"],
+    )
+    def test_the_direct_product_is_the_sparse_product(self, build):
+        # the kernel is private to scipy: a release that moves or changes it
+        # fails here rather than changing what the solver computes
+        g = build()
+        M = spectral.markov_matrix(g)
+        if g.n == 4:
+            assert (M.diagonal() > 0).any() and (M.data == 2 / g.degree).any()
+        product = spectral._csr_product(M)
+        for v in np.random.default_rng(0).standard_normal((3, g.n)):
+            assert np.array_equal(product(v), M @ v)
+
+    @pytest.mark.parametrize("cells", [0, 5 * 2000, None], ids=["none", "five", "default"])
+    def test_the_debug_line_counts_the_work(self, monkeypatch, caplog, cells):
+        # the model is not bipartite, so both ends are solved; once the
+        # first checkpoint has solved both, the next ones solve the lagging
+        # end alone until it passes
+        if cells is not None:
+            monkeypatch.setattr(spectral, "_BASIS_CELLS", cells)
+        made, products = spectral._csr_product, []
+
+        def counted(M):
+            product = made(M)
+
+            def step(v):
+                products.append(1)
+                return product(v)
+
+            return step
+
+        monkeypatch.setattr(spectral, "_csr_product", counted)
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            assert rho0(random_perm_model(2, 2000, 0)).converged
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("matvec Lanczos, ")]
+        _, m, first, replay, solved, _, _ = record.args
+        assert first == m and first + replay == len(products)
+        assert replay == {0: m - 1, 5 * 2000: m - 5, None: 0}[cells]
+        assert m % 20 == 0 and solved < 2 * (m // 20)
+
+    def test_a_checkpoint_solves_the_lagging_end_first(self, caplog):
+        # the rule replayed from both ends' estimates at every checkpoint of
+        # the first pass: after a checkpoint that solved both ends, the one
+        # with the larger estimate is solved first, and the other only if it
+        # passes (here the top end lags from step 20 until it passes at 220)
+        g = random_perm_model(2, 2000, 3)
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            rho0(g)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("matvec Lanczos, ")]
+        m, solved = record.args[1], record.args[4]
+        M = spectral.markov_matrix(g)
+        alpha, beta = [], []
+        first = spectral._lanczos_vectors(
+            spectral._csr_product(M), spectral._start_vector(g.n), alpha, beta
+        )
+        next(itertools.islice(first, m, None))
+
+        def estimate(j, end):
+            d, e = np.array(alpha[:j]), np.array(beta[: j - 1])
+            return beta[j - 1] * abs(spectral._tridiagonal_pair(d, e, end % j)[1][-1])
+
+        expected, lagging = 0, None
+        for j in range(20, m + 1, 20):
+            if lagging is not None:
+                expected += 1
+                if not estimate(j, lagging) < spectral._RESIDUAL_TOL:
+                    continue
+            estimates = {end: estimate(j, end) for end in (0, -1)}
+            expected += 1 if lagging is not None else 2
+            lagging = max(estimates, key=estimates.get)
+        assert solved == expected
+
+    def test_the_cap_solves_every_end(self):
+        # neither end has converged at 60 steps: the checkpoint at 40 solves
+        # the lagging end alone, and the cap solves both from T_60
+        M = spectral.markov_matrix(random_perm_model(2, 2000, 0))
+        product = spectral._csr_product(M)
+        lams, res = spectral._lanczos(M, product, (0, -1), None, 60)
+        assert math.isnan(res)
+        alpha, beta = [], []
+        first = spectral._lanczos_vectors(product, spectral._start_vector(M.shape[0]), alpha, beta)
+        next(itertools.islice(first, 60, None))
+        d, e = np.array(alpha), np.array(beta[:59])
+        assert lams == [spectral._tridiagonal_pair(d, e, k)[0] for k in (0, 59)]
+
     def test_missed_residual_resumes_the_first_pass(self, monkeypatch, caplog):
         # a loose stopping estimate replays too early; the residual on M
         # misses and the first pass goes on until it holds
@@ -638,17 +729,14 @@ class TestTreeRho:
         with pytest.raises(ValueError):
             tree_rho(1)
 
-    def test_recheck_fires(self, monkeypatch):
-        # a certified lower bound above the closed form stands in for a broken DP
-        value = 2 * math.sqrt(4) / 5
-        estimate = SimpleNamespace(rho0=value + 1e-9, extrapolated=value)
-        monkeypatch.setattr(spectral, "estimate_rho_returns", lambda core, horizon: estimate)
-        tree_rho.cache_clear()
-        try:
-            with pytest.raises(InequalityViolation, match="exceeds the tree value"):
-                tree_rho(5)
-        finally:
-            tree_rho.cache_clear()
+    @pytest.mark.parametrize("d", [*range(3, 11), 18, 27])
+    def test_tree_return_counts_agree(self, d):
+        # the certified lower bound from exact return counts stays below the
+        # closed form, close to it, and extrapolates to it
+        est = estimate_rho_returns(tree_core(d), 160)
+        assert est.rho0 <= tree_rho(d) + 1e-12
+        assert tree_rho(d) - est.rho0 <= 0.05
+        assert abs(est.extrapolated - tree_rho(d)) <= 0.02
 
 
 HOLDS = Verdict(True, "lanczos-residual")

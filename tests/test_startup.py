@@ -61,4 +61,3 @@ print(json.dumps([after_cli, names()]))
 """
     after_cli, after_all = json.loads(_fresh(code))
     assert after_cli == after_all
-    assert "schreier.spectral.tree_rho" in after_cli

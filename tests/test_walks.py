@@ -574,7 +574,7 @@ class TestOneReturningStream:
             (cycle_graph(6), 0, 1, None, "twice the prefix length"),
             (random_perm_model(2, 9, 1), 4, 2, None, "requires a vertex-transitive"),
             (_tree_ball(4, 0), 2, 1, True, "boundary is 0, need at least 1"),
-            (_tree_ball(4, 1), 4, 1, True, "return counts"),
+            (_tree_ball(4, 1), 4, 1, True, "conditioned prefix rows"),
             (cycle_graph(6), 4, 3, None, "twice the prefix length"),
         ]
         for g, n, length, transitive, refusal in refusals:
