@@ -623,28 +623,25 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         }
     elif args.command == "rho-estimate":
         source, radius = parse_spec(args.graph)
-        report = estimate_rho_returns(source, args.horizon)  # checks the horizon first
+        bounds = estimate_rho_returns(source, args.horizon)  # checks the horizon first
         result = {
             "horizon": args.horizon,
-            "certified_lower_bound": report.rho0,
-            "extrapolated": report.extrapolated,
-            "bipartite": report.bipartite
+            "certified_lower_bound": bounds[-1],
+            "bipartite": bipartition(source) is not None
             if radius is None
             else _ball_root(source, radius, args.horizon),
-            "method": report.method,
         }
     elif args.command == "ramanujan":
         g = from_spec(args.graph)
         verdict = ramanujan_check(g)
         result = {
             "n": verdict.report.n,
-            "degree": verdict.degree,
+            "degree": verdict.report.d,
             "rho0": verdict.report.rho0,
             "threshold": verdict.threshold,
             "verdict": verdict.ramanujan,
             "strict": verdict.ramanujan_strict,
             "equality": verdict.equality,
-            "method": verdict.report.method,
             # an unconverged solve bounds nothing; its verdicts are undecided
             "error_bound": verdict.report.error_bound if verdict.report.converged else None,
             "converged": verdict.report.converged,

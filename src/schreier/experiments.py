@@ -7,9 +7,12 @@ Schreier graph of an amenable subgroup, its failure scale for a
 nonamenable subgroup, the strict inequality for finite-index actions,
 the asymptotic lower bound for ρ₀ along random regular sequences, and
 Ramanujan verification next to short-cycle densities.  Reports embed
-the exact configuration that produced them.  Each verdict in a report is
-a ``Verdict``, its answer with the certificate that says how it was
-reached.  The CLI's walk (``cli.plain``) writes each verdict as its
+the exact configuration that produced them.  A return-count estimate is
+the best of ``estimate_rho_returns``'s certified lower bounds, its last.
+Each verdict in a report is a ``Verdict``, its answer with the
+certificate that says how it was reached; a sweep over seeds counts its
+verdicts per size (certified, refuted, neither) and judges no statistic
+of them.  The CLI's walk (``cli.plain``) writes each verdict as its
 boolean and lists it in the document's ``verdicts`` block; it writes each
 float to 12 significant digits and each ``Fraction`` as its numerator and
 denominator.
@@ -31,12 +34,7 @@ from schreier.builders import (
 from schreier.core import GenSet, Verdict, parse_word
 from schreier.cycles import cycle_counts
 from schreier.irs import invariance_diagnostic, uniform_conjugate
-from schreier.spectral import (
-    estimate_rho_returns,
-    ramanujan_check,
-    rho0,
-    tree_rho,
-)
+from schreier.spectral import estimate_rho_returns, ramanujan_check, tree_rho
 
 __all__ = [
     "kesten_amenable",
@@ -55,16 +53,14 @@ def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, f
     two estimates."""
     gens = GenSet.free(rank)
     folded = stallings_core(gens, [parse_word(gens, w) for w in words])
-    schreier = estimate_rho_returns(folded, horizon)
-    cayley = estimate_rho_returns(free_core(rank), horizon)
+    schreier = estimate_rho_returns(folded, horizon)[-1]
+    cayley = estimate_rho_returns(free_core(rank), horizon)[-1]
     fields = {
-        "schreier_estimate": schreier.rho0,
-        "schreier_extrapolated": schreier.extrapolated,
-        "cayley_estimate": cayley.rho0,
-        "cayley_extrapolated": cayley.extrapolated,
-        "gap": abs(schreier.rho0 - cayley.rho0),
+        "schreier_estimate": schreier,
+        "cayley_estimate": cayley,
+        "gap": abs(schreier - cayley),
     }
-    return fields, schreier.rho0, cayley.rho0
+    return fields, schreier, cayley
 
 
 def kesten_amenable(horizon: int = 200) -> dict:
@@ -138,31 +134,28 @@ def nonamenable_subgroup_counterexample(
     }
 
 
-def alon_boppana(
-    sizes: tuple[int, ...] = (100, 1000, 10_000),
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-    lmax: int = 5,
-) -> dict:
-    """ρ₀ of 4-regular random Schreier graphs against the tree value, with
-    short-cycle densities alongside: the spectral floor rises toward
-    2√3/4 while the cycle densities fall off like 1/n.  A sweep with no
-    sizes or no seeds measures nothing, and is refused."""
+def _sweep(
+    sizes: tuple[int, ...], seeds: tuple[int, ...], lmax: int
+) -> tuple[dict, list[Verdict]]:
+    """``alon_boppana``'s report, and the Ramanujan verdict of each of its
+    runs, from the one solve that gave the run its ρ₀."""
     for flag, values in (("--sizes", sizes), ("--seeds", seeds)):
         if not values:
             raise ValueError(f"{flag} is empty, which leaves nothing to measure")
     runs = []
+    verdicts = []
     for size in sizes:
         for seed in seeds:
             g = random_perm_model(2, size, seed)
-            report = rho0(g)
+            check = ramanujan_check(g)
+            verdicts.append(check.ramanujan)
             counts = cycle_counts(g, lmax)
             runs.append(
                 {
                     "size": size,
                     "seed": seed,
                     "n": g.n,
-                    "rho0": report.rho0,
-                    "method": report.method,
+                    "rho0": check.report.rho0,
                     "cycle_counts": list(counts),
                     "cycle_densities": [c / g.n for c in counts],
                 }
@@ -187,7 +180,19 @@ def alon_boppana(
         "tree_value": tree_rho(4),
         "runs": runs,
         "summary": summary,
-    }
+    }, verdicts
+
+
+def alon_boppana(
+    sizes: tuple[int, ...] = (100, 1000, 10_000),
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
+    lmax: int = 5,
+) -> dict:
+    """ρ₀ of 4-regular random Schreier graphs against the tree value, with
+    short-cycle densities alongside: the spectral floor rises toward
+    2√3/4 while the cycle densities fall off like 1/n.  A sweep with no
+    sizes or no seeds measures nothing, and is refused."""
+    return _sweep(sizes, seeds, lmax)[0]
 
 
 def ramanujan_girth(
@@ -198,18 +203,25 @@ def ramanujan_girth(
     """Ramanujan verdicts and cycle densities side by side: the random
     4-regular sequence, plus the 18-regular arithmetic graph on 1092
     vertices (Ramanujan with margin, but with three triangles through
-    every vertex at these parameters)."""
-    base = alon_boppana(sizes, seeds, lmax)
+    every vertex at these parameters).
+
+    Each size counts its seeds' verdicts: ``certified`` true under a
+    certificate that proves it (a ``lanczos-residual`` true proves
+    nothing), ``refuted`` false, and ``neither``, undecided or unproved."""
+    base, verdicts = _sweep(sizes, seeds, lmax)
     random_rows = []
     for row in base["summary"]:
+        found = [v for run, v in zip(base["runs"], verdicts) if run["size"] == row["size"]]
+        certified = sum(v.value is True and v.certificate != "lanczos-residual" for v in found)
+        refuted = sum(v.value is False for v in found)
         random_rows.append(
             {
                 "size": row["size"],
                 "rho0_median": row["rho0_median"],
                 "threshold": tree_rho(4),
-                "median_within_threshold": Verdict(
-                    row["rho0_median"] <= tree_rho(4), "heuristic"
-                ),
+                "certified": certified,
+                "refuted": refuted,
+                "neither": len(found) - certified - refuted,
                 "density_medians": row["density_medians"],
             }
         )

@@ -1,10 +1,11 @@
 """Spectra of Markov averaging operators on Schreier graphs.
 
 Finite graphs get ρ₀ from deflated Lanczos at every size, with explicit
-residual bounds; ``markov_spectrum``, the one dense eigensolve, serves
-callers that need every eigenvalue.  Infinite graphs described by cores
-or deep truncations get certified lower bounds on the spectral radius
-through exact return counts, since r_n = (p_{2n})^{1/2n} increases to ρ.
+residual bounds, in a ``SpectralReport``; ``markov_spectrum``, the one
+dense eigensolve, serves callers that need every eigenvalue.  Infinite
+graphs described by cores or deep truncations get the certified lower
+bounds r_n = (p_{2n})^{1/2n} on the spectral radius from exact return
+counts, a plain nondecreasing tuple that rises to ρ.
 
 A label support is read as an action of its own (``_support_action``),
 and every support question is answered from its table: no n×n averaged
@@ -44,7 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -146,17 +147,15 @@ def markov_spectrum(g: SchreierGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Immutable record of one spectral computation.
+    """Immutable record of one ``rho0`` solve on a graph of n vertices
+    and degree d.
 
     ``rho0`` is max |λ| over the zero-sum subspace (the paper's operator
     norm); ``rho0_nonneg`` is the signed largest nontrivial eigenvalue;
     ``rho0_strict`` additionally discards the −1 eigenvalue forced by
-    bipartiteness.  ``method="iterative"`` reports carry the measured
-    Lanczos residual as ``error_bound``.  For
-    ``method="returns-extrapolation"`` the value is a certified lower bound
-    for ρ and ``extrapolated`` carries the heuristic point estimate (never
-    used in assertions); there ``error_bound`` is the gap from the bound up
-    to that estimate (0 if the estimate is lower), and bounds nothing.
+    bipartiteness.  ``error_bound`` is the largest residual measured on
+    M (see the module docstring), NaN at the step cap, and ``converged``
+    says whether it met _CONVERGED_BOUND.
     """
 
     d: int
@@ -164,16 +163,14 @@ class SpectralReport:
     rho0: float
     rho0_nonneg: float
     bipartite: bool
-    method: str
     error_bound: float
-    rho0_strict: float | None = None
-    converged: bool = True
-    return_sequence: tuple[float, ...] | None = None
-    extrapolated: float | None = None
+    rho0_strict: float
+    converged: bool
+    # every solve is Lanczos; not a field, kept only because
+    # bench/tracing.py names each rho0 span by it
+    method: ClassVar[str] = "iterative"
 
     def __post_init__(self) -> None:
-        if self.method not in ("iterative", "returns-extrapolation"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not -1e-9 <= self.rho0 <= 1 + 1e-9:
             raise GraphInvariantError(
                 f"spectral radius estimate {self.rho0} escaped [0, 1]"
@@ -481,8 +478,8 @@ def rho0(g: SchreierGraph) -> SpectralReport:
     bip = colors is not None
     if n == 1:
         return SpectralReport(
-            d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip, method="iterative",
-            error_bound=0.0, rho0_strict=0.0,
+            d=d, n=1, rho0=0.0, rho0_nonneg=0.0, bipartite=bip,
+            error_bound=0.0, rho0_strict=0.0, converged=True,
         )
     banded = not _band_too_wide(n, d, int(g.root_depths.max()))
     lo, hi, res = _iterative_extremes(markov_matrix(g), n, colors, banded)
@@ -490,7 +487,7 @@ def rho0(g: SchreierGraph) -> SpectralReport:
     strict = abs(hi) if bip else value
     return SpectralReport(
         d=d, n=n, rho0=min(value, 1.0), rho0_nonneg=hi, bipartite=bip,
-        method="iterative", error_bound=res, rho0_strict=min(strict, 1.0),
+        error_bound=res, rho0_strict=min(strict, 1.0),
         converged=bool(res <= _CONVERGED_BOUND),
     )
 
@@ -500,30 +497,16 @@ def rho0(g: SchreierGraph) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _neville_to_zero(points: Sequence[tuple[float, float]]) -> float:
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - level):
-            ys[i] = ys[i] + (ys[i + 1] - ys[i]) * (0.0 - xs[i]) / (
-                xs[i + level] - xs[i]
-            )
-    return ys[0]
-
-
-def estimate_rho_returns(
-    source: SchreierGraph, horizon: int
-) -> SpectralReport:
-    """Certified lower bound for ρ from exact return counts.
+def estimate_rho_returns(source: SchreierGraph, horizon: int) -> tuple[float, ...]:
+    """Certified lower bounds r_1, …, r_{H/2} for ρ from exact return
+    counts, nondecreasing, so the best is last.
 
     The even return counts c_k = |P_{2k}| are c_k = ‖A^k δ‖² for the
     adjacency operator A and the root's indicator δ, so Cauchy–Schwarz,
     ⟨A^{k−1}δ, A^{k+1}δ⟩² ≤ c_{k−1}·c_{k+1}, makes them log-convex; with
     c_0 = 1 that makes log c_k / k, and so r_n = (p_{2n})^{1/2n},
-    nondecreasing, and its last value bounds ρ from below.  The check is
-    exact: the first k with c_k² > c_{k−1}·c_{k+1} raises.  A 3-point
-    Richardson extrapolation in 1/n gives the point estimate, reported
-    separately and never asserted against.
+    nondecreasing, and every r_n bounds ρ from below.  The check is
+    exact: the first k with c_k² > c_{k−1}·c_{k+1} raises.
 
     Accepts a core (exact at every horizon) or a truncated graph with
     radius ≥ horizon/2.
@@ -538,24 +521,9 @@ def estimate_rho_returns(
             raise InequalityViolation(
                 f"return counts lost log-convexity at 2n = {2 * k}"
             )
-    logs = [math.log(c) for c in evens[1:]]
-    rs = [
-        math.exp((log - 2 * k * math.log(d)) / (2 * k))
-        for k, log in enumerate(logs, start=1)
-    ]
-    tail = [(1.0 / k, r) for k, r in enumerate(rs, start=1)][-3:]
-    extrapolated = _neville_to_zero(tail)
-    certified = rs[-1]
-    return SpectralReport(
-        d=d,
-        n=horizon,
-        rho0=certified,
-        rho0_nonneg=certified,
-        bipartite=bipartition(source) is not None,
-        method="returns-extrapolation",
-        error_bound=max(0.0, extrapolated - certified),
-        return_sequence=tuple(rs),
-        extrapolated=extrapolated,
+    return tuple(
+        math.exp((math.log(c) - 2 * k * math.log(d)) / (2 * k))
+        for k, c in enumerate(evens[1:], start=1)
     )
 
 
@@ -564,8 +532,7 @@ def tree_rho(d: int) -> float:
     "Symmetric random walks on groups", 1959), to 12 digits: 1.0 at d = 2.
 
     ``tests/test_spectral.py::TestTreeRho`` checks it against the
-    certified monotone lower bound and the extrapolated point estimate
-    from exact tree return counts.
+    certified lower bound from exact tree return counts.
     """
     if d < 2:
         raise ValueError("tree degree must be at least 2")
@@ -585,7 +552,6 @@ class RamanujanVerdict:
     None.
     """
 
-    degree: int
     threshold: float
     ramanujan: Verdict
     ramanujan_strict: Verdict
@@ -606,7 +572,7 @@ def ramanujan_check(g: SchreierGraph) -> RamanujanVerdict:
         verdicts = [Verdict(bool(h), "lanczos-residual") for h in holds]
     else:
         verdicts = [Verdict(None, "undecided")] * 3
-    return RamanujanVerdict(g.degree, threshold, *verdicts, report)
+    return RamanujanVerdict(threshold, *verdicts, report)
 
 
 # ---------------------------------------------------------------------------

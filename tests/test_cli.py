@@ -211,6 +211,10 @@ class TestJsonEnvelope:
 class TestAnalysis:
     def test_ramanujan_long_cycle_is_certified(self, capsys):
         result = _json_out(capsys, ["ramanujan", "--graph", "cycle:5000"])["result"]
+        assert result.keys() == {
+            "n", "degree", "rho0", "threshold", "verdict", "strict", "equality",
+            "error_bound", "converged",
+        }
         assert result["converged"] is True
         assert result["rho0"] == 1.0 and result["threshold"] == 1.0
         assert result["verdict"] and result["strict"] and result["equality"]
@@ -230,7 +234,8 @@ class TestAnalysis:
         assert result["certified_lower_bound"] == pytest.approx(
             0.843676513481, abs=1e-12
         )
-        assert result["method"] == "returns-extrapolation"
+        assert result.keys() == {"horizon", "certified_lower_bound", "bipartite"}
+        assert result["bipartite"] is False
 
     def test_walk_counts_on_tree_ball(self, capsys):
         result = _json_out(

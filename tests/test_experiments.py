@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from schreier import spectral
 from schreier.cli import plain
 from schreier.core import Verdict
 from schreier.experiments import (
@@ -26,6 +27,7 @@ from schreier.experiments import (
     kesten_amenable,
     kesten_finite_irs,
     nonamenable_subgroup_counterexample,
+    ramanujan_girth,
 )
 
 
@@ -89,6 +91,20 @@ def test_alon_boppana_toy_sweep():
     assert summary["size"] == 100
     assert 0 < summary["rho0_median"] < 1
     assert len(summary["density_medians"]) == 4
+
+
+def test_ramanujan_girth_counts_the_verdicts_of_its_solves(monkeypatch):
+    # one solve per (size, seed), whose report gives the run its ρ₀ and
+    # whose verdict is counted, and one for the LPS graph
+    solved = []
+    real = spectral.rho0
+    monkeypatch.setattr(spectral, "rho0", lambda g: solved.append(g.n) or real(g))
+    report = ramanujan_girth(sizes=(100, 200), seeds=(1, 2, 3), lmax=3)
+    json.dumps(plain(report, "report")[0], allow_nan=False)
+    assert solved == [100] * 3 + [200] * 3 + [1092]
+    for row in report["random_model"]:
+        assert row["certified"] + row["refuted"] + row["neither"] == 3
+        assert row["certified"] == 0  # a lanczos-residual true proves nothing
 
 
 @pytest.mark.parametrize("sizes, seeds, flag", [((), (1,), "--sizes"), ((100,), (), "--seeds")])
