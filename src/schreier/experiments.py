@@ -142,6 +142,10 @@ def _sweep(
     for flag, values in (("--sizes", sizes), ("--seeds", seeds)):
         if not values:
             raise ValueError(f"{flag} is empty, which leaves nothing to measure")
+        if len(set(values)) < len(values):
+            # a row counts every run of its size, so a repeat counts twice
+            repeated = next(v for i, v in enumerate(values) if v in values[:i])
+            raise ValueError(f"{flag} repeats {repeated}, which would count its runs twice")
     runs = []
     verdicts = []
     for size in sizes:

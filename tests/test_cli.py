@@ -907,6 +907,16 @@ class TestDeclaredFlags:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {flag} is empty, which leaves nothing to measure\n")
 
+    @pytest.mark.parametrize("recipe", ["alon-boppana", "ramanujan-girth"])
+    @pytest.mark.parametrize("flag, values", [("--sizes", "100,100"), ("--seeds", "1,2,1")])
+    def test_repeated_sweep_value_exits_1(self, capsys, recipe, flag, values):
+        # each row counts every run of its size: a repeat would count twice
+        assert run(["experiment", recipe, flag, values]) == 1
+        out, err = capsys.readouterr()
+        repeated = values.split(",")[0]
+        refusal = f"error: {flag} repeats {repeated}, which would count its runs twice\n"
+        assert (out, err) == ("", refusal)
+
 
 # every path below the root: each command, and each check and recipe
 PATHS = [

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import logging
 import math
 import random
 from fractions import Fraction
@@ -140,8 +141,10 @@ class TestCoreReturnCounts:
 
 class TestHangingTreeRecurrence:
     """``return_counts``, ``return_domination_reports`` and
-    ``conditioned_prefix_probabilities`` share one recurrence, on graphs
-    and on cores; each is checked against an independent count."""
+    ``conditioned_prefix_probabilities`` on graphs and on cores, each
+    checked against an independent count: the residue stream answers a
+    graph or a complete core, the hanging-tree stream a core's domination
+    reports, and the return series' recurrence its return counts."""
 
     @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
     def test_rings_match_the_ring_recursion(self, degree, n):
@@ -268,6 +271,75 @@ class TestHangingTreeRecurrence:
         # each of the d(d−1) vertices at distance 2 one way
         reports = return_domination_reports(tree_core(degree), 2, vertex_transitive=True)
         assert reports == (DominationReport(degree, 2, degree, 1, 1),)
+
+
+def _stream_returns(core, x: int, horizon: int) -> tuple[int, ...]:
+    """The origin's entry of the all-vertex hanging-tree stream from x."""
+    layers = bfs_layers(core.slots, x, horizon)
+    trees = {v: len(core.missing(v)) for v in core.boundary}
+    return tuple(counts[0] for counts, _ in walks._walk_steps(core, layers, horizon, trees))
+
+
+# the cores of the benchmark's return-count jobs
+BENCH_CORES = [
+    "fold:a,rank=2", "fold:a,b,rank=4", "fold:ab,rank=3", "free:rank=2", "fold:a,b,rank=5",
+]
+
+
+class TestCoreReturnRecurrence:
+    """On a core with undefined slots, ``return_counts`` reads the return
+    series' integer recurrence; the hanging-tree stream is its oracle."""
+
+    @settings(max_examples=100)
+    @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 120))
+    def test_every_origin_matches_the_stream(self, data, rank, horizon):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        for x in range(core.n):
+            assert return_counts(core, x, horizon) == _stream_returns(core, x, horizon)
+
+    @pytest.mark.parametrize("spec", BENCH_CORES)
+    def test_bench_cores_at_horizon_400(self, spec):
+        core = from_spec(spec)
+        assert return_counts(core, core.root, 400) == _stream_returns(core, core.root, 400)
+
+    @pytest.mark.parametrize("degree", range(2, 12))
+    def test_trees_at_horizon_400(self, degree):
+        """Odd degrees carry an involutive label."""
+        core = tree_core(degree)
+        assert return_counts(core, 0, 400) == _stream_returns(core, 0, 400)
+
+    def test_a_series_past_int64(self):
+        """This core's series passes 2⁶³ (70 bits) before its 42 terms end."""
+        core = from_spec("fold:cBCab,bbBabb,BCbbCb,AcBB,CAaB,BBc,AcabBC,CACA")
+        for x in range(core.n):
+            assert return_counts(core, x, 60) == _stream_returns(core, x, 60)
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[None]], [[None, None, 1], [1, 1, 0]], [[1, None, 0], [None, 0, None]]],
+        ids=["one-leaf-trees", "swap", "fixed-point"],
+    )
+    def test_involutive_labels(self, table):
+        """Labels a, A, m with m an involution; alone, m has d = 1, and the
+        tree at its missing slot is a single leaf (q = 0, t = z)."""
+        gens = GenSet.with_involutions(["a"] if len(table[0]) > 1 else [], ["m"])
+        core = CoreGraph.from_table(gens, table)
+        for x in range(core.n):
+            assert return_counts(core, x, 200) == _stream_returns(core, x, 200)
+
+    def test_an_inexact_division_raises(self):
+        # 2·G = 1 has no integer solution
+        with pytest.raises(AssertionError, match="does not divide"):
+            walks._series_counts([2], [1], [], 3, 4)
+
+    def test_one_debug_line_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            return_counts(from_spec("fold:ab,rank=3"), 0, 40)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("core return series")]
+        assert record.getMessage() == (
+            "core return series: 2 core vertices, 10 series terms, recurrence order 5, "
+            "deg Q 4, deg P_U 2, deg P_V 3, s 0"
+        )
 
 
 def _laws(g, n, k, x=None):
