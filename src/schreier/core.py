@@ -448,9 +448,6 @@ class CoreGraph(SchreierGraph):
         if self.truncation_radius is not None:
             raise GraphInvariantError("cores describe complete graphs, not truncations")
 
-    def missing(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.slots[v] < 0).tolist())
-
     @property
     def complete(self) -> bool:
         """True when no slot is undefined (the core is the whole graph)."""

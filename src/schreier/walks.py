@@ -14,20 +14,26 @@ of them), and a walk that must return by the horizon H only those within
 H − n: it cannot come back from farther.  A question about radius R thus
 costs the R-ball, not the graph.
 
-On a stored graph a step is a pull over the local slot table
-loc = pos[slots[order]], in which position E, one past the reach, is a
-zero sentinel read for a missing slot and for any vertex outside the
-reach: the count at w after the step sums the counts at loc[w, l] over
-the labels l.  The pull is exact on a Schreier graph: by label
-consistency the in-edges at w are exactly its slots read backwards, and
-on a truncation a missing slot has no in-edge either.  The counts are
-int64 residues.  Every count after t ≤ H steps is at most d^H, and the
-moduli, pairwise coprime and chosen greedily downward from
-⌊(2⁶³ − 1)/d⌋, multiply to more than d^H; a sum of d residues stays below
-2⁶³, so a step reduces once.  A consumer lifts only the counts it reads
-back to Python ints by the Chinese remainder theorem (CRT).  While d^H
-fits, one modulus suffices and the lift is the identity; LPS(17,13) at
-H = 100 counts modulo eight.
+A step is a pull over the local slot table loc = pos[slots[order]], in
+which position E, one past the reach, is a zero sentinel read for a
+missing slot and for any vertex outside the reach: the count at w after
+the step sums the counts at loc[w, l] over the labels l.  The pull is
+exact on a Schreier graph: by label consistency the in-edges at w are
+exactly its slots read backwards, and on a truncation a missing slot has
+no in-edge either.  On a core with undefined slots, domination pulls
+over ``_hung_trees``: the trees hanging at v, cut to the horizon, fold
+into one row per depth, standing for all the vertices at that depth.
+
+A question that reads a few counts per step counts in int64 residues.
+Every count after t ≤ H steps is at most d^H, and the moduli, pairwise
+coprime and chosen greedily downward from ⌊(2⁶³ − 1)/d⌋, multiply to
+more than d^H; a sum of d residues stays below 2⁶³, so a step reduces
+once.  A consumer lifts only the counts it reads back to Python ints by
+the Chinese remainder theorem (CRT).  While d^H fits, one modulus
+suffices and the lift is the identity; LPS(17,13) at H = 100 counts
+modulo eight.  ``return_domination_reports`` reads every count of every
+even row, where a lift per count would cost more than the counts, so its
+stream counts exactly: int64 while d^n ≤ 2⁶³ − 1, Python ints after.
 
 A core with undefined slots answers return counts from the integer
 recurrence of its return series, and no stream.  With K core vertices,
@@ -47,9 +53,6 @@ O(K²·d), the horizon O(H·L).  In process on a 2-vCPU VM,
 3.2–3.3 ms, against 9.5–9.9 and 286–313 ms for the hanging-tree stream
 it replaced; the fold of two random reduced F2 words of length 80 (158
 vertices) takes 27–29 ms at H = 100, against 51–56 ms.
-``return_domination_reports``, which reads every vertex, keeps the
-hanging-tree stream; a complete core has no trees and takes the array
-stream.
 
 ``return_counts`` reads the origin; ``return_domination_reports`` reads
 every even step from the root; ``conditioned_prefix_probabilities`` reads
@@ -106,15 +109,15 @@ _log = logging.getLogger("schreier")
 _MODULUS_CAP = 2**63 - 1
 
 
-def _numbering(g: SchreierGraph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _numbering(slots: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``pos``, each vertex's position in ``order``, and the local slot
     table ``loc = pos[slots[order]]``.  Position E = len(order) is the
     sentinel: every vertex outside ``order`` maps to it, and so does a
-    missing slot (−1), which reads ``pos[n]``."""
+    missing slot (−1), which reads the last entry of ``pos``."""
     size = len(order)
-    pos = np.full(g.n + 1, size, dtype=np.int64)
+    pos = np.full(len(slots) + 1, size, dtype=np.int64)
     pos[order] = np.arange(size)
-    return pos, pos[g.slots[order]]
+    return pos, pos[slots[order]]
 
 
 def _held(n: int, horizon: int, returning: bool) -> int:
@@ -136,38 +139,71 @@ def _moduli(d: int, horizon: int) -> list[int]:
     return moduli
 
 
+def _hung_trees(core: CoreGraph, depth: int) -> np.ndarray:
+    """The slot table of ``core`` with the trees hanging at its missing
+    slots cut to ``depth`` and folded to one row per depth: each vertex v
+    with a missing slot gets rows (v, j), j = 1..depth, after the core's;
+    slot 0 of (v, j) is its parent, v or (v, j − 1), its other d − 1
+    slots point to (v, j + 1), missing past ``depth``, and every missing
+    slot of v points to (v, 1).  All the vertices at depth j below v have
+    the same walks from a core vertex, and each has its parent and d − 1
+    children, so a pull over this table is the pull over the completed
+    graph, (v, j) standing for each of them; it is exact for walks of
+    length ≤ ``depth``, which cannot reach past it and back."""
+    slots = core.slots
+    hung = np.flatnonzero((slots < 0).any(axis=1))
+    if not depth or not len(hung):
+        return slots
+    size = len(slots)
+    rows = size + np.arange(len(hung) * depth).reshape(len(hung), depth)  # (v, j)'s row
+    first = np.full(size, -1, dtype=np.int64)
+    first[hung] = rows[:, 0]
+    table = np.full((size + rows.size, slots.shape[1]), -1, dtype=np.int64)
+    table[:size] = np.where(slots < 0, first[:, None], slots)
+    below = table[size:].reshape(len(hung), depth, -1)
+    below[:, :, 0] = np.column_stack([hung, rows[:, :-1]])
+    below[:, :-1, 1:] = rows[:, 1:, None]
+    return table
+
+
 class _ArrayWalks:
-    """The walks on a stored graph or a complete core from the origin
+    """The walks over the slot table ``slots`` from the origin
     ``order[0]``, or from each vertex of ``starts``, for n = 0..horizon.
-    Iterating yields each step's counts as a k×S×(E + 1) int64 array of
-    residues: [i, s, p] counts the walks from the s-th start to position
-    p of ``layers``' order modulo ``moduli[i]``, and position E is the
-    zero sentinel.  ``lift`` turns residues back into counts.
+    Iterating yields each step's counts as a k×S×(E + 1) array: [i, s, p]
+    counts the walks from the s-th start to position p of ``layers``'
+    order, and position E is the zero sentinel.
+
+    The counts are int64 residues, modulo ``moduli[i]``, and ``lift``
+    turns the ones a consumer reads back into counts.  Each count is at
+    most d^n ≤ d^horizon, below the product of the moduli, and a step sums
+    d residues below ⌊``_MODULUS_CAP``/d⌋, which int64 holds.  An
+    ``exact`` stream, for a consumer that reads whole rows, keeps k = 1
+    row of the counts themselves: int64 while d^n ≤ ``_MODULUS_CAP``,
+    Python ints (an object array) from the first step past it.
 
     From the origin, step n pulls into the positions within ``_held``
     distance; ``layers`` must reach the farthest, radius horizon, or
     ⌊horizon/2⌋ for a returning stream.  The counts are exact within
     distance horizon − n (the origin's always are).  From ``starts``,
     every step pulls into every position, and a walk that leaves
-    ``layers`` is dropped.  Each count is at most d^n ≤ d^horizon, below
-    the product of the moduli, and a step sums d residues below
-    ⌊``_MODULUS_CAP``/d⌋, which int64 holds.
+    ``layers`` is dropped.
     """
 
     def __init__(
         self,
-        g: SchreierGraph,
+        slots: np.ndarray,
         layers: tuple[np.ndarray, list[int]],
         horizon: int,
         returning: bool = False,
         starts: list[int] | None = None,
+        exact: bool = False,
     ) -> None:
         order, self.ends = layers
-        self.pos, self.loc = _numbering(g, order)
+        self.pos, self.loc = _numbering(slots, order)
         self.starts = self.pos[starts or order[:1]]
         self.everywhere = starts is not None
-        self.horizon, self.returning = horizon, returning
-        self.moduli = _moduli(g.degree, horizon)
+        self.horizon, self.returning, self.exact = horizon, returning, exact
+        self.moduli = [] if exact else _moduli(slots.shape[1], horizon)
         self.total = math.prod(self.moduli)
         self.weights = [
             self.total // m * pow(self.total // m, -1, m) for m in self.moduli
@@ -176,13 +212,16 @@ class _ArrayWalks:
     def __iter__(self) -> Iterator[np.ndarray]:
         ends, horizon = self.ends, self.horizon
         columns = np.ascontiguousarray(self.loc.T)  # one slot label per row
+        d = len(columns)
         moduli = np.array(self.moduli, dtype=np.int64)[:, None, None]
         starts = len(self.starts)
-        counts = np.zeros((len(moduli), starts, len(self.loc) + 1), dtype=np.int64)
+        counts = np.zeros((len(moduli) or 1, starts, len(self.loc) + 1), dtype=np.int64)
         counts[:, np.arange(starts), self.starts] = 1
         yield counts
         last = len(ends) - 1
         for n in range(1, horizon + 1):
+            if self.exact and counts.dtype != object and d**n > _MODULUS_CAP:
+                counts = counts.astype(object)
             e = ends[last if self.everywhere else min(_held(n, horizon, self.returning), last)]
             pulled = counts.take(columns[0, :e], axis=2)
             for column in columns[1:, :e]:
@@ -194,57 +233,15 @@ class _ArrayWalks:
             yield counts
 
     def lift(self, residues: np.ndarray) -> list[int]:
-        """The counts whose residues ``residues[:, ...]`` holds, flattened."""
+        """The counts whose residues ``residues[:, ...]`` holds, flattened
+        (an exact stream holds the counts)."""
+        if len(self.moduli) < 2:
+            return residues.ravel().tolist()
         residues = residues.reshape(len(self.moduli), -1)
-        if len(self.moduli) == 1:
-            return residues[0].tolist()
         return [
             sum(r * w for r, w in zip(column, self.weights)) % self.total
             for column in zip(*residues.tolist())
         ]
-
-
-def _walk_steps(
-    g: SchreierGraph,
-    layers: tuple[np.ndarray, list[int]],
-    horizon: int,
-    slots: dict[int, int],
-) -> Iterator[tuple[list[int], dict[int, list[int]]]]:
-    """For n = 0..horizon, on a core with undefined slots: the number of
-    length-n walks from the origin ``order[0]`` that end at each position
-    of ``layers``' vertices (the last one the zero sentinel), and, for
-    each v listed in ``slots``, at each depth 1..n of the ``slots[v]``
-    regular trees hanging at v (summed over those trees; entry 0 is
-    unused).  Inside a tree only the depth matters: one step back, d−1
-    steps deeper.
-
-    The core steps pull over ``_numbering``'s slot table as
-    ``_ArrayWalks`` does, over ``layers`` of radius horizon, in Python ints.
-    """
-    d1 = g.degree - 1
-    order, ends = layers
-    size = len(order)
-    pos, loc = _numbering(g, order)
-    # the sentinel holds no walk: adding its zeros would copy big ints
-    rows = [[u for u in row if u < size] for row in loc.tolist()]
-    hanging = [(int(pos[v]), m) for v, m in slots.items() if pos[v] < size]
-    last = len(ends) - 1
-    counts = [1] + [0] * size
-    trees = {v: [0] * (horizon + 2) for v in slots if pos[v] < size}
-    yield counts, trees
-    for n in range(1, horizon + 1):
-        e = ends[min(n, last)]
-        nxt = [sum([counts[u] for u in row]) for row in rows[:e]] + [0] * (size + 1 - e)
-        deeper = {}
-        for (p, m), (v, depth) in zip(hanging, trees.items()):
-            nxt[p] += depth[1]
-            deeper[v] = (
-                [0, m * counts[p] + depth[2]]
-                + [d1 * a + b for a, b in zip(depth[1:n], depth[3 : n + 2])]
-                + [0] * (horizon + 1 - n)
-            )
-        counts, trees = nxt, deeper
-        yield counts, trees
 
 
 def _return_series(core: CoreGraph, x: int, terms: int) -> list[int]:
@@ -443,7 +440,7 @@ def return_counts(
     if isinstance(source, CoreGraph) and not source.complete:
         return _core_returns(source, x, horizon)
     layers = stored_layers(source, x, horizon // 2, (horizon + 1) // 2, "return counts")
-    walks = _ArrayWalks(source, layers, horizon, returning=True)
+    walks = _ArrayWalks(source.slots, layers, horizon, returning=True)
     return tuple(walks.lift(counts[:, 0, 0])[0] for counts in walks)
 
 
@@ -481,7 +478,7 @@ def segment_distributions(
     if not 0 <= k <= n:
         raise ValueError("segment length out of range")
     layers = stored_layers(g, x, n // 2, (n + 1) // 2, "returning words")
-    walks = _ArrayWalks(g, layers, n, returning=True)
+    walks = _ArrayWalks(g.slots, layers, n, returning=True)
     rows = [walks.lift(c[:, 0]) for c in walks]
     ends = layers[1]
     # each position's distance from x; the sentinel's, far, is read for a
@@ -516,7 +513,7 @@ def segment_distributions(
                 asks.setdefault(y, []).append((n - j, tails, by_z, counts[j][t]))
     if asks:
         top = max(m for wanted in asks.values() for m, *_ in wanted)
-        stream = _ArrayWalks(g, layers, top, starts=list(asks))
+        stream = _ArrayWalks(g.slots, layers, top, starts=list(asks))
         at = list(stream)
         for i, wanted in enumerate(asks.values()):
             for m, tails, by_z, law in wanted:
@@ -530,13 +527,17 @@ def segment_distributions(
 def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
     """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
     caller asserted or, failing that, as checked on the whole graph; a
-    truncation, which cannot be checked, is refused with the way to assert
-    it."""
-    if asserted is None and g.boundary and not isinstance(g, CoreGraph):
+    truncation or an incomplete core, which the check cannot search, is
+    refused with the way to assert it."""
+    if asserted is None and g.boundary:
+        unknown = (
+            "a core's hanging trees are not searched" if isinstance(g, CoreGraph)
+            else "a truncation is unknown beyond its boundary"
+        )
         raise ValueError(
-            "the vertex-transitivity check needs a whole graph; a truncation is "
-            "unknown beyond its boundary: pass vertex_transitive=True "
-            "(--assume-transitive on the CLI) if the full graph is transitive"
+            f"the vertex-transitivity check needs a whole graph; {unknown}: pass "
+            "vertex_transitive=True (--assume-transitive on the CLI) if the full "
+            "graph is transitive"
         )
     if not (is_vertex_transitive(g) if asserted is None else asserted):
         raise ValueError(refusal)
@@ -585,7 +586,7 @@ def conditioned_prefix_probabilities(
     for _ in range(fits):
         endpoints.append(g.slots[endpoints[-1]].ravel())
     at: dict[int, list[int]] = {}  # ℓ -> the counts at those endpoints at step n − ℓ
-    walks = _ArrayWalks(g, layers, n, returning=True)
+    walks = _ArrayWalks(g.slots, layers, n, returning=True)
     for m, counts in enumerate(walks):
         if m >= n - fits:
             at[n - m] = walks.lift(counts[:, 0, walks.pos[endpoints[n - m]]])
@@ -633,68 +634,40 @@ class DominationReport:
             )
 
 
-def _even_rows(
-    g: SchreierGraph,
-    layers: tuple[np.ndarray, list[int]],
-    n: int,
-    trees: dict[int, int],
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """For each even k = 2..n: k, the counts of the length-k walks from the
-    root at the vertices within distance k of it, the only ones holding
-    any (the root first), and on a core the count at each vertex of every
-    hanging-tree depth 1..k.  The trees at v share their depth-j total
-    equally among their m_v·(d−1)^{j−1} vertices, m_v = ``trees[v]``."""
-    ends = layers[1]
-    if not trees:
-        walks = _ArrayWalks(g, layers, n)
-        for k, counts in enumerate(walks):
-            if k and k % 2 == 0:
-                yield k, walks.lift(counts[:, 0, : ends[k]]), []
-        return
-    d = g.degree
-    for k, (counts, depths) in enumerate(_walk_steps(g, layers, n, trees)):
-        if k and k % 2 == 0:
-            shared = []
-            for v, depth in depths.items():
-                for j in range(1, k + 1):
-                    size = trees[v] * (d - 1) ** (j - 1)
-                    if depth[j] % size:
-                        raise AssertionError("depth total not divisible by the depth's size")
-                    shared.append(depth[j] // size)
-            yield k, counts[: ends[k]], shared
-
-
 def return_domination_reports(
     source: SchreierGraph, n: int, vertex_transitive: bool | None = None
 ) -> tuple[DominationReport, ...]:
-    """The certificate at each even k = 2..n, read as one walk stream from
-    the root passes step k: the root's counts at k and k − 2 and the
-    largest count at any other vertex.  A core also counts the trees
-    hanging at each v: their depth-j total at step k is shared equally by
-    their m_v·(d−1)^{j−1} vertices, m_v the missing slots at v.  A graph
-    answers k only with its boundary at distance ≥ k, else refuses."""
+    """The certificate at each even k = 2..n, read as one exact walk
+    stream from the root passes step k: the root's counts at k and k − 2
+    and the largest count at any other vertex within distance k.  A core
+    streams over ``_hung_trees``, where one row stands for every vertex at
+    a depth of the trees hanging at a core vertex.  A graph answers k only
+    with its boundary at distance ≥ k, else refuses."""
     if n < 2 or n % 2:
         raise ValueError("the domination inequalities concern even n >= 2")
-    if isinstance(source, CoreGraph):
-        layers = bfs_layers(source.slots, source.root, n)
-        trees = {v: len(source.missing(v)) for v in source.boundary}
+    if isinstance(source, CoreGraph):  # never truncated
+        slots = _hung_trees(source, n)
+        layers, near = bfs_layers(slots, source.root, n), n + 1
     else:
-        layers, trees = stored_layers(source, source.root, n, 0, "walk counts"), {}
+        slots, layers = source.slots, stored_layers(source, source.root, n, 0, "walk counts")
+        near = boundary_layer(source, *layers)
     _require_transitive(
         source, vertex_transitive, "the domination inequalities require vertex-transitivity"
     )
-    # only a core has trees, and its boundary vertices carry them
-    near = n + 1 if trees else boundary_layer(source, *layers)
+    walks = _ArrayWalks(slots, layers, n, exact=True)
     reports = []
     previous = 1  # the one walk of length 0
-    for k, row, shared in _even_rows(source, layers, n, trees):
+    for k, counts in enumerate(walks):
+        if not k or k % 2:
+            continue
         require_room("walk counts", source.root, near, k)
+        row = walks.lift(counts[:, 0, : layers[1][k]])
         reports.append(
             DominationReport(
                 degree=source.degree,
                 n=k,
                 return_count=row[0],
-                max_other_count=max(row[1:] + shared, default=0),
+                max_other_count=max(row[1:], default=0),
                 previous_return_count=previous,
             )
         )

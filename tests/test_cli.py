@@ -1268,8 +1268,9 @@ class TestWhatEachKindAnswers:
         asserted = [*argv, "--graph", "free:rank=2", "--assume-transitive"]
         assert _json_out(capsys, asserted)["result"]["rows"] == tree
         assert _quiet_run([*argv, "--graph", "free:rank=2"]) == (
-            1, "", "error: the vertex-transitivity check needs a whole graph; "
-            "complete the core with an '@radius' suffix\n",
+            1, "", "error: the vertex-transitivity check needs a whole graph; a core's "
+            "hanging trees are not searched: pass vertex_transitive=True "
+            "(--assume-transitive on the CLI) if the full graph is transitive\n",
         )
 
     def test_an_unchecked_truncation_names_the_flag_that_asserts_it(self, capsys, tmp_path):

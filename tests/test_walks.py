@@ -143,8 +143,9 @@ class TestHangingTreeRecurrence:
     """``return_counts``, ``return_domination_reports`` and
     ``conditioned_prefix_probabilities`` on graphs and on cores, each
     checked against an independent count: the residue stream answers a
-    graph or a complete core, the hanging-tree stream a core's domination
-    reports, and the return series' recurrence its return counts."""
+    graph's or a complete core's return counts and prefix rows, the exact
+    stream every domination report, over ``_hung_trees`` on a core, and
+    the return series' recurrence a core's return counts."""
 
     @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
     def test_rings_match_the_ring_recursion(self, degree, n):
@@ -274,10 +275,11 @@ class TestHangingTreeRecurrence:
 
 
 def _stream_returns(core, x: int, horizon: int) -> tuple[int, ...]:
-    """The origin's entry of the all-vertex hanging-tree stream from x."""
-    layers = bfs_layers(core.slots, x, horizon)
-    trees = {v: len(core.missing(v)) for v in core.boundary}
-    return tuple(counts[0] for counts, _ in walks._walk_steps(core, layers, horizon, trees))
+    """The origin's entry of the one exact stream from x over the core's
+    table with its hanging trees cut to depth ``horizon``."""
+    table = walks._hung_trees(core, horizon)
+    stream = walks._ArrayWalks(table, bfs_layers(table, x, horizon), horizon, exact=True)
+    return tuple(int(counts[0, 0, 0]) for counts in stream)
 
 
 # the cores of the benchmark's return-count jobs
@@ -288,7 +290,8 @@ BENCH_CORES = [
 
 class TestCoreReturnRecurrence:
     """On a core with undefined slots, ``return_counts`` reads the return
-    series' integer recurrence; the hanging-tree stream is its oracle."""
+    series' integer recurrence; the stream over ``_hung_trees`` is its
+    oracle."""
 
     @settings(max_examples=100)
     @given(data=st.data(), rank=st.integers(1, 3), horizon=st.integers(0, 120))
@@ -326,6 +329,11 @@ class TestCoreReturnRecurrence:
         core = CoreGraph.from_table(gens, table)
         for x in range(core.n):
             assert return_counts(core, x, 200) == _stream_returns(core, x, 200)
+
+    def test_depth_zero_hangs_no_rows(self):
+        core = from_spec("fold:ab,rank=3")
+        assert walks._hung_trees(core, 0) is core.slots
+        assert _stream_returns(core, 0, 0) == (1,)
 
     def test_an_inexact_division_raises(self):
         # 2·G = 1 has no integer solution
@@ -781,7 +789,9 @@ class TestCountWalksSeveralModuli(TestCountWalks):
 
 @pytest.mark.usefixtures("several_moduli")
 class TestHangingTreeRecurrenceSeveralModuli(TestHangingTreeRecurrence):
-    """The reference checks on shuffled graphs, counting modulo several moduli."""
+    """The reference checks on shuffled graphs under the 2¹⁶ cap: the
+    return counts modulo several moduli, the domination reports switching
+    to Python ints early."""
 
 
 @pytest.mark.usefixtures("several_moduli")
@@ -796,7 +806,8 @@ class TestOneReturningStreamSeveralModuli(TestOneReturningStream):
 
 @pytest.mark.usefixtures("several_moduli")
 class TestDominationSeveralModuli(TestDomination):
-    """The domination rows, counting modulo several moduli."""
+    """The domination rows, which count exactly rather than in residues:
+    under the 2¹⁶ cap they switch from int64 to Python ints early."""
 
 
 class TestResidues:
@@ -821,11 +832,12 @@ class TestResidues:
 
     @settings(max_examples=80)
     @given(data=st.data(), horizon=st.integers(0, 12), returning=st.booleans(),
-           small=st.booleans())
-    def test_rows_hold_only_the_walks_that_matter(self, data, horizon, returning, small):
+           small=st.booleans(), exact=st.booleans())
+    def test_rows_hold_only_the_walks_that_matter(self, data, horizon, returning, small, exact):
         """Row n holds the walks within distance n of the origin, exactly,
         and a returning stream only those within horizon − n, which can
-        still come back; the sentinel holds none."""
+        still come back; the sentinel holds none.  So do the rows of an
+        exact stream, in int64 or Python ints."""
         m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
         g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
         g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
@@ -836,7 +848,7 @@ class TestResidues:
         with pytest.MonkeyPatch.context() as patch:
             if small:
                 patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
-            stream = walks._ArrayWalks(g, layers, horizon, returning)
+            stream = walks._ArrayWalks(g.slots, layers, horizon, returning, exact=exact)
             for k, counts in enumerate(stream):
                 held = min(k, horizon - k) if returning else k
                 *lifted, sentinel = stream.lift(counts)
