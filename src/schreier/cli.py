@@ -666,14 +666,14 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
     elif args.command == "bs-stats":
         g = from_spec(args.graph)
         dist = bs_statistics(g, args.radius)
-        classes = sorted(
-            dist.frequencies.items(), key=lambda item: (-item[1], item[0])
-        )
         result = {
             "radius": args.radius,
             "n": dist.n,
-            "class_count": len(classes),
-            "classes": [{"digest": digest, "frequency": freq} for digest, freq in classes],
+            "class_count": len(dist.frequencies),
+            "classes": [
+                {"digest": digest, "frequency": freq}
+                for digest, freq in dist.frequencies.items()
+            ],
         }
     elif args.command == "ball-distance":
         first = from_spec(args.first)
@@ -713,7 +713,6 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
         else:
             ensemble = stabilizer_sample(act, args.count, args.seed)
         diag = invariance_diagnostic(ensemble, args.radius)
-        dist = sorted(diag.distribution.items(), key=lambda item: (-item[1], item[0]))
         result = {
             "kind": ensemble.kind,
             "provenance": {
@@ -722,7 +721,9 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
                 "sample_count": len(ensemble.samples),
             },
             "radius": args.radius,
-            "ball_classes": [{"digest": digest, "weight": w} for digest, w in dist],
+            "ball_classes": [
+                {"digest": digest, "weight": w} for digest, w in diag.distribution.items()
+            ],
             "invariance": {
                 "per_generator": diag.per_generator,
                 "max_tv": diag.max_tv,

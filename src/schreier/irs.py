@@ -9,17 +9,21 @@ invariance becomes a measurable statement about R-ball statistics under
 root moves.  Samples rooted in one orbit share one table, and one endpoint
 table over its roots and moved roots gives all their R-ball classes, keyed
 by the ``local`` digest of a root's first-occurrence pattern.
+
+Every law is a row of integer numerators over one denominator D, the lcm
+of the weights' denominators (n for ``uniform_conjugate``, ``count`` for
+``stabilizer_sample``): a row sums to D, and two rows differ by at most 2D
+in total, so rows are int64 while D ≤ (2⁶³ − 1) // 2 and Python ints
+beyond.  ``Fraction``s are built only for the report; no float enters.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +35,7 @@ from schreier.core import (
     canonical_rows,
     stored_layers,
 )
-from schreier.local import _ball_classes, tv_distance
+from schreier.local import _ball_classes, _over_common
 
 __all__ = [
     "Provenance",
@@ -69,12 +73,19 @@ class IrsEnsemble:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if len(self.samples) != len(self.weights) or not self.samples:
             raise ValueError("need equally many samples and weights, at least one")
-        if any(w <= 0 for w in self.weights):
+        numerators, common = self._numerators
+        if min(numerators) <= 0:
             raise ValueError("weights must be positive")
-        if sum(self.weights) != 1:
+        if sum(numerators) != common:
             raise ValueError("weights must sum to 1")
         if any(g.gens != self.gens for g in self.samples):
             raise ValueError("samples must share the ensemble's alphabet")
+
+    @cached_property
+    def _numerators(self) -> tuple[list[int], int]:
+        """Each weight's integer numerator over D, the lcm of the weights'
+        denominators, and D."""
+        return _over_common(self.weights)
 
 
 def _rooted_orbits(act: PermAction, points: Iterable[int]) -> tuple[SchreierGraph, ...]:
@@ -138,37 +149,39 @@ def stabilizer_sample(act: PermAction, count: int, seed: int) -> IrsEnsemble:
     )
 
 
-def _distributions(
-    e: IrsEnsemble, radius: int
-) -> tuple[dict[str, Fraction], list[dict[str, Fraction]]]:
-    """Weighted R-ball class distributions at the roots and after moving every
-    root along each label, from one endpoint table per shared orbit table
-    over its samples' roots and moved roots.  A class's weight is exact for
-    any weights: a count × weight per distinct weight, summed."""
+# a law's row sums to D and two rows differ by at most 2D, which int64
+# holds for D up to this; a larger D keeps its rows in Python ints
+_INT64_DENOMINATOR_CAP = (2**63 - 1) // 2
+
+
+def _distributions(e: IrsEnsemble, radius: int) -> tuple[list[str], np.ndarray, int]:
+    """The R-ball class digests met at the roots and moved roots, a
+    (d + 1) × K integer array of laws over them, and its denominator D.
+    Row 0 is the law at the roots and row 1 + l the law after moving every
+    root along label l; entry [r, c] is the summed numerators over D of the
+    samples whose row-r root lies in class c, so each row sums to D.  One
+    endpoint table per shared orbit table classes its samples' roots and
+    moved roots.  The rows are int64 while D ≤ ``_INT64_DENOMINATOR_CAP``
+    and Python ints (an object array) beyond."""
+    numerators, common = e._numerators
+    exact = np.int64 if common <= _INT64_DENOMINATOR_CAP else object
     tables: dict[int, list[int]] = {}  # id(slots) -> the samples rooted in it
     for i, g in enumerate(e.samples):
         tables.setdefault(id(g.slots), []).append(i)
-    pairs = [(w.numerator, w.denominator) for w in e.weights]  # hashed faster than Fractions
-    index = {p: k for k, p in enumerate(dict.fromkeys(pairs))}
-    distinct, ks = [Fraction(*p) for p in index], np.array([index[p] for p in pairs])
-    tallies = [defaultdict(Counter) for _ in range(e.gens.degree + 1)]  # digest -> k -> count
+    index: dict[str, int] = {}  # digest -> class
+    codes = []
     for members in tables.values():
         slots = e.samples[members[0]].slots
         roots = np.array([e.samples[i].root for i in members])
         at = np.column_stack([roots, slots[roots]])  # each root, then moved by each label
         vertices, where = np.unique(at, return_inverse=True)
         digests, classes = _ball_classes(slots, e.gens, vertices, radius)
-        codes = classes[where.reshape(at.shape)] * len(distinct) + ks[members, None]
-        for tally, column in zip(tallies, codes.T):
-            found, counts = np.unique(column, return_counts=True)
-            for code, count in zip(found.tolist(), counts.tolist()):
-                c, k = divmod(code, len(distinct))
-                tally[digests[c]][k] += count
-    base, *moved = (
-        {d: reduce(add, (c * distinct[k] for k, c in by_k.items())) for d, by_k in t.items()}
-        for t in tallies
-    )
-    return base, moved
+        ids = np.array([index.setdefault(d, len(index)) for d in digests])
+        codes.append(ids[classes[where.reshape(at.shape)]])
+    weights = np.array(numerators, dtype=exact)[np.concatenate(list(tables.values()))]
+    laws = np.zeros((e.gens.degree + 1, len(index)), dtype=exact)
+    np.add.at(laws, (np.arange(e.gens.degree + 1), np.concatenate(codes)), weights[:, None])
+    return list(index), laws, common
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,8 @@ class InvarianceReport:
     √(2 ln 40 / m) for m samples, a heuristic: it ignores the number K of
     ball classes and does not bound the TV between empirical laws over K
     classes, which exactly invariant ensembles exceed at large K.
+    ``distribution`` is the law at the roots, by descending weight, then
+    digest.
     """
 
     radius: int
@@ -197,8 +212,11 @@ def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
     for g in e.samples:
         if g.boundary:
             stored_layers(g, g.root, radius, radius + 1, f"invariance at radius {radius}")
-    base, moved = _distributions(e, radius)
-    rows = tuple((name, tv_distance(base, m)) for name, m in zip(e.gens.labels, moved))
+    digests, laws, common = _distributions(e, radius)
+    apart = np.abs(laws[1:] - laws[0]).sum(axis=1).tolist()
+    rows = tuple((name, Fraction(a, 2 * common)) for name, a in zip(e.gens.labels, apart))
+    base = laws[0].tolist()
+    held = sorted(np.flatnonzero(laws[0]).tolist(), key=lambda c: (-base[c], digests[c]))
     confidence = None
     if e.kind == "sampled":
         confidence = math.sqrt(2.0 * math.log(40.0) / len(e.samples))
@@ -207,5 +225,5 @@ def invariance_diagnostic(e: IrsEnsemble, radius: int) -> InvarianceReport:
         kind=e.kind,
         per_generator=rows,
         confidence_radius=confidence,
-        distribution=base,
+        distribution={digests[c]: Fraction(base[c], common) for c in held},
     )

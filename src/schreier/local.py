@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,16 +141,28 @@ class BallDistribution:
     frequencies: dict[str, Fraction]
 
     def __post_init__(self) -> None:
-        if sum(self.frequencies.values()) != 1:
+        numerators, common = _over_common(self.frequencies.values())
+        if sum(numerators) != common:
             raise AssertionError("ball-class frequencies must sum to 1")
 
 
+def _over_common(law: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of ``law`` over D, the lcm of their
+    denominators, and D: sums and comparisons of the law are then exact
+    integer ones, with no ``Fraction`` built."""
+    law = tuple(law)
+    common = math.lcm(*{p.denominator for p in law})
+    return [p.numerator * (common // p.denominator) for p in law], common
+
+
 def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
-    """Exact R-ball class frequencies over all vertices of a finite graph."""
+    """Exact R-ball class frequencies over all vertices of a finite graph,
+    by descending frequency, then digest."""
     require_whole(g, "ball statistics")
     digests, classes = _ball_classes(g.slots, g.gens, np.arange(g.n), radius)
     counts = np.bincount(classes, minlength=len(digests)).tolist()
-    freqs = {d: Fraction(c, g.n) for d, c in zip(digests, counts)}
+    order = sorted(range(len(digests)), key=lambda c: (-counts[c], digests[c]))
+    freqs = {digests[c]: Fraction(counts[c], g.n) for c in order}
     return BallDistribution(radius=radius, n=g.n, frequencies=freqs)
 
 
@@ -161,9 +173,8 @@ def tv_distance(
     over the laws' common denominator, the lcm of every weight's."""
     pa = a.frequencies if isinstance(a, BallDistribution) else a
     pb = b.frequencies if isinstance(b, BallDistribution) else b
-    common = math.lcm(*{p.denominator for law in (pa, pb) for p in law.values()})
-    na = {k: p.numerator * (common // p.denominator) for k, p in pa.items()}
-    nb = {k: p.numerator * (common // p.denominator) for k, p in pb.items()}
+    numerators, common = _over_common([*pa.values(), *pb.values()])
+    na, nb = dict(zip(pa, numerators)), dict(zip(pb, numerators[len(pa) :]))
     apart = sum(abs(na.get(k, 0) - nb.get(k, 0)) for k in na.keys() | nb.keys())
     return Fraction(apart, 2 * common)
 
@@ -288,8 +299,12 @@ def _ball_classes(
         rows, inverse = np.unique(pattern.view(f"V{pattern.strides[0]}"), return_inverse=True)
         ids = [index.setdefault(row, len(index)) for row in rows.tolist()]
         classes[first : first + len(ends)] = np.array(ids)[inverse.ravel()]
-    rows = (np.frombuffer(row, np.int32).tolist() for row in index)
-    payloads = (repr((radius, gens.labels, gens.inv, row)).encode() for row in rows)
+    if not index:
+        return [], classes
+    # the payload is repr((radius, labels, inv, row)), its row spelled by str
+    head = repr((radius, gens.labels, gens.inv, []))[:-2]
+    rows = np.frombuffer(b"".join(index), np.int32).reshape(len(index), -1).tolist()
+    payloads = (f"{head}{str(row)[1:]})".encode() for row in rows)
     return [hashlib.sha256(p).hexdigest() for p in payloads], classes
 
 

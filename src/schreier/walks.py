@@ -558,8 +558,11 @@ def conditioned_prefix_probabilities(
     The floor is a transitivity statement; pass ``vertex_transitive=True``
     for truncated inputs whose full graph is transitive, e.g. tree balls.
     It rests on |P_{x,x,n}| ≤ d^{2ℓ}·|P_{x,x,n−2ℓ}|, an even-n statement,
-    so odd n (and negative n) is refused first.  It needs room to complete w·w⁻¹, so a
-    prefix longer than n/2 is refused, after the rows of the shorter ones.
+    so odd n (and negative n) is refused first.  An incomplete core, or a
+    boundary nearer x than ⌈n/2⌉, is refused next, before the transitivity
+    check can ask for an assertion that would not help.  It needs room to
+    complete w·w⁻¹, so a prefix longer than n/2 is refused, after the rows
+    of the shorter ones.
 
     One returning stream from x answers every row.  Walks reverse on a
     Schreier graph (read backwards with inverse labels), so
@@ -574,11 +577,11 @@ def conditioned_prefix_probabilities(
     too_long = "need n >= twice the prefix length"
     if length and not fits:
         raise ValueError(too_long)
+    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "conditioned prefix rows")
     _require_transitive(
         g, vertex_transitive,
         "conditioned prefix bound requires a vertex-transitive graph",
     )
-    layers = stored_layers(g, x, n // 2, (n + 1) // 2, "conditioned prefix rows")
     d = g.degree
     # the endpoints x·w of the words of each length, in product order; the
     # guard keeps every slot on the way, which lies within ℓ − 1 < ⌈n/2⌉

@@ -1273,6 +1273,15 @@ class TestWhatEachKindAnswers:
             "(--assume-transitive on the CLI) if the full graph is transitive\n",
         )
 
+    def test_prefix_rows_refuse_the_core_before_asking_for_transitivity(self):
+        # the core is refused on the first run, not after --assume-transitive
+        for flags in ([], ["--assume-transitive"]):
+            argv = ["lemma-check", "returningvsrw", "--graph", "free:rank=2", "--n", "6"]
+            assert _quiet_run([*argv, *flags]) == (
+                1, "", "error: conditioned prefix rows needs a whole graph; "
+                "complete the core with an '@radius' suffix\n",
+            )
+
     def test_an_unchecked_truncation_names_the_flag_that_asserts_it(self, capsys, tmp_path):
         path = tmp_path / "ball.sgf"
         assert run(["build", "fold:a,rank=2@4", "--out", str(path)]) == 0

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from schreier.core import (
     parse_word,
     serialize,
 )
-from schreier import irs
+from schreier import irs, local
 from schreier.cli import run
 from schreier.irs import (
     IrsEnsemble,
@@ -146,7 +147,8 @@ class TestUniformConjugate:
         act = restrict_to_orbit(random_perm_action(2, 50, seed=3))
         g = random_perm_model(2, 50, seed=3)
         dist = invariance_diagnostic(uniform_conjugate(act), 2).distribution
-        assert dist == bs_statistics(g, 2).frequencies
+        # equal laws, held in one order: descending weight, then digest
+        assert list(dist.items()) == list(bs_statistics(g, 2).frequencies.items())
 
 
 class TestStabilizerSample:
@@ -205,7 +207,10 @@ def _assert_matches_per_root_copies(e, act, points, radius):
         for dist, v in zip(dists, roots):
             digest = reference.rows_digest(r.gens, r.next, v, radius)
             dist[digest] = dist.get(digest, Fraction(0)) + w
-    base, moved = _distributions(e, radius)
+    digests, laws, common = _distributions(e, radius)
+    base, *moved = (
+        {d: Fraction(c, common) for d, c in zip(digests, row) if c} for row in laws.tolist()
+    )
     assert _class_profiles([base, *moved]) == _class_profiles(dists)
     report = invariance_diagnostic(e, radius)
     assert report.distribution == base
@@ -275,6 +280,105 @@ class TestSharedOrbitTables:
         points = [x % act.degree for x in points]
         samples = _rooted_orbits(act, points)
         assert [(g.next, g.root) for g in samples] == reference.rooted_orbits(act, points)
+
+
+def _fraction_laws(e, radius):
+    """The law at the roots and after each root move as ``Fraction`` dicts
+    keyed by ``reference.rows_digest``, summed weight by weight, and the
+    map from each class's ``local`` digest to that key, checked one to one."""
+    laws, pairs = [{} for _ in range(e.gens.degree + 1)], set()
+    for g, w in zip(e.samples, e.weights):
+        for law, v in zip(laws, [g.root, *g.slots[g.root].tolist()]):
+            key = reference.rows_digest(g.gens, g.slots, v, radius)
+            law[key] = law.get(key, Fraction(0)) + w
+            pairs.add((local._ball_classes(g.slots, g.gens, np.array([v]), radius)[0][0], key))
+    assert len(pairs) == len({d for d, _ in pairs}) == len({k for _, k in pairs})
+    return laws, dict(pairs)
+
+
+def _assert_matches_fraction_laws(e, radius):
+    laws, key = _fraction_laws(e, radius)
+    report = invariance_diagnostic(e, radius)
+    items = list(report.distribution.items())
+    assert items == sorted(items, key=lambda item: (-item[1], item[0]))
+    assert {key[d]: w for d, w in items} == laws[0]
+    assert report.per_generator == tuple(
+        (name, tv_distance(laws[0], moved)) for name, moved in zip(e.gens.labels, laws[1:])
+    )
+    return report
+
+
+@st.composite
+def mixed_ensembles(draw):
+    """Samples of a mostly non-transitive action rooted at random points, so
+    on several orbit tables, with weights of mixed denominators."""
+    act = draw(reference.sparse_actions())
+    points = draw(st.lists(st.integers(0, act.degree - 1), min_size=1, max_size=8))
+    raw = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in points]
+    return IrsEnsemble(
+        gens=act.gens,
+        samples=_rooted_orbits(act, points),
+        weights=tuple(r / sum(raw) for r in raw),
+        kind=draw(st.sampled_from(("exact", "sampled"))),
+        provenance=Provenance("mixed weights", None),
+    )
+
+
+def _two_orbit_ensemble(weights):
+    # a lopsided triangle (b swaps two of its points) beside a 4-cycle of a
+    # that b fixes pointwise, rooted at 0, 3 and 1: two orbit tables
+    act = PermAction.from_generator_perms(
+        [(1, 2, 0, 4, 5, 6, 3), (0, 2, 1, 3, 4, 5, 6)], pair_names=("a", "b")
+    )
+    return IrsEnsemble(
+        gens=act.gens,
+        samples=_rooted_orbits(act, [0, 3, 1]),
+        weights=weights,
+        kind="exact",
+        provenance=Provenance("two orbits", None),
+    )
+
+
+class TestIntegerLaws:
+    """Laws are integer numerators over the lcm D of the weights'
+    denominators until the report, and answer exactly as ``Fraction`` sums."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(e=mixed_ensembles(), radius=st.integers(0, 3))
+    def test_mixed_denominators_match_fraction_sums(self, e, radius):
+        _assert_matches_fraction_laws(e, radius)
+
+    def test_halves_thirds_and_sixths(self):
+        e = _two_orbit_ensemble((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+        assert len({id(g.slots) for g in e.samples}) == 2
+        for radius in range(4):
+            report = _assert_matches_fraction_laws(e, radius)
+            assert (report.max_tv > 0) == (radius > 0)
+            _, laws, common = _distributions(e, radius)
+            assert (common, laws.dtype) == (6, np.int64)
+            assert set(laws.sum(axis=1).tolist()) == {6}
+
+    def test_a_denominator_past_int64(self):
+        p, q = 2**61 - 1, 2**31 - 1  # primes: D = pq > 2⁶³
+        wp, wq = Fraction(1, p), Fraction(1, q)
+        e = _two_orbit_ensemble((wp, wq, 1 - wp - wq))
+        for radius in range(3):
+            report = _assert_matches_fraction_laws(e, radius)
+            assert (report.max_tv > 0) == (radius > 0)
+            _, laws, common = _distributions(e, radius)
+            assert (common, laws.dtype) == (p * q, object)
+            assert set(laws.sum(axis=1).tolist()) == {p * q}
+
+    def test_the_int64_bound(self):
+        # weights 1/D, 1/D and (D − 2)/D for odd D: the cap keeps int64 rows
+        for common, dtype in ((irs._INT64_DENOMINATOR_CAP, np.int64),
+                              (irs._INT64_DENOMINATOR_CAP + 2, object)):
+            w = Fraction(1, common)
+            e = _two_orbit_ensemble((w, w, 1 - 2 * w))
+            _assert_matches_fraction_laws(e, 1)
+            _, laws, d = _distributions(e, 1)
+            assert (d, laws.dtype) == (common, dtype)
+            assert set(laws.sum(axis=1).tolist()) == {common}
 
 
 class TestEnsembleBallDistribution:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from schreier.builders import (
     complete_ball,
+    from_spec,
     from_perm_action,
     cycle_graph,
     cyclic_action,
@@ -366,6 +367,41 @@ class TestPatternClassesAgainstRows:
         keys = _pattern_keys(g.gens, g.next, radius, range(g.n))
         assert len(set(keys)) == 2 * radius + 1
 
+    @pytest.mark.parametrize(
+        "g, radius",
+        [
+            (cycle_graph(6), 1),
+            (random_perm_model(2, 12, seed=3), 2),
+            (from_perm_action(s3_regular()), 3),  # an involutive alphabet
+            (_truncated_fold(["ab", "aaB"], 3), 2),  # words off the stored graph
+        ],
+    )
+    def test_digests_are_the_repr_payloads(self, g, radius):
+        """A class digest is the SHA-256 of repr((radius, labels, inv, row))
+        for the class's first-occurrence pattern row, as first written."""
+        digests, classes = local._ball_classes(g.slots, g.gens, np.arange(g.n), radius)
+        patterns = np.vstack([p for *_, p in local._endpoint_tables(
+            g.slots, g.gens, np.arange(g.n), radius, radius)])
+        for row, c in zip(patterns.tolist(), classes.tolist()):
+            payload = repr((radius, g.gens.labels, g.gens.inv, row)).encode()
+            assert digests[c] == hashlib.sha256(payload).hexdigest()
+
+    def test_digests_are_pinned(self):
+        g = random_perm_model(2, 12, seed=3)
+        digests, classes = local._ball_classes(g.slots, g.gens, np.arange(g.n), 2)
+        assert digests[classes[11]] == (
+            "eb6e3c35dd6ddefb21c9cb212944669d14298133348fbf309b68509fb3afe6d8"
+        )
+        g = cycle_graph(6)
+        assert local._ball_classes(g.slots, g.gens, np.arange(g.n), 1)[0] == [
+            "c7ddd94b6aa2268752de2c3c71acfdbd8ffc4a4d9bc7a92adbbd130fcb57a3da"
+        ]
+
+    def test_no_roots_no_classes(self):
+        g = cycle_graph(6)
+        digests, classes = local._ball_classes(g.slots, g.gens, np.arange(0), 2)
+        assert digests == [] and classes.shape == (0,)
+
     def test_negative_radius_is_refused_before_the_table(self):
         g = cycle_graph(5)
         with mock.patch.object(local, "_word_tree", side_effect=AssertionError):
@@ -458,6 +494,11 @@ class TestBallStatistics:
     def test_lps_graph_looks_the_same_everywhere(self):
         stats = bs_statistics(lps_graph(5, 13), 1)
         assert list(stats.frequencies.values()) == [Fraction(1)]
+
+    @pytest.mark.parametrize("spec, radius", [("randperm:m=2,n=60,seed=1", 2), ("randperm:m=3,n=40,seed=2", 1)])
+    def test_classes_by_descending_frequency_then_digest(self, spec, radius):
+        items = list(bs_statistics(from_spec(spec), radius).frequencies.items())
+        assert items == sorted(items, key=lambda item: (-item[1], item[0]))
 
     def test_exemplar_digests_match_keys(self):
         g = random_perm_model(2, 40, seed=5)

@@ -645,7 +645,8 @@ class TestOneReturningStream:
 
     def test_refusal_order(self):
         """Odd n is refused first, then a one-letter prefix too long for n;
-        then the transitivity check and the return-count guard; a longer
+        then the return-count guard, which refuses an incomplete core or a
+        boundary too near the root, and the transitivity check; a longer
         prefix only after the shorter rows are checked."""
         refusals = [
             (random_perm_model(2, 9, 1), 1, 1, None, "concern even n"),
