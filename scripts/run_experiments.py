@@ -6,9 +6,9 @@ few minutes (the Alon–Boppana sweep builds graphs on 10^4 vertices five
 times).  Pass recipe names to run a subset, or --quick for a cut-down
 sweep that finishes in seconds but proves nothing beyond plumbing.
 
-Each report is written as the CLI writes a result: every verdict as its
-boolean, listed with its certificate in a ``verdicts`` block, and a NaN
-or infinity refused.
+Each report is written as the CLI writes a result: one JSON line, every
+verdict as its boolean, listed with its certificate in a ``verdicts``
+block, and a NaN or infinity refused.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def main() -> int:
         report, verdicts = plain(report, "report")
         if verdicts:
             report["verdicts"] = verdicts
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report)
         if args.out_dir:
             path = args.out_dir / f"{name}.json"
             path.write_text(text + "\n")

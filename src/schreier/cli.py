@@ -367,25 +367,34 @@ def plain(value, name: str) -> tuple[object, dict[str, dict]]:
     return _plain_walk(value, name, verdicts), verdicts
 
 
-def _plain_walk(value, path: str, verdicts: dict[str, dict]):
+def _plain_walk(value, path, verdicts: dict[str, dict]):
     """``plain``'s walk of ``value`` at ``path``, listing each verdict in
-    ``verdicts``."""
+    ``verdicts``.  ``path`` is the name or a (parent path, key) pair,
+    joined into its dotted text only where a verdict or an error names it."""
     if isinstance(value, Verdict):
         entry = {"value": value.value, "certificate": value.certificate}
-        verdicts[path.partition(".")[2]] = entry
+        verdicts[_dotted(path).partition(".")[2]] = entry
         return value.value
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"{path} is {value}, which JSON cannot represent")
+            raise ValueError(f"{_dotted(path)} is {value}, which JSON cannot represent")
         return float(f"{value:.12g}")
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, dict):
-        return {key: _plain_walk(item, f"{path}.{key}", verdicts)
-                for key, item in value.items()}
+        return {key: _plain_walk(item, (path, key), verdicts) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain_walk(item, f"{path}.{i}", verdicts) for i, item in enumerate(value)]
+        return [_plain_walk(item, (path, i), verdicts) for i, item in enumerate(value)]
     return value
+
+
+def _dotted(path) -> str:
+    """A ``_plain_walk`` path as its dotted text, e.g. ``result.rows.1``."""
+    keys = []
+    while isinstance(path, tuple):
+        path, key = path
+        keys.append(f"{key}")
+    return ".".join([path, *reversed(keys)])
 
 
 def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> None:
@@ -394,7 +403,7 @@ def _emit(args: argparse.Namespace, config_file: str | None, result: dict) -> No
     doc = {"schema": 1, "command": args.command, "config": config, "result": result}
     if verdicts:
         doc["verdicts"] = verdicts
-    _write_out(json.dumps(doc, indent=2) + "\n", getattr(args, "out", None))
+    _write_out(json.dumps(doc) + "\n", getattr(args, "out", None))
 
 
 def _write_out(text: str, out: str | None) -> None:

@@ -499,7 +499,7 @@ def rho0(g: SchreierGraph) -> SpectralReport:
 
 def estimate_rho_returns(source: SchreierGraph, horizon: int) -> tuple[float, ...]:
     """Certified lower bounds r_1, …, r_{H/2} for ρ from exact return
-    counts, nondecreasing, so the best is last.
+    counts, none above the last, so the best is last.
 
     The even return counts c_k = |P_{2k}| are c_k = ‖A^k δ‖² for the
     adjacency operator A and the root's indicator δ, so Cauchy–Schwarz,
@@ -507,6 +507,12 @@ def estimate_rho_returns(source: SchreierGraph, horizon: int) -> tuple[float, ..
     c_0 = 1 that makes log c_k / k, and so r_n = (p_{2n})^{1/2n},
     nondecreasing, and every r_n bounds ρ from below.  The check is
     exact: the first k with c_k² > c_{k−1}·c_{k+1} raises.
+
+    Each r_n is computed in floats and can land an ulp above its exact
+    value (1.0000000000000002 where ρ = 1).  So the last is checked
+    exactly, stepped down until (r·d)^H ≤ c_{H/2} holds in integers, and
+    every earlier float is capped at it: each returned value is at most
+    the exact r_{H/2}, and so at most ρ.
 
     Accepts a core (exact at every horizon) or a truncated graph with
     radius ≥ horizon/2.
@@ -521,10 +527,29 @@ def estimate_rho_returns(source: SchreierGraph, horizon: int) -> tuple[float, ..
             raise InequalityViolation(
                 f"return counts lost log-convexity at 2n = {2 * k}"
             )
-    return tuple(
+    bounds = [
         math.exp((math.log(c) - 2 * k * math.log(d)) / (2 * k))
         for k, c in enumerate(evens[1:], start=1)
-    )
+    ]
+    last = _at_most_root(bounds[-1], evens[-1], d, horizon)
+    return tuple(min(r, last) for r in bounds)
+
+
+_ULP_SLACK = 64  # ulps a rounded root may lie above its exact value
+
+
+def _at_most_root(r: float, count: int, d: int, power: int) -> float:
+    """The largest float ≤ ``r`` with (r·d)^power ≤ ``count``, compared
+    exactly: r = m/e, and (m·d)^power ≤ count·e^power in integers, e being
+    a power of two.  ``r`` is a root rounded through log and exp, within
+    about log d ulps of its exact value, so a float more than
+    ``_ULP_SLACK`` ulps above it comes from a wrong float path, and raises."""
+    for _ in range(_ULP_SLACK + 1):
+        m, e = r.as_integer_ratio()
+        if (m * d) ** power <= count << power * (e.bit_length() - 1):
+            return r
+        r = math.nextafter(r, 0.0)
+    raise AssertionError(f"r_{power // 2} lies over {_ULP_SLACK} ulps above its exact value")
 
 
 def tree_rho(d: int) -> float:

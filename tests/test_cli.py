@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import reference
 from schreier import builders, cli, spectral, walks
 from schreier.cli import _build_parser, plain, run
-from schreier.core import GenSet, format_word, parse, serialize
+from schreier.core import GenSet, Verdict, format_word, parse, serialize
 from schreier.experiments import EXPERIMENTS
 from schreier.walks import return_counts
 
@@ -206,6 +206,38 @@ class TestJsonEnvelope:
             capsys, ["cycles", "--graph", "petersen", "--out", str(target)]
         )
         assert json.loads(target.read_text()) == doc
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ramanujan", "--graph", "petersen"],
+            ["lemma-check", "triv2", "--group", "F2", "--n", "6"],
+            ["irs-sample", "--action", "randperm:m=2,n=50,seed=3", "--exact", "--radius", "2"],
+            ["bs-stats", "--graph", "randperm:m=2,n=60,seed=1", "--radius", "2"],
+            ["rho-estimate", "--graph", "fold:a,rank=2", "--horizon", "20"],
+        ],
+    )
+    def test_a_document_is_one_compact_line(self, capsys, tmp_path, argv):
+        """The C encoder's default separators, one line, and ``--out``
+        holds the same bytes as stdout."""
+        target = tmp_path / "out.json"
+        assert run([*argv, "--out", str(target)]) == 0
+        out = capsys.readouterr().out
+        line, end = out.split("\n")
+        assert end == ""
+        assert line == json.dumps(json.loads(line))
+        assert target.read_text() == out
+
+    def test_a_verdict_in_a_list_element_is_listed_by_its_dotted_key(self):
+        value = {"rows": [1, [], {"holds": Verdict(True, "exact")}], "n": 3}
+        written, verdicts = plain(value, "result")
+        assert written == {"rows": [1, [], {"holds": True}], "n": 3}
+        assert verdicts == {"rows.2.holds": {"value": True, "certificate": "exact"}}
+
+    def test_a_nan_in_a_dict_in_a_list_names_its_full_path(self):
+        with pytest.raises(ValueError) as caught:
+            plain({"rows": [{"ratio": 0.5}, {"n": 2, "ratio": math.nan}]}, "result")
+        assert str(caught.value) == "result.rows.1.ratio is nan, which JSON cannot represent"
 
 
 class TestAnalysis:

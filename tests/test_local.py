@@ -473,6 +473,10 @@ class TestBallDistance:
         with pytest.raises(ValueError, match="max_radius"):
             ball_distance(cycle_graph(6), cycle_graph(7), max_radius=cap)
 
+    def test_max_radius_one_is_accepted(self):
+        r = ball_distance(cycle_graph(6), cycle_graph(8), max_radius=1)
+        assert (r.value, r.agreement_radius, r.exact) == (1, 1, False)
+
     @given(
         n=st.integers(min_value=3, max_value=14),
         m=st.integers(min_value=3, max_value=14),
@@ -673,6 +677,12 @@ class TestLocalApproxCheck:
     def test_word_list_validation(self):
         with pytest.raises(ValueError, match="exceeds 2R"):
             local_approx_check([cyclic_action(5)], radius=1, words=[Word((0, 0, 0))])
+        with pytest.raises(ValueError) as caught:
+            local_approx_check([cyclic_action(9)], radius=2, words=[Word((0,) * 5)])
+        assert str(caught.value) == (
+            "word of length 5 exceeds 2R = 4; "
+            "the fixed-point bound is only guaranteed up to that length"
+        )
         with pytest.raises(ValueError, match="nonempty"):
             local_approx_check([cyclic_action(5)], radius=1, words=[Word(())])
         with pytest.raises(ValueError, match="reduced"):
@@ -787,6 +797,30 @@ class TestLocalApproxAgainstReference:
 
 
 class TestReportGuards:
+    def test_violations_state_their_numbers(self):
+        with pytest.raises(InequalityViolation) as caught:
+            LocalApproxReport(
+                radius=3,
+                n=12,
+                tree_ball_probability=Fraction(1, 3),
+                densities=((Word((0, 0)), Fraction(3, 4)),),
+                words_complete=False,
+            )
+        assert str(caught.value) == (
+            "fix-density 3/4 of a length-2 word exceeds 1 - P = 2/3 at radius 3"
+        )
+        with pytest.raises(InequalityViolation) as caught:
+            LocalApproxReport(
+                radius=2,
+                n=12,
+                tree_ball_probability=Fraction(1, 4),
+                densities=((Word((0,)), Fraction(1, 6)), (Word((1,)), Fraction(1, 3))),
+                words_complete=True,
+            )
+        assert str(caught.value) == (
+            "P = 1/4 fell below 1 - Σ fix-densities = 1/2 at radius 2"
+        )
+
     def test_per_word_bound_enforced(self):
         with pytest.raises(InequalityViolation, match="exceeds 1 - P"):
             LocalApproxReport(

@@ -614,6 +614,35 @@ class TestEstimateRhoReturns:
         bound = estimate_rho_returns(from_spec(spec), 400)[-1]
         assert rho - 0.02 <= bound <= rho
 
+    def test_the_whole_group_bound_never_exceeds_one(self):
+        # one vertex, four loops: every c_n = 4^{2n} and ρ = 1, where the
+        # float r_n lands on 1.0000000000000002 at many horizons
+        whole = from_spec("fold:a,b,rank=2")
+        for horizon in range(2, 401, 2):
+            bounds = estimate_rho_returns(whole, horizon)
+            assert max(bounds) <= 1.0, horizon
+            assert bounds[-1] >= 1.0 - 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rank=st.integers(1, 3), half=st.integers(1, 120))
+    def test_every_bound_is_exactly_below_the_last_root(self, data, rank, half):
+        """(r·d)^H ≤ c_{H/2} in rationals for every returned r: each is at
+        most the exact r_{H/2}, and so at most ρ."""
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        horizon = 2 * half
+        count = return_counts(core, core.root, horizon)[-1]
+        bounds = estimate_rho_returns(core, horizon)
+        assert all((Fraction(r) * core.degree) ** horizon <= count for r in bounds)
+        assert bounds[-1] == max(bounds)
+
+    def test_the_exact_check_steps_down_only_by_rounding(self):
+        # (r·1)² ≤ 1: one ulp above 1 steps down to 1.0; far above, the float
+        # path is wrong and nothing is returned
+        assert spectral._at_most_root(math.nextafter(1.0, 2.0), 1, 1, 2) == 1.0
+        assert spectral._at_most_root(0.75, 1, 1, 2) == 0.75
+        with pytest.raises(AssertionError, match="r_1 lies over 64 ulps above"):
+            spectral._at_most_root(1.01, 1, 1, 2)
+
     def test_loop_graph_vs_tree(self):
         loop = stallings_core(F2, [parse_word(F2, "a")])
         lo = estimate_rho_returns(loop, 200)[-1]
