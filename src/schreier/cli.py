@@ -367,10 +367,15 @@ def plain(value, name: str) -> tuple[object, dict[str, dict]]:
     return _plain_walk(value, name, verdicts), verdicts
 
 
+_LEAVES = frozenset({str, int, bool, type(None)})  # by exact type: np.float64 is rounded
+
+
 def _plain_walk(value, path, verdicts: dict[str, dict]):
     """``plain``'s walk of ``value`` at ``path``, listing each verdict in
     ``verdicts``.  ``path`` is the name or a (parent path, key) pair,
     joined into its dotted text only where a verdict or an error names it."""
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, Verdict):
         entry = {"value": value.value, "certificate": value.certificate}
         verdicts[_dotted(path).partition(".")[2]] = entry
@@ -446,9 +451,7 @@ def _check_different(args) -> dict:
         label = f"{args.tree_degree}-regular tree"
         source, transitive = tree_core(args.tree_degree), True
     else:
-        label = args.graph
-        source = from_spec(args.graph)
-        transitive = True if args.assume_transitive else None
+        label, source, transitive = args.graph, from_spec(args.graph), args.assume_transitive
     reports = return_domination_reports(
         source, args.n - args.n % 2, vertex_transitive=transitive
     )
@@ -471,7 +474,7 @@ def _check_returningvsrw(args) -> dict:
     g = from_spec(args.graph)
     _, rows = conditioned_prefix_probabilities(
         g, g.root, args.n, args.prefix_length,
-        vertex_transitive=True if args.assume_transitive else None,
+        vertex_transitive=args.assume_transitive,
     )
     return {"n": args.n, "rows": _prefix_rows(g.gens, rows), "holds": Verdict(True, "exact")}
 
@@ -704,9 +707,9 @@ def _dispatch(args: argparse.Namespace, config_file: str | None) -> int:
             "value": float(density),
         }
     elif args.command == "cycles":
-        profile = cycle_profile(from_spec(args.graph), args.lmax, label=args.graph)
+        profile = cycle_profile(from_spec(args.graph), args.lmax)
         result = {
-            "label": profile.label,
+            "label": args.graph,
             "n": profile.n,
             "girth": None if math.isinf(profile.girth) else profile.girth,
             "counts": list(profile.counts),

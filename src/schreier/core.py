@@ -424,6 +424,24 @@ class SchreierGraph:
         depth.flags.writeable = False
         return depth
 
+    @cached_property
+    def vertex_transitive(self) -> bool:
+        """Whether some label-preserving automorphism carries the root to
+        every vertex, i.e. every vertex has the root's canonical rows.  An
+        automorphism carrying x to y fixes x·w = x exactly when it fixes
+        y·w = y, so a word of length ≤ 2 that fixes some vertices but not
+        all refutes it at once.  Otherwise the root's neighbours suffice:
+        if φ_l carries the root to root·l for each label l, then ψ∘φ_l
+        carries ψ(root) to ψ(root)·l for every automorphism ψ, so the
+        root's class is closed under steps and, by connectivity, is every
+        vertex."""
+        require_whole(self, "the vertex-transitivity check")
+        if _short_word_refutes(self.slots):
+            return False
+        reference = canonical_rows(self.slots, self.root)[1]
+        neighbours = set(self.slots[self.root].tolist()) - {self.root}
+        return all(np.array_equal(canonical_rows(self.slots, v)[1], reference) for v in neighbours)
+
 
 class CoreGraph(SchreierGraph):
     """A rooted labeled graph in which some edge slots may be undefined.
@@ -667,6 +685,21 @@ def canonical_rows(
         rim[rim >= sphere] = -1
     rows.flags.writeable = False
     return order, rows
+
+
+def _short_word_refutes(slots: np.ndarray) -> bool:
+    """Whether a reduced word of length ≤ 2 fixes some vertices but not all.
+    Rows 0 and 1 + l, x and x·l, agree where l fixes x, and rows 1 + l and
+    1 + j where l·j⁻¹ does (l ≠ j); the letters are tried first."""
+    n, d = slots.shape
+    rows = np.empty((d + 1, n), np.int32)
+    rows[0] = np.arange(n)
+    rows[1:] = slots.T
+    for i in range(d):
+        agree = rows[i + 1 :] == rows[i]
+        if (agree != agree[:, :1]).any():
+            return True
+    return False
 
 
 def canonicalize(g: SchreierGraph) -> SchreierGraph:

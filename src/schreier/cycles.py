@@ -22,6 +22,8 @@ every s).  About n·d(d − 1)^(L−1)/(L + 1) rows reach depth L.  On a whole
 vertex-transitive graph every vertex lies on equally many L-cycles, so
 the sweep runs from the root alone, keeping every endpoint other than the
 root, and its w_L closings give c_L = n·w_L/(2L), which must be exact.
+The census and ``girth`` read ``SchreierGraph.vertex_transitive``, which
+a graph decides at most once; a graph with a missing slot is not asked.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from schreier.core import SchreierGraph
-from schreier.local import is_vertex_transitive
 
 __all__ = [
     "LMAX",
@@ -50,7 +50,7 @@ _ROWS = 1 << 14  # rows per block of the sweep
 
 
 def _transitive(g: SchreierGraph) -> bool:
-    return not g.truncated and is_vertex_transitive(g)
+    return not g.boundary and g.vertex_transitive
 
 
 def _loops_and_pairs(g: SchreierGraph) -> tuple[int, int]:
@@ -96,17 +96,15 @@ def _closed_walks(table: np.ndarray, starts: np.ndarray, lmax: int, above: bool)
     return walks
 
 
-def cycle_counts(
-    g: SchreierGraph, lmax: int, transitive: bool | None = None
-) -> tuple[int, ...]:
-    """Exact cycle counts c_1 .. c_lmax.  ``transitive`` says whether g is a
-    whole vertex-transitive graph, decided here if not given."""
+def cycle_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
+    """Exact cycle counts c_1 .. c_lmax, from the root alone when g is a
+    whole vertex-transitive graph."""
     if not 1 <= lmax <= LMAX:
         raise ValueError(f"lmax = {lmax} is outside 1..{LMAX}: cycle lengths are supported up to {LMAX}")
     counts = list(_loops_and_pairs(g))[:lmax]
     if lmax < 3:
         return tuple(counts)
-    transitive = _transitive(g) if transitive is None else transitive
+    transitive = _transitive(g)
     table = g.slots.astype(np.int32)
     starts = np.array([g.root], np.int32) if transitive else np.arange(g.n, dtype=np.int32)
     walks = _closed_walks(table, starts, lmax, above=not transitive)
@@ -118,23 +116,16 @@ def cycle_counts(
     return tuple(counts)
 
 
-def girth(
-    g: SchreierGraph, counts: Sequence[int] = (), transitive: bool | None = None
-) -> int | float:
+def girth(g: SchreierGraph) -> int | float:
     """Length of the shortest cycle of the underlying multigraph (math.inf
-    for a forest): the first L with c_L > 0 in ``counts`` (c_1, c_2, ... of
-    g, if known), else by breadth-first search over the slot table, where
+    for a forest), by breadth-first search over the slot table, where
     loops and parallel pairs close as 1- and 2-cycles.  A search from s
     finds a cycle no longer than the shortest one through s, so on a whole
     vertex-transitive graph, where every vertex lies on a shortest cycle,
     the search from the root alone is exact; other graphs and truncations
-    are searched from every vertex.  ``transitive`` is as in
-    ``cycle_counts``."""
-    for length, c in enumerate(counts, start=1):
-        if c > 0:
-            return length
+    are searched from every vertex."""
     nxt = g.slots.tolist()  # rows, −1 for a missing slot
-    transitive = _transitive(g) if transitive is None else transitive
+    transitive = _transitive(g)
     best = math.inf
     dist, parent = [-1] * len(nxt), [-1] * len(nxt)
     for s in [g.root] if transitive else range(len(nxt)):
@@ -167,11 +158,9 @@ class CycleProfile:
     of a whole vertex-transitive graph alone, else ``"sweep"`` (the module
     docstring has both)."""
 
-    label: str
     n: int
     girth: int | float
     counts: tuple[int, ...]
-    densities: tuple[Fraction, ...]
     method: str
 
     def __post_init__(self) -> None:
@@ -180,20 +169,19 @@ class CycleProfile:
                 raise ValueError(f"a {i}-cycle below girth {self.girth}")
         if self.girth <= len(self.counts) and self.counts[int(self.girth) - 1] < 1:
             raise ValueError("no cycle of girth length")
-        if self.densities != tuple(Fraction(c, self.n) for c in self.counts):
-            raise ValueError("densities do not match counts")
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.n) for c in self.counts)
 
 
-def cycle_profile(
-    g: SchreierGraph, lmax: int, label: str = ""
-) -> CycleProfile:
-    transitive = _transitive(g)
-    counts = cycle_counts(g, lmax, transitive)
+def cycle_profile(g: SchreierGraph, lmax: int) -> CycleProfile:
+    """The census and the girth, searched for only when every count is 0."""
+    counts = cycle_counts(g, lmax)
+    shortest = next((length for length, c in enumerate(counts, start=1) if c), None)
     return CycleProfile(
-        label=label,
         n=g.n,
-        girth=girth(g, counts, transitive),
+        girth=girth(g) if shortest is None else shortest,
         counts=counts,
-        densities=tuple(Fraction(c, g.n) for c in counts),
-        method="transitive-sweep" if transitive else "sweep",
+        method="transitive-sweep" if _transitive(g) else "sweep",
     )

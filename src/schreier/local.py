@@ -53,7 +53,6 @@ __all__ = [
     "fix_density",
     "enumerate_reduced_words",
     "local_approx_check",
-    "is_vertex_transitive",
 ]
 
 
@@ -376,33 +375,3 @@ def local_approx_check(
         )
     return tuple(reports)
 
-
-def _short_word_refutes(g: SchreierGraph) -> bool:
-    """Whether a reduced word of length ≤ 2 fixes some vertices but not all.
-    Rows 0 and 1 + l, x and x·l, agree where l fixes x, and rows 1 + l and
-    1 + j where l·j⁻¹ does (l ≠ j); the letters are tried first."""
-    rows = np.empty((g.degree + 1, g.n), np.int32)
-    rows[0] = np.arange(g.n)
-    rows[1:] = g.slots.T
-    for i in range(g.degree):
-        agree = rows[i + 1 :] == rows[i]
-        if (agree != agree[:, :1]).any():
-            return True
-    return False
-
-
-def is_vertex_transitive(g: SchreierGraph) -> bool:
-    """Whether some label-preserving automorphism carries the root to every
-    vertex, i.e. every vertex has the root's canonical rows.  An
-    automorphism carrying x to y fixes x·w = x exactly when it fixes
-    y·w = y, so a word of length ≤ 2 that fixes some vertices but not all
-    refutes it at once.  Otherwise the root's neighbours suffice: if φ_l
-    carries the root to root·l for each label l, then ψ∘φ_l carries ψ(root)
-    to ψ(root)·l for every automorphism ψ, so the root's class is closed
-    under steps and, by connectivity, is every vertex."""
-    require_whole(g, "the vertex-transitivity check")
-    if _short_word_refutes(g):
-        return False
-    reference = canonical_rows(g.slots, g.root)[1]
-    neighbours = set(g.slots[g.root].tolist()) - {g.root}
-    return all(np.array_equal(canonical_rows(g.slots, v)[1], reference) for v in neighbours)

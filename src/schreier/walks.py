@@ -93,7 +93,6 @@ from schreier.core import (
     stored_layers,
     walk_endpoint,
 )
-from schreier.local import is_vertex_transitive
 
 __all__ = [
     "return_counts",
@@ -524,12 +523,14 @@ def segment_distributions(
     return rows[n][0], {j: tuple(by_shift) for j, by_shift in counts.items()}
 
 
-def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -> None:
+def _require_transitive(g: SchreierGraph, asserted: bool, refusal: str) -> None:
     """Raise ``ValueError(refusal)`` unless g is vertex-transitive, as the
-    caller asserted or, failing that, as checked on the whole graph; a
+    caller asserted or, failing that, as decided on the whole graph; a
     truncation or an incomplete core, which the check cannot search, is
     refused with the way to assert it."""
-    if asserted is None and g.boundary:
+    if asserted:
+        return
+    if g.boundary:
         unknown = (
             "a core's hanging trees are not searched" if isinstance(g, CoreGraph)
             else "a truncation is unknown beyond its boundary"
@@ -539,7 +540,7 @@ def _require_transitive(g: SchreierGraph, asserted: bool | None, refusal: str) -
             "vertex_transitive=True (--assume-transitive on the CLI) if the full "
             "graph is transitive"
         )
-    if not (is_vertex_transitive(g) if asserted is None else asserted):
+    if not g.vertex_transitive:
         raise ValueError(refusal)
 
 
@@ -548,15 +549,16 @@ def conditioned_prefix_probabilities(
     x: int,
     n: int,
     length: int,
-    vertex_transitive: bool | None = None,
+    vertex_transitive: bool = False,
 ) -> tuple[int, tuple[tuple[Word, Fraction], ...]]:
     """|P_{x,x,n}|, and for every word w of length ℓ = 1..``length``, in
     ``itertools.product`` order, P(the first ℓ steps of a returning
     length-n walk from x spell w) = |P_{y,x,n−ℓ}| / |P_{x,x,n}| with
     y = x·w, each checked against the guaranteed floor d^{−2ℓ}.
 
-    The floor is a transitivity statement; pass ``vertex_transitive=True``
-    for truncated inputs whose full graph is transitive, e.g. tree balls.
+    The floor is a transitivity statement: ``vertex_transitive=True``
+    asserts it, for truncated inputs whose full graph is transitive, e.g.
+    tree balls; False, the default, decides it on the whole graph.
     It rests on |P_{x,x,n}| ≤ d^{2ℓ}·|P_{x,x,n−2ℓ}|, an even-n statement,
     so odd n (and negative n) is refused first.  An incomplete core, or a
     boundary nearer x than ⌈n/2⌉, is refused next, before the transitivity
@@ -638,14 +640,15 @@ class DominationReport:
 
 
 def return_domination_reports(
-    source: SchreierGraph, n: int, vertex_transitive: bool | None = None
+    source: SchreierGraph, n: int, vertex_transitive: bool = False
 ) -> tuple[DominationReport, ...]:
     """The certificate at each even k = 2..n, read as one exact walk
     stream from the root passes step k: the root's counts at k and k − 2
     and the largest count at any other vertex within distance k.  A core
     streams over ``_hung_trees``, where one row stands for every vertex at
     a depth of the trees hanging at a core vertex.  A graph answers k only
-    with its boundary at distance ≥ k, else refuses."""
+    with its boundary at distance ≥ k, else refuses.  Transitivity is
+    asserted or decided as in ``conditioned_prefix_probabilities``."""
     if n < 2 or n % 2:
         raise ValueError("the domination inequalities concern even n >= 2")
     if isinstance(source, CoreGraph):  # never truncated

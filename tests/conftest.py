@@ -1,7 +1,9 @@
 import os
 import re
+from functools import cached_property
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 # one BLAS thread, as bench/run.py pins it, set before anything imports
@@ -23,6 +25,26 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+@pytest.fixture
+def transitivity_decisions(monkeypatch):
+    """The graphs whose ``vertex_transitive`` is computed while the test
+    runs, one entry per computation: the cached property's function is
+    wrapped in a new cached property under the same name."""
+    from schreier.core import SchreierGraph
+
+    decide, decided = SchreierGraph.vertex_transitive.func, []
+
+    def counted(g):
+        decided.append(g)
+        return decide(g)
+
+    counting = cached_property(counted)
+    counting.__set_name__(SchreierGraph, "vertex_transitive")
+    monkeypatch.setattr(SchreierGraph, "vertex_transitive", counting)
+    return decided
+
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py::test_(\d{2})_(\w+)")
 

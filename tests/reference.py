@@ -64,7 +64,10 @@ builders replaced, and hypothesis strategies to compare them on.
   the columns of ``PermAction.slots``;
 - ``orbits_apart`` is an action whose two orbits under a support have the
   same size and the same row at their first points, and are copies of
-  each other or not as asked.
+  each other or not as asked;
+- ``preset_transitivity`` is a view of a graph whose
+  ``vertex_transitive`` is given, not decided: it picks which sweep of
+  ``cycles.cycle_counts`` runs, the root-alone one or the all-starts one.
 """
 
 from __future__ import annotations
@@ -1040,3 +1043,11 @@ def supports(draw, gens: GenSet, defects: bool = False) -> list:
         if letters:
             support.append(entry(draw(st.sampled_from(letters))))
     return list(draw(st.permutations(support)))
+
+
+def preset_transitivity(g: SchreierGraph, transitive: bool) -> SchreierGraph:
+    """g's table, root and boundary, with ``vertex_transitive`` preset."""
+    return type(g)._trusted(
+        gens=g.gens, slots=g.slots, root=g.root, boundary=g.boundary,
+        truncation_radius=g.truncation_radius, vertex_transitive=transitive,
+    )

@@ -178,6 +178,7 @@ class TestJsonEnvelope:
             "integral": Fraction(6, 3),
             "float": 2 / 3,
             "numpy": np.float64(1) / 3,
+            "norm": np.float64(0.9999999999999998),  # a float, but not exactly one
             "sum": 0.1 + 0.2,
             "flag": True,
             "count": 3,
@@ -188,11 +189,11 @@ class TestJsonEnvelope:
         assert verdicts == {}
         assert json.dumps(written) == (
             '{"negative": {"num": -3, "den": 4}, "integral": {"num": 2, "den": 1}, '
-            '"float": 0.666666666667, "numpy": 0.333333333333, "sum": 0.3, '
+            '"float": 0.666666666667, "numpy": 0.333333333333, "norm": 1.0, "sum": 0.3, '
             '"flag": true, "count": 3, "none": null, '
             '"nested": [[{"num": 1, "den": 2}, 3.33333333333e-21], []]}'
         )
-        assert type(written["numpy"]) is float
+        assert type(written["numpy"]) is type(written["norm"]) is float
 
     @pytest.mark.parametrize("bad", [float("nan"), -math.inf, np.float64("inf")])
     def test_plain_refuses_non_finite_floats(self, bad):
@@ -413,16 +414,9 @@ class TestLemmaChecks:
         ],
         ids=["returningvsrw", "different"],
     )
-    def test_transitivity_is_checked_once(self, capsys, monkeypatch, argv):
-        check, checks = walks.is_vertex_transitive, []
-
-        def counted(g):
-            checks.append(g)
-            return check(g)
-
-        monkeypatch.setattr(walks, "is_vertex_transitive", counted)
+    def test_transitivity_is_checked_once(self, capsys, transitivity_decisions, argv):
         assert _json_out(capsys, ["lemma-check", *argv])["result"]["holds"] is True
-        assert len(checks) == 1
+        assert len(transitivity_decisions) == 1
 
     def test_triv1(self, capsys):
         result = _json_out(

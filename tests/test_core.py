@@ -51,7 +51,6 @@ from schreier.local import (
     ball_distance,
     bs_statistics,
     fix_density,
-    is_vertex_transitive,
     local_approx_check,
 )
 from schreier.spectral import (
@@ -529,7 +528,7 @@ class TestWhatEachKindAnswers:
         "markov_matrix": (markov_matrix, None, _WHOLE_ONLY, _NO_TREES),
         "rho0": (rho0, None, _WHOLE_ONLY, _NO_TREES),
         "bs_statistics": (lambda g: bs_statistics(g, 1), None, _WHOLE_ONLY, _NO_TREES),
-        "is_vertex_transitive": (is_vertex_transitive, None, _WHOLE_ONLY, _NO_TREES),
+        "vertex_transitive": (lambda g: g.vertex_transitive, None, _WHOLE_ONLY, _NO_TREES),
         "ball": (lambda g: ball(g, g.root, 3), None, _NO_ROOM, _NO_TREES),
         "invariance_diagnostic": (
             lambda g: invariance_diagnostic(reference.point_mass(g), 2), None, _NO_ROOM, _NO_TREES

@@ -161,7 +161,7 @@ class TestBruteForceAgreement:
         g = random_perm_model(m, n, seed)
         counts = cycle_counts(g, 8)
         firsts = [length for length, c in enumerate(counts, start=1) if c > 0]
-        assert girth(g, counts) == girth(g)
+        assert cycle_profile(g, 8).girth == girth(g)
         if firsts:
             assert girth(g) == firsts[0]
         else:
@@ -224,8 +224,9 @@ class TestTraceIdentities:
     def assert_traced(self, g):
         expected = brute_census(g)
         assert reference.traced_counts(g, 5) == expected
+        everywhere = reference.preset_transitivity(g, False)
         for lmax in range(1, 6):
-            assert cycle_counts(g, lmax) == cycle_counts(g, lmax, False) == expected[:lmax]
+            assert cycle_counts(g, lmax) == cycle_counts(everywhere, lmax) == expected[:lmax]
         assert cycle_profile(g, 5).method in ("sweep", "transitive-sweep")
 
     @settings(deadline=None, max_examples=40)
@@ -270,6 +271,14 @@ def slot_tables(draw):
     return ball(g, draw(st.integers(0, g.n - 1)), radius).graph if radius else g
 
 
+def _both_sweeps(g, lmax):
+    """c_1 .. c_lmax by the root-alone sweep and by the all-starts sweep."""
+    return tuple(
+        cycle_counts(reference.preset_transitivity(g, transitive), lmax)
+        for transitive in (True, False)
+    )
+
+
 class TestSweepAgainstOracles:
     @settings(deadline=None, max_examples=60)
     @given(g=slot_tables())
@@ -282,22 +291,23 @@ class TestSweepAgainstOracles:
     @given(g=small_cayley_graphs())
     def test_root_alone_on_cayley_graphs(self, g):
         assert cycle_profile(g, 6).method == "transitive-sweep"
-        assert cycle_counts(g, 6, True) == cycle_counts(g, 6, False)
+        root_alone, everywhere = _both_sweeps(g, 6)
+        assert root_alone == everywhere
 
     def test_root_alone_on_lps_5_13(self):
-        g = lps_graph(5, 13)
-        assert cycle_counts(g, 6, True) == cycle_counts(g, 6, False) == (0,) * 6
+        root_alone, everywhere = _both_sweeps(lps_graph(5, 13), 6)
+        assert root_alone == everywhere == (0,) * 6
 
     def test_root_alone_on_lps_17_13(self):
-        g = lps_graph(17, 13)
-        assert cycle_counts(g, 4, True) == cycle_counts(g, 4, False) == (0, 0, 1092, 6552)
+        root_alone, everywhere = _both_sweeps(lps_graph(17, 13), 4)
+        assert root_alone == everywhere == (0, 0, 1092, 6552)
 
     def test_root_alone_refuses_a_count_that_does_not_split(self):
         # this 4-vertex graph is not vertex-transitive: its root lies on one
         # triangle, walked both ways, and c_3 would be 4·2/6
-        g = random_perm_model(2, 4, 0)
+        g = reference.preset_transitivity(random_perm_model(2, 4, 0), True)
         with pytest.raises(ValueError, match="c_3 = 8/6 is not a whole number"):
-            cycle_counts(g, 3, True)
+            cycle_counts(g, 3)
 
     def test_traced_peak_at_n_100000(self):
         g = random_perm_model(2, 10**5, 0)
@@ -366,15 +376,21 @@ class TestValidation:
 
 class TestProfiles:
     def test_petersen_profile(self):
-        profile = cycle_profile(petersen_graph(), 6, label="petersen")
+        profile = cycle_profile(petersen_graph(), 6)
         assert profile.girth == 5
         assert profile.densities[4] == Fraction(12, 10)
         assert profile.densities[:4] == (0, 0, 0, 0)
 
+    def test_girth_search_reads_the_one_decision(self, transitivity_decisions):
+        # LPS(5, 13) has girth 8: c_1 .. c_5 are 0, so the girth is searched
+        # for, from the root alone, on the decision the census made
+        profile = cycle_profile(lps_graph(5, 13), 5)
+        assert profile.counts == (0,) * 5 and profile.girth == 8
+        assert profile.method == "transitive-sweep"
+        assert len(transitivity_decisions) == 1
+
     def test_profile_guards(self):
         with pytest.raises(ValueError, match="below girth"):
-            CycleProfile("x", 4, 3, (0, 1, 4), (0, Fraction(1, 4), 1), "trace")
+            CycleProfile(4, 3, (0, 1, 4), "trace")
         with pytest.raises(ValueError, match="girth length"):
-            CycleProfile("x", 4, 2, (0, 0, 4), (0, 0, 1), "trace")
-        with pytest.raises(ValueError, match="densities"):
-            CycleProfile("x", 4, 3, (0, 0, 4), (0, 0, Fraction(1, 2)), "trace")
+            CycleProfile(4, 2, (0, 0, 4), "trace")

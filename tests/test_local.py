@@ -54,7 +54,6 @@ from schreier.local import (
     bs_statistics,
     enumerate_reduced_words,
     fix_density,
-    is_vertex_transitive,
     local_approx_check,
     tv_distance,
 )
@@ -850,22 +849,22 @@ class TestVertexTransitivity:
         ids=["c5", "c6", "klein", "s3", "k4"],
     )
     def test_cayley_graphs(self, g):
-        assert is_vertex_transitive(g)
+        assert g.vertex_transitive
 
     def test_labelled_petersen_is_not(self):
         # the pentagram's rotation steps by two, so no label-preserving
         # automorphism can carry an outer vertex to an inner one
-        assert not is_vertex_transitive(petersen_graph())
+        assert not petersen_graph().vertex_transitive
 
     def test_loop_asymmetry(self):
         # a-triangle plus a b-edge swapping two of its corners: the third
         # corner is the only one with a b-loop
         act = PermAction.from_generator_perms([(1, 2, 0), (0, 2, 1)], [], ["a", "b"])
-        assert not is_vertex_transitive(from_perm_action(act))
+        assert not from_perm_action(act).vertex_transitive
 
     def test_refuses_truncations(self):
         with pytest.raises(ValueError, match="unknown beyond its boundary"):
-            is_vertex_transitive(complete_ball(tree_core(4), 2))
+            complete_ball(tree_core(4), 2).vertex_transitive
 
 
 def _transitive_at_every_vertex(g: SchreierGraph) -> bool:
@@ -895,7 +894,7 @@ class TestTransitivityAgainstAllVertices:
     @settings(max_examples=60)
     def test_random_permutation_models(self, m, n, seed):
         g = random_perm_model(m, n, seed)
-        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+        assert g.vertex_transitive == _transitive_at_every_vertex(g)
 
     @given(
         points=st.integers(2, 4),
@@ -909,7 +908,7 @@ class TestTransitivityAgainstAllVertices:
         pairs = [tuple(rng.sample(range(points), points)) for _ in range(elements)]
         swaps = [tuple(range(points - 2)) + (points - 1, points - 2)] * involutions
         g = from_perm_action(regular_action(pairs, swaps))
-        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+        assert g.vertex_transitive and _transitive_at_every_vertex(g)
 
     @given(k=st.integers(3, 12), s=st.integers(1, 11))
     @settings(max_examples=30)
@@ -920,11 +919,11 @@ class TestTransitivityAgainstAllVertices:
         a = [i + 1 if i + 1 < k else 0 for i in range(k)] + [k + (i + s) % k for i in range(k)]
         m = [i + k for i in range(k)] + list(range(k))
         g = from_perm_action(PermAction.from_generator_perms([a], [m]))
-        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+        assert g.vertex_transitive == _transitive_at_every_vertex(g)
 
     def test_lps_5_13(self):
         g = _lps_5_13()
-        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+        assert g.vertex_transitive and _transitive_at_every_vertex(g)
 
     @given(data=st.data(), rank=st.integers(1, 2))
     @settings(max_examples=40)
@@ -940,7 +939,7 @@ class TestTransitivityAgainstAllVertices:
             p[p < 0] = np.setdiff1d(np.arange(len(p)), p)
             perms.append(p.tolist())
         g = from_perm_action(PermAction.from_generator_perms(perms))
-        assert is_vertex_transitive(g) == _transitive_at_every_vertex(g)
+        assert g.vertex_transitive == _transitive_at_every_vertex(g)
 
     @pytest.mark.parametrize(
         "pairs, swaps",
@@ -956,8 +955,8 @@ class TestTransitivityAgainstAllVertices:
         # a loop at every vertex, a·B = 1 or a·a = 1 fixes every vertex: a
         # short word refutes only when it fixes some vertices but not all
         g = from_perm_action(regular_action(pairs, swaps))
-        assert is_vertex_transitive(g) and _transitive_at_every_vertex(g)
+        assert g.vertex_transitive and _transitive_at_every_vertex(g)
 
     def test_a_letter_fixing_one_vertex_refutes(self):
         g = from_perm_action(PermAction.from_generator_perms([(0, 2, 3, 1), (1, 0, 2, 3)]))
-        assert not is_vertex_transitive(g) and not _transitive_at_every_vertex(g)
+        assert not g.vertex_transitive and not _transitive_at_every_vertex(g)

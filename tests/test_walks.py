@@ -450,7 +450,7 @@ class TestSegmentDistribution:
             segment_distributions(t4_ball, 0, 2, 3)
 
 
-def _prefix_probabilities(g, n, length, vertex_transitive=None):
+def _prefix_probabilities(g, n, length, vertex_transitive=False):
     """{prefix: probability} of ``conditioned_prefix_probabilities`` from the root."""
     _, rows = conditioned_prefix_probabilities(g, g.root, n, length, vertex_transitive)
     return dict(rows)
@@ -649,14 +649,14 @@ class TestOneReturningStream:
         boundary too near the root, and the transitivity check; a longer
         prefix only after the shorter rows are checked."""
         refusals = [
-            (random_perm_model(2, 9, 1), 1, 1, None, "concern even n"),
-            (cycle_graph(9), 3, 2, None, "concern even n"),
-            (cycle_graph(5), 5, 3, None, "concern even n"),
-            (cycle_graph(6), 0, 1, None, "twice the prefix length"),
-            (random_perm_model(2, 9, 1), 4, 2, None, "requires a vertex-transitive"),
+            (random_perm_model(2, 9, 1), 1, 1, False, "concern even n"),
+            (cycle_graph(9), 3, 2, False, "concern even n"),
+            (cycle_graph(5), 5, 3, False, "concern even n"),
+            (cycle_graph(6), 0, 1, False, "twice the prefix length"),
+            (random_perm_model(2, 9, 1), 4, 2, False, "requires a vertex-transitive"),
             (_tree_ball(4, 0), 2, 1, True, "boundary is 0, need at least 1"),
             (_tree_ball(4, 1), 4, 1, True, "conditioned prefix rows"),
-            (cycle_graph(6), 4, 3, None, "twice the prefix length"),
+            (cycle_graph(6), 4, 3, False, "twice the prefix length"),
         ]
         for g, n, length, transitive, refusal in refusals:
             with pytest.raises((ValueError, InequalityViolation), match=refusal):
@@ -900,9 +900,8 @@ class TestReadersBuildNoRowView:
         segment_distributions(g, x, 6, 3)
         walk_endpoint(g, x, Word((0, 1, 1, 0)))
         if g.n != 300:  # the permutation model is not vertex-transitive
-            transitive = True if g.truncated else None
-            return_domination_reports(g, 6, vertex_transitive=transitive)
-            conditioned_prefix_probabilities(g, x, 8, 2, vertex_transitive=transitive)
+            return_domination_reports(g, 6, vertex_transitive=g.truncated)
+            conditioned_prefix_probabilities(g, x, 8, 2, vertex_transitive=g.truncated)
         if g.truncated:
             ball(g, x, 3)
         assert "next" not in g.__dict__
