@@ -566,7 +566,6 @@ def _check_subgroupnorm(args) -> dict:
         "subgroup_order": subgraph.n,
         "index": index,
         "subgroup_spectrum": sub_spectrum.tolist(),
-        "max_deviation": 0.0,
         "copies_verified": Verdict(True, "exact"),
     }
 

@@ -65,9 +65,8 @@ class InequalityViolation(AssertionError):
 # How a verdict is reached: by an integer or rational re-check that raises
 # otherwise (exact); on every input, by the argument its check names
 # (theorem); by a converged Lanczos solve within its measured residual,
-# rigorous only when it refutes (lanczos-residual); by a float comparison
-# that proves nothing (heuristic); or not at all (undecided).
-CERTIFICATES = ("exact", "theorem", "lanczos-residual", "heuristic", "undecided")
+# rigorous only when it refutes (lanczos-residual); or not at all (undecided).
+CERTIFICATES = ("exact", "theorem", "lanczos-residual", "undecided")
 
 
 @dataclass(frozen=True)

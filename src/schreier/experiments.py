@@ -3,12 +3,14 @@
 
 These are the desk-scale versions of the phenomena the library is built
 around: spectral-radius agreement between a Cayley graph and the
-Schreier graph of an amenable subgroup, its failure scale for a
-nonamenable subgroup, the strict inequality for finite-index actions,
+Schreier graph of an amenable subgroup, its failure for a nonamenable
+subgroup at low rank, the strict inequality for finite-index actions,
 the asymptotic lower bound for ρ₀ along random regular sequences, and
 Ramanujan verification next to short-cycle densities.  Reports embed
-the exact configuration that produced them.  A return-count estimate is
-the best of ``estimate_rho_returns``'s certified lower bounds, its last.
+the exact configuration that produced them.  The Kesten recipes decide
+by ``walks.core_rho``, its root count and its [low, high] ``Fraction``s
+for ρ; a return-count estimate is the best of ``estimate_rho_returns``'s
+certified lower bounds, its last.
 Each verdict in a report is a ``Verdict``, its answer with the
 certificate that says how it was reached; a sweep over seeds counts its
 verdicts per size (certified, refuted, neither) and judges no statistic
@@ -35,6 +37,7 @@ from schreier.core import GenSet, Verdict, parse_word
 from schreier.cycles import cycle_counts
 from schreier.irs import invariance_diagnostic, uniform_conjugate
 from schreier.spectral import estimate_rho_returns, ramanujan_check, tree_rho
+from schreier.walks import core_rho
 
 __all__ = [
     "kesten_amenable",
@@ -46,41 +49,44 @@ __all__ = [
 ]
 
 
-def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, float, float]:
-    """Return-count estimates at one horizon on the core of the subgroup the
-    words generate in the rank-``rank`` free group and on its Cayley graph:
-    the ``schreier_*``, ``cayley_*`` and ``gap`` report fields, then the
-    two estimates."""
+def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, bool, bool]:
+    """Return-count estimates at one horizon and ``core_rho``'s enclosures
+    on the core of the subgroup the words generate in the rank-``rank``
+    free group and on its Cayley graph, the tree: the report fields, then
+    whether the subgroup's graph has a bound state, and whether the two ρ
+    are equal, which they are exactly when neither graph has one."""
     gens = GenSet.free(rank)
     folded = stallings_core(gens, [parse_word(gens, w) for w in words])
     schreier = estimate_rho_returns(folded, horizon)[-1]
     cayley = estimate_rho_returns(free_core(rank), horizon)[-1]
+    bound_state, *schreier_rho = core_rho(folded)
+    tree_bound_state, *cayley_rho = core_rho(free_core(rank))
     fields = {
         "schreier_estimate": schreier,
         "cayley_estimate": cayley,
         "gap": abs(schreier - cayley),
+        "schreier_rho": schreier_rho,
+        "cayley_rho": cayley_rho,
     }
-    return fields, schreier, cayley
+    return fields, bound_state, not (bound_state or tree_bound_state)
 
 
 def kesten_amenable(horizon: int = 200) -> dict:
-    """Spectral-radius estimates for the coset graph of the cyclic subgroup
-    generated by one free letter of the rank-2 free group, against the
-    Cayley graph itself, at matched horizons.
+    """Spectral radii of the coset graph of the cyclic subgroup generated
+    by one free letter of the rank-2 free group and of the Cayley graph
+    itself: return-count estimates at matched horizons, both certified
+    lower bounds, and the exact enclosures.
 
     The subgroup is infinite cyclic, hence amenable, so the two spectral
-    radii agree in the limit; at any finite horizon both estimates are
-    certified lower bounds and the report carries their gap.
+    radii agree; ``rho_equal`` says so exactly, from the root counts.
     """
-    fields, schreier, cayley = _matched_horizon(2, ["a"], horizon)
+    fields, _, equal = _matched_horizon(2, ["a"], horizon)
     return {
         "experiment": "kesten-amenable",
         "config": {"horizon": horizon, "subgroup": "one free letter of rank 2"},
         **fields,
         "limit_value": tree_rho(4),
-        "both_below_limit": Verdict(
-            schreier < tree_rho(4) and cayley < tree_rho(4), "heuristic"
-        ),
+        "rho_equal": Verdict(equal, "exact"),
     }
 
 
@@ -104,33 +110,30 @@ def kesten_finite_irs(n: int = 20, seed: int = 3, radius: int = 2) -> dict:
     }
 
 
-def nonamenable_subgroup_counterexample(
-    horizon: int = 300, tolerance: float = 0.02, rank: int = 5
-) -> dict:
+def nonamenable_subgroup_counterexample(horizon: int = 300, rank: int = 5) -> dict:
     """The subgroup spanned by the first two letters of a free group is
     itself free of rank 2 — as nonamenable as it gets — yet for rank ≥ 5
     its coset graph keeps the full Cayley spectral radius 2√(2r−1)/(2r):
     the four loops at the root are too weak a defect to push an eigenvalue
-    out of the band.  Matched-horizon estimates for both graphs.
+    out of the band.  Matched-horizon estimates and exact ρ for both graphs.
 
-    Below rank 5 the defect does create a bound state (rank 4 has spectral
-    radius exactly 2/3 > √7/4, from the root's first-return generating
-    function), and the report flags it: the certified Schreier bound then
-    climbs past the Cayley limit value.
+    The root's return series has the reduced denominator (1 − t)(1 − 3t),
+    so t* = 1/3 < 1/√(2r − 1) below rank 5: a bound state, with ρ = 7/9 at
+    rank 3 and 2/3 > √7/4 at rank 4.  At rank 5, 1/3 = 1/√9 is critical.
+    ``bound_state_detected`` is the root count and
+    ``estimates_within_tolerance`` whether the two ρ are equal, both exact.
     """
     if rank < 3:
         raise ValueError("the subgroup uses the first two of at least three letters")
-    fields, schreier, cayley = _matched_horizon(rank, ["a", "b"], horizon)
-    limit = tree_rho(2 * rank)
+    fields, bound_state, equal = _matched_horizon(rank, ["a", "b"], horizon)
     return {
         "experiment": "nonamenable-subgroup-counterexample",
-        "config": {"horizon": horizon, "tolerance": tolerance, "rank": rank},
+        # bench/references/ensembles-returns.json still holds the removed tolerance
+        "config": {"horizon": horizon, "tolerance": 0.02, "rank": rank},
         **fields,
-        "limit_value": limit,
-        "estimates_within_tolerance": Verdict(
-            abs(schreier - cayley) <= tolerance, "heuristic"
-        ),
-        "bound_state_detected": Verdict(schreier > limit + 1e-12, "heuristic"),
+        "limit_value": tree_rho(2 * rank),
+        "estimates_within_tolerance": Verdict(equal, "exact"),
+        "bound_state_detected": Verdict(bound_state, "exact"),
     }
 
 

@@ -52,7 +52,8 @@ O(K²·d), the horizon O(H·L).  In process on a 2-vCPU VM,
 ``fold:ab,rank=3`` at H = 400 takes 0.49–0.50 ms and at H = 2000
 3.2–3.3 ms, against 9.5–9.9 and 286–313 ms for the hanging-tree stream
 it replaced; the fold of two random reduced F2 words of length 80 (158
-vertices) takes 27–29 ms at H = 100, against 51–56 ms.
+vertices) takes 27–29 ms at H = 100, against 51–56 ms.  ``core_rho``
+counts the roots of the same reduced denominator for ρ itself.
 
 ``return_counts`` reads the origin; ``return_domination_reports`` reads
 every even step from the root; ``conditioned_prefix_probabilities`` reads
@@ -100,6 +101,7 @@ __all__ = [
     "conditioned_prefix_probabilities",
     "return_domination_reports",
     "DominationReport",
+    "core_rho",
 ]
 
 _log = logging.getLogger("schreier")
@@ -406,23 +408,100 @@ def _series_counts(
     return counts
 
 
+def _return_fraction(core: CoreGraph, x: int) -> tuple[list[int], list[int], int, int]:
+    """The return series at x in t as numerator/D, D reduced and padded to
+    L + 1 coefficients, then the terms read and L (see the module docstring)."""
+    series = _return_series(core, x, 4 * core.n + 2)
+    denominator, order = _berlekamp_massey(series)
+    numerator = [sum(map(mul, denominator, series[k::-1])) for k in range(order)]
+    return numerator, denominator, len(series), order
+
+
 def _core_returns(core: CoreGraph, x: int, horizon: int) -> tuple[int, ...]:
     """|P_{x,x,n}| for n = 0..horizon on a core with undefined slots, from
     the return series' integer recurrence (see the module docstring)."""
     if not 0 <= x < core.n:
         raise ValueError(f"vertex {x} is not a vertex of the graph (0..{core.n - 1})")
     q = core.degree - 1
-    series = _return_series(core, x, 4 * core.n + 2)
-    denominator, order = _berlekamp_massey(series)
-    numerator = [sum(map(mul, denominator, series[k::-1])) for k in range(order)]
+    numerator, denominator, *sizes = _return_fraction(core, x)
     Q, P_U, P_V = _in_z(numerator, denominator, q)
     s = next(i for i, c in enumerate(Q) if c)
     _log.debug(
         "core return series: %d core vertices, %d series terms, recurrence order %d, "
         "deg Q %d, deg P_U %d, deg P_V %d, s %d",
-        core.n, len(series), order, *(_degree(p) for p in (Q, P_U, P_V)), s,
+        core.n, *sizes, *(_degree(p) for p in (Q, P_U, P_V)), s,
     )
     return tuple(_series_counts(Q, P_U, P_V, q, horizon))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """The sign of p(x), in integers: that of den^deg·p(num/den)."""
+    top = len(p) - 1
+    return _sign(sum(c * x.numerator**i * x.denominator ** (top - i) for i, c in enumerate(p)))
+
+
+def _sign_at_edge(p: list[int], q: int) -> int:
+    """The sign of p(1/√q) = e + o/√q, exactly: e = E(1/q) and o = O(1/q) for
+    p(t) = E(t²) + t·O(t²), and if their signs differ, e² − o²/q tells."""
+    e, o = (sum(Fraction(c, q**i) for i, c in enumerate(p[k::2])) for k in (0, 1))
+    if e * o >= 0:
+        return _sign(e + o)
+    return _sign(e) * _sign(e * e - o * o / q)
+
+
+def core_rho(core: CoreGraph) -> tuple[bool, Fraction, Fraction]:
+    """Whether the core's graph has a bound state, and Fractions low ≤ ρ ≤ high.
+
+    z = t/(1 + qt²) maps [0, 1/√q] increasingly onto [0, 1/(2√q)], the
+    tree's radius, and G = Σ |P_{x,x,n}|·zⁿ has nonnegative coefficients,
+    at least the tree's.  So by Pringsheim's theorem G's radius is z(t*),
+    t* the least root of its reduced denominator D in (0, 1/√q) (a bound
+    state), or the tree's when D has none there (critical, a root at 1/√q
+    included), and ρ = 1/(d·radius): (1 + q·t*²)/(d·t*), which decreases
+    in t there, or 2√q/d, enclosed by ``math.isqrt``.  A Sturm sequence of
+    D in integer pseudo-remainders counts its roots in (0, x] as
+    V(0) − V(x), V its sign changes, zeros skipped; t* is bisected between
+    dyadic ends.  A complete core is finite: ρ = 1 by theorem."""
+    d, q, bits = core.degree, core.degree - 1, 64  # bits: the dyadic precision
+    if core.complete or d < 2:
+        return d > 2, Fraction(1), Fraction(1)
+    D = _return_fraction(core, core.root)[1]
+    chain, rest = [D[: _degree(D) + 1]], [i * c for i, c in enumerate(D)][1 : _degree(D) + 1]
+    while rest:  # the Sturm sequence, by integer pseudo-remainders
+        chain.append(rest)
+        a, b = [abs(rest[-1]) ** (len(chain[-2]) - len(rest) + 1) * c for c in chain[-2]], rest
+        for top in range(len(a) - 1, len(b) - 2, -1):  # exact: a was scaled
+            f = a[top] // b[-1]
+            for i, c in enumerate(b, top - len(b) + 1):
+                a[i] -= f * c
+        rest = a[: _degree(a) + 1]
+        content = math.gcd(*rest)
+        rest = [-c // content for c in rest]
+
+    def changes(signs: list[int]) -> int:
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_zero = changes([_sign(p[0]) for p in chain])
+    edge = [_sign_at_edge(p, q) for p in chain]
+    if not edge[-1]:
+        raise AssertionError("D has a multiple root at 1/√q")
+    inside = at_zero - changes(edge) - (edge[0] == 0)  # roots in (0, 1/√q)
+    root = math.isqrt(q << 2 * bits)
+    low, high = (Fraction(2 * r, d << bits) for r in (root, root + (root**2 < q << 2 * bits)))
+    if inside:
+        lo, hi = Fraction(0), Fraction(1)
+        for _ in range(bits):
+            mid = (lo + hi) / 2
+            below = at_zero - changes([_sign_at(p, mid) for p in chain])  # roots in (0, mid]
+            lo, hi = (lo, mid) if below else (mid, hi)
+        ends = [(1 + q * t * t) / (d * t) for t in (hi, lo)]
+        low, high = (ends[0] if q * hi * hi <= 1 else low), ends[1]
+    return inside > 0, low, high
 
 
 def return_counts(

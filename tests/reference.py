@@ -67,7 +67,10 @@ builders replaced, and hypothesis strategies to compare them on.
   each other or not as asked;
 - ``preset_transitivity`` is a view of a graph whose
   ``vertex_transitive`` is given, not decided: it picks which sweep of
-  ``cycles.cycle_counts`` runs, the root-alone one or the all-starts one.
+  ``cycles.cycle_counts`` runs, the root-alone one or the all-starts one;
+- ``cogrowth_rho`` reads a core's ρ off the Perron root of its
+  non-backtracking matrix by Grigorchuk's cogrowth formula, the oracle of
+  the root count of ``walks.core_rho``.
 """
 
 from __future__ import annotations
@@ -486,6 +489,29 @@ def enumerated_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
         extend(s, back, s, -1, 0, 1)
         onpath[s] = False
     return tuple(counts[1 : lmax + 1])
+
+
+def cogrowth_rho(core: CoreGraph) -> float:
+    """ρ of a core's graph by the cogrowth formula (R. Grigorchuk,
+    "Symmetric random walks on discrete groups", 1980; for regular graphs
+    S. Northshield, "Cogrowth of regular graphs", Proc. AMS 116, 1992):
+    α, the growth of the reduced closed walks at the root, is the Perron
+    root of the non-backtracking matrix on the core's directed edges, here
+    from a dense eigensolve, and ρ = (α + q/α)/d when α > √q, else 2√q/d.
+    A reduced closed walk never enters a hanging tree, so the core holds
+    them all."""
+    gens, slots = core.gens, core.slots
+    d, q = gens.degree, gens.degree - 1
+    edges = [(v, l) for v in range(core.n) for l in range(d) if slots[v, l] >= 0]
+    index = {edge: i for i, edge in enumerate(edges)}
+    B = np.zeros((len(edges), len(edges)))
+    for (v, l), i in index.items():
+        w = int(slots[v, l])
+        for m in range(d):
+            if m != gens.inv[l] and slots[w, m] >= 0:
+                B[i, index[w, m]] = 1
+    alpha = max(abs(np.linalg.eigvals(B))) if edges else 0.0
+    return (alpha + q / alpha) / d if alpha > q**0.5 else 2 * q**0.5 / d
 
 
 class DenseRho0(NamedTuple):

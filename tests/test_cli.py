@@ -574,7 +574,7 @@ class TestLemmaChecks:
             ["lemma-check", "subgroupnorm", "--action", "cyclic:100000", "--support", "e"],
         )["result"]
         assert (result["subgroup_order"], result["index"]) == (1, 100000)
-        assert result["operator_norm"] == 1.0 and result["max_deviation"] == 0.0
+        assert result["operator_norm"] == 1.0
 
     def test_subgroupnorm_refuses_a_large_orbit_before_building_it(
         self, capsys, monkeypatch
@@ -1066,6 +1066,11 @@ class TestUsageErrors:
     def test_ramanujan_has_no_method_flag(self, capsys):
         assert run(["ramanujan", "--graph", "cycle:8", "--method", "dense"]) == 1
         assert "unrecognized arguments: --method dense" in capsys.readouterr().err
+
+    def test_the_kesten_recipe_has_no_tolerance_flag(self, capsys):
+        argv = ["experiment", "nonamenable-subgroup-counterexample", "--horizon", "20"]
+        assert run(argv + ["--tolerance", "0.02"]) == 1
+        assert "unrecognized arguments: --tolerance 0.02" in capsys.readouterr().err
 
     def test_core_spec_where_a_graph_is_needed(self, capsys):
         assert run(["spectrum", "--graph", "fold:a,rank=2"]) == 1

@@ -64,7 +64,10 @@ def test_kesten_finite_irs_solves_no_spectrum(monkeypatch):
 def test_kesten_amenable_short_horizon():
     report = kesten_amenable(horizon=60)
     json.dumps(plain(report, "report")[0], allow_nan=False)
-    assert report["both_below_limit"] == Verdict(True, "heuristic")
+    assert report["rho_equal"] == Verdict(True, "exact")
+    assert report["schreier_rho"] == report["cayley_rho"]
+    low, high = report["schreier_rho"]
+    assert (2 * low) ** 2 <= 3 <= (2 * high) ** 2 and high - low <= 1e-15
     assert report["limit_value"] == pytest.approx(3**0.5 / 2, abs=1e-12)
     assert 0 < report["gap"] < 0.05
     assert report["schreier_estimate"] > report["cayley_estimate"]
@@ -79,8 +82,21 @@ def test_nonamenable_rank_4_shows_the_bound_state():
     report = nonamenable_subgroup_counterexample(horizon=200, rank=4)
     json.dumps(plain(report, "report")[0], allow_nan=False)
     assert report["limit_value"] == pytest.approx(7**0.5 / 4, abs=1e-12)
-    assert report["bound_state_detected"] == Verdict(True, "heuristic")
-    assert report["estimates_within_tolerance"] == Verdict(False, "heuristic")
+    assert report["bound_state_detected"] == Verdict(True, "exact")
+    assert report["estimates_within_tolerance"] == Verdict(False, "exact")
+    low, high = report["schreier_rho"]
+    assert low <= Fraction(2, 3) <= high and high - low <= 1e-15
+    assert report["cayley_rho"][1] < low  # strictly above the tree's √7/4
+
+
+def test_nonamenable_rank_5_is_critical_on_both_graphs():
+    # the bench's job: no bound state, and both ρ exactly 3/5
+    report = nonamenable_subgroup_counterexample(horizon=60)
+    assert report["config"] == {"horizon": 60, "tolerance": 0.02, "rank": 5}
+    assert report["bound_state_detected"] == Verdict(False, "exact")
+    assert report["estimates_within_tolerance"] == Verdict(True, "exact")
+    assert report["schreier_rho"] == report["cayley_rho"] == [Fraction(3, 5)] * 2
+    assert plain(report, "report")[0]["schreier_rho"] == [{"num": 3, "den": 5}] * 2
 
 
 def test_alon_boppana_toy_sweep():

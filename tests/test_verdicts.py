@@ -38,11 +38,11 @@ EXPECTED = {
     "lemma-check subgroupnorm": {"copies_verified": "exact"},
     "lemma-check lekv": {"holds": "exact"},
     "experiment alon-boppana": {},
-    "experiment kesten-amenable": {"both_below_limit": "heuristic"},
+    "experiment kesten-amenable": {"rho_equal": "exact"},
     "experiment kesten-finite-irs": {"strict_inequality": "theorem"},
     "experiment nonamenable-subgroup-counterexample": {
-        "bound_state_detected": "heuristic",
-        "estimates_within_tolerance": "heuristic",
+        "bound_state_detected": "exact",
+        "estimates_within_tolerance": "exact",
     },
     "experiment ramanujan-girth": {"lps.verdict": LANCZOS},
 }
@@ -120,7 +120,7 @@ def _jobs_with_verdicts(tmp_path):
 
 
 def test_the_vocabulary_is_closed():
-    assert CERTIFICATES == ("exact", "theorem", LANCZOS, "heuristic", "undecided")
+    assert CERTIFICATES == ("exact", "theorem", LANCZOS, "undecided")
 
 
 @pytest.mark.parametrize(
@@ -172,16 +172,17 @@ def test_every_check_and_recipe_lists_its_verdicts(capsys):
                 f"{argv[1]}: {_shape(path)}"
             )
     assert sorted(RECIPES) == sorted(EXPERIMENTS)
-    assert certificates["heuristic"] == {
-        "kesten-amenable: both_below_limit",
+    assert "heuristic" not in certificates
+    assert {
+        "kesten-amenable: rho_equal",
         "nonamenable-subgroup-counterexample: bound_state_detected",
         "nonamenable-subgroup-counterexample: estimates_within_tolerance",
-    }
+    } <= certificates["exact"]
     assert certificates["theorem"] == {
         "kesten-finite-irs: strict_inequality",
         "modifiedrw: holds",
     }
-    assert certificates.keys() == {"exact", "theorem", "heuristic", LANCZOS}
+    assert certificates.keys() == {"exact", "theorem", LANCZOS}
 
 
 def test_an_unconverged_solve_is_undecided(capsys, monkeypatch):

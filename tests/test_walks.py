@@ -35,9 +35,11 @@ from schreier.core import (
     walk_endpoint,
 )
 from schreier.local import ball
+from schreier.spectral import estimate_rho_returns
 from schreier.walks import (
     DominationReport,
     conditioned_prefix_probabilities,
+    core_rho,
     return_counts,
     return_domination_reports,
     segment_distributions,
@@ -348,6 +350,59 @@ class TestCoreReturnRecurrence:
             "core return series: 2 core vertices, 10 series terms, recurrence order 5, "
             "deg Q 4, deg P_U 2, deg P_V 3, s 0"
         )
+
+
+class TestCoreRho:
+    """``core_rho`` counts the roots of the return series' reduced
+    denominator D in (0, 1/√q), exactly; Grigorchuk's cogrowth formula
+    (``reference.cogrowth_rho``) is its oracle."""
+
+    @pytest.mark.parametrize("rank, rho", [(3, Fraction(7, 9)), (4, Fraction(2, 3))])
+    def test_two_letters_below_rank_5_have_a_bound_state(self, rank, rho):
+        # D = (1 − t)(1 − 3t) at every rank, and t* = 1/3 < 1/√(2·rank − 1)
+        core = from_spec(f"fold:a,b,rank={rank}")
+        assert walks._return_fraction(core, 0)[1] == [1, -4, 3, 0]
+        bound_state, low, high = core_rho(core)
+        assert bound_state and low <= rho <= high and high - low <= 1e-15
+
+    def test_two_letters_in_rank_5_are_critical_at_the_edge(self):
+        # 1/√9 = 1/3 is D's root itself: critical, and ρ = 2·3/10 exactly
+        assert core_rho(from_spec("fold:a,b,rank=5")) == (False, Fraction(3, 5), Fraction(3, 5))
+
+    @pytest.mark.parametrize("spec", ["fold:a,rank=2", "free:rank=2", "free:rank=3"])
+    def test_critical_cores_enclose_the_tree_value(self, spec):
+        # ⟨a⟩ in F2 has D = (1 − t)², its double root beyond 1/√3
+        core = from_spec(spec)
+        d, q = core.degree, core.degree - 1
+        bound_state, low, high = core_rho(core)
+        assert not bound_state and (d * low / 2) ** 2 <= q <= (d * high / 2) ** 2
+        assert 0 < high - low <= 1e-15
+
+    def test_a_complete_core_is_a_finite_graph(self):
+        assert core_rho(from_spec("fold:a,b,rank=2")) == (True, 1, 1)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 8, 10])
+    def test_the_sign_at_the_edge_is_exact(self, q):
+        # q·t² − 1 vanishes at 1/√q, where floats read ±2⁻⁵² for most q
+        assert walks._sign_at_edge([-1, 0, q], q) == 0
+        assert walks._sign_at_edge([-1, 0, q + 1], q) == 1
+        assert walks._sign_at_edge([1, -1, q], q) == 1
+        assert walks._sign_at_edge([1, -q], q) == -1
+
+    def test_a_multiple_root_at_the_edge_raises(self, monkeypatch):
+        # D = (1 − 3t²)² at q = 3: the Sturm sequence ends in a factor
+        # that vanishes at 1/√3, and no sign change can be counted there
+        monkeypatch.setattr(walks, "_return_fraction", lambda core, x: ([], [1, 0, -6, 0, 9], 0, 0))
+        with pytest.raises(AssertionError, match="multiple root at 1/√q"):
+            core_rho(from_spec("fold:a,rank=2"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rank=st.integers(1, 3), half=st.integers(1, 60))
+    def test_the_enclosure_matches_the_cogrowth_formula(self, data, rank, half):
+        core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
+        bound_state, low, high = core_rho(core)
+        assert low - 1e-12 <= reference.cogrowth_rho(core) <= high + 1e-12
+        assert low <= high and estimate_rho_returns(core, 2 * half)[-1] <= high
 
 
 def _laws(g, n, k, x=None):
