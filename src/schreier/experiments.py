@@ -56,11 +56,11 @@ def _matched_horizon(rank: int, words: list[str], horizon: int) -> tuple[dict, b
     whether the subgroup's graph has a bound state, and whether the two ρ
     are equal, which they are exactly when neither graph has one."""
     gens = GenSet.free(rank)
-    folded = stallings_core(gens, [parse_word(gens, w) for w in words])
+    folded, tree = stallings_core(gens, [parse_word(gens, w) for w in words]), free_core(rank)
     schreier = estimate_rho_returns(folded, horizon)[-1]
-    cayley = estimate_rho_returns(free_core(rank), horizon)[-1]
+    cayley = estimate_rho_returns(tree, horizon)[-1]
     bound_state, *schreier_rho = core_rho(folded)
-    tree_bound_state, *cayley_rho = core_rho(free_core(rank))
+    tree_bound_state, *cayley_rho = core_rho(tree)
     fields = {
         "schreier_estimate": schreier,
         "cayley_estimate": cayley,

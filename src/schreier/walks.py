@@ -24,16 +24,10 @@ no in-edge either.  On a core with undefined slots, domination pulls
 over ``_hung_trees``: the trees hanging at v, cut to the horizon, fold
 into one row per depth, standing for all the vertices at that depth.
 
-A question that reads a few counts per step counts in int64 residues.
-Every count after t ≤ H steps is at most d^H, and the moduli, pairwise
-coprime and chosen greedily downward from ⌊(2⁶³ − 1)/d⌋, multiply to
-more than d^H; a sum of d residues stays below 2⁶³, so a step reduces
-once.  A consumer lifts only the counts it reads back to Python ints by
-the Chinese remainder theorem (CRT).  While d^H fits, one modulus
-suffices and the lift is the identity; LPS(17,13) at H = 100 counts
-modulo eight.  ``return_domination_reports`` reads every count of every
-even row, where a lift per count would cost more than the counts, so its
-stream counts exactly: int64 while d^n ≤ 2⁶³ − 1, Python ints after.
+Each count is a column of int64 limbs in base 2^w (Knuth, TAOCP 2,
+§4.3.1), grown with dⁿ and carried once per step (``_ArrayWalks``).  A
+consumer lifts only the counts it reads; domination screens each even row
+in floats and lifts only the counts that could be its largest.
 
 A core with undefined slots answers return counts from the integer
 recurrence of its return series, and no stream.  With K core vertices,
@@ -48,12 +42,8 @@ of length L ≤ 2K + 1.  Reduced modulo q·z·t² − t + z and multiplied by
 the conjugate of its denominator, it becomes Q·G = P_U + P_V·t over Z[z],
 t = Σ_j C_j·q^j·z^{2j+1} (C_j the Catalan numbers), and each count is one
 exact division of an O(L)-term sum, re-checked.  The setup costs
-O(K²·d), the horizon O(H·L).  In process on a 2-vCPU VM,
-``fold:ab,rank=3`` at H = 400 takes 0.49–0.50 ms and at H = 2000
-3.2–3.3 ms, against 9.5–9.9 and 286–313 ms for the hanging-tree stream
-it replaced; the fold of two random reduced F2 words of length 80 (158
-vertices) takes 27–29 ms at H = 100, against 51–56 ms.  ``core_rho``
-counts the roots of the same reduced denominator for ρ itself.
+O(K²·d), the horizon O(H·L) (timings in README).  ``core_rho`` counts
+the roots of the same reduced denominator for ρ itself.
 
 ``return_counts`` reads the origin; ``return_domination_reports`` reads
 every even step from the root; ``conditioned_prefix_probabilities`` reads
@@ -77,8 +67,8 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import islice, product
+from operator import lshift, mul
 from typing import Iterator
 
 import numpy as np
@@ -106,7 +96,7 @@ __all__ = [
 
 _log = logging.getLogger("schreier")
 
-# a sum of d residues below ⌊_MODULUS_CAP/d⌋ is below the cap, int64's largest
+# int64's largest: no sum a step forms passes it (see ``_limb_width``)
 _MODULUS_CAP = 2**63 - 1
 
 
@@ -121,23 +111,18 @@ def _numbering(slots: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, pos[slots[order]]
 
 
-def _held(n: int, horizon: int, returning: bool) -> int:
-    """The distance within which the row at step n holds walks: all of
-    them, or only those that can still be back at the origin by the horizon."""
-    return min(n, horizon - n) if returning else n
-
-
-def _moduli(d: int, horizon: int) -> list[int]:
-    """Pairwise-coprime moduli, taken greedily downward from
-    ⌊``_MODULUS_CAP``/d⌋, whose product exceeds d^horizon."""
-    bound, total, moduli = d**horizon, 1, []
-    m = _MODULUS_CAP // d
-    while total <= bound:
-        if math.gcd(m, total) == 1:
-            moduli.append(m)
-            total *= m
-        m -= 1
-    return moduli
+def _limb_width(d: int) -> int:
+    """The widest limb width w for which d limbs, each at most 2^w − 1 + c,
+    sum to at most ``_MODULUS_CAP``, c the least fixed point of
+    c ↦ ⌊d·(2^w − 1 + c)/2^w⌋, iterated from 0 while the sums fit: a carry
+    pass leaves each limb its low w bits plus the carry from below."""
+    for w in range((_MODULUS_CAP // d).bit_length(), 0, -1):
+        limb = (1 << w) - 1  # 2^w − 1 + c, c the carry so far
+        while d * limb <= _MODULUS_CAP and (grown := (1 << w) - 1 + (d * limb >> w)) > limb:
+            limb = grown
+        if d * limb <= _MODULUS_CAP:
+            return w
+    raise ValueError(f"no limb width holds a sum of {d} limbs below {_MODULUS_CAP}")
 
 
 def _hung_trees(core: CoreGraph, depth: int) -> np.ndarray:
@@ -170,79 +155,98 @@ def _hung_trees(core: CoreGraph, depth: int) -> np.ndarray:
 class _ArrayWalks:
     """The walks over the slot table ``slots`` from the origin
     ``order[0]``, or from each vertex of ``starts``, for n = 0..horizon.
-    Iterating yields each step's counts as a k×S×(E + 1) array: [i, s, p]
-    counts the walks from the s-th start to position p of ``layers``'
-    order, and position E is the zero sentinel.
+    Iterating yields each step's counts as a k×S×(E + 1) array of int64
+    limbs: [i, s, p] is limb i of the count of walks from the s-th start to
+    position p of ``layers``' order, and position E is the zero sentinel.
 
-    The counts are int64 residues, modulo ``moduli[i]``, and ``lift``
-    turns the ones a consumer reads back into counts.  Each count is at
-    most d^n ≤ d^horizon, below the product of the moduli, and a step sums
-    d residues below ⌊``_MODULUS_CAP``/d⌋, which int64 holds.  An
-    ``exact`` stream, for a consumer that reads whole rows, keeps k = 1
-    row of the counts themselves: int64 while d^n ≤ ``_MODULUS_CAP``,
-    Python ints (an object array) from the first step past it.
+    The count is Σ_i [i, s, p]·2^{w·i}, w = ``width``, and ``lift`` turns
+    the ones a consumer reads back into counts.  Step n holds the fewest k
+    limbs with 2^{w·k} > dⁿ, the most walks of length n, so the top sum
+    never carries out, and ends with one vectorized carry pass, which keeps
+    every limb within ``_limb_width``'s bound: ⌈n·log₂ d/w⌉ rows, no ``%``.
 
-    From the origin, step n pulls into the positions within ``_held``
-    distance; ``layers`` must reach the farthest, radius horizon, or
-    ⌊horizon/2⌋ for a returning stream.  The counts are exact within
-    distance horizon − n (the origin's always are).  From ``starts``,
-    every step pulls into every position, and a walk that leaves
-    ``layers`` is dropped.
+    From the origin, step n pulls into the positions within distance n,
+    or min(n, horizon − n) for a returning stream, whose walks must still
+    come back; ``layers`` must reach the farthest, radius horizon or
+    ⌊horizon/2⌋.  The counts are exact within distance horizon − n (the
+    origin's always are).  From ``starts``, every step pulls into every
+    position, and a walk that leaves ``layers`` is dropped.
     """
 
     def __init__(
-        self,
-        slots: np.ndarray,
-        layers: tuple[np.ndarray, list[int]],
-        horizon: int,
-        returning: bool = False,
-        starts: list[int] | None = None,
-        exact: bool = False,
+        self, slots: np.ndarray, layers: tuple[np.ndarray, list[int]], horizon: int,
+        returning: bool = False, starts: list[int] | None = None,
     ) -> None:
         order, self.ends = layers
         self.pos, self.loc = _numbering(slots, order)
         self.starts = self.pos[starts or order[:1]]
-        self.everywhere = starts is not None
-        self.horizon, self.returning, self.exact = horizon, returning, exact
-        self.moduli = [] if exact else _moduli(slots.shape[1], horizon)
-        self.total = math.prod(self.moduli)
-        self.weights = [
-            self.total // m * pow(self.total // m, -1, m) for m in self.moduli
-        ]
+        self.horizon, self.returning, self.everywhere = horizon, returning, starts is not None
+        self.width = _limb_width(slots.shape[1])
+        self.scales = np.ldexp(1.0, self.width * np.arange(-2, 1))  # 2^{−2w}, 2^{−w}, 1
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        ends, horizon = self.ends, self.horizon
+        ends, horizon, width = self.ends, self.horizon, self.width
         columns = np.ascontiguousarray(self.loc.T)  # one slot label per row
-        d = len(columns)
-        moduli = np.array(self.moduli, dtype=np.int64)[:, None, None]
+        d, mask = len(columns), (1 << width) - 1
         starts = len(self.starts)
-        counts = np.zeros((len(moduli) or 1, starts, len(self.loc) + 1), dtype=np.int64)
-        counts[:, np.arange(starts), self.starts] = 1
+        counts = np.zeros((1, starts, len(self.loc) + 1), dtype=np.int64)
+        counts[0, np.arange(starts), self.starts] = 1
         yield counts
-        last = len(ends) - 1
+        last, most, reached = len(ends) - 1, 1, 0  # most: d^n
         for n in range(1, horizon + 1):
-            if self.exact and counts.dtype != object and d**n > _MODULUS_CAP:
-                counts = counts.astype(object)
-            e = ends[last if self.everywhere else min(_held(n, horizon, self.returning), last)]
+            most *= d
+            if most >> width * len(counts):  # one row more holds d^n, as d < 2^w
+                counts = np.concatenate([counts, np.zeros_like(counts[:1])])
+            held = min(n, horizon - n) if self.returning else n
+            e = ends[last if self.everywhere else min(held, last)]
+            reached = max(reached, e)
             pulled = counts.take(columns[0, :e], axis=2)
             for column in columns[1:, :e]:
                 pulled += counts.take(column, axis=2)
-            if len(moduli) > 1:
-                pulled %= moduli
-            counts = np.zeros_like(counts)
+            if len(pulled) > 1:
+                carry = pulled >> width
+                pulled &= mask
+                pulled[1:] += carry[:-1]
+            counts = np.zeros(counts.shape, np.int64)
             counts[:, :, :e] = pulled
             yield counts
+        _log.debug(
+            "walk stream: %d steps, %d positions reached, %d limbs at most, limb width %d",
+            horizon, reached, len(counts), width,
+        )
 
-    def lift(self, residues: np.ndarray) -> list[int]:
-        """The counts whose residues ``residues[:, ...]`` holds, flattened
-        (an exact stream holds the counts)."""
-        if len(self.moduli) < 2:
-            return residues.ravel().tolist()
-        residues = residues.reshape(len(self.moduli), -1)
-        return [
-            sum(r * w for r, w in zip(column, self.weights)) % self.total
-            for column in zip(*residues.tolist())
-        ]
+    def lift(self, limbs: np.ndarray) -> list[int]:
+        """The counts whose limbs ``limbs[:, ...]`` holds, flattened: count
+        by count when they are fewer than the limbs, else row by row."""
+        rows = limbs.reshape(len(limbs), -1)
+        if rows.shape[1] < len(rows):
+            shifts = range(0, self.width * len(rows), self.width)
+            return [sum(map(lshift, column, shifts)) for column in rows.T.tolist()]
+        counts, *lower = rows[::-1].tolist()
+        for row in lower:
+            counts = [(c << self.width) + r for c, r in zip(counts, row)]
+        return counts
+
+    def largest(self, limbs: np.ndarray) -> int:
+        """``max(self.lift(limbs), default=0)`` for a k×m array, lifting only
+        the entries a float screen cannot rule out.  With j the highest limb
+        row nonzero anywhere, an entry's screen, Σ limb_i·2^{w(i−j)} over
+        i = j − 2..j in floats, is within a relative 2^{−51} of that sum, which
+        trails its value/2^{wj} by less than 2^{2−2w} (lower limbs are below
+        2^{w+1}).  So the largest entry's screen trails the peak by less than
+        2^{2−2w} + 2^{−50}·peak, and the slack is at least twice that."""
+        if not limbs.size:
+            return 0
+        top = len(limbs) - 1
+        while top and not np.count_nonzero(limbs[top]):
+            top -= 1
+        low = max(top - 2, 0)
+        screen = self.scales[low - top - 1 :] @ limbs[low : top + 1]
+        peak = screen[best := screen.argmax()]
+        near = screen >= peak - 2.0 ** (3 - 2 * self.width) - peak * 2.0**-48
+        if np.count_nonzero(near) == 1:  # the usual case: lift the largest alone
+            return self.lift(limbs[: top + 1, best])[0]
+        return max(self.lift(limbs[: top + 1, near]))
 
 
 def _return_series(core: CoreGraph, x: int, terms: int) -> list[int]:
@@ -410,11 +414,16 @@ def _series_counts(
 
 def _return_fraction(core: CoreGraph, x: int) -> tuple[list[int], list[int], int, int]:
     """The return series at x in t as numerator/D, D reduced and padded to
-    L + 1 coefficients, then the terms read and L (see the module docstring)."""
-    series = _return_series(core, x, 4 * core.n + 2)
-    denominator, order = _berlekamp_massey(series)
-    numerator = [sum(map(mul, denominator, series[k::-1])) for k in range(order)]
-    return numerator, denominator, len(series), order
+    L + 1 coefficients, then the terms read and L (see the module docstring).
+    Kept on the core, so that ``return_counts`` and ``core_rho`` on one
+    core share one series and one Berlekamp–Massey; callers only read it."""
+    kept = core.__dict__.setdefault("_return_fractions", {})
+    if x not in kept:
+        series = _return_series(core, x, 4 * core.n + 2)
+        denominator, order = _berlekamp_massey(series)
+        numerator = [sum(map(mul, denominator, series[k::-1])) for k in range(order)]
+        kept[x] = numerator, denominator, len(series), order
+    return kept[x]
 
 
 def _core_returns(core: CoreGraph, x: int, horizon: int) -> tuple[int, ...]:
@@ -511,7 +520,7 @@ def return_counts(
     exact at any horizon by the integer recurrence of its return series
     (see the module docstring), at a cost of O(K²·d) for the setup and
     O(L) per step, K its vertices and L the recurrence's length.  A graph
-    or a complete core streams one row of residues at a time; a truncated
+    or a complete core streams one row of limbs at a time; a truncated
     graph needs its boundary at distance ≥ ⌈horizon/2⌉ from x."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -721,9 +730,10 @@ class DominationReport:
 def return_domination_reports(
     source: SchreierGraph, n: int, vertex_transitive: bool = False
 ) -> tuple[DominationReport, ...]:
-    """The certificate at each even k = 2..n, read as one exact walk
-    stream from the root passes step k: the root's counts at k and k − 2
-    and the largest count at any other vertex within distance k.  A core
+    """The certificate at each even k = 2..n, read as one walk stream from
+    the root passes step k: the root's counts at k and k − 2 and the
+    largest count at any other vertex within distance k, which
+    ``_ArrayWalks.largest`` reads without lifting the row.  A core
     streams over ``_hung_trees``, where one row stands for every vertex at
     a depth of the trees hanging at a core vertex.  A graph answers k only
     with its boundary at distance ≥ k, else refuses.  Transitivity is
@@ -739,22 +749,12 @@ def return_domination_reports(
     _require_transitive(
         source, vertex_transitive, "the domination inequalities require vertex-transitivity"
     )
-    walks = _ArrayWalks(slots, layers, n, exact=True)
-    reports = []
-    previous = 1  # the one walk of length 0
-    for k, counts in enumerate(walks):
-        if not k or k % 2:
-            continue
+    walks = _ArrayWalks(slots, layers, n)
+    reports, previous = [], 1  # previous: the return count at k − 2, first the empty walk
+    for k, counts in islice(enumerate(walks), 2, None, 2):
         require_room("walk counts", source.root, near, k)
-        row = walks.lift(counts[:, 0, : layers[1][k]])
-        reports.append(
-            DominationReport(
-                degree=source.degree,
-                n=k,
-                return_count=row[0],
-                max_other_count=max(row[1:], default=0),
-                previous_return_count=previous,
-            )
-        )
-        previous = row[0]
+        (count,) = walks.lift(counts[:, 0, 0])
+        largest = walks.largest(counts[:, 0, 1 : layers[1][k]])
+        reports.append(DominationReport(source.degree, k, count, largest, previous))
+        previous = count
     return tuple(reports)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schreier import spectral
+from schreier import spectral, walks
 from schreier.cli import plain
 from schreier.core import Verdict
 from schreier.experiments import (
@@ -97,6 +97,25 @@ def test_nonamenable_rank_5_is_critical_on_both_graphs():
     assert report["estimates_within_tolerance"] == Verdict(True, "exact")
     assert report["schreier_rho"] == report["cayley_rho"] == [Fraction(3, 5)] * 2
     assert plain(report, "report")[0]["schreier_rho"] == [{"num": 3, "den": 5}] * 2
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [lambda: kesten_amenable(horizon=20), lambda: nonamenable_subgroup_counterexample(20)],
+    ids=["kesten-amenable", "nonamenable-subgroup-counterexample"],
+)
+def test_each_core_solves_its_return_series_once(monkeypatch, recipe):
+    # estimate_rho_returns and core_rho both read the subgroup's core and
+    # the tree's: one series and one Berlekamp–Massey each, two cores
+    calls = {"_return_series": 0, "_berlekamp_massey": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(walks, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(walks, name, counted)
+    recipe()
+    assert calls == {"_return_series": 2, "_berlekamp_massey": 2}
 
 
 def test_alon_boppana_toy_sweep():

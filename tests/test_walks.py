@@ -1,10 +1,10 @@
 import functools
 import itertools
 import logging
-import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,10 +144,10 @@ class TestCoreReturnCounts:
 class TestHangingTreeRecurrence:
     """``return_counts``, ``return_domination_reports`` and
     ``conditioned_prefix_probabilities`` on graphs and on cores, each
-    checked against an independent count: the residue stream answers a
-    graph's or a complete core's return counts and prefix rows, the exact
-    stream every domination report, over ``_hung_trees`` on a core, and
-    the return series' recurrence a core's return counts."""
+    checked against an independent count: the limb stream answers a
+    graph's or a complete core's return counts and prefix rows and every
+    domination report, over ``_hung_trees`` on a core, and the return
+    series' recurrence a core's return counts."""
 
     @given(degree=st.integers(2, 7), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
     def test_rings_match_the_ring_recursion(self, degree, n):
@@ -277,11 +277,11 @@ class TestHangingTreeRecurrence:
 
 
 def _stream_returns(core, x: int, horizon: int) -> tuple[int, ...]:
-    """The origin's entry of the one exact stream from x over the core's
-    table with its hanging trees cut to depth ``horizon``."""
+    """The origin's entry of the one stream from x over the core's table
+    with its hanging trees cut to depth ``horizon``, lifted from its limbs."""
     table = walks._hung_trees(core, horizon)
-    stream = walks._ArrayWalks(table, bfs_layers(table, x, horizon), horizon, exact=True)
-    return tuple(int(counts[0, 0, 0]) for counts in stream)
+    stream = walks._ArrayWalks(table, bfs_layers(table, x, horizon), horizon)
+    return tuple(stream.lift(counts[:, 0, 0])[0] for counts in stream)
 
 
 # the cores of the benchmark's return-count jobs
@@ -823,77 +823,93 @@ class TestDomination:
 
 
 # ---------------------------------------------------------------------------
-# Counts as int64 residues: several moduli, and counts above 2⁶³
+# Counts as int64 limbs: several limbs, and counts above 2⁶³
 # ---------------------------------------------------------------------------
 
 _SMALL_CAP = 2**16
 
 
 @pytest.fixture(scope="class")
-def several_moduli():
-    """Moduli below 2¹⁶/d, so that a horizon past about (16 − log₂ d)/log₂ d
-    steps counts modulo several of them and lifts by the CRT."""
+def several_limbs():
+    """Limbs of at most 16 − log₂ d bits, so that a horizon past about
+    (16 − log₂ d)/log₂ d steps counts in several of them."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
         yield
 
 
-@pytest.mark.usefixtures("several_moduli")
-class TestCountWalksSeveralModuli(TestCountWalks):
-    """The return-count checks, counting modulo several moduli."""
+@pytest.mark.usefixtures("several_limbs")
+class TestCountWalksSeveralLimbs(TestCountWalks):
+    """The return-count checks, counting in several limbs."""
 
 
-@pytest.mark.usefixtures("several_moduli")
-class TestHangingTreeRecurrenceSeveralModuli(TestHangingTreeRecurrence):
+@pytest.mark.usefixtures("several_limbs")
+class TestHangingTreeRecurrenceSeveralLimbs(TestHangingTreeRecurrence):
     """The reference checks on shuffled graphs under the 2¹⁶ cap: the
-    return counts modulo several moduli, the domination reports switching
-    to Python ints early."""
+    return counts and the domination rows in several limbs."""
 
 
-@pytest.mark.usefixtures("several_moduli")
-class TestSegmentDistributionSeveralModuli(TestSegmentDistribution):
-    """The segment laws, counting modulo several moduli."""
+@pytest.mark.usefixtures("several_limbs")
+class TestSegmentDistributionSeveralLimbs(TestSegmentDistribution):
+    """The segment laws, counting in several limbs."""
 
 
-@pytest.mark.usefixtures("several_moduli")
-class TestOneReturningStreamSeveralModuli(TestOneReturningStream):
-    """The prefix rows, counting modulo several moduli."""
+@pytest.mark.usefixtures("several_limbs")
+class TestOneReturningStreamSeveralLimbs(TestOneReturningStream):
+    """The prefix rows, counting in several limbs."""
 
 
-@pytest.mark.usefixtures("several_moduli")
-class TestDominationSeveralModuli(TestDomination):
-    """The domination rows, which count exactly rather than in residues:
-    under the 2¹⁶ cap they switch from int64 to Python ints early."""
+@pytest.mark.usefixtures("several_limbs")
+class TestDominationSeveralLimbs(TestDomination):
+    """The domination rows, whose largest count is read from several limbs."""
 
 
-class TestResidues:
-    @given(d=st.integers(1, 60), horizon=st.integers(0, 120), small=st.booleans())
-    def test_moduli_hold_every_count(self, d, horizon, small):
-        """Pairwise coprime, a sum of d residues within the cap, and a
-        product above d^horizon, the most walks of that length."""
+def _steady_limb(d: int, width: int, cap: int) -> int | None:
+    """The largest limb a stream of degree d holds at ``width``: a limb
+    starts below 2^width, and a step sums d of them, then keeps the low
+    ``width`` bits and adds the carry from the limb below; None if a sum
+    can pass ``cap`` first."""
+    limb = (1 << width) - 1
+    while d * limb <= cap:
+        grown = (1 << width) - 1 + (d * limb >> width)
+        if grown <= limb:
+            return limb
+        limb = grown
+    return None
+
+
+def _limb_stream(degree: int) -> walks._ArrayWalks:
+    """A stream of the given even degree, for its ``lift`` and ``largest``."""
+    g = random_perm_model(degree // 2, 4, 0)
+    return walks._ArrayWalks(g.slots, bfs_layers(g.slots, g.root, 0), 0)
+
+
+class TestLimbs:
+    @given(d=st.integers(1, 60), small=st.booleans())
+    def test_limbs_hold_every_sum(self, d, small):
+        """At the limb width, a step's sums stay within the cap and its
+        limbs within a steady bound; one bit wider, they would not."""
         cap = _SMALL_CAP if small else walks._MODULUS_CAP
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(walks, "_MODULUS_CAP", cap)
-            moduli = walks._moduli(d, horizon)
-        assert math.prod(moduli) > d**horizon
-        assert all(d * m <= cap for m in moduli)
-        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
-        if d**horizon < cap // d:
-            assert len(moduli) == 1
+            width = walks._limb_width(d)
+        assert d < 1 << width
+        assert _steady_limb(d, width, cap) is not None
+        assert d >= 1 << width + 1 or _steady_limb(d, width + 1, cap) is None
 
-    def test_the_small_cap_counts_modulo_several(self, monkeypatch):
+    def test_the_small_cap_counts_in_several_limbs(self, monkeypatch):
+        assert [walks._limb_width(d) for d in (1, 4, 18, 60)] == [63, 60, 58, 57]
         monkeypatch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
-        assert len(walks._moduli(4, 9)) == 2
-        assert len(walks._moduli(6, 12)) == 3
+        assert [walks._limb_width(d) for d in (1, 4, 18, 60)] == [16, 13, 11, 10]
 
     @settings(max_examples=80)
     @given(data=st.data(), horizon=st.integers(0, 12), returning=st.booleans(),
-           small=st.booleans(), exact=st.booleans())
-    def test_rows_hold_only_the_walks_that_matter(self, data, horizon, returning, small, exact):
+           small=st.booleans())
+    def test_rows_hold_only_the_walks_that_matter(self, data, horizon, returning, small):
         """Row n holds the walks within distance n of the origin, exactly,
         and a returning stream only those within horizon − n, which can
-        still come back; the sentinel holds none.  So do the rows of an
-        exact stream, in int64 or Python ints."""
+        still come back; the sentinel holds none.  Row n has the fewest
+        limbs that hold dⁿ, each within ``_steady_limb``."""
         m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
         g = random_perm_model(m, n, data.draw(st.integers(0, 10**6)))
         g = reference.shuffled(g, data.draw(st.permutations(range(g.n)), label="numbering"))
@@ -901,19 +917,62 @@ class TestResidues:
         layers = bfs_layers(g.slots, x, horizon // 2 if returning else horizon)
         rows = reference.count_walks(g, x, horizon)
         dist = reference.bfs_distances(g, x)
+        cap = _SMALL_CAP if small else walks._MODULUS_CAP
         with pytest.MonkeyPatch.context() as patch:
-            if small:
-                patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
-            stream = walks._ArrayWalks(g.slots, layers, horizon, returning, exact=exact)
+            patch.setattr(walks, "_MODULUS_CAP", cap)
+            stream = walks._ArrayWalks(g.slots, layers, horizon, returning)
+            steady = _steady_limb(g.degree, stream.width, cap)
             for k, counts in enumerate(stream):
                 held = min(k, horizon - k) if returning else k
+                assert len(counts) == -(-(g.degree**k).bit_length() // stream.width)
+                assert 0 <= counts.min() and counts.max() <= steady
                 *lifted, sentinel = stream.lift(counts)
                 assert sentinel == 0
                 assert lifted == [rows[k][v] if dist[v] <= held else 0 for v in layers[0]]
 
+    @settings(max_examples=200)
+    @given(data=st.data(), degree=st.sampled_from([2, 4, 6]), small=st.booleans())
+    def test_the_largest_count_of_a_row(self, data, degree, small):
+        """``largest`` is ``max(lift(row))`` for limbs below 2^{w+1}, the
+        most a carry pass leaves, with ties and top limbs of 0 or 1."""
+        with pytest.MonkeyPatch.context() as patch:
+            if small:
+                patch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+            stream = _limb_stream(degree)
+        w = stream.width
+        limb = st.one_of(
+            st.sampled_from([0, 1, (1 << w) - 1, 1 << w, (1 << w + 1) - 1]),
+            st.integers(0, (1 << w + 1) - 1),
+        )
+        k = data.draw(st.integers(1, 5), label="limbs")
+        entries = data.draw(st.lists(st.lists(limb, min_size=k, max_size=k), max_size=8))
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=3)) if entries else []
+        limbs = np.array(entries, dtype=np.int64).reshape(-1, k).T
+        assert stream.largest(limbs) == max(stream.lift(limbs), default=0)
+
+    def test_a_limb_below_the_screen_decides(self, monkeypatch):
+        """The larger count screens below the smaller, as they differ only
+        below the top three limbs; the slack keeps it."""
+        monkeypatch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+        stream = _limb_stream(4)
+        w = stream.width
+        limbs = np.array([[(1 << w) + 1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.int64).T
+        assert stream.lift(limbs) == [2 ** (3 * w) + 2**w + 1, 2 ** (3 * w) + 2**w]
+        assert stream.largest(limbs) == 2 ** (3 * w) + 2**w + 1
+
+    def test_one_debug_line_per_stream(self, caplog, monkeypatch):
+        monkeypatch.setattr(walks, "_MODULUS_CAP", _SMALL_CAP)
+        g = random_perm_model(2, 50, 0)
+        with caplog.at_level(logging.DEBUG, logger="schreier"):
+            return_counts(g, g.root, 20)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("walk stream")]
+        assert record.getMessage() == (
+            "walk stream: 20 steps, 50 positions reached, 4 limbs at most, limb width 13"
+        )
+
     @pytest.mark.parametrize("spec", ["randperm:m=2,n=200,seed=0", "randperm:m=2,n=200,seed=1"])
     def test_return_counts_above_int64(self, spec):
-        """72-bit counts at H = 40 on a 4-regular graph: two moduli."""
+        """72-bit counts at H = 40 on a 4-regular graph: two limbs."""
         g = from_spec(spec)
         rows = reference.count_walks(g, g.root, 40)
         counts = return_counts(g, g.root, 40)
