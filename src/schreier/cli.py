@@ -184,8 +184,6 @@ def _parse_supports(text: str) -> list[list[str | None]]:
         if not entries:
             raise ValueError("every support needs at least one entry")
         sequence.append(entries)
-    if not sequence:
-        raise ValueError("no supports given")
     return sequence
 
 

@@ -25,7 +25,7 @@ label l, the action's one table and its only form.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
-yields the ``BOUNDARY`` sentinel rather than an error, and operations whose
+yields None (``BOUNDARY``) rather than an error, and operations whose
 result could depend on missing edges check distances to the boundary before
 answering.
 """
@@ -85,24 +85,7 @@ class Verdict:
             raise ValueError(f"a {self.certificate} verdict is not {self.value!r}")
 
 
-class _Boundary:
-    """Sentinel for walk endpoints that leave the stored part of a graph."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "BOUNDARY"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-BOUNDARY = _Boundary()
+BOUNDARY = None  # where a walk that leaves the stored graph ends
 
 _NAME_RE = re.compile(r"^\S+$")
 
@@ -185,9 +168,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
 
 def reduce_word(gens: GenSet, word: Word) -> Word:
@@ -644,8 +624,8 @@ def stored_layers(
     return layers
 
 
-def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | _Boundary:
-    """Follow ``word`` from ``start``; BOUNDARY if the walk leaves the stored graph."""
+def walk_endpoint(g: SchreierGraph, start: int, word: Word) -> int | None:
+    """Follow ``word`` from ``start``; None (``BOUNDARY``) if it leaves the stored graph."""
     if not 0 <= start < g.n:
         raise ValueError(f"vertex {start} is not a vertex of the graph (0..{g.n - 1})")
     v, slots = start, g.slots

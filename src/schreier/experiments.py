@@ -139,19 +139,19 @@ def nonamenable_subgroup_counterexample(horizon: int = 300, rank: int = 5) -> di
 
 def _sweep(
     sizes: tuple[int, ...], seeds: tuple[int, ...], lmax: int
-) -> tuple[dict, list[Verdict]]:
-    """``alon_boppana``'s report, and the Ramanujan verdict of each of its
-    runs, from the one solve that gave the run its ρ₀."""
+) -> list[tuple[dict, list[dict], list[Verdict]]]:
+    """For each size, its summary row, its runs and the Ramanujan verdict
+    of each run, from the one solve that gave the run its ρ₀."""
     for flag, values in (("--sizes", sizes), ("--seeds", seeds)):
         if not values:
             raise ValueError(f"{flag} is empty, which leaves nothing to measure")
         if len(set(values)) < len(values):
-            # a row counts every run of its size, so a repeat counts twice
+            # a repeat would measure and list the same runs twice
             repeated = next(v for i, v in enumerate(values) if v in values[:i])
             raise ValueError(f"{flag} repeats {repeated}, which would count its runs twice")
-    runs = []
-    verdicts = []
+    groups = []
     for size in sizes:
+        runs, verdicts = [], []
         for seed in seeds:
             g = random_perm_model(2, size, seed)
             check = ramanujan_check(g)
@@ -167,27 +167,16 @@ def _sweep(
                     "cycle_densities": [c / g.n for c in counts],
                 }
             )
-    summary = []
-    for size in sizes:
-        rows = [r for r in runs if r["size"] == size]
-        summary.append(
-            {
-                "size": size,
-                "rho0_median": statistics.median([r["rho0"] for r in rows]),
-                "rho0_min": min(r["rho0"] for r in rows),
-                "density_medians": [
-                    statistics.median([r["cycle_densities"][i] for r in rows])
-                    for i in range(lmax)
-                ],
-            }
-        )
-    return {
-        "experiment": "alon-boppana",
-        "config": {"sizes": list(sizes), "seeds": list(seeds), "lmax": lmax},
-        "tree_value": tree_rho(4),
-        "runs": runs,
-        "summary": summary,
-    }, verdicts
+        row = {
+            "size": size,
+            "rho0_median": statistics.median([r["rho0"] for r in runs]),
+            "rho0_min": min(r["rho0"] for r in runs),
+            "density_medians": [
+                statistics.median([r["cycle_densities"][i] for r in runs]) for i in range(lmax)
+            ],
+        }
+        groups.append((row, runs, verdicts))
+    return groups
 
 
 def alon_boppana(
@@ -199,7 +188,14 @@ def alon_boppana(
     short-cycle densities alongside: the spectral floor rises toward
     2√3/4 while the cycle densities fall off like 1/n.  A sweep with no
     sizes or no seeds measures nothing, and is refused."""
-    return _sweep(sizes, seeds, lmax)[0]
+    groups = _sweep(sizes, seeds, lmax)
+    return {
+        "experiment": "alon-boppana",
+        "config": {"sizes": list(sizes), "seeds": list(seeds), "lmax": lmax},
+        "tree_value": tree_rho(4),
+        "runs": [run for _, runs, _ in groups for run in runs],
+        "summary": [row for row, _, _ in groups],
+    }
 
 
 def ramanujan_girth(
@@ -215,10 +211,8 @@ def ramanujan_girth(
     Each size counts its seeds' verdicts: ``certified`` true under a
     certificate that proves it (a ``lanczos-residual`` true proves
     nothing), ``refuted`` false, and ``neither``, undecided or unproved."""
-    base, verdicts = _sweep(sizes, seeds, lmax)
     random_rows = []
-    for row in base["summary"]:
-        found = [v for run, v in zip(base["runs"], verdicts) if run["size"] == row["size"]]
+    for row, _, found in _sweep(sizes, seeds, lmax):
         certified = sum(v.value is True and v.certificate != "lanczos-residual" for v in found)
         refuted = sum(v.value is False for v in found)
         random_rows.append(
@@ -237,7 +231,8 @@ def ramanujan_girth(
     lps_counts = cycle_counts(lps, lmax)
     return {
         "experiment": "ramanujan-girth",
-        "config": base["config"] | {"lps": {"p": 17, "q": 13}},
+        "config": {"sizes": list(sizes), "seeds": list(seeds), "lmax": lmax,
+                   "lps": {"p": 17, "q": 13}},
         "random_model": random_rows,
         "lps": {
             "n": lps.n,

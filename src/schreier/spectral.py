@@ -554,14 +554,14 @@ def _at_most_root(r: float, count: int, d: int, power: int) -> float:
 
 def tree_rho(d: int) -> float:
     """ρ of the d-regular tree by its closed form 2√(d−1)/d (Kesten,
-    "Symmetric random walks on groups", 1959), to 12 digits: 1.0 at d = 2.
+    "Symmetric random walks on groups", 1959), unrounded: 1.0 at d = 2.
 
     ``tests/test_spectral.py::TestTreeRho`` checks it against the
     certified lower bound from exact tree return counts.
     """
     if d < 2:
         raise ValueError("tree degree must be at least 2")
-    return float(f"{2.0 * math.sqrt(d - 1) / d:.12g}")
+    return 2.0 * math.sqrt(d - 1) / d
 
 
 @dataclass(frozen=True)

@@ -474,7 +474,8 @@ def core_rho(core: CoreGraph) -> tuple[bool, Fraction, Fraction]:
     in t there, or 2√q/d, enclosed by ``math.isqrt``.  A Sturm sequence of
     D in integer pseudo-remainders counts its roots in (0, x] as
     V(0) − V(x), V its sign changes, zeros skipped; t* is bisected between
-    dyadic ends.  A complete core is finite: ρ = 1 by theorem."""
+    dyadic ends, then taken exactly if it is 1/⌊1/lo⌋: as D(0) = 1, its
+    rational roots are ±1/k.  A complete core is finite: ρ = 1 by theorem."""
     d, q, bits = core.degree, core.degree - 1, 64  # bits: the dyadic precision
     if core.complete or d < 2:
         return d > 2, Fraction(1), Fraction(1)
@@ -508,6 +509,9 @@ def core_rho(core: CoreGraph) -> tuple[bool, Fraction, Fraction]:
             mid = (lo + hi) / 2
             below = at_zero - changes([_sign_at(p, mid) for p in chain])  # roots in (0, mid]
             lo, hi = (lo, mid) if below else (mid, hi)
+        rational = Fraction(1, math.floor(1 / lo))  # t* ≥ 1/d, so lo > 0
+        if lo < rational <= hi and _sign_at(chain[0], rational) == 0:
+            lo = hi = rational
         ends = [(1 + q * t * t) / (d * t) for t in (hi, lo)]
         low, high = (ends[0] if q * hi * hi <= 1 else low), ends[1]
     return inside > 0, low, high

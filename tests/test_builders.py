@@ -609,3 +609,26 @@ class TestSpecLanguage:
         assert action_from_spec("cyclic:6").degree == 6
         assert action_from_spec("regular:s3").gens.degree == 5
         assert action_from_spec("randperm:m=2,n=9,seed=1").degree == 9
+
+
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda: complete_ball(free_core(2), -1), "radius must be nonnegative"),
+        (lambda: tree_core(1), "tree degree must be at least 2"),
+        (lambda: random_perm_action(0, 5, 0), "need m >= 1 generators and n >= 1 points"),
+        (lambda: from_spec("cycle:4@x"), "bad radius suffix 'x'"),
+        (lambda: from_spec("fold:rank=3"), "fold spec needs at least one word"),
+        (lambda: from_spec("randperm:m=2,n=4,x=1"),
+         "bad randperm spec entry 'x=1' (expected m/n/seed)"),
+        (lambda: action_from_spec("regular:foo"), "unknown regular action 'foo'"),
+        (lambda: action_from_spec("dihedral:4"), "unknown action spec 'dihedral:4'"),
+    ],
+    ids=[
+        "negative-radius", "tree-degree-1", "no-generators", "radius-suffix", "fold-no-word",
+        "spec-entry", "regular-action", "action-spec",
+    ],
+)
+def test_refusals_keep_their_text(build, refusal):
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        build()

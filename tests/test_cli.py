@@ -463,8 +463,9 @@ class TestLemmaChecks:
             (["--group", "F2", "--n", "4", "--k", "0"],
              "--k 0 leaves nothing to check; it must be at least 1"),
             (["--group", "F0", "--n", "4"], "rank must be positive"),
+            (["--group", "G2", "--n", "4"], "unknown group 'G2' (expected F<rank>, e.g. F2)"),
         ],
-        ids=["odd-n", "k0", "F0"],
+        ids=["odd-n", "k0", "F0", "G2"],
     )
     def test_triv2_refusals_keep_their_text(self, capsys, argv, refusal):
         assert run(["lemma-check", "triv2", *argv]) == 1
@@ -531,6 +532,11 @@ class TestLemmaChecks:
             ],
         )["result"]
         assert result["sequences"][0]["supports"] == [["a", "A"], ["b", "B", "e"]]
+
+    def test_modifiedrw_refuses_an_empty_support(self, capsys):
+        argv = ["lemma-check", "modifiedrw", "--action", "regular:z6", "--supports", "a,A;"]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: every support needs at least one entry\n")
 
     def test_subgroupnorm_cyclic_subgroup_of_s3(self, capsys):
         result = _json_out(

@@ -1094,3 +1094,38 @@ class TestPermAction:
         # breadth-first in label order: a sends 0 to 1, A sends 0 to 3
         act = PermAction.from_generator_perms([(1, 2, 3, 0)])
         assert bfs_layers(act.slots, 0)[0].tolist() == [0, 1, 3, 2]
+
+
+_SGF1_HEAD = "SGF1\ngens 2\nlabel 0 a inv 1\n"
+
+
+@pytest.mark.parametrize(
+    "build, error, refusal",
+    [
+        (lambda: SchreierGraph(gens=GenSet.free(1), next=((1, 1), (0, 0)), root=2),
+         GraphInvariantError, "root 2 out of range"),
+        (lambda: SchreierGraph(gens=GenSet.free(1), next=((1, 1), (0, 0)), boundary={5}),
+         GraphInvariantError, "boundary vertex 5 out of range"),
+        (lambda: GenSet((), ()), GraphInvariantError, "generating set is empty"),
+        (lambda: GenSet(("a b",), (0,)),
+         GraphInvariantError, "label name 'a b' contains whitespace"),
+        (lambda: GenSet(("a", "b"), (0, 0)),
+         GraphInvariantError, "inv is not a permutation of the labels"),
+        (lambda: GenSet.free(27), GraphInvariantError, "default letter names support rank <= 26"),
+        (lambda: parse_word(GenSet.free(1), "a, 3x"), ValueError, "cannot parse word chunk '3x'"),
+        (lambda: parse(_SGF1_HEAD + "label 5 A inv 0\n"),
+         SGF1Error, "label index out of range in 'A'"),
+        (lambda: parse(_SGF1_HEAD + "label 1 A inv 0\nvertices 2 root 0\n"
+                       "e 0 0 1\ne 0 1 1\ne 1 0 0\ne 1 1 0\nb x\n"),
+         SGF1Error, "malformed boundary line 'b x'"),
+        (lambda: PermAction(GenSet.free(1), ((1, 0),)),
+         GraphInvariantError, "expected 2 permutations, got 1"),
+    ],
+    ids=[
+        "root", "boundary-vertex", "empty-alphabet", "whitespace-label", "inv-not-a-permutation",
+        "rank-27-letters", "word-chunk", "sgf1-label-index", "sgf1-b-line", "permutation-count",
+    ],
+)
+def test_refusals_keep_their_text(build, error, refusal):
+    with pytest.raises(error, match=f"^{re.escape(refusal)}$"):
+        build()

@@ -168,15 +168,18 @@ def test_run_experiments_script_quick(tmp_path):
     ]
     for name in EXPERIMENTS:
         text = (tmp_path / f"{name}.json").read_text()
-        report = json.loads(text, parse_constant=_refuse_constant)
-        assert report["experiment"] == name
-        assert report["elapsed_seconds"] >= 0
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert doc["command"] == "experiment"
+        assert doc["result"]["experiment"] == name
+        assert f"{name}: " in proc.stderr
 
 
-def test_run_experiments_script_refuses_nan(tmp_path, monkeypatch):
+def test_run_experiments_script_refuses_nan(tmp_path, monkeypatch, capsys):
     script = runpy.run_path(str(SCRIPT))
-    monkeypatch.setitem(script["EXPERIMENTS"], "nan", lambda: {"value": float("nan")})
-    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "nan", "--out-dir", str(tmp_path)])
-    with pytest.raises(ValueError, match="^report.value is nan, which JSON cannot represent$"):
-        script["main"]()
-    assert not (tmp_path / "nan.json").exists()
+    monkeypatch.setitem(script["EXPERIMENTS"], "kesten-amenable", lambda: {"value": float("nan")})
+    monkeypatch.setattr(
+        sys, "argv", ["run_experiments.py", "kesten-amenable", "--out-dir", str(tmp_path)]
+    )
+    assert script["main"]() == 1
+    assert "error: result.value is nan, which JSON cannot represent\n" in capsys.readouterr().err
+    assert not (tmp_path / "kesten-amenable.json").exists()

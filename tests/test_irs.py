@@ -482,3 +482,9 @@ class TestInvarianceDiagnostic:
             stabilizer_sample(act, 10_000, seed=11), 2
         ).distribution
         assert tv_distance(exact, sampled) < Fraction(1, 20)
+
+
+def test_an_ensemble_needs_one_weight_per_sample():
+    g = random_perm_model(2, 4, 0)
+    with pytest.raises(ValueError, match="^need equally many samples and weights, at least one$"):
+        IrsEnsemble(g.gens, (g,), (Fraction(1, 2),) * 2, "exact", Provenance("test", None))

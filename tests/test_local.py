@@ -960,3 +960,8 @@ class TestTransitivityAgainstAllVertices:
     def test_a_letter_fixing_one_vertex_refutes(self):
         g = from_perm_action(PermAction.from_generator_perms([(0, 2, 3, 1), (1, 0, 2, 3)]))
         assert not g.vertex_transitive and not _transitive_at_every_vertex(g)
+
+
+def test_ball_frequencies_must_sum_to_one():
+    with pytest.raises(AssertionError, match="^ball-class frequencies must sum to 1$"):
+        local.BallDistribution(1, 4, {"a": Fraction(1, 2)})

@@ -760,10 +760,10 @@ class TestLogConvexity:
 
 class TestTreeRho:
     def test_reference_values(self):
-        assert tree_rho(4) == 0.866025403784
-        assert tree_rho(3) == 0.942809041582
+        assert tree_rho(4) == 0.8660254037844386
+        assert tree_rho(3) == 0.9428090415820635
         assert tree_rho(2) == 1.0
-        assert tree_rho(18) == 0.458122847291
+        assert tree_rho(18) == 0.4581228472908512
 
     @pytest.mark.parametrize("d", list(range(3, 11)))
     def test_closed_form(self, d):

@@ -141,6 +141,19 @@ class TestCoreReturnCounts:
         assert all(counts[n] == rows[n][core.root] for n in range(7))
 
 
+@pytest.mark.parametrize(
+    "source, x, horizon, refusal",
+    [
+        (cycle_graph(4), 0, -1, "horizon must be nonnegative"),
+        (free_core(2), 1, 4, r"vertex 1 is not a vertex of the graph \(0..0\)"),
+    ],
+    ids=["negative-horizon", "vertex-outside-the-core"],
+)
+def test_return_counts_refusals(source, x, horizon, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        return_counts(source, x, horizon)
+
+
 class TestHangingTreeRecurrence:
     """``return_counts``, ``return_domination_reports`` and
     ``conditioned_prefix_probabilities`` on graphs and on cores, each
@@ -362,8 +375,8 @@ class TestCoreRho:
         # D = (1 − t)(1 − 3t) at every rank, and t* = 1/3 < 1/√(2·rank − 1)
         core = from_spec(f"fold:a,b,rank={rank}")
         assert walks._return_fraction(core, 0)[1] == [1, -4, 3, 0]
-        bound_state, low, high = core_rho(core)
-        assert bound_state and low <= rho <= high and high - low <= 1e-15
+        # t* = 1/3 is rational, so it replaces the bisection's dyadic ends
+        assert core_rho(core) == (True, rho, rho)
 
     def test_two_letters_in_rank_5_are_critical_at_the_edge(self):
         # 1/√9 = 1/3 is D's root itself: critical, and ρ = 2·3/10 exactly
