@@ -13,15 +13,15 @@ only if ``slots[w, inv(l)] == v`` -- so the underlying multigraph is
 symmetric by construction.  A label that is its own inverse occupies a
 single slot and contributes one to the degree.
 
-``slots`` is one read-only n×d int64 array, the one table every graph
-stores and every reader searches: the builders, canonical numbering, SGF1
-writing and reading, the trust boundary ``validate``, the walk streams,
-the truncation guards, the Markov matrix, the cycle census and the ball
-classes.  ``next`` is the same table as tuples of Python ints, None for a
-missing slot: the rows the public constructor takes, and otherwise a
-read-only view built the first time it is read.  A ``PermAction`` stores
-its action the same way: ``slots[x, l]`` is the image of point x under
-label l, the action's one table and its only form.
+``slots`` is one read-only n×d int64 array, the only table a graph
+stores and the one every reader searches: the builders, canonical
+numbering, SGF1 writing and reading, the trust boundary ``validate``, the
+walk streams, the truncation guards, the Markov matrix, the cycle census
+and the ball classes.  The public constructor takes the table as rows of
+Python ints, None for a missing slot, and converts them into ``slots``
+once.  A ``PermAction`` stores its action the same way: ``slots[x, l]`` is
+the image of point x under label l, the action's one table and its only
+form.
 
 Graphs may be *truncated*: vertices whose full set of neighbours is not
 stored are flagged as boundary vertices.  Stepping through a missing slot
@@ -250,7 +250,6 @@ def format_word(gens: GenSet, word: Word) -> str:
     return sep.join(gens.labels[letter] for letter in word.letters)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SchreierGraph:
     """A rooted, edge-labeled graph with paired transition slots.
 
@@ -263,23 +262,48 @@ class SchreierGraph:
     two stored vertices is present in the table.  Operations rely on this
     when extracting balls near the boundary.
 
-    ``SchreierGraph(gens=…, next=…)`` takes the table as rows and
-    validates it, which stores ``slots``.  A graph built inside the
-    package from a validated one (``_trusted``) stores ``slots`` alone,
-    and ``next`` is built from it, and cached, the first time something
-    reads it.  Equality, the hash and the repr read ``slots``, not ``next``:
-    two graphs are equal when their types, alphabets, tables, roots,
-    boundaries and truncation radii are, and the hash and repr leave out
-    the table.
+    ``SchreierGraph(gens=…, table=…)`` takes the table as rows, converts
+    them once into ``slots``, the one table the graph stores, and
+    validates it.  A graph built inside the package from a validated one
+    (``_trusted``) is handed its ``slots``.  Graphs are immutable.  Two are
+    equal when their types, alphabets, tables, roots, boundaries and
+    truncation radii are; the hash and repr leave out the table.
     """
 
     gens: GenSet
-    next: tuple[tuple[int | None, ...], ...]
-    root: int = 0
-    boundary: frozenset[int] = frozenset()
-    truncation_radius: int | None = None
+    slots: np.ndarray
+    root: int
+    boundary: frozenset[int]
+    truncation_radius: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, gens: GenSet, table: Sequence[Sequence[int | None]], root: int = 0,
+        boundary: frozenset[int] = frozenset(), truncation_radius: int | None = None,
+    ) -> None:
+        """Convert the rows of ``table`` into ``slots`` and ``validate`` it.
+        Refused first is an entry that is not an integer; then the first,
+        in row-major order, of a row of the wrong length, a target that is
+        not a vertex (a negative int included) and a defect of ``validate``."""
+        self.__dict__.update(
+            gens=gens, root=root, boundary=boundary, truncation_radius=truncation_radius
+        )
+        n, d = len(table), gens.degree
+        numbers, ragged, odd = _number_table(table, d)
+        self._check_marks(n)
+        if odd is not None:
+            v, l = odd
+            raise GraphInvariantError(
+                f"edge target {table[v][l]!r} at ({v},{gens.labels[l]}) is not an integer"
+            )
+        vertex = (numbers >= 0) & (numbers < n)  # NaN, a missing slot, is neither
+        stray = ~vertex & ~np.isnan(numbers)
+        self.__dict__["slots"] = np.where(vertex, numbers, -1).astype(np.int64)
+        if ragged < n or stray.any():
+            v, l = self._first_defect(stray)
+            if ragged <= v:
+                raise GraphInvariantError(f"vertex {ragged} has {len(table[ragged])} slots, expected {d}")
+            if stray[v, l]:
+                raise GraphInvariantError(f"edge target {table[v][l]} out of range")
         self.validate()
 
     @classmethod
@@ -293,16 +317,8 @@ class SchreierGraph:
         )
         return g
 
-    def __getattr__(self, name: str):
-        # only reached when ``next`` is not stored: rows of the slot table
-        if name != "next" or "slots" not in self.__dict__:
-            raise AttributeError(name)
-        slots = self.__dict__["slots"]
-        rows = list(zip(*slots.T.tolist()))
-        for v in np.flatnonzero((slots < 0).any(axis=1)).tolist():
-            rows[v] = tuple(None if w < 0 else w for w in rows[v])
-        self.__dict__["next"] = rows = tuple(rows)
-        return rows
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: SchreierGraph is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SchreierGraph):
@@ -322,9 +338,14 @@ class SchreierGraph:
         )
 
     @property
+    def next(self) -> np.ndarray:
+        # ``slots`` itself, not a second table; kept only because
+        # bench/tracing.py counts ``core.validate`` vertices by it
+        return self.slots
+
+    @property
     def n(self) -> int:
-        slots = self.__dict__.get("slots")
-        return len(self.next) if slots is None else len(slots)
+        return len(self.slots)
 
     @property
     def degree(self) -> int:
@@ -334,18 +355,8 @@ class SchreierGraph:
     def truncated(self) -> bool:
         return bool(self.boundary)
 
-    def validate(self) -> None:
-        """Check the invariants and cache ``slots``.
-
-        The table checks are masks over the slot array and one gather per
-        label, ``slots[slots[:, l], inv[l]] == arange(n)``.  The first
-        defect in (v, l) row-major order is reported, a row of the wrong
-        length before its slots: an interior vertex's missing slot, a
-        target that is not a vertex (a negative int included), a broken
-        inverse pair.  Connectivity is read off ``root_depths``, one
-        search over the slot array.
-        """
-        n, d, labels = self.n, self.gens.degree, self.gens.labels
+    def _check_marks(self, n: int) -> None:
+        """Refuse an empty graph, and a root or boundary vertex outside 0..n − 1."""
         if n == 0:
             raise GraphInvariantError("graph has no vertices")
         if not 0 <= self.root < n:
@@ -353,40 +364,35 @@ class SchreierGraph:
         for v in self.boundary:
             if not 0 <= v < n:
                 raise GraphInvariantError(f"boundary vertex {v} out of range")
-        slots = self.__dict__.get("slots")  # −1 exactly where missing
-        if slots is None:
-            table, ragged, odd = _number_table(self.next, d)
-            if odd is not None:
-                v, l = odd
-                raise GraphInvariantError(
-                    f"edge target {self.next[v][l]!r} at ({v},{labels[l]}) is not an integer"
-                )
-            missing = np.isnan(table)
-            slots = np.where((table >= 0) & (table < n), table, -1).astype(np.int64)
-        else:
-            missing, ragged = slots < 0, n
+
+    def _first_defect(self, stray: np.ndarray | None = None) -> tuple[int, int]:
+        """(v, l) of the first slot in row-major order that is missing at an
+        interior vertex, whose target's inverse slot does not lead back, or
+        that is ``stray``; (n, 0) if there is none.  The pairing check is one
+        gather per label, ``slots[slots[:, l], inv[l]] == arange(n)``."""
+        slots = self.slots
+        n, d = slots.shape
         interior = np.ones(n, dtype=bool)
         interior[list(self.boundary)] = False
         back = slots[slots, np.asarray(self.gens.inv)]
-        bad = np.where(
-            missing, interior[:, None], (slots < 0) | (back != np.arange(n)[:, None])
-        )
-        v, l = divmod(int(bad.argmax()) if bad.any() else n * d, d)
-        if ragged <= v and ragged < n:
-            size = len(self.next[ragged])
-            raise GraphInvariantError(f"vertex {ragged} has {size} slots, expected {d}")
-        if v < n:
-            if missing[v, l]:
-                raise GraphInvariantError(
-                    f"interior vertex {v} missing edge slot {labels[l]}"
-                )
-            if slots[v, l] < 0:
-                raise GraphInvariantError(f"edge target {self.next[v][l]} out of range")
-            raise GraphInvariantError(
-                f"label-consistency violated at edge ({v},{labels[l]})"
-            )
-        slots.flags.writeable = False
-        self.__dict__["slots"] = slots
+        bad = np.where(slots < 0, interior[:, None], back != np.arange(n)[:, None])
+        if stray is not None:
+            bad |= stray
+        return divmod(int(bad.argmax()) if bad.any() else n * d, d)
+
+    def validate(self) -> None:
+        """Check the invariants of ``slots`` and make it read-only: the
+        root and boundary are vertices, the first defect in (v, l)
+        row-major order is reported (an interior vertex's missing slot, a
+        broken inverse pair), and connectivity is read off ``root_depths``,
+        one search over the slot array."""
+        self._check_marks(self.n)
+        (v, l), labels = self._first_defect(), self.gens.labels
+        if v < self.n:
+            if self.slots[v, l] < 0:
+                raise GraphInvariantError(f"interior vertex {v} missing edge slot {labels[l]}")
+            raise GraphInvariantError(f"label-consistency violated at edge ({v},{labels[l]})")
+        self.slots.flags.writeable = False
         # paired slots make the search over defined slots an undirected one
         unreached = np.flatnonzero(self.root_depths[:-1] < 0)
         if unreached.size:
@@ -457,8 +463,7 @@ class CoreGraph(SchreierGraph):
         boundary = frozenset(
             v for v, row in enumerate(table) if any(w is None for w in row)
         )
-        rows = tuple(tuple(row) for row in table)
-        return canonicalize(cls(gens=gens, next=rows, root=root, boundary=boundary))
+        return canonicalize(cls(gens=gens, table=table, root=root, boundary=boundary))
 
 
 def _number_table(

@@ -53,9 +53,10 @@ def _transitive(g: SchreierGraph) -> bool:
     return not g.boundary and g.vertex_transitive
 
 
-def _loops_and_pairs(g: SchreierGraph) -> tuple[int, int]:
-    """c_1 and c_2: a pair's edges are read at its smaller label, an
-    involution's at the smaller end; a missing slot (−1) is no edge."""
+def _edges(g: SchreierGraph) -> tuple[int, np.ndarray]:
+    """The loops, and a key u·n + v per other edge (u < v): a pair's edges
+    are read at its smaller label, an involution's at the smaller end; a
+    missing slot (−1) is no edge."""
     x = np.arange(g.n)
     loops, keys = 0, []
     for l, m in enumerate(g.gens.inv):
@@ -66,8 +67,7 @@ def _loops_and_pairs(g: SchreierGraph) -> tuple[int, int]:
         u, v = x[keep], y[keep]
         loops += int(np.count_nonzero(u == v))
         keys.append((np.minimum(u, v) * g.n + np.maximum(u, v))[u != v])
-    mult = np.unique(np.concatenate(keys), return_counts=True)[1]
-    return loops, int((mult * (mult - 1)).sum()) // 2
+    return loops, np.concatenate(keys)
 
 
 def _closed_walks(table: np.ndarray, starts: np.ndarray, lmax: int, above: bool) -> list[int]:
@@ -101,7 +101,9 @@ def cycle_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
     whole vertex-transitive graph."""
     if not 1 <= lmax <= LMAX:
         raise ValueError(f"lmax = {lmax} is outside 1..{LMAX}: cycle lengths are supported up to {LMAX}")
-    counts = list(_loops_and_pairs(g))[:lmax]
+    loops, keys = _edges(g)  # c_1, and c_2 from the edges grouped by key
+    mult = np.unique(keys, return_counts=True)[1]
+    counts = [loops, int((mult * (mult - 1)).sum()) // 2][:lmax]
     if lmax < 3:
         return tuple(counts)
     transitive = _transitive(g)
@@ -119,11 +121,16 @@ def cycle_counts(g: SchreierGraph, lmax: int) -> tuple[int, ...]:
 def girth(g: SchreierGraph) -> int | float:
     """Length of the shortest cycle of the underlying multigraph (math.inf
     for a forest), by breadth-first search over the slot table, where
-    loops and parallel pairs close as 1- and 2-cycles.  A search from s
-    finds a cycle no longer than the shortest one through s, so on a whole
+    loops and parallel pairs close as 1- and 2-cycles.  The stored graph is
+    connected, so it is a forest, and no search runs, exactly when it has
+    n − 1 edges, loops and parallel edges counted.  A search from s finds
+    a cycle no longer than the shortest one through s, so on a whole
     vertex-transitive graph, where every vertex lies on a shortest cycle,
     the search from the root alone is exact; other graphs and truncations
     are searched from every vertex."""
+    loops, keys = _edges(g)
+    if loops + len(keys) == g.n - 1:
+        return math.inf
     nxt = g.slots.tolist()  # rows, −1 for a missing slot
     transitive = _transitive(g)
     best = math.inf

@@ -49,7 +49,6 @@ __all__ = [
     "ball",
     "ball_distance",
     "bs_statistics",
-    "tv_distance",
     "fix_density",
     "enumerate_reduced_words",
     "local_approx_check",
@@ -102,9 +101,6 @@ class BallDistanceResult:
     value: Fraction
     agreement_radius: int
     exact: bool
-
-    def __str__(self) -> str:
-        return str(self.value) if self.exact else f"<= {self.value}"
 
 
 def ball_distance(
@@ -163,19 +159,6 @@ def bs_statistics(g: SchreierGraph, radius: int) -> BallDistribution:
     order = sorted(range(len(digests)), key=lambda c: (-counts[c], digests[c]))
     freqs = {digests[c]: Fraction(counts[c], g.n) for c in order}
     return BallDistribution(radius=radius, n=g.n, frequencies=freqs)
-
-
-def tv_distance(
-    a: BallDistribution | dict[str, Fraction], b: BallDistribution | dict[str, Fraction]
-) -> Fraction:
-    """½ Σ_k |a(k) − b(k)|, exactly: the differences are integer numerators
-    over the laws' common denominator, the lcm of every weight's."""
-    pa = a.frequencies if isinstance(a, BallDistribution) else a
-    pb = b.frequencies if isinstance(b, BallDistribution) else b
-    numerators, common = _over_common([*pa.values(), *pb.values()])
-    na, nb = dict(zip(pa, numerators)), dict(zip(pb, numerators[len(pa) :]))
-    apart = sum(abs(na.get(k, 0) - nb.get(k, 0)) for k in na.keys() | nb.keys())
-    return Fraction(apart, 2 * common)
 
 
 # ---------------------------------------------------------------------------

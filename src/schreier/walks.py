@@ -304,7 +304,9 @@ def _berlekamp_massey(series: list[int]) -> tuple[list[int], int]:
             shift += 1
         C = [c // content for c in update]
     if C[0] != 1:
-        raise AssertionError(f"the recurrence's constant term is {C[0]}, not 1")
+        raise AssertionError(
+            f"the recurrence's constant term is a {C[0].bit_length()}-bit integer, not 1"
+        )
     return (C + [0] * length)[: length + 1], length
 
 

@@ -1,6 +1,11 @@
 """Test-only references: the two-pass constructions that the one-pass
 builders replaced, and hypothesis strategies to compare them on.
 
+- ``rows`` reads a graph's slot table as tuples of Python ints, None for
+  a missing slot, the rows the public constructor takes, and
+  ``rerooted`` builds the same graph from them with another root;
+  ``holds_one_table`` says that a graph stores ``slots`` and no other
+  table;
 - ``bfs_distances`` and ``distance_to_boundary`` run one multi-source
   search over the whole graph, the oracle of ``core.bfs_layers`` and of
   the truncation guards built on it;
@@ -68,6 +73,8 @@ builders replaced, and hypothesis strategies to compare them on.
 - ``preset_transitivity`` is a view of a graph whose
   ``vertex_transitive`` is given, not decided: it picks which sweep of
   ``cycles.cycle_counts`` runs, the root-alone one or the all-starts one;
+- ``tv_distance`` is the total-variation distance of two laws as a
+  ``Fraction`` sum, the oracle of the integer laws of ``irs``;
 - ``cogrowth_rho`` reads a core's ρ off the Perron root of its
   non-backtracking matrix by Grigorchuk's cogrowth formula, the oracle of
   the root count of ``walks.core_rho``.
@@ -113,15 +120,47 @@ from schreier.spectral import (
 )
 
 
+def rows(g: SchreierGraph) -> tuple[tuple[int | None, ...], ...]:
+    """g's slot table as tuples of Python ints, None for a missing slot."""
+    return tuple(tuple(None if w < 0 else w for w in row) for row in g.slots.tolist())
+
+
+def rerooted(g: SchreierGraph, root: int) -> SchreierGraph:
+    """g, of the same type, rooted at ``root``, built from its rows by the
+    public constructor."""
+    return type(g)(
+        gens=g.gens, table=rows(g), root=root, boundary=g.boundary,
+        truncation_radius=g.truncation_radius,
+    )
+
+
+def tv_distance(a, b) -> Fraction:
+    """½ Σ_k |a(k) − b(k)| of two laws, dicts of weights or
+    ``BallDistribution``s, summed in ``Fraction``s."""
+    pa, pb = getattr(a, "frequencies", a), getattr(b, "frequencies", b)
+    apart = (abs(Fraction(pa.get(k, 0)) - Fraction(pb.get(k, 0))) for k in pa.keys() | pb.keys())
+    return sum(apart, start=Fraction(0)) / 2
+
+
+def holds_one_table(g: SchreierGraph) -> bool:
+    """Whether ``slots`` is the only table g holds: beside it, g's
+    ``__dict__`` has its fields, the cached ``root_depths`` and
+    ``vertex_transitive`` and a core's memo of return series, nothing else."""
+    kept = {"gens", "root", "boundary", "truncation_radius"}
+    kept |= {"root_depths", "vertex_transitive", "_return_fractions"}
+    return "slots" in g.__dict__ and set(g.__dict__) - {"slots"} <= kept
+
+
 def bfs_distances(g: SchreierGraph, *starts: int) -> tuple[int, ...]:
     """Distance from the nearest of ``starts`` to every vertex (-1 if unreachable)."""
+    table = rows(g)
     dist = [-1] * g.n
     for s in starts:
         dist[s] = 0
     queue = deque(starts)
     while queue:
         v = queue.popleft()
-        for w in g.next[v]:
+        for w in table[v]:
             if w is not None and dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -181,7 +220,7 @@ def serialize(g: SchreierGraph) -> str:
     if g.truncation_radius is not None:
         head += f" truncated {g.truncation_radius}"
     lines.append(head)
-    for v, row in enumerate(g.next):
+    for v, row in enumerate(rows(g)):
         for l, w in enumerate(row):
             if w is not None:
                 lines.append(f"e {v} {l} {w}")
@@ -193,11 +232,11 @@ def serialize(g: SchreierGraph) -> str:
 def shuffled(g: SchreierGraph, numbering) -> SchreierGraph:
     """g, of the same type, with vertex v renumbered ``numbering[v]``."""
     table = [()] * g.n
-    for v, row in enumerate(g.next):
+    for v, row in enumerate(rows(g)):
         table[numbering[v]] = tuple(None if w is None else numbering[w] for w in row)
     return type(g)(
         gens=g.gens,
-        next=tuple(table),
+        table=tuple(table),
         root=numbering[g.root],
         boundary=frozenset(numbering[v] for v in g.boundary),
         truncation_radius=g.truncation_radius,
@@ -228,7 +267,7 @@ def from_perm_action(act: PermAction, base: int = 0) -> SchreierGraph:
     index = {x: i for i, x in enumerate(order)}
     rows = act.slots.tolist()
     table = tuple(tuple(index[y] for y in rows[x]) for x in order)
-    return SchreierGraph(gens=act.gens, next=table)
+    return SchreierGraph(gens=act.gens, table=table)
 
 
 def restrict_to_orbit(act: PermAction, base: int = 0) -> PermAction:
@@ -245,7 +284,7 @@ def rooted_orbits(act: PermAction, points) -> list[tuple[tuple, int]]:
     out = []
     for x in points:
         if x not in where:
-            table = from_perm_action(act, base=x).next
+            table = rows(from_perm_action(act, base=x))
             where.update((y, (table, i)) for i, y in enumerate(orbit(act, x)))
         out.append(where[x])
     return out
@@ -254,14 +293,14 @@ def rooted_orbits(act: PermAction, points) -> list[tuple[tuple, int]]:
 def complete_ball(
     g: CoreGraph, radius: int, max_vertices: int = 2_000_000
 ) -> SchreierGraph:
-    d, inv = g.degree, g.gens.inv
+    d, inv, core_rows = g.degree, g.gens.inv, rows(g)
     dist = bfs_distances(g, g.root)
     kept = [v for v in range(g.n) if dist[v] <= radius]
     index = {v: i for i, v in enumerate(kept)}
     table: list[list[int | None]] = []
     depth: list[int] = []
     for v in kept:
-        table.append([None if w is None else index.get(w) for w in g.next[v]])
+        table.append([None if w is None else index.get(w) for w in core_rows[v]])
         depth.append(dist[v])
     sprout = deque(
         i for i in range(len(table))
@@ -282,11 +321,11 @@ def complete_ball(
             table[i][l] = j
             if depth[j] < radius:
                 sprout.append(j)
-    _, rows = canonical_rows(table, index[g.root])
-    boundary = frozenset(i for i, row in enumerate(rows) if None in row)
+    _, ball_rows = canonical_rows(table, index[g.root])
+    boundary = frozenset(i for i, row in enumerate(ball_rows) if None in row)
     return SchreierGraph(
         gens=g.gens,
-        next=rows,
+        table=ball_rows,
         boundary=boundary,
         truncation_radius=radius if boundary else None,
     )
@@ -324,26 +363,27 @@ def point_mass(g: SchreierGraph) -> IrsEnsemble:
 
 def count_walks(g: SchreierGraph, x: int, horizon: int) -> tuple[tuple[int, ...], ...]:
     """Row n holds the number of length-n walks from x to each vertex."""
+    table = rows(g)
     row = [0] * g.n
     row[x] = 1
-    rows = [tuple(row)]
+    counts = [tuple(row)]
     for _ in range(horizon):
         nxt = [0] * g.n
         for v, c in enumerate(row):
             if c:
-                for w in g.next[v]:
+                for w in table[v]:
                     if w is not None:
                         nxt[w] += c
         row = nxt
-        rows.append(tuple(row))
-    return tuple(rows)
+        counts.append(tuple(row))
+    return tuple(counts)
 
 
 def returning_words(g: SchreierGraph, x: int, n: int) -> list[tuple[int, ...]]:
     """The label sequences of length n whose walk from x returns to x, by
     depth-first search; a walk farther from x than its remaining steps is
     pruned."""
-    dist = bfs_distances(g, x)
+    dist, table = bfs_distances(g, x), rows(g)
     words: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
@@ -352,7 +392,7 @@ def returning_words(g: SchreierGraph, x: int, n: int) -> list[tuple[int, ...]]:
             if v == x:
                 words.append(tuple(prefix))
             return
-        for l, w in enumerate(g.next[v]):
+        for l, w in enumerate(table[v]):
             if w is not None and dist[w] <= remaining - 1:
                 prefix.append(l)
                 extend(w, remaining - 1)
@@ -395,15 +435,15 @@ def cycles_through(g: SchreierGraph, v: int, length: int) -> int:
     at each end, a letter pair's fixed point is one loop on two slots and an
     involution's fixed point one loop on one.  For L ≥ 3 every cycle is
     walked out of v once in each direction."""
-    inv = g.gens.inv
+    inv, table = g.gens.inv, rows(g)
 
     def mult(a: int, b: int) -> int:
-        return sum(1 for w in g.next[a] if w == b)
+        return sum(1 for w in table[a] if w == b)
 
     if length == 1:
-        fixed = [l for l, w in enumerate(g.next[v]) if w == v]
+        fixed = [l for l, w in enumerate(table[v]) if w == v]
         return sum(2 if inv[l] == l else 1 for l in fixed) // 2
-    neighbours = {w for w in g.next[v] if w is not None and w != v}
+    neighbours = {w for w in table[v] if w is not None and w != v}
     if length == 2:
         return sum(mult(v, w) * (mult(v, w) - 1) // 2 for w in neighbours)
     total = 0
@@ -413,7 +453,7 @@ def cycles_through(g: SchreierGraph, v: int, length: int) -> int:
         if depth == length - 1:
             total += weight * mult(x, v)
             return
-        for y in {w for w in g.next[x] if w is not None} - path:
+        for y in {w for w in table[x] if w is not None} - path:
             walk(y, depth + 1, weight * mult(x, y), path | {y})
 
     walk(v, 0, 1, {v})
@@ -543,34 +583,35 @@ def rho0_dense(g: SchreierGraph) -> DenseRho0:
     )
 
 
-def validate(g: SchreierGraph) -> None:
-    n, d, inv = len(g.next), g.gens.degree, g.gens.inv
+def validate(gens: GenSet, table, root: int = 0, boundary=frozenset()) -> None:
+    """The checks of the public constructor on rows, one slot at a time."""
+    n, d, inv = len(table), gens.degree, gens.inv
     if n == 0:
         raise GraphInvariantError("graph has no vertices")
-    if not 0 <= g.root < n:
-        raise GraphInvariantError(f"root {g.root} out of range")
-    for v in g.boundary:
+    if not 0 <= root < n:
+        raise GraphInvariantError(f"root {root} out of range")
+    for v in boundary:
         if not 0 <= v < n:
             raise GraphInvariantError(f"boundary vertex {v} out of range")
-    for v, row in enumerate(g.next):
+    for v, row in enumerate(table):
         if len(row) != d:
             raise GraphInvariantError(f"vertex {v} has {len(row)} slots, expected {d}")
         for l, w in enumerate(row):
             if w is None:
-                if v not in g.boundary:
+                if v not in boundary:
                     raise GraphInvariantError(
-                        f"interior vertex {v} missing edge slot {g.gens.labels[l]}"
+                        f"interior vertex {v} missing edge slot {gens.labels[l]}"
                     )
                 continue
             if not 0 <= w < n:
                 raise GraphInvariantError(f"edge target {w} out of range")
-            if g.next[w][inv[l]] != v:
+            if table[w][inv[l]] != v:
                 raise GraphInvariantError(
-                    f"label-consistency violated at edge ({v},{g.gens.labels[l]})"
+                    f"label-consistency violated at edge ({v},{gens.labels[l]})"
                 )
-    dist = bfs_distances(g, g.root)
-    if -1 in dist:
-        v = dist.index(-1)
+    reached = set(row_layers(table, root)[0])
+    if len(reached) < n:
+        v = min(set(range(n)) - reached)
         raise GraphInvariantError(f"graph not connected from root: vertex {v} unreachable")
 
 
@@ -640,21 +681,21 @@ def parse(text: str) -> SchreierGraph:
             raise SGF1Error(f"unrecognized line {line!r}")
     # ``b`` lines with no ``truncated`` mark describe a core
     kind = CoreGraph if boundary and radius is None else SchreierGraph
-    g = kind._trusted(
-        gens=gens,
-        next=tuple(tuple(row) for row in table),
-        root=root,
-        boundary=frozenset(boundary),
-        truncation_radius=radius,
-    )
     try:
-        validate(g)
-        complete = [v for v in sorted(boundary) if None not in g.next[v]]
+        validate(gens, table, root, boundary)
+        complete = [v for v in sorted(boundary) if None not in table[v]]
         if kind is CoreGraph and complete:
             raise GraphInvariantError(f"complete core vertex {complete[0]} flagged as partial")
     except GraphInvariantError as exc:
         raise SGF1Error(str(exc)) from exc
-    return g
+    slots = [[-1 if w is None else w for w in row] for row in table]
+    return kind._trusted(
+        gens=gens,
+        slots=np.array(slots, dtype=np.int64).reshape(n, d),
+        root=root,
+        boundary=frozenset(boundary),
+        truncation_radius=radius,
+    )
 
 
 def check_perm_action(gens: GenSet, perms) -> None:

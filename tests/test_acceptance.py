@@ -242,7 +242,7 @@ def _trace_census(g):
     A^2 are at most d and the traces at most n d^4 < 2^53, so float64 is exact."""
     n, d = g.n, g.degree
     A = np.zeros((n, n))
-    for v, row in enumerate(g.next):
+    for v, row in enumerate(g.slots.tolist()):
         for w in row:
             A[v, w] += 1
     assert A.max() == 1 and not A.diagonal().any(), "graph is not simple"
@@ -268,7 +268,7 @@ def test_10_ramanujan_certification():
         all(c % 13 == 0 for c in _hamilton(x, _hamilton(x, x))[1:]) for x in quats
     ]
     order_three = [
-        all(g.next[g.next[g.next[v][l]][l]][l] == v for v in range(g.n))
+        (g.slots[g.slots[g.slots[:, l], l], l] == np.arange(g.n)).all()
         for l in range(g.degree)
     ]
     assert order_three == scalar_cube

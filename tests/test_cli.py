@@ -1269,7 +1269,7 @@ class TestRootQuestionsFromTheCore:
 
     def test_root_questions_build_no_row_view(self, capsys, monkeypatch):
         """The guard, the bipartite check and the walk stream search the
-        core's slot table, and ``--vertex`` the ball's: no ``next`` view."""
+        core's slot table, and ``--vertex`` the ball's: none stores a second table."""
         built = []
 
         def recording(build):
@@ -1288,7 +1288,7 @@ class TestRootQuestionsFromTheCore:
         assert len(built) == 6
         for source in built:
             g = getattr(source, "graph", source)  # a core's table, or the ball
-            assert "slots" in g.__dict__ and "next" not in g.__dict__
+            assert reference.holds_one_table(g)
 
 
 class TestWhatEachKindAnswers:

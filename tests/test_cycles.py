@@ -26,6 +26,7 @@ from schreier.builders import (
     stallings_core,
     tree_core,
 )
+from schreier import cycles
 from schreier.core import GenSet, PermAction, parse_word
 from schreier.cycles import (
     CycleProfile,
@@ -39,12 +40,12 @@ from reference import cycles_through
 
 def brute_edges(g):
     """Multigraph edge list recovered from half-edge pairing alone: each
-    edge is an orbit of (v, l) ↔ (next[v][l], l⁻¹) on defined slots."""
+    edge is an orbit of (v, l) ↔ (slots[v, l], l⁻¹) on defined slots."""
     seen, edges = set(), []
     for v in range(g.n):
         for l in range(g.gens.degree):
-            w = g.next[v][l]
-            if w is None:
+            w = int(g.slots[v, l])
+            if w < 0:
                 continue
             half = frozenset({(v, l), (w, g.gens.inv[l])})
             if half in seen:
@@ -125,6 +126,19 @@ class TestFrozenCounts:
         assert fixed.n == 1 and girth(fixed) == 1
         swapped = from_perm_action(act, base=1)
         assert girth(swapped) == math.inf
+
+    def test_a_tree_ball_is_answered_without_a_search(self, monkeypatch):
+        """A connected multigraph is a forest exactly when it has n − 1
+        edges, loops and parallel edges counted; the graphs above with n
+        edges have one cycle."""
+
+        def no_search(*args):
+            raise AssertionError("girth searched a forest")
+
+        g = complete_ball(tree_core(4), 8)  # 13,121 vertices
+        monkeypatch.setattr(cycles, "deque", no_search)
+        assert girth(g) == math.inf
+        assert girth(free_core(3)) == math.inf
 
 
 class TestBruteForceAgreement:

@@ -1,7 +1,6 @@
 """Ensembles of rooted Schreier graphs and their invariance diagnostics."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -43,7 +42,7 @@ from schreier.irs import (
     stabilizer_sample,
     uniform_conjugate,
 )
-from schreier.local import bs_statistics, tv_distance
+from schreier.local import bs_statistics
 
 
 def line_ball(radius):
@@ -172,8 +171,8 @@ class TestStabilizerSample:
         b = act.gens.index("b")
         a = act.gens.index("a")
         for g in e.samples:
-            assert g.next[g.root][b] == g.root
-            assert g.next[g.root][a] != g.root
+            assert g.slots[g.root, b] == g.root
+            assert g.slots[g.root, a] != g.root
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -203,9 +202,9 @@ def _assert_matches_per_root_copies(e, act, points, radius):
         g.validate()
     dists = [{} for _ in range(e.gens.degree + 1)]
     for r, w in zip(refs, e.weights):
-        roots = [r.root] + [r.next[r.root][l] for l in range(e.gens.degree)]
+        roots = [r.root] + r.slots[r.root].tolist()
         for dist, v in zip(dists, roots):
-            digest = reference.rows_digest(r.gens, r.next, v, radius)
+            digest = reference.rows_digest(r.gens, reference.rows(r), v, radius)
             dist[digest] = dist.get(digest, Fraction(0)) + w
     digests, laws, common = _distributions(e, radius)
     base, *moved = (
@@ -215,7 +214,7 @@ def _assert_matches_per_root_copies(e, act, points, radius):
     report = invariance_diagnostic(e, radius)
     assert report.distribution == base
     assert report.per_generator == tuple(
-        (name, tv_distance(dists[0], m)) for name, m in zip(e.gens.labels, dists[1:])
+        (name, reference.tv_distance(dists[0], m)) for name, m in zip(e.gens.labels, dists[1:])
     )
 
 
@@ -279,7 +278,7 @@ class TestSharedOrbitTables:
         # mostly non-transitive actions with involutions, from random points
         points = [x % act.degree for x in points]
         samples = _rooted_orbits(act, points)
-        assert [(g.next, g.root) for g in samples] == reference.rooted_orbits(act, points)
+        assert [(reference.rows(g), g.root) for g in samples] == reference.rooted_orbits(act, points)
 
 
 def _fraction_laws(e, radius):
@@ -303,7 +302,7 @@ def _assert_matches_fraction_laws(e, radius):
     assert items == sorted(items, key=lambda item: (-item[1], item[0]))
     assert {key[d]: w for d, w in items} == laws[0]
     assert report.per_generator == tuple(
-        (name, tv_distance(laws[0], moved)) for name, moved in zip(e.gens.labels, laws[1:])
+        (name, reference.tv_distance(laws[0], moved)) for name, moved in zip(e.gens.labels, laws[1:])
     )
     return report
 
@@ -380,6 +379,25 @@ class TestIntegerLaws:
             assert (d, laws.dtype) == (common, dtype)
             assert set(laws.sum(axis=1).tolist()) == {common}
 
+    def test_a_denominator_one_past_the_cap(self):
+        """D = 2⁶², one past the cap: two samples at point 0 of a 3-point
+        action, weighted 1/D and 1 − 1/D.  Moving the root by b carries the
+        whole law to another class, so that row differs by 2D = 2⁶³, which
+        int64 does not hold."""
+        act = PermAction.from_generator_perms([(0, 2, 1), (1, 0, 2)], pair_names=("a", "b"))
+        w = Fraction(1, 2**62)
+        e = IrsEnsemble(
+            gens=act.gens,
+            samples=_rooted_orbits(act, [0, 0]),
+            weights=(w, 1 - w),
+            kind="exact",
+            provenance=Provenance("one point twice", None),
+        )
+        report = _assert_matches_fraction_laws(e, 1)
+        assert dict(report.per_generator)["b"] == 1 and report.max_tv == 1
+        _, laws, common = _distributions(e, 1)
+        assert (common, laws.dtype) == (2**62, object)
+
 
 class TestEnsembleBallDistribution:
     def test_transitive_single_class(self):
@@ -448,7 +466,7 @@ class TestInvarianceDiagnostic:
         gens = GenSet.free(2)
         h = complete_ball(stallings_core(gens, data.draw(reference.folded_words(2))), truncation)
         roots = data.draw(st.lists(st.integers(0, h.n - 1), min_size=1, max_size=4))
-        samples = tuple(replace(h, root=v) for v in roots)
+        samples = tuple(reference.rerooted(h, v) for v in roots)
         e = IrsEnsemble(
             gens=gens,
             samples=samples,
@@ -481,7 +499,7 @@ class TestInvarianceDiagnostic:
         sampled = invariance_diagnostic(
             stabilizer_sample(act, 10_000, seed=11), 2
         ).distribution
-        assert tv_distance(exact, sampled) < Fraction(1, 20)
+        assert reference.tv_distance(exact, sampled) < Fraction(1, 20)
 
 
 def test_an_ensemble_needs_one_weight_per_sample():

@@ -697,7 +697,7 @@ class TestMonotonicityRecheck:
     def test_constant_sequence_passes(self):
         # one vertex, every label a loop: every walk returns, r_n = 1 and
         # every pair is an equality
-        loops = SchreierGraph(gens=F2, next=((0, 0, 0, 0),))
+        loops = SchreierGraph(gens=F2, table=((0, 0, 0, 0),))
         assert all(abs(r - 1.0) < 1e-12 for r in estimate_rho_returns(loops, 60))
 
     @given(st.integers(2, 16), st.lists(st.integers(-1, 1), min_size=2, max_size=40))

@@ -2,6 +2,7 @@ import functools
 import itertools
 import logging
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -201,7 +202,7 @@ class TestHangingTreeRecurrence:
         re-rooted at x, read on its completed ball."""
         core = stallings_core(GenSet.free(rank), data.draw(reference.folded_words(rank)))
         x = data.draw(st.integers(0, core.n - 1), label="origin")
-        rerooted = CoreGraph.from_table(core.gens, core.next, root=x)
+        rerooted = CoreGraph.from_table(core.gens, reference.rows(core), root=x)
         ball = complete_ball(rerooted, (horizon + 1) // 2)
         rows = reference.count_walks(ball, ball.root, horizon)
         assert return_counts(core, x, horizon) == tuple(row[ball.root] for row in rows)
@@ -354,6 +355,22 @@ class TestCoreReturnRecurrence:
         # 2·G = 1 has no integer solution
         with pytest.raises(AssertionError, match="does not divide"):
             walks._series_counts([2], [1], [], 3, 4)
+
+    def test_too_few_terms_give_the_constant_terms_bit_length(self):
+        """The refusal gives the constant term's bit length, not its digits:
+        on LPS(5, 29)'s return series, whose recurrence fits in none of
+        these prefixes, and on (10⁵⁰⁰⁰, 1), whose recurrence s₁ = s₀/10⁵⁰⁰⁰
+        has a constant term past the 4,300 digits that int-to-str
+        conversion allows, as 257 terms of that series reach."""
+        g = lps_graph(5, 29)
+        series = list(return_counts(g, g.root, 128))
+        refusal = r"^the recurrence's constant term is a (\d+)-bit integer, not 1$"
+        for terms in (17, 65, 129):
+            with pytest.raises(AssertionError, match=refusal):
+                walks._berlekamp_massey(series[:terms])
+        with pytest.raises(AssertionError, match=refusal) as caught:
+            walks._berlekamp_massey([10**5000, 1])
+        assert re.match(refusal, str(caught.value))[1] == str((10**5000).bit_length())
 
     def test_one_debug_line_per_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="schreier"):
@@ -1008,7 +1025,7 @@ class TestLimbs:
 class TestReadersBuildNoRowView:
     """The walk streams, ``walk_endpoint`` and the truncation guards read
     ``slots``: on a graph stored as the slot table alone, none of them
-    builds the ``next`` view."""
+    stores a second table."""
 
     @pytest.mark.parametrize(
         "build",
@@ -1021,7 +1038,7 @@ class TestReadersBuildNoRowView:
     )
     def test_readers_search_slots(self, build):
         g = build()
-        assert "next" not in g.__dict__
+        assert reference.holds_one_table(g)
         x = g.root
         return_counts(g, x, 12)
         segment_distributions(g, x, 6, 3)
@@ -1031,4 +1048,4 @@ class TestReadersBuildNoRowView:
             conditioned_prefix_probabilities(g, x, 8, 2, vertex_transitive=g.truncated)
         if g.truncated:
             ball(g, x, 3)
-        assert "next" not in g.__dict__
+        assert reference.holds_one_table(g)
